@@ -285,7 +285,8 @@ def cmd_bfti(args: argparse.Namespace) -> int:
     result = build_tsummary(index, args.start)
     print(
         f"tsummary at {args.start}: {result.rows_written} rows from "
-        f"{result.dirs_scanned} dirs in {result.seconds:.2f}s"
+        f"{result.dirs_scanned} dirs ({result.dbs_opened} dbs opened) "
+        f"in {result.seconds:.2f}s"
     )
     return 0
 

@@ -19,7 +19,8 @@ source tree and surgically updates an existing index —
    *now*.
 2. **Unroll** any rollups on the root→target path of every touched
    directory (a rolled-up ancestor holds merged copies of the data
-   being changed), reusing :func:`repro.core.update.unroll_path_to`.
+   being changed), reusing :func:`repro.core.update.unroll_path_to`;
+   each ancestor is checked once per batch, not once per target.
 3. **Apply structural ops in event order.** Each op is idempotent —
    a move is skipped when its source index directory is missing or
    its destination already exists, a delete of a missing directory is
@@ -40,7 +41,10 @@ source tree and surgically updates an existing index —
 5. **Refresh tsummary roots** whose subtrees changed (only where
    tsummary rows already exist — tsummary is admin-triggered). The
    roots are recorded in the checkpoint *before* the rebuild phase
-   can destroy the rows used to detect them.
+   can destroy the rows used to detect them. On a long-lived index
+   handle the refresh re-reads only the databases this and earlier
+   steps rewrote (:mod:`repro.core.tsummary` memoises every other
+   directory's contribution on the handle) and stats the rest.
 6. **Commit the cursor** through
    :class:`~repro.core.checkpoint.ChangefeedCheckpoint` (atomic
    rename, same discipline as the databases) and only then
@@ -71,9 +75,8 @@ from repro.fs.changelog import (
 )
 from repro.fs.inode import FileType
 from repro.fs.tree import VFSTree
+from repro.store import schema
 
-from . import db as dbmod
-from . import schema
 from .build import BuildOptions, build_dir_db
 from .checkpoint import ChangefeedCheckpoint
 from .index import GUFIIndex
@@ -96,6 +99,9 @@ class ApplyResult:
     entries_indexed: int
     tsummary_refreshed: int
     unrolled_dirs: list[str] = field(default_factory=list)
+    #: databases the tsummary refreshes opened (the rest were folded
+    #: from contributions memoised on the index handle)
+    tsummary_dbs_opened: int = 0
 
 
 def _parent(path: str) -> str:
@@ -172,11 +178,11 @@ def _is_live_dir(tree: VFSTree, path: str) -> bool:
 
 
 def _has_tsummary(index: GUFIIndex, source_path: str) -> bool:
-    db_path = index.db_path(source_path)
-    if not db_path.exists():
+    store = index.store(source_path)
+    if not store.db_path.exists():
         return False
     try:
-        conn = dbmod.open_ro(db_path)
+        conn = store.open_ro()
     except Exception:
         return False
     try:
@@ -288,12 +294,14 @@ def changefeed2index(
         candidates.update(_ancestors(p))
 
     unrolled: list[str] = []
+    #: directories this batch already found (or made) not rolled up
+    checked: set[str] = set()
     dirs_moved = dirs_removed = 0
 
     # -- structural phase (event order, idempotent per op) -------------
     for kind, path, dst in structural:
         if kind == "remove":
-            unrolled += unroll_path_to(index, _parent(path))
+            unrolled += unroll_path_to(index, _parent(path), checked)
             idx_dir = index.index_dir(path)
             if idx_dir.exists():
                 shutil.rmtree(idx_dir, ignore_errors=True)
@@ -301,8 +309,8 @@ def changefeed2index(
             index.cache.invalidate_subtree(path)
         else:
             assert dst is not None
-            unrolled += unroll_path_to(index, _parent(path))
-            unrolled += unroll_path_to(index, _parent(dst))
+            unrolled += unroll_path_to(index, _parent(path), checked)
+            unrolled += unroll_path_to(index, _parent(dst), checked)
             src_dir = index.index_dir(path)
             dst_dir = index.index_dir(dst)
             if src_dir.exists() and not dst_dir.exists():
@@ -312,6 +320,9 @@ def changefeed2index(
             index.cache.invalidate_subtree(path)
             index.cache.invalidate_subtree(dst)
             _fix_depths(index, dst)
+        # the paths name different directories now (a rolled-up one may
+        # have moved in); structural ops are few, so start over
+        checked.clear()
 
     # -- record tsummary roots before rebuilds can destroy the rows
     #    that identify them (a rebuilt db.db starts with an empty
@@ -325,7 +336,7 @@ def changefeed2index(
     dirs_rebuilt = entries_indexed = 0
     for d in sorted(dirty):
         if _is_live_dir(tree, d):
-            unrolled += unroll_path_to(index, d)
+            unrolled += unroll_path_to(index, d, checked)
             stanza = scan_single_dir(tree, d)
             remove_dir_dbs(index, d)
             n, _ = build_dir_db(index, stanza, opts, faults=faults)
@@ -342,12 +353,12 @@ def changefeed2index(
             index.cache.invalidate_subtree(d)
 
     # -- tsummary refresh (roots whose databases still exist) ----------
-    tsummary_refreshed = 0
+    tsummary_refreshed = tsummary_dbs_opened = 0
     for root in sorted(ts_roots):
         if index.db_path(root).exists():
-            build_tsummary(
+            tsummary_dbs_opened += build_tsummary(
                 index, root, per_user_group=tsummary_per_user_group
-            )
+            ).dbs_opened
             tsummary_refreshed += 1
             index.invalidate_cache(root)
 
@@ -372,4 +383,5 @@ def changefeed2index(
         entries_indexed=entries_indexed,
         tsummary_refreshed=tsummary_refreshed,
         unrolled_dirs=sorted(set(unrolled)),
+        tsummary_dbs_opened=tsummary_dbs_opened,
     )

@@ -26,6 +26,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from repro.store.layout import DirStore, StampBracket, is_side_artifact
 
@@ -89,8 +90,11 @@ class IndexError_(Exception):
 
 
 class DirMetaCache:
-    """In-memory cache of per-directory :class:`DirMeta` and of child
-    directory listings, shared by every query on one index handle.
+    """In-memory cache of per-directory :class:`DirMeta`, of child
+    directory listings, and of tree-summary contributions (what one
+    database adds to any ``tsummary`` above it, see
+    :mod:`repro.core.tsummary`), shared by every query and every
+    tree-summary build on one index handle.
 
     Entries are validated on every lookup against a stat-derived stamp
     of the backing file ((inode, mtime_ns, size) for ``db.db``,
@@ -110,10 +114,15 @@ class DirMetaCache:
     def __init__(self) -> None:
         self._meta: dict[str, tuple[tuple, DirMeta]] = {}
         self._subdirs: dict[str, tuple[tuple, list[str]]] = {}
+        #: source path -> (db.db stamp, db.db path, contribution); the
+        #: path string rides along so a warm lookup is one ``os.stat``
+        self._contribs: dict[str, tuple[tuple, str, Any]] = {}
         self.meta_hits = 0
         self.meta_misses = 0
         self.subdir_hits = 0
         self.subdir_misses = 0
+        self.contribution_hits = 0
+        self.contribution_misses = 0
         self.invalidations = 0
         #: invalidation listeners: ``cb(path | None, subtree: bool)``,
         #: called after entries are dropped. The result cache hangs off
@@ -184,11 +193,29 @@ class DirMetaCache:
     def put_subdirs(self, source_path: str, stamp: tuple, names: list[str]) -> None:
         self._subdirs[source_path] = (stamp, names)
 
+    # -- tree-summary contributions -----------------------------------
+    def get_contribution(self, source_path: str) -> Any | None:
+        entry = self._contribs.get(source_path)
+        if entry is not None:
+            if dbmod.file_stamp(entry[1]) == entry[0]:
+                self.contribution_hits += 1
+                return entry[2]
+            self._contribs.pop(source_path, None)
+        self.contribution_misses += 1
+        return None
+
+    def put_contribution(
+        self, source_path: str, stamp: tuple, db_path: str, contribution: Any
+    ) -> None:
+        self._contribs[source_path] = (stamp, db_path, contribution)
+
     # -- invalidation hooks -------------------------------------------
     def invalidate(self, source_path: str) -> None:
-        """Drop one directory's cached metadata and child listing."""
+        """Drop one directory's cached metadata, child listing and
+        tree-summary contribution."""
         self._meta.pop(source_path, None)
         self._subdirs.pop(source_path, None)
+        self._contribs.pop(source_path, None)
         self.invalidations += 1
         self._notify(source_path, False)
 
@@ -199,7 +226,7 @@ class DirMetaCache:
             self.clear()
             return
         prefix = source_path + "/"
-        for table in (self._meta, self._subdirs):
+        for table in (self._meta, self._subdirs, self._contribs):
             for key in [
                 k for k in list(table) if k == source_path or k.startswith(prefix)
             ]:
@@ -212,6 +239,7 @@ class DirMetaCache:
     def clear(self) -> None:
         self._meta.clear()
         self._subdirs.clear()
+        self._contribs.clear()
         self.invalidations += 1
         self._notify(None, True)
 
@@ -221,9 +249,12 @@ class DirMetaCache:
             "meta_misses": self.meta_misses,
             "subdir_hits": self.subdir_hits,
             "subdir_misses": self.subdir_misses,
+            "contribution_hits": self.contribution_hits,
+            "contribution_misses": self.contribution_misses,
             "invalidations": self.invalidations,
             "meta_entries": len(self._meta),
             "subdir_entries": len(self._subdirs),
+            "contribution_entries": len(self._contribs),
         }
 
 
@@ -469,7 +500,8 @@ class GUFIIndex:
 
     def cached_subdir_names(self, source_path: str) -> list[str]:
         """:meth:`subdir_names` through the mtime-validated cache."""
-        base = self.index_dir(source_path)
+        # a plain string: this runs once per directory of every walk
+        base = os.path.join(self.root, source_path.lstrip("/"))
         names = self.cache.get_subdirs(source_path, base)
         if names is not None:
             return names

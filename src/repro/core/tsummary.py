@@ -13,16 +13,35 @@ beneath rolled-up directories and reading their merged ``pentries`` /
 ``summary`` rows instead — which is why the paper measures tsummary
 construction at 14.8 s on an un-rolled index but 0.368 s after a 250 K
 rollup.
+
+A tree summary is a fold over **per-directory contributions**
+(:class:`DirContribution`: what one ``db.db`` adds to any tree summary
+above it). Contributions are memoised on the index handle's
+:class:`~repro.core.index.DirMetaCache`, validated against the
+database's file stamp on every use, so a refresh on a long-lived
+handle opens only the databases that changed since the last build.
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import db as dbmod
-from . import schema
-from .index import GUFIIndex
+from repro import obs
+from repro.store import schema
+from repro.store.layout import StampBracket
+
+from .index import GUFIIndex, IndexError_
+
+
+def _fold(op, acc: int | None, value: int | None) -> int | None:
+    """``min``/``max`` over optional bounds: ``None`` is "no bound yet"
+    on either side (SQL's aggregate-over-NULL rule)."""
+    if value is None:
+        return acc
+    return value if acc is None else op(acc, value)
 
 
 @dataclass
@@ -42,20 +61,20 @@ class _Agg:
     uids: set[int] = field(default_factory=set)
     gids: set[int] = field(default_factory=set)
 
-    def add_entry(
-        self, ftype: str, size: int, mtime: int, uid: int, gid: int, has_xattr: bool
-    ) -> None:
+    def add_group(self, group: tuple) -> None:
+        """Fold one ``GROUP BY type, uid, gid`` row of ``pentries``
+        (see :data:`_GROUPS_SQL`)."""
+        ftype, uid, gid, n, size, minsize, maxsize, minmtime, maxmtime, nxattr = group
         if ftype == "f":
-            self.totfiles += 1
-            self.minsize = size if self.minsize is None else min(self.minsize, size)
-            self.maxsize = size if self.maxsize is None else max(self.maxsize, size)
+            self.totfiles += n
+            self.minsize = _fold(min, self.minsize, minsize)
+            self.maxsize = _fold(max, self.maxsize, maxsize)
         elif ftype == "l":
-            self.totlinks += 1
+            self.totlinks += n
         self.totsize += size
-        self.minmtime = mtime if self.minmtime is None else min(self.minmtime, mtime)
-        self.maxmtime = mtime if self.maxmtime is None else max(self.maxmtime, mtime)
-        if has_xattr:
-            self.totxattr += 1
+        self.minmtime = _fold(min, self.minmtime, minmtime)
+        self.maxmtime = _fold(max, self.maxmtime, maxmtime)
+        self.totxattr += nxattr
         self.uids.add(uid)
         self.gids.add(gid)
 
@@ -100,11 +119,76 @@ _TS_INSERT = (
 )
 
 
+#: ``pentries`` (a directory's own entries plus, when rolled up, every
+#: merged sub-directory's) aggregated where the rows live. NULL sizes
+#: add nothing and bound nothing; NULL or empty ``xattr_names`` is not
+#: xattr-bearing.
+_GROUPS_SQL = (
+    "SELECT type, uid, gid, COUNT(*), COALESCE(SUM(size), 0), "
+    "MIN(size), MAX(size), MIN(mtime), MAX(mtime), "
+    "COUNT(CASE WHEN LENGTH(xattr_names) > 0 THEN 1 END) "
+    "FROM pentries GROUP BY type, uid, gid"
+)
+
+
+class DirContribution(NamedTuple):
+    """What one directory database adds to any tree summary above it.
+
+    Deliberately excludes the ``tsummary`` table itself: writing a
+    result into the start directory's database changes that file's
+    stamp (one re-read next time), never the contribution's content.
+    """
+
+    #: the directory's own inode (its ``isroot = 1`` summary row)
+    inode: int
+    rolledup: bool
+    #: every rectype-0 summary row — the directory itself plus each
+    #: rolled-in one — as ``(size, depth, uid, gid, inode)``
+    dirs: tuple[tuple, ...]
+    #: :data:`_GROUPS_SQL` rows
+    groups: tuple[tuple, ...]
+
+
+def _contribution(index: GUFIIndex, source_path: str) -> DirContribution | None:
+    """Read one directory's contribution (``None``: no database) and
+    memoise it, under the cache's usual race rule — publish only if
+    the file provably did not change across the read."""
+    store = index.store(source_path)
+    db_path = str(store.db_path)
+    bracket = StampBracket(db_path)
+    if bracket.missing:
+        return None
+    conn = store.open_ro()
+    try:
+        dirs = conn.execute(
+            "SELECT size, depth, uid, gid, inode, isroot, rolledup "
+            "FROM summary WHERE rectype = ?",
+            (schema.RECTYPE_OVERALL,),
+        ).fetchall()
+        own = next((d for d in dirs if d[5] == 1), None)
+        if own is None:
+            raise IndexError_("index database has no directory summary record")
+        contrib = DirContribution(
+            inode=own[4],
+            rolledup=bool(own[6]),
+            dirs=tuple(d[:5] for d in dirs),
+            groups=tuple(conn.execute(_GROUPS_SQL)),
+        )
+    finally:
+        conn.close()
+    if bracket.unchanged():
+        index.cache.put_contribution(source_path, bracket.stamp, db_path, contrib)
+    return contrib
+
+
 @dataclass
 class TSummaryResult:
     seconds: float
     dirs_scanned: int
     rows_written: int
+    #: databases actually opened; the rest of ``dirs_scanned`` were
+    #: folded from contributions memoised on the index handle
+    dbs_opened: int = 0
 
 
 def build_tsummary(
@@ -118,60 +202,47 @@ def build_tsummary(
     ``summary`` tables already contain one row per merged directory
     and their ``pentries`` tables every merged entry, so one database
     read covers the whole rolled sub-tree.
+
+    On a warm index handle the walk costs one ``stat`` per directory
+    plus one database read per directory that changed since the last
+    build (any start); a fresh handle reads every database once.
     """
     t0 = time.monotonic()
     overall = _Agg()
-    by_uid: dict[int, _Agg] = {}
-    by_gid: dict[int, _Agg] = {}
-    dirs_scanned = 0
+    by_uid: defaultdict[int, _Agg] = defaultdict(_Agg)
+    by_gid: defaultdict[int, _Agg] = defaultdict(_Agg)
+    dirs_scanned = dbs_opened = 0
+    cache = index.cache
 
     start = "/" + "/".join(p for p in start.split("/") if p)
     stack = [start]
     while stack:
         sp = stack.pop()
-        db_path = index.db_path(sp)
-        if not db_path.exists():
-            continue
+        contrib = cache.get_contribution(sp)
+        if contrib is None:
+            contrib = _contribution(index, sp)
+            if contrib is None:
+                continue
+            dbs_opened += 1
         dirs_scanned += 1
-        conn = index.store(sp).open_ro()
-        try:
-            meta = index.read_dir_meta(conn)
-            # Every summary row (original + rolled-in) is one directory;
-            # the start directory's own row contributes size but is not
-            # counted as a sub-directory of itself.
-            for size, depth, uid, gid, inode in conn.execute(
-                "SELECT size, depth, uid, gid, inode FROM summary "
-                "WHERE rectype = 0"
-            ):
-                is_start = sp == start and inode == meta.inode
-                overall.add_dir(size, depth, uid, gid, count_dir=not is_start)
-                if per_user_group:
-                    by_uid.setdefault(uid, _Agg()).add_dir(
-                        size, depth, uid, gid, count_dir=not is_start
-                    )
-                    by_gid.setdefault(gid, _Agg()).add_dir(
-                        size, depth, uid, gid, count_dir=not is_start
-                    )
-            # pentries covers the directory's own entries plus, when
-            # rolled up, every merged sub-directory's entries.
-            for ftype, size, mtime, uid, gid, xnames in conn.execute(
-                "SELECT type, size, mtime, uid, gid, xattr_names FROM pentries"
-            ):
-                has_x = bool(xnames)
-                overall.add_entry(ftype, size, mtime, uid, gid, has_x)
-                if per_user_group:
-                    by_uid.setdefault(uid, _Agg()).add_entry(
-                        ftype, size, mtime, uid, gid, has_x
-                    )
-                    by_gid.setdefault(gid, _Agg()).add_entry(
-                        ftype, size, mtime, uid, gid, has_x
-                    )
-        finally:
-            conn.close()
-        if meta.rolledup:
+        # Every summary row (original + rolled-in) is one directory;
+        # the start directory's own row contributes size but is not
+        # counted as a sub-directory of itself.
+        for size, depth, uid, gid, inode in contrib.dirs:
+            count_dir = not (sp == start and inode == contrib.inode)
+            overall.add_dir(size, depth, uid, gid, count_dir)
+            if per_user_group:
+                by_uid[uid].add_dir(size, depth, uid, gid, count_dir)
+                by_gid[gid].add_dir(size, depth, uid, gid, count_dir)
+        for group in contrib.groups:
+            overall.add_group(group)
+            if per_user_group:
+                by_uid[group[1]].add_group(group)
+                by_gid[group[2]].add_group(group)
+        if contrib.rolledup:
             continue
         prefix = "" if sp == "/" else sp
-        stack.extend(f"{prefix}/{n}" for n in index.subdir_names(sp))
+        stack.extend(f"{prefix}/{n}" for n in index.cached_subdir_names(sp))
 
     rows = [overall.row(schema.RECTYPE_OVERALL, 0, 0)]
     if per_user_group:
@@ -187,10 +258,12 @@ def build_tsummary(
         conn.commit()
     finally:
         conn.close()
+    obs.metrics().counter("gufi_tsummary_dbs_opened_total", dbs_opened)
     return TSummaryResult(
         seconds=time.monotonic() - t0,
         dirs_scanned=dirs_scanned,
         rows_written=len(rows),
+        dbs_opened=dbs_opened,
     )
 
 

@@ -42,16 +42,27 @@ class UpdateResult:
     entries_indexed: int
 
 
-def unroll_path_to(index: GUFIIndex, target: str) -> list[str]:
+def unroll_path_to(
+    index: GUFIIndex, target: str, checked: set[str] | None = None
+) -> list[str]:
     """Undo rollups on every directory from the root down to (and
     including) ``target`` so the target's database is authoritative
-    again. Off-path siblings keep their rollups."""
+    again. Off-path siblings keep their rollups.
+
+    ``checked`` is a caller-owned set of directories already known not
+    to be rolled up: members are skipped and every directory verified
+    (or unrolled) here is added, so a batch of targets checks each
+    shared ancestor once. The caller empties it when it moves or
+    removes a directory.
+    """
     parts = [p for p in target.split("/") if p]
     unrolled = []
     paths = ["/"] + [
         "/" + "/".join(parts[: i + 1]) for i in range(len(parts))
     ]
     for sp in paths:
+        if checked is not None and sp in checked:
+            continue
         db_path = index.db_path(sp)
         if not db_path.exists():
             continue
@@ -59,6 +70,8 @@ def unroll_path_to(index: GUFIIndex, target: str) -> list[str]:
         if meta.rolledup:
             unrollup_dir(index, sp)
             unrolled.append(sp)
+        if checked is not None:
+            checked.add(sp)
     return unrolled
 
 
@@ -117,15 +130,12 @@ def update_directory(
 
 
 def scan_single_dir(tree: VFSTree, source_path: str) -> DirStanza:
-    import posixpath
-
     dir_inode = tree.get_inode(source_path)
     stanza = DirStanza(directory=record_from_inode(source_path, dir_inode))
-    for e in tree.readdir(source_path):
-        if e.ftype is FileType.DIRECTORY:
-            continue
-        child = posixpath.join(source_path, e.name)
-        stanza.entries.append(record_from_inode(child, tree.get_inode(child)))
+    prefix = "" if source_path == "/" else source_path
+    for name, inode in tree.readdir_plus(source_path):
+        if inode.ftype is not FileType.DIRECTORY:
+            stanza.entries.append(record_from_inode(f"{prefix}/{name}", inode))
     return stanza
 
 

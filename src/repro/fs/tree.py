@@ -479,22 +479,27 @@ class VFSTree:
             assert node.inode.symlink_target is not None
             return node.inode.symlink_target
 
+    def _list(self, path: str, creds: Credentials) -> list[tuple[str, _Node]]:
+        """A readable directory's ``(name, node)`` children in name
+        order, bumping its atime. Called under the lock."""
+        node = self._resolve(path, creds, follow=True)
+        inode = node.inode
+        if inode.ftype is not FileType.DIRECTORY:
+            raise NotADirectory(path)
+        if not can_read_dir(inode.mode, inode.uid, inode.gid, creds):
+            raise PermissionDenied(path)
+        inode.atime = self._now()
+        assert node.children is not None
+        return sorted(node.children.items())
+
     def readdir(self, path: str, creds: Credentials = ROOT) -> list[DirEntry]:
         """``readdir``: requires the directory's read bit."""
         if self._faults is not None:
             self._faults.fire("vfs.readdir", path)
         with self._lock:
-            node = self._resolve(path, creds, follow=True)
-            inode = node.inode
-            if inode.ftype is not FileType.DIRECTORY:
-                raise NotADirectory(path)
-            if not can_read_dir(inode.mode, inode.uid, inode.gid, creds):
-                raise PermissionDenied(path)
-            inode.atime = self._now()
-            assert node.children is not None
             return [
                 DirEntry(name=n, ino=c.inode.ino, ftype=c.inode.ftype)
-                for n, c in sorted(node.children.items())
+                for n, c in self._list(path, creds)
             ]
 
     def chmod(self, path: str, mode: int, creds: Credentials = ROOT) -> None:
@@ -635,6 +640,28 @@ class VFSTree:
             self._faults.fire("vfs.get_inode", path)
         with self._lock:
             return self._resolve(path, creds, follow=False).inode
+
+    def readdir_plus(self, path: str) -> list[tuple[str, Inode]]:
+        """READDIRPLUS for the privileged scanners: a directory's
+        ``(name, Inode)`` children in name order, as root, under one
+        resolve and one lock hold (:meth:`readdir` followed by a
+        :meth:`get_inode` per entry re-resolves every child from ``/``).
+
+        Fires the fault sites that pair fires, with the same keys in
+        the same order (``vfs.readdir`` for the directory, then
+        ``vfs.get_inode`` per non-directory child: scanners fetch a
+        sub-directory's attributes when they descend into it), so a
+        :class:`~repro.scan.faults.FaultPlan` replays identically."""
+        faults = self._faults
+        if faults is not None:
+            faults.fire("vfs.readdir", path)
+        with self._lock:
+            children = [(n, c.inode) for n, c in self._list(path, ROOT)]
+        if faults is not None:
+            for name, child in children:
+                if child.ftype is not FileType.DIRECTORY:
+                    faults.fire("vfs.get_inode", posixpath.join(path, name))
+        return children
 
     def exists(self, path: str, creds: Credentials = ROOT) -> bool:
         try:

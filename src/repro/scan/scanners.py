@@ -157,15 +157,14 @@ class TreeWalkScanner:
         def expand(dirpath: str) -> list[str]:
             nonlocal n_stats, n_listed
             dir_inode = self.tree.get_inode(dirpath)
-            entries = self.tree.readdir(dirpath)
+            entries = self.tree.readdir_plus(dirpath)
             stanza = DirStanza(directory=record_from_inode(dirpath, dir_inode))
             subdirs: list[str] = []
-            for e in entries:
-                child_path = posixpath.join(dirpath, e.name)
-                if e.ftype is FileType.DIRECTORY:
+            for name, inode in entries:
+                child_path = posixpath.join(dirpath, name)
+                if inode.ftype is FileType.DIRECTORY:
                     subdirs.append(child_path)
                 else:
-                    inode = self.tree.get_inode(child_path)
                     stanza.entries.append(record_from_inode(child_path, inode))
             with lock:
                 stanzas.append(stanza)

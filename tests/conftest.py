@@ -8,6 +8,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
+from repro.core.index import GUFIIndex
+from repro.core.tsummary import build_tsummary
 from repro.fs.permissions import Credentials
 from repro.fs.tree import VFSTree
 from repro.gen.datasets import dataset2
@@ -99,3 +101,22 @@ def xattr_namespace(tmp_path_factory):
         ns.tree, root / "idx", opts=BuildOptions(nthreads=NTHREADS)
     )
     return ns, tagged, needle, result.index
+
+
+def tsummary_rows(index_root, start: str = "/") -> list[tuple]:
+    """Every tsummary row stored at ``start``, all columns, sorted."""
+    conn = GUFIIndex(index_root).store(start).open_ro()
+    try:
+        return sorted(conn.execute("SELECT * FROM tsummary"))
+    finally:
+        conn.close()
+
+
+def fresh_tsummary_rows(
+    index_root, start: str = "/", per_user_group: bool = True
+) -> list[tuple]:
+    """The tree-summary oracle: rebuild ``start`` through a brand-new
+    index handle (nothing memoised, every database read) and return
+    the rows it wrote."""
+    build_tsummary(GUFIIndex(index_root), start, per_user_group=per_user_group)
+    return tsummary_rows(index_root, start)

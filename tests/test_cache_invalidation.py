@@ -20,6 +20,7 @@ from repro.core.index import DirMetaCache, GUFIIndex
 from repro.core.query import GUFIQuery, Q1_LIST_PATHS, Q3_DU_SUMMARIES
 from repro.core.refresh import IndexRefresher
 from repro.core.rollup import rollup, unrollup_dir
+from repro.core.tsummary import build_tsummary
 from repro.core.update import update_directory
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import Credentials
@@ -28,6 +29,22 @@ from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
 
 def paths(result):
     return sorted(r[0] for r in result.rows)
+
+
+def flipping_stamp(real, db_path):
+    """A file_stamp that reports a different post-read stamp for
+    ``db_path`` — exactly what a racing writer produces."""
+    calls = {"n": 0}
+
+    def fake(path):
+        stamp = real(path)
+        if str(path) == str(db_path):
+            calls["n"] += 1
+            if calls["n"] >= 2 and stamp is not None:
+                return (stamp[0], stamp[1] + 1, stamp[2])
+        return stamp
+
+    return fake
 
 
 class TestDirMetaCacheUnit:
@@ -65,6 +82,67 @@ class TestDirMetaCacheUnit:
         cache = DirMetaCache()
         assert cache.get_meta("/x", tmp_path / "nope.db") is None
         assert cache.meta_misses == 1
+
+
+class TestContributionTable:
+    """The cache's third table — tree-summary contributions — obeys
+    the same stamp and the same hooks as the other two."""
+
+    def warm(self, index):
+        build_tsummary(index, "/")
+        return index.cache
+
+    def test_stamp_mismatch_evicts(self, demo_index):
+        cache = self.warm(demo_index)
+        assert cache.get_contribution("/home/bob") is not None
+        db = demo_index.db_path("/home/bob")
+        payload = db.read_bytes()
+        db.unlink()
+        db.write_bytes(payload)
+        misses = cache.contribution_misses
+        assert cache.get_contribution("/home/bob") is None
+        assert cache.contribution_misses == misses + 1
+        assert "/home/bob" not in cache._contribs
+
+    def test_removed_database_evicts(self, demo_index):
+        cache = self.warm(demo_index)
+        demo_index.db_path("/home/bob/secret").unlink()
+        assert cache.get_contribution("/home/bob/secret") is None
+
+    def test_invalidate_drops_one(self, demo_index):
+        cache = self.warm(demo_index)
+        demo_index.invalidate_cache("/home/bob")
+        assert cache.get_contribution("/home/bob") is None
+        assert cache.get_contribution("/home/bob/secret") is not None
+
+    def test_invalidate_subtree_drops_descendants_only(self, demo_index):
+        cache = self.warm(demo_index)
+        cache.invalidate_subtree("/home/bob")
+        assert cache.get_contribution("/home/bob") is None
+        assert cache.get_contribution("/home/bob/secret") is None
+        assert cache.get_contribution("/home/alice") is not None
+
+    def test_clear_drops_everything(self, demo_index):
+        cache = self.warm(demo_index)
+        assert cache.stats()["contribution_entries"] > 0
+        demo_index.invalidate_cache()
+        assert cache.stats()["contribution_entries"] == 0
+
+    def test_racing_write_is_not_published(self, demo_index, monkeypatch):
+        """The read answers, but a database that changed across it
+        must not be memoised (same rule as ``cached_dir_meta``)."""
+        import repro.store.layout as layout
+
+        db_path = demo_index.db_path("/home/bob")
+        monkeypatch.setattr(
+            layout,
+            "file_stamp",
+            flipping_stamp(dbmod.file_stamp, db_path),
+        )
+        r = build_tsummary(demo_index, "/home/bob")
+        assert r.dirs_scanned == 2
+        assert "/home/bob" not in demo_index.cache._contribs
+        assert "/home/bob/secret" in demo_index.cache._contribs
 
 
 class TestUpdateInvalidation:
@@ -449,21 +527,6 @@ class TestReadStablePublish:
     read and re-check it after: a write racing the read must never pin
     its predecessor's DirMeta (the stamp-before-read race fix)."""
 
-    def _flipping_stamp(self, real, db_path):
-        """A file_stamp that reports a different post-read stamp for
-        ``db_path`` — exactly what a racing writer produces."""
-        calls = {"n": 0}
-
-        def fake(path):
-            stamp = real(path)
-            if str(path) == str(db_path):
-                calls["n"] += 1
-                if calls["n"] >= 2 and stamp is not None:
-                    return (stamp[0], stamp[1] + 1, stamp[2])
-            return stamp
-
-        return fake
-
     def test_cached_dir_meta_discards_on_mismatch(
         self, demo_index, monkeypatch
     ):
@@ -475,7 +538,7 @@ class TestReadStablePublish:
         monkeypatch.setattr(
             layout,
             "file_stamp",
-            self._flipping_stamp(dbmod.file_stamp, db_path),
+            flipping_stamp(dbmod.file_stamp, db_path),
         )
         meta = demo_index.cached_dir_meta("/home/bob")
         assert meta is not None  # the read itself still answers
@@ -489,7 +552,7 @@ class TestReadStablePublish:
         monkeypatch.setattr(
             layout,
             "file_stamp",
-            self._flipping_stamp(dbmod.file_stamp, db_path),
+            flipping_stamp(dbmod.file_stamp, db_path),
         )
         assert demo_index.dir_meta("/public") is not None
         assert demo_index.cache.peek_stamp("/public") is None

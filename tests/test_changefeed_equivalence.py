@@ -36,7 +36,14 @@ from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
-from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
+from tests.conftest import (
+    ALICE,
+    BOB,
+    NTHREADS,
+    build_demo_tree,
+    fresh_tsummary_rows,
+    tsummary_rows,
+)
 
 OPTS = BuildOptions(nthreads=NTHREADS)
 
@@ -81,6 +88,14 @@ def dir_stats(index_root, dirs) -> dict[str, object]:
         assert meta is not None, f"no index database for {d}"
         out[d] = (meta.mode, meta.uid, meta.gid, meta.stats)
     return out
+
+
+def assert_tsummary_fresh(index: GUFIIndex, start: str = "/") -> None:
+    """The rows an apply left at ``start`` (refreshed on the applying
+    handle, whose memoised contributions it folds) are the rows a
+    fresh handle computes from the same index."""
+    got = tsummary_rows(index.root, start)
+    assert got and got == fresh_tsummary_rows(index.root, start)
 
 
 def assert_equivalent(inc_index, tree, tmp_path, *, stats_dirs=None,
@@ -132,6 +147,7 @@ class TestDeterministicEquivalence:
         tree.rmdir("/home/bob/secret", BOB)
 
         result = changefeed2index(index, tree, journal, opts=OPTS)
+        assert_tsummary_fresh(index)
         assert result.events_applied > 0
         assert result.dirs_moved == 1  # only the pre-existing subtree
         # moves a directory created in the same batch by rebuilding it
@@ -162,6 +178,51 @@ class TestDeterministicEquivalence:
             conn.close()
         assert depth == 1
         assert_equivalent(index, tree, tmp_path)
+
+    def test_cross_depth_move_refreshes_maxdepth(self, tmp_path):
+        """Descendants of a moved directory are not rebuilt:
+        ``_fix_depths`` shifts their ``summary.depth`` in place. The
+        refresh on the applying handle must not fold their pre-move
+        contributions."""
+        tree = build_demo_tree()
+        tree.makedirs("/home/alice/sub/d4/d5", mode=0o700, uid=1001, gid=1001)
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        build_tsummary(index, "/")
+        maxdepth = {r[:3]: r[11] for r in tsummary_rows(index.root)}
+        assert maxdepth[(0, 0, 0)] == 5
+        journal = ChangeJournal()
+        tree.set_changelog(journal)
+        tree.rename("/home/alice/sub", "/sub")  # d5: depth 5 -> 3
+        result = changefeed2index(index, tree, journal, opts=OPTS)
+        assert result.dirs_moved == 1 and result.tsummary_refreshed == 1
+        maxdepth = {r[:3]: r[11] for r in tsummary_rows(index.root)}
+        assert maxdepth[(0, 0, 0)] == 3
+        assert_tsummary_fresh(index)
+        assert_equivalent(index, tree, tmp_path, tsummary=True)
+
+    def test_refresh_rereads_only_what_the_apply_rewrote(self, tmp_path):
+        tree = build_demo_tree()
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        cold = build_tsummary(index, "/")
+        assert cold.dbs_opened == cold.dirs_scanned
+        journal = ChangeJournal()
+        tree.set_changelog(journal)
+        for batch in (
+            lambda: tree.create_file("/public/x.txt", size=1, uid=0, gid=0),
+            lambda: (
+                tree.chmod("/home/bob", 0o700, BOB),
+                tree.unlink("/proj/shared/data/d.h5"),
+                tree.utime("/home/alice/a.txt", atime=1, mtime=2),
+            ),
+        ):
+            batch()
+            result = changefeed2index(index, tree, journal, opts=OPTS)
+            assert result.tsummary_refreshed == 1
+            # the rebuilt directories, plus the root the last build
+            # wrote its rows into
+            assert result.tsummary_dbs_opened == result.dirs_rebuilt + 1
+            assert_tsummary_fresh(index)
+        assert_equivalent(index, tree, tmp_path, tsummary=True)
 
     def test_empty_batch_is_a_noop(self, tmp_path):
         tree = build_demo_tree()
@@ -216,6 +277,28 @@ class TestRollupEquivalence:
         tree.rmdir("/home/bob/secret", BOB)
         changefeed2index(index, tree, journal, opts=OPTS)
         assert not index.index_dir("/home/bob/secret").exists()
+        assert_equivalent(index, tree, tmp_path)
+
+
+    def test_rolled_directory_moved_onto_a_checked_path(self, tmp_path):
+        """Each ancestor's rollup state is checked once per batch —
+        but a path the batch vacates and refills names a different
+        directory afterwards and must be checked again."""
+        tree = build_demo_tree()
+        tree.makedirs("/proj/z/alice/child", mode=0o755, uid=0, gid=0)
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        rollup(index, nthreads=NTHREADS)
+        assert index.dir_meta("/home/alice").rolledup
+        assert not index.dir_meta("/home").rolledup
+        journal = ChangeJournal()
+        tree.set_changelog(journal)
+        tree.rmdir("/proj/z/alice/child")  # /proj/z/alice gets checked
+        tree.rename("/proj/z", "/proj/old")
+        tree.rename("/home", "/proj/z")  # brings a rolled-up /proj/z/alice
+        tree.create_file("/proj/z/alice/sub/late.dat", size=5, mode=0o600,
+                         uid=1001, gid=1001)
+        result = changefeed2index(index, tree, journal, opts=OPTS)
+        assert "/proj/z/alice" in result.unrolled_dirs
         assert_equivalent(index, tree, tmp_path)
 
 
@@ -282,9 +365,12 @@ class TestRandomInterleavingProperty:
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
         mut = NamespaceMutator(ns, seed=seed ^ 0xC0FFEE)
+        # one long-lived handle across every apply: each refresh folds
+        # what earlier builds memoised on it
         for n in batches:
             mut.mutate(n)
             changefeed2index(index, ns.tree, journal, opts=OPTS)
+            assert_tsummary_fresh(index)
         assert_equivalent(index, ns.tree, root, stats_dirs=ns.dirs,
                           tsummary=True)
 
@@ -299,9 +385,11 @@ class TestRandomInterleavingProperty:
         root = tmp_path_factory.mktemp("cfroll")
         index = dir2index(ns.tree, root / "idx", opts=OPTS).index
         rollup(index, nthreads=NTHREADS)
+        build_tsummary(index, "/", per_user_group=True)
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
         mut = NamespaceMutator(ns, seed=seed)
         mut.mutate(15)
         changefeed2index(index, ns.tree, journal, opts=OPTS)
-        assert_equivalent(index, ns.tree, root)
+        assert_tsummary_fresh(index)
+        assert_equivalent(index, ns.tree, root, tsummary=True)

@@ -22,7 +22,12 @@ from repro.core.query import Q1_LIST_PATHS, Q4_DU_TSUMMARY, GUFIQuery
 from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.scan.faults import BuildCrash, FaultPlan
-from tests.conftest import NTHREADS, build_demo_tree
+from tests.conftest import (
+    NTHREADS,
+    build_demo_tree,
+    fresh_tsummary_rows,
+    tsummary_rows,
+)
 
 OPTS = BuildOptions(nthreads=NTHREADS)
 
@@ -78,6 +83,9 @@ class TestCrashMidApply:
         n_rebuilds = self._reference_dirs_rebuilt(tmp_path)
         assert n_rebuilds >= 4  # the fractions below must differ
         tree, index, journal = setup(tmp_path)
+        # a root tsummary, built on the handle the crashed and the
+        # resumed apply share: the resume folds what this memoised
+        build_tsummary(index, "/", per_user_group=True)
         mutate_batch(tree)
         emitted = journal.head
 
@@ -88,10 +96,13 @@ class TestCrashMidApply:
                 faults=FaultPlan.crash_at("build_dir_db", kill_at),
             )
         # nothing acknowledged: cursor still at 0, every event retained
-        assert ChangefeedCheckpoint(index.root).load() == 0
+        # (and the root's refresh owed)
+        assert ChangefeedCheckpoint(index.root).load_state() == (0, ["/"])
         assert len(journal) == emitted
 
         resumed = changefeed2index(index, tree, journal, opts=OPTS)
+        assert resumed.tsummary_refreshed == 1
+        assert tsummary_rows(index.root) == fresh_tsummary_rows(index.root)
         # the whole batch was re-drained and applied once, effectively
         assert resumed.events_applied == emitted
         assert resumed.cursor == emitted
@@ -169,8 +180,10 @@ class TestPendingTsummary:
         cursor, pending = ChangefeedCheckpoint(index.root).load_state()
         assert cursor == journal.head
         assert pending == []
+        assert tsummary_rows(index.root) == fresh_tsummary_rows(index.root)
         fresh = dir2index(tree, tmp_path / "fresh", opts=OPTS).index
         build_tsummary(fresh, "/", per_user_group=True)
+        assert tsummary_rows(index.root) == tsummary_rows(fresh.root)
         q_inc = GUFIQuery(index, nthreads=NTHREADS)
         q_new = GUFIQuery(fresh, nthreads=NTHREADS)
         assert sorted(q_inc.run(Q4_DU_TSUMMARY).rows) == sorted(

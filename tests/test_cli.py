@@ -106,7 +106,8 @@ class TestCLI:
         assert rc == 0
         du_plain = int(capsys.readouterr().out.strip())
         assert run_cli("bfti", index_root) == 0
-        capsys.readouterr()
+        # a one-shot process has nothing memoised: every db is opened
+        assert "dirs (12 dbs opened)" in capsys.readouterr().out
         assert run_cli("du", index_root, "--tsummary", "-n", "2") == 0
         du_ts = int(capsys.readouterr().out.strip())
         assert du_ts == du_plain

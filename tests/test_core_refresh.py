@@ -8,7 +8,13 @@ from repro.core.build import BuildOptions
 from repro.core.query import GUFIQuery, Q1_LIST_PATHS
 from repro.core.refresh import IndexRefresher, diff_indexes
 from repro.fs.changelog import ChangeJournal
-from tests.conftest import NTHREADS, build_demo_tree
+from repro.core.tsummary import build_tsummary
+from tests.conftest import (
+    NTHREADS,
+    build_demo_tree,
+    fresh_tsummary_rows,
+    tsummary_rows,
+)
 
 
 @pytest.fixture
@@ -167,6 +173,21 @@ class TestIncrementalRefresh:
             .run(Q1_LIST_PATHS).rows
         ]
         assert "/home/bob/inc.dat" in rows
+
+    def test_incremental_refreshes_tsummary_on_the_live_handle(self, tmp_path):
+        tree, journal, r = self._refresher(tmp_path)
+        r.refresh()
+        index = r.current()
+        build_tsummary(index, "/")
+        before = tsummary_rows(index.root)
+        for i, d in enumerate(("/home/bob", "/proj/shared", "/public")):
+            tree.create_file(f"{d}/inc{i}.dat", size=1000 + i, uid=0, gid=0)
+            r.refresh(mode="incremental")
+            assert r.current() is index  # same handle, same memo
+            rows = tsummary_rows(index.root)
+            assert rows != before
+            assert rows == fresh_tsummary_rows(index.root)
+            before = rows
 
     def test_incremental_with_no_changes_is_noop(self, tmp_path):
         _, _, r = self._refresher(tmp_path)

@@ -158,6 +158,74 @@ class TestVFSTreeHooks:
             t.get_inode("/d")
         assert t.get_inode("/d").ftype.value == "d"
 
+    def test_readdir_plus_returns_name_inode_pairs(self):
+        t = VFSTree()
+        t.mkdir("/d")
+        t.create_file("/d/b", size=3)
+        t.symlink("/d/a", "/d/b")
+        t.mkdir("/d/c")
+        got = t.readdir_plus("/d")
+        assert [n for n, _ in got] == ["a", "b", "c"]
+        for name, inode in got:
+            assert inode is t.get_inode(f"/d/{name}")  # symlink not followed
+        with pytest.raises(Exception):
+            t.readdir_plus("/d/b")  # not a directory
+
+    def test_readdir_plus_fires_what_readdir_and_get_inode_fire(self):
+        """Same sites, same keys, same order as the per-entry calls it
+        replaces, so seeded plans replay identically."""
+
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+
+            def fire(self, site, key=None):
+                self.calls.append((site, key))
+
+        t = VFSTree()
+        t.mkdir("/d")
+        t.create_file("/d/b")
+        t.mkdir("/d/c")
+        t.symlink("/d/a", "/d/b")
+
+        old, new = Recorder(), Recorder()
+        t.set_fault_plan(old)
+        for e in t.readdir("/d"):
+            if e.ftype.value != "d":
+                t.get_inode(f"/d/{e.name}")
+        t.set_fault_plan(new)
+        t.readdir_plus("/d")
+        assert new.calls == old.calls == [
+            ("vfs.readdir", "/d"),
+            ("vfs.get_inode", "/d/a"),
+            ("vfs.get_inode", "/d/b"),
+        ]
+
+    def test_scanners_replay_a_seeded_plan(self):
+        """The Nth ``vfs.get_inode`` is the same entry for the
+        single-directory rescan and the tree walk as before."""
+        from repro.core.update import scan_single_dir
+        from repro.scan.scanners import TreeWalkScanner
+
+        t = VFSTree()
+        t.mkdir("/d")
+        for name in ("a", "b", "c"):
+            t.create_file(f"/d/{name}")
+        t.mkdir("/d/sub")
+        # invocation 1 is /d itself, then a, b, c in name order
+        t.set_fault_plan(FaultPlan.io_at("vfs.get_inode", 3))
+        with pytest.raises(InjectedFault, match=r"\(/d/b\)"):
+            scan_single_dir(t, "/d")
+        assert [r.name for r in scan_single_dir(t, "/d").entries] == [
+            "a", "b", "c"
+        ]
+        plan = FaultPlan.io_at("vfs.get_inode", 3)
+        t.set_fault_plan(plan)
+        TreeWalkScanner(t, nthreads=1).scan("/d")
+        assert [(f.site, f.key) for f in plan.fired] == [
+            ("vfs.get_inode", "/d/b")
+        ]
+
     def test_detach(self):
         t = VFSTree()
         t.mkdir("/d")

@@ -430,6 +430,19 @@ class TestIntegration:
         # warm run: the meta cache answered, and the deltas were folded
         assert snap.counter("gufi_session_cache_hits_total", kind="meta") > 0
 
+    def test_tsummary_dbs_opened_counter(self, demo_index):
+        from repro.core.tsummary import build_tsummary
+
+        with obs.enabled(metrics=True):
+            cold = build_tsummary(demo_index, "/")
+            warm = build_tsummary(demo_index, "/")
+            snap = obs.snapshot()
+        assert (cold.dbs_opened, warm.dbs_opened) == (cold.dirs_scanned, 1)
+        assert (
+            snap.counter("gufi_tsummary_dbs_opened_total")
+            == cold.dbs_opened + warm.dbs_opened
+        )
+
     def test_existing_counter_fields_unchanged_by_obs(self, demo_index):
         """The public QueryResult fields must read the same whether the
         registry backs them or not."""

@@ -75,7 +75,65 @@ def _layout_literals_in(path: Path) -> list[tuple[int, str]]:
     return hits
 
 
+#: the compat re-export shims left behind when the store layer was
+#: extracted (``repro.core.db`` / ``repro.core.schema``)
+_SHIMS = ("db", "schema")
+
+#: modules already migrated off the shims — they import from
+#: ``repro.store`` directly and must not slide back. Extend as modules
+#: migrate; when every importer is listed, the shims can be deleted.
+_SHIM_FREE = ("core/tsummary.py", "core/changefeed.py")
+
+
+def _shim_imports_in(path: Path, package: str = "repro.core") -> list[int]:
+    """Line numbers of imports of a compat shim, however spelled:
+    ``from . import db``, ``from .schema import X``, ``from repro.core
+    import db``, ``import repro.core.schema``."""
+    hits: list[int] = []
+    shim_modules = {f"{package}.{name}" for name in _SHIMS}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            if any(alias.name in shim_modules for alias in node.names):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:  # the linted modules sit in repro.core
+                module = f"{package}.{module}".rstrip(".")
+            elif node.level:
+                continue
+            if module in shim_modules or (
+                module == package
+                and any(alias.name in _SHIMS for alias in node.names)
+            ):
+                hits.append(node.lineno)
+    return hits
+
+
 class TestEncapsulationLint:
+    @pytest.mark.parametrize("module", _SHIM_FREE)
+    def test_migrated_modules_do_not_import_the_shims(self, module):
+        assert not _shim_imports_in(SRC_ROOT / module), (
+            f"{module} imports repro.core.db / repro.core.schema again; "
+            "import from repro.store"
+        )
+
+    def test_shim_lint_actually_detects(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        for line in (
+            "from . import db as dbmod",
+            "from . import schema",
+            "from .schema import RECTYPE_OVERALL",
+            "from repro.core import db",
+            "import repro.core.schema",
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert _shim_imports_in(bad), line
+        bad.write_text(
+            "from repro.store import schema\nfrom .index import GUFIIndex\n",
+            encoding="utf-8",
+        )
+        assert not _shim_imports_in(bad)
+
     def test_no_layout_literals_outside_store(self):
         """No module outside repro.store may hard-code the primary db
         name, the xattr shard prefix, or the staging suffix — the
