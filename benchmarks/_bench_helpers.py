@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+#: human-readable tables (txt/csv) land here
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: canonical bench artifacts also land at the repository root — CI
-#: fails a smoke run whose ``BENCH_*.json`` is missing from here
+#: the one home of the ``BENCH_*.json`` artifacts — CI fails a smoke
+#: run that leaves one missing
 REPO_ROOT = Path(__file__).parent.parent
 
 #: this sandbox serialises syscalls across threads, so wall-clock
@@ -21,28 +22,16 @@ DS2_SCALE = 0.0003
 
 
 def save_bench_report(name: str, report: dict) -> Path:
-    """Write ``BENCH_<name>.json`` to both homes: the repo root (the
-    canonical artifact — CI checks it exists after every smoke run)
-    and ``benchmarks/results/`` (alongside the human-readable tables).
-    Returns the canonical (root) path."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = json.dumps(report, indent=2) + "\n"
-    (RESULTS_DIR / f"BENCH_{name}.json").write_text(text)
+    """Write ``BENCH_<name>.json`` at the repo root; returns its path."""
     out = REPO_ROOT / f"BENCH_{name}.json"
-    out.write_text(text)
+    out.write_text(json.dumps(report, indent=2) + "\n")
     return out
 
 
 def load_bench_baseline(name: str) -> dict | None:
-    """Read a recorded ``BENCH_<name>.json``, preferring the canonical
-    repo-root copy and falling back to ``benchmarks/results/``."""
-    for path in (
-        REPO_ROOT / f"BENCH_{name}.json",
-        RESULTS_DIR / f"BENCH_{name}.json",
-    ):
-        if path.exists():
-            return json.loads(path.read_text())
-    return None
+    """The recorded ``BENCH_<name>.json``, or None when there is none."""
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    return json.loads(path.read_text()) if path.exists() else None
 
 
 def save_table(name: str, *tables) -> None:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import sqlite3
 import threading
 
-from repro.core import db as dbmod
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.scan.walker import ParallelTreeWalker
+from repro.store import connect
 
 from _bench_helpers import NTHREADS, save_table
 from repro.harness.results import ResultTable
@@ -41,7 +42,7 @@ def shared_db_aggregate(index, nthreads: int) -> dict[int, float]:
         db_path = index.db_path(source_path)
         if not db_path.exists():
             return []
-        conn = dbmod.open_ro(db_path)
+        conn = connect.open_ro(db_path)
         try:
             rows = conn.execute(
                 "SELECT uid, TOTAL(size) FROM pentries GROUP BY uid"
@@ -63,7 +64,7 @@ def shared_db_aggregate(index, nthreads: int) -> dict[int, float]:
 
 def bench_aggregate_per_thread_dbs(benchmark, ds2_index):
     """The engine's per-thread-DB + merge design."""
-    q = GUFIQuery(ds2_index.index, nthreads=NTHREADS)
+    q = QueryEngine(ds2_index.index, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(AGG_SPEC))
     assert result.rows
 
@@ -72,7 +73,7 @@ def bench_aggregate_shared_db(benchmark, ds2_index):
     """The contended single-shared-DB alternative; results must agree
     with the engine's."""
     got = benchmark(lambda: shared_db_aggregate(ds2_index.index, NTHREADS))
-    q = GUFIQuery(ds2_index.index, nthreads=NTHREADS)
+    q = QueryEngine(ds2_index.index, nthreads=NTHREADS)
     engine = {int(u): b for u, b in q.run(AGG_SPEC).rows}
     assert {int(u): round(b) for u, b in got.items()} == {
         u: round(b) for u, b in engine.items()

@@ -34,7 +34,8 @@ from _bench_helpers import NTHREADS, save_bench_report
 
 from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
-from repro.core.query import Q1_LIST_PATHS, GUFIQuery
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS
 from repro.fs.changelog import ChangeJournal
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
@@ -52,7 +53,7 @@ SPEEDUP_TARGET = 2.0
 
 
 def query_rows(index) -> list:
-    q = GUFIQuery(index, nthreads=NTHREADS)
+    q = QueryEngine(index, nthreads=NTHREADS)
     try:
         return sorted(q.run(Q1_LIST_PATHS).rows)
     finally:

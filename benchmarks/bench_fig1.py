@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, Q3_DU_SUMMARIES, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q3_DU_SUMMARIES, QuerySpec
 from repro.gen.datasets import linux_kernel_tree
 from repro.harness import fig1
 
@@ -44,7 +45,7 @@ def kernel_index(tmp_path_factory):
 def bench_fig1_gufi_find_ls(benchmark, kernel_index):
     """GUFI's find-ls equivalent, wall-clock (the repeatable kernel of
     Fig 1's GUFI bar)."""
-    q = GUFIQuery(kernel_index.index, nthreads=NTHREADS)
+    q = QueryEngine(kernel_index.index, nthreads=NTHREADS)
     spec = QuerySpec(
         S="SELECT spath(name, isroot), mode, uid, gid, size FROM summary",
         E="SELECT rpath(dname, d_isroot, name), mode, uid, gid, size, mtime "
@@ -56,6 +57,6 @@ def bench_fig1_gufi_find_ls(benchmark, kernel_index):
 
 def bench_fig1_gufi_du(benchmark, kernel_index):
     """GUFI's du -s equivalent, wall-clock."""
-    q = GUFIQuery(kernel_index.index, nthreads=NTHREADS)
+    q = QueryEngine(kernel_index.index, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(Q3_DU_SUMMARIES))
     assert result.rows[-1][0] > 0

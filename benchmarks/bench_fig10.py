@@ -13,8 +13,8 @@ import pytest
 
 from repro.baselines.brindexer import BrindexerIndex
 from repro.core.build import BuildOptions, build_from_stanzas
+from repro.core.engine import QueryEngine
 from repro.core.query import (
-    GUFIQuery,
     Q1_LIST_NAMES,
     Q2_DIR_SIZES,
     Q3_DU_SUMMARIES,
@@ -60,7 +60,7 @@ def systems(ds2_stanzas, tmp_path_factory):
 
 def bench_fig10_q1_gufi(benchmark, systems):
     _, gufi, _ = systems
-    q = GUFIQuery(gufi, nthreads=NTHREADS)
+    q = QueryEngine(gufi, nthreads=NTHREADS)
     assert benchmark(lambda: q.run(Q1_LIST_NAMES)).rows
 
 
@@ -71,7 +71,7 @@ def bench_fig10_q1_brindexer(benchmark, systems):
 
 def bench_fig10_q2_gufi(benchmark, systems):
     _, gufi, _ = systems
-    q = GUFIQuery(gufi, nthreads=NTHREADS)
+    q = QueryEngine(gufi, nthreads=NTHREADS)
     assert benchmark(lambda: q.run(Q2_DIR_SIZES)).rows
 
 
@@ -82,14 +82,14 @@ def bench_fig10_q2_brindexer(benchmark, systems):
 
 def bench_fig10_q3_gufi(benchmark, systems):
     _, gufi, _ = systems
-    q = GUFIQuery(gufi, nthreads=NTHREADS)
+    q = QueryEngine(gufi, nthreads=NTHREADS)
     assert benchmark(lambda: q.run(Q3_DU_SUMMARIES)).rows[-1][0] > 0
 
 
 def bench_fig10_q4_gufi_tsummary(benchmark, systems):
     """The 230× query: one tsummary row answers du for the tree."""
     _, gufi, _ = systems
-    q = GUFIQuery(gufi, nthreads=NTHREADS)
+    q = QueryEngine(gufi, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(Q4))
     assert result.dirs_visited == 1
 
@@ -103,7 +103,7 @@ def bench_fig10_q4_brindexer(benchmark, systems):
 def bench_fig10_user_q1_gufi(benchmark, systems):
     ns, gufi, _ = systems
     uid = ns.spec.population.uids[0]
-    q = GUFIQuery(gufi, creds=Credentials(uid=uid, gid=uid),
+    q = QueryEngine(gufi, creds=Credentials(uid=uid, gid=uid),
                   nthreads=NTHREADS)
     result = benchmark(lambda: q.run(Q1_LIST_NAMES))
     assert result.dirs_denied >= 0

@@ -8,7 +8,8 @@ the ~80-95% band; four SSDs stay host-limited).
 
 from __future__ import annotations
 
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.harness import fig7
 from repro.sim.blktrace import IOTracer
 
@@ -45,7 +46,7 @@ def bench_fig7_traced_scan_query(benchmark, ds2_index):
     """The traced full-touch query Fig 7 drives (``gufi_query -E
     "SELECT uid FROM entries"``) — wall-clock of the real engine."""
     tracer = IOTracer()
-    q = GUFIQuery(ds2_index.index, nthreads=NTHREADS, tracer=tracer)
+    q = QueryEngine(ds2_index.index, nthreads=NTHREADS, tracer=tracer)
 
     def run():
         tracer.reset()

@@ -13,7 +13,8 @@ database while Brindexer's shards are imbalanced by large directories.
 from __future__ import annotations
 
 from repro.core.build import BuildOptions, build_from_stanzas
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.core.rollup import rollup
 from repro.harness import fig8
 from repro.harness.results import ResultTable
@@ -75,7 +76,7 @@ def bench_fig8_rollup_process(benchmark, ds2_stanzas, tmp_path_factory):
 
 def bench_fig8_query_nonrolled(benchmark, ds2_index):
     """The Fig 8a simple query on the NONE (un-rolled) index."""
-    q = GUFIQuery(ds2_index.index, nthreads=NTHREADS)
+    q = QueryEngine(ds2_index.index, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(SIMPLE_QUERY))
     assert len(result.rows) > 0
 
@@ -88,6 +89,6 @@ def bench_fig8_query_rolled(benchmark, ds2_stanzas, tmp_path_factory):
     built = build_from_stanzas(stanzas, root / "idx",
                                BuildOptions(nthreads=NTHREADS))
     rollup(built.index, limit=max(4, n_entries // 259), nthreads=NTHREADS)
-    q = GUFIQuery(built.index, nthreads=NTHREADS)
+    q = QueryEngine(built.index, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(SIMPLE_QUERY))
     assert len(result.rows) > 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import apply_xattrs
 from repro.harness import fig9
@@ -56,13 +57,13 @@ def tagged_index(tmp_path_factory):
 
 def bench_fig9_gufi_scan(benchmark, tagged_index):
     index, tagged, _ = tagged_index
-    q = GUFIQuery(index, nthreads=NTHREADS)
+    q = QueryEngine(index, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(SCAN_SPEC))
     assert len(result.rows) == len(tagged)
 
 
 def bench_fig9_gufi_stab(benchmark, tagged_index):
     index, _, needle = tagged_index
-    q = GUFIQuery(index, nthreads=NTHREADS)
+    q = QueryEngine(index, nthreads=NTHREADS)
     result = benchmark(lambda: q.run(STAB_SPEC))
     assert [r[0] for r in result.rows] == [needle]

@@ -48,7 +48,7 @@ from bench_query_plan import NOW, QUERY, build_namespace
 
 from repro import obs
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery
+from repro.core.engine import QueryEngine
 from repro.core.search import parse
 
 REPS = 15
@@ -86,7 +86,7 @@ def run_overhead_bench(index, reps: int = REPS) -> dict:
     spec = parsed.to_spec()
     plan = parsed.to_plan()
 
-    q = GUFIQuery(index, nthreads=NTHREADS)
+    q = QueryEngine(index, nthreads=NTHREADS)
     times: dict[str, list[float]] = {"disabled": [], "metrics": [], "full": []}
     try:
         q.run(spec, plan=plan)  # untimed warm-up: populates the caches
@@ -203,7 +203,7 @@ def run_smoke(tmp_root: Path) -> None:
             tree, tmp_root / "idx", opts=BuildOptions(nthreads=NTHREADS)
         )
         index = result.index
-        with GUFIQuery(index, nthreads=NTHREADS) as q:
+        with QueryEngine(index, nthreads=NTHREADS) as q:
             qr = q.run(parsed.to_spec(), plan=parsed.to_plan())
             q.run_single(parsed.to_spec(), "/proj")
 

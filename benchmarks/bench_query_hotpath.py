@@ -3,7 +3,7 @@
 Measures repeated queries two ways on a dataset-2-scaled index:
 
 * **cold** — a fresh :class:`GUFIIndex` handle and a fresh
-  :class:`GUFIQuery` per repetition (empty DirMeta cache, new scratch
+  :class:`QueryEngine` per repetition (empty DirMeta cache, new scratch
   database, new connections, SQL functions re-registered), which is
   what every CLI invocation paid before sessions existed;
 * **warm** — one session reused across repetitions, the tentpole's
@@ -37,9 +37,9 @@ from _bench_helpers import (
 )
 
 from repro.core.build import BuildOptions, build_from_stanzas
+from repro.core.engine import QueryEngine
 from repro.core.index import GUFIIndex
 from repro.core.query import (
-    GUFIQuery,
     Q1_LIST_NAMES,
     Q2_DIR_SIZES,
     Q3_DU_SUMMARIES,
@@ -79,7 +79,7 @@ def _measure_case(
 ) -> dict:
     """Median cold-vs-warm repetition times for one (query, user).
 
-    ``single`` uses :meth:`GUFIQuery.run_single` — the per-directory
+    ``single`` uses :meth:`QueryEngine.run_single` — the per-directory
     API a repeated point query hits; otherwise the parallel walker
     (whose per-run thread spawn is paid warm and cold alike).
     """
@@ -92,7 +92,7 @@ def _measure_case(
 
     def cold_once():
         idx = GUFIIndex.open(index_root)
-        q = GUFIQuery(idx, creds=creds, nthreads=NTHREADS)
+        q = QueryEngine(idx, creds=creds, nthreads=NTHREADS)
         try:
             exec_query(q)
         finally:
@@ -101,7 +101,7 @@ def _measure_case(
     cold = _times(cold_once, reps)
 
     idx = GUFIIndex.open(index_root)
-    q = GUFIQuery(idx, creds=creds, nthreads=NTHREADS)
+    q = QueryEngine(idx, creds=creds, nthreads=NTHREADS)
     try:
         exec_query(q)  # untimed warm-up populates pool + caches
         warm = _times(lambda: exec_query(q), reps)

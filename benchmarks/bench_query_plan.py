@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _bench_helpers import NTHREADS, save_bench_report
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery
+from repro.core.engine import QueryEngine
 from repro.core.search import parse
 from repro.fs.tree import VFSTree
 
@@ -96,7 +96,7 @@ def run_plan_bench(index, reps: int = REPS) -> dict:
     spec = parsed.to_spec()
     plan = parsed.to_plan()
 
-    q = GUFIQuery(index, nthreads=NTHREADS)
+    q = QueryEngine(index, nthreads=NTHREADS)
     try:
         q.run(spec)  # untimed warm-up: populates the DirMeta cache
         off = q.run(spec)

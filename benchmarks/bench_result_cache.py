@@ -39,10 +39,9 @@ from _bench_helpers import (
 
 from repro import obs
 from repro.core.build import BuildOptions, build_from_stanzas
-from repro.core.engine import ResultCache
+from repro.core.engine import QueryEngine, ResultCache
 from repro.core.index import GUFIIndex
 from repro.core.query import (
-    GUFIQuery,
     Q1_LIST_PATHS,
     Q3_DU_SUMMARIES,
     QuerySpec,
@@ -86,7 +85,7 @@ def _measure_case(index_root, spec, creds, start: str, reps: int = REPS) -> dict
     """Median uncached-vs-cached repetition times for one (query, user),
     both on fully warm sessions, plus the identical-rows proof."""
     idx = GUFIIndex.open(index_root)
-    q = GUFIQuery(idx, creds=creds, nthreads=NTHREADS)
+    q = QueryEngine(idx, creds=creds, nthreads=NTHREADS)
     try:
         q.run(spec, start)  # untimed: warm pool + DirMeta cache
         uncached = _times(lambda: q.run(spec, start), reps)
@@ -96,7 +95,7 @@ def _measure_case(index_root, spec, creds, start: str, reps: int = REPS) -> dict
 
     idx = GUFIIndex.open(index_root)
     cache = ResultCache()
-    q = GUFIQuery(idx, creds=creds, nthreads=NTHREADS, result_cache=cache)
+    q = QueryEngine(idx, creds=creds, nthreads=NTHREADS, result_cache=cache)
     try:
         q.run(spec, start)  # warm pool (miss)
         first = q.run(spec, start)  # capture validated: a hit
@@ -251,7 +250,7 @@ def prometheus_dump(tmp_root: Path) -> str:
     ).index
     with obs.enabled(metrics=True):
         cache = ResultCache(max_entries=1)
-        with GUFIQuery(index, nthreads=NTHREADS, result_cache=cache) as q:
+        with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as q:
             q.run(Q1_LIST_PATHS, "/public")  # miss + store
             assert q.run(Q1_LIST_PATHS, "/public").cached  # hit (+validate)
             index.invalidate_cache("/public")  # push invalidation

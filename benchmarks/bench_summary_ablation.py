@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, build_from_stanzas
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.core.tsummary import build_tsummary
 
 from _bench_helpers import NTHREADS, save_table
@@ -57,7 +58,7 @@ def pug_index(ds2_stanzas, tmp_path_factory):
 
 
 def _usage(index, spec):
-    rows = GUFIQuery(index, nthreads=NTHREADS).run(spec).rows
+    rows = QueryEngine(index, nthreads=NTHREADS).run(spec).rows
     return {int(u): int(b or 0) for u, b in rows}
 
 
@@ -86,6 +87,6 @@ def bench_per_user_via_entries_groupby(benchmark, pug_index):
 def bench_per_user_via_tsummary(benchmark, pug_index):
     """One database read answers per-user usage for the whole tree."""
     result = benchmark(
-        lambda: GUFIQuery(pug_index, nthreads=NTHREADS).run(BY_TSUMMARY)
+        lambda: QueryEngine(pug_index, nthreads=NTHREADS).run(BY_TSUMMARY)
     )
     assert result.dirs_visited == 1

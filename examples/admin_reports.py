@@ -23,16 +23,16 @@ import tempfile
 
 from repro.core import (
     BuildOptions,
-    GUFIQuery,
+    QueryEngine,
     GUFITools,
     QuerySpec,
     build_tsummary,
     dir2index,
     rollup,
 )
-from repro.core import db as gufi_db
 from repro.fs import diff_snapshots, snapshot
 from repro.gen import dataset2
+from repro.store import connect
 
 NTHREADS = 4
 HORIZON = 3 * 365 * 86400  # generator's "now"
@@ -70,14 +70,14 @@ def main() -> None:
         G="SELECT uid, COUNT(*), TOTAL(size) FROM stale GROUP BY uid "
           "ORDER BY TOTAL(size) DESC LIMIT 5",
     )
-    result = GUFIQuery(idx, nthreads=NTHREADS).run(purge_spec)
+    result = QueryEngine(idx, nthreads=NTHREADS).run(purge_spec)
     print("\n== purge candidates: >1MiB files idle for a year, by user ==")
     for uid, count, nbytes in result.rows:
         print(f"  u{int(uid):<6} {int(count):>6} files  {int(nbytes):>16,} bytes")
 
     # 3. Tree summaries ------------------------------------------------
     ts = build_tsummary(idx, "/")
-    whole_tree = GUFIQuery(idx, nthreads=NTHREADS).run(
+    whole_tree = QueryEngine(idx, nthreads=NTHREADS).run(
         QuerySpec(T="SELECT totfiles, totsubdirs, totsize FROM tsummary "
                     "WHERE rectype = 0")
     )
@@ -104,7 +104,7 @@ def main() -> None:
     # Admins may open databases read-write and extend the schema; here
     # we tag the root database with a scan-provenance table, exactly
     # the "copy, modify schema, adopt" flow §III-B describes.
-    conn = gufi_db.open_rw(idx.db_path("/"))
+    conn = connect.open_rw(idx.db_path("/"))
     conn.execute("CREATE TABLE IF NOT EXISTS provenance "
                  "(scanner TEXT, scanned_at INTEGER, churn INTEGER)")
     conn.execute("INSERT INTO provenance VALUES (?,?,?)",

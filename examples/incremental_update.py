@@ -25,7 +25,7 @@ import tempfile
 
 from repro.core import (
     BuildOptions,
-    GUFIQuery,
+    QueryEngine,
     QuerySpec,
     dir2index,
     rollup,
@@ -69,7 +69,7 @@ def main() -> None:
     print(f"\nleak indexed (unrolled {len(result.unrolled_dirs)} dirs on "
           f"the path): {result.unrolled_dirs}")
 
-    q_snoop = GUFIQuery(idx, creds=snoop, nthreads=NTHREADS)
+    q_snoop = QueryEngine(idx, creds=snoop, nthreads=NTHREADS)
     leaked = [r[0] for r in q_snoop.run(FIND_NAMES).rows if "ACME" in r[0]]
     print(f"snoop u{snoop_uid} can see: {leaked}")
     assert leaked, "the leak should be visible before the fix"
@@ -87,7 +87,7 @@ def main() -> None:
     assert not leaked, "the fix must take effect immediately"
 
     # The owner still sees their own file, of course.
-    q_victim = GUFIQuery(idx, creds=victim, nthreads=NTHREADS)
+    q_victim = QueryEngine(idx, creds=victim, nthreads=NTHREADS)
     mine = [r[0] for r in q_victim.run(FIND_NAMES).rows if "ACME" in r[0]]
     assert mine
     print(f"owner u{victim_uid} still sees: {mine}")
@@ -100,7 +100,7 @@ def main() -> None:
         tree.create_file(f"{xfer_dir}/transferred-{i}.dat", size=2**20,
                          uid=owner.uid, gid=owner.gid)
     update_directory(idx, tree, xfer_dir)
-    q = GUFIQuery(idx, nthreads=NTHREADS)
+    q = QueryEngine(idx, nthreads=NTHREADS)
     fresh = [r[0] for r in q.run(FIND_NAMES).rows if "transferred-" in r[0]]
     print(f"\ntransfer refresh: {len(fresh)} new files visible immediately")
     assert len(fresh) == 5

@@ -26,7 +26,7 @@ import tempfile
 
 from repro.core import (
     BuildOptions,
-    GUFIQuery,
+    QueryEngine,
     IndexRefresher,
     Q1_LIST_PATHS,
     collect_stats,
@@ -70,7 +70,7 @@ def main() -> None:
     print(f"\nbatch jobs wrote 40 checkpoints; purge removed {len(purged)} files")
 
     # stale-but-consistent queries keep working against v0
-    stale_rows = GUFIQuery(refresher.current(), nthreads=NTHREADS).run(
+    stale_rows = QueryEngine(refresher.current(), nthreads=NTHREADS).run(
         Q1_LIST_PATHS
     ).rows
     print(f"queries against published v0 still see {len(stale_rows)} entries "
@@ -78,7 +78,7 @@ def main() -> None:
 
     # --- cycle 2: build + atomic swap ----------------------------------
     rec1 = refresher.refresh()
-    fresh_rows = GUFIQuery(refresher.current(), nthreads=NTHREADS).run(
+    fresh_rows = QueryEngine(refresher.current(), nthreads=NTHREADS).run(
         Q1_LIST_PATHS
     ).rows
     print(f"\npublished v{rec1.version}; queries now see {len(fresh_rows)} "

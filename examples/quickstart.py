@@ -20,7 +20,7 @@ import tempfile
 
 from repro.core import (
     BuildOptions,
-    GUFIQuery,
+    QueryEngine,
     GUFITools,
     Q1_LIST_PATHS,
     Q3_DU_SUMMARIES,
@@ -54,7 +54,7 @@ def main() -> None:
           f"{built.entries_inserted} entries, {built.seconds:.1f}s")
 
     # 3. Administrator queries.
-    admin = GUFIQuery(built.index, nthreads=NTHREADS)
+    admin = QueryEngine(built.index, nthreads=NTHREADS)
     r1 = admin.run(Q1_LIST_PATHS)
     print(f"\nadmin: {len(r1.rows)} entries listed in {r1.elapsed:.2f}s "
           f"({r1.dirs_visited} databases)")
@@ -67,7 +67,7 @@ def main() -> None:
     #    system, so both the answer and the cost shrink.
     uid = ns.spec.population.uids[0]
     user = Credentials(uid=uid, gid=uid)
-    uq = GUFIQuery(built.index, creds=user, nthreads=NTHREADS)
+    uq = QueryEngine(built.index, creds=user, nthreads=NTHREADS)
     ru = uq.run(Q1_LIST_PATHS)
     print(f"\nuser u{uid}: {len(ru.rows)} entries visible "
           f"({ru.dirs_visited} databases read, {ru.dirs_denied} denied)")

@@ -27,7 +27,7 @@ import tempfile
 from repro.core import (
     BuildOptions,
     FindFilters,
-    GUFIQuery,
+    QueryEngine,
     GUFITools,
     Q1_LIST_NAMES,
     dir2index,
@@ -103,8 +103,8 @@ def main() -> None:
     assert mine <= admin and theirs <= admin
 
     # --- cost proportionality (§III-C2) -------------------------------
-    q_admin = GUFIQuery(built.index, nthreads=NTHREADS)
-    q_me = GUFIQuery(built.index, creds=me, nthreads=NTHREADS)
+    q_admin = QueryEngine(built.index, nthreads=NTHREADS)
+    q_me = QueryEngine(built.index, creds=me, nthreads=NTHREADS)
     ra = q_admin.run(Q1_LIST_NAMES)
     rm = q_me.run(Q1_LIST_NAMES)
     print(f"\nquery cost: admin read {ra.dirs_visited} databases, "

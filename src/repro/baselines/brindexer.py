@@ -65,7 +65,7 @@ def _shard_of(parent: str, n_shards: int) -> int:
 
 
 def _row(rec) -> tuple:
-    from repro.core.schema import pack_xattr_names
+    from repro.store.schema import pack_xattr_names
 
     return (
         rec.parent, rec.name, rec.ftype, rec.ino, rec.mode, rec.nlink,

@@ -213,10 +213,10 @@ def cmd_query(args: argparse.Namespace) -> int:
             max_level=args.max_level,
             entries_shaped=False,
         )
-    q = QueryEngine(index, creds=_creds(args), nthreads=args.nthreads,
-                    processes=args.processes,
-                    result_cache=_result_cache(args))
-    result = q.run(spec, args.start, plan=plan)
+    with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads,
+                     processes=args.processes,
+                     result_cache=_result_cache(args)) as q:
+        result = q.run(spec, args.start, plan=plan)
     for row in result.rows:
         print("\t".join("" if v is None else str(v) for v in row))
     if result.output_files:
@@ -233,15 +233,15 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_find(args: argparse.Namespace) -> int:
     index = GUFIIndex.open(args.index_root)
-    tools = GUFITools(index, creds=_creds(args), nthreads=args.nthreads,
-                      processes=args.processes,
-                      result_cache=_result_cache(args))
     filters = FindFilters(
         name_like=args.name, ftype=args.type,
         min_size=args.min_size, max_size=args.max_size,
         min_level=args.min_level, max_level=args.max_level,
     )
-    result = tools.find(args.start, filters, planned=not args.no_plan)
+    with GUFITools(index, creds=_creds(args), nthreads=args.nthreads,
+                   processes=args.processes,
+                   result_cache=_result_cache(args)) as tools:
+        result = tools.find(args.start, filters, planned=not args.no_plan)
     for path, ftype, size in sorted(result.rows):
         print(f"{ftype}\t{size}\t{path}")
     print(
@@ -256,8 +256,8 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_du(args: argparse.Namespace) -> int:
     index = GUFIIndex.open(args.index_root)
-    tools = GUFITools(index, creds=_creds(args), nthreads=args.nthreads)
-    print(tools.du(args.start, use_tsummary=args.tsummary))
+    with GUFITools(index, creds=_creds(args), nthreads=args.nthreads) as tools:
+        print(tools.du(args.start, use_tsummary=args.tsummary))
     return 0
 
 
@@ -377,8 +377,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             )
     else:
         plan = parsed.to_plan()
-    q = QueryEngine(index, creds=_creds(args), nthreads=args.nthreads)
-    result = q.run(parsed.to_spec(), args.start, plan=plan)
+    with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads) as q:
+        result = q.run(parsed.to_spec(), args.start, plan=plan)
     for row in sorted(result.rows):
         print("\t".join(str(v) for v in row))
     print(

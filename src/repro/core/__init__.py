@@ -2,6 +2,16 @@
 summaries, the parallel query engine, and the user-facing tools.
 """
 
+from repro.store.layout import DB_NAME
+from repro.store.schema import (
+    RECTYPE_GROUP,
+    RECTYPE_OVERALL,
+    RECTYPE_USER,
+    pack_xattr_names,
+    pack_xattrs,
+    unpack_xattrs,
+)
+
 from .build import (
     PARTIAL_SUFFIX,
     BuildOptions,
@@ -39,7 +49,6 @@ from .engine import (
 from .index import DirMeta, DirMetaCache, DirStats, GUFIIndex, IndexError_
 from .plan import QueryPlan, plan_for
 from .query import (
-    GUFIQuery,
     Q1_LIST_NAMES,
     Q1_LIST_PATHS,
     Q2_DIR_SIZES,
@@ -66,18 +75,9 @@ from .rollup import (
     visible_db_count,
 )
 from .search import SearchQuery, SearchSyntaxError, parse as parse_search
-from .session import QuerySession, ThreadStatePool
+from .session import ThreadStatePool
 from .sqltext import like_pattern, quote_literal
 from .stats import IndexStats, collect_stats, render_stats
-from .schema import (
-    DB_NAME,
-    RECTYPE_GROUP,
-    RECTYPE_OVERALL,
-    RECTYPE_USER,
-    pack_xattr_names,
-    pack_xattrs,
-    unpack_xattrs,
-)
 from .server import (
     ALLOWED_TOOLS,
     AuthenticationError,
@@ -140,7 +140,6 @@ __all__ = [
     "DirStats",
     "QueryPlan",
     "plan_for",
-    "QuerySession",
     "ThreadStatePool",
     "AggregateDBSink",
     "BoundedSink",
@@ -155,7 +154,6 @@ __all__ = [
     "FindFilters",
     "GID_NONE",
     "GUFIIndex",
-    "GUFIQuery",
     "GUFITools",
     "IndexError_",
     "Q1_LIST_NAMES",

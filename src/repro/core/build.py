@@ -55,9 +55,9 @@ from repro.scan.faults import FaultPlan
 from repro.scan.scanners import record_from_inode
 from repro.scan.trace import DirStanza, TraceRecord, read_trace
 from repro.scan.walker import FatalWalkError, ParallelTreeWalker, RetryPolicy
+from repro.store import schema
 from repro.store.layout import PARTIAL_SUFFIX, DirStore
 
-from . import schema
 from .checkpoint import BuildJournal
 from .index import GUFIIndex
 from .xattrs import shard_xattrs, write_xattr_shards

@@ -41,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import db as dbmod
+from repro.store import layout
 
 JOURNAL_NAME = "gufi_build.journal"
 JOURNAL_FORMAT = "gufi-journal-1"
@@ -183,7 +183,7 @@ class BuildJournal:
         entry = self.completed.get(source_path)
         if entry is None:
             return False
-        return dbmod.stamp_matches(db_path, entry.stamp)
+        return layout.stamp_matches(db_path, entry.stamp)
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -26,8 +26,8 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
-from . import db as dbmod
-from . import schema
+from repro.store import connect, layout
+
 from .index import GUFIIndex
 from .rollup import unrollup_dir
 
@@ -158,11 +158,11 @@ def validate(index: GUFIIndex, start: str = "/") -> ValidationReport:
         dirnames.sort()
         rel = os.path.relpath(dirpath, index.root)
         sp = "/" if rel == "." else "/" + rel.replace(os.sep, "/")
-        if schema.DB_NAME not in filenames:
-            report.problems.append(f"{sp}: missing {schema.DB_NAME}")
+        if layout.DB_NAME not in filenames:
+            report.problems.append(f"{sp}: missing {layout.DB_NAME}")
             continue
         report.dirs_checked += 1
-        conn = dbmod.open_ro(os.path.join(dirpath, schema.DB_NAME))
+        conn = connect.open_ro(os.path.join(dirpath, layout.DB_NAME))
         try:
             try:
                 meta = index.read_dir_meta(conn)

@@ -16,10 +16,6 @@ Public surface of :mod:`repro.core.engine`:
 * :class:`ResultCache` / :class:`CaptureSink` — the materialized
   query-result cache behind ``result_cache=`` (changefeed-driven
   invalidation; see :mod:`repro.core.engine.resultcache`).
-
-:class:`repro.core.query.GUFIQuery` remains the stable facade over
-this engine; import from here when you need sink control or direct
-layer access.
 """
 
 from .engine import QueryEngine

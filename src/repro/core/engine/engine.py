@@ -22,10 +22,6 @@ queries on a warm index skip per-query setup and per-directory summary
 reads. Per-directory accounting (counters, row buffers) is kept in the
 per-thread state and merged once after the walk; the hot path takes no
 locks.
-
-:class:`~repro.core.query.GUFIQuery` remains the stable library facade
-over this engine; consumers that need sink control or layer access use
-the engine directly.
 """
 
 from __future__ import annotations
@@ -36,24 +32,17 @@ import time
 from typing import Any, Callable
 
 from repro import obs
-from repro.fs.permissions import (
-    ROOT,
-    Credentials,
-    can_read_dir,
-    can_search_dir,
-)
-from repro.scan.walker import FatalWalkError, ParallelTreeWalker
+from repro.fs.permissions import ROOT, Credentials
+from repro.scan.walker import FatalWalkError, ParallelTreeWalker, WalkStats
 from repro.sim.blktrace import IOTracer
-
-from repro.store.attach import AttachSession
 from repro.store.layout import StampBracket
 
-from ..index import GUFIIndex
+from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
 from ..session import ThreadStatePool, _ThreadState
 from .resultcache import CacheEntry, CaptureSink, ResultCache, make_key
 from .sinks import MemorySink, ResultSink, ThreadFileSink
-from .stages import MergeRunner, StageRunner, run_sql
+from .stages import MergeRunner, StageRunner
 from .traversal import (
     CancelToken,
     QueryCancelled,
@@ -168,20 +157,29 @@ class QueryEngine:
             raise QueryCancelled("query cancelled before dispatch")
         if self.result_cache is not None:
             return self._run_cached(spec, start, plan, sink, cancel)
-        return self._run_dispatch(spec, start, plan, sink, cancel)
+        return self._run_uncached(spec, start, plan, sink, cancel)
 
-    def _run_dispatch(
+    def _run_uncached(
         self,
         spec: QuerySpec,
         start: str,
         plan: QueryPlan | None,
         sink: ResultSink | None,
-        cancel: CancelToken | None = None,
+        cancel: CancelToken | None,
     ) -> QueryResult:
-        """Route one uncached run: scatter-gather or single-process."""
+        """One real run: scatter-gather, or the single-process walk."""
         if self.processes > 1:
             return self._scatter().run(spec, start, plan=plan, sink=sink)
-        return self._run_local(spec, start, plan, sink, cancel)
+        sink = self._default_sink(spec) if sink is None else sink
+        sink._claim()
+        return self._observed(
+            "query.run",
+            spec,
+            start,
+            lambda otr: self._run_impl(
+                spec, start, True, plan, sink, otr, cancel
+            ),
+        )
 
     def _run_cached(
         self,
@@ -189,7 +187,7 @@ class QueryEngine:
         start: str,
         plan: QueryPlan | None,
         sink: ResultSink | None,
-        cancel: CancelToken | None = None,
+        cancel: CancelToken | None,
     ) -> QueryResult:
         """The result-cache front end of :meth:`run`: replay a valid
         entry, or run for real through a capturing tee and store.
@@ -216,7 +214,7 @@ class QueryEngine:
             self._default_sink(spec) if sink is None else sink,
             cache.max_entry_bytes,
         )
-        result = self._run_dispatch(spec, start, plan, capture, cancel)
+        result = self._run_uncached(spec, start, plan, capture, cancel)
         cache.store(key, capture, result, self.index, inv_seq)
         return result
 
@@ -246,37 +244,13 @@ class QueryEngine:
             if out_path is not None:
                 output_files.append(out_path)
             self.pool.release([st])
-        c = entry.counters
         return QueryResult(
             rows=summary.rows,
             elapsed=time.monotonic() - t0,
-            dirs_visited=c["dirs_visited"],
-            dirs_denied=c["dirs_denied"],
-            dbs_opened=c["dbs_opened"],
-            dirs_errored=c["dirs_errored"],
-            dirs_pruned_by_plan=c["dirs_pruned_by_plan"],
-            attaches_elided=c["attaches_elided"],
-            output_files=sorted(output_files) if output_files else None,
+            **entry.counters,
+            output_files=output_files or None,
             truncated=summary.truncated,
             cached=True,
-        )
-
-    def _run_local(
-        self,
-        spec: QuerySpec,
-        start: str,
-        plan: QueryPlan | None,
-        sink: ResultSink | None,
-        cancel: CancelToken | None = None,
-    ) -> QueryResult:
-        """The single-process run path (also the scatter fallback)."""
-        sink = self._default_sink(spec) if sink is None else sink
-        sink._claim()
-        return self._observed(
-            "query.run",
-            spec,
-            start,
-            lambda otr: self._run_impl(spec, start, plan, sink, otr, cancel),
         )
 
     def run_shard(
@@ -336,19 +310,23 @@ class QueryEngine:
     ) -> QueryResult:
         """Process exactly one directory's database (no descent).
 
-        A single directory is the cancellation granularity, so
-        ``cancel`` is only checked on entry here."""
-        if cancel is not None and cancel.cancelled:
-            raise QueryCancelled("query cancelled before dispatch")
-        if sink is None:
-            sink = MemorySink()
+        This is one directory of :meth:`run` — the same per-directory
+        step (``cancel`` checkpoint included), merge phase and sinks —
+        executed on the calling thread, with a direct call's error
+        mapping: a directory the caller may not read raises
+        :class:`QueryPermissionError` instead of being counted in
+        ``dirs_denied``, and a failing stage raises its own exception
+        (no walker collects it into a ``RuntimeError``)."""
+        sink = self._default_sink(spec) if sink is None else sink
         sink._claim()
-        return self._observed(
-            "query.run_single",
-            spec,
-            path,
-            lambda otr: self._run_single_impl(spec, path, plan, sink),
-        )
+
+        def single(otr: Any) -> QueryResult:
+            result = self._run_impl(spec, path, False, plan, sink, otr, cancel)
+            if result.dirs_denied:
+                raise QueryPermissionError(f"permission denied: {path!r}")
+            return result
+
+        return self._observed("query.run_single", spec, path, single)
 
     @staticmethod
     def _default_sink(spec: QuerySpec) -> ResultSink:
@@ -452,134 +430,13 @@ class QueryEngine:
             )
 
     # ------------------------------------------------------------------
-    # Single-directory execution
-    # ------------------------------------------------------------------
-    def _run_single_impl(
-        self,
-        spec: QuerySpec,
-        path: str,
-        plan: QueryPlan | None,
-        sink: ResultSink,
-    ) -> QueryResult:
-        """One directory's database, no descent — what ``gufi_ls`` of
-        a single directory needs. The same permission rules apply:
-        ancestors must be searchable, the directory itself readable.
-
-        Semantics match one directory of :meth:`run`: a missing index
-        directory raises FileNotFoundError; a present-but-corrupt
-        database is *counted* (``dirs_errored``) rather than raised;
-        ``T`` only executes when ``tsummary`` has rows (and then
-        prunes ``S``/``E`` unless ``t_no_prune``); and a plan can skip
-        the ``E`` stage — or the attach — exactly as in the walk."""
-        t0 = time.monotonic()
-        path = normalize_path(path)
-        trav = Traversal(self.index, self.creds, spec, plan, path_depth(path))
-        trav.check_root_reachable(path)
-        db_path = self.index.db_path(path)
-        if not db_path.exists():
-            raise FileNotFoundError(f"no index directory for {path!r}")
-
-        def errored() -> QueryResult:
-            return QueryResult(
-                rows=[],
-                elapsed=time.monotonic() - t0,
-                dirs_visited=0,
-                dirs_denied=0,
-                dbs_opened=0,
-                dirs_errored=1,
-            )
-
-        meta = self.index.cached_dir_meta(path)
-        if meta is None:
-            # db.db exists but cannot be read/parsed: count it, like
-            # the walk path does, instead of raising.
-            return errored()
-        if not can_search_dir(meta.mode, meta.uid, meta.gid, self.creds):
-            raise QueryPermissionError(f"permission denied: {path!r}")
-        if not can_read_dir(meta.mode, meta.uid, meta.gid, self.creds):
-            raise QueryPermissionError(
-                f"permission denied (unreadable): {path!r}"
-            )
-
-        run_e = bool(spec.E)
-        plan_pruned = False
-        if trav.plan is not None:
-            # The single directory sits at level 0 of its own query.
-            process = trav.plan.wants_level(0)
-            run_e = run_e and process and trav.plan.dir_can_match(meta)
-            plan_pruned = (bool(spec.E) and not run_e) or not process
-            if not process or (not run_e and not (spec.T or spec.S)):
-                # No stage needs the database at all.
-                return QueryResult(
-                    rows=[],
-                    elapsed=time.monotonic() - t0,
-                    dirs_visited=1,
-                    dirs_denied=0,
-                    dbs_opened=0,
-                    dirs_pruned_by_plan=1,
-                    attaches_elided=1,
-                )
-
-        store = self.index.store(path)
-        st = self.pool.acquire(spec.I, sink.thread_output_path(0))
-        output_files: list[str] = []
-        try:
-            st.ctx.current_path = path
-            st.ctx.current_depth = path_depth(path)
-            session = AttachSession(st.conn, store, "gufi", self.tracer)
-            try:
-                session.attach_main()
-            except sqlite3.DatabaseError:
-                return errored()
-            rows: list[tuple] = []
-            try:
-                t_pruned = False
-                if spec.T:
-                    (n_ts,) = st.conn.execute(
-                        "SELECT COUNT(*) FROM gufi.tsummary"
-                    ).fetchone()
-                    if n_ts:
-                        rows.extend(run_sql(st, spec.T))
-                        if not spec.t_no_prune:
-                            t_pruned = True
-                if not t_pruned:
-                    if spec.xattrs:
-                        session.xattr_views(self.creds)
-                    try:
-                        if spec.S:
-                            rows.extend(run_sql(st, spec.S))
-                        if spec.E and run_e:
-                            rows.extend(run_sql(st, spec.E))
-                    finally:
-                        session.drop_xattr_views()
-            finally:
-                session.close()
-            if rows:
-                sink.emit(st, rows)
-            summary = sink.finish([st])
-        finally:
-            out_path = st.finish_output()
-            if out_path is not None:
-                output_files.append(out_path)
-            self.pool.release([st])
-        return QueryResult(
-            rows=summary.rows,
-            elapsed=time.monotonic() - t0,
-            dirs_visited=1,
-            dirs_denied=0,
-            dbs_opened=1,
-            dirs_pruned_by_plan=1 if plan_pruned else 0,
-            output_files=output_files or None,
-            truncated=summary.truncated,
-        )
-
-    # ------------------------------------------------------------------
-    # Parallel walk execution
+    # Walk execution
     # ------------------------------------------------------------------
     def _run_impl(
         self,
         spec: QuerySpec,
         start: str,
+        descend: bool,
         plan: QueryPlan | None,
         sink: ResultSink,
         otr: Any,
@@ -594,7 +451,7 @@ class QueryEngine:
         if not self.index.db_path(start).exists():
             raise FileNotFoundError(f"no index directory for {start!r}")
         return self._walk_units(
-            spec, [(start, True)], start_depth, trav, sink, otr
+            spec, [(start, descend)], start_depth, trav, sink, otr
         )
 
     def _walk_units(
@@ -609,8 +466,9 @@ class QueryEngine:
     ) -> QueryResult:
         """The shared walk body: process every ``(path, may_descend)``
         unit (descending where allowed), then run the J/G merge.
-        ``run()`` passes a single recursive unit at the query start;
-        ``run_shard()`` passes a shard's worth of units."""
+        ``run()`` passes a single recursive unit at the query start,
+        ``run_single()`` a single non-descending one, and
+        ``run_shard()`` a shard's worth of units."""
         t0 = time.monotonic()
         pool = self.pool
         index = self.index
@@ -646,11 +504,6 @@ class QueryEngine:
             # the walker aborts the whole pool promptly.
             trav.checkpoint()
 
-            def children(paths: list[str]) -> list[tuple[str, bool]]:
-                if not may_descend:
-                    return []
-                return [(child, True) for child in paths]
-
             st = thread_state()
             if collect:
                 # Every touched directory — visited, denied, pruned,
@@ -662,6 +515,16 @@ class QueryEngine:
             depth = path_depth(source_path)
             st.ctx.current_depth = depth
             rel_depth = depth - start_depth
+
+            def children(
+                meta: DirMeta, t_pruned: bool = False
+            ) -> list[tuple[str, bool]]:
+                # a no-descend unit never pays for its child listing
+                if not may_descend:
+                    return []
+                paths = trav.descend(source_path, meta, rel_depth, t_pruned)
+                return [(child, True) for child in paths]
+
             index_dir = index.index_dir(source_path)
             db_path = index.store(source_path).db_path
             # Descent-time 'stat': the validated cache answers warm
@@ -682,7 +545,7 @@ class QueryEngine:
                     st.visited += 1
                     st.pruned += 1
                     st.elided += 1
-                    return children(trav.descend(source_path, meta, rel_depth))
+                    return children(meta)
             t_pruned = False
             local_rows: list[tuple] = []
             try:
@@ -756,9 +619,7 @@ class QueryEngine:
                     StageRunner.detach(st)
             if local_rows:
                 sink.emit(st, local_rows)
-            return children(
-                trav.descend(source_path, meta, rel_depth, t_pruned=t_pruned)
-            )
+            return children(meta, t_pruned)
 
         expand: Callable[[tuple[str, bool]], list[tuple[str, bool]]]
         if tracing:
@@ -773,22 +634,36 @@ class QueryEngine:
         else:
             expand = process_dir
 
-        walker = ParallelTreeWalker(self.nthreads)
-        try:
-            stats = walker.walk(units, expand)
-        except FatalWalkError:
-            # Cancellation (and simulated-crash faults) abort the walk
-            # after every worker thread has joined, so the checked-out
-            # states are idle: flush their outputs and return them to
-            # the pool instead of orphaning them — a long-lived server
-            # times queries out routinely and must not leak a pool's
-            # worth of connections each time.
-            aborted = list(run_states.values())
-            for st in aborted:
-                st.finish_output()
-            pool.release(aborted)
-            raise
+        def retire() -> list[str]:
+            """Flush the checked-out states' output files and park the
+            states in the pool again; returns the files written."""
+            states = list(run_states.values())
+            files = sorted(p for st in states if (p := st.finish_output()))
+            pool.release(states)
+            return files
 
+        # An aborted run parks its (idle) states instead of orphaning
+        # them: a long-lived server times queries out routinely and
+        # must not leak a pool's worth of connections each time.
+        if len(units) == 1 and not units[0][1]:
+            # One directory, no descent (``run_single``): the step runs
+            # on the calling thread — starting ``nthreads`` threads
+            # costs several times the directory itself — where nothing
+            # swallows its errors, so any of them aborts.
+            try:
+                expand(units[0])
+            except BaseException:
+                retire()
+                raise
+            stats = WalkStats(items_processed=1)
+        else:
+            try:
+                stats = ParallelTreeWalker(self.nthreads).walk(units, expand)
+            except FatalWalkError:  # cancellation, simulated crashes
+                retire()
+                raise
+        # Tallies are read while the states are still checked out: a
+        # released state may be reset by a concurrent run on this pool.
         states = list(run_states.values())
         visited = sum(st.visited for st in states)
         denied = sum(st.denied for st in states)
@@ -801,10 +676,7 @@ class QueryEngine:
         e_time = sum(st.e_time for st in states)
         visited_paths: list[str] | None = None
         if collect:
-            touched: list[str] = []
-            for st in states:
-                touched.extend(st.touched)
-            visited_paths = touched
+            visited_paths = [p for st in states for p in st.touched]
 
         # --------------------------------------------------------------
         # Merge phase: J per thread database, then G on the aggregate.
@@ -828,12 +700,7 @@ class QueryEngine:
         finally:
             # Output files flush (and record) even when J/G raised;
             # states go back to the pool either way.
-            output_files = []
-            for st in states:
-                out_path = st.finish_output()
-                if out_path is not None:
-                    output_files.append(out_path)
-            pool.release(states)
+            output_files = retire()
             merge.cleanup()
 
         if stats.errors:
@@ -851,7 +718,7 @@ class QueryEngine:
             dirs_errored=errored,
             dirs_pruned_by_plan=plan_pruned,
             attaches_elided=elided,
-            output_files=sorted(output_files) if output_files else None,
+            output_files=output_files or None,
             truncated=summary.truncated,
             walk_stats=stats,
             visited_paths=visited_paths,

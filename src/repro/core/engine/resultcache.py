@@ -82,8 +82,8 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro import obs
+from repro.store import layout
 
-from .. import db as dbmod
 from ..checkpoint import ChangefeedCheckpoint
 from .sinks import ResultSink, Row, SinkSummary
 from .types import QueryResult, QuerySpec
@@ -553,10 +553,10 @@ class ResultCache:
                     return False, applied, False
         # Stamp pass: O(visited dirs) stats against the recorded token.
         for path, (db_stamp, dir_stamp) in entry.stamps.items():
-            if dbmod.file_stamp(index.db_path(path)) != db_stamp:
+            if layout.file_stamp(index.db_path(path)) != db_stamp:
                 return False, applied, True
             if dir_stamp is not None:
-                if dbmod.dir_stamp(index.index_dir(path)) != dir_stamp:
+                if layout.dir_stamp(index.index_dir(path)) != dir_stamp:
                     return False, applied, True
         return True, applied, True
 
@@ -622,11 +622,11 @@ class ResultCache:
                 walk_db = cache.peek_stamp(path)
             if walk_dir is None:
                 walk_dir = cache.peek_subdir_stamp(path)
-            db_stamp = dbmod.file_stamp(index.db_path(path))
+            db_stamp = layout.file_stamp(index.db_path(path))
             if walk_db is not None and db_stamp != tuple(walk_db):
                 self._abort_capture()
                 return False
-            dir_stamp = dbmod.dir_stamp(index.index_dir(path))
+            dir_stamp = layout.dir_stamp(index.index_dir(path))
             if walk_dir is not None and dir_stamp != tuple(walk_dir):
                 self._abort_capture()
                 return False
@@ -634,7 +634,7 @@ class ResultCache:
         start = key[3]
         for anc in _ancestors(start):
             stamps.setdefault(
-                anc, (dbmod.file_stamp(index.db_path(anc)), None)
+                anc, (layout.file_stamp(index.db_path(anc)), None)
             )
         cursor = ChangefeedCheckpoint(index.root).load()
         nbytes = capture.nbytes + 128 * len(stamps)

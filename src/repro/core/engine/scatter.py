@@ -61,7 +61,6 @@ from repro import obs
 from repro.fs.permissions import Credentials
 from repro.scan.walker import WalkStats
 
-from .. import db as dbmod
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
 from ..rollup import rollup_compatible
@@ -124,7 +123,7 @@ def _t_prunes(
     if not spec.T or spec.t_no_prune or not trav.wants_level(rel_depth):
         return False
     try:
-        conn = dbmod.open_ro(index.db_path(path))
+        conn = index.store(path).open_ro()
     except Exception:
         return False
     try:
@@ -493,7 +492,7 @@ class ScatterGatherEngine:
         )
         if shard_plan is None:
             # Tree too narrow to shard: run single-process, same sink.
-            return engine._run_impl(spec, start, plan, sink, otr)
+            return engine._run_impl(spec, start, True, plan, sink, otr)
         shards = shard_plan.shards
 
         timing = obs.metrics().enabled

@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.sim.blktrace import IOTracer
+from repro.store import connect, layout
 from repro.store.attach import AttachSession
 from repro.store.layout import DirStore
 
-from .. import db as dbmod
 from ..index import DirMeta, GUFIIndex
 from ..session import ThreadStatePool, _ThreadState
 from ..sqlfuncs import QueryContext, register
@@ -73,14 +73,14 @@ class StageRunner:
         ``sqlite3.DatabaseError`` for corrupt/unreadable files."""
         if self.tracing:
             with self.otr.span("query.attach", path=str(db_path)):
-                dbmod.attach_ro(st.conn, db_path, "gufi", tracer=None)
+                connect.attach_ro(st.conn, db_path, "gufi", tracer=None)
         else:
-            dbmod.attach_ro(st.conn, db_path, "gufi", tracer=None)
+            connect.attach_ro(st.conn, db_path, "gufi", tracer=None)
 
     @staticmethod
     def detach(st: _ThreadState) -> None:
         st.conn.commit()
-        dbmod.detach(st.conn, "gufi")
+        connect.detach(st.conn, "gufi")
 
     @staticmethod
     def read_meta(st: _ThreadState) -> DirMeta:
@@ -96,14 +96,14 @@ class StageRunner:
             return
         spec = self.spec
         if spec.E or not (spec.S or spec.T):
-            nbytes = dbmod.db_file_bytes(db_path)
+            nbytes = layout.artifact_bytes(db_path)
         else:
             tables = set()
             if spec.S:
                 tables.add("summary")
             if spec.T:
                 tables.add("tsummary")
-            nbytes = dbmod.table_bytes(st.conn, "gufi", tables)
+            nbytes = connect.table_bytes(st.conn, "gufi", tables)
         self.tracer.record(str(db_path), nbytes)
 
     # ------------------------------------------------------------------

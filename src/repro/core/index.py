@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.store import connect, layout, schema
 from repro.store.layout import DirStore, StampBracket, is_side_artifact
 
-from . import db as dbmod
-from . import schema
 
 META_FILE = "gufi_index.json"
 
@@ -167,7 +166,7 @@ class DirMetaCache:
     def get_meta(self, source_path: str, db_path: Path | str) -> DirMeta | None:
         entry = self._meta.get(source_path)
         if entry is not None:
-            stamp = dbmod.file_stamp(db_path)
+            stamp = layout.file_stamp(db_path)
             if stamp is not None and stamp == entry[0]:
                 self.meta_hits += 1
                 return entry[1]
@@ -182,7 +181,7 @@ class DirMetaCache:
     def get_subdirs(self, source_path: str, dir_path: Path | str) -> list[str] | None:
         entry = self._subdirs.get(source_path)
         if entry is not None:
-            stamp = dbmod.dir_stamp(dir_path)
+            stamp = layout.dir_stamp(dir_path)
             if stamp is not None and stamp == entry[0]:
                 self.subdir_hits += 1
                 return entry[1]
@@ -197,7 +196,7 @@ class DirMetaCache:
     def get_contribution(self, source_path: str) -> Any | None:
         entry = self._contribs.get(source_path)
         if entry is not None:
-            if dbmod.file_stamp(entry[1]) == entry[0]:
+            if layout.file_stamp(entry[1]) == entry[0]:
                 self.contribution_hits += 1
                 return entry[2]
             self._contribs.pop(source_path, None)
@@ -331,7 +330,7 @@ class GUFIIndex:
         base = self.index_dir(start)
         for dirpath, dirnames, filenames in os.walk(base):
             dirnames.sort()
-            if schema.DB_NAME in filenames:
+            if layout.DB_NAME in filenames:
                 yield Path(dirpath)
 
     def count_dbs(self, start: str = "/") -> int:
@@ -344,10 +343,10 @@ class GUFIIndex:
         base = self.index_dir(start)
         for dirpath, _, filenames in os.walk(base):
             for fn in filenames:
-                if fn == schema.DB_NAME or (
+                if fn == layout.DB_NAME or (
                     include_side_dbs and is_side_artifact(fn)
                 ):
-                    total += dbmod.db_file_bytes(os.path.join(dirpath, fn))
+                    total += layout.artifact_bytes(os.path.join(dirpath, fn))
         return total
 
     def total_entries(self, start: str = "/") -> int:
@@ -355,7 +354,7 @@ class GUFIIndex:
         rolled-up duplicates in pentries)."""
         total = 0
         for d in self.iter_index_dirs(start):
-            conn = dbmod.open_ro(d / schema.DB_NAME)
+            conn = connect.open_ro(d / layout.DB_NAME)
             try:
                 (n,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
                 total += n
@@ -450,7 +449,7 @@ class GUFIIndex:
         if meta is not None:
             return meta
         bracket = StampBracket(db_path)
-        conn = dbmod.open_ro(db_path)
+        conn = connect.open_ro(db_path)
         try:
             meta = self.read_dir_meta(conn)
         finally:
@@ -477,7 +476,7 @@ class GUFIIndex:
         if bracket.missing:
             return None
         try:
-            conn = dbmod.open_ro(db_path)
+            conn = connect.open_ro(db_path)
         except Exception:
             return None
         try:
@@ -505,7 +504,7 @@ class GUFIIndex:
         names = self.cache.get_subdirs(source_path, base)
         if names is not None:
             return names
-        stamp = dbmod.dir_stamp(base)
+        stamp = layout.dir_stamp(base)
         names = self.subdir_names(source_path)
         if stamp is not None:
             self.cache.put_subdirs(source_path, stamp, names)

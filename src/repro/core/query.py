@@ -1,8 +1,8 @@
-"""The parallel index query interface (paper §III-C2, ``gufi_query``).
+"""The paper's macro-benchmark queries as ready-made specs.
 
 A query descends the index breadth-first with a thread pool — each
 directory's database processed by one thread — executing user SQL at
-up to four points, mirroring ``gufi_query``'s flags:
+up to six points, mirroring ``gufi_query``'s flags (paper §III-C2):
 
 * ``I`` — run once per worker thread against its private result
   database (create scratch tables);
@@ -17,62 +17,16 @@ up to four points, mirroring ``gufi_query``'s flags:
 * ``G`` — run once against the aggregate database to produce the
   final rows.
 
-Security (§III-A5): databases are opened read-only; traversal enforces
-POSIX permissions against each directory's preserved mode/uid/gid —
-search (``x``) to pass through, read (``r``) to list/process — so an
-unprivileged query touches only data its credentials could reach on
-the source file system, and its cost is proportional to what it can
-see, not to index size.
-
-Sessions: a ``GUFIQuery`` is a *persistent* handle. Its worker-thread
-connections, registered SQL functions, and scratch directory live in a
-:class:`~repro.core.session.ThreadStatePool` that survives across
-``run()`` calls, and permission metadata comes from the index's
-mtime-validated :class:`~repro.core.index.DirMetaCache` — so repeated
-queries on a warm index skip per-query setup and per-directory summary
-reads. Per-directory accounting (counters, result rows) is kept in the
-per-thread state and merged once after the walk; the hot path takes no
-locks.
-
-Planning: ``run(spec, start, plan=...)`` accepts a
-:class:`~repro.core.plan.QueryPlan`. Directories the plan proves
-unmatchable skip the ``E`` stage (counted in
-``dirs_pruned_by_plan``); when nothing else needs the database and the
-permission record is already cached, the SQLite attach is skipped
-entirely (``attaches_elided``) and descent continues off the cached
-child listing. The plan's depth window (``-y``/``-z``) bounds which
-levels are processed and how deep the walk descends. Pruning is
-conservative by construction — see :mod:`repro.core.plan`.
-
-Layering: execution lives in :mod:`repro.core.engine`, split into
-traversal (permissions, plan gating, descent), stages (SQL execution,
-merge), and pluggable result sinks. ``GUFIQuery`` is the stable,
-behavior-identical facade over :class:`~repro.core.engine.QueryEngine`
-— same constructor, same ``run``/``run_single`` signatures, same rows
-and counters. Use the engine directly when you need sink control
-(bounded/paginated server responses, results databases) or layer
-access; everything here re-exports from there.
+Execution — permission gating, planning, sessions, sinks — is
+:class:`repro.core.engine.QueryEngine`; the spec and result types are
+re-exported here for the tools built on it.
 """
 
 from __future__ import annotations
 
-from repro.fs.permissions import ROOT, Credentials
-from repro.sim.blktrace import IOTracer
-
-from .engine import (
-    QueryEngine,
-    QueryPermissionError,
-    QueryResult,
-    QuerySpec,
-    ResultCache,
-    ResultSink,
-    spec_label,
-)
-from .index import GUFIIndex
-from .plan import QueryPlan
+from .engine import QueryPermissionError, QueryResult, QuerySpec, spec_label
 
 __all__ = [
-    "GUFIQuery",
     "QueryPermissionError",
     "QueryResult",
     "QuerySpec",
@@ -83,85 +37,6 @@ __all__ = [
     "Q3_DU_SUMMARIES",
     "Q4_DU_TSUMMARY",
 ]
-
-
-class GUFIQuery:
-    """Query executor bound to an index, credentials, and a pool size.
-
-    The handle is a *session*: scratch connections and output files
-    persist across :meth:`run` calls (see :mod:`repro.core.session`).
-    Call :meth:`close` (or use the handle as a context manager) for
-    deterministic cleanup; otherwise a GC finalizer reclaims the
-    scratch directory.
-
-    This is a thin facade over :class:`repro.core.engine.QueryEngine`;
-    the engine's attributes (``index``, ``creds``, ``users``,
-    ``groups``, ``pool``) are exposed as the same objects, so existing
-    callers that reach into them keep working.
-    """
-
-    def __init__(
-        self,
-        index: GUFIIndex,
-        creds: Credentials = ROOT,
-        nthreads: int = 8,
-        tracer: IOTracer | None = None,
-        users: dict[int, str] | None = None,
-        groups: dict[int, str] | None = None,
-        processes: int = 1,
-        result_cache: ResultCache | None = None,
-    ) -> None:
-        self.engine = QueryEngine(
-            index,
-            creds=creds,
-            nthreads=nthreads,
-            tracer=tracer,
-            users=users,
-            groups=groups,
-            processes=processes,
-            result_cache=result_cache,
-        )
-        # Alias the engine's objects (not copies): callers mutate
-        # q.users in place and expect live sessions to see it.
-        self.index = self.engine.index
-        self.creds = self.engine.creds
-        self.nthreads = self.engine.nthreads
-        self.processes = self.engine.processes
-        self.tracer = self.engine.tracer
-        self.users = self.engine.users
-        self.groups = self.engine.groups
-        self.pool = self.engine.pool
-
-    def close(self) -> None:
-        """Release the session's pooled connections and scratch files."""
-        self.engine.close()
-
-    def __enter__(self) -> "GUFIQuery":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def run(
-        self,
-        spec: QuerySpec,
-        start: str = "/",
-        plan: QueryPlan | None = None,
-        sink: ResultSink | None = None,
-    ) -> QueryResult:
-        """Parallel permission-gated descent from ``start``."""
-        return self.engine.run(spec, start, plan=plan, sink=sink)
-
-    def run_single(
-        self,
-        spec: QuerySpec,
-        path: str = "/",
-        plan: QueryPlan | None = None,
-        sink: ResultSink | None = None,
-    ) -> QueryResult:
-        """Process exactly one directory's database (no descent)."""
-        return self.engine.run_single(spec, path, plan=plan, sink=sink)
-
 
 # ----------------------------------------------------------------------
 # The paper's four macro-benchmark queries (§IV-D / appendix), as specs.

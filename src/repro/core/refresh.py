@@ -31,7 +31,6 @@ from repro.fs.changelog import ChangeEvent, ChangeJournal, ChangelogOverflow
 from repro.fs.tree import VFSTree
 from repro.fs.snapshot import snapshot
 
-from . import db as dbmod
 from .build import BuildOptions, dir2index
 from .changefeed import changefeed2index
 from .checkpoint import ChangefeedCheckpoint

@@ -39,11 +39,10 @@ from pathlib import Path
 
 from repro import obs
 from repro.scan.walker import ParallelTreeWalker
+from repro.store import connect, layout, schema
 from repro.store.attach import attached
 from repro.store.layout import DirStore, is_side_artifact
 
-from . import db as dbmod
-from . import schema
 from .index import GUFIIndex
 from .xattrs import side_db_name  # noqa: F401  (re-exported for tools)
 
@@ -199,7 +198,7 @@ def _merge_child(
         if not src.exists():
             continue
         existed = dst.exists()
-        dst_conn = dbmod.create_side_db(dst)
+        dst_conn = connect.create_side_db(dst)
         try:
             with attached(dst_conn, src, "src", ro=False):
                 dst_conn.execute(
@@ -277,7 +276,7 @@ def unrollup_dir(index: GUFIIndex, source_path: str) -> None:
             path = parent_dir / filename
             if not path.exists():
                 continue
-            side = dbmod.open_rw(path)
+            side = connect.open_rw(path)
             try:
                 side.execute("DELETE FROM xattrs WHERE isroot = 0")
                 side.commit()
@@ -320,7 +319,7 @@ def rollup(
     lock = threading.Lock()
 
     def process(source_path: str) -> list:
-        conn = dbmod.open_ro(index.db_path(source_path))
+        conn = connect.open_ro(index.db_path(source_path))
         try:
             meta = index.read_dir_meta(conn)
             (own_entries,) = conn.execute(
@@ -431,12 +430,12 @@ def visible_db_bytes(index: GUFIIndex, start: str = "/") -> int:
         db_path = index.db_path(sp)
         if not db_path.exists():
             continue
-        total += dbmod.db_file_bytes(db_path)
+        total += layout.artifact_bytes(db_path)
         idx_dir = index.index_dir(sp)
         try:
             for name in os.listdir(idx_dir):
                 if is_side_artifact(name):
-                    total += dbmod.db_file_bytes(idx_dir / name)
+                    total += layout.artifact_bytes(idx_dir / name)
         except OSError:
             pass
         meta = index.dir_meta(sp)
@@ -457,7 +456,7 @@ def largest_visible_db_bytes(index: GUFIIndex, start: str = "/") -> int:
         db_path = index.db_path(sp)
         if not db_path.exists():
             continue
-        largest = max(largest, dbmod.db_file_bytes(db_path))
+        largest = max(largest, layout.artifact_bytes(db_path))
         meta = index.dir_meta(sp)
         if meta.rolledup:
             continue

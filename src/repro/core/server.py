@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
@@ -245,8 +244,8 @@ class GUFIServer:
                 # keep name translation current without discarding the
                 # warm session (the pooled QueryContexts alias this
                 # exact dict, so an in-place update reaches them)
-                tools.query.users.clear()
-                tools.query.users.update(self.identity.uid_map())
+                tools.engine.users.clear()
+                tools.engine.users.update(self.identity.uid_map())
                 return tools
             tools = GUFITools(
                 self.index, creds=creds, nthreads=self.nthreads,
@@ -320,7 +319,7 @@ class GUFIServer:
             if not isinstance(spec, QuerySpec):
                 raise TypeError("query requires a QuerySpec")
             plan = kwargs.pop("plan", None)
-            result: QueryResult = tools.query.run(
+            result: QueryResult = tools.engine.run(
                 spec, start, plan=plan,
                 sink=kwargs.pop("sink", None) or self._response_sink(),
                 cancel=kwargs.pop("cancel", None),
@@ -336,21 +335,11 @@ class GUFIServer:
                 cancel=kwargs.pop("cancel", None),
             )
         if tool == "xattr_search":
+            # ``start`` is the query root, like every other tool
+            if "needle" not in kwargs:
+                raise TypeError("xattr_search requires needle=<value>")
             kwargs.setdefault("sink", self._response_sink())
-            needle = kwargs.pop("needle", None)
-            if needle is not None:
-                # keyword form: ``start`` is the real query root
-                return method(needle, start=start, **kwargs)
-            # historical calling convention: the positional ``start``
-            # slot carries the needle (real start comes via kwargs) —
-            # kept working, but deprecated in favour of ``needle=``
-            warnings.warn(
-                "xattr_search via the positional start slot is "
-                "deprecated; pass needle=<value> (the positional slot "
-                "is then the query root)",
-                DeprecationWarning,
-                stacklevel=4,
-            )
+            return method(kwargs.pop("needle"), start=start, **kwargs)
         return method(start, **kwargs)
 
     def _response_sink(self) -> ResultSink | None:

@@ -1,6 +1,6 @@
 """Persistent query sessions: the per-thread state pool.
 
-A cold ``GUFIQuery.run()`` historically paid large fixed costs that
+A cold ``QueryEngine.run()`` historically paid large fixed costs that
 have nothing to do with the data the caller can see: a fresh scratch
 directory, one new SQLite connection per worker thread, re-registering
 every SQL helper function, re-running the ``I`` init script, and
@@ -15,14 +15,12 @@ This module keeps that state alive across queries:
   connection, registered SQL functions, per-run counters/row buffer,
   and (optional) streamed-output file;
 * :class:`ThreadStatePool` — a free-list of thread states owned by a
-  :class:`~repro.core.query.GUFIQuery`. Worker threads check states
+  :class:`~repro.core.engine.QueryEngine`. Worker threads check states
   out at the start of a run and the engine returns them at the end,
   so the *connections* survive even though the walker's *threads* do
   not. Scratch tables created by an ``I`` script are cleared (same
   script) or dropped and recreated (script changed) between runs —
-  never the whole connection;
-* :class:`QuerySession` — an explicit-lifecycle facade over
-  ``GUFIQuery`` for callers that want ``with``-scoped cleanup.
+  never the whole connection.
 
 Security note: nothing permission-relevant is cached here. Thread
 states hold only *scratch* result tables; every per-directory
@@ -293,49 +291,3 @@ class ThreadStatePool:
                 return
             self._closed = True
         self._finalizer()
-
-
-class QuerySession:
-    """Explicit-lifecycle handle for repeated queries on a warm index.
-
-    A :class:`~repro.core.query.GUFIQuery` already keeps its thread
-    pool and the index's DirMeta cache warm between ``run()`` calls;
-    this facade adds ``with``-scoping and surfaces the session-layer
-    counters, for callers (the portal, benchmarks) that manage many
-    sessions and want deterministic cleanup::
-
-        with QuerySession(index, creds=creds) as s:
-            for _ in range(1000):
-                s.run(spec)
-    """
-
-    def __init__(self, index, creds=None, nthreads: int = 8, **kwargs):
-        from .query import GUFIQuery  # here to avoid an import cycle
-
-        if creds is None:
-            self.query = GUFIQuery(index, nthreads=nthreads, **kwargs)
-        else:
-            self.query = GUFIQuery(index, creds=creds, nthreads=nthreads, **kwargs)
-
-    def run(self, spec, start: str = "/", plan=None):
-        return self.query.run(spec, start, plan=plan)
-
-    def run_single(self, spec, path: str = "/", plan=None):
-        return self.query.run_single(spec, path, plan=plan)
-
-    @property
-    def pool(self) -> ThreadStatePool:
-        return self.query.pool
-
-    @property
-    def cache_stats(self) -> dict[str, int]:
-        return self.query.index.cache.stats()
-
-    def close(self) -> None:
-        self.query.close()
-
-    def __enter__(self) -> "QuerySession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -94,12 +94,9 @@ class GUFITools:
             users=users, groups=groups, processes=processes,
             result_cache=result_cache,
         )
-        # Historical attribute name; same object (the engine speaks
-        # the full GUFIQuery surface plus sinks).
-        self.query = self.engine
 
     def close(self) -> None:
-        self.query.close()
+        self.engine.close()
 
     def __enter__(self) -> "GUFITools":
         return self
@@ -143,8 +140,8 @@ class GUFITools:
             )
         else:
             plan = None
-        return self.query.run(spec, start, plan=plan, sink=sink,
-                              cancel=cancel)
+        return self.engine.run(spec, start, plan=plan, sink=sink,
+                               cancel=cancel)
 
     def ls(self, path: str = "/", long_format: bool = False,
            cancel: CancelToken | None = None) -> list[str]:
@@ -153,12 +150,7 @@ class GUFITools:
             E="SELECT name, type, mode, uid, gid, size, mtime FROM entries "
             "ORDER BY name"
         )
-        # Only the named directory: run the engine with descent disabled
-        # by querying entries (not pentries) and pruning via nthreads=1
-        # + a subdir-free expansion. Simplest correct approach: run on
-        # the single directory with a spec that the engine naturally
-        # prunes — we reuse run() then filter to rows from this path.
-        result = self.query.run_single(spec, path, cancel=cancel)
+        result = self.engine.run_single(spec, path, cancel=cancel)
         out = []
         for name, ftype, mode, uid, gid, size, mtime in result.rows:
             if long_format:
@@ -179,13 +171,13 @@ class GUFITools:
         there. Directories are answered from their own summary record.
         """
         path = "/" + "/".join(p for p in path.split("/") if p)
-        index = self.query.index
+        index = self.engine.index
         if index.db_path(path).exists():
             spec = QuerySpec(
                 S="SELECT name, mode, uid, gid, size, mtime, totfiles, "
                 "totsubdirs FROM summary WHERE isroot = 1 AND rectype = 0"
             )
-            rows = self.query.run_single(spec, path).rows
+            rows = self.engine.run_single(spec, path).rows
             if not rows:
                 return None
             name, mode, uid, gid, size, mtime, totfiles, totsubdirs = rows[0]
@@ -199,7 +191,7 @@ class GUFITools:
             E="SELECT name, type, mode, uid, gid, size, mtime, linkname "
             f"FROM entries WHERE name = {quote_literal(name)}"
         )
-        rows = self.query.run_single(spec, parent or "/").rows
+        rows = self.engine.run_single(spec, parent or "/").rows
         if not rows:
             return None
         name, ftype, mode, uid, gid, size, mtime, linkname = rows[0]
@@ -226,14 +218,14 @@ class GUFITools:
             J="INSERT INTO aggregate.sizes SELECT TOTAL(total_size) FROM sizes",
             G="SELECT TOTAL(total_size) FROM sizes",
         )
-        result = self.query.run(spec, start, cancel=cancel)
+        result = self.engine.run(spec, start, cancel=cancel)
         return sum(int(r[0] or 0) for r in result.rows)
 
     def dir_sizes(self, start: str = "/",
                   cancel: CancelToken | None = None) -> list[tuple[str, int]]:
         """Size+name of every accessible directory (paper query 2)."""
         spec = QuerySpec(S="SELECT spath(name, isroot), totsize FROM summary")
-        result = self.query.run(spec, start, cancel=cancel)
+        result = self.engine.run(spec, start, cancel=cancel)
         return [(r[0], r[1]) for r in result.rows]
 
     def largest_files(self, start: str = "/", limit: int = 10,
@@ -252,7 +244,7 @@ class GUFITools:
             ),
             G=f"SELECT p, size FROM top ORDER BY size DESC LIMIT {int(limit)}",
         )
-        return self.query.run(spec, start, cancel=cancel).rows
+        return self.engine.run(spec, start, cancel=cancel).rows
 
     def recently_modified(
         self, start: str = "/", since: int = 0, limit: int = 20,
@@ -272,7 +264,7 @@ class GUFITools:
             ),
             G=f"SELECT p, mtime FROM recent ORDER BY mtime DESC LIMIT {int(limit)}",
         )
-        return self.query.run(spec, start, cancel=cancel).rows
+        return self.engine.run(spec, start, cancel=cancel).rows
 
     def space_by_user(self, start: str = "/",
                       cancel: CancelToken | None = None) -> dict[int, int]:
@@ -289,7 +281,7 @@ class GUFITools:
             ),
             G="SELECT uid, TOTAL(bytes) FROM usage GROUP BY uid",
         )
-        rows = self.query.run(spec, start, cancel=cancel).rows
+        rows = self.engine.run(spec, start, cancel=cancel).rows
         return {int(u): int(b) for u, b in rows}
 
     def xattr_search(
@@ -305,4 +297,4 @@ class GUFITools:
             ),
             xattrs=True,
         )
-        return self.query.run(spec, start, sink=sink, cancel=cancel)
+        return self.engine.run(spec, start, sink=sink, cancel=cancel)

@@ -29,7 +29,6 @@ from repro.fs.tree import VFSTree
 from repro.scan.scanners import record_from_inode
 from repro.scan.trace import DirStanza
 
-from . import schema
 from .build import BuildOptions, build_dir_db
 from .index import GUFIIndex
 from .rollup import unrollup_dir

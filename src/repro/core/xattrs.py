@@ -30,15 +30,11 @@ import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.fs.permissions import Credentials
 from repro.scan.trace import TraceRecord
-from repro.sim.blktrace import IOTracer
-
-from repro.store.attach import AttachSession, accessible_side_dbs
-from repro.store.layout import DirStore, side_db_name
-
-from . import db as dbmod
-from .schema import pack_xattrs
+from repro.store import connect
+from repro.store.attach import accessible_side_dbs
+from repro.store.layout import side_db_name
+from repro.store.schema import pack_xattrs
 
 __all__ = [
     "GID_NONE",
@@ -46,8 +42,6 @@ __all__ = [
     "UID_NONE",
     "XattrShards",
     "accessible_side_dbs",
-    "build_xattr_views",
-    "drop_xattr_views",
     "shard_xattrs",
     "side_db_name",
     "side_db_protection",
@@ -165,7 +159,7 @@ def write_xattr_shards(
         name = side_db_name(kind, ident)
         if faults is not None:
             faults.fire("xattr_shards", name)
-        side = dbmod.create_side_db(index_dir / (name + suffix), fresh=bool(suffix))
+        side = connect.create_side_db(index_dir / (name + suffix), fresh=bool(suffix))
         try:
             side.execute("BEGIN")
             side.executemany(
@@ -182,27 +176,3 @@ def write_xattr_shards(
         )
         created.append(name)
     return created
-
-
-def build_xattr_views(
-    conn: sqlite3.Connection,
-    index_dir: Path,
-    creds: Credentials,
-    main_alias: str = "gufi",
-    tracer: IOTracer | None = None,
-) -> list[str]:
-    """Create the per-query temporary xattr views (§III-B1) through an
-    :class:`~repro.store.attach.AttachSession` — the single place the
-    "only readable shards attach" invariant is enforced. Compatibility
-    wrapper for callers that manage the main attach themselves;
-    returns the attached aliases for :func:`drop_xattr_views`."""
-    session = AttachSession(conn, DirStore(index_dir), main_alias, tracer)
-    session.adopt_main()
-    return session.xattr_views(creds)
-
-
-def drop_xattr_views(conn: sqlite3.Connection, aliases: list[str]) -> None:
-    conn.execute("DROP VIEW IF EXISTS temp.xpentries")
-    conn.execute("DROP VIEW IF EXISTS temp.vxattrs")
-    for alias in aliases:
-        dbmod.detach(conn, alias)

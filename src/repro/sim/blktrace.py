@@ -31,7 +31,7 @@ class ReadEvent:
 class IOTracer:
     """Thread-safe collector of :class:`ReadEvent` records.
 
-    Pass an instance to the query engine (``GUFIQuery(tracer=...)``)
+    Pass an instance to the query engine (``QueryEngine(tracer=...)``)
     or the Brindexer query; ``record`` is cheap (a lock + append).
     """
 

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import db as dbmod
 from repro.core.build import (
     PARTIAL_SUFFIX,
     BuildOptions,
@@ -27,17 +26,19 @@ from repro.core.build import (
 )
 from repro.core.checkpoint import JOURNAL_NAME, BuildJournal
 from repro.core.index import GUFIIndex
-from repro.core.query import Q1_LIST_PATHS, GUFIQuery
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS
 from repro.gen.datasets import dataset2
 from repro.scan.faults import BuildCrash, FaultPlan, InjectedFault
 from repro.scan.scanners import TreeWalkScanner
 from repro.scan.walker import RetryPolicy
+from repro.store import layout
 from tests.conftest import NTHREADS, build_demo_tree
 
 
 def query_rows(index) -> list:
     """Sorted full-tree path listing — the identity oracle."""
-    return sorted(GUFIQuery(index, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
+    return sorted(QueryEngine(index, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
 
 
 def partials_under(root) -> list[str]:
@@ -329,7 +330,7 @@ class TestJournal:
         db = tmp_path / "db.db"
         db.write_bytes(b"x" * 64)
         j = BuildJournal.open(tmp_path, source="t")
-        j.record("/a", dbmod.file_stamp(db), 1, 0)
+        j.record("/a", layout.file_stamp(db), 1, 0)
         assert j.is_complete("/a", db)
         assert not j.is_complete("/missing", db)
         db.write_bytes(b"y" * 128)  # rewritten out-of-band

@@ -13,17 +13,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
 from repro.core.index import DirMetaCache, GUFIIndex
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, Q3_DU_SUMMARIES
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, Q3_DU_SUMMARIES
 from repro.core.refresh import IndexRefresher
 from repro.core.rollup import rollup, unrollup_dir
 from repro.core.tsummary import build_tsummary
 from repro.core.update import update_directory
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import Credentials
+from repro.store import layout
 from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
 
 
@@ -131,13 +132,11 @@ class TestContributionTable:
     def test_racing_write_is_not_published(self, demo_index, monkeypatch):
         """The read answers, but a database that changed across it
         must not be memoised (same rule as ``cached_dir_meta``)."""
-        import repro.store.layout as layout
-
         db_path = demo_index.db_path("/home/bob")
         monkeypatch.setattr(
             layout,
             "file_stamp",
-            flipping_stamp(dbmod.file_stamp, db_path),
+            flipping_stamp(layout.file_stamp, db_path),
         )
         r = build_tsummary(demo_index, "/home/bob")
         assert r.dirs_scanned == 2
@@ -151,7 +150,7 @@ class TestUpdateInvalidation:
         world-readable, alice has cached its DirMeta, bob chmods it and
         requests an update — alice's very next warm query must not see
         inside."""
-        alice = GUFIQuery(demo_index, creds=ALICE, nthreads=NTHREADS)
+        alice = QueryEngine(demo_index, creds=ALICE, nthreads=NTHREADS)
         assert "/home/bob/b.txt" in paths(alice.run(Q1_LIST_PATHS))
         demo_tree.chmod("/home/bob", 0o700, BOB)
         update_directory(demo_index, demo_tree, "/home/bob")
@@ -164,7 +163,7 @@ class TestUpdateInvalidation:
     def test_chmod_open_then_update_reveals_immediately(
         self, demo_tree, demo_index
     ):
-        alice = GUFIQuery(demo_index, creds=ALICE, nthreads=NTHREADS)
+        alice = QueryEngine(demo_index, creds=ALICE, nthreads=NTHREADS)
         assert "/home/bob/secret/s.key" not in paths(alice.run(Q1_LIST_PATHS))
         demo_tree.chmod("/home/bob/secret", 0o755, BOB)
         demo_tree.chmod("/home/bob/secret/s.key", 0o644, BOB)
@@ -173,7 +172,7 @@ class TestUpdateInvalidation:
         alice.close()
 
     def test_chown_then_update_honoured(self, demo_tree, demo_index):
-        bob = GUFIQuery(demo_index, creds=BOB, nthreads=NTHREADS)
+        bob = QueryEngine(demo_index, creds=BOB, nthreads=NTHREADS)
         assert not any(
             p.startswith("/home/alice/") for p in paths(bob.run(Q1_LIST_PATHS))
         )
@@ -189,7 +188,7 @@ class TestUpdateInvalidation:
         """A warm session has cached /home/bob's subdir listing; a
         recursive update that creates a brand-new child directory must
         invalidate that listing so descent finds the newcomer."""
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         q.run(Q1_LIST_PATHS)
         demo_tree.mkdir("/home/bob/fresh", mode=0o755, uid=1002, gid=1002)
         demo_tree.create_file("/home/bob/fresh/f.txt", size=5,
@@ -201,7 +200,7 @@ class TestUpdateInvalidation:
     def test_recursive_update_removed_subdir_gone_warm(
         self, demo_tree, demo_index
     ):
-        q = GUFIQuery(demo_index, creds=BOB, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, creds=BOB, nthreads=NTHREADS)
         assert "/home/bob/secret/s.key" in paths(q.run(Q1_LIST_PATHS))
         demo_tree.unlink("/home/bob/secret/s.key")
         demo_tree.rmdir("/home/bob/secret", BOB)
@@ -221,12 +220,12 @@ class TestRefreshInvalidation:
         )
         r.refresh()
         idx_v0 = r.current()
-        q0 = GUFIQuery(idx_v0, nthreads=NTHREADS)
+        q0 = QueryEngine(idx_v0, nthreads=NTHREADS)
         before = paths(q0.run(Q1_LIST_PATHS))
         tree.create_file("/home/bob/fresh.dat", size=7, uid=1002, gid=1002)
         r.refresh()
         # a new session resolves the swapped link: sees the new build
-        q1 = GUFIQuery(r.current(), nthreads=NTHREADS)
+        q1 = QueryEngine(r.current(), nthreads=NTHREADS)
         after = paths(q1.run(Q1_LIST_PATHS))
         assert "/home/bob/fresh.dat" in after
         assert "/home/bob/fresh.dat" not in before
@@ -258,7 +257,7 @@ class TestRollupInvalidation:
 
     def test_rollup_with_warm_session_no_double_count(self, idx):
         tree, index = idx
-        q = GUFIQuery(index, nthreads=NTHREADS)
+        q = QueryEngine(index, nthreads=NTHREADS)
         cold_paths = paths(q.run(Q1_LIST_PATHS))
         cold_total = q.run(Q3_DU_SUMMARIES).rows[-1][0]
         rollup(index, nthreads=NTHREADS)
@@ -269,7 +268,7 @@ class TestRollupInvalidation:
 
     def test_rolledup_flag_visible_to_warm_session(self, idx):
         tree, index = idx
-        q = GUFIQuery(index, creds=ALICE, nthreads=NTHREADS)
+        q = QueryEngine(index, creds=ALICE, nthreads=NTHREADS)
         before = paths(q.run(Q1_LIST_PATHS))
         rollup(index, nthreads=NTHREADS)
         # the cached rolledup=0 must not survive: descent pruning now
@@ -281,7 +280,7 @@ class TestRollupInvalidation:
     def test_unrollup_with_warm_session(self, idx):
         tree, index = idx
         rollup(index, nthreads=NTHREADS)
-        q = GUFIQuery(index, creds=ALICE, nthreads=NTHREADS)
+        q = QueryEngine(index, creds=ALICE, nthreads=NTHREADS)
         rolled = paths(q.run(Q1_LIST_PATHS))
         assert index.cached_dir_meta("/home/alice").rolledup > 0
         unrollup_dir(index, "/home/alice")
@@ -294,7 +293,7 @@ class TestRollupInvalidation:
         both the new file and the flag flip."""
         tree, index = idx
         rollup(index, nthreads=NTHREADS)
-        q = GUFIQuery(index, creds=ALICE, nthreads=NTHREADS)
+        q = QueryEngine(index, creds=ALICE, nthreads=NTHREADS)
         q.run(Q1_LIST_PATHS)
         tree.create_file("/home/alice/sub/late.dat", size=4,
                          mode=0o600, uid=1001, gid=1001)
@@ -349,14 +348,14 @@ class TestWarmEqualsColdProperty:
         index = dir2index(
             tree, root / "idx", opts=BuildOptions(nthreads=NTHREADS)
         ).index
-        warm = GUFIQuery(index, creds=creds, nthreads=NTHREADS)
+        warm = QueryEngine(index, creds=creds, nthreads=NTHREADS)
         warm.run(Q1_LIST_PATHS)  # populate caches
         for target, mode in mutations:
             tree.chmod(target, mode)
             update_directory(index, tree, target)
             got = paths(warm.run(Q1_LIST_PATHS))
             cold_index = GUFIIndex.open(index.root)
-            cold = GUFIQuery(cold_index, creds=creds, nthreads=NTHREADS)
+            cold = QueryEngine(cold_index, creds=creds, nthreads=NTHREADS)
             assert got == paths(cold.run(Q1_LIST_PATHS))
             cold.close()
         warm.close()
@@ -441,7 +440,7 @@ class TestChangefeedInvalidation:
         closes his home, the consumer applies the event, and a warm
         unprivileged session must not see inside anymore."""
         tree, index, journal = wired
-        alice = GUFIQuery(index, creds=ALICE, nthreads=NTHREADS)
+        alice = QueryEngine(index, creds=ALICE, nthreads=NTHREADS)
         assert "/home/bob/b.txt" in paths(alice.run(Q1_LIST_PATHS))
         tree.chmod("/home/bob", 0o700, BOB)
         changefeed2index(
@@ -455,7 +454,7 @@ class TestChangefeedInvalidation:
 
     def test_warm_query_tracks_cross_dir_rename(self, wired):
         tree, index, journal = wired
-        q = GUFIQuery(index, nthreads=NTHREADS)
+        q = QueryEngine(index, nthreads=NTHREADS)
         before = paths(q.run(Q1_LIST_PATHS))
         assert "/home/bob/b.txt" in before
         tree.rename("/home/bob/b.txt", "/public/b.txt")
@@ -471,7 +470,7 @@ class TestChangefeedInvalidation:
         """A directory rename leaves nothing cached under the old
         prefix and answers from the new one."""
         tree, index, journal = wired
-        q = GUFIQuery(index, creds=BOB, nthreads=NTHREADS)
+        q = QueryEngine(index, creds=BOB, nthreads=NTHREADS)
         assert "/home/bob/secret/s.key" in paths(q.run(Q1_LIST_PATHS))
         tree.rename("/home/bob/secret", "/home/bob/vault")
         changefeed2index(
@@ -532,13 +531,11 @@ class TestReadStablePublish:
     ):
         # StampBracket re-stats through the store layer, so the race is
         # simulated where the stamp authority now lives.
-        import repro.store.layout as layout
-
         db_path = demo_index.db_path("/home/bob")
         monkeypatch.setattr(
             layout,
             "file_stamp",
-            flipping_stamp(dbmod.file_stamp, db_path),
+            flipping_stamp(layout.file_stamp, db_path),
         )
         meta = demo_index.cached_dir_meta("/home/bob")
         assert meta is not None  # the read itself still answers
@@ -546,13 +543,11 @@ class TestReadStablePublish:
         assert demo_index.cache.peek_stamp("/home/bob") is None
 
     def test_dir_meta_discards_on_mismatch(self, demo_index, monkeypatch):
-        import repro.store.layout as layout
-
         db_path = demo_index.db_path("/public")
         monkeypatch.setattr(
             layout,
             "file_stamp",
-            flipping_stamp(dbmod.file_stamp, db_path),
+            flipping_stamp(layout.file_stamp, db_path),
         )
         assert demo_index.dir_meta("/public") is not None
         assert demo_index.cache.peek_stamp("/public") is None
@@ -581,7 +576,7 @@ class TestForkStalenessAfterRefresh:
         journal = ChangeJournal()
         tree.set_changelog(journal)
         # warm the parent cache the way a long-lived session would
-        with GUFIQuery(index, nthreads=NTHREADS) as warm:
+        with QueryEngine(index, nthreads=NTHREADS) as warm:
             warm.run(Q1_LIST_PATHS)
         tree.create_file("/public/post.txt", size=3, uid=0, gid=0)
         tree.unlink("/public/readme")

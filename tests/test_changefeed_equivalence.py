@@ -20,22 +20,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index, reduce_events
+from repro.core.engine import QueryEngine
 from repro.core.index import GUFIIndex
 from repro.core.query import (
     Q1_LIST_PATHS,
     Q2_DIR_SIZES,
     Q3_DU_SUMMARIES,
     Q4_DU_TSUMMARY,
-    GUFIQuery,
 )
 from repro.core.rollup import rollup
 from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
+from repro.store import connect
 from tests.conftest import (
     ALICE,
     BOB,
@@ -60,7 +60,7 @@ def entry_rows(index: GUFIIndex) -> dict[str, tuple]:
     for d in index.iter_index_dirs():
         sp = index.source_path(d)
         prefix = "" if sp == "/" else sp
-        conn = dbmod.open_ro(d / "db.db")
+        conn = connect.open_ro(d / "db.db")
         try:
             for row in conn.execute(f"SELECT {ENTRY_COLS} FROM entries"):
                 out[f"{prefix}/{row[0]}"] = row
@@ -71,7 +71,7 @@ def entry_rows(index: GUFIIndex) -> dict[str, tuple]:
 
 def query_rows(index: GUFIIndex, spec, creds=None) -> list:
     kwargs = {} if creds is None else {"creds": creds}
-    q = GUFIQuery(index, nthreads=NTHREADS, **kwargs)
+    q = QueryEngine(index, nthreads=NTHREADS, **kwargs)
     try:
         return sorted(q.run(spec).rows)
     finally:
@@ -169,7 +169,7 @@ class TestDeterministicEquivalence:
         tree.set_changelog(journal)
         tree.rename("/home/alice/sub", "/sub")  # depth 3 -> depth 1
         changefeed2index(index, tree, journal, opts=OPTS)
-        conn = dbmod.open_ro(index.db_path("/sub"))
+        conn = connect.open_ro(index.db_path("/sub"))
         try:
             (depth,) = conn.execute(
                 "SELECT depth FROM summary WHERE isroot = 1 AND rectype = 0"

@@ -18,7 +18,8 @@ import pytest
 from repro.core.build import PARTIAL_SUFFIX, BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
 from repro.core.checkpoint import ChangefeedCheckpoint
-from repro.core.query import Q1_LIST_PATHS, Q4_DU_TSUMMARY, GUFIQuery
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, Q4_DU_TSUMMARY
 from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.scan.faults import BuildCrash, FaultPlan
@@ -33,7 +34,7 @@ OPTS = BuildOptions(nthreads=NTHREADS)
 
 
 def query_rows(index) -> list:
-    q = GUFIQuery(index, nthreads=NTHREADS)
+    q = QueryEngine(index, nthreads=NTHREADS)
     try:
         return sorted(q.run(Q1_LIST_PATHS).rows)
     finally:
@@ -184,8 +185,8 @@ class TestPendingTsummary:
         fresh = dir2index(tree, tmp_path / "fresh", opts=OPTS).index
         build_tsummary(fresh, "/", per_user_group=True)
         assert tsummary_rows(index.root) == tsummary_rows(fresh.root)
-        q_inc = GUFIQuery(index, nthreads=NTHREADS)
-        q_new = GUFIQuery(fresh, nthreads=NTHREADS)
+        q_inc = QueryEngine(index, nthreads=NTHREADS)
+        q_new = QueryEngine(fresh, nthreads=NTHREADS)
         assert sorted(q_inc.run(Q4_DU_TSUMMARY).rows) == sorted(
             q_new.run(Q4_DU_TSUMMARY).rows
         )

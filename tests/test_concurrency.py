@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, Q3_DU_SUMMARIES
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, Q3_DU_SUMMARIES
 from repro.core.tsummary import build_tsummary
 from repro.scan.walker import ParallelTreeWalker
 from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
@@ -31,14 +32,14 @@ class TestConcurrentQueries:
 
         def worker(name, creds):
             try:
-                q = GUFIQuery(idx, creds=creds, nthreads=2)
+                q = QueryEngine(idx, creds=creds, nthreads=2)
                 results[name] = sorted(q.run(Q1_LIST_PATHS).rows)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
         expected = {
             name: sorted(
-                GUFIQuery(idx, creds=creds, nthreads=2).run(Q1_LIST_PATHS).rows
+                QueryEngine(idx, creds=creds, nthreads=2).run(Q1_LIST_PATHS).rows
             )
             for name, creds in (("alice", ALICE), ("bob", BOB))
         }
@@ -58,13 +59,13 @@ class TestConcurrentQueries:
     def test_query_repeatability(self, idx):
         """Parallel descent must not introduce nondeterminism in the
         result *set* (ordering may differ)."""
-        q = GUFIQuery(idx, nthreads=NTHREADS)
+        q = QueryEngine(idx, nthreads=NTHREADS)
         first = sorted(q.run(Q1_LIST_PATHS).rows)
         for _ in range(5):
             assert sorted(q.run(Q1_LIST_PATHS).rows) == first
 
     def test_aggregation_repeatable(self, idx):
-        q = GUFIQuery(idx, nthreads=NTHREADS)
+        q = QueryEngine(idx, nthreads=NTHREADS)
         totals = {q.run(Q3_DU_SUMMARIES).rows[-1][0] for _ in range(5)}
         assert len(totals) == 1
 
@@ -75,7 +76,7 @@ class TestConcurrentQueries:
         errors = []
 
         def reader():
-            q = GUFIQuery(idx, nthreads=2)
+            q = QueryEngine(idx, nthreads=2)
             while not stop.is_set():
                 try:
                     q.run(Q1_LIST_PATHS)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
 from repro.core.index import GUFIIndex
+from repro.store import connect, layout
 from tests.conftest import NTHREADS, build_demo_tree
 
 
@@ -69,10 +69,10 @@ class TestDirMeta:
 
     def test_meta_missing_summary(self, tmp_path):
         db = tmp_path / "db.db"
-        conn = dbmod.create_db(db)
+        conn = connect.create_db(db)
         conn.execute("DELETE FROM summary")
         conn.close()
-        ro = dbmod.open_ro(db)
+        ro = connect.open_ro(db)
         from repro.core.index import IndexError_
 
         with pytest.raises(IndexError_):
@@ -82,8 +82,8 @@ class TestDirMeta:
 
 class TestDbLayer:
     def test_template_cached_per_process(self, tmp_path):
-        dbmod.create_db(tmp_path / "a.db").close()
-        dbmod.create_db(tmp_path / "b.db").close()
+        connect.create_db(tmp_path / "a.db").close()
+        connect.create_db(tmp_path / "b.db").close()
         assert (tmp_path / "a.db").read_bytes()[:16] == b"SQLite format 3\x00"
         # identical empty templates
         assert (
@@ -92,10 +92,10 @@ class TestDbLayer:
         )
 
     def test_create_db_preserves_existing(self, tmp_path):
-        conn = dbmod.create_db(tmp_path / "x.db")
+        conn = connect.create_db(tmp_path / "x.db")
         conn.execute("INSERT INTO entries (name) VALUES ('keep')")
         conn.close()
-        conn = dbmod.create_db(tmp_path / "x.db")  # reopen, not truncate
+        conn = connect.create_db(tmp_path / "x.db")  # reopen, not truncate
         (n,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
         conn.close()
         assert n == 1
@@ -106,33 +106,33 @@ class TestDbLayer:
             "ATTACH DATABASE ? AS gufi",
             (str(idx.db_path("/proj/shared")),),
         )
-        summary_bytes = dbmod.table_bytes(conn, "gufi", {"summary"})
-        both = dbmod.table_bytes(conn, "gufi", {"summary", "entries"})
-        whole = dbmod.db_file_bytes(idx.db_path("/proj/shared"))
+        summary_bytes = connect.table_bytes(conn, "gufi", {"summary"})
+        both = connect.table_bytes(conn, "gufi", {"summary", "entries"})
+        whole = layout.artifact_bytes(idx.db_path("/proj/shared"))
         conn.close()
         assert 0 < summary_bytes <= both <= whole + 4096
 
     def test_db_file_bytes_missing(self):
-        assert dbmod.db_file_bytes("/no/such/file.db") == 0
+        assert layout.artifact_bytes("/no/such/file.db") == 0
 
     def test_attach_ro_blocks_writes(self, idx):
         conn = sqlite3.connect(":memory:", uri=True)
-        dbmod.attach_ro(conn, idx.db_path("/home/bob"), "g")
+        connect.attach_ro(conn, idx.db_path("/home/bob"), "g")
         with pytest.raises(sqlite3.OperationalError):
             conn.execute("DELETE FROM g.entries")
-        dbmod.detach(conn, "g")
+        connect.detach(conn, "g")
         conn.close()
 
     def test_is_readonly_error(self):
         err = sqlite3.OperationalError("attempt to write a readonly database")
-        assert dbmod.is_readonly_error(err)
-        assert not dbmod.is_readonly_error(sqlite3.OperationalError("nope"))
+        assert connect.is_readonly_error(err)
+        assert not connect.is_readonly_error(sqlite3.OperationalError("nope"))
 
     def test_open_rw_allows_schema_change(self, idx):
-        conn = dbmod.open_rw(idx.db_path("/public"))
+        conn = connect.open_rw(idx.db_path("/public"))
         conn.execute("CREATE TABLE custom (x)")
         conn.close()
-        ro = dbmod.open_ro(idx.db_path("/public"))
+        ro = connect.open_ro(idx.db_path("/public"))
         assert ro.execute(
             "SELECT name FROM sqlite_master WHERE name='custom'"
         ).fetchone()

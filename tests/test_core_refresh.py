@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS
 from repro.core.refresh import IndexRefresher, diff_indexes
 from repro.fs.changelog import ChangeJournal
 from repro.core.tsummary import build_tsummary
@@ -33,7 +34,7 @@ class TestRefresh:
         assert record.version == 0
         assert record.dirs == tree.num_dirs
         idx = r.current()
-        rows = GUFIQuery(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows
+        rows = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows
         assert len(rows) == tree.num_files + tree.num_symlinks
 
     def test_no_publish_yet(self, refresher):
@@ -49,7 +50,7 @@ class TestRefresh:
         r.refresh()
         rows = [
             x[0]
-            for x in GUFIQuery(r.current(), nthreads=NTHREADS)
+            for x in QueryEngine(r.current(), nthreads=NTHREADS)
             .run(Q1_LIST_PATHS).rows
         ]
         assert "/home/bob/fresh.dat" in rows
@@ -64,8 +65,8 @@ class TestRefresh:
         old_idx = GUFIIndex.open(r.versions()[-1])
         tree.create_file("/home/bob/late.dat", size=1, uid=1002, gid=1002)
         r.refresh()
-        old_rows = GUFIQuery(old_idx, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows
-        new_rows = GUFIQuery(r.current(), nthreads=NTHREADS).run(Q1_LIST_PATHS).rows
+        old_rows = QueryEngine(old_idx, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows
+        new_rows = QueryEngine(r.current(), nthreads=NTHREADS).run(Q1_LIST_PATHS).rows
         assert len(new_rows) == len(old_rows) + 1
 
     def test_retention(self, refresher):
@@ -169,7 +170,7 @@ class TestIncrementalRefresh:
         assert len(r.versions()) == 1
         rows = [
             x[0]
-            for x in GUFIQuery(r.current(), nthreads=NTHREADS)
+            for x in QueryEngine(r.current(), nthreads=NTHREADS)
             .run(Q1_LIST_PATHS).rows
         ]
         assert "/home/bob/inc.dat" in rows
@@ -225,7 +226,7 @@ class TestIncrementalRefresh:
         assert record.version == first.version + 1
         rows = [
             x[0]
-            for x in GUFIQuery(r.current(), nthreads=NTHREADS)
+            for x in QueryEngine(r.current(), nthreads=NTHREADS)
             .run(Q1_LIST_PATHS).rows
         ]
         assert "/public/of7.txt" in rows

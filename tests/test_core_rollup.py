@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, Q2_DIR_SIZES, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, Q2_DIR_SIZES, QuerySpec
 from repro.core.rollup import (
     largest_visible_db_bytes,
     rollup,
@@ -18,6 +18,7 @@ from repro.core.rollup import (
 )
 from repro.fs.permissions import Credentials
 from repro.fs.tree import VFSTree
+from repro.store import connect
 from tests.conftest import ALICE, BOB, CAROL_IN_PROJ, NTHREADS
 
 
@@ -116,7 +117,7 @@ class TestMechanics:
 
     def test_pentries_becomes_table(self, rollable_index):
         rollup(rollable_index, nthreads=NTHREADS)
-        conn = dbmod.open_ro(rollable_index.db_path("/home/alice"))
+        conn = connect.open_ro(rollable_index.db_path("/home/alice"))
         kind = conn.execute(
             "SELECT type FROM sqlite_master WHERE name='pentries'"
         ).fetchone()[0]
@@ -129,7 +130,7 @@ class TestMechanics:
 
     def test_summary_rows_copied_with_prefix(self, rollable_index):
         rollup(rollable_index, nthreads=NTHREADS)
-        conn = dbmod.open_ro(rollable_index.db_path("/home/alice"))
+        conn = connect.open_ro(rollable_index.db_path("/home/alice"))
         rows = conn.execute(
             "SELECT name, isroot FROM summary ORDER BY name"
         ).fetchall()
@@ -149,7 +150,7 @@ class TestMechanics:
 
     def test_rollup_idempotent(self, rollable_index):
         rollup(rollable_index, nthreads=NTHREADS)
-        q = GUFIQuery(rollable_index, nthreads=NTHREADS)
+        q = QueryEngine(rollable_index, nthreads=NTHREADS)
         r1 = sorted(q.run(Q1_LIST_PATHS).rows)
         stats2 = rollup(rollable_index, nthreads=NTHREADS)
         r2 = sorted(q.run(Q1_LIST_PATHS).rows)
@@ -188,7 +189,7 @@ class TestQueryInvariance:
         kwargs = {"nthreads": NTHREADS}
         if creds is not None:
             kwargs["creds"] = creds
-        q = GUFIQuery(demo_index, **kwargs)
+        q = QueryEngine(demo_index, **kwargs)
         before1 = sorted(q.run(Q1_LIST_PATHS).rows)
         before2 = sorted(q.run(Q2_DIR_SIZES).rows)
         rollup(demo_index, nthreads=NTHREADS)
@@ -199,10 +200,10 @@ class TestQueryInvariance:
         """Bob must not gain sight of alice's entries via any merged
         database, and vice versa."""
         rollup(rollable_index, nthreads=NTHREADS)
-        qb = GUFIQuery(rollable_index, creds=BOB, nthreads=NTHREADS)
+        qb = QueryEngine(rollable_index, creds=BOB, nthreads=NTHREADS)
         rows = [r[0] for r in qb.run(Q1_LIST_PATHS).rows]
         assert not any("/alice/" in r for r in rows)
-        qa = GUFIQuery(rollable_index, creds=ALICE, nthreads=NTHREADS)
+        qa = QueryEngine(rollable_index, creds=ALICE, nthreads=NTHREADS)
         rows_a = [r[0] for r in qa.run(Q1_LIST_PATHS).rows]
         assert not any("priv" in r for r in rows_a)
 
@@ -210,7 +211,7 @@ class TestQueryInvariance:
 class TestUnrollup:
     def test_unrollup_restores_state(self, rollable_index):
         idx = rollable_index
-        conn = dbmod.open_ro(idx.db_path("/home/alice"))
+        conn = connect.open_ro(idx.db_path("/home/alice"))
         orig_summary = conn.execute(
             "SELECT name, isroot FROM summary ORDER BY name"
         ).fetchall()
@@ -220,7 +221,7 @@ class TestUnrollup:
         conn.close()
         rollup(idx, nthreads=NTHREADS)
         unrollup_dir(idx, "/home/alice")
-        conn = dbmod.open_ro(idx.db_path("/home/alice"))
+        conn = connect.open_ro(idx.db_path("/home/alice"))
         assert conn.execute(
             "SELECT name, isroot FROM summary ORDER BY name"
         ).fetchall() == orig_summary
@@ -241,7 +242,7 @@ class TestUnrollup:
         # children keep their own rollups
         assert idx.dir_meta("/home/alice/a").rolledup
         # and queries still return the full data set
-        q = GUFIQuery(idx, creds=ALICE, nthreads=NTHREADS)
+        q = QueryEngine(idx, creds=ALICE, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert sum("/alice/" in r for r in rows) == 12
 
@@ -267,17 +268,17 @@ class TestXattrRollup:
         assert (idx.index_dir("/p") / "xattrs.db.u1002").exists()
         spec = QuerySpec(E="SELECT name, exattrs FROM xpentries", xattrs=True)
         rows = dict(
-            GUFIQuery(idx, creds=ALICE, nthreads=NTHREADS).run(spec, "/p").rows
+            QueryEngine(idx, creds=ALICE, nthreads=NTHREADS).run(spec, "/p").rows
         )
         assert "user.k=v" in rows["f"]
         assert "g" not in rows  # foreign value stays invisible to alice
         rows_root = dict(
-            GUFIQuery(idx, nthreads=NTHREADS).run(spec, "/p").rows
+            QueryEngine(idx, nthreads=NTHREADS).run(spec, "/p").rows
         )
         assert "user.b=w" in rows_root["g"]
         # unrollup removes the rolled-in side db and rows
         unrollup_dir(idx, "/p")
         assert not (idx.index_dir("/p") / "xattrs.db.u1002").exists()
-        conn = dbmod.open_ro(idx.db_path("/p"))
+        conn = connect.open_ro(idx.db_path("/p"))
         assert conn.execute("SELECT COUNT(*) FROM xattrs").fetchone()[0] == 0
         conn.close()

@@ -8,8 +8,6 @@ import sqlite3
 
 import pytest
 
-from repro.core import db as dbmod
-from repro.core import schema
 from repro.core.build import (
     BuildOptions,
     build_from_stanzas,
@@ -20,6 +18,7 @@ from repro.core.build import (
 from repro.core.index import GUFIIndex
 from repro.scan.scanners import TreeWalkScanner
 from repro.scan.trace import write_trace
+from repro.store import connect, schema
 from tests.conftest import NTHREADS, build_demo_tree
 
 
@@ -48,7 +47,7 @@ class TestXattrPacking:
 
 class TestDbHelpers:
     def test_template_db_has_schema(self, tmp_path):
-        conn = dbmod.create_db(tmp_path / "db.db")
+        conn = connect.create_db(tmp_path / "db.db")
         tables = {
             r[0]
             for r in conn.execute(
@@ -67,12 +66,12 @@ class TestDbHelpers:
 
     def test_empty_db_size_near_12k(self, tmp_path):
         # the paper's '12KB even when empty' observation
-        dbmod.create_db(tmp_path / "db.db").close()
+        connect.create_db(tmp_path / "db.db").close()
         assert 8 * 1024 <= (tmp_path / "db.db").stat().st_size <= 40 * 1024
 
     def test_readonly_open_blocks_writes(self, tmp_path):
-        dbmod.create_db(tmp_path / "db.db").close()
-        ro = dbmod.open_ro(tmp_path / "db.db")
+        connect.create_db(tmp_path / "db.db").close()
+        ro = connect.open_ro(tmp_path / "db.db")
         with pytest.raises(sqlite3.OperationalError):
             ro.execute("INSERT INTO entries (name) VALUES ('x')")
         ro.close()
@@ -80,9 +79,9 @@ class TestDbHelpers:
     def test_tracer_records_open(self, tmp_path):
         from repro.sim.blktrace import IOTracer
 
-        dbmod.create_db(tmp_path / "db.db").close()
+        connect.create_db(tmp_path / "db.db").close()
         tr = IOTracer()
-        dbmod.open_ro(tmp_path / "db.db", tr).close()
+        connect.open_ro(tmp_path / "db.db", tr).close()
         assert tr.num_reads == 1
         assert tr.total_bytes == (tmp_path / "db.db").stat().st_size
 
@@ -179,8 +178,8 @@ class TestBuilders:
         assert dirs_a == dirs_b
         # spot-check one directory's rows match
         for sp in ("/home/alice", "/proj/shared"):
-            ca = dbmod.open_ro(r1.index.db_path(sp))
-            cb = dbmod.open_ro(r2.index.db_path(sp))
+            ca = connect.open_ro(r1.index.db_path(sp))
+            cb = connect.open_ro(r2.index.db_path(sp))
             ra = ca.execute("SELECT * FROM entries ORDER BY name").fetchall()
             rb = cb.execute("SELECT * FROM entries ORDER BY name").fetchall()
             ca.close(); cb.close()
@@ -198,7 +197,7 @@ class TestBuilders:
         tree = build_demo_tree()
         result = dir2index(tree, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS))
         idx = result.index
-        conn = dbmod.open_ro(idx.db_path("/home/alice"))
+        conn = connect.open_ro(idx.db_path("/home/alice"))
         dir_ino = idx.dir_meta("/home/alice").inode
         rows = conn.execute("SELECT name, pinode FROM pentries").fetchall()
         conn.close()
@@ -207,7 +206,7 @@ class TestBuilders:
     def test_vrpentries_dname(self, tmp_path):
         tree = build_demo_tree()
         result = dir2index(tree, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS))
-        conn = dbmod.open_ro(result.index.db_path("/home/bob"))
+        conn = connect.open_ro(result.index.db_path("/home/bob"))
         rows = conn.execute(
             "SELECT name, dname, d_isroot FROM vrpentries"
         ).fetchall()

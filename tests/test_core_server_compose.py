@@ -13,7 +13,8 @@ from repro.core.compose import (
     validate,
 )
 from repro.core.index import GUFIIndex
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup
 from repro.core.server import (
     AuthenticationError,
@@ -138,7 +139,7 @@ class TestGraftPrune:
             opts=BuildOptions(nthreads=NTHREADS),
         ).index
         graft(main, kernel, src_subtree="/linux", at="/fs-kernel/linux")
-        q = GUFIQuery(main, nthreads=NTHREADS)
+        q = QueryEngine(main, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS, start="/fs-kernel").rows]
         assert rows and all(r.startswith("/fs-kernel/linux") for r in rows)
         # old content still present
@@ -168,7 +169,7 @@ class TestGraftPrune:
             build_demo_tree(), tmp_path / "other",
             opts=BuildOptions(nthreads=NTHREADS),
         ).index
-        q = GUFIQuery(main, nthreads=NTHREADS)
+        q = QueryEngine(main, nthreads=NTHREADS)
         before = len(q.run(Q1_LIST_PATHS).rows)
         unrolled = graft(
             main, other, src_subtree="/home/alice", at="/home/imported"
@@ -187,7 +188,7 @@ class TestGraftPrune:
         ).index
         rollup(main, nthreads=NTHREADS)
         prune(main, "/proj")
-        q = GUFIQuery(main, nthreads=NTHREADS)
+        q = QueryEngine(main, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert not any(r.startswith("/proj") for r in rows)
         assert "/home/bob/b.txt" in rows
@@ -218,9 +219,9 @@ class TestValidate:
         assert any("missing db.db" in p for p in report.problems)
 
     def test_detects_inconsistent_rollup_flag(self, demo_index):
-        from repro.core import db as dbmod
+        from repro.store import connect
 
-        conn = dbmod.open_rw(demo_index.db_path("/home/alice"))
+        conn = connect.open_rw(demo_index.db_path("/home/alice"))
         conn.execute("UPDATE summary SET rolledup = 1 WHERE isroot = 1")
         conn.close()
         report = validate(demo_index)
@@ -282,16 +283,8 @@ class TestXattrSearchConvention:
         )
         assert any(needle == r[0] for r in result.rows)
 
-    def test_positional_form_deprecated_but_works(
-        self, xattr_server, xattr_namespace
-    ):
+    def test_positional_form_rejected(self, xattr_server):
         """The historical convention smuggled the needle through the
-        ``start`` slot; it still works but warns."""
-        _, _, needle, _ = xattr_namespace
-        with pytest.warns(DeprecationWarning, match="positional start"):
-            legacy = xattr_server.invoke("root", "xattr_search", "needle")
-        modern = xattr_server.invoke(
-            "root", "xattr_search", "/", needle="needle"
-        )
-        assert {r[0] for r in legacy.rows} == {r[0] for r in modern.rows}
-        assert any(needle == r[0] for r in legacy.rows)
+        ``start`` slot; it is gone — the slot is only ever the root."""
+        with pytest.raises(TypeError, match="needle="):
+            xattr_server.invoke("root", "xattr_search", "needle")

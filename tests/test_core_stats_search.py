@@ -8,7 +8,7 @@ import pytest
 from repro.core.search import SearchSyntaxError, parse
 from repro.core.server import GUFIServer, IdentityProvider, QueryPortal
 from repro.core.stats import _bucket, collect_stats, render_stats
-from repro.core.query import GUFIQuery
+from repro.core.engine import QueryEngine
 from repro.core.rollup import rollup
 from tests.conftest import ALICE, BOB, NTHREADS
 
@@ -143,21 +143,21 @@ class TestSearchParser:
 class TestSearchExecution:
     def test_name_search(self, demo_index):
         spec = parse("*.txt").to_spec()
-        result = GUFIQuery(demo_index, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(demo_index, nthreads=NTHREADS).run(spec)
         assert {r[0] for r in result.rows} == {
             "/home/alice/a.txt", "/home/bob/b.txt", "/public/xonly/hidden.txt",
         }
 
     def test_search_respects_permissions(self, demo_index):
         spec = parse("*.txt").to_spec()
-        result = GUFIQuery(demo_index, creds=ALICE, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(demo_index, creds=ALICE, nthreads=NTHREADS).run(spec)
         assert {r[0] for r in result.rows} == {
             "/home/alice/a.txt", "/home/bob/b.txt",
         }
 
     def test_size_and_type(self, demo_index):
         spec = parse("type:f size>>600").to_spec()
-        rows = GUFIQuery(demo_index, nthreads=NTHREADS).run(spec).rows
+        rows = QueryEngine(demo_index, nthreads=NTHREADS).run(spec).rows
         assert {r[0] for r in rows} == {
             "/proj/shared/p.c", "/proj/shared/data/d.h5",
         }
@@ -165,7 +165,7 @@ class TestSearchExecution:
     def test_tag_search(self, xattr_namespace):
         ns, tagged, needle, index = xattr_namespace
         spec = parse("tag:found-me").to_spec()
-        rows = GUFIQuery(index, nthreads=NTHREADS).run(spec).rows
+        rows = QueryEngine(index, nthreads=NTHREADS).run(spec).rows
         assert [r[0] for r in rows] == [needle]
 
     def test_portal_search(self, demo_index):

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
 from repro.core.index import GUFIIndex
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup
-from repro.core.schema import RECTYPE_GROUP, RECTYPE_OVERALL, RECTYPE_USER
+from repro.store import connect
+from repro.store.schema import RECTYPE_GROUP, RECTYPE_OVERALL, RECTYPE_USER
 from repro.core.tools import FindFilters, GUFITools
 from repro.core.tsummary import build_tsummary, drop_tsummary
 from repro.core.update import unroll_path_to, update_directory
@@ -43,7 +44,7 @@ def brute_force(tree, top="/"):
 class TestTSummary:
     def test_overall_matches_brute_force(self, demo_tree, demo_index):
         build_tsummary(demo_index, "/")
-        conn = dbmod.open_ro(demo_index.db_path("/"))
+        conn = connect.open_ro(demo_index.db_path("/"))
         row = conn.execute(
             "SELECT totfiles, totlinks, totsubdirs, totsize FROM tsummary "
             "WHERE rectype = ?", (RECTYPE_OVERALL,),
@@ -54,7 +55,7 @@ class TestTSummary:
 
     def test_per_user_rows(self, demo_tree, demo_index):
         build_tsummary(demo_index, "/")
-        conn = dbmod.open_ro(demo_index.db_path("/"))
+        conn = connect.open_ro(demo_index.db_path("/"))
         per_user = dict(
             conn.execute(
                 "SELECT uid, totfiles FROM tsummary WHERE rectype = ?",
@@ -77,7 +78,7 @@ class TestTSummary:
 
     def test_subtree_scope(self, demo_tree, demo_index):
         build_tsummary(demo_index, "/home/bob")
-        conn = dbmod.open_ro(demo_index.db_path("/home/bob"))
+        conn = connect.open_ro(demo_index.db_path("/home/bob"))
         (size,) = conn.execute(
             "SELECT totsize FROM tsummary WHERE rectype = 0"
         ).fetchone()
@@ -86,14 +87,14 @@ class TestTSummary:
 
     def test_same_result_after_rollup_with_fewer_reads(self, demo_index):
         r1 = build_tsummary(demo_index, "/")
-        conn = dbmod.open_ro(demo_index.db_path("/"))
+        conn = connect.open_ro(demo_index.db_path("/"))
         before = conn.execute(
             "SELECT totfiles, totsize FROM tsummary WHERE rectype=0"
         ).fetchone()
         conn.close()
         rollup(demo_index, nthreads=NTHREADS)
         r2 = build_tsummary(demo_index, "/")
-        conn = dbmod.open_ro(demo_index.db_path("/"))
+        conn = connect.open_ro(demo_index.db_path("/"))
         after = conn.execute(
             "SELECT totfiles, totsize FROM tsummary WHERE rectype=0"
         ).fetchone()
@@ -104,14 +105,14 @@ class TestTSummary:
     def test_drop(self, demo_index):
         build_tsummary(demo_index, "/")
         drop_tsummary(demo_index, "/")
-        conn = dbmod.open_ro(demo_index.db_path("/"))
+        conn = connect.open_ro(demo_index.db_path("/"))
         assert conn.execute("SELECT COUNT(*) FROM tsummary").fetchone()[0] == 0
         conn.close()
 
     def test_rebuild_replaces(self, demo_index):
         build_tsummary(demo_index, "/")
         build_tsummary(demo_index, "/")
-        conn = dbmod.open_ro(demo_index.db_path("/"))
+        conn = connect.open_ro(demo_index.db_path("/"))
         n = conn.execute(
             "SELECT COUNT(*) FROM tsummary WHERE rectype=0"
         ).fetchone()[0]
@@ -318,14 +319,14 @@ class TestIncrementalUpdate:
         demo_tree.create_file("/home/bob/new.txt", size=999,
                               mode=0o644, uid=1002, gid=1002)
         update_directory(demo_index, demo_tree, "/home/bob")
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert "/home/bob/new.txt" in rows
 
     def test_update_reflects_removed_files(self, demo_tree, demo_index):
         demo_tree.unlink("/home/bob/b.txt")
         update_directory(demo_index, demo_tree, "/home/bob")
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert "/home/bob/b.txt" not in rows
 
@@ -336,7 +337,7 @@ class TestIncrementalUpdate:
         demo_tree.create_file("/home/bob/SECRET-TOKEN-xyz", size=1,
                               mode=0o600, uid=1002, gid=1002)
         update_directory(demo_index, demo_tree, "/home/bob")
-        q_alice = GUFIQuery(demo_index, creds=ALICE, nthreads=NTHREADS)
+        q_alice = QueryEngine(demo_index, creds=ALICE, nthreads=NTHREADS)
         rows = [r[0] for r in q_alice.run(Q1_LIST_PATHS).rows]
         assert any("SECRET-TOKEN" in r for r in rows)  # name is metadata
         # bob realises and locks his home dir
@@ -353,7 +354,7 @@ class TestIncrementalUpdate:
         result = update_directory(demo_index, demo_tree, "/home/bob/secret")
         # the path to the target is unrolled; siblings keep theirs
         assert demo_index.dir_meta("/home/alice").rolledup == alice_rolled_before
-        q = GUFIQuery(demo_index, creds=BOB, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, creds=BOB, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert "/home/bob/secret/late.dat" in rows
 
@@ -362,7 +363,7 @@ class TestIncrementalUpdate:
         demo_tree.rmdir("/home/bob/secret", BOB)
         update_directory(demo_index, demo_tree, "/home/bob", recursive=True)
         assert not demo_index.index_dir("/home/bob/secret").exists()
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert not any("secret" in r for r in rows)
 
@@ -377,8 +378,8 @@ class TestIncrementalUpdate:
         fresh = dir2index(
             demo_tree, tmp_path / "i2", opts=BuildOptions(nthreads=NTHREADS)
         ).index
-        q1 = sorted(GUFIQuery(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
-        q2 = sorted(GUFIQuery(fresh, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
+        q1 = sorted(QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
+        q2 = sorted(QueryEngine(fresh, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
         assert q1 == q2
         assert idx.dir_meta("/proj/shared").mode == 0o750
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.core.xattrs import (
     GID_NONE,
     UID_NONE,
@@ -20,6 +20,7 @@ from repro.core.xattrs import (
 from repro.fs.permissions import ROOT, Credentials
 from repro.fs.tree import VFSTree
 from repro.scan.trace import TraceRecord
+from repro.store import connect
 from tests.conftest import NTHREADS
 
 ALICE = Credentials(uid=1001, gid=1001)
@@ -121,7 +122,7 @@ class TestVisibility:
         spec = QuerySpec(
             E="SELECT name, exattrs FROM xpentries", xattrs=True
         )
-        return GUFIQuery(index, creds=creds, nthreads=NTHREADS).run(spec, "/d")
+        return QueryEngine(index, creds=creds, nthreads=NTHREADS).run(spec, "/d")
 
     def test_side_dbs_created(self, xattr_index):
         _, index = xattr_index
@@ -132,7 +133,7 @@ class TestVisibility:
 
     def test_tracking_table(self, xattr_index):
         _, index = xattr_index
-        conn = dbmod.open_ro(index.db_path("/d"))
+        conn = connect.open_ro(index.db_path("/d"))
         names = {r[0] for r in conn.execute("SELECT filename FROM xattrs_avail")}
         assert "xattrs.db.u1002" in names
         # root sees everything
@@ -192,7 +193,7 @@ class TestVisibility:
         _, index = xattr_index
         spec = QuerySpec(E="SELECT name, xattr_names FROM entries")
         rows = dict(
-            GUFIQuery(index, creds=ALICE, nthreads=NTHREADS)
+            QueryEngine(index, creds=ALICE, nthreads=NTHREADS)
             .run(spec, "/d").rows
         )
         assert rows["bobs"] == "user.bobs"

@@ -14,7 +14,7 @@ from repro.core.engine import (
     QueryEngine,
     ThreadFileSink,
 )
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, QuerySpec
+from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.server import GUFIServer, IdentityProvider, QueryPortal
 from repro.core.tools import FindFilters
 
@@ -176,7 +176,7 @@ class TestAggregateDBSink:
 
 class TestFacadeSinkPassthrough:
     def test_facade_accepts_sinks(self, demo_index):
-        with GUFIQuery(demo_index, nthreads=NTHREADS) as q:
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
             bounded = q.run(SPEC, sink=BoundedSink(2))
             assert len(bounded.rows) == 2
             assert bounded.truncated

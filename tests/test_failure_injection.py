@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
 from repro.core.compose import validate
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup
 from tests.conftest import NTHREADS, build_demo_tree
 
@@ -23,7 +23,7 @@ def idx(tmp_path):
 class TestCorruptShard:
     def test_query_survives_garbage_db(self, idx):
         idx.db_path("/home/bob").write_bytes(b"\xde\xad\xbe\xef" * 1000)
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
         assert result.dirs_errored == 1
         paths = {r[0] for r in result.rows}
         assert "/home/alice/a.txt" in paths  # the rest still answers
@@ -32,13 +32,13 @@ class TestCorruptShard:
     def test_query_survives_truncated_db(self, idx):
         p = idx.db_path("/proj/shared")
         p.write_bytes(p.read_bytes()[:100])
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
         assert result.dirs_errored >= 1
         assert result.rows
 
     def test_query_survives_empty_file(self, idx):
         idx.db_path("/public").write_bytes(b"")
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
         # sqlite treats a zero-length file as a valid empty db: no
         # summary record -> skipped without error propagation
         assert result.rows
@@ -53,7 +53,7 @@ class TestCorruptShard:
         """Corruption is survivable; a typo in the user's SQL is not
         silently swallowed."""
         with pytest.raises(RuntimeError):
-            GUFIQuery(idx, nthreads=NTHREADS).run(
+            QueryEngine(idx, nthreads=NTHREADS).run(
                 QuerySpec(E="SELECT definitely_not_a_column FROM pentries")
             )
 
@@ -61,7 +61,7 @@ class TestCorruptShard:
 class TestPartialState:
     def test_missing_db_prunes_quietly(self, idx):
         (idx.index_dir("/home/alice") / "db.db").unlink()
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
         assert not any("alice" in r[0] for r in result.rows)
         assert result.dirs_errored == 0  # absent, not corrupt
 
@@ -80,7 +80,7 @@ class TestPartialState:
         (idx.index_dir("/d") / "xattrs.db.u1002").unlink()
         (idx.index_dir("/d") / "xattrs.db.g1002.nr").unlink()
         spec = QuerySpec(E="SELECT name FROM xpentries", xattrs=True)
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(spec, "/d")
+        result = QueryEngine(idx, nthreads=NTHREADS).run(spec, "/d")
         assert result.rows == []  # values gone, query fine
 
     def test_rollup_after_corruption_raises(self, idx):

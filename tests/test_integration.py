@@ -8,8 +8,8 @@ import pytest
 
 from repro.baselines.brindexer import BrindexerIndex
 from repro.core.build import BuildOptions, build_from_stanzas, dir2index, trace2index
+from repro.core.engine import QueryEngine
 from repro.core.query import (
-    GUFIQuery,
     Q1_LIST_PATHS,
     Q3_DU_SUMMARIES,
     Q4_DU_TSUMMARY,
@@ -39,7 +39,7 @@ class TestFullPipeline:
         result = trace2index(trace_path, tmp_path / "idx",
                              BuildOptions(nthreads=NTHREADS))
         assert result.dirs_created == ns.tree.num_dirs
-        q = GUFIQuery(result.index, nthreads=NTHREADS)
+        q = QueryEngine(result.index, nthreads=NTHREADS)
         rows = q.run(Q1_LIST_PATHS).rows
         assert len(rows) == ns.tree.num_files + ns.tree.num_symlinks
         assert sorted(r[0] for r in rows) == sorted(ns.files)
@@ -52,8 +52,8 @@ class TestFullPipeline:
         s2 = LesterScanner(ns.tree).scan("/").stanzas
         i1 = build_from_stanzas(s1, tmp_path / "a", BuildOptions(nthreads=NTHREADS))
         i2 = build_from_stanzas(s2, tmp_path / "b", BuildOptions(nthreads=NTHREADS))
-        q1 = sorted(GUFIQuery(i1.index, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
-        q2 = sorted(GUFIQuery(i2.index, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
+        q1 = sorted(QueryEngine(i1.index, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
+        q2 = sorted(QueryEngine(i2.index, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
         assert q1 == q2
 
     def test_rollup_tsummary_query_stack(self, dataset2_small, tmp_path):
@@ -61,7 +61,7 @@ class TestFullPipeline:
         built = dir2index(ns.tree, tmp_path / "idx",
                           opts=BuildOptions(nthreads=NTHREADS))
         idx = built.index
-        q = GUFIQuery(idx, nthreads=NTHREADS)
+        q = QueryEngine(idx, nthreads=NTHREADS)
         du_before = q.run(Q3_DU_SUMMARIES).rows[-1][0]
         dbs_before = visible_db_count(idx)
         rollup(idx, limit=max(4, built.entries_inserted // 20),
@@ -82,12 +82,12 @@ class TestFullPipeline:
                                   BuildOptions(nthreads=NTHREADS)).index
         brin, _ = BrindexerIndex.build(stanzas, tmp_path / "b", n_shards=16)
         g_names = sorted(
-            r[0] for r in GUFIQuery(gufi, nthreads=NTHREADS)
+            r[0] for r in QueryEngine(gufi, nthreads=NTHREADS)
             .run(QuerySpec(E="SELECT name FROM pentries")).rows
         )
         b_names = sorted(r[0] for r in brin.list_names(nthreads=NTHREADS).rows)
         assert g_names == b_names
-        g_du = GUFIQuery(gufi, nthreads=NTHREADS).run(Q3_DU_SUMMARIES).rows[-1][0]
+        g_du = QueryEngine(gufi, nthreads=NTHREADS).run(Q3_DU_SUMMARIES).rows[-1][0]
         b_du = brin.du(nthreads=NTHREADS).rows[0][0]
         assert g_du == pytest.approx(b_du)
 
@@ -120,7 +120,7 @@ class TestMultiFilesystemIndex:
                 stanzas.append(st)
         built = build_from_stanzas(stanzas, tmp_path / "search",
                                    BuildOptions(nthreads=NTHREADS))
-        q = GUFIQuery(built.index, nthreads=NTHREADS)
+        q = QueryEngine(built.index, nthreads=NTHREADS)
         all_rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert any(r.startswith("/fs-kernel/") for r in all_rows)
         assert any(r.startswith("/fs-scratch/") for r in all_rows)
@@ -161,9 +161,9 @@ class TestSnapshotDataMovement:
                             uid=1001, gid=1001)
         idx_new = dir2index(snapshot(ns.tree), tmp_path / "idx1",
                             opts=BuildOptions(nthreads=NTHREADS)).index
-        old_rows = {r[0] for r in GUFIQuery(idx_old, nthreads=NTHREADS)
+        old_rows = {r[0] for r in QueryEngine(idx_old, nthreads=NTHREADS)
                     .run(Q1_LIST_PATHS).rows}
-        new_rows = {r[0] for r in GUFIQuery(idx_new, nthreads=NTHREADS)
+        new_rows = {r[0] for r in QueryEngine(idx_new, nthreads=NTHREADS)
                     .run(Q1_LIST_PATHS).rows}
         assert "/scratch/brand-new.bin" not in old_rows
         assert "/scratch/brand-new.bin" in new_rows
@@ -202,7 +202,7 @@ class TestDeploymentFlow:
                             gid=ns.tree.get_inode(target_dir).gid)
         update_directory(idx, ns.tree, target_dir)
         rollup(idx, nthreads=NTHREADS)
-        rows = {r[0] for r in GUFIQuery(idx, nthreads=NTHREADS)
+        rows = {r[0] for r in QueryEngine(idx, nthreads=NTHREADS)
                 .run(Q1_LIST_PATHS).rows}
         assert f"{target_dir}/added-later.txt" in rows
         assert len(rows) == len(ns.files) + 1

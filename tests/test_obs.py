@@ -15,7 +15,8 @@ import pytest
 
 from repro import obs
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, Q1_LIST_NAMES, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_NAMES, QuerySpec
 from repro.core.tools import FindFilters, GUFITools
 from repro.obs.export import (
     render_metrics,
@@ -379,7 +380,7 @@ class TestExporters:
 
 class TestIntegration:
     def test_disabled_by_default(self, demo_index):
-        with GUFIQuery(demo_index, nthreads=NTHREADS) as q:
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
             result = q.run(Q1_LIST_NAMES)
         assert result.stage_seconds is None
         assert not obs.metrics().enabled
@@ -390,7 +391,7 @@ class TestIntegration:
                 demo_tree, tmp_path / "idx",
                 opts=BuildOptions(nthreads=NTHREADS),
             )
-            with GUFIQuery(build.index, nthreads=NTHREADS) as q:
+            with QueryEngine(build.index, nthreads=NTHREADS) as q:
                 result = q.run(Q1_LIST_NAMES)
             snap = obs.snapshot()
         assert snap.counter("gufi_build_dirs_total") == build.dirs_created
@@ -447,7 +448,7 @@ class TestIntegration:
         """The public QueryResult fields must read the same whether the
         registry backs them or not."""
         spec = QuerySpec(E="SELECT name FROM pentries")
-        with GUFIQuery(demo_index, nthreads=NTHREADS) as q:
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
             off = q.run(spec)
             with obs.enabled(metrics=True, tracing=True, slow_query_ms=0.0):
                 on = q.run(spec)
@@ -479,7 +480,7 @@ class TestIntegration:
 
     def test_query_spans_nest_across_threads(self, demo_index):
         with obs.enabled(metrics=False, tracing=True):
-            with GUFIQuery(demo_index, nthreads=NTHREADS) as q:
+            with QueryEngine(demo_index, nthreads=NTHREADS) as q:
                 q.run(Q1_LIST_NAMES)
             spans = obs.tracer().spans()
         by_name = {}
@@ -500,7 +501,7 @@ class TestIntegration:
 
     def test_slow_log_captures_query(self, demo_index):
         with obs.enabled(metrics=False, slow_query_ms=0.0):
-            with GUFIQuery(demo_index, nthreads=NTHREADS) as q:
+            with QueryEngine(demo_index, nthreads=NTHREADS) as q:
                 q.run(Q1_LIST_NAMES)
             entries = obs.slow_log().entries()
         assert entries

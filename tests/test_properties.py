@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup, unrollup_dir
-from repro.core.schema import pack_xattrs, unpack_xattrs
+from repro.store.schema import pack_xattrs, unpack_xattrs
 from repro.core.tsummary import build_tsummary
 from repro.fs.permissions import (
     Credentials,
@@ -169,7 +170,7 @@ class TestQueryEqualsGroundTruth:
         root = tmp_path_factory.mktemp("prop")
         idx = dir2index(tree, root / "i", opts=BuildOptions(nthreads=2)).index
         for creds in CREDS:
-            q = GUFIQuery(idx, creds=creds, nthreads=2)
+            q = QueryEngine(idx, creds=creds, nthreads=2)
             got = sorted(r[0] for r in q.run(Q1_LIST_PATHS).rows)
             assert got == ground_truth_entries(tree, creds), creds
 
@@ -181,7 +182,7 @@ class TestQueryEqualsGroundTruth:
         idx = dir2index(tree, root / "i", opts=BuildOptions(nthreads=2)).index
         rollup(idx, nthreads=2)
         for creds in CREDS:
-            q = GUFIQuery(idx, creds=creds, nthreads=2)
+            q = QueryEngine(idx, creds=creds, nthreads=2)
             got = sorted(r[0] for r in q.run(Q1_LIST_PATHS).rows)
             assert got == ground_truth_entries(tree, creds), creds
 
@@ -196,7 +197,7 @@ class TestQueryEqualsGroundTruth:
         tree = materialize(desc)
         root = tmp_path_factory.mktemp("prop")
         idx = dir2index(tree, root / "i", opts=BuildOptions(nthreads=2)).index
-        q = GUFIQuery(idx, nthreads=2)
+        q = QueryEngine(idx, nthreads=2)
         before = sorted(q.run(Q1_LIST_PATHS).rows)
         rollup(idx, limit=limit, nthreads=2)
         assert sorted(q.run(Q1_LIST_PATHS).rows) == before
@@ -209,7 +210,7 @@ class TestQueryEqualsGroundTruth:
         tree = materialize(desc)
         root = tmp_path_factory.mktemp("prop")
         idx = dir2index(tree, root / "i", opts=BuildOptions(nthreads=2)).index
-        q = GUFIQuery(idx, nthreads=2)
+        q = QueryEngine(idx, nthreads=2)
         before = sorted(q.run(Q1_LIST_PATHS).rows)
         rollup(idx, nthreads=2)
         rolled = [
@@ -235,7 +236,7 @@ class TestXattrVisibility:
             xattrs=True,
         )
         for creds in CREDS:
-            q = GUFIQuery(idx, creds=creds, nthreads=2)
+            q = QueryEngine(idx, creds=creds, nthreads=2)
             got = {r[0] for r in q.run(spec).rows}
             assert got == ground_truth_xattrs(tree, creds), creds
 
@@ -251,11 +252,11 @@ class TestXattrVisibility:
         )
         before = {}
         for creds in CREDS:
-            q = GUFIQuery(idx, creds=creds, nthreads=2)
+            q = QueryEngine(idx, creds=creds, nthreads=2)
             before[creds.uid] = sorted(q.run(spec).rows)
         rollup(idx, nthreads=2)
         for creds in CREDS:
-            q = GUFIQuery(idx, creds=creds, nthreads=2)
+            q = QueryEngine(idx, creds=creds, nthreads=2)
             assert sorted(q.run(spec).rows) == before[creds.uid], creds
 
 
@@ -268,7 +269,7 @@ class TestAggregates:
         idx = dir2index(tree, root / "i", opts=BuildOptions(nthreads=2)).index
         from repro.core.query import Q3_DU_SUMMARIES
 
-        result = GUFIQuery(idx, nthreads=2).run(Q3_DU_SUMMARIES)
+        result = QueryEngine(idx, nthreads=2).run(Q3_DU_SUMMARIES)
         expected = sum(
             i.size for _, i in tree.iter_inodes() if i.ftype.value != "d"
         )
@@ -282,9 +283,9 @@ class TestAggregates:
         idx = dir2index(tree, root / "i", opts=BuildOptions(nthreads=2)).index
         from repro.core.query import Q3_DU_SUMMARIES, Q4_DU_TSUMMARY
 
-        r3 = GUFIQuery(idx, nthreads=2).run(Q3_DU_SUMMARIES)
+        r3 = QueryEngine(idx, nthreads=2).run(Q3_DU_SUMMARIES)
         build_tsummary(idx, "/")
-        r4 = GUFIQuery(idx, nthreads=2).run(Q4_DU_TSUMMARY)
+        r4 = QueryEngine(idx, nthreads=2).run(Q4_DU_TSUMMARY)
         assert r4.rows[0][0] == pytest.approx(r3.rows[-1][0])
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from tests.conftest import BOB, NTHREADS, build_demo_tree
 
 
@@ -22,7 +23,7 @@ class TestOutputFiles:
             E="SELECT rpath(dname, d_isroot, name), size FROM vrpentries",
             output_prefix=str(tmp_path / "out"),
         )
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(spec)
         assert result.rows == []
         assert result.output_files
         lines = []
@@ -30,7 +31,7 @@ class TestOutputFiles:
             with open(path) as fh:
                 lines.extend(ln.rstrip("\n") for ln in fh)
         # same content the in-memory variant returns
-        in_mem = GUFIQuery(idx, nthreads=NTHREADS).run(
+        in_mem = QueryEngine(idx, nthreads=NTHREADS).run(
             QuerySpec(E="SELECT rpath(dname, d_isroot, name), size "
                         "FROM vrpentries")
         )
@@ -42,7 +43,7 @@ class TestOutputFiles:
             E="SELECT name FROM pentries",
             output_prefix=str(tmp_path / "o"),
         )
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(spec)
         assert 1 <= len(result.output_files) <= NTHREADS
         assert all(p.startswith(str(tmp_path / "o") + ".") for p in result.output_files)
 
@@ -51,7 +52,7 @@ class TestOutputFiles:
             E="SELECT rpath(dname, d_isroot, name) FROM vrpentries",
             output_prefix=str(tmp_path / "bob"),
         )
-        result = GUFIQuery(idx, creds=BOB, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(idx, creds=BOB, nthreads=NTHREADS).run(spec)
         content = "".join(
             open(p).read() for p in result.output_files
         )
@@ -67,7 +68,7 @@ class TestOutputFiles:
             G="SELECT TOTAL(c) FROM n",
             output_prefix=str(tmp_path / "agg"),
         )
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(spec)
         assert result.rows[-1][0] == 9  # all demo entries
 
     def test_none_values_serialised_empty(self, idx, tmp_path):
@@ -75,7 +76,7 @@ class TestOutputFiles:
             S="SELECT spath(name, isroot), minsize FROM summary",
             output_prefix=str(tmp_path / "s"),
         )
-        result = GUFIQuery(idx, nthreads=NTHREADS).run(spec)
+        result = QueryEngine(idx, nthreads=NTHREADS).run(spec)
         lines = [
             ln for p in result.output_files for ln in open(p).read().splitlines()
         ]

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.core.build import BuildOptions, dir2index
 from repro.core.index import DirMeta, DirStats
 from repro.core.plan import QueryPlan, plan_for
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.core.rollup import rollup
 from repro.core.search import parse
 from repro.core.tools import FindFilters, GUFITools
@@ -265,7 +266,7 @@ class TestEnginePruning:
         assert deep.dirs_visited <= 1
 
     def test_search_terms_compile_to_plan(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         parsed = parse("size>>1g", now=NOW)
         q.run(parsed.to_spec())  # warm the cache
         on = q.run(parsed.to_spec(), plan=parsed.to_plan())
@@ -280,21 +281,21 @@ class TestEnginePruning:
             parse("minlevel:x")
 
     def test_plan_ignored_without_stages(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         r = q.run(QuerySpec(), plan=QueryPlan(min_size=10**9))
         assert r.dirs_pruned_by_plan == 0
 
 
 class TestRunSingleAlignment:
     def test_missing_dir_raises(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         with pytest.raises(FileNotFoundError):
             q.run_single(QuerySpec(E="SELECT name FROM pentries"), "/nope")
 
     def test_corrupt_db_counts_instead_of_raising(self, demo_index):
         db = demo_index.db_path("/public")
         db.write_bytes(b"this is not a sqlite database, not even close")
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         r = q.run_single(QuerySpec(E="SELECT name FROM pentries"), "/public")
         assert r.dirs_errored == 1
         assert r.dbs_opened == 0
@@ -303,7 +304,7 @@ class TestRunSingleAlignment:
     def test_corrupt_db_matches_walk_semantics(self, demo_index):
         db = demo_index.db_path("/public")
         db.write_bytes(b"garbage" * 100)
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         walk = q.run(QuerySpec(E="SELECT name FROM pentries"), "/")
         single = q.run_single(
             QuerySpec(E="SELECT name FROM pentries"), "/public"
@@ -312,7 +313,7 @@ class TestRunSingleAlignment:
         assert single.dirs_errored == 1
 
     def test_t_skipped_without_tsummary_rows(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         spec = QuerySpec(
             T="SELECT totsize FROM tsummary WHERE rectype = 0",
             E="SELECT name FROM pentries",
@@ -324,7 +325,7 @@ class TestRunSingleAlignment:
     def test_t_prunes_s_and_e_like_walk(self, demo_index):
         build_tsummary(demo_index, "/home/alice")
         demo_index.invalidate_cache()
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         spec = QuerySpec(
             T="SELECT totsize FROM tsummary WHERE rectype = 0",
             E="SELECT name FROM pentries",
@@ -344,7 +345,7 @@ class TestRunSingleAlignment:
         assert len(no_prune.rows) == 2
 
     def test_plan_applies_to_single_dir(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         spec = QuerySpec(E="SELECT name FROM pentries")
         q.run_single(spec, "/home/alice")  # warm the meta cache
         r = q.run_single(spec, "/home/alice", plan=QueryPlan(min_size=10**9))
@@ -419,7 +420,7 @@ class TestPlannedEqualsUnplanned:
             entries_shaped=False,
         )
         for creds in CREDS:
-            q = GUFIQuery(idx, creds=creds, nthreads=2)
+            q = QueryEngine(idx, creds=creds, nthreads=2)
             cold_on = q.run(spec, plan=plan)
             off = q.run(spec, plan=baseline)
             warm_on = q.run(spec, plan=plan)

@@ -8,20 +8,19 @@ import os
 
 import pytest
 
+from repro.core.engine import QueryEngine
 from repro.core.query import (
-    GUFIQuery,
     Q1_LIST_PATHS,
     Q3_DU_SUMMARIES,
     QuerySpec,
 )
 from repro.core.server import GUFIServer, IdentityProvider
-from repro.core.session import QuerySession
 from tests.conftest import ALICE, BOB, NTHREADS
 
 
 class TestPoolReuse:
     def test_connections_survive_across_runs(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         first = sorted(q.run(Q1_LIST_PATHS).rows)
         created_after_first = q.pool.created
         assert created_after_first >= 1
@@ -34,14 +33,14 @@ class TestPoolReuse:
         q.close()
 
     def test_scratch_tables_recycled_same_spec(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         totals = {q.run(Q3_DU_SUMMARIES).rows[-1][0] for _ in range(4)}
         # stale scratch rows from a previous run would inflate the sum
         assert len(totals) == 1
         q.close()
 
     def test_scratch_schema_swapped_between_different_specs(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         a = QuerySpec(
             I="CREATE TABLE t_a (n INTEGER)",
             E="INSERT INTO t_a SELECT COUNT(*) FROM pentries",
@@ -62,14 +61,14 @@ class TestPoolReuse:
         q.close()
 
     def test_interleaved_i_and_no_i_specs(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         with_i = q.run(Q3_DU_SUMMARIES).rows[-1][0]
         assert q.run(Q1_LIST_PATHS).rows  # no I: scratch dropped
         assert q.run(Q3_DU_SUMMARIES).rows[-1][0] == with_i
         q.close()
 
     def test_close_is_idempotent_and_frees_tmpdir(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         q.run(Q1_LIST_PATHS)
         tmpdir = q.pool.tmpdir
         assert os.path.isdir(tmpdir)
@@ -78,14 +77,14 @@ class TestPoolReuse:
         assert not os.path.exists(tmpdir)
 
     def test_run_after_close_raises(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         q.run(Q1_LIST_PATHS)
         q.close()
         with pytest.raises(RuntimeError):
             q.run(Q1_LIST_PATHS)
 
     def test_failed_run_does_not_poison_session(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         good = sorted(q.run(Q1_LIST_PATHS).rows)
         with pytest.raises(RuntimeError):
             q.run(QuerySpec(E="SELECT nonsense FROM nowhere"))
@@ -93,7 +92,7 @@ class TestPoolReuse:
         q.close()
 
     def test_run_single_reuses_pool_and_times_itself(self, demo_index):
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         spec = QuerySpec(E="SELECT name FROM entries ORDER BY name")
         r1 = q.run_single(spec, "/home/bob")
         created = q.pool.created
@@ -111,7 +110,7 @@ class TestOutputFilesAcrossRuns:
             E="SELECT rpath(dname, d_isroot, name) FROM vrpentries",
             output_prefix=str(tmp_path / "out"),
         )
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         r1 = q.run(spec)
         lines1 = sorted(
             ln for p in r1.output_files for ln in open(p).read().splitlines()
@@ -134,7 +133,7 @@ class TestOutputFilesAcrossRuns:
             J="INSERT INTO nonsense_table SELECT 1",
             output_prefix=str(tmp_path / "o"),
         )
-        q = GUFIQuery(demo_index, nthreads=NTHREADS)
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
         import sqlite3
 
         with pytest.raises(sqlite3.Error):
@@ -150,19 +149,19 @@ class TestOutputFilesAcrossRuns:
         q.close()
 
 
-class TestQuerySessionFacade:
+class TestEngineLifecycle:
     def test_context_manager_runs_and_cleans_up(self, demo_index):
-        with QuerySession(demo_index, creds=BOB, nthreads=NTHREADS) as s:
-            rows = s.run(Q1_LIST_PATHS).rows
+        with QueryEngine(demo_index, creds=BOB, nthreads=NTHREADS) as q:
+            rows = q.run(Q1_LIST_PATHS).rows
             assert rows
-            tmpdir = s.pool.tmpdir
+            tmpdir = q.pool.tmpdir
         assert not os.path.exists(tmpdir)
 
     def test_cache_stats_exposed(self, demo_index):
-        with QuerySession(demo_index, nthreads=NTHREADS) as s:
-            s.run(Q1_LIST_PATHS)
-            s.run(Q1_LIST_PATHS)
-            stats = s.cache_stats
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
+            q.run(Q1_LIST_PATHS)
+            q.run(Q1_LIST_PATHS)
+            stats = q.index.cache.stats()
         assert stats["meta_hits"] > 0
 
 
@@ -178,11 +177,11 @@ class TestServerSessions:
         with _make_server(demo_index) as server:
             r1 = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             tools = server._sessions[(BOB.uid, BOB.gid, BOB.groups)]
-            created = tools.query.pool.created
+            created = tools.engine.pool.created
             r2 = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             assert sorted(r1.rows) == sorted(r2.rows)
             assert server._sessions[(BOB.uid, BOB.gid, BOB.groups)] is tools
-            assert tools.query.pool.created == created
+            assert tools.engine.pool.created == created
             assert len(server.audit_log) == 2
 
     def test_disabled_user_blocked_despite_warm_session(self, demo_index):
@@ -212,4 +211,4 @@ class TestServerSessions:
             server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             assert len(server._sessions) == 1
             with pytest.raises(RuntimeError):
-                alice_tools.query.run(Q1_LIST_PATHS)
+                alice_tools.engine.run(Q1_LIST_PATHS)

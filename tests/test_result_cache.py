@@ -46,10 +46,8 @@ from repro.core.query import (
     Q1_LIST_PATHS,
     Q2_DIR_SIZES,
     Q3_DU_SUMMARIES,
-    GUFIQuery,
 )
 from repro.core.rollup import rollup
-from repro.core.session import QuerySession
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
 from repro.gen.datasets import dataset2
@@ -198,14 +196,14 @@ class TestCacheBasics:
             server.invoke("bob", "du", "/")  # own scope: a miss
             assert cache.hits == 1 and len(cache) == 2
 
-    def test_session_and_facade_pass_through(self, demo_index):
+    def test_cache_shared_across_handles(self, demo_index):
         cache = ResultCache()
-        with QuerySession(
+        with QueryEngine(
             demo_index, nthreads=NTHREADS, result_cache=cache
         ) as q:
             q.run(E_ALL)
             assert q.run(E_ALL).cached
-        with GUFIQuery(
+        with QueryEngine(
             demo_index, nthreads=NTHREADS, result_cache=cache
         ) as q2:
             assert q2.run(E_ALL).cached

@@ -24,12 +24,12 @@ import itertools
 
 import pytest
 
-from repro.core import db as dbmod
 from repro.core.build import BuildOptions, dir2index
 from repro.core.rollup import rollup, rollup_compatible
 from repro.fs.permissions import Credentials, can_read_dir, can_search_dir
 from repro.fs.tree import VFSTree
 from repro.gen.datasets import dataset2, table1_namespace
+from repro.store import connect
 from tests.conftest import NTHREADS
 
 # a reader population covering owner / group / other / multi-group
@@ -106,7 +106,7 @@ def audit_rolled_index(index, tree) -> list[str]:
         if not meta.rolledup:
             continue
         parent_readers = readers_of(meta.mode, meta.uid, meta.gid)
-        conn = dbmod.open_ro(d / "db.db")
+        conn = connect.open_ro(d / "db.db")
         try:
             rows = conn.execute(
                 "SELECT name, mode, uid, gid FROM summary "

@@ -226,8 +226,8 @@ def test_tools_thread_processes_through(plain_index):
         assert sorted(single.find("/", FILTERS).rows) == sorted(
             multi.find("/", FILTERS).rows
         )
-        assert single.query.processes == 1
-        assert multi.query.processes == PROCESSES
+        assert single.engine.processes == 1
+        assert multi.engine.processes == PROCESSES
 
 
 def test_stage_seconds_and_merged_metrics(plain_index):

@@ -172,6 +172,11 @@ class TestInvoke:
         resp = run(client.invoke("root", "du", args={"sink": "x"}))
         assert resp.status == 400
 
+    def test_xattr_search_without_needle_is_a_bad_request(self, client):
+        resp = run(client.invoke("root", "xattr_search", "needle"))
+        assert resp.status == 400
+        assert "needle=" in resp.json()["error"]["message"]
+
     def test_every_invoke_is_audited(self, client, server):
         before = len(server.audit_log)
         run(client.invoke("alice", "du", "/"))

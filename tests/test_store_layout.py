@@ -29,7 +29,8 @@ from repro.store.layout import (
     stamp_matches,
 )
 
-SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src" / "repro"
 
 
 # ----------------------------------------------------------------------
@@ -75,64 +76,121 @@ def _layout_literals_in(path: Path) -> list[tuple[int, str]]:
     return hits
 
 
-#: the compat re-export shims left behind when the store layer was
-#: extracted (``repro.core.db`` / ``repro.core.schema``)
-_SHIMS = ("db", "schema")
+#: modules deleted when the store layer's importers finished moving
+#: to ``repro.store`` — nothing may import them again, however spelled
+_DELETED_MODULES = ("repro.core.db", "repro.core.schema")
 
-#: modules already migrated off the shims — they import from
-#: ``repro.store`` directly and must not slide back. Extend as modules
-#: migrate; when every importer is listed, the shims can be deleted.
-_SHIM_FREE = ("core/tsummary.py", "core/changefeed.py")
+#: query handles folded into ``QueryEngine`` — not to be re-created
+_DELETED_NAMES = ("GUFIQuery", "QuerySession")
 
 
-def _shim_imports_in(path: Path, package: str = "repro.core") -> list[int]:
-    """Line numbers of imports of a compat shim, however spelled:
+def _linted_files() -> list[Path]:
+    """Everything the bans cover: the package, the tests, the
+    micro-benchmarks and the examples."""
+    return sorted(
+        [
+            *SRC_ROOT.rglob("*.py"),
+            *(REPO_ROOT / "tests").glob("*.py"),
+            *(REPO_ROOT / "benchmarks").glob("bench_*.py"),
+            *(REPO_ROOT / "examples").glob("*.py"),
+        ]
+    )
+
+
+def _lint_id(path: Path) -> str:
+    base = SRC_ROOT if SRC_ROOT in path.parents else REPO_ROOT
+    return path.relative_to(base).as_posix()
+
+
+def _deleted_imports_in(path: Path, package: str = "") -> list[int]:
+    """Line numbers of imports of a deleted module, however spelled:
     ``from . import db``, ``from .schema import X``, ``from repro.core
-    import db``, ``import repro.core.schema``."""
+    import db``, ``import repro.core.schema``. ``package`` is the
+    importing file's package, for resolving relative imports."""
     hits: list[int] = []
-    shim_modules = {f"{package}.{name}" for name in _SHIMS}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            if any(alias.name in shim_modules for alias in node.names):
+            if any(alias.name in _DELETED_MODULES for alias in node.names):
                 hits.append(node.lineno)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if node.level == 1:  # the linted modules sit in repro.core
-                module = f"{package}.{module}".rstrip(".")
-            elif node.level:
-                continue
-            if module in shim_modules or (
-                module == package
-                and any(alias.name in _SHIMS for alias in node.names)
+            if node.level:
+                parts = package.split(".")
+                base = parts[: len(parts) - (node.level - 1)]
+                module = ".".join([*base, module]).rstrip(".")
+            if module in _DELETED_MODULES or any(
+                f"{module}.{alias.name}" in _DELETED_MODULES
+                for alias in node.names
             ):
                 hits.append(node.lineno)
     return hits
 
 
+def _deleted_names_in(path: Path) -> list[int]:
+    """Line numbers where a deleted handle's name is imported, bound,
+    referenced or defined (strings and comments may still mention it)."""
+    hits: list[int] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names: list[str] = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for a in node.names for n in (a.name, a.asname) if n]
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names = [node.name]
+        if any(name in _DELETED_NAMES for name in names):
+            hits.append(node.lineno)
+    return hits
+
+
 class TestEncapsulationLint:
-    @pytest.mark.parametrize("module", _SHIM_FREE)
-    def test_migrated_modules_do_not_import_the_shims(self, module):
-        assert not _shim_imports_in(SRC_ROOT / module), (
-            f"{module} imports repro.core.db / repro.core.schema again; "
+    @pytest.mark.parametrize("path", _linted_files(), ids=_lint_id)
+    def test_migrated_modules_do_not_import_the_shims(self, path):
+        package = ""
+        if SRC_ROOT in path.parents:
+            package = ".".join(path.relative_to(SRC_ROOT.parent).parent.parts)
+        assert not _deleted_imports_in(path, package), (
+            f"{path} imports repro.core.db / repro.core.schema; "
             "import from repro.store"
         )
+        assert not _deleted_names_in(path), (
+            f"{path} names a deleted query handle; use QueryEngine"
+        )
+
+    def test_shims_are_gone(self):
+        for module in _DELETED_MODULES:
+            assert not (SRC_ROOT.parent / (module.replace(".", "/") + ".py")).exists()
 
     def test_shim_lint_actually_detects(self, tmp_path):
         bad = tmp_path / "bad.py"
-        for line in (
-            "from . import db as dbmod",
-            "from . import schema",
-            "from .schema import RECTYPE_OVERALL",
-            "from repro.core import db",
-            "import repro.core.schema",
+        for package, line in (
+            ("repro.core", "from . import db as dbmod"),
+            ("repro.core", "from . import schema"),
+            ("repro.core", "from .schema import RECTYPE_OVERALL"),
+            ("repro.core.engine", "from .. import db as dbmod"),
+            ("repro.core.engine", "from ..schema import DB_NAME"),
+            ("", "from repro.core import db"),
+            ("", "import repro.core.schema"),
         ):
             bad.write_text(line + "\n", encoding="utf-8")
-            assert _shim_imports_in(bad), line
+            assert _deleted_imports_in(bad, package), line
         bad.write_text(
             "from repro.store import schema\nfrom .index import GUFIIndex\n",
             encoding="utf-8",
         )
-        assert not _shim_imports_in(bad)
+        assert not _deleted_imports_in(bad, "repro.core")
+        for line in (
+            "from repro.core import GUFIQuery",
+            "from repro.core.engine import QueryEngine as GUFIQuery",
+            "q = core.QuerySession(index)",
+            "class QuerySession: pass",
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert _deleted_names_in(bad), line
+        bad.write_text('"""Was GUFIQuery once."""\n', encoding="utf-8")
+        assert not _deleted_names_in(bad)
 
     def test_no_layout_literals_outside_store(self):
         """No module outside repro.store may hard-code the primary db

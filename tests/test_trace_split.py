@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.build import BuildOptions, build_from_stanzas, trace2index
 from repro.core.index import GUFIIndex
-from repro.core.query import GUFIQuery, Q1_LIST_PATHS
+from repro.core.engine import QueryEngine
+from repro.core.query import Q1_LIST_PATHS
 from repro.scan.scanners import TreeWalkScanner
 from repro.scan.trace import merge_traces, read_trace, split_trace, write_trace
 from tests.conftest import NTHREADS, build_demo_tree
@@ -93,8 +94,8 @@ class TestDistributedIngest:
         single = trace2index(
             path, tmp_path / "single_idx", BuildOptions(nthreads=NTHREADS)
         )
-        q_sharded = GUFIQuery(GUFIIndex.open(shared_root), nthreads=NTHREADS)
-        q_single = GUFIQuery(single.index, nthreads=NTHREADS)
+        q_sharded = QueryEngine(GUFIIndex.open(shared_root), nthreads=NTHREADS)
+        q_single = QueryEngine(single.index, nthreads=NTHREADS)
         assert sorted(q_sharded.run(Q1_LIST_PATHS).rows) == sorted(
             q_single.run(Q1_LIST_PATHS).rows
         )

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.query import GUFIQuery, QuerySpec
+from repro.core.engine import QueryEngine
+from repro.core.query import QuerySpec
 from repro.core.update import update_directory
 from repro.fs.permissions import Credentials
 from repro.fs.tree import VFSTree
@@ -33,7 +34,7 @@ class TestXattrUpdate:
         t.setxattr("/d/f", "user.secret", b"new-value", ALICE)
         update_directory(idx, t, "/d")
         rows = dict(
-            GUFIQuery(idx, creds=ALICE, nthreads=NTHREADS).run(XQ, "/d").rows
+            QueryEngine(idx, creds=ALICE, nthreads=NTHREADS).run(XQ, "/d").rows
         )
         assert "new-value" in rows["f"]
         assert "old-value" not in rows["f"]
@@ -42,7 +43,7 @@ class TestXattrUpdate:
         t, idx = setup
         t.removexattr("/d/f", "user.secret", ALICE)
         update_directory(idx, t, "/d")
-        rows = GUFIQuery(idx, creds=ALICE, nthreads=NTHREADS).run(XQ, "/d").rows
+        rows = QueryEngine(idx, creds=ALICE, nthreads=NTHREADS).run(XQ, "/d").rows
         assert rows == []
 
     def test_stale_side_db_removed(self, setup):
@@ -56,7 +57,7 @@ class TestXattrUpdate:
         update_directory(idx, t, "/d")
         # value moved to the main db; per-user shard rebuilt away
         assert not side.exists()
-        rows = dict(GUFIQuery(idx, nthreads=NTHREADS).run(XQ, "/d").rows)
+        rows = dict(QueryEngine(idx, nthreads=NTHREADS).run(XQ, "/d").rows)
         assert "user.secret=old-value" in rows["f"]
 
     def test_protection_tightening_effective(self, setup):
@@ -70,13 +71,13 @@ class TestXattrUpdate:
         update_directory(idx, t, "/d")
         groupie = Credentials(uid=1002, gid=1002, groups=frozenset({100}))
         rows = dict(
-            GUFIQuery(idx, creds=groupie, nthreads=NTHREADS).run(XQ, "/d").rows
+            QueryEngine(idx, creds=groupie, nthreads=NTHREADS).run(XQ, "/d").rows
         )
         assert "f" in rows  # group member sees the value
         # tighten
         t.chmod("/d/f", 0o600, ALICE)
         update_directory(idx, t, "/d")
         rows = dict(
-            GUFIQuery(idx, creds=groupie, nthreads=NTHREADS).run(XQ, "/d").rows
+            QueryEngine(idx, creds=groupie, nthreads=NTHREADS).run(XQ, "/d").rows
         )
         assert rows == {}
