@@ -35,9 +35,9 @@ from repro import obs
 from repro.fs.permissions import ROOT, Credentials
 from repro.scan.walker import FatalWalkError, ParallelTreeWalker, WalkStats
 from repro.sim.blktrace import IOTracer
-from repro.store.layout import StampBracket
+from repro.store.layout import DB_NAME, StampBracket
 
-from ..index import DirMeta, GUFIIndex
+from ..index import DirMeta, GUFIIndex, IndexError_
 from ..plan import QueryPlan
 from ..session import ThreadStatePool, _ThreadState
 from .resultcache import CacheEntry, CaptureSink, ResultCache, make_key
@@ -479,6 +479,7 @@ class QueryEngine:
         tracing = otr.enabled
         collect = self.collect_visited
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
+        db_suffix = "/" + DB_NAME
         # Thread-ident -> checked-out state, for *this* run only (the
         # walker creates fresh threads per walk). The lock is taken
         # once per thread per run — at checkout — never per directory.
@@ -525,13 +526,13 @@ class QueryEngine:
                 paths = trav.descend(source_path, meta, rel_depth, t_pruned)
                 return [(child, True) for child in paths]
 
-            index_dir = index.index_dir(source_path)
-            db_path = index.store(source_path).db_path
+            # plain strings: Path objects here cost more than the listing
+            index_dir = index.index_path(source_path)
+            db_path = index_dir + db_suffix
             # Descent-time 'stat': the validated cache answers warm
             # queries with a dictionary lookup; denied directories are
             # then skipped without ever attaching their database.
             meta = index.cache.get_meta(source_path, db_path)
-            attached = False
             if meta is not None:
                 if not trav.permitted(meta):
                     st.denied += 1
@@ -546,57 +547,40 @@ class QueryEngine:
                     st.pruned += 1
                     st.elided += 1
                     return children(meta)
+            else:
+                bracket = StampBracket(db_path)
+                if bracket.missing:
+                    return []
+            # Warm, the cached record has granted access (the kernel
+            # would have refused a denied user the open). Cold, this
+            # one attach serves the permission read and the stages.
+            try:
+                stage.attach(st, db_path)
+            except sqlite3.DatabaseError:
+                st.errored += 1
+                return []
             t_pruned = False
             local_rows: list[tuple] = []
             try:
                 if meta is None:
-                    # Cold path: one attach serves both the permission
-                    # check (reading the summary record) and, if
-                    # allowed, the per-directory queries — then the
-                    # record is published to the cache, stamp-checked
-                    # on both sides of the read.
-                    bracket = StampBracket(db_path)
-                    if bracket.missing:
-                        return []
-                    try:
-                        stage.attach(st, db_path)
-                    except sqlite3.DatabaseError:
-                        st.errored += 1
-                        return []
-                    attached = True
                     try:
                         meta = stage.read_meta(st)
-                    except sqlite3.DatabaseError:
-                        # A corrupt or truncated shard must not kill
-                        # the whole query: count it and move on (the
-                        # paper's answer to shard damage is the
-                        # periodic rebuild).
+                    except (sqlite3.DatabaseError, IndexError_):
+                        # A corrupt or truncated shard, or one with no
+                        # summary record, must not kill the whole
+                        # query: count it and move on (the paper's
+                        # answer to shard damage is the periodic
+                        # rebuild).
                         st.errored += 1
-                        return []
-                    except Exception:
                         return []
                     if bracket.unchanged():
                         # Publish only when the file is unchanged
                         # across the read — a racing rewrite must
                         # never pin its predecessor's DirMeta.
-                        index.cache.put_meta(
-                            source_path, bracket.stamp, meta
-                        )
+                        index.cache.put_meta(source_path, bracket.stamp, meta)
                     if not trav.permitted(meta):
                         st.denied += 1
                         return []
-                if not attached:
-                    # Warm, permitted path: attach only now that the
-                    # cached record granted access. A denied user's
-                    # query never pulls the database's pages in the
-                    # paper's accounting either, because the kernel
-                    # refuses the open.
-                    try:
-                        stage.attach(st, db_path)
-                    except sqlite3.DatabaseError:
-                        st.errored += 1
-                        return []
-                    attached = True
                 stage.account_io(st, db_path)
                 st.visited += 1
                 st.opened += 1
@@ -607,16 +591,10 @@ class QueryEngine:
                     t_pruned = stage.t_stage(st, local_rows)
                 if not t_pruned and (gates.run_s or gates.run_e):
                     stage.s_e_stages(
-                        st,
-                        index_dir,
-                        creds,
-                        gates.run_s,
-                        gates.run_e,
-                        local_rows,
+                        st, index_dir, creds, gates.run_s, gates.run_e, local_rows
                     )
             finally:
-                if attached:
-                    StageRunner.detach(st)
+                StageRunner.detach(st)
             if local_rows:
                 sink.emit(st, local_rows)
             return children(meta, t_pruned)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import sqlite3
 import time
-from pathlib import Path
 from typing import Any
 
 from repro.sim.blktrace import IOTracer
@@ -68,11 +67,11 @@ class StageRunner:
     # ------------------------------------------------------------------
     # Attach / metadata
     # ------------------------------------------------------------------
-    def attach(self, st: _ThreadState, db_path: Path) -> None:
+    def attach(self, st: _ThreadState, db_path: str) -> None:
         """Attach a directory database read-only as ``gufi``. Raises
         ``sqlite3.DatabaseError`` for corrupt/unreadable files."""
         if self.tracing:
-            with self.otr.span("query.attach", path=str(db_path)):
+            with self.otr.span("query.attach", path=db_path):
                 connect.attach_ro(st.conn, db_path, "gufi", tracer=None)
         else:
             connect.attach_ro(st.conn, db_path, "gufi", tracer=None)
@@ -88,7 +87,7 @@ class StageRunner:
         database (the cold path's combined permission read)."""
         return GUFIIndex.read_dir_meta(st.conn, "gufi")
 
-    def account_io(self, st: _ThreadState, db_path: Path) -> None:
+    def account_io(self, st: _ThreadState, db_path: str) -> None:
         """Charge the traced-I/O model: entry-level queries read the
         whole database; summary/tsummary-only queries read just those
         tables' pages (the schema's headline win)."""
@@ -104,7 +103,7 @@ class StageRunner:
             if spec.T:
                 tables.add("tsummary")
             nbytes = connect.table_bytes(st.conn, "gufi", tables)
-        self.tracer.record(str(db_path), nbytes)
+        self.tracer.record(db_path, nbytes)
 
     # ------------------------------------------------------------------
     # Per-directory stages
@@ -136,7 +135,7 @@ class StageRunner:
     def s_e_stages(
         self,
         st: _ThreadState,
-        index_dir: Path,
+        index_dir: str,
         creds: Any,
         run_s: bool,
         run_e: bool,
@@ -149,13 +148,13 @@ class StageRunner:
         readable shards attach" gate is the store layer's, not ours."""
         spec = self.spec
         session: AttachSession | None = None
-        if spec.xattrs and run_e:
-            session = AttachSession(
-                st.conn, DirStore(index_dir), "gufi", self.tracer
-            )
-            session.adopt_main()
-            session.xattr_views(creds)
         try:
+            if spec.xattrs and run_e:
+                session = AttachSession(
+                    st.conn, DirStore(index_dir), "gufi", self.tracer
+                )
+                session.adopt_main()
+                session.xattr_views(creds)
             if run_s:
                 assert spec.S is not None
                 self._timed_stage(st, "S", spec.S, rows)

@@ -19,6 +19,7 @@ single-uid container cannot rely on kernel checks for other uids).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sqlite3
@@ -86,6 +87,56 @@ class DirMeta:
 
 class IndexError_(Exception):
     """Raised for structurally invalid indexes."""
+
+
+@functools.cache
+def _meta_sql(alias: str, with_depth: bool) -> str:
+    """The one per-directory metadata statement: every rectype-0
+    ``summary`` row — own-record columns first, then the ten bound
+    columns in :class:`DirStats` order — and tsummary's subtree
+    ``maxdepth`` as a scalar sub-select (``NULL`` without it)."""
+    depth = (
+        f"(SELECT MAX(maxdepth) FROM {alias}.tsummary "
+        f"WHERE rectype = {schema.RECTYPE_OVERALL})"
+    )
+    return (
+        "SELECT isroot, inode, mode, uid, gid, rolledup, rollup_entries, "
+        "totfiles, totlinks, minsize, maxsize, minmtime, maxmtime, "
+        f"minuid, maxuid, mingid, maxgid, {depth if with_depth else 'NULL'} "
+        f"FROM {alias}.summary WHERE rectype = {schema.RECTYPE_OVERALL}"
+    )
+
+
+def _fold_stats(rows: list[tuple]) -> DirStats | None:
+    """Fold :func:`_meta_sql` rows into the planner's bounds with SQL's
+    aggregate rules: totals add, ``MIN``/``MAX`` skip NULLs.
+
+    Conservative on NULL: if any row carries a NULL in a column the
+    bounds depend on while claiming entries exist, the whole stats
+    record is dropped (``None``) and the planner cannot gate this
+    directory — a missing stat must widen, never narrow, the set of
+    directories processed."""
+    totfiles = totlinks = 0
+    for r in rows:
+        tf, tl = r[7], r[8]
+        if (
+            tf is None
+            or tl is None
+            or (tf > 0 and (r[9] is None or r[10] is None))
+            or (tf + tl > 0 and None in r[11:17])
+        ):
+            return None
+        totfiles += tf
+        totlinks += tl
+    bounds = []
+    for i in range(9, 17):  # odd columns hold minima, even maxima
+        vals = [r[i] for r in rows if r[i] is not None]
+        bounds.append((min if i % 2 else max)(vals) if vals else None)
+    maxdepth = rows[0][17]
+    return DirStats(
+        totfiles, totlinks, *bounds,
+        maxdepth=int(maxdepth) if maxdepth is not None else None,
+    )
 
 
 class DirMetaCache:
@@ -310,6 +361,12 @@ class GUFIIndex:
         rel = source_path.lstrip("/")
         return self.root / rel if rel else self.root
 
+    def index_path(self, source_path: str) -> str:
+        """:meth:`index_dir` as a plain string, for the per-directory
+        readers (no ``Path`` on any walk's path)."""
+        rel = source_path.strip("/")
+        return f"{self.root}/{rel}" if rel else str(self.root)
+
     def source_path(self, index_dir: Path) -> str:
         """Inverse of :meth:`index_dir`."""
         rel = index_dir.relative_to(self.root)
@@ -366,128 +423,68 @@ class GUFIIndex:
     # Per-directory metadata
     # ------------------------------------------------------------------
     @staticmethod
-    def read_dir_stats(
-        conn: sqlite3.Connection, alias: str = "main"
-    ) -> DirStats | None:
-        """Aggregate the planner's bounds over every rectype-0 summary
-        row (so rolled-up databases are bounded over their merged
-        subtree too), plus the subtree ``maxdepth`` from tsummary when
-        one exists.
-
-        Conservative on NULL: if any row carries a NULL in a column the
-        bounds depend on while claiming entries exist, the whole stats
-        record is dropped (``None``) and the planner cannot gate this
-        directory — a missing stat must widen, never narrow, the set of
-        directories processed."""
-        row = conn.execute(
-            f"SELECT COUNT(*), TOTAL(totfiles), TOTAL(totlinks), "
-            f"MIN(minsize), MAX(maxsize), MIN(minmtime), MAX(maxmtime), "
-            f"MIN(minuid), MAX(maxuid), MIN(mingid), MAX(maxgid), "
-            f"SUM(CASE WHEN totfiles IS NULL OR totlinks IS NULL "
-            f"  OR (totfiles > 0 AND (minsize IS NULL OR maxsize IS NULL)) "
-            f"  OR (totfiles + totlinks > 0 AND ("
-            f"      minmtime IS NULL OR maxmtime IS NULL "
-            f"      OR minuid IS NULL OR maxuid IS NULL "
-            f"      OR mingid IS NULL OR maxgid IS NULL)) "
-            f"THEN 1 ELSE 0 END) "
-            f"FROM {alias}.summary WHERE rectype = ?",
-            (schema.RECTYPE_OVERALL,),
-        ).fetchone()
-        if row is None or not row[0] or row[11]:
-            return None
-        maxdepth = None
-        try:
-            ts = conn.execute(
-                f"SELECT MAX(maxdepth) FROM {alias}.tsummary "
-                f"WHERE rectype = ?",
-                (schema.RECTYPE_OVERALL,),
-            ).fetchone()
-            if ts is not None and ts[0] is not None:
-                maxdepth = int(ts[0])
-        except sqlite3.Error:
-            maxdepth = None
-        return DirStats(
-            totfiles=int(row[1]),
-            totlinks=int(row[2]),
-            minsize=row[3],
-            maxsize=row[4],
-            minmtime=row[5],
-            maxmtime=row[6],
-            minuid=row[7],
-            maxuid=row[8],
-            mingid=row[9],
-            maxgid=row[10],
-            maxdepth=maxdepth,
-        )
-
-    @staticmethod
     def read_dir_meta(conn: sqlite3.Connection, alias: str = "main") -> DirMeta:
         """Read the directory's own summary record from an open
-        connection (the descent-time 'stat'), plus the planner's
-        aggregate bounds. ``alias`` qualifies the schema when the
-        database is ATTACHed rather than main."""
-        row = conn.execute(
-            f"SELECT inode, mode, uid, gid, rolledup, rollup_entries "
-            f"FROM {alias}.summary WHERE isroot = 1 AND rectype = ? LIMIT 1",
-            (schema.RECTYPE_OVERALL,),
-        ).fetchone()
-        if row is None:
+        connection (the descent-time 'stat') plus the planner's
+        aggregate bounds, in **one** statement: every rectype-0
+        ``summary`` row (so rolled-up databases are bounded over their
+        merged subtree too) with tsummary's subtree ``maxdepth`` as a
+        scalar sub-select, folded by :func:`_fold_stats`. ``alias``
+        qualifies the schema when the database is ATTACHed rather than
+        main."""
+        try:
+            rows = conn.execute(_meta_sql(alias, True)).fetchall()
+        except sqlite3.OperationalError:
+            # no tsummary table: no subtree depth bound
+            rows = conn.execute(_meta_sql(alias, False)).fetchall()
+        own = next((r for r in rows if r[0] == 1), None)
+        if own is None:
             raise IndexError_("index database has no directory summary record")
-        return DirMeta(
-            inode=row[0],
-            mode=row[1],
-            uid=row[2],
-            gid=row[3],
-            rolledup=bool(row[4]),
-            rollup_entries=row[5],
-            stats=GUFIIndex.read_dir_stats(conn, alias),
-        )
+        try:
+            stats = _fold_stats(rows)
+        except TypeError:  # a non-numeric bound bounds nothing
+            stats = None
+        _isroot, inode, mode, uid, gid, rolledup, rollup_entries = own[:7]
+        return DirMeta(inode, mode, uid, gid, bool(rolledup), rollup_entries, stats)
 
-    def dir_meta(self, source_path: str) -> DirMeta:
-        db_path = self.db_path(source_path)
+    def _dir_meta(self, source_path: str, strict: bool) -> DirMeta | None:
+        """The one bracketed reader behind :meth:`dir_meta` (strict:
+        errors raise) and :meth:`cached_dir_meta` (lenient: ``None``).
+        The stamp is taken before the read and re-checked after it: an
+        entry is published only when the file provably did not change
+        across the read, so a write racing the read can never pin a
+        stale DirMeta."""
+        db_path = os.path.join(self.index_path(source_path), layout.DB_NAME)
         meta = self.cache.get_meta(source_path, db_path)
         if meta is not None:
             return meta
         bracket = StampBracket(db_path)
-        conn = connect.open_ro(db_path)
+        if bracket.missing and not strict:
+            return None
         try:
-            meta = self.read_dir_meta(conn)
-        finally:
-            conn.close()
-        # publish only when the file is unchanged across the read —
-        # a racing rewrite must never pin its predecessor's DirMeta
+            conn = connect.open_ro(db_path)
+            try:
+                meta = self.read_dir_meta(conn)
+            finally:
+                conn.close()
+        except (sqlite3.Error, OSError, IndexError_):
+            if strict:
+                raise
+            return None
         if bracket.unchanged():
             self.cache.put_meta(source_path, bracket.stamp, meta)
+        return meta
+
+    def dir_meta(self, source_path: str) -> DirMeta:
+        meta = self._dir_meta(source_path, strict=True)
+        assert meta is not None
         return meta
 
     def cached_dir_meta(self, source_path: str) -> DirMeta | None:
         """Cache-first DirMeta read with the query engine's lenient
         semantics: ``None`` for a missing or unreadable database
-        instead of an exception (a denied-by-absence answer). The
-        stamp is taken before the read and re-checked after it: an
-        entry is published only when the file provably did not change
-        across the read, so a write racing the read can never pin a
-        stale DirMeta."""
-        db_path = self.db_path(source_path)
-        meta = self.cache.get_meta(source_path, db_path)
-        if meta is not None:
-            return meta
-        bracket = StampBracket(db_path)
-        if bracket.missing:
-            return None
-        try:
-            conn = connect.open_ro(db_path)
-        except Exception:
-            return None
-        try:
-            meta = self.read_dir_meta(conn)
-        except Exception:
-            return None
-        finally:
-            conn.close()
-        if bracket.unchanged():
-            self.cache.put_meta(source_path, bracket.stamp, meta)
-        return meta
+        instead of an exception (a denied-by-absence answer)."""
+        return self._dir_meta(source_path, strict=False)
 
     def invalidate_cache(self, source_path: str | None = None) -> None:
         """Explicit invalidation hook for writers: one directory, or
@@ -500,7 +497,7 @@ class GUFIIndex:
     def cached_subdir_names(self, source_path: str) -> list[str]:
         """:meth:`subdir_names` through the mtime-validated cache."""
         # a plain string: this runs once per directory of every walk
-        base = os.path.join(self.root, source_path.lstrip("/"))
+        base = self.index_path(source_path)
         names = self.cache.get_subdirs(source_path, base)
         if names is not None:
             return names
@@ -513,10 +510,9 @@ class GUFIIndex:
     def subdir_names(self, source_path: str) -> list[str]:
         """Names of index sub-directories (the physical readdir the
         query engine performs during descent)."""
-        base = self.index_dir(source_path)
         out = []
         try:
-            with os.scandir(base) as it:
+            with os.scandir(self.index_path(source_path)) as it:
                 for de in it:
                     if de.is_dir(follow_symlinks=False):
                         out.append(de.name)

@@ -223,7 +223,7 @@ def rollup_dir(index: GUFIIndex, source_path: str, child_names: list[str]) -> in
     conn = index.store(source_path).open_rw()
     try:
         conn.execute("DROP VIEW IF EXISTS pentries")
-        conn.execute(schema.CREATE_PENTRIES_TABLE)
+        conn.execute(schema.compact_ddl(schema.CREATE_PENTRIES_TABLE))
         conn.execute(
             "INSERT INTO pentries SELECT entries.*, "
             "(SELECT inode FROM summary WHERE isroot=1 AND rectype=0) "
@@ -256,7 +256,7 @@ def unrollup_dir(index: GUFIIndex, source_path: str) -> None:
         if not meta.rolledup:
             return  # nothing to undo
         conn.execute("DROP TABLE IF EXISTS pentries")
-        conn.execute(schema.CREATE_PENTRIES_VIEW)
+        conn.execute(schema.compact_ddl(schema.CREATE_PENTRIES_VIEW))
         conn.execute("DELETE FROM summary WHERE isroot = 0")
         conn.execute("DELETE FROM xattrs WHERE isroot = 0")
         created = conn.execute(

@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.blktrace import IOTracer
 
 
+#: SQLite's default ``SQLITE_MAX_ATTACHED`` (besides main and temp)
+MAX_ATTACHED = 10
+
+
 def accessible_side_dbs(
     conn_main: sqlite3.Connection, creds: Credentials
 ) -> list[str]:
@@ -59,7 +63,7 @@ class AttachSession:
     main attach succeeded for these credentials.
     """
 
-    __slots__ = ("conn", "store", "main_alias", "tracer", "_aliases", "_views", "_main")
+    __slots__ = ("conn", "store", "main_alias", "tracer", "_aliases", "_temps", "_main")
 
     def __init__(
         self,
@@ -73,7 +77,8 @@ class AttachSession:
         self.main_alias = main_alias
         self.tracer = tracer
         self._aliases: list[str] = []
-        self._views: list[str] = []
+        #: TEMP objects created, as ``(kind, name)``; dropped in reverse
+        self._temps: list[tuple[str, str]] = []
         self._main = False
 
     # -- main database -------------------------------------------------
@@ -90,30 +95,52 @@ class AttachSession:
         self._main = False  # not ours to detach
 
     # -- xattr views (§III-B1) -----------------------------------------
-    def xattr_views(self, creds: Credentials) -> list[str]:
+    def xattr_views(self, creds: Credentials) -> None:
         """Create the per-query temporary xattr views.
 
         Attaches every side database ``creds`` may read, then creates:
 
         * ``vxattrs(exinode, exattrs)`` — union of the directory's
-          xattrs table with the accessible side databases;
+          xattrs table with the accessible side databases (attached
+          side by side, or spilled into a TEMP table through one slot
+          when they outnumber the connection's free attach slots);
         * ``xpentries`` — ``pentries`` joined with ``vxattrs`` (the
           paper's Fig 9 ``myxatv``-joined-with-pentries convenience).
 
         Views are TEMP: different users get different views, so none
-        are persisted. Returns the attached aliases (informational;
-        ``drop_xattr_views``/``close`` detach them)."""
+        are persisted; ``drop_xattr_views``/``close`` undo all of it."""
         conn = self.conn
-        names = accessible_side_dbs(conn, creds)
+        paths = [
+            path
+            for name in accessible_side_dbs(conn, creds)
+            # a tracking row may be newer than an interrupted build
+            if (path := self.store.artifact_path(name)).exists()
+        ]
         selects = [f"SELECT exinode, exattrs FROM {self.main_alias}.xattrs"]
-        for i, name in enumerate(names):
-            path = self.store.artifact_path(name)
-            if not path.exists():
-                continue  # tracking row newer than an interrupted build
-            alias = f"xa{i}"
-            connect.attach_ro(conn, path, alias, self.tracer)
-            self._aliases.append(alias)
-            selects.append(f"SELECT exinode, exattrs FROM {alias}.xattrs")
+        used = sum(
+            row[1] not in ("main", "temp")
+            for row in conn.execute("PRAGMA database_list")
+        )
+        if len(paths) <= MAX_ATTACHED - used:
+            for i, path in enumerate(paths):
+                alias = f"xa{i}"
+                connect.attach_ro(conn, path, alias, self.tracer)
+                self._aliases.append(alias)
+                selects.append(f"SELECT exinode, exattrs FROM {alias}.xattrs")
+        else:
+            # More readable shards than attach slots (a rolled-up
+            # directory gathers its subtree's per-user shards): copy
+            # them through one slot into a TEMP table, one at a time.
+            conn.execute("DROP TABLE IF EXISTS temp.xattr_spill")
+            conn.execute("CREATE TEMP TABLE xattr_spill (exinode, exattrs)")
+            self._temps.append(("TABLE", "xattr_spill"))
+            for path in paths:
+                with attached(conn, path, "xa0", tracer=self.tracer):
+                    conn.execute(
+                        "INSERT INTO temp.xattr_spill "
+                        "SELECT exinode, exattrs FROM xa0.xattrs"
+                    )
+            selects.append("SELECT exinode, exattrs FROM temp.xattr_spill")
         # UNION (not UNION ALL): an entry's values may legitimately live
         # in several accessible stores at once (its owner's per-user
         # database plus a per-group database); the paper builds "a view
@@ -127,13 +154,12 @@ class AttachSession:
             f"SELECT p.*, x.exattrs FROM {self.main_alias}.vrpentries p "
             "INNER JOIN vxattrs x ON p.inode = x.exinode"
         )
-        self._views = ["xpentries", "vxattrs"]
-        return list(self._aliases)
+        self._temps += [("VIEW", "vxattrs"), ("VIEW", "xpentries")]
 
     def drop_xattr_views(self) -> None:
-        for view in self._views:
-            self.conn.execute(f"DROP VIEW IF EXISTS temp.{view}")
-        self._views = []
+        for kind, name in reversed(self._temps):
+            self.conn.execute(f"DROP {kind} IF EXISTS temp.{name}")
+        self._temps = []
         for alias in reversed(self._aliases):
             connect.detach(self.conn, alias)
         self._aliases = []

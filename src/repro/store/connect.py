@@ -11,7 +11,12 @@ Centralises the paper's database-access rules:
   (the index is rebuilt from scratch on corruption, like the paper's
   periodic re-pull, so durability is not bought with fsyncs);
 * every database this layer creates is stamped with ``PRAGMA
-  user_version = SCHEMA_VERSION`` (see :mod:`repro.store.schema`).
+  user_version = SCHEMA_VERSION`` (see :mod:`repro.store.schema`);
+* the templates store their DDL compacted (``schema.compact_ddl``):
+  SQLite re-parses the stored ``CREATE`` text on every open and ATTACH
+  — a cost every cold directory of every query pays — and at
+  ``page_size = 1024`` the commented source text takes one more page
+  of every database.
 """
 
 from __future__ import annotations
@@ -26,11 +31,6 @@ from repro.sim.blktrace import IOTracer
 
 from . import schema
 from .layout import artifact_bytes
-
-#: bytes of fixed overhead in an empty SQLite database file — the
-#: paper's "even an empty SQLite database includes 12KB of data that
-#: must be read" (three 4 KiB pages with our schema's page size).
-EMPTY_DB_BYTES = 12 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -62,10 +62,9 @@ def _template(kind: str) -> bytes:
                 conn.execute("PRAGMA page_size = 1024")
                 conn.execute("PRAGMA journal_mode = MEMORY")
                 conn.execute("PRAGMA synchronous = OFF")
-                if kind == "full":
-                    conn.executescript("".join(schema.ALL_DDL))
-                else:
-                    conn.execute(schema.CREATE_XATTRS)
+                ddl = schema.ALL_DDL if kind == "full" else (schema.CREATE_XATTRS,)
+                for statement in ddl:
+                    conn.execute(schema.compact_ddl(statement))
                 schema.stamp_schema_version(conn)
             finally:
                 conn.close()
@@ -83,6 +82,14 @@ def _connect_rw(path: str) -> sqlite3.Connection:
     return conn
 
 
+def _create(path: Path | str, kind: str, fresh: bool) -> sqlite3.Connection:
+    p = str(path)
+    if fresh or not os.path.exists(p):
+        with open(p, "wb") as fh:
+            fh.write(_template(kind))
+    return _connect_rw(p)
+
+
 def create_db(path: Path | str, fresh: bool = False) -> sqlite3.Connection:
     """Create an index database (template copy) and open it.
 
@@ -93,11 +100,7 @@ def create_db(path: Path | str, fresh: bool = False) -> sqlite3.Connection:
     wrap bulk work in explicit BEGIN/COMMIT, and ATTACH/DETACH (which
     SQLite forbids inside transactions) always work.
     """
-    p = str(path)
-    if fresh or not os.path.exists(p):
-        with open(p, "wb") as fh:
-            fh.write(_template("full"))
-    return _connect_rw(p)
+    return _create(path, "full", fresh)
 
 
 def create_side_db(path: Path | str, fresh: bool = False) -> sqlite3.Connection:
@@ -107,11 +110,7 @@ def create_side_db(path: Path | str, fresh: bool = False) -> sqlite3.Connection:
     ``fresh=True`` overwrites whatever is at ``path`` — the staged
     writes of the crash-safe build path must not append to a leftover
     from an interrupted earlier attempt."""
-    p = str(path)
-    if fresh or not os.path.exists(p):
-        with open(p, "wb") as fh:
-            fh.write(_template("side"))
-    return _connect_rw(p)
+    return _create(path, "side", fresh)
 
 
 def open_ro(
@@ -128,10 +127,7 @@ def open_ro(
 
 def open_rw(path: Path | str) -> sqlite3.Connection:
     """Administrator open: schema changes and rollups allowed."""
-    conn = sqlite3.connect(str(path), isolation_level=None)
-    conn.execute("PRAGMA journal_mode = MEMORY")
-    conn.execute("PRAGMA synchronous = OFF")
-    return conn
+    return _connect_rw(str(path))
 
 
 def attach_ro(

@@ -362,17 +362,10 @@ class DirStore:
                 except OSError:
                     pass
 
-    # -- stamps / sizes ------------------------------------------------
+    # -- stamps --------------------------------------------------------
     def stamp(self) -> tuple[int, int, int] | None:
         """The primary database's validity stamp."""
         return file_stamp(self.db_path)
-
-    def listing_stamp(self) -> tuple[int, int] | None:
-        """The directory's child-listing validity stamp."""
-        return dir_stamp(self.index_dir)
-
-    def db_bytes(self) -> int:
-        return artifact_bytes(self.db_path)
 
     # -- connections ---------------------------------------------------
     def open_ro(self, tracer: "IOTracer | None" = None) -> sqlite3.Connection:

@@ -37,6 +37,7 @@ than guess (``gufi index doctor`` reports such databases).
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from collections.abc import Callable
 
@@ -274,6 +275,14 @@ ALL_DDL = (
     CREATE_XATTRS,
     CREATE_XATTRS_AVAIL,
 )
+
+
+def compact_ddl(sql: str) -> str:
+    """One DDL statement as it should be *stored* (SQLite re-parses
+    the stored text on every open): comments and runs of whitespace
+    removed. The commented source above is documentation."""
+    return " ".join(re.sub(r"--[^\n]*", "", sql).split())
+
 
 # rectype values, named for readability at call sites
 RECTYPE_OVERALL = 0

@@ -197,3 +197,41 @@ class TestVisibility:
             .run(spec, "/d").rows
         )
         assert rows["bobs"] == "user.bobs"
+
+
+class TestMoreShardsThanAttachSlots:
+    """SQLite attaches at most ten databases per connection; a
+    directory (rolled up or not) may hold more readable xattr shards
+    than that. The views must still be complete, and still gated."""
+
+    OWNERS = range(2001, 2013)  # twelve per-user shards
+
+    def q(self, index, creds):
+        spec = QuerySpec(E="SELECT name, exattrs FROM xpentries", xattrs=True)
+        engine = QueryEngine(index, creds=creds, nthreads=NTHREADS)
+        return sorted(engine.run(spec, "/").rows)
+
+    def test_twelve_user_shards_before_and_after_rollup(self, tmp_path):
+        from repro.core.rollup import rollup
+
+        t = VFSTree()
+        t.mkdir("/d", mode=0o755, uid=0, gid=0)
+        for uid in self.OWNERS:
+            t.create_file(f"/d/f{uid}", mode=0o600, uid=uid, gid=uid)
+            t.setxattr(f"/d/f{uid}", "user.tag", b"v%d" % uid)
+        index = dir2index(
+            t, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS)
+        ).index
+        shards = [
+            n for n in index.store("/d").side_artifacts() if ".u" in n
+        ]
+        assert len(shards) == len(self.OWNERS)
+
+        owner = Credentials(uid=2005, gid=2005)
+        everything = [(f"f{uid}", f"user.tag=v{uid}") for uid in self.OWNERS]
+        for rolled in (False, True):
+            if rolled:
+                rollup(index, nthreads=NTHREADS)
+                assert index.dir_meta("/").rolledup
+            assert self.q(index, ROOT) == everything, rolled
+            assert self.q(index, owner) == [("f2005", "user.tag=v2005")], rolled

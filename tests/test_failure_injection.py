@@ -40,9 +40,30 @@ class TestCorruptShard:
         idx.db_path("/public").write_bytes(b"")
         result = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
         # sqlite treats a zero-length file as a valid empty db: no
-        # summary record -> skipped without error propagation
+        # summary table -> counted and skipped, no error propagation
+        assert result.dirs_errored == 1
         assert result.rows
         assert not any("readme" in r[0] for r in result.rows)
+
+    def test_query_counts_db_without_own_summary_record(self, idx):
+        """A well-formed database whose own (isroot = 1) summary record
+        is gone cannot be permission-checked: it is skipped, and the
+        skip shows in ``dirs_errored`` like any other damaged shard."""
+        import sqlite3
+
+        conn = sqlite3.connect(idx.db_path("/home/bob"))
+        conn.execute("DELETE FROM summary WHERE isroot = 1")
+        conn.commit()
+        conn.close()
+        walk = QueryEngine(idx, nthreads=NTHREADS).run(Q1_LIST_PATHS)
+        assert walk.dirs_errored == 1
+        assert "/home/alice/a.txt" in {r[0] for r in walk.rows}
+        assert not any("/home/bob" in r[0] for r in walk.rows)
+        single = QueryEngine(idx, nthreads=NTHREADS).run_single(
+            Q1_LIST_PATHS, "/home/bob"
+        )
+        assert (single.dirs_errored, single.rows) == (1, [])
+        assert idx.cached_dir_meta("/home/bob") is None  # lenient reader
 
     def test_validate_reports_corruption(self, idx):
         idx.db_path("/home/bob").write_bytes(b"junk" * 100)

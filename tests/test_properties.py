@@ -10,15 +10,18 @@ with aggregate-correctness and serialisation round-trips.
 from __future__ import annotations
 
 import random as random_mod
+import sqlite3
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.build import BuildOptions, dir2index
 from repro.core.engine import QueryEngine
+from repro.core.index import DirStats, GUFIIndex
 from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup, unrollup_dir
+from repro.store import schema
 from repro.store.schema import pack_xattrs, unpack_xattrs
 from repro.core.tsummary import build_tsummary
 from repro.fs.permissions import (
@@ -356,3 +359,100 @@ class TestPermissionOracle:
         assert can_read_entry(mode, uid, gid, cred) == bool(
             mode_bits_for(mode, uid, gid, cred) & 4
         )
+
+
+# ----------------------------------------------------------------------
+# DirStats: the Python fold equals the SQL aggregate it replaced
+# ----------------------------------------------------------------------
+
+_BOUND_COLUMNS = (
+    "minsize", "maxsize", "minmtime", "maxmtime",
+    "minuid", "maxuid", "mingid", "maxgid",
+)
+
+
+def sql_dir_stats(conn):
+    """The oracle: ``read_dir_stats`` as it was when SQLite did the
+    aggregation (two statements, kept here verbatim)."""
+    row = conn.execute(
+        "SELECT COUNT(*), TOTAL(totfiles), TOTAL(totlinks), "
+        "MIN(minsize), MAX(maxsize), MIN(minmtime), MAX(maxmtime), "
+        "MIN(minuid), MAX(maxuid), MIN(mingid), MAX(maxgid), "
+        "SUM(CASE WHEN totfiles IS NULL OR totlinks IS NULL "
+        "  OR (totfiles > 0 AND (minsize IS NULL OR maxsize IS NULL)) "
+        "  OR (totfiles + totlinks > 0 AND ("
+        "      minmtime IS NULL OR maxmtime IS NULL "
+        "      OR minuid IS NULL OR maxuid IS NULL "
+        "      OR mingid IS NULL OR maxgid IS NULL)) "
+        "THEN 1 ELSE 0 END) "
+        "FROM summary WHERE rectype = 0"
+    ).fetchone()
+    if row is None or not row[0] or row[11]:
+        return None
+    maxdepth = None
+    try:
+        ts = conn.execute(
+            "SELECT MAX(maxdepth) FROM tsummary WHERE rectype = 0"
+        ).fetchone()
+        if ts is not None and ts[0] is not None:
+            maxdepth = int(ts[0])
+    except sqlite3.Error:
+        maxdepth = None
+    return DirStats(
+        int(row[1]), int(row[2]), *row[3:11], maxdepth=maxdepth
+    )
+
+
+_maybe_small = st.one_of(st.none(), st.integers(min_value=0, max_value=50))
+_count = st.one_of(st.none(), st.just(0), st.integers(min_value=0, max_value=9))
+_summary_row = st.tuples(_count, _count, *[_maybe_small] * len(_BOUND_COLUMNS))
+
+
+class TestStatsFoldEqualsSqlAggregate:
+    @given(
+        own=_summary_row,
+        # rolled-in copies (isroot = 0): none for an unrolled database
+        rolled_in=st.lists(_summary_row, max_size=5),
+        # per-user records (rectype 1) are outside the bounds
+        per_user=st.lists(_summary_row, max_size=2),
+        # tsummary: (rectype, maxdepth) rows, or no such table at all
+        tsummary=st.one_of(
+            st.none(),
+            st.lists(st.tuples(st.sampled_from([0, 1]), _maybe_small), max_size=3),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    # TestNullStatsConservative's shard: files claimed, size bounds NULLed
+    @example(own=(3, 0, None, None, 1, 9, 7, 7, 7, 7), rolled_in=[],
+             per_user=[], tsummary=[])
+    # a zero-entry directory bounds nothing and disables nothing
+    @example(own=(0, 0) + (None,) * 8,
+             rolled_in=[(2, 1, 5, 9, 1, 2, 3, 4, 5, 6)], per_user=[],
+             tsummary=[(0, 4), (0, None), (1, 40)])
+    def test_fold_equals_aggregate(self, own, rolled_in, per_user, tsummary):
+        conn = sqlite3.connect(":memory:")
+        try:
+            for ddl in (schema.CREATE_SUMMARY, schema.CREATE_TSUMMARY):
+                conn.execute(ddl)
+            columns = ", ".join(("totfiles", "totlinks") + _BOUND_COLUMNS)
+            insert = (
+                "INSERT INTO summary (rectype, isroot, inode, mode, uid, gid, "
+                f"{columns}) VALUES (?, ?, 7, 493, 1, 1, ?,?,?,?,?,?,?,?,?,?)"
+            )
+            # the own record need not be the first row of the table
+            rows = [(0, 0, *r) for r in rolled_in[:2]] + [(0, 1, *own)]
+            rows += [(0, 0, *r) for r in rolled_in[2:]]
+            rows += [(1, 1, *r) for r in per_user]
+            conn.executemany(insert, rows)
+            if tsummary is None:
+                conn.execute("DROP TABLE tsummary")
+            else:
+                conn.executemany(
+                    "INSERT INTO tsummary (rectype, maxdepth) VALUES (?, ?)",
+                    tsummary,
+                )
+            meta = GUFIIndex.read_dir_meta(conn)
+            assert (meta.inode, meta.mode) == (7, 493)
+            assert meta.stats == sql_dir_stats(conn)
+        finally:
+            conn.close()

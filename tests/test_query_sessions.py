@@ -104,6 +104,42 @@ class TestPoolReuse:
         q.close()
 
 
+class TestStatementBudget:
+    """A cold directory costs four SQLite statements on its worker
+    connection — ATTACH, one metadata read, the stage SQL, DETACH —
+    and a warm one three. ATTACH and DETACH expire SQLite's statement
+    cache, so every extra statement is a re-parse per directory."""
+
+    def test_cold_is_4n_and_warm_is_3n(self, demo_index):
+        q = QueryEngine(demo_index, nthreads=NTHREADS)
+        log: list[str] = []
+        acquire, release = q.pool.acquire, q.pool.release
+
+        def traced_acquire(*args):
+            # between checkout and release: the pool's own housekeeping
+            # is per run, not per directory
+            st = acquire(*args)
+            st.conn.set_trace_callback(log.append)
+            return st
+
+        def untraced_release(states):
+            for st in states:
+                st.conn.set_trace_callback(None)
+            release(states)
+
+        q.pool.acquire, q.pool.release = traced_acquire, untraced_release
+        for warm in (False, True):
+            del log[:]
+            result = q.run(Q1_LIST_PATHS)
+            n = result.dirs_visited
+            assert n == result.dbs_opened == demo_index.count_dbs()
+            verbs = sorted(sql.split()[0] for sql in log)
+            expected = ["ATTACH"] * n + ["DETACH"] * n
+            expected += ["SELECT"] * (n if warm else 2 * n)
+            assert verbs == expected, log
+        q.close()
+
+
 class TestOutputFilesAcrossRuns:
     def test_same_prefix_truncates_between_runs(self, demo_index, tmp_path):
         spec = QuerySpec(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.store import schema
+from repro.store import connect, schema
 from repro.store.doctor import doctor
 from repro.store.connect import open_ro, open_rw, table_bytes
 from repro.store.layout import (
@@ -145,7 +145,54 @@ def _deleted_names_in(path: Path) -> list[int]:
     return hits
 
 
+#: the per-directory step of every walk — strings only (five ``Path``
+#: objects per directory once cost more than listing the directory)
+_HOT_FUNCTIONS = ("process_dir", "cached_subdir_names")
+
+#: calls that build a ``Path``/``DirStore``: the constructor itself and
+#: the ``GUFIIndex`` helpers that return one
+_PATH_BUILDERS = ("Path", "index_dir", "store", "db_path")
+
+
+def _path_calls_on_hot_path(path: Path) -> list[tuple[int, str]]:
+    hits: list[tuple[int, str]] = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (
+            isinstance(func, ast.FunctionDef) and func.name in _HOT_FUNCTIONS
+        ):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "attr", getattr(callee, "id", None))
+                if name in _PATH_BUILDERS:
+                    hits.append((node.lineno, name))
+    return hits
+
+
 class TestEncapsulationLint:
+    def test_no_path_objects_on_the_per_directory_step(self, tmp_path):
+        seen = 0
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            seen += sum(f"def {name}(" in source for name in _HOT_FUNCTIONS)
+            assert not _path_calls_on_hot_path(path), path
+        assert seen == len(_HOT_FUNCTIONS)  # the lint found its targets
+        bad = tmp_path / "bad.py"
+        for line in (
+            "d = Path(root) / source_path",
+            "d = index.index_dir(source_path)",
+            "db = index.store(source_path).db_path",
+            "db = self.db_path(source_path)",
+        ):
+            bad.write_text(
+                f"def run():\n    def process_dir(unit):\n        {line}\n",
+                encoding="utf-8",
+            )
+            assert _path_calls_on_hot_path(bad), line
+        bad.write_text("def elsewhere():\n    return Path('x')\n")
+        assert not _path_calls_on_hot_path(bad)
+
     @pytest.mark.parametrize("path", _linted_files(), ids=_lint_id)
     def test_migrated_modules_do_not_import_the_shims(self, path):
         package = ""
@@ -216,6 +263,95 @@ class TestEncapsulationLint:
         ok = tmp_path / "ok.py"
         ok.write_text('"""Talks about db.db harmlessly."""\n')
         assert not _layout_literals_in(ok)
+
+
+# ----------------------------------------------------------------------
+# Stored DDL: compact in new databases, verbatim in old ones
+# ----------------------------------------------------------------------
+
+def _verbatim_template(tmp_path: Path) -> bytes:
+    """An empty primary database as builds wrote it before the DDL was
+    stored compact: ``ALL_DDL`` executed verbatim, comments and all."""
+    path = tmp_path / "verbatim_template.db"
+    conn = sqlite3.connect(path, isolation_level=None)
+    conn.execute("PRAGMA page_size = 1024")
+    conn.execute("PRAGMA journal_mode = MEMORY")
+    conn.executescript("".join(schema.ALL_DDL))
+    schema.stamp_schema_version(conn)
+    conn.close()
+    return path.read_bytes()
+
+
+def _stored_ddl(db_path: Path) -> list[str]:
+    conn = open_ro(db_path)
+    try:
+        return [sql for (sql,) in conn.execute("SELECT sql FROM sqlite_master")]
+    finally:
+        conn.close()
+
+
+class TestStoredDdl:
+    def test_template_stores_no_comments_or_layout_whitespace(self, tmp_path):
+        for create in (connect.create_db, connect.create_side_db):
+            create(tmp_path / "t.db", fresh=True).close()
+            for sql in _stored_ddl(tmp_path / "t.db"):
+                assert "--" not in sql and sql == " ".join(sql.split())
+
+    def test_compaction_keeps_the_schema(self, tmp_path):
+        """Same tables, columns, views and version as the source DDL."""
+        def shape(path):
+            conn = open_ro(path)
+            try:
+                objects = conn.execute(
+                    "SELECT type, name FROM sqlite_master ORDER BY name"
+                ).fetchall()
+                columns = {
+                    name: conn.execute(f"PRAGMA table_xinfo({name})").fetchall()
+                    for _type, name in objects
+                }
+                return objects, columns, schema.db_schema_version(conn)
+            finally:
+                conn.close()
+
+        (tmp_path / "old.db").write_bytes(_verbatim_template(tmp_path))
+        connect.create_db(tmp_path / "new.db", fresh=True).close()
+        assert shape(tmp_path / "new.db") == shape(tmp_path / "old.db")
+
+    def test_pre_compaction_index_answers_identically(self, tmp_path, monkeypatch):
+        """An index built before this change (verbatim DDL on disk)
+        needs no migration: same rows for every query, clean doctor."""
+        from repro.core.engine import QueryEngine
+        from repro.core.query import Q1_LIST_PATHS, Q2_DIR_SIZES, Q3_DU_SUMMARIES
+        from repro.core.rollup import rollup
+        from repro.fs.permissions import ROOT
+        from tests.conftest import ALICE, NTHREADS, build_demo_tree
+
+        opts = BuildOptions(nthreads=NTHREADS)
+        new = dir2index(build_demo_tree(), tmp_path / "new", opts=opts).index
+        monkeypatch.setitem(
+            connect._templates, "full", _verbatim_template(tmp_path)
+        )
+        old = dir2index(build_demo_tree(), tmp_path / "old", opts=opts).index
+        monkeypatch.undo()
+        assert "-- 0 overall" in "".join(_stored_ddl(old.db_path("/home")))
+        assert "--" not in "".join(_stored_ddl(new.db_path("/home")))
+        assert old.total_db_bytes() > new.total_db_bytes()
+
+        for rolled in (False, True):
+            if rolled:
+                rollup(old, nthreads=NTHREADS)
+                rollup(new, nthreads=NTHREADS)
+            for creds in (ROOT, ALICE):
+                for spec in (Q1_LIST_PATHS, Q2_DIR_SIZES, Q3_DU_SUMMARIES):
+                    rows = [
+                        sorted(QueryEngine(i, creds=creds, nthreads=NTHREADS)
+                               .run(spec).rows)
+                        for i in (old, new)
+                    ]
+                    assert rows[0] == rows[1] and rows[0], (rolled, creds)
+            for index in (old, new):
+                report = doctor(index)
+                assert report.healthy and report.dirs_outdated == 0
 
 
 # ----------------------------------------------------------------------
