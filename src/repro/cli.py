@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from repro.core.build import BuildOptions, BuildResult, trace2index
-from repro.core.index import GUFIIndex
+from repro.core.index import GUFIIndex, IndexError_
 from repro.core.plan import QueryPlan
 from repro.core.engine import QueryEngine
 from repro.core.query import QuerySpec
@@ -268,7 +268,7 @@ def cmd_rollup(args: argparse.Namespace) -> int:
         f"rolled {stats.rolled}/{stats.total_dirs} dirs in "
         f"{stats.elapsed:.2f}s (blocked: {stats.blocked_perms} perms, "
         f"{stats.blocked_limit} limit, {stats.blocked_child} child); "
-        f"visible DBs now {visible_db_count(index)}"
+        f"visible DBs now {stats.visible_dbs}"
     )
     return 0
 
@@ -497,6 +497,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import GUFIApp
     from repro.serve.http import serve
 
+    # fail before anything is switched on or announced
+    index = GUFIIndex.open(args.index_root)
+
     # /metrics is part of the serving contract: record even without
     # an explicit --metrics flag
     metrics_enabled_here = not obs.metrics().enabled
@@ -520,7 +523,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         identity.add_user("carol", uid=1003, gid=1003,
                           groups=frozenset({100}))
 
-    index = GUFIIndex(args.index_root)
     with GUFIServer(
         index, identity, nthreads=args.nthreads,
         result_cache_mb=args.result_cache_mb,
@@ -771,6 +773,11 @@ def main(argv: list[str] | None = None) -> int:
     obs_on = _obs_begin(args)
     try:
         return args.func(args)
+    except IndexError_ as exc:
+        # not an index, or a structurally broken one: one line, not a
+        # traceback, with argparse's usage-error exit code
+        print(f"repro-gufi: error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if obs_on:
             _obs_end(args)

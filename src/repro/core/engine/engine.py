@@ -231,7 +231,8 @@ class QueryEngine:
         t0 = time.monotonic()
         sink = self._default_sink(spec) if sink is None else sink
         sink._claim()
-        st = self.pool.acquire(spec.I, sink.thread_output_path(0))
+        # a replay executes no stage, so its checkout runs no SQL
+        st = self.pool.acquire(spec.I, sink.thread_output_path(0), stages=False)
         output_files: list[str] = []
         try:
             if entry.rows:

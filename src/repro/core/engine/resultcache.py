@@ -19,9 +19,10 @@ equal to what a cold run would return right now:
   changes — including the start path's ancestors (whose permission
   bits gate reachability), and (b) the index's applied changefeed
   cursor (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`).
-  Revalidation is O(visited dirs) stats — not O(traversal), which
-  would open every database and re-run SQL — or O(journal drain)
-  when the changefeed fast path applies (below).
+  Revalidation is two stats per visited directory and one per
+  ancestor, on path strings, and nothing else — not O(traversal),
+  which would open every database and re-run SQL — or O(journal
+  drain) when the changefeed fast path applies (below).
 
 * **Push invalidation.** Every writer in this codebase (update,
   refresh, rollup/unrollup, changefeed apply) already announces
@@ -521,9 +522,12 @@ class ResultCache:
         """Revalidate one entry without mutating it (the caller folds
         the outcome in under the lock). Returns ``(valid, applied
         cursor, stamp pass ran)``."""
-        applied = ChangefeedCheckpoint(index.root).load()
         journal = self.journal
+        # Only the journal branches read the applied cursor. A cursor
+        # left lagging merely widens a later journal window (safe).
+        applied = entry.cursor
         if journal is not None:
+            applied = ChangefeedCheckpoint(index.root).load()
             # Changefeed fast path: provably untouched without a stat.
             # Requires that no invalidation reached this cache since
             # the entry was (re)validated — the push hooks are how
@@ -551,12 +555,14 @@ class ResultCache:
                     self._event_touches(e, entry.stamps) for e in events
                 ):
                     return False, applied, False
-        # Stamp pass: O(visited dirs) stats against the recorded token.
+        # Stamp pass: two stats per recorded directory (one for an
+        # ancestor) on plain path strings, and nothing else.
         for path, (db_stamp, dir_stamp) in entry.stamps.items():
-            if layout.file_stamp(index.db_path(path)) != db_stamp:
+            base = index.index_path(path)
+            if layout.file_stamp(f"{base}/{layout.DB_NAME}") != db_stamp:
                 return False, applied, True
             if dir_stamp is not None:
-                if layout.dir_stamp(index.index_dir(path)) != dir_stamp:
+                if layout.dir_stamp(base) != dir_stamp:
                     return False, applied, True
         return True, applied, True
 
@@ -622,20 +628,20 @@ class ResultCache:
                 walk_db = cache.peek_stamp(path)
             if walk_dir is None:
                 walk_dir = cache.peek_subdir_stamp(path)
-            db_stamp = layout.file_stamp(index.db_path(path))
+            base = index.index_path(path)
+            db_stamp = layout.file_stamp(f"{base}/{layout.DB_NAME}")
             if walk_db is not None and db_stamp != tuple(walk_db):
                 self._abort_capture()
                 return False
-            dir_stamp = layout.dir_stamp(index.index_dir(path))
+            dir_stamp = layout.dir_stamp(base)
             if walk_dir is not None and dir_stamp != tuple(walk_dir):
                 self._abort_capture()
                 return False
             stamps[path] = (db_stamp, dir_stamp)
         start = key[3]
         for anc in _ancestors(start):
-            stamps.setdefault(
-                anc, (layout.file_stamp(index.db_path(anc)), None)
-            )
+            anc_db = f"{index.index_path(anc)}/{layout.DB_NAME}"
+            stamps.setdefault(anc, (layout.file_stamp(anc_db), None))
         cursor = ChangefeedCheckpoint(index.root).load()
         nbytes = capture.nbytes + 128 * len(stamps)
         if nbytes > self.max_entry_bytes:

@@ -139,6 +139,9 @@ class RollupStats:
     blocked_perms: int = 0
     blocked_limit: int = 0
     blocked_child: int = 0  # an unrolled child blocked the parent
+    #: databases a traversal from the pass's start opens afterwards —
+    #: :func:`visible_db_count`, from the pass's own decisions
+    visible_dbs: int = 0
     elapsed: float = 0.0
 
     @property
@@ -152,6 +155,7 @@ class _DirState:
 
     rolled: bool  # usable by the parent (leaves: trivially True)
     entry_count: int  # pentries rows the parent would absorb
+    rolledup: bool  # the database's flag when the pass ends
     mode: int = 0
     uid: int = 0
     gid: int = 0
@@ -369,6 +373,8 @@ def rollup(
             states[source_path] = _DirState(
                 rolled=ok,
                 entry_count=total,
+                # a blocked directory keeps an earlier pass's rollup
+                rolledup=meta.rolledup or (ok and bool(children)),
                 mode=meta.mode,
                 uid=meta.uid,
                 gid=meta.gid,
@@ -384,6 +390,18 @@ def rollup(
                 raise RuntimeError(
                     f"rollup failed at {item!r}: {exc}"
                 ) from exc
+    # Top-down: a directory is hidden iff a proper ancestor at or below
+    # ``start`` ended the pass rolled up (descent stops there).
+    start_path = index.source_path(index.index_dir(start))
+    visible: set[str] = set()
+    for depth in sorted(dirs_by_depth):
+        for sp in dirs_by_depth[depth]:
+            parent = sp.rsplit("/", 1)[0] or "/"
+            if sp == start_path or (
+                parent in visible and not states[parent].rolledup
+            ):
+                visible.add(sp)
+    stats.visible_dbs = len(visible)
     stats.elapsed = time.monotonic() - t0
     rec = obs.metrics()
     if rec.enabled:

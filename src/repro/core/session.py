@@ -20,7 +20,8 @@ This module keeps that state alive across queries:
   so the *connections* survive even though the walker's *threads* do
   not. Scratch tables created by an ``I`` script are cleared (same
   script) or dropped and recreated (script changed) between runs —
-  never the whole connection.
+  never the whole connection — and only for a run that executes
+  stages: a result-cache replay checks a state out untouched.
 
 Security note: nothing permission-relevant is cached here. Thread
 states hold only *scratch* result tables; every per-directory
@@ -94,14 +95,23 @@ class _ThreadState:
         self._init_sql: str | None = None
 
     # ------------------------------------------------------------------
-    def prepare(self, init_sql: str | None, out_path: str | None) -> None:
+    def prepare(self, init_sql: str | None, out_path: str | None, stages: bool) -> None:
         """Make the state ready for a new run: reset counters, clear or
-        rebuild the scratch schema, and (re)point the output file."""
+        rebuild the scratch schema, and (re)point the output file.
+        ``stages=False`` (a result-cache replay: rows go to a sink, no
+        stage executes) skips the scratch half — no statement runs, and
+        schema, stale rows and ``_init_sql`` stay as the last real run
+        left them for the next one to prepare in full."""
         self.rows = []
         self.visited = self.denied = self.opened = self.errored = 0
         self.pruned = self.elided = 0
         self.t_time = self.s_time = self.e_time = 0.0
         self.touched = []
+        if stages:
+            self._prepare_scratch(init_sql)
+        self._set_output(out_path)
+
+    def _prepare_scratch(self, init_sql: str | None) -> None:
         # A previous run that died mid-directory (or mid-merge) may
         # have left a database attached; a stale attach would shadow
         # this run's.
@@ -123,7 +133,6 @@ class _ThreadState:
                 "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
             ).fetchall():
                 self.conn.execute(f'DELETE FROM "{name}"')
-        self._set_output(out_path)
 
     def _drop_scratch(self) -> None:
         objects = self.conn.execute(
@@ -223,9 +232,12 @@ class ThreadStatePool:
             self._tmpdir_box[0] = tempfile.mkdtemp(prefix="gufi_session_")
         return self._tmpdir_box[0]
 
-    def acquire(self, init_sql: str | None, out_path: str | None) -> _ThreadState:
+    def acquire(
+        self, init_sql: str | None, out_path: str | None, stages: bool = True
+    ) -> _ThreadState:
         """Check a prepared state out of the pool (creating one if all
-        are busy)."""
+        are busy). Pass ``stages=False`` when no stage will execute on
+        the state (see :meth:`_ThreadState.prepare`)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("query session is closed")
@@ -244,7 +256,7 @@ class ThreadStatePool:
                 if fresh
                 else "gufi_session_states_reused_total"
             )
-        st.prepare(init_sql, out_path)
+        st.prepare(init_sql, out_path, stages)
         return st
 
     def _create_locked(self) -> _ThreadState:

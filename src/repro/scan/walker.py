@@ -60,6 +60,9 @@ from repro import obs
 
 T = TypeVar("T")
 
+#: ``sched_yield(2)`` where the platform has it
+_yield_cpu: Callable[[], None] = getattr(os, "sched_yield", lambda: None)
+
 
 def default_worker_count() -> int:
     """Worker threads to use when the caller doesn't say: the CPUs this
@@ -285,6 +288,12 @@ class ParallelTreeWalker:
                 work.put(_SENTINEL)
             for t in threads:
                 t.join()
+                # join() returns when the worker's interpreter state is
+                # released, a few microseconds before its OS thread
+                # exits — and on a busy CPU waking us preempts it right
+                # there, so it outlives the walk by milliseconds. Hand
+                # it the CPU to finish.
+                _yield_cpu()
 
             fatal_exc = next((f for f in fatal if f is not None), None)
             if fatal_exc is not None:

@@ -126,8 +126,26 @@ class TestCLI:
         with pytest.raises(SystemExit):
             run_cli()
 
-    def test_unknown_index(self, tmp_path):
-        from repro.core.index import IndexError_
+    def test_unknown_index(self, tmp_path, capsys):
+        assert run_cli("stats", str(tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"repro-gufi: error: {tmp_path} is not a GUFI index "
+            "(missing gufi_index.json)\n"
+        )
 
-        with pytest.raises(IndexError_):
-            run_cli("stats", str(tmp_path))
+    @pytest.mark.parametrize("command", [
+        ("serve",), ("query", "-E", "SELECT name FROM pentries"),
+        ("rollup",), ("find",),
+    ])
+    def test_not_an_index_is_one_error_line(self, tmp_path, capsys, command):
+        """No traceback, and ``serve`` never announces itself on a
+        directory whose every request would fail."""
+        from repro import obs
+
+        assert run_cli(command[0], str(tmp_path), *command[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-gufi: error: ") and err.count("\n") == 1
+        assert not obs.metrics().enabled

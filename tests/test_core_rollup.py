@@ -148,6 +148,23 @@ class TestMechanics:
         # alice subtree: 4 dbs -> 1
         assert before - after >= 3
 
+    @pytest.mark.parametrize(
+        "start, left", [("/", 5), ("/home/alice", 1), ("/home/mixed/", 2)]
+    )
+    def test_stats_visible_dbs_is_visible_db_count(
+        self, rollable_index, start, left
+    ):
+        """The pass's own count equals the re-walk it replaces in
+        ``gufi rollup`` — nothing rolled, limit-blocked, fully rolled,
+        re-run, and re-run under a limit that now blocks directories an
+        earlier pass rolled (they stay rolled)."""
+        for limit in (0, 6, None, None, 5):
+            stats = rollup(
+                rollable_index, limit=limit, nthreads=NTHREADS, start=start
+            )
+            assert stats.visible_dbs == visible_db_count(rollable_index, start)
+        assert stats.visible_dbs == left
+
     def test_rollup_idempotent(self, rollable_index):
         rollup(rollable_index, nthreads=NTHREADS)
         q = QueryEngine(rollable_index, nthreads=NTHREADS)

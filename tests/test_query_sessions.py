@@ -8,7 +8,13 @@ import os
 
 import pytest
 
-from repro.core.engine import QueryEngine
+from repro.core.engine import (
+    MemorySink,
+    PaginatedSink,
+    QueryEngine,
+    ResultCache,
+    ThreadFileSink,
+)
 from repro.core.query import (
     Q1_LIST_PATHS,
     Q3_DU_SUMMARIES,
@@ -104,11 +110,29 @@ class TestPoolReuse:
         q.close()
 
 
+#: scratch table, per-directory rows and a J/G total, all in one spec
+ROWS_AND_TOTAL = QuerySpec(
+    I="CREATE TABLE t (n INTEGER)",
+    S="INSERT INTO t SELECT COUNT(*) FROM pentries",
+    E="SELECT name, size FROM pentries",
+    J="INSERT INTO aggregate.t SELECT TOTAL(n) FROM t",
+    G="SELECT TOTAL(n) FROM t",
+)
+#: same table name, another shape: a stale ``t`` cannot serve it
+NAMES_AND_COUNT = QuerySpec(
+    I="CREATE TABLE t (x TEXT, y TEXT)",
+    E="INSERT INTO t SELECT name, name FROM pentries",
+    J="INSERT INTO aggregate.t SELECT x, y FROM t",
+    G="SELECT COUNT(*) FROM t",
+)
+
+
 class TestStatementBudget:
     """A cold directory costs four SQLite statements on its worker
     connection — ATTACH, one metadata read, the stage SQL, DETACH —
     and a warm one three. ATTACH and DETACH expire SQLite's statement
-    cache, so every extra statement is a re-parse per directory."""
+    cache, so every extra statement is a re-parse per directory.
+    A result-cache replay executes no stage, so it costs none at all."""
 
     def test_cold_is_4n_and_warm_is_3n(self, demo_index):
         q = QueryEngine(demo_index, nthreads=NTHREADS)
@@ -138,6 +162,68 @@ class TestStatementBudget:
             expected += ["SELECT"] * (n if warm else 2 * n)
             assert verbs == expected, log
         q.close()
+
+
+    @pytest.mark.parametrize("shape", ["memory", "paginated", "files"])
+    def test_replay_issues_no_statement(self, demo_index, tmp_path, shape):
+        def sink(tag):
+            if shape == "files":
+                return ThreadFileSink(str(tmp_path / tag))
+            return MemorySink() if shape == "memory" else PaginatedSink(4)
+
+        def lines(result):
+            return sorted(
+                ln for p in result.output_files or () for ln in open(p)
+            )
+
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=ResultCache()
+        ) as q:
+            live = q.run(ROWS_AND_TOTAL, sink=sink("live"))
+            assert not live.cached and q.pool._all
+            log: list[str] = []
+            # every pooled connection, from before the checkout to
+            # after the release: the replay's whole stay in the pool
+            for st in q.pool._all:
+                st.conn.set_trace_callback(log.append)
+            replay = q.run(ROWS_AND_TOTAL, sink=sink("replay"))
+            for st in q.pool._all:
+                st.conn.set_trace_callback(None)
+        assert replay.cached
+        assert log == []
+        assert sorted(replay.rows, key=repr) == sorted(live.rows, key=repr)
+        assert lines(replay) == lines(live)
+        assert bool(lines(live)) == (shape == "files")
+
+    def test_real_run_after_replay_prepares_in_full(self, demo_index):
+        """A replay leaves the state's scratch schema, its stale rows
+        and the record of which ``I`` built it as it found them; the
+        next run that executes stages must still get a clean schema of
+        its own ``I`` — whether that is the ``I`` just replayed (over a
+        state holding the other one) or a different one."""
+        with QueryEngine(demo_index, nthreads=NTHREADS) as cold:
+            want = {
+                (spec.G, start): sorted(cold.run(spec, start).rows, key=repr)
+                for spec in (ROWS_AND_TOTAL, NAMES_AND_COUNT)
+                for start in ("/", "/home")
+            }
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=ResultCache()
+        ) as q:
+            def run(spec, start, cached):
+                result = q.run(spec, start)
+                assert result.cached is cached
+                assert sorted(result.rows, key=repr) == want[spec.G, start]
+
+            run(ROWS_AND_TOTAL, "/", False)
+            run(NAMES_AND_COUNT, "/", False)  # states now hold its ``t``
+            run(ROWS_AND_TOTAL, "/", True)  # replayed over them
+            run(ROWS_AND_TOTAL, "/home", False)  # same I as the replay
+            run(ROWS_AND_TOTAL, "/", True)
+            run(NAMES_AND_COUNT, "/home", False)  # a different I
+            run(NAMES_AND_COUNT, "/", True)
+            run(NAMES_AND_COUNT, "/home", True)
+            run(ROWS_AND_TOTAL, "/home", True)
 
 
 class TestOutputFilesAcrossRuns:

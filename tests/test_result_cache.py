@@ -14,6 +14,9 @@ Layout:
 * ``TestInvalidation`` — push invalidation precision, stamp-pass
   validation, changefeed semantics (unapplied events must *not*
   invalidate: the index is unchanged).
+* ``TestHitBudget`` / ``TestFreshnessMatrix`` — a hit costs exactly
+  the stats its token needs, and those stats still catch every kind of
+  out-of-band change from every kind of start.
 * ``TestCredentialScoping`` — no replay across principals, per-scope
   budgets.
 * ``TestBounds`` — LRU byte/entry budgets, oversized-entry refusal.
@@ -27,6 +30,9 @@ Layout:
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import shutil
+import sqlite3
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,6 +48,9 @@ from repro.core.engine import (
     ResultCache,
     ThreadFileSink,
 )
+from repro.core.engine.resultcache import make_key
+from repro.core.engine.traversal import path_depth
+from repro.core.index import GUFIIndex
 from repro.core.query import (
     Q1_LIST_PATHS,
     Q2_DIR_SIZES,
@@ -52,6 +61,7 @@ from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
+from repro.store.layout import DirStore
 from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
 
 OPTS = BuildOptions(nthreads=NTHREADS)
@@ -60,13 +70,40 @@ FORK = mp.get_context().get_start_method() == "fork"
 E_ALL = QuerySpec(E="SELECT path() || '/' || name, size FROM pentries")
 
 
-def cold_rows(index, spec, creds=ROOT, plan=None):
+def cold_rows(index, spec, creds=ROOT, plan=None, start="/"):
     """Oracle: a fresh, cache-less engine's sorted rows."""
     eng = QueryEngine(index, creds=creds, nthreads=NTHREADS)
     try:
-        return sorted(eng.run(spec, plan=plan).rows)
+        return sorted(eng.run(spec, start, plan=plan).rows)
     finally:
         eng.close()
+
+
+def _write_in_place(db_path, name="oob.txt"):
+    """A foreign process adds an entry behind every cache's back."""
+    con = sqlite3.connect(db_path)
+    con.execute(
+        "INSERT INTO entries (name, type, mode, uid, gid, size) "
+        "VALUES (?, 'f', 420, 0, 0, 11)",
+        (name,),
+    )
+    con.commit()
+    con.close()
+
+
+def _replace_same_bytes(db_path: str) -> None:
+    """Swap ``db_path`` for a byte-identical copy on a new inode, with
+    the file's and the directory's mtime put back: the inode is then
+    the only thing a stamp can see."""
+    parent = os.path.dirname(db_path)
+    file_ns = os.stat(db_path).st_mtime_ns
+    dir_ns = os.stat(parent).st_mtime_ns
+    inode = os.stat(db_path).st_ino
+    shutil.copyfile(db_path, db_path + ".copy")
+    os.replace(db_path + ".copy", db_path)
+    os.utime(db_path, ns=(file_ns, file_ns))
+    os.utime(parent, ns=(dir_ns, dir_ns))
+    assert os.stat(db_path).st_ino != inode
 
 
 @pytest.fixture
@@ -293,21 +330,13 @@ class TestInvalidation:
         """No journal, no hooks: a foreign process writes a directory
         database behind the cache's back; the per-directory stamp
         validation must refuse the entry."""
-        import sqlite3
-
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         cache = ResultCache()
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
             assert eng.run(E_ALL).cached
-            con = sqlite3.connect(index.db_path("/public"))
-            con.execute(
-                "INSERT INTO entries (name, type, mode, uid, gid, size) "
-                "VALUES ('oob.txt', 'f', 420, 0, 0, 11)"
-            )
-            con.commit()
-            con.close()
+            _write_in_place(index.db_path("/public"))
             hits_before = cache.hits
             r = eng.run(E_ALL)
             assert not r.cached and cache.hits == hits_before
@@ -323,8 +352,6 @@ class TestInvalidation:
         Unless the journal is declared exclusive, the fast path must
         fall back to the stamp pass within ``stamp_ttl`` — a foreign
         rewrite is detected, not masked forever."""
-        import sqlite3
-
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
@@ -334,13 +361,7 @@ class TestInvalidation:
         try:
             eng.run(E_ALL)
             assert eng.run(E_ALL).cached
-            con = sqlite3.connect(index.db_path("/public"))
-            con.execute(
-                "INSERT INTO entries (name, type, mode, uid, gid, size) "
-                "VALUES ('foreign.txt', 'f', 420, 0, 0, 3)"
-            )
-            con.commit()
-            con.close()
+            _write_in_place(index.db_path("/public"), "foreign.txt")
             r = eng.run(E_ALL)
             assert not r.cached
             assert any("foreign.txt" in str(row[0]) for row in r.rows)
@@ -412,6 +433,49 @@ class TestInvalidation:
         finally:
             eng.close()
 
+    @pytest.mark.parametrize("hooks", [True, False])
+    def test_journal_attached_after_capture(self, demo_tree, tmp_path, hooks):
+        """Without a journal a lookup does not read the applied cursor,
+        so entries captured journal-less carry a cursor that lags. A
+        journal attached later then sees a *wider* event window — a
+        superset can only invalidate more — and every answer still
+        equals a cold run, with or without the push hooks."""
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        journal = ChangeJournal()
+        demo_tree.set_changelog(journal)
+        cache = ResultCache()  # no journal yet
+        eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
+
+        def check(start, hit):
+            r = eng.run(E_ALL, start)
+            assert r.cached is hit, start
+            assert sorted(r.rows) == cold_rows(index, E_ALL, start=start)
+
+        # starts two levels down: a write to a directory also drops
+        # the entries that hold its *parent*, and ``/`` is everyone's
+        starts = ("/home/bob", "/public/xonly", "/proj/shared")
+        try:
+            for start in starts:
+                check(start, False)
+            if not hooks:
+                cache.close()  # the journal and the stamps are all it has
+            # applied while journal-less: stamps catch it, cursors lag
+            demo_tree.create_file("/proj/shared/early", size=5, uid=0, gid=0)
+            changefeed2index(index, demo_tree, journal, opts=OPTS)
+            check("/home/bob", True)
+            check("/public/xonly", True)
+            check("/proj/shared", False)
+            cache.attach_journal(journal)
+            demo_tree.create_file("/public/xonly/late", size=6, uid=0, gid=0)
+            changefeed2index(index, demo_tree, journal, opts=OPTS)
+            check("/home/bob", True)  # the window touches nothing of its
+            check("/public/xonly", False)
+            check("/proj/shared", True)
+            for start in starts:
+                check(start, True)
+        finally:
+            eng.close()
+
     def test_mid_run_invalidation_aborts_the_store(self, cached_engine):
         eng, cache = cached_engine
         before = cache.capture_aborts
@@ -430,6 +494,128 @@ class TestInvalidation:
         assert not r.cached
         assert len(cache) == 0
         assert cache.capture_aborts == before + 1
+
+
+class TestHitBudget:
+    """A hit costs what its contract requires and nothing else: two
+    stats per recorded directory — its database, then its listing —
+    one per ancestor of the start, on plain path strings."""
+
+    @pytest.mark.parametrize("start", ["/", "/home/alice", "/proj/shared/data"])
+    def test_hit_is_2n_plus_d_stats_and_no_path_objects(
+        self, demo_index, monkeypatch, start
+    ):
+        from repro.core.checkpoint import ChangefeedCheckpoint
+
+        cache = ResultCache(stamp_ttl=0.0)
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            n = eng.run(E_ALL, start).dirs_visited
+        depth = path_depth(start)
+        key = make_key(ROOT, E_ALL, None, start)
+        entry = cache._entries[key]
+        assert len(entry.stamps) == n + depth
+        # every recorded directory present; ancestors: database only
+        assert all(db is not None for db, _ in entry.stamps.values())
+        assert sum(d is None for _, d in entry.stamps.values()) == depth
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("object built on the result-cache hit path")
+
+        stats: list[str] = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            assert type(path) is str
+            stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(DirStore, "__init__", forbidden)
+            m.setattr(GUFIIndex, "index_dir", forbidden)
+            m.setattr(ChangefeedCheckpoint, "__init__", forbidden)
+            m.setattr(os, "stat", counting_stat)
+            assert cache.lookup(key, demo_index) is entry
+        assert len(stats) == 2 * n + depth
+        # and in the token's order: the database, then the listing
+        expected = []
+        for path, (_, listing) in entry.stamps.items():
+            base = demo_index.index_path(path)
+            expected += [base + "/db.db"] + [base] * (listing is not None)
+        assert stats == expected
+
+
+#: out-of-band change -> what it does, given the index directories of
+#: (a visited directory with no visited child, a sub-directory to
+#: remove, the start's parent). Each runs with no journal, no hook and
+#: ``stamp_ttl = 0``: only the stamp pass can see it.
+_OOB_CHANGES = {
+    "write-in-place": lambda leaf, doomed, above: _write_in_place(
+        leaf + "/db.db"
+    ),
+    "new-inode-same-bytes": lambda leaf, doomed, above: _replace_same_bytes(
+        leaf + "/db.db"
+    ),
+    "subdir-added": lambda leaf, doomed, above: os.mkdir(leaf + "/oob_dir"),
+    "subdir-removed": lambda leaf, doomed, above: shutil.rmtree(doomed),
+    "ancestor-db-replaced": lambda leaf, doomed, above: _replace_same_bytes(
+        above + "/db.db"
+    ),
+    "db-deleted": lambda leaf, doomed, above: os.unlink(leaf + "/db.db"),
+}
+
+#: start -> (the visited leaf a change lands on, the sub-directory to
+#: remove). ``/`` is ``index_path``'s special case; ``/home/alice`` is
+#: rolled up, so the walk visits it alone and ``sub`` stays on disk
+#: unvisited.
+_STARTS = {
+    "/": ("/home/bob/secret", "/home/bob/secret"),
+    "/home/bob": ("/home/bob/secret", "/home/bob/secret"),
+    "/home/alice": ("/home/alice", "/home/alice/sub"),
+}
+
+
+class TestFreshnessMatrix:
+    """Every kind of start x every kind of out-of-band change: the
+    next lookup misses and the re-run equals a cold engine's answer."""
+
+    @staticmethod
+    def _outcome(engine, start):
+        try:
+            result = engine.run(E_ALL, start)
+        except FileNotFoundError as exc:
+            return False, str(exc)
+        return result.cached, sorted(result.rows)
+
+    @pytest.mark.parametrize("change", sorted(_OOB_CHANGES))
+    @pytest.mark.parametrize("start", sorted(_STARTS))
+    def test_change_misses_and_rerun_equals_cold(
+        self, demo_index, start, change
+    ):
+        if change == "ancestor-db-replaced" and start == "/":
+            pytest.skip("the root has no ancestor")
+        rollup(demo_index, nthreads=NTHREADS)
+        assert demo_index.dir_meta("/home/alice").rolledup
+        cache = ResultCache(stamp_ttl=0.0)
+        eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
+        try:
+            assert not eng.run(E_ALL, start).cached
+            # unchanged index -> hit, and the same rows as a cold run
+            cached, rows = self._outcome(eng, start)
+            assert cached and rows == cold_rows(demo_index, E_ALL, start=start)
+            cache.close()  # no push hook either: stamps alone
+            _OOB_CHANGES[change](
+                *map(demo_index.index_path, _STARTS[start]),
+                demo_index.index_path(start.rsplit("/", 1)[0]),
+            )
+            hits = cache.hits
+            cached, got = self._outcome(eng, start)
+            assert not cached and cache.hits == hits
+            with QueryEngine(demo_index, nthreads=NTHREADS) as cold:
+                assert (False, got) == self._outcome(cold, start)
+        finally:
+            eng.close()
 
 
 class TestCredentialScoping:

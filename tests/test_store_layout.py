@@ -147,20 +147,39 @@ def _deleted_names_in(path: Path) -> list[int]:
 
 #: the per-directory step of every walk — strings only (five ``Path``
 #: objects per directory once cost more than listing the directory)
-_HOT_FUNCTIONS = ("process_dir", "cached_subdir_names")
+#: — and of every result-cache hit and capture, whose validity token
+#: is two stats per recorded directory and nothing else (a method is
+#: named ``Class.method`` where the bare name is not unique)
+_HOT_FUNCTIONS = (
+    "process_dir",
+    "cached_subdir_names",
+    "ResultCache._validate",
+    "ResultCache.store",
+)
 
 #: calls that build a ``Path``/``DirStore``: the constructor itself and
 #: the ``GUFIIndex`` helpers that return one
 _PATH_BUILDERS = ("Path", "index_dir", "store", "db_path")
 
 
+def _hot_functions(path: Path) -> list[ast.FunctionDef]:
+    found: list[ast.FunctionDef] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and node.name in _HOT_FUNCTIONS:
+            found.append(node)
+        elif isinstance(node, ast.ClassDef):
+            found += [
+                item
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and f"{node.name}.{item.name}" in _HOT_FUNCTIONS
+            ]
+    return found
+
+
 def _path_calls_on_hot_path(path: Path) -> list[tuple[int, str]]:
     hits: list[tuple[int, str]] = []
-    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not (
-            isinstance(func, ast.FunctionDef) and func.name in _HOT_FUNCTIONS
-        ):
-            continue
+    for func in _hot_functions(path):
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
                 callee = node.func
@@ -174,8 +193,7 @@ class TestEncapsulationLint:
     def test_no_path_objects_on_the_per_directory_step(self, tmp_path):
         seen = 0
         for path in sorted(SRC_ROOT.rglob("*.py")):
-            source = path.read_text(encoding="utf-8")
-            seen += sum(f"def {name}(" in source for name in _HOT_FUNCTIONS)
+            seen += len(_hot_functions(path))
             assert not _path_calls_on_hot_path(path), path
         assert seen == len(_HOT_FUNCTIONS)  # the lint found its targets
         bad = tmp_path / "bad.py"
@@ -190,7 +208,16 @@ class TestEncapsulationLint:
                 encoding="utf-8",
             )
             assert _path_calls_on_hot_path(bad), line
-        bad.write_text("def elsewhere():\n    return Path('x')\n")
+            bad.write_text(
+                f"class ResultCache:\n    def store(self):\n        {line}\n",
+                encoding="utf-8",
+            )
+            assert _path_calls_on_hot_path(bad), line
+        # the same method name on another class is not the hot one
+        bad.write_text(
+            "def elsewhere():\n    return Path('x')\n"
+            "class GUFIIndex:\n    def store(self):\n        return Path('x')\n"
+        )
         assert not _path_calls_on_hot_path(bad)
 
     @pytest.mark.parametrize("path", _linted_files(), ids=_lint_id)

@@ -91,6 +91,25 @@ class TestStress:
         after = {t.name for t in threading.enumerate()} - before
         assert not {n for n in after if n.startswith("walker-")}
 
+    def test_yields_to_each_joined_worker(self, monkeypatch):
+        """join() returns before the worker's OS thread has exited; the
+        walk hands each joined worker the CPU once so it does not
+        outlive the call (a per-thread CPU reading taken right after a
+        walk would otherwise see the dead worker in some samples)."""
+        from repro.scan import walker
+
+        before = set(threading.enumerate())
+        alive_at_yield: list[int] = []
+
+        def fake_yield():
+            alive_at_yield.append(len(set(threading.enumerate()) - before))
+
+        monkeypatch.setattr(walker, "_yield_cpu", fake_yield)
+        ParallelTreeWalker(nthreads=3).walk([0], lambda n: [])
+        # once per worker, each time after that worker was joined
+        assert len(alive_at_yield) == 3
+        assert all(n <= 2 - i for i, n in enumerate(alive_at_yield))
+
     def test_reusable_across_walks(self):
         w = ParallelTreeWalker(nthreads=2)
         tree = make_random_tree(3, n_nodes=50)
