@@ -243,6 +243,7 @@ def prometheus_dump(tmp_root: Path) -> str:
     from conftest import build_demo_tree
 
     from repro.core.build import dir2index
+    from repro.core.update import update_directory
 
     tree = build_demo_tree()
     index = dir2index(
@@ -253,8 +254,15 @@ def prometheus_dump(tmp_root: Path) -> str:
         with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as q:
             q.run(Q1_LIST_PATHS, "/public")  # miss + store
             assert q.run(Q1_LIST_PATHS, "/public").cached  # hit (+validate)
-            index.invalidate_cache("/public")  # push invalidation
-            q.run(Q1_LIST_PATHS, "/public")  # re-capture
+            # a one-directory update: push invalidation, and a re-read
+            # that takes the other directories' rows from the stale entry
+            tree.create_file("/public/xonly/fresh.txt", size=1)
+            update_directory(index, tree, "/public/xonly")
+            reread = q.run(Q1_LIST_PATHS, "/public")  # re-capture
+            with QueryEngine(index, nthreads=NTHREADS) as plain:
+                uncached = plain.run(Q1_LIST_PATHS, "/public")
+            assert sorted(reread.rows) == sorted(uncached.rows)
+            assert not reread.cached and cache.stats()["dirs_reused"] > 0
             q.run(Q1_LIST_PATHS, "/home")  # max_entries=1: eviction
         text = to_prometheus(obs.snapshot())
     for metric in (
@@ -262,6 +270,7 @@ def prometheus_dump(tmp_root: Path) -> str:
         "gufi_result_cache_misses_total",
         "gufi_result_cache_invalidations_total",
         "gufi_result_cache_evictions_total",
+        "gufi_result_cache_dirs_reused_total",
         "gufi_result_cache_validate_seconds",
     ):
         assert metric in text, f"missing metric: {metric}"

@@ -23,8 +23,9 @@ entries, so the build path is structured to survive them:
   suffix, then renames side databases first and ``db.db`` last.
   ``db.db``'s existence is the commit point the query engine keys on,
   so a crash at any instant leaves either a fully published directory
-  or an invisible one — never a half-indexed directory that queries
-  can observe.
+  or what was there before (the previous database on a rebuild,
+  nothing on a first build) — never a half-indexed directory that
+  queries can observe, and never a hole where a directory was.
 * **Journal** — each published directory is appended to a
   :class:`~repro.core.checkpoint.BuildJournal`
   (``gufi_build.journal`` in the index root). A rerun with
@@ -254,10 +255,11 @@ def build_dir_db(
     (entries inserted, side databases created).
 
     All writes are staged under :data:`PARTIAL_SUFFIX` and published
-    by rename — side databases first, ``db.db`` last — so a crash at
-    any point leaves either a complete directory or no visible
-    database at all (queries treat a missing ``db.db`` as
-    denied-by-absence, never as partial data)."""
+    by rename — side databases first, ``db.db`` last, over the
+    directory's previous database if it has one — so a crash at any
+    point leaves either the new directory or what was there before: the
+    old database on a rebuild, none on a first build (queries treat a
+    missing ``db.db`` as denied-by-absence, never as partial data)."""
     otr = obs.tracer()
     if otr.enabled:
         with otr.span("build.dir", path=stanza.directory.path):

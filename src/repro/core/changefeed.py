@@ -81,7 +81,7 @@ from .build import BuildOptions, build_dir_db
 from .checkpoint import ChangefeedCheckpoint
 from .index import GUFIIndex
 from .tsummary import build_tsummary
-from .update import remove_dir_dbs, scan_single_dir, unroll_path_to
+from .update import scan_single_dir, unroll_path_to
 
 
 @dataclass
@@ -338,7 +338,6 @@ def changefeed2index(
         if _is_live_dir(tree, d):
             unrolled += unroll_path_to(index, d, checked)
             stanza = scan_single_dir(tree, d)
-            remove_dir_dbs(index, d)
             n, _ = build_dir_db(index, stanza, opts, faults=faults)
             dirs_rebuilt += 1
             entries_indexed += n

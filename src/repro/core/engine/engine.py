@@ -166,6 +166,7 @@ class QueryEngine:
         plan: QueryPlan | None,
         sink: ResultSink | None,
         cancel: CancelToken | None,
+        donor: CaptureSink | None = None,
     ) -> QueryResult:
         """One real run: scatter-gather, or the single-process walk."""
         if self.processes > 1:
@@ -177,7 +178,7 @@ class QueryEngine:
             spec,
             start,
             lambda otr: self._run_impl(
-                spec, start, True, plan, sink, otr, cancel
+                spec, start, True, plan, sink, otr, cancel, donor
             ),
         )
 
@@ -210,11 +211,19 @@ class QueryEngine:
         # landing mid-run bumps it and the store aborts (the rows may
         # predate the write its stamps postdate).
         inv_seq = cache.invalidation_seq
+        # A stale entry under this key donates its unchanged
+        # directories' rows to the walk that replaces it (scatter
+        # workers and traced I/O always read the databases).
+        reads_all = self.processes > 1 or self.tracer is not None
         capture = CaptureSink(
             self._default_sink(spec) if sink is None else sink,
             cache.max_entry_bytes,
+            None if reads_all else cache.donor(key),
         )
-        result = self._run_uncached(spec, start, plan, capture, cancel)
+        result = self._run_uncached(
+            spec, start, plan, capture, cancel,
+            capture if capture.donor is not None else None,
+        )
         cache.store(key, capture, result, self.index, inv_seq)
         return result
 
@@ -442,6 +451,7 @@ class QueryEngine:
         sink: ResultSink,
         otr: Any,
         cancel: CancelToken | None = None,
+        donor: CaptureSink | None = None,
     ) -> QueryResult:
         start = normalize_path(start)
         start_depth = path_depth(start)
@@ -452,7 +462,8 @@ class QueryEngine:
         if not self.index.db_path(start).exists():
             raise FileNotFoundError(f"no index directory for {start!r}")
         return self._walk_units(
-            spec, [(start, descend)], start_depth, trav, sink, otr
+            spec, [(start, descend)], start_depth, trav, sink, otr,
+            donor=donor,
         )
 
     def _walk_units(
@@ -464,12 +475,15 @@ class QueryEngine:
         sink: ResultSink,
         otr: Any,
         agg_path: str | None = None,
+        donor: CaptureSink | None = None,
     ) -> QueryResult:
         """The shared walk body: process every ``(path, may_descend)``
         unit (descending where allowed), then run the J/G merge.
         ``run()`` passes a single recursive unit at the query start,
         ``run_single()`` a single non-descending one, and
-        ``run_shard()`` a shard's worth of units."""
+        ``run_shard()`` a shard's worth of units. ``donor`` is the
+        run's capturing tee when a stale result-cache entry can donate
+        the rows of unchanged directories to it."""
         t0 = time.monotonic()
         pool = self.pool
         index = self.index
@@ -479,6 +493,14 @@ class QueryEngine:
         timing = obs.metrics().enabled
         tracing = otr.enabled
         collect = self.collect_visited
+        # A stream-shaped run (S/E rows, nothing carried between
+        # directories) also reports where its stages completed: those
+        # directories' rows can be donated to the run that replaces it.
+        donates = (
+            collect
+            and self.tracer is None
+            and not (spec.I or spec.T or spec.J or spec.G or spec.xattrs)
+        )
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
         db_suffix = "/" + DB_NAME
         # Thread-ident -> checked-out state, for *this* run only (the
@@ -548,6 +570,18 @@ class QueryEngine:
                     st.pruned += 1
                     st.elided += 1
                     return children(meta)
+                if donor is not None and donor.reuse(
+                    st, source_path, index.cache.peek_stamp(source_path)
+                ):
+                    # Unchanged since the donor's capture (the stamp
+                    # ``get_meta`` validated above): its rows stand in
+                    # for ATTACH, S/E, DETACH; the rest is this run's.
+                    st.visited += 1
+                    st.opened += 1
+                    if trav.stage_gates(meta, rel_depth).plan_pruned:
+                        st.pruned += 1
+                    st.ran.append(source_path)
+                    return children(meta)
             else:
                 bracket = StampBracket(db_path)
                 if bracket.missing:
@@ -596,6 +630,8 @@ class QueryEngine:
                     )
             finally:
                 StageRunner.detach(st)
+            if donates:
+                st.ran.append(source_path)
             if local_rows:
                 sink.emit(st, local_rows)
             return children(meta, t_pruned)
@@ -656,6 +692,9 @@ class QueryEngine:
         visited_paths: list[str] | None = None
         if collect:
             visited_paths = [p for st in states for p in st.touched]
+        ran_paths: list[str] | None = None
+        if donates:
+            ran_paths = [p for st in states for p in st.ran]
 
         # --------------------------------------------------------------
         # Merge phase: J per thread database, then G on the aggregate.
@@ -701,6 +740,7 @@ class QueryEngine:
             truncated=summary.truncated,
             walk_stats=stats,
             visited_paths=visited_paths,
+            ran_paths=ran_paths,
             stage_seconds=(
                 {
                     "T": t_time,

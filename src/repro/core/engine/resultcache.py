@@ -28,9 +28,19 @@ equal to what a cold run would return right now:
   refresh, rollup/unrollup, changefeed apply) already announces
   itself through :class:`~repro.core.index.DirMetaCache`'s
   ``invalidate*`` hooks; the result cache subscribes to them and
-  drops exactly the entries whose visited set intersects the
-  invalidated path (or subtree). An entry for ``/home/alice`` is
-  untouched by churn under ``/proj``.
+  takes out of service exactly the entries whose visited set
+  intersects the invalidated path (or subtree). An entry for
+  ``/home/alice`` is untouched by churn under ``/proj``.
+
+* **The re-run is the repair.** An invalidated *stream-shaped* entry
+  (``S``/``E`` rows only — nothing carried between directories) is
+  marked **stale** instead of dropped: never served, a miss like any
+  other, first to be evicted — and the *donor* of the run that
+  replaces it. That run is the ordinary walk, deciding permission,
+  gates and descent for every directory as always; only where the
+  donor's stages completed under the ``db.db`` stamp the walk has just
+  validated does it emit the donor's rows instead of attaching the
+  database (:meth:`CaptureSink.reuse`).
 
 * **Changefeed fast path.** When a :class:`~repro.fs.changelog
   .ChangeJournal` is attached, a lookup first consults the applied
@@ -105,6 +115,9 @@ CacheKey = tuple[CredKey, tuple, tuple | None, str]
 DbStamp = tuple[int, int, int] | None
 #: physical index-directory stamp (None: listing not load-bearing)
 DirStamp = tuple[int, int] | None
+#: one directory's extent in an entry's flat ``rows`` and its measured
+#: bytes: (start, end, nbytes)
+Batch = tuple[int, int, int]
 
 #: QueryResult counters replayed verbatim from the captured run
 _COUNTER_FIELDS = (
@@ -225,14 +238,27 @@ class CaptureSink(ResultSink):
     entry — replay re-applies whatever cap the future caller brings.
     A capture that outgrows ``max_bytes`` poisons itself (recording
     stops, rows are freed, forwarding continues untouched).
+
+    ``donor`` is the stale entry this run replaces, if any: the walk
+    asks :meth:`reuse` before it attaches a directory's database.
     """
 
-    def __init__(self, inner: ResultSink, max_bytes: int) -> None:
+    def __init__(
+        self,
+        inner: ResultSink,
+        max_bytes: int,
+        donor: "CacheEntry | None" = None,
+    ) -> None:
         self.inner = inner
         self.max_bytes = max_bytes
+        self.donor = donor
         self.rows: list[Row] = []
         self.final_rows: list[Row] = []
+        #: emitting directory -> its batch in ``rows``
+        self.batches: dict[str, Batch] = {}
         self.nbytes = 0
+        #: directories served from the donor instead of their database
+        self.reused = 0
         self.overflowed = False
         self._lock = threading.Lock()
 
@@ -243,23 +269,56 @@ class CaptureSink(ResultSink):
     def thread_output_path(self, ordinal: int) -> str | None:
         return self.inner.thread_output_path(ordinal)
 
-    def _record(self, bucket: list[Row], rows: list[Row]) -> None:
+    def _record(
+        self,
+        bucket: list[Row],
+        rows: list[Row],
+        path: str | None = None,
+        nbytes: int | None = None,
+    ) -> None:
         if self.overflowed:
             return
         with self._lock:
             if self.overflowed:
                 return
-            self.nbytes += _rows_nbytes(rows)
+            if nbytes is None:
+                nbytes = _rows_nbytes(rows)
+            self.nbytes += nbytes
             if self.nbytes > self.max_bytes:
                 self.overflowed = True
                 self.rows = []
                 self.final_rows = []
+                self.batches = {}
                 return
+            if path is not None:
+                lo = len(bucket)
+                self.batches[path] = (lo, lo + len(rows), nbytes)
             bucket.extend(rows)
 
     def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
-        self._record(self.rows, rows)
+        # the walk names the directory it is in on the thread's context
+        self._record(self.rows, rows, st.ctx.current_path)
         self.inner.emit(st, rows)
+
+    def reuse(self, st: "_ThreadState", path: str, stamp: tuple | None) -> bool:
+        """Emit the donor's rows for ``path`` in place of running its
+        stages — only if they ran to completion at capture, under the
+        ``db.db`` stamp the walk has just validated (``stamp``). The
+        caller has already decided permission and gates for ``path``
+        on this run."""
+        donor = self.donor
+        assert donor is not None and donor.ran is not None
+        batch = donor.ran.get(path)
+        if batch is None or stamp is None or donor.stamps[path][0] != stamp:
+            return False
+        lo, hi, nbytes = batch
+        if hi > lo:
+            rows = donor.rows[lo:hi]
+            self._record(self.rows, rows, path, nbytes)
+            self.inner.emit(st, rows)
+        with self._lock:
+            self.reused += 1
+        return True
 
     def emit_final(self, rows: list[Row]) -> None:
         self._record(self.final_rows, rows)
@@ -292,6 +351,13 @@ class CacheEntry:
     #: serve this entry without re-statting (see ``stamp_ttl``)
     stamped_at: float = 0.0
     hits: int = 0
+    #: directory -> batch, for every directory whose stages ran to
+    #: completion (not denied, elided, errored or absent ones); None
+    #: when the run cannot donate (aggregate/xattr spec, scatter,
+    #: traced I/O) and the entry is dropped on invalidation
+    ran: dict[str, Batch] | None = None
+    #: invalidated, kept only as the donor of the run that replaces it
+    stale: bool = False
 
 
 class ResultCache:
@@ -349,6 +415,7 @@ class ResultCache:
         self.invalidations = 0
         self.evictions = 0
         self.capture_aborts = 0
+        self.dirs_reused = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -416,7 +483,7 @@ class ResultCache:
             if not self._entries:
                 return
             if path is None:
-                dropped = len(self._entries)
+                dropped = len(self)
                 self._entries.clear()
                 self.total_bytes = 0
                 self._scope_bytes.clear()
@@ -424,12 +491,13 @@ class ResultCache:
                 parent = path.rsplit("/", 1)[0] or "/"
                 prefix = path.rstrip("/") + "/"
                 doomed = [
-                    key
-                    for key, entry in self._entries.items()
-                    if self._touches(entry, path, parent, prefix, subtree)
+                    entry
+                    for entry in self._entries.values()
+                    if not entry.stale
+                    and self._touches(entry, path, parent, prefix, subtree)
                 ]
-                for key in doomed:
-                    self._drop_locked(key)
+                for entry in doomed:
+                    self._retire_locked(entry)
                 dropped = len(doomed)
             if dropped:
                 self.invalidations += dropped
@@ -449,10 +517,22 @@ class ResultCache:
             return any(p.startswith(prefix) for p in stamps)
         return False
 
-    def _drop_locked(self, key: CacheKey) -> None:
+    def _retire_locked(self, entry: CacheEntry) -> None:
+        """Take an invalidated entry out of service: one that can
+        donate goes stale — at the LRU end, so it is evicted before any
+        servable entry — and anything else is dropped."""
+        if entry.ran is None:
+            self._drop_locked(entry.key)
+        else:
+            entry.stale = True
+            self._entries.move_to_end(entry.key, last=False)
+
+    def _drop_locked(self, key: CacheKey) -> bool:
+        """Forget ``key``; True when a servable entry went (a stale one
+        was counted when it was invalidated, and is no eviction)."""
         entry = self._entries.pop(key, None)
         if entry is None:
-            return
+            return False
         self.total_bytes -= entry.nbytes
         scope = key[0]
         left = self._scope_bytes.get(scope, 0) - entry.nbytes
@@ -460,6 +540,7 @@ class ResultCache:
             self._scope_bytes[scope] = left
         else:
             self._scope_bytes.pop(scope, None)
+        return not entry.stale
 
     # ------------------------------------------------------------------
     # Lookup / validation
@@ -469,8 +550,9 @@ class ResultCache:
         rec = obs.metrics()
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or entry.stale:
                 self.misses += 1
+                entry = None
         if entry is None:
             if rec.enabled:
                 rec.counter("gufi_result_cache_misses_total")
@@ -484,13 +566,11 @@ class ResultCache:
                 time.perf_counter() - t0,
             )
         with self._lock:
-            # the push hooks may have dropped or replaced it meanwhile
-            current = self._entries.get(key)
-            if current is not entry:
-                valid = False
-            if not valid:
-                if current is entry:
-                    self._drop_locked(key)
+            # the push hooks may have retired or replaced it meanwhile
+            live = self._entries.get(key) is entry and not entry.stale
+            if not (valid and live):
+                if live:
+                    self._retire_locked(entry)
                     self.invalidations += 1
                     if rec.enabled:
                         rec.counter("gufi_result_cache_invalidations_total")
@@ -499,11 +579,11 @@ class ResultCache:
                     rec.counter("gufi_result_cache_misses_total")
                 return None
             # Entry mutations happen only here, under the lock and
-            # after the identity re-check, so concurrent validations
+            # after the liveness re-check, so concurrent validations
             # of the same entry cannot race each other. ``inv_seq``
             # may legitimately advance past the validated value: any
-            # invalidation that *touched* this entry dropped it (the
-            # identity check above fails), so a surviving entry was
+            # invalidation that *touched* this entry retired it (the
+            # liveness check above fails), so a surviving entry was
             # untouched by whatever bumped the sequence.
             entry.cursor = max(entry.cursor, applied)
             entry.inv_seq = self.invalidation_seq
@@ -515,6 +595,13 @@ class ResultCache:
         if rec.enabled:
             rec.counter("gufi_result_cache_hits_total")
         return entry
+
+    def donor(self, key: CacheKey) -> CacheEntry | None:
+        """The stale entry under ``key``, for the run that replaces it
+        to reuse (see :meth:`CaptureSink.reuse`) — or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry if entry is not None and entry.stale else None
 
     def _validate(
         self, entry: CacheEntry, index: "GUFIIndex"
@@ -604,6 +691,11 @@ class ResultCache:
         """Materialize one finished run. Returns False (and caches
         nothing) when the capture cannot be proven race-free or is
         over budget."""
+        rec = obs.metrics()
+        if capture.reused:
+            with self._lock:
+                self.dirs_reused += capture.reused
+            rec.counter("gufi_result_cache_dirs_reused_total", capture.reused)
         if capture.overflowed or result.visited_paths is None:
             self._abort_capture()
             return False
@@ -647,6 +739,10 @@ class ResultCache:
         if nbytes > self.max_entry_bytes:
             self._abort_capture()
             return False
+        ran: dict[str, Batch] | None = None
+        if result.ran_paths is not None:
+            batches = capture.batches
+            ran = {p: batches.get(p, (0, 0, 0)) for p in result.ran_paths}
         entry = CacheEntry(
             key=key,
             rows=capture.rows,
@@ -657,8 +753,8 @@ class ResultCache:
             inv_seq=inv_seq_at_start,
             nbytes=nbytes,
             stamped_at=stamped_at,
+            ran=ran,
         )
-        rec = obs.metrics()
         with self._lock:
             if self.invalidation_seq != inv_seq_at_start:
                 self.capture_aborts += 1
@@ -691,14 +787,12 @@ class ResultCache:
                 )
                 if victim is None:
                     break
-                self._drop_locked(victim)
-                evicted += 1
+                evicted += self._drop_locked(victim)
         while self._entries and (
             self.total_bytes > self.max_bytes
             or len(self._entries) > self.max_entries
         ):
-            self._drop_locked(next(iter(self._entries)))
-            evicted += 1
+            evicted += self._drop_locked(next(iter(self._entries)))
         self.evictions += evicted
         return evicted
 
@@ -713,13 +807,16 @@ class ResultCache:
             self.invalidation_seq += 1
 
     def __len__(self) -> int:
+        """Servable entries (a stale one is only a donor)."""
         with self._lock:
-            return len(self._entries)
+            return sum(not e.stale for e in self._entries.values())
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": len(self),
+                "stale": len(self._entries) - len(self),
+                "dirs_reused": self.dirs_reused,
                 "bytes": self.total_bytes,
                 "hits": self.hits,
                 "misses": self.misses,

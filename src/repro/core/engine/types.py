@@ -85,6 +85,10 @@ class QueryResult:
     #: store-time stamps against the actual reads (single-process runs
     #: leave this None — the stamps are in the engine's own cache)
     visited_stamps: dict[str, tuple] | None = None
+    #: the directories whose stages ran to completion, collected with
+    #: ``visited_paths`` for a run whose cache entry could later donate
+    #: their rows to its own re-run; None otherwise
+    ran_paths: list[str] | None = None
     #: True when this result was replayed from the materialized result
     #: cache instead of a traversal
     cached: bool = False

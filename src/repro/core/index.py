@@ -149,8 +149,8 @@ class DirMetaCache:
     Entries are validated on every lookup against a stat-derived stamp
     of the backing file ((inode, mtime_ns, size) for ``db.db``,
     (inode, mtime_ns) for the directory), so out-of-band rewrites are
-    caught by construction: the update path unlinks and recreates the
-    database, changing the inode regardless of timestamp granularity.
+    caught by construction: the update path renames a new file over
+    the database, changing the inode regardless of timestamp granularity.
     Writers inside this codebase (update, refresh, rollup/unrollup)
     additionally call the explicit ``invalidate*`` hooks — the
     authoritative mechanism, since DirMeta carries the §III-A security

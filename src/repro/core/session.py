@@ -68,6 +68,7 @@ class _ThreadState:
         "s_time",
         "e_time",
         "touched",
+        "ran",
         "_init_sql",
     )
 
@@ -92,6 +93,9 @@ class _ThreadState:
         # source paths this thread's walk touched, collected only when
         # the engine needs a result-cache validity token
         self.touched: list[str] = []
+        # ... and those whose stages ran to completion (see
+        # QueryResult.ran_paths)
+        self.ran: list[str] = []
         self._init_sql: str | None = None
 
     # ------------------------------------------------------------------
@@ -107,6 +111,7 @@ class _ThreadState:
         self.pruned = self.elided = 0
         self.t_time = self.s_time = self.e_time = 0.0
         self.touched = []
+        self.ran = []
         if stages:
             self._prepare_scratch(init_sql)
         self._set_output(out_path)

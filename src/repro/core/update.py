@@ -111,7 +111,8 @@ def update_directory(
     total_entries = 0
     for d in targets:
         stanza = scan_single_dir(tree, d)
-        remove_dir_dbs(index, d)
+        # published over the old database: a reader racing the update
+        # (or arriving after a crash inside it) finds one or the other
         n, _ = build_dir_db(index, stanza, opts)
         total_entries += n
         # Invalidate before returning so no warm query session can
@@ -136,16 +137,6 @@ def scan_single_dir(tree: VFSTree, source_path: str) -> DirStanza:
         if inode.ftype is not FileType.DIRECTORY:
             stanza.entries.append(record_from_inode(f"{prefix}/{name}", inode))
     return stanza
-
-
-def remove_dir_dbs(index: GUFIIndex, source_path: str) -> None:
-    """Remove the directory's primary and side databases so the
-    rebuild starts clean (stale side databases would leak old xattr
-    values — exactly what the security use case must prevent)."""
-    index_dir = index.index_dir(source_path)
-    if not index_dir.exists():
-        return
-    index.store(source_path).remove_artifacts()
 
 
 def _prune_stale_index_dirs(

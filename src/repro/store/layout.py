@@ -164,11 +164,11 @@ register_artifact_kind(
 
 def file_stamp(path: Path | str) -> tuple[int, int, int] | None:
     """Cache-validation stamp for a database file: (inode, mtime_ns,
-    size). The rebuild path unlinks and recreates the primary
-    database, so the inode alone changes even on file systems with
-    coarse timestamps; in-place writers (rollup, tsummary, migrate)
-    bump mtime_ns. ``None`` when the file is missing — a missing stamp
-    never validates a cache entry."""
+    size). The rebuild path renames a newly staged file over the
+    primary database, so the inode alone changes even on file systems
+    with coarse timestamps; in-place writers (rollup, tsummary,
+    migrate) bump mtime_ns. ``None`` when the file is missing — a
+    missing stamp never validates a cache entry."""
     try:
         st = os.stat(path)
     except OSError:
@@ -241,9 +241,10 @@ class DirStore:
     Owns the commit protocol (paper-faithful crash safety): every
     artifact is staged under :data:`PARTIAL_SUFFIX`, then published by
     rename — side databases and sidecars first, the primary database
-    last. The primary's existence is the commit point, so a crash at
-    any instant leaves either a fully published directory or an
-    invisible one.
+    last, over the previous one on a rebuild. The primary is the commit
+    point, so a crash at any instant leaves either a fully published
+    directory or what was there before: the previous directory, or — on
+    a first build — an invisible one.
     """
 
     __slots__ = ("index_dir",)
@@ -298,12 +299,35 @@ class DirStore:
     def publish(self, staged_names: Iterable[str]) -> None:
         """Atomically publish a staged directory: rename every staged
         secondary artifact into place first, the primary database last
-        (the commit point), then sweep any stray staging files left by
-        an earlier crashed attempt."""
-        for name in staged_names:
+        (the commit point) — over the previous one when the directory
+        is being rebuilt, so a reader finds the old directory or the
+        new one and never none. Only then unlink what the new set does
+        not name: stray staging files of an earlier crashed attempt,
+        and side artifacts of the database just replaced (unreachable
+        already: attaches go by the new database's tracking rows)."""
+        keep = [DB_NAME, *staged_names]
+        for name in keep[1:]:
             os.replace(self.partial_path(name), self.artifact_path(name))
         os.replace(self.partial_path(DB_NAME), self.db_path)
-        self.sweep_partials()
+        with os.scandir(self.index_dir) as it:
+            doomed = [
+                e.name
+                for e in it
+                if e.name.endswith(PARTIAL_SUFFIX)
+                or (
+                    e.name not in keep
+                    and e.is_file(follow_symlinks=False)
+                    and is_side_artifact(e.name)
+                )
+            ]
+        self._unlink(doomed)
+
+    def _unlink(self, names: Iterable[str]) -> None:
+        for name in names:
+            try:
+                os.unlink(self.index_dir / name)
+            except OSError:
+                pass
 
     def list_partials(self) -> list[str]:
         """Staged/leftover ``*.partial`` file names in this directory."""
@@ -319,11 +343,7 @@ class DirStore:
         """Remove leftover staging files — residue of a crashed
         earlier attempt whose artifact set may differ from the one
         being (re)published."""
-        for name in self.list_partials():
-            try:
-                os.unlink(self.index_dir / name)
-            except OSError:
-                pass
+        self._unlink(self.list_partials())
 
     # -- enumeration / removal -----------------------------------------
     def artifacts(self) -> list[tuple[str, str]]:
@@ -346,21 +366,6 @@ class DirStore:
     def side_artifacts(self) -> list[str]:
         """Published artifacts other than the primary database."""
         return [n for n, k in self.artifacts() if k != "primary"]
-
-    def remove_artifacts(self) -> None:
-        """Unlink every artifact this layer owns (primary, shards,
-        sidecars, staging leftovers) so a rebuild starts clean — stale
-        side databases would leak old xattr values."""
-        try:
-            names = os.listdir(self.index_dir)
-        except OSError:
-            return
-        for name in names:
-            if name.endswith(PARTIAL_SUFFIX) or classify_artifact(name):
-                try:
-                    os.unlink(self.index_dir / name)
-                except OSError:
-                    pass
 
     # -- stamps --------------------------------------------------------
     def stamp(self) -> tuple[int, int, int] | None:

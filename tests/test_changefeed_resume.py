@@ -23,6 +23,7 @@ from repro.core.query import Q1_LIST_PATHS, Q4_DU_TSUMMARY
 from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.scan.faults import BuildCrash, FaultPlan
+from repro.store.doctor import doctor
 from tests.conftest import (
     NTHREADS,
     build_demo_tree,
@@ -33,10 +34,10 @@ from tests.conftest import (
 OPTS = BuildOptions(nthreads=NTHREADS)
 
 
-def query_rows(index) -> list:
+def query_rows(index, start: str = "/") -> list:
     q = QueryEngine(index, nthreads=NTHREADS)
     try:
-        return sorted(q.run(Q1_LIST_PATHS).rows)
+        return sorted(q.run(Q1_LIST_PATHS, start).rows)
     finally:
         q.close()
 
@@ -119,10 +120,15 @@ class TestCrashMidApply:
 
     def test_crash_at_commit_publishes_nothing_half(self, tmp_path):
         """Worst case: the rebuild dies with the staging file fully
-        written but not yet renamed — the victim directory must show
-        either no database at all or the pre-crash one, never a torn
-        write; resume converges anyway."""
+        written but not yet renamed — the victim directory must still
+        answer from its pre-crash database, subtree included (a missing
+        ``db.db`` would hide both until the batch is replayed), never
+        from a torn write; resume converges anyway."""
         tree, index, journal = setup(tmp_path)
+        before = {
+            d: query_rows(index, d) for d in ("/home/alice", "/home/alice/sub")
+        }
+        assert all(before.values())
         mutate_batch(tree)
         with pytest.raises(BuildCrash):
             changefeed2index(
@@ -130,12 +136,16 @@ class TestCrashMidApply:
                 opts=BuildOptions(nthreads=1),
                 faults=FaultPlan.crash_at("build_dir_db.commit", 1),
             )
-        # any staging residue is invisible to queries (.partial only)
-        for p in partials_under(index.root):
-            assert not os.path.exists(p[: -len(PARTIAL_SUFFIX)])
+        # the victim — first of the sorted dirty set — was staged only
+        victims = {os.path.dirname(p) for p in partials_under(index.root)}
+        assert victims == {index.index_path("/home/alice")}
+        for d, rows in before.items():
+            assert query_rows(index, d) == rows
+        assert set(before["/home/alice/sub"]) <= set(query_rows(index, "/"))
         resumed = changefeed2index(index, tree, journal, opts=OPTS)
         assert resumed.events_applied == journal.head
         assert partials_under(index.root) == []
+        assert doctor(index).healthy
         fresh = dir2index(tree, tmp_path / "fresh", opts=OPTS).index
         assert query_rows(index) == query_rows(fresh)
 

@@ -28,14 +28,21 @@ class TestPoolReuse:
     def test_connections_survive_across_runs(self, demo_index):
         q = QueryEngine(demo_index, nthreads=NTHREADS)
         first = sorted(q.run(Q1_LIST_PATHS).rows)
-        created_after_first = q.pool.created
-        assert created_after_first >= 1
+        # States are checked out lazily, one per worker thread that
+        # gets work: a walk one thread finishes alone creates one state
+        # and a later walk the next. Warm up until the pool is full.
+        for _ in range(50):
+            if q.pool.created == NTHREADS:
+                break
+            q.run(Q1_LIST_PATHS)
+        warm, reused = q.pool.created, q.pool.reused
+        assert warm >= 1
         for _ in range(5):
             assert sorted(q.run(Q1_LIST_PATHS).rows) == first
-        # warm runs check states out of the free list; no new
-        # connections, no new scratch databases
-        assert q.pool.created == created_after_first
-        assert q.pool.reused > 0
+        # warm runs check states out of the free list: never more
+        # connections or scratch databases than worker threads
+        assert warm <= q.pool.created <= NTHREADS
+        assert q.pool.reused > reused
         q.close()
 
     def test_scratch_tables_recycled_same_spec(self, demo_index):

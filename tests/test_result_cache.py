@@ -22,6 +22,11 @@ Layout:
 * ``TestBounds`` — LRU byte/entry budgets, oversized-entry refusal.
 * ``TestScatterGather`` — the ``processes>1`` parent caches the
   gathered result; workers bypass.
+* ``TestReuseBudget`` / ``TestReuseSecurity`` / ``TestStaleEntries`` —
+  an invalidated stream-shaped entry is the donor of its own re-run:
+  that run attaches only what changed, equals a cold run in rows and
+  counters, can never show a user more than POSIX would, and a stale
+  entry is never served and first to be evicted.
 * ``TestNoStaleReadsProperty`` — the acceptance property, PR 7 style:
   hypothesis-driven mutate/apply/query interleavings under root and
   unprivileged creds, with and without rollups and ``processes>1``.
@@ -29,10 +34,12 @@ Layout:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import os
 import shutil
 import sqlite3
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,11 +64,13 @@ from repro.core.query import (
     Q3_DU_SUMMARIES,
 )
 from repro.core.rollup import rollup
+from repro.core.update import update_directory
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
-from repro.store.layout import DirStore
+from repro.store import connect
+from repro.store.layout import DirStore, file_stamp
 from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
 
 OPTS = BuildOptions(nthreads=NTHREADS)
@@ -851,6 +860,448 @@ class TestScatterGather:
             eng.close()
 
 
+COUNTERS = (
+    "dirs_visited", "dirs_denied", "dbs_opened", "dirs_errored",
+    "dirs_pruned_by_plan", "attaches_elided",
+)
+#: stream-shaped (S and E rows, no scratch table), with a plan whose
+#: stats gate drops E almost everywhere while S keeps the attach: the
+#: reuse step's ``dirs_pruned_by_plan`` tally
+S_AND_BIG_E = QuerySpec(
+    S="SELECT spath(name, isroot) FROM summary",
+    E="SELECT rpath(dname, d_isroot, name) FROM vrpentries "
+      "WHERE size >= 4194304",
+)
+
+
+def outcome(result):
+    """What a re-run must share with a cold run: rows and counters."""
+    return sorted(result.rows), {f: getattr(result, f) for f in COUNTERS}
+
+
+def cold_outcome(index, spec, creds=ROOT, plan=None, start="/"):
+    with QueryEngine(index, creds=creds, nthreads=NTHREADS) as cold:
+        return outcome(cold.run(spec, start, plan=plan))
+
+
+@contextlib.contextmanager
+def attached_dirs(index):
+    """Source paths of the directory databases attached for a walk
+    inside the block (side databases attach under other aliases)."""
+    seen: list[str] = []
+    real = connect.attach_ro
+
+    def counting(conn, path, alias, tracer=None):
+        if alias == "gufi":
+            seen.append(index.source_path(Path(path).parent))
+        return real(conn, path, alias, tracer)
+
+    connect.attach_ro = counting
+    try:
+        yield seen
+    finally:
+        connect.attach_ro = real
+
+
+def db_stamps(index):
+    return {
+        index.source_path(d): file_stamp(d / "db.db")
+        for d in index.iter_index_dirs()
+    }
+
+
+def posix_file_paths(tree, creds, top="/"):
+    """What ``find <top> ! -type d`` prints for ``creds`` on the source
+    tree — the paper's definition of what a user may see."""
+    from repro.baselines import posix_tools
+    from repro.fs.mounts import MountedFS
+    from repro.sim.netfs import TMPFS_LOCAL
+
+    listed, _ = posix_tools._walk(MountedFS(tree, TMPFS_LOCAL), top, creds)
+    return sorted(
+        p for p, st in listed if (st.st_mode & 0o170000) != 0o040000
+    )
+
+
+class TestReuseBudget:
+    """The re-read after a write costs its changes: a stale entry's
+    re-run attaches the directories whose ``db.db`` changed and no
+    other, and is otherwise a cold run."""
+
+    @staticmethod
+    def _write(ns, index, journal, writer, k=4):
+        """File creates in ``k`` spread-out directories, a chmod and a
+        mkdir — applied by the changefeed on the engine's own handle,
+        or by ``update_directory`` on a foreign one (no hook fires, no
+        journal is read: only stamps can tell)."""
+        tree = ns.tree
+        dirs = sorted(db_stamps(index))
+        targets = dirs[1 :: max(1, len(dirs) // k)][:k]
+        for i, d in enumerate(targets):
+            tree.create_file(f"{d}/reuse{i}.dat", size=1 << (20 + i))
+        tree.chmod(targets[0], 0o755)
+        new = f"{targets[-1]}/reuse_dir"
+        tree.mkdir(new, mode=0o755)
+        tree.create_file(f"{new}/inside.dat", size=7)
+        if writer == "changefeed":
+            changefeed2index(index, tree, journal, opts=OPTS)
+        else:
+            foreign = GUFIIndex.open(index.root)
+            for d in targets + [new]:
+                update_directory(foreign, tree, d, opts=OPTS)
+
+    @pytest.mark.parametrize("writer", ["changefeed", "foreign"])
+    @pytest.mark.parametrize("creds", [ROOT, ALICE], ids=["root", "user"])
+    @pytest.mark.parametrize("rolled", [False, True], ids=["flat", "rolled"])
+    def test_rerun_attaches_only_what_changed(
+        self, tmp_path, rolled, creds, writer
+    ):
+        ns = dataset2(scale=0.00005, seed=22)
+        index = dir2index(ns.tree, tmp_path / "idx", opts=OPTS).index
+        if rolled:
+            rollup(index, nthreads=NTHREADS)
+        journal = ChangeJournal()
+        ns.tree.set_changelog(journal)
+        if writer == "changefeed":
+            cache = ResultCache(journal=journal)
+        else:
+            cache = ResultCache(stamp_ttl=0.0)
+        eng = QueryEngine(
+            index, creds=creds, nthreads=NTHREADS, result_cache=cache
+        )
+        specs = (Q1_LIST_PATHS, Q2_DIR_SIZES)  # find /, dir_sizes /
+        try:
+            captured = {}
+            for spec in specs:
+                with attached_dirs(index) as seen:
+                    assert not eng.run(spec).cached
+                captured[spec.E or spec.S] = set(seen)
+            before = db_stamps(index)
+            self._write(ns, index, journal, writer)
+            changed = {
+                p for p, s in db_stamps(index).items() if before.get(p) != s
+            }
+            assert changed and any(p not in before for p in changed)
+            for spec in specs:
+                reused = cache.stats()["dirs_reused"]
+                with attached_dirs(index) as seen:
+                    rerun = eng.run(spec)
+                assert not rerun.cached
+                with attached_dirs(index) as opened:
+                    want = cold_outcome(index, spec, creds)
+                assert outcome(rerun) == want
+                # every attach is of a changed database — or of one the
+                # captured walk never opened: it lay under a rollup the
+                # write undid — each once, and nothing that changed was
+                # taken from the donor (a changed directory the user is
+                # denied may be attached for its permission read and
+                # never opened)
+                fresh = set(opened) - captured[spec.E or spec.S]
+                assert len(seen) == len(set(seen))
+                assert changed & set(opened) <= set(seen) <= changed | fresh
+                assert fresh <= set(seen) and (rolled or fresh <= changed)
+                assert len(seen) < len(opened)
+                assert cache.stats()["dirs_reused"] - reused == len(
+                    set(opened) - set(seen)
+                )
+                with attached_dirs(index) as seen:
+                    assert outcome(eng.run(spec)) == want
+                assert seen == []
+            assert cache.stats()["stale"] == 0 and len(cache) == 2
+            if creds is ROOT:
+                assert set(opened) >= changed  # root's walk met them all
+        finally:
+            eng.close()
+
+    def test_plan_pruned_directories_are_tallied_on_reuse(self, tmp_path):
+        """S keeps the attach where the stats gate drops E: a reused
+        directory still counts as pruned by the plan, as a cold run on
+        the same warm handle counts it."""
+        from repro.core.plan import plan_for
+        from repro.core.tools import FindFilters
+
+        ns = dataset2(scale=0.00005, seed=22)
+        index = dir2index(ns.tree, tmp_path / "idx", opts=OPTS).index
+        plan = plan_for(FindFilters(min_size=1 << 22))
+        cache = ResultCache()
+        with QueryEngine(
+            index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            first = eng.run(S_AND_BIG_E, plan=plan)
+            assert 0 < first.dirs_pruned_by_plan < first.dirs_visited
+            victim = sorted(db_stamps(index))[3]
+            ns.tree.create_file(f"{victim}/big.dat", size=1 << 23)
+            update_directory(index, ns.tree, victim, opts=OPTS)
+            # every DirMeta warm again, so both runs below gate alike
+            cold_outcome(index, Q1_LIST_PATHS)
+            with attached_dirs(index) as seen:
+                rerun = eng.run(S_AND_BIG_E, plan=plan)
+            assert seen == [victim] and not rerun.cached
+            assert rerun.dirs_pruned_by_plan > 0
+            assert outcome(rerun) == cold_outcome(
+                index, S_AND_BIG_E, plan=plan
+            )
+            assert any(r[0].endswith("/big.dat") for r in rerun.rows)
+
+    @pytest.mark.parametrize(
+        "shape", ["du", "largest_files", "xattrs", "iotracer", "processes"]
+    )
+    def test_other_entries_drop_and_attach_everything(self, tmp_path, shape):
+        """Aggregates carry state between directories, xattr views read
+        side databases, a traced run must charge every read, scatter
+        workers have no donor: invalidation drops those entries as it
+        always did and the re-run reads every database."""
+        from repro.sim.blktrace import IOTracer
+
+        if shape == "processes" and not FORK:
+            pytest.skip("needs fork for cheap workers")
+        ns = dataset2(scale=0.00005, seed=22)
+        index = dir2index(ns.tree, tmp_path / "idx", opts=OPTS).index
+        spec = {
+            "du": Q3_DU_SUMMARIES,
+            "largest_files": QuerySpec(
+                I="CREATE TABLE top (p TEXT, size INTEGER)",
+                E="INSERT INTO top SELECT name, size FROM pentries "
+                  "ORDER BY size DESC LIMIT 3",
+                J="INSERT INTO aggregate.top SELECT p, size FROM top",
+                G="SELECT p, size FROM top ORDER BY size DESC LIMIT 3",
+            ),
+            "xattrs": QuerySpec(
+                E="SELECT name, exattrs FROM xpentries", xattrs=True
+            ),
+        }.get(shape, Q1_LIST_PATHS)
+        tracer = IOTracer() if shape == "iotracer" else None
+        cache = ResultCache()
+        eng = QueryEngine(
+            index, nthreads=NTHREADS, result_cache=cache, tracer=tracer,
+            processes=2 if shape == "processes" else 1,
+        )
+        try:
+            first = eng.run(spec)
+            assert len(cache) == 1
+            victim = sorted(db_stamps(index))[3]
+            ns.tree.create_file(f"{victim}/more.dat", size=99)
+            update_directory(index, ns.tree, victim, opts=OPTS)
+            assert len(cache) == 0 and cache.stats()["stale"] == 0
+            assert cache._entries == {} and cache.total_bytes == 0
+            if tracer is not None:
+                tracer.reset()
+            with attached_dirs(index) as seen:
+                rerun = eng.run(spec)
+            assert not rerun.cached and cache.stats()["dirs_reused"] == 0
+            assert sorted(rerun.rows) == cold_rows(index, spec)
+            if shape != "processes":  # workers attach in their own process
+                assert len(seen) == rerun.dbs_opened == first.dbs_opened
+            if tracer is not None:
+                assert len(tracer.events) == rerun.dbs_opened
+            assert eng.run(spec).cached
+        finally:
+            eng.close()
+
+
+class TestReuseSecurity:
+    """Reuse cannot widen visibility: permission is re-decided for
+    every directory on every run, so rows the donor holds for a
+    directory the user may no longer reach are simply never asked
+    for."""
+
+    @staticmethod
+    def _tree():
+        t = build_demo_tree()
+        # a readable subtree to lose, and a hidden one to gain
+        t.mkdir("/public/open", mode=0o755)
+        t.mkdir("/public/open/deep", mode=0o755)
+        t.create_file("/public/open/deep/o.dat", size=5)
+        t.mkdir("/public/shut", mode=0o700)
+        t.mkdir("/public/shut/deep", mode=0o755)
+        t.create_file("/public/shut/deep/s.dat", size=6)
+        return t
+
+    @pytest.mark.parametrize("rolled", [False, True], ids=["flat", "rolled"])
+    def test_chmod_between_reads(self, tmp_path, rolled):
+        tree = self._tree()
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        if rolled:
+            rollup(index, nthreads=NTHREADS)
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=BOB, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            first = sorted(r[0] for r in eng.run(Q1_LIST_PATHS).rows)
+            assert first == posix_file_paths(tree, BOB)
+            assert "/public/open/deep/o.dat" in first
+            assert "/public/shut/deep/s.dat" not in first
+            tree.chmod("/public/open", 0o700)
+            update_directory(index, tree, "/public/open", opts=OPTS)
+            tree.chmod("/public/shut", 0o755)
+            update_directory(index, tree, "/public/shut", opts=OPTS)
+            rerun = eng.run(Q1_LIST_PATHS)
+            got = sorted(r[0] for r in rerun.rows)
+            assert not rerun.cached and cache.stats()["dirs_reused"] > 0
+            # the donor still holds /public/open/deep's rows, under an
+            # unchanged stamp — behind a directory Bob cannot enter
+            assert "/public/open/deep/o.dat" not in got
+            assert "/public/shut/deep/s.dat" in got
+            assert got == posix_file_paths(tree, BOB)
+            assert outcome(rerun) == cold_outcome(index, Q1_LIST_PATHS, BOB)
+
+    def test_chmod_of_an_ancestor_of_the_start(self, tmp_path):
+        tree = self._tree()
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        start = "/public/open/deep"
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=BOB, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            assert eng.run(Q1_LIST_PATHS, start).rows
+            tree.chmod("/public/open", 0o700)
+            update_directory(index, tree, "/public/open", opts=OPTS)
+            assert posix_file_paths(tree, BOB, start) == []
+            from repro.core.engine import QueryPermissionError
+
+            with pytest.raises(QueryPermissionError):
+                eng.run(Q1_LIST_PATHS, start)
+            tree.chmod("/public/open", 0o711)  # search only: enough
+            update_directory(index, tree, "/public/open", opts=OPTS)
+            rerun = eng.run(Q1_LIST_PATHS, start)
+            assert not rerun.cached
+            assert sorted(r[0] for r in rerun.rows) == posix_file_paths(
+                tree, BOB, start
+            )
+
+    def test_errored_directory_is_no_donor(self, tmp_path):
+        """A directory whose database could not be read at capture has
+        no rows to donate; once repaired it is read, and while broken
+        it is counted as a cold run counts it."""
+        tree = self._tree()
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        broken = index.db_path("/public/open")
+        good = broken.read_bytes()
+        broken.write_bytes(good[:100])  # truncated: not a database
+        cache = ResultCache()
+        with QueryEngine(
+            index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            first = eng.run(Q1_LIST_PATHS)
+            assert first.dirs_errored == 1
+            key = make_key(ROOT, Q1_LIST_PATHS, None, "/")
+            assert "/public/open" not in cache._entries[key].ran
+            assert "/public/open" in cache._entries[key].stamps
+            # something else changes: the broken directory is met again
+            tree.create_file("/home/bob/new.txt", size=1)
+            update_directory(index, tree, "/home/bob", opts=OPTS)
+            with attached_dirs(index) as seen:
+                rerun = eng.run(Q1_LIST_PATHS)
+            assert sorted(seen) == ["/home/bob", "/public/open"]
+            assert rerun.dirs_errored == 1
+            assert outcome(rerun) == cold_outcome(index, Q1_LIST_PATHS)
+            broken.write_bytes(good)  # repaired out of band
+            rerun = eng.run(Q1_LIST_PATHS)
+            assert not rerun.cached and rerun.dirs_errored == 0
+            assert outcome(rerun) == cold_outcome(index, Q1_LIST_PATHS)
+
+    def test_invalidation_during_the_rerun_leaves_the_donor_stale(
+        self, cached_engine
+    ):
+        eng, cache = cached_engine
+        eng.run(E_ALL)
+        eng.index.invalidate_cache("/public")
+        assert cache.stats()["stale"] == 1
+        real_store = cache.store
+
+        def racing_store(key, capture, result, index, inv_seq):
+            eng.index.invalidate_cache("/proj")  # a writer, mid-run
+            return real_store(key, capture, result, index, inv_seq)
+
+        cache.store = racing_store
+        try:
+            r = eng.run(E_ALL)
+        finally:
+            cache.store = real_store
+        assert not r.cached and cache.capture_aborts == 1
+        assert sorted(r.rows) == cold_rows(eng.index, E_ALL)
+        assert len(cache) == 0 and cache.stats()["stale"] == 1
+        r = eng.run(E_ALL)  # the same donor serves the next attempt
+        assert not r.cached and sorted(r.rows) == cold_rows(eng.index, E_ALL)
+        assert len(cache) == 1 and cache.stats()["stale"] == 0
+        assert eng.run(E_ALL).cached
+
+
+class TestStaleEntries:
+    def test_stale_is_never_served_and_counts_as_a_drop_did(
+        self, cached_engine
+    ):
+        eng, cache = cached_engine
+        eng.run(E_ALL)
+        key = make_key(ROOT, E_ALL, None, "/")
+        entry = cache._entries[key]
+        eng.index.invalidate_cache("/public")
+        assert entry.stale and cache.donor(key) is entry
+        assert len(cache) == 0 and cache.stats()["entries"] == 0
+        assert cache.invalidations == 1
+        eng.index.invalidate_cache("/public")  # later scans skip it
+        assert cache.invalidations == 1
+        misses = cache.misses
+        assert cache.lookup(key, eng.index) is None
+        assert cache.misses == misses + 1 and cache.invalidations == 1
+        assert not eng.run(E_ALL).cached
+        assert cache._entries[key] is not entry and cache.donor(key) is None
+
+    def test_failed_stamp_pass_marks_stale(self, demo_tree, tmp_path):
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        cache = ResultCache()
+        with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as eng:
+            eng.run(E_ALL)
+            cache.close()  # no hook: only the lookup's stamp pass
+            _write_in_place(index.db_path("/public"))
+            key = make_key(ROOT, E_ALL, None, "/")
+            assert cache.lookup(key, index) is None
+            assert cache.stats()["stale"] == 1 and cache.invalidations == 1
+            with attached_dirs(index) as seen:
+                r = eng.run(E_ALL)
+            assert seen == ["/public"]
+            assert sorted(r.rows) == cold_rows(index, E_ALL)
+
+    def test_stale_is_evicted_before_servable_and_bytes_add_up(
+        self, cached_engine
+    ):
+        eng, cache = cached_engine
+
+        def check_bytes():
+            assert cache.total_bytes == sum(
+                e.nbytes for e in cache._entries.values()
+            )
+            assert cache._scope_bytes.get(make_key(
+                ROOT, E_ALL, None, "/")[0], 0) == cache.total_bytes
+
+        eng.run(E_ALL, "/home")
+        eng.run(E_ALL, "/proj")
+        eng.run(E_ALL, "/public")
+        eng.index.invalidate_cache("/proj/shared")  # newer than /home's
+        assert len(cache) == 2 and cache.stats()["stale"] == 1
+        check_bytes()
+        # no room for a fourth: the stale entry goes, though /home's
+        # is older, and it is no eviction (it was an invalidation)
+        cache.max_entries = 3
+        eng.run(E_ALL, "/home/bob")
+        assert cache.stats()["stale"] == 0 and len(cache) == 3
+        assert cache.evictions == 0
+        assert eng.run(E_ALL, "/home").cached  # now the most recent
+        eng.run(E_ALL, "/home/alice")
+        assert len(cache) == 3 and cache.evictions == 1  # /public's
+        check_bytes()
+        assert not eng.run(E_ALL, "/public").cached  # evicts /home/bob's
+        # stale -> replace keeps the books too
+        eng.index.invalidate_cache("/public/xonly")
+        assert cache.stats()["stale"] == 1 and len(cache) == 2
+        check_bytes()
+        assert not eng.run(E_ALL, "/public").cached
+        assert eng.run(E_ALL, "/public").cached
+        check_bytes()
+        cache.clear()
+        assert cache.total_bytes == 0 and cache.stats()["stale"] == 0
+
+
 class TestNoStaleReadsProperty:
     """The acceptance property (ISSUE 8): arbitrary interleavings of
     mutations, changefeed applies, and cached queries — the cached
@@ -905,9 +1356,13 @@ class TestNoStaleReadsProperty:
                     changefeed2index(index, ns.tree, journal, opts=OPTS)
                 else:
                     self._check_round(engines, index)
+            mut.mutate(4)  # whatever the steps drew, one last write
             changefeed2index(index, ns.tree, journal, opts=OPTS)
             self._check_round(engines, index)
             self._check_round(engines, index)  # hit path, post-converge
+            # the re-runs above were repairs, not cold walks: the reuse
+            # path cannot silently switch off
+            assert cache.stats()["dirs_reused"] > 0
         finally:
             for _, eng in engines:
                 eng.close()
@@ -940,6 +1395,15 @@ class TestNoStaleReadsProperty:
             changefeed2index(index, ns.tree, journal, opts=OPTS)
             self._check_round(engines, index)
             self._check_round(engines, index)
+            assert cache.stats()["dirs_reused"] > 0
+            # and back: rollup rewrites in place, unrollup on the path
+            rollup(index, nthreads=NTHREADS)
+            self._check_round(engines, index)
+            reused = cache.stats()["dirs_reused"]
+            mut.mutate(4)
+            changefeed2index(index, ns.tree, journal, opts=OPTS)
+            self._check_round(engines, index)
+            assert cache.stats()["dirs_reused"] > reused
         finally:
             for _, eng in engines:
                 eng.close()
@@ -971,6 +1435,8 @@ class TestNoStaleReadsProperty:
             changefeed2index(index, ns.tree, journal, opts=OPTS)
             self._check_round(engines, index)
             self._check_round(engines, index)
+            # scatter workers always read the databases
+            assert cache.stats()["dirs_reused"] == 0
         finally:
             for _, eng in engines:
                 eng.close()

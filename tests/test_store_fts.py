@@ -54,11 +54,14 @@ class TestSidecarBuild:
         assert len(fts_names) == 1
 
     def test_rebuild_removes_sidecar_with_the_rest(self, fts_index):
+        """A rebuild that stages no sidecar publishes over the old
+        database and drops the old sidecar with the rest of its set."""
         store = fts_index.store("/public")
         assert fts.has_sidecar(store)
-        store.remove_artifacts()
+        store.stage_primary().close()
+        store.publish([])
         assert not fts.has_sidecar(store)
-        assert not store.db_path.exists()
+        assert store.db_path.exists() and store.side_artifacts() == []
 
     def test_unknown_optional_kind_fails_build(self, demo_tree, tmp_path):
         result = dir2index(

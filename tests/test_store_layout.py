@@ -5,6 +5,7 @@ keeps layout literals from leaking back out of ``repro.store``."""
 from __future__ import annotations
 
 import ast
+import os
 import sqlite3
 from pathlib import Path
 
@@ -443,6 +444,31 @@ class TestCommitProtocol:
             ro.close()
         assert n == 1
 
+    def test_republish_replaces_in_place_and_drops_the_old_set(self, tmp_path):
+        """A rebuild publishes over the previous database — at no point
+        is there none — and only then unlinks what the new set does not
+        name: old shards, old staging residue; nothing that is not a
+        layout artifact."""
+        store = DirStore.open(tmp_path / "d")
+        old_shard, new_shard = side_db_name("user", 7), side_db_name("user", 8)
+        store.stage_primary().close()
+        store.partial_path(old_shard).write_bytes(b"old shard")
+        store.publish([old_shard])
+        assert store.side_artifacts() == [old_shard]
+        inode = os.stat(store.db_path).st_ino
+        (store.index_dir / "sub").mkdir()
+        keep = store.index_dir / "gufi_index.json"
+        keep.write_text("{}")
+        store.stage_primary().close()
+        store.partial_path(new_shard).write_bytes(b"new shard")
+        store.partial_path("stray.bin").write_bytes(b"residue")
+        assert os.stat(store.db_path).st_ino == inode  # still the old one
+        store.publish([new_shard])
+        assert os.stat(store.db_path).st_ino != inode  # every stamp moves
+        assert store.side_artifacts() == [new_shard]
+        assert store.list_partials() == []
+        assert keep.exists() and (store.index_dir / "sub").is_dir()
+
     def test_open_sweeps_orphan_partials(self, tmp_path):
         d = tmp_path / "d"
         d.mkdir()
@@ -459,19 +485,6 @@ class TestCommitProtocol:
         (d / ("a" + PARTIAL_SUFFIX)).write_bytes(b"x")
         store = DirStore.open(d, sweep=False)
         assert store.list_partials() == ["a" + PARTIAL_SUFFIX]
-
-    def test_remove_artifacts_only_ours(self, tmp_path):
-        store = DirStore.open(tmp_path / "d")
-        conn = store.stage_primary()
-        conn.close()
-        store.publish([])
-        (store.index_dir / side_db_name("user", 7)).write_bytes(b"shard")
-        keep = store.index_dir / "gufi_index.json"
-        keep.write_text("{}")
-        store.remove_artifacts()
-        assert not store.db_path.exists()
-        assert store.side_artifacts() == []
-        assert keep.exists()  # not a layout artifact: untouched
 
 
 # ----------------------------------------------------------------------

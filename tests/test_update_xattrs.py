@@ -81,3 +81,42 @@ class TestXattrUpdate:
             QueryEngine(idx, creds=groupie, nthreads=NTHREADS).run(XQ, "/d").rows
         )
         assert rows == {}
+
+
+class TestUpdateCrashSafety:
+    """The update publishes over the old database instead of removing
+    it first: a reader racing it — or arriving after a crash inside
+    it — finds the directory as it was, subtree included, never a
+    hole (a missing ``db.db`` hides the directory and all below it)."""
+
+    def test_crash_at_commit_leaves_the_old_directory_answering(self, setup):
+        from repro.scan.faults import BuildCrash, FaultPlan
+        from repro.store.doctor import doctor
+
+        t, idx = setup
+        t.mkdir("/d/sub", mode=0o755, uid=1001, gid=1001)
+        t.create_file("/d/sub/g", mode=0o644, uid=1001, gid=1001)
+        update_directory(idx, t, "/d/sub")
+        names = QuerySpec(E="SELECT rpath(dname, d_isroot, name) FROM vrpentries")
+
+        def answers():
+            with QueryEngine(idx, creds=ALICE, nthreads=NTHREADS) as q:
+                return sorted(q.run(names).rows), dict(q.run(XQ, "/d").rows)
+
+        before = answers()
+        assert before[0] == [("/d/f",), ("/d/sub/g",)]
+        t.setxattr("/d/f", "user.secret", b"new-value", ALICE)
+        t.create_file("/d/h", mode=0o600, uid=1001, gid=1001)
+        crash = BuildOptions(
+            nthreads=NTHREADS,
+            faults=FaultPlan.crash_at("build_dir_db.commit", 1),
+        )
+        with pytest.raises(BuildCrash):
+            update_directory(idx, t, "/d", opts=crash)
+        assert idx.store("/d").list_partials()  # staged, not published
+        assert answers() == before  # old rows, old xattr value, /d/sub too
+        update_directory(idx, t, "/d")
+        rows, xattrs = answers()
+        assert rows == [("/d/f",), ("/d/h",), ("/d/sub/g",)]
+        assert "new-value" in xattrs["f"] and "old-value" not in xattrs["f"]
+        assert doctor(idx).healthy
