@@ -25,7 +25,7 @@ import sys
 
 from repro.core.build import BuildOptions, BuildResult, trace2index
 from repro.core.index import GUFIIndex, IndexError_
-from repro.core.plan import QueryPlan
+from repro.core.plan import QueryPlan, plan_for
 from repro.core.engine import QueryEngine
 from repro.core.query import QuerySpec
 from repro.core.rollup import rollup, unrollup_dir, visible_db_count
@@ -138,13 +138,11 @@ def _obs_end(args: argparse.Namespace) -> None:
 
 def _build_opts(args: argparse.Namespace) -> BuildOptions:
     faults = FaultPlan.parse(args.fault_plan) if args.fault_plan else None
-    optional = ("names_fts",) if getattr(args, "fts_names", False) else ()
     return BuildOptions(
         nthreads=args.nthreads,
         resume=args.resume,
         retry=RetryPolicy(retries=args.retries),
         faults=faults,
-        optional_artifacts=optional,
     )
 
 
@@ -341,7 +339,6 @@ def cmd_index_doctor(args: argparse.Namespace) -> int:
     print(f"dirs:            {report.dirs_seen}")
     print(f"schema versions: {versions}")
     print(f"xattr side dbs:  {report.side_dbs}")
-    print(f"sidecars:        {report.sidecars}")
     if report.dirs_outdated:
         print(f"outdated dirs:   {report.dirs_outdated} (run `index migrate`)")
     if report.dirs_newer:
@@ -365,18 +362,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     index = GUFIIndex.open(args.index_root)
     parsed = parse(args.query, now=args.now)
-    if args.no_plan:
-        f = parsed.filters
-        plan = None
-        if f.min_level is not None or f.max_level is not None:
-            # the depth window is semantic — it survives --no-plan
-            plan = QueryPlan(
-                min_level=f.min_level,
-                max_level=f.max_level,
-                entries_shaped=False,
-            )
-    else:
-        plan = parsed.to_plan()
+    plan = plan_for(parsed.filters, planned=not args.no_plan)
     with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads) as q:
         result = q.run(parsed.to_spec(), args.start, plan=plan)
     for row in sorted(result.rows):
@@ -565,9 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "e.g. 'crash:build_dir_db:12' or 'io:walker.expand:3x2'")
     p.add_argument("--retries", type=int, default=2,
                    help="retries per directory on transient errors")
-    p.add_argument("--fts-names", action="store_true",
-                   help="also build the per-directory FTS5 name-search "
-                        "sidecar (requires SQLite FTS5)")
     _add_threads(p)
     _add_obs(p)
     p.set_defaults(func=cmd_trace2index)

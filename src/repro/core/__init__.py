@@ -37,7 +37,6 @@ from .compose import (
     validate,
 )
 from .engine import (
-    AggregateDBSink,
     BoundedSink,
     MemorySink,
     PaginatedSink,
@@ -141,7 +140,6 @@ __all__ = [
     "QueryPlan",
     "plan_for",
     "ThreadStatePool",
-    "AggregateDBSink",
     "BoundedSink",
     "MemorySink",
     "PaginatedSink",

@@ -80,11 +80,6 @@ class BuildOptions:
     retry: RetryPolicy | None = field(default_factory=RetryPolicy)
     #: deterministic fault injection (tests, resilience experiments)
     faults: FaultPlan | None = None
-    #: optional per-directory artifact kinds to build alongside the
-    #: primary database, by registry key (e.g. ``("names_fts",)`` for
-    #: the FTS5 name sidecar) — see
-    #: :func:`repro.store.layout.register_artifact_kind`
-    optional_artifacts: tuple[str, ...] = ()
 
 
 @dataclass
@@ -237,13 +232,6 @@ def entry_row(rec: TraceRecord) -> tuple:
     )
 
 
-def _sweep_partials(index_dir: Path) -> None:
-    """Remove leftover ``.partial`` staging files in one index
-    directory — residue of a crashed earlier attempt whose shard set
-    may differ from the one just published."""
-    DirStore(index_dir).sweep_partials()
-
-
 def build_dir_db(
     index: GUFIIndex,
     stanza: DirStanza,
@@ -301,14 +289,11 @@ def _build_dir_db(
             )
     finally:
         conn.close()
-    staged = side_names + store.build_optional_artifacts(
-        opts.optional_artifacts, stanza, faults
-    )
     if faults is not None:
         faults.fire("build_dir_db.commit", src_path)
-    # Publish: secondary artifacts before db.db, which is the commit
-    # point (see DirStore.publish).
-    store.publish(staged)
+    # Publish: xattr shards before db.db, which is the commit point
+    # (see DirStore.publish).
+    store.publish(side_names)
     index.apply_physical_mode(src_path, stanza.directory.mode)
     if journal is not None:
         journal.record(

@@ -6,7 +6,7 @@ Public surface of :mod:`repro.core.engine`:
   accept an optional :class:`ResultSink`;
 * the sink implementations (:class:`MemorySink`,
   :class:`ThreadFileSink`, :class:`BoundedSink`,
-  :class:`PaginatedSink`, :class:`AggregateDBSink`);
+  :class:`PaginatedSink`);
 * the shared datatypes (:class:`QuerySpec`, :class:`QueryResult`,
   :class:`QueryPermissionError`, :func:`spec_label`);
 * the layer classes themselves (:class:`Traversal`,
@@ -22,7 +22,6 @@ from .engine import QueryEngine
 from .resultcache import CacheEntry, CaptureSink, ResultCache
 from .scatter import ScatterGatherEngine, ShardPlan, plan_shards
 from .sinks import (
-    AggregateDBSink,
     BoundedSink,
     MemorySink,
     PaginatedSink,
@@ -48,7 +47,6 @@ from .types import (
 )
 
 __all__ = [
-    "AggregateDBSink",
     "BoundedSink",
     "CacheEntry",
     "CancelToken",

@@ -6,16 +6,15 @@ The engine never decides what to do with rows; it hands them to a
 (``emit_final``), and the engine collects the sink's summary at the
 end (``finish``). This is the seam that lets one query path serve a
 library caller (in-memory rows), a bulk export (per-thread files, the
-real tool's ``-o``), a follow-up SQL consumer (an aggregate results
-database), and a web server that must cap and page its responses —
-without forking the engine per consumer.
+real tool's ``-o``), and a web server that must cap and page its
+responses — without forking the engine per consumer.
 
 Concurrency contract: ``emit`` is called by walker threads, at most
 once per directory *that produced rows* (plan-pruned and denied
 directories never reach the sink), always with the emitting thread's
 own checked-out :class:`~repro.core.session._ThreadState`. Sinks that
 keep per-thread data on the state (memory, files) need no locks; sinks
-with shared state (bounded, paginated, database) take a lock per
+with shared state (bounded, paginated) take a lock per
 *batch*, not per row, so the lock-free per-directory hot path is
 preserved for the common case of directories that emit nothing.
 
@@ -25,7 +24,6 @@ supported (the engine raises); create a fresh sink per call.
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -226,61 +224,3 @@ class PaginatedSink(BoundedSink):
         lo = number * self.page_size
         with self._lock:
             return list(self._rows[lo : lo + self.page_size])
-
-
-class AggregateDBSink(ResultSink):
-    """Write every emitted row into a table of a results database.
-
-    For result sets that feed further SQL (reports joining query
-    output against other data) or exceed memory but still need random
-    access. The table is created on the first batch with columns
-    ``c0..cN`` sized to the row arity; reads go through
-    :meth:`connect` after the run."""
-
-    def __init__(self, path: str, table: str = "results") -> None:
-        if not table.replace("_", "").isalnum():
-            raise ValueError(f"invalid table name {table!r}")
-        self.path = path
-        self.table = table
-        self.row_count = 0
-        self._lock = threading.Lock()
-        self._conn: sqlite3.Connection | None = None
-        self._insert: str | None = None
-
-    def _absorb(self, rows: list[Row]) -> None:
-        if not rows:
-            return
-        with self._lock:
-            if self._conn is None:
-                self._conn = sqlite3.connect(
-                    self.path, check_same_thread=False
-                )
-                cols = ", ".join(f"c{i}" for i in range(len(rows[0])))
-                self._conn.execute(
-                    f"CREATE TABLE IF NOT EXISTS {self.table} ({cols})"
-                )
-                marks = ", ".join("?" for _ in range(len(rows[0])))
-                self._insert = (
-                    f"INSERT INTO {self.table} VALUES ({marks})"
-                )
-            assert self._insert is not None
-            self._conn.executemany(self._insert, rows)
-            self.row_count += len(rows)
-
-    def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
-        self._absorb(rows)
-
-    def emit_final(self, rows: list[Row]) -> None:
-        self._absorb(rows)
-
-    def finish(self, states: list["_ThreadState"]) -> SinkSummary:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.commit()
-                self._conn.close()
-                self._conn = None
-        return SinkSummary(rows=[])
-
-    def connect(self) -> sqlite3.Connection:
-        """Open the results database for reading (after the run)."""
-        return sqlite3.connect(self.path)

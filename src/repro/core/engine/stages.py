@@ -143,17 +143,16 @@ class StageRunner:
     ) -> None:
         """Run ``S`` and/or ``E`` (with the per-user xattr views built
         around ``E`` when the spec asks for them). The views go through
-        an :class:`~repro.store.attach.AttachSession` in adopt mode —
-        the main attach belongs to the walk unit — so the "only
-        readable shards attach" gate is the store layer's, not ours."""
+        an :class:`~repro.store.attach.AttachSession` — the main attach
+        belongs to the walk unit — so the "only readable shards
+        attach" gate is the store layer's, not ours."""
         spec = self.spec
         session: AttachSession | None = None
         try:
             if spec.xattrs and run_e:
                 session = AttachSession(
-                    st.conn, DirStore(index_dir), "gufi", self.tracer
+                    st.conn, DirStore(index_dir), self.tracer
                 )
-                session.adopt_main()
                 session.xattr_views(creds)
             if run_s:
                 assert spec.S is not None

@@ -50,6 +50,7 @@ Bound fine print, encoded in :meth:`QueryPlan.dir_can_match`:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, overload
 
 from .index import DirMeta
 
@@ -177,10 +178,33 @@ class QueryPlan:
         return True
 
 
-def plan_for(filters) -> QueryPlan:
+@overload
+def plan_for(filters, planned: Literal[True] = True) -> QueryPlan:
+    ...
+
+
+@overload
+def plan_for(filters, planned: bool) -> QueryPlan | None:
+    ...
+
+
+def plan_for(filters, planned: bool = True) -> QueryPlan | None:
     """Compile a :class:`QueryPlan` from ``find``-style filters (a
     :class:`~repro.core.tools.FindFilters`). Name and xattr predicates
-    contribute no gate (non-prunable); everything else maps 1:1."""
+    contribute no gate (non-prunable); everything else maps 1:1.
+
+    ``planned=False`` (``--no-plan``) switches the stats gates off and
+    nothing else: the depth window is *semantic* — it changes which
+    levels are processed — so it survives as a window-only plan
+    (``entries_shaped=False``); with no window there is no plan."""
+    if not planned:
+        if filters.min_level is None and filters.max_level is None:
+            return None
+        return QueryPlan(
+            min_level=filters.min_level,
+            max_level=filters.max_level,
+            entries_shaped=False,
+        )
     return QueryPlan(
         min_size=filters.min_size,
         max_size=filters.max_size,

@@ -144,10 +144,6 @@ class RollupStats:
     visible_dbs: int = 0
     elapsed: float = 0.0
 
-    @property
-    def not_rolled(self) -> int:
-        return self.blocked_perms + self.blocked_limit + self.blocked_child
-
 
 @dataclass
 class _DirState:

@@ -26,6 +26,7 @@ from repro.fs.permissions import Credentials
 
 from .engine import CancelToken, PaginatedSink, ResultCache, ResultSink
 from .index import GUFIIndex
+from .plan import plan_for
 from .query import QueryResult, QuerySpec
 from .tools import FindFilters, GUFITools
 
@@ -243,9 +244,15 @@ class GUFIServer:
                 self._sessions.move_to_end(key)
                 # keep name translation current without discarding the
                 # warm session (the pooled QueryContexts alias this
-                # exact dict, so an in-place update reaches them)
-                tools.engine.users.clear()
-                tools.engine.users.update(self.identity.uid_map())
+                # exact dict, so an in-place update reaches them). A
+                # request running under the same credentials reads it
+                # meanwhile: look the new map up first, add before
+                # removing, so a uid in both is never absent.
+                users = tools.engine.users
+                fresh = self.identity.uid_map()
+                users.update(fresh)
+                for uid in users.keys() - fresh.keys():
+                    del users[uid]
                 return tools
             tools = GUFITools(
                 self.index, creds=creds, nthreads=self.nthreads,
@@ -441,20 +448,7 @@ class QueryPortal:
         from .search import parse
 
         parsed = parse(query, now=now)
-        if planned:
-            plan = parsed.to_plan()
-        else:
-            f = parsed.filters
-            plan = None
-            if f.min_level is not None or f.max_level is not None:
-                # the depth window is semantic — it survives planned=False
-                from .plan import QueryPlan
-
-                plan = QueryPlan(
-                    min_level=f.min_level,
-                    max_level=f.max_level,
-                    entries_shaped=False,
-                )
+        plan = plan_for(parsed.filters, planned=planned)
         return self.server.invoke(
             username, "query", start, spec=parsed.to_spec(), plan=plan
         )

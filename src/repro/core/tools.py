@@ -17,7 +17,7 @@ from repro.sim.blktrace import IOTracer
 
 from .engine import CancelToken, QueryEngine, ResultSink
 from .index import GUFIIndex
-from .plan import QueryPlan, plan_for
+from .plan import plan_for
 from .query import QueryResult, QuerySpec
 from .sqltext import quote_literal
 
@@ -127,19 +127,7 @@ class GUFITools:
             E="SELECT rpath(dname, d_isroot, name), type, size "
             f"FROM vrpentries{where}"
         )
-        if planned:
-            plan = plan_for(filters)
-        elif filters.min_level is not None or filters.max_level is not None:
-            # The depth window is *semantic* (it changes which levels
-            # are processed), so it survives planned=False — only the
-            # stats gates are switched off (entries_shaped=False).
-            plan = QueryPlan(
-                min_level=filters.min_level,
-                max_level=filters.max_level,
-                entries_shaped=False,
-            )
-        else:
-            plan = None
+        plan = plan_for(filters, planned=planned)
         return self.engine.run(spec, start, plan=plan, sink=sink,
                                cancel=cancel)
 

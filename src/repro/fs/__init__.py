@@ -17,7 +17,6 @@ from .errors import (
     NotADirectory,
     NotEmpty,
     PermissionDenied,
-    ReadOnly,
     TooManyLinks,
 )
 from .changelog import (
@@ -65,7 +64,6 @@ __all__ = [
     "NotEmpty",
     "PermissionDenied",
     "ROOT",
-    "ReadOnly",
     "SnapshotDiff",
     "StatResult",
     "TooManyLinks",

@@ -77,9 +77,3 @@ class InvalidArgument(FSError):
     """Invalid argument (EINVAL)."""
 
     ERRNO = errno.EINVAL
-
-
-class ReadOnly(FSError):
-    """Read-only file system (EROFS)."""
-
-    ERRNO = errno.EROFS

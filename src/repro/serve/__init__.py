@@ -47,7 +47,6 @@ from .qos import (
     AdmissionController,
     LoadShed,
     QuotaExceeded,
-    RateLimited,
     TenantQuota,
     TokenBucket,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "GUFIApp",
     "LoadShed",
     "QuotaExceeded",
-    "RateLimited",
     "TenantQuota",
     "TokenBucket",
     "canonical_json",

@@ -37,19 +37,6 @@ from typing import Callable
 from repro import obs
 
 
-class RateLimited(Exception):
-    """Per-tenant request rate exceeded; retry after ``retry_after``
-    seconds."""
-
-    def __init__(self, tenant: str, retry_after: float) -> None:
-        super().__init__(
-            f"rate limit exceeded for {tenant!r}; "
-            f"retry in {retry_after:.2f}s"
-        )
-        self.tenant = tenant
-        self.retry_after = retry_after
-
-
 class QuotaExceeded(Exception):
     """Per-tenant concurrency quota exhausted."""
 

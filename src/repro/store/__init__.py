@@ -5,7 +5,8 @@ Everything that knows an artifact's *file name*, the ``.partial``
 staging/commit protocol, the stat-derived validity stamps, or the
 schema version lives under this package:
 
-* :mod:`repro.store.layout` — artifact-kind registry, the
+* :mod:`repro.store.layout` — the closed set of artifact kinds a
+  directory can hold (``db.db`` and the xattr shards), the
   :class:`~repro.store.layout.DirStore` handle (staging, publish,
   orphan-partial GC), and the stamp helpers every cache validates
   with;
@@ -14,10 +15,8 @@ schema version lives under this package:
 * :mod:`repro.store.connect` — SQLite connection policy (template
   databases, read-only opens, traced attaches, byte accounting);
 * :mod:`repro.store.attach` — the :class:`~repro.store.attach.
-  AttachSession` that owns ordered attach/detach of a directory's
-  artifact set and the "only readable shards attach" invariant;
-* :mod:`repro.store.fts` — the optional FTS5 ``names`` sidecar, the
-  registry's proof-of-extension artifact kind;
+  AttachSession` that builds and drops a query's xattr views and owns
+  the "only readable shards attach" invariant;
 * :mod:`repro.store.migrate` / :mod:`repro.store.doctor` — in-place
   schema upgrades (resumable) and the read-only health report.
 
@@ -28,20 +27,15 @@ a layout literal reappears outside this package.
 
 from .attach import AttachSession, accessible_side_dbs, attached
 from .doctor import DoctorReport, doctor
-from .fts import FTS_KIND, fts5_available
 from .layout import (
     DB_NAME,
     PARTIAL_SUFFIX,
-    ArtifactKind,
     DirStore,
     StampBracket,
-    artifact_kind,
-    artifact_kinds,
     classify_artifact,
     dir_stamp,
     file_stamp,
     is_side_artifact,
-    register_artifact_kind,
     side_db_name,
     stamp_matches,
 )
@@ -50,21 +44,16 @@ from .schema import SCHEMA_VERSION, db_schema_version
 
 __all__ = [
     "AttachSession",
-    "ArtifactKind",
     "DB_NAME",
     "DirStore",
     "DoctorReport",
-    "FTS_KIND",
     "MigrateResult",
     "PARTIAL_SUFFIX",
     "SCHEMA_VERSION",
     "StampBracket",
     "accessible_side_dbs",
-    "artifact_kind",
-    "artifact_kinds",
     "attached",
     "classify_artifact",
-    "fts5_available",
     "db_schema_version",
     "dir_stamp",
     "doctor",
@@ -72,7 +61,6 @@ __all__ = [
     "is_side_artifact",
     "migrate_db",
     "migrate_index",
-    "register_artifact_kind",
     "side_db_name",
     "stamp_matches",
 ]

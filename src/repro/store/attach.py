@@ -1,12 +1,14 @@
-"""Attach lifecycle for one directory's artifact set (§III-B1).
+"""Attaching a directory's xattr shards (§III-B1).
 
 The security theorem's load-bearing invariant — *only side databases
 the querying credentials can read are ever attached* — lives here and
-nowhere else. Everything that ATTACHes an index artifact to a query
-connection goes through :class:`AttachSession` (per-directory query
-lifecycle) or :func:`attached` (administrative merge scopes), so the
-gate in :func:`accessible_side_dbs` cannot be bypassed by an engine
-stage growing its own attach code.
+nowhere else. Every xattr shard that reaches a query connection goes
+through :class:`AttachSession` (the per-query xattr views) or
+:func:`attached` (administrative merge scopes), so the gate in
+:func:`accessible_side_dbs` cannot be bypassed by an engine stage
+growing its own attach code. The primary database is attached by the
+walk unit itself (:func:`repro.store.connect.attach_ro`, after the
+permission check on the directory's mirrored mode bits).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sqlite3
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.fs.permissions import Credentials, can_read_entry
 
@@ -47,52 +49,31 @@ def accessible_side_dbs(
 
 
 class AttachSession:
-    """Ordered attach/detach of one directory's artifacts on a query
-    connection.
+    """The xattr views of one directory on a query connection.
 
-    Lifecycle: ``attach_main()`` (or ``adopt_main()`` when the caller
-    already holds the main attach), optionally ``xattr_views(creds)``
-    and ``attach_sidecar(...)``, then ``close()`` — which drops views
-    and detaches in reverse attach order. The xattr side databases are
-    filtered through :func:`accessible_side_dbs` *inside* this class;
-    there is no way to attach a shard without passing the gate.
-
-    Optional sidecars (e.g. the FTS5 name index) carry only metadata
-    already protected by the directory's own permissions, so they are
-    gated exactly like the primary database: attachable only once the
-    main attach succeeded for these credentials.
+    The caller (the engine's stage runner) already holds the primary
+    database attached as ``gufi``; ``xattr_views(creds)`` attaches the
+    readable shards and creates the views around the ``E`` stage,
+    ``drop_xattr_views()`` drops them and detaches in reverse attach
+    order. The shards are filtered through :func:`accessible_side_dbs`
+    *inside* this class; there is no way to attach one without passing
+    the gate.
     """
 
-    __slots__ = ("conn", "store", "main_alias", "tracer", "_aliases", "_temps", "_main")
+    __slots__ = ("conn", "store", "tracer", "_aliases", "_temps")
 
     def __init__(
         self,
         conn: sqlite3.Connection,
         store: DirStore,
-        main_alias: str = "gufi",
         tracer: "IOTracer | None" = None,
     ) -> None:
         self.conn = conn
         self.store = store
-        self.main_alias = main_alias
         self.tracer = tracer
         self._aliases: list[str] = []
         #: TEMP objects created, as ``(kind, name)``; dropped in reverse
         self._temps: list[tuple[str, str]] = []
-        self._main = False
-
-    # -- main database -------------------------------------------------
-    def attach_main(self) -> None:
-        connect.attach_ro(self.conn, self.store.db_path, self.main_alias, self.tracer)
-        self._main = True
-
-    def adopt_main(self) -> None:
-        """Record that the caller already attached the primary database
-        under ``main_alias`` (the engine's stage runner attaches it at
-        unit start, long before the xattr stages run). The session then
-        manages views and side attaches but leaves the main attach to
-        its owner."""
-        self._main = False  # not ours to detach
 
     # -- xattr views (§III-B1) -----------------------------------------
     def xattr_views(self, creds: Credentials) -> None:
@@ -108,7 +89,7 @@ class AttachSession:
           paper's Fig 9 ``myxatv``-joined-with-pentries convenience).
 
         Views are TEMP: different users get different views, so none
-        are persisted; ``drop_xattr_views``/``close`` undo all of it."""
+        are persisted; ``drop_xattr_views`` undoes all of it."""
         conn = self.conn
         paths = [
             path
@@ -116,7 +97,7 @@ class AttachSession:
             # a tracking row may be newer than an interrupted build
             if (path := self.store.artifact_path(name)).exists()
         ]
-        selects = [f"SELECT exinode, exattrs FROM {self.main_alias}.xattrs"]
+        selects = ["SELECT exinode, exattrs FROM gufi.xattrs"]
         used = sum(
             row[1] not in ("main", "temp")
             for row in conn.execute("PRAGMA database_list")
@@ -151,7 +132,7 @@ class AttachSession:
         conn.execute("DROP VIEW IF EXISTS temp.xpentries")
         conn.execute(
             "CREATE TEMP VIEW xpentries AS "
-            f"SELECT p.*, x.exattrs FROM {self.main_alias}.vrpentries p "
+            "SELECT p.*, x.exattrs FROM gufi.vrpentries p "
             "INNER JOIN vxattrs x ON p.inode = x.exinode"
         )
         self._temps += [("VIEW", "vxattrs"), ("VIEW", "xpentries")]
@@ -163,39 +144,6 @@ class AttachSession:
         for alias in reversed(self._aliases):
             connect.detach(self.conn, alias)
         self._aliases = []
-
-    # -- optional sidecars ---------------------------------------------
-    def attach_sidecar(
-        self, kind_key: str, alias: str, ident: Optional[int] = None
-    ) -> bool:
-        """Attach an optional sidecar artifact read-only under
-        ``alias``. Returns False (no attach) when the sidecar was never
-        built for this directory. Permission gate: same as the primary
-        database — the caller reached this directory through a readable
-        path, and sidecars carry no data more private than the primary
-        (that is a registration-time obligation on the kind)."""
-        from .layout import artifact_kind
-
-        name = artifact_kind(kind_key).name_for(ident)
-        path = self.store.artifact_path(name)
-        if not path.exists():
-            return False
-        connect.attach_ro(self.conn, path, alias, self.tracer)
-        self._aliases.append(alias)
-        return True
-
-    # -- teardown ------------------------------------------------------
-    def close(self) -> None:
-        """Drop views and detach everything this session attached, in
-        reverse attach order (views before their backing attaches)."""
-        self.drop_xattr_views()
-        if self._main:
-            try:
-                self.conn.commit()
-            except sqlite3.Error:  # pragma: no cover - defensive
-                pass
-            connect.detach(self.conn, self.main_alias)
-            self._main = False
 
 
 @contextmanager

@@ -40,7 +40,6 @@ class DoctorReport:
     #: supports (reading them risks misinterpretation)
     dirs_newer: int = 0
     side_dbs: int = 0
-    sidecars: int = 0
     #: (source path, shard file name) tracked by ``xattrs_avail`` but
     #: absent on disk
     missing_shards: list[tuple[str, str]] = field(default_factory=list)
@@ -65,13 +64,7 @@ class DoctorReport:
 def _check_dir(store: DirStore, source_path: str, report: DoctorReport) -> None:
     for name in store.list_partials():
         report.stale_partials.append((source_path, name))
-    for _name, kind in store.artifacts():
-        if kind == "primary":
-            continue
-        if kind.startswith("xattr_"):
-            report.side_dbs += 1
-        else:
-            report.sidecars += 1
+    report.side_dbs += len(store.side_artifacts())
     try:
         conn = connect.open_ro(store.db_path)
     except sqlite3.Error as exc:

@@ -1,16 +1,18 @@
 """Per-directory layout: artifact names, staging, stamps.
 
-One directory of a GUFI index holds a small, closed set of *artifacts*
-(paper §III-A1/§III-B): the primary database, the permission-sharded
-xattr side databases, and any optional sidecars (e.g. the FTS5 name
-index). Their file names, the ``.partial``-stage → rename-publish
-commit protocol, and the stat-derived validity stamps are layout
-facts, and this module is the only place in the tree that knows them.
+One directory of a GUFI index holds a small, **closed** set of
+*artifacts* (paper §III-A1/§III-B): the primary database and the
+permission-sharded xattr side databases — nothing else. Their file
+names, the ``.partial``-stage → rename-publish commit protocol, and
+the stat-derived validity stamps are layout facts, and this module is
+the only place in the tree that knows them.
 
-Artifact kinds are registered in a process-wide registry so a new
-per-directory artifact can be added (name, staging, sweep, doctor
-reporting, removal) without any other module learning its filename —
-:mod:`repro.store.fts` is the proof.
+The set is module constants, not a registry: a reader can enumerate
+what a directory may hold from :data:`_ARTIFACT_KINDS` alone, which is
+what keeps the tree rsync-able and checkable. Any other file in an
+index directory (``gufi_index.json``, a user's stray file, a leftover
+of a removed feature) classifies as ``None``: no reader opens it, no
+publish removes it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from __future__ import annotations
 import os
 import re
 import sqlite3
-import threading
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.blktrace import IOTracer
@@ -39,68 +39,38 @@ _XATTR_PREFIX = "xattrs.db"
 
 
 # ----------------------------------------------------------------------
-# Artifact-kind registry
+# The closed artifact set
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArtifactKind:
-    """One kind of per-directory artifact.
+#: kind → file-name pattern. The three xattr kinds are the §III-B1
+#: placement-rule buckets :func:`side_db_name` writes.
+_ARTIFACT_KINDS = (
+    ("primary", re.escape(DB_NAME)),
+    ("xattr_user", re.escape(_XATTR_PREFIX) + r"\.u\d+"),
+    ("xattr_group_r", re.escape(_XATTR_PREFIX) + r"\.g\d+\.r"),
+    ("xattr_group_nr", re.escape(_XATTR_PREFIX) + r"\.g\d+\.nr"),
+)
 
-    ``match`` is a compiled regex over file names; ``name_for``
-    produces a concrete file name (``ident`` is the uid/gid for the
-    sharded kinds, ignored otherwise). ``optional`` kinds are built
-    only on request (``BuildOptions.optional_artifacts``) through
-    ``builder(store, stanza, faults)``, which stages its files under
-    :data:`PARTIAL_SUFFIX` and returns the *final* names so the
-    publish step renames them alongside the xattr shards.
-    """
-
-    key: str
-    match: re.Pattern[str]
-    name_for: Callable[[Optional[int]], str]
-    optional: bool = False
-    builder: Optional[Callable[["DirStore", Any, Any], list[str]]] = None
-
-
-_registry: dict[str, ArtifactKind] = {}
-_registry_lock = threading.Lock()
-
-
-def register_artifact_kind(kind: ArtifactKind) -> ArtifactKind:
-    """Add (or idempotently re-add) an artifact kind."""
-    with _registry_lock:
-        existing = _registry.get(kind.key)
-        if existing is not None:
-            return existing
-        _registry[kind.key] = kind
-        return kind
-
-
-def artifact_kind(key: str) -> ArtifactKind:
-    try:
-        return _registry[key]
-    except KeyError:
-        raise ValueError(f"unknown artifact kind {key!r}") from None
-
-
-def artifact_kinds() -> tuple[ArtifactKind, ...]:
-    return tuple(_registry.values())
+#: the table as one alternation: the group that matched names the kind
+_ARTIFACT_RE = re.compile(
+    "|".join(f"(?P<{key}>{pattern})" for key, pattern in _ARTIFACT_KINDS)
+)
 
 
 def classify_artifact(filename: str) -> str | None:
-    """The artifact kind a file name belongs to (None: not ours —
-    e.g. ``gufi_index.json`` or a user's stray file)."""
+    """The artifact kind a file name belongs to — ``primary``,
+    ``xattr_user``, ``xattr_group_r`` or ``xattr_group_nr`` (a staged
+    ``.partial`` name classifies as its final kind) — or None: not
+    ours, e.g. ``gufi_index.json`` or a user's stray file."""
     if filename.endswith(PARTIAL_SUFFIX):
         filename = filename[: -len(PARTIAL_SUFFIX)]
-    for kind in _registry.values():
-        if kind.match.fullmatch(filename):
-            return kind.key
-    return None
+    m = _ARTIFACT_RE.fullmatch(filename)
+    return m.lastgroup if m is not None else None
 
 
 def is_side_artifact(filename: str) -> bool:
-    """Every index artifact other than the primary database (xattr
-    shards and optional sidecars)."""
+    """Every index artifact other than the primary database: the xattr
+    shards."""
     kind = classify_artifact(filename)
     return kind is not None and kind != "primary"
 
@@ -116,46 +86,6 @@ def side_db_name(kind: str, ident: int) -> str:
     if kind == "group_nr":
         return f"{_XATTR_PREFIX}.g{ident}.nr"
     raise ValueError(f"unknown side db kind {kind!r}")
-
-
-def _need_ident(_: Optional[int]) -> str:  # pragma: no cover - guard
-    raise ValueError("sharded artifact kinds need an ident")
-
-
-register_artifact_kind(
-    ArtifactKind(
-        key="primary",
-        match=re.compile(re.escape(DB_NAME)),
-        name_for=lambda _ident: DB_NAME,
-    )
-)
-register_artifact_kind(
-    ArtifactKind(
-        key="xattr_user",
-        match=re.compile(re.escape(_XATTR_PREFIX) + r"\.u\d+"),
-        name_for=lambda ident: side_db_name("user", ident)
-        if ident is not None
-        else _need_ident(ident),
-    )
-)
-register_artifact_kind(
-    ArtifactKind(
-        key="xattr_group_r",
-        match=re.compile(re.escape(_XATTR_PREFIX) + r"\.g\d+\.r"),
-        name_for=lambda ident: side_db_name("group_r", ident)
-        if ident is not None
-        else _need_ident(ident),
-    )
-)
-register_artifact_kind(
-    ArtifactKind(
-        key="xattr_group_nr",
-        match=re.compile(re.escape(_XATTR_PREFIX) + r"\.g\d+\.nr"),
-        name_for=lambda ident: side_db_name("group_nr", ident)
-        if ident is not None
-        else _need_ident(ident),
-    )
-)
 
 
 # ----------------------------------------------------------------------
@@ -240,11 +170,11 @@ class DirStore:
 
     Owns the commit protocol (paper-faithful crash safety): every
     artifact is staged under :data:`PARTIAL_SUFFIX`, then published by
-    rename — side databases and sidecars first, the primary database
-    last, over the previous one on a rebuild. The primary is the commit
-    point, so a crash at any instant leaves either a fully published
-    directory or what was there before: the previous directory, or — on
-    a first build — an invisible one.
+    rename — side databases first, the primary database last, over the
+    previous one on a rebuild. The primary is the commit point, so a
+    crash at any instant leaves either a fully published directory or
+    what was there before: the previous directory, or — on a first
+    build — an invisible one.
     """
 
     __slots__ = ("index_dir",)
@@ -281,20 +211,6 @@ class DirStore:
 
         os.makedirs(self.index_dir, exist_ok=True)
         return connect.create_db(self.partial_path(DB_NAME), fresh=True)
-
-    def build_optional_artifacts(
-        self, kinds: Iterable[str], stanza: Any, faults: Any = None
-    ) -> list[str]:
-        """Stage every requested optional artifact kind via its
-        registered builder. Returns the final names to publish; the
-        caller never learns what files a kind produces."""
-        staged: list[str] = []
-        for key in kinds:
-            kind = artifact_kind(key)
-            if not kind.optional or kind.builder is None:
-                raise ValueError(f"artifact kind {key!r} is not buildable")
-            staged.extend(kind.builder(self, stanza, faults))
-        return staged
 
     def publish(self, staged_names: Iterable[str]) -> None:
         """Atomically publish a staged directory: rename every staged

@@ -35,12 +35,6 @@ MIGRATE_JOURNAL = "gufi_migrate.journal"
 #: (key = source path), for kill-and-resume tests
 FAULT_SITE = "migrate_dir"
 
-#: xattr side databases carry the schema stamp too; only these kinds
-#: (plus the primary) hold schema-versioned relational tables
-_VERSIONED_SIDE_KINDS = frozenset(
-    {"xattr_user", "xattr_group_r", "xattr_group_nr"}
-)
-
 
 @dataclass
 class MigrateResult:
@@ -80,10 +74,11 @@ def _migrate_dir(store: DirStore) -> tuple[int, int]:
     """(steps applied, side databases touched) for one directory."""
     steps = migrate_db(store.db_path)
     side_touched = 0
-    for name, kind in store.artifacts():
-        if kind in _VERSIONED_SIDE_KINDS:
-            if migrate_db(store.artifact_path(name)):
-                side_touched += 1
+    # every side artifact is an xattr shard, schema-stamped like the
+    # primary
+    for name in store.side_artifacts():
+        if migrate_db(store.artifact_path(name)):
+            side_touched += 1
     return steps, side_touched
 
 

@@ -3,6 +3,10 @@ portal) and index composition (graft / prune / validate)."""
 
 from __future__ import annotations
 
+import threading
+import time
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
@@ -108,6 +112,73 @@ class TestGUFIServer:
         assert server.invoke("root", "du") > 0
         top = server.invoke("root", "largest_files", limit=2)
         assert len(top) == 2
+
+
+@dataclass
+class _SnoopingIdentity(IdentityProvider):
+    """Records what a request already running on ``live`` (a warm
+    session's name map) would read at the moment the server asks the
+    directory for names — optionally after a directory-service delay."""
+
+    live: dict[int, str] | None = None
+    delay: float = 0.0
+    seen: list[dict[int, str]] = field(default_factory=list)
+
+    def uid_map(self):
+        if self.live is not None:
+            self.seen.append(dict(self.live))
+            time.sleep(self.delay)
+        return super().uid_map()
+
+
+@pytest.fixture
+def snooping(identity):
+    return _SnoopingIdentity(identity._users)
+
+
+class TestWarmNameMapRefresh:
+    """The warm path refreshes a dict every pooled context of the
+    session aliases; a uid named before and after is never absent."""
+
+    def test_refresh_never_empties_the_live_map(self, demo_index, snooping):
+        with GUFIServer(demo_index, snooping, nthreads=NTHREADS) as server:
+            server.invoke("root", "du")  # cold: creates the session
+            (tools,) = server._sessions.values()
+            snooping.live = tools.engine.users
+            before = dict(snooping.live)
+            server.invoke("root", "du")
+            assert snooping.seen == [before] and before[1001] == "alice"
+            # renames and removals still land, in place
+            snooping.add_user("robert", uid=1002, gid=1002)
+            del snooping._users["bob"], snooping._users["carol"]
+            server.invoke("root", "du")
+            assert tools.engine.users is snooping.live
+            assert snooping.live == {0: "root", 1001: "alice", 1002: "robert"}
+
+    def test_concurrent_request_always_reads_names(self, demo_index, snooping):
+        spec = QuerySpec(E="SELECT uidtouser(uid) FROM pentries")
+        with GUFIServer(demo_index, snooping, nthreads=NTHREADS) as server:
+            expected = sorted(server.invoke("root", "query", spec=spec).rows)
+            assert not any(name.isdigit() for (name,) in expected)
+            (tools,) = server._sessions.values()
+            snooping.live, snooping.delay = tools.engine.users, 0.001
+            stop = threading.Event()
+
+            def refresher():
+                while not stop.is_set():
+                    server.invoke("root", "du")
+
+            thread = threading.Thread(target=refresher)
+            thread.start()
+            try:
+                # the engine, not invoke: the reader must not queue
+                # behind the refresher on the session lock
+                for _ in range(30):
+                    assert sorted(tools.engine.run(spec).rows) == expected
+            finally:
+                stop.set()
+                thread.join(timeout=30)
+            assert not thread.is_alive() and len(snooping.seen) > 1
 
 
 class TestQueryPortal:

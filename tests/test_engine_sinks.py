@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs
 from repro.core.engine import (
-    AggregateDBSink,
     BoundedSink,
     MemorySink,
     PaginatedSink,
@@ -145,33 +144,6 @@ class TestPaginatedSink:
         sink = PaginatedSink(2)
         with pytest.raises(ValueError):
             sink.page(-1)
-
-
-class TestAggregateDBSink:
-    def test_rows_land_in_results_table(self, engine, tmp_path):
-        db = str(tmp_path / "results.db")
-        sink = AggregateDBSink(db)
-        result = engine.run(SPEC, sink=sink)
-        assert result.rows == []
-        expected = _all_rows(engine)
-        assert sink.row_count == len(expected)
-        conn = sink.connect()
-        try:
-            got = sorted(conn.execute("SELECT * FROM results"))
-            assert [r[0] for r in got] == [r[0] for r in expected]
-        finally:
-            conn.close()
-
-    def test_rejects_hostile_table_name(self, tmp_path):
-        with pytest.raises(ValueError):
-            AggregateDBSink(str(tmp_path / "x.db"), table="results; DROP")
-
-    def test_empty_run_creates_no_table(self, engine, tmp_path):
-        db = str(tmp_path / "empty.db")
-        sink = AggregateDBSink(db)
-        spec = QuerySpec(E="SELECT name FROM pentries WHERE size > 10000000")
-        engine.run(spec, sink=sink)
-        assert sink.row_count == 0
 
 
 class TestFacadeSinkPassthrough:

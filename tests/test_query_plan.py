@@ -167,6 +167,67 @@ class TestPlanFor:
         assert p.entries_shaped
 
 
+    def test_unplanned_keeps_only_the_window(self):
+        f = FindFilters(ftype="f", min_size=1, uid=3, min_level=1, max_level=2)
+        assert plan_for(f, planned=False) == QueryPlan(
+            min_level=1, max_level=2, entries_shaped=False
+        )
+        assert plan_for(FindFilters(max_level=0), planned=False) == QueryPlan(
+            max_level=0, entries_shaped=False
+        )
+        assert plan_for(FindFilters(ftype="f", min_size=1), planned=False) is None
+
+    @pytest.mark.parametrize("window", [False, True], ids=["no-window", "window"])
+    @pytest.mark.parametrize("site", ["find", "portal", "cli"])
+    def test_unplanned_call_sites_share_the_rule(
+        self, site, window, demo_index, monkeypatch, capsys
+    ):
+        """``planned=False`` / ``--no-plan`` at each of its three
+        callers: the engine gets the window-only plan (or none) and
+        returns that run's rows, byte for byte."""
+        from repro.cli import main
+        from repro.core.server import GUFIServer, IdentityProvider, QueryPortal
+
+        query = "size>>200" + (" minlevel:2 maxlevel:2" if window else "")
+        plan = (
+            QueryPlan(min_level=2, max_level=2, entries_shaped=False)
+            if window
+            else None
+        )
+        parsed = parse(query)
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
+            expected = sorted(q.run(parsed.to_spec(), plan=plan).rows)
+            unwindowed = sorted(q.run(parsed.to_spec()).rows)
+        # the window is semantic: dropping it would change the answer
+        assert expected and (expected != unwindowed) == window
+
+        plans = []
+        real_run = QueryEngine.run
+
+        def spy(self, spec, start="/", plan=None, **kwargs):
+            plans.append(plan)
+            return real_run(self, spec, start, plan=plan, **kwargs)
+
+        monkeypatch.setattr(QueryEngine, "run", spy)
+        if site == "find":
+            with GUFITools(demo_index, nthreads=NTHREADS) as tools:
+                got = tools.find("/", parsed.filters, planned=False).rows
+            assert sorted(got) == [row[:3] for row in expected]
+        elif site == "portal":
+            identity = IdentityProvider()
+            identity.add_user("root", uid=0, gid=0)
+            with GUFIServer(demo_index, identity, nthreads=NTHREADS) as server:
+                got = QueryPortal(server).search("root", query, planned=False)
+            assert sorted(got.rows) == expected
+        else:
+            argv = ["search", str(demo_index.root), query, "--no-plan", "-n", "2"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == "".join(
+                "\t".join(str(v) for v in row) + "\n" for row in expected
+            )
+        assert plans == [plan]
+
+
 class TestStatsReading:
     def test_warm_cache_carries_stats(self, demo_index):
         meta = demo_index.dir_meta("/home/alice")

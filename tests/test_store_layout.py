@@ -1,4 +1,4 @@
-"""The store layer's layout authority: artifact registry, commit
+"""The store layer's layout authority: the closed artifact set, commit
 protocol, orphan GC, stamps, doctor, and the encapsulation lint that
 keeps layout literals from leaking back out of ``repro.store``."""
 
@@ -21,8 +21,6 @@ from repro.store.layout import (
     DirStore,
     StampBracket,
     artifact_bytes,
-    artifact_kind,
-    artifact_kinds,
     classify_artifact,
     file_stamp,
     is_side_artifact,
@@ -78,11 +76,20 @@ def _layout_literals_in(path: Path) -> list[tuple[int, str]]:
 
 
 #: modules deleted when the store layer's importers finished moving
-#: to ``repro.store`` — nothing may import them again, however spelled
-_DELETED_MODULES = ("repro.core.db", "repro.core.schema")
+#: to ``repro.store``, and the sidecar that left when the artifact set
+#: closed — nothing may import them again, however spelled
+_DELETED_MODULES = ("repro.core.db", "repro.core.schema", "repro.store.fts")
 
-#: query handles folded into ``QueryEngine`` — not to be re-created
-_DELETED_NAMES = ("GUFIQuery", "QuerySession")
+#: query handles folded into ``QueryEngine``, the artifact registry
+#: replaced by ``layout``'s constants, and a sink nothing used — not
+#: to be re-created
+_DELETED_NAMES = (
+    "GUFIQuery",
+    "QuerySession",
+    "ArtifactKind",
+    "register_artifact_kind",
+    "AggregateDBSink",
+)
 
 
 def _linted_files() -> list[Path]:
@@ -227,11 +234,10 @@ class TestEncapsulationLint:
         if SRC_ROOT in path.parents:
             package = ".".join(path.relative_to(SRC_ROOT.parent).parent.parts)
         assert not _deleted_imports_in(path, package), (
-            f"{path} imports repro.core.db / repro.core.schema; "
-            "import from repro.store"
+            f"{path} imports a deleted module: {_DELETED_MODULES}"
         )
         assert not _deleted_names_in(path), (
-            f"{path} names a deleted query handle; use QueryEngine"
+            f"{path} names a deleted class or function: {_DELETED_NAMES}"
         )
 
     def test_shims_are_gone(self):
@@ -248,6 +254,8 @@ class TestEncapsulationLint:
             ("repro.core.engine", "from ..schema import DB_NAME"),
             ("", "from repro.core import db"),
             ("", "import repro.core.schema"),
+            ("repro.store", "from .fts import FTS_KIND"),
+            ("", "from repro.store import fts"),
         ):
             bad.write_text(line + "\n", encoding="utf-8")
             assert _deleted_imports_in(bad, package), line
@@ -261,6 +269,9 @@ class TestEncapsulationLint:
             "from repro.core.engine import QueryEngine as GUFIQuery",
             "q = core.QuerySession(index)",
             "class QuerySession: pass",
+            "from repro.store.layout import ArtifactKind",
+            "layout.register_artifact_kind(kind)",
+            "sink = engine.AggregateDBSink(path)",
         ):
             bad.write_text(line + "\n", encoding="utf-8")
             assert _deleted_names_in(bad), line
@@ -383,40 +394,93 @@ class TestStoredDdl:
 
 
 # ----------------------------------------------------------------------
-# Artifact registry
+# The closed artifact set
 # ----------------------------------------------------------------------
 
-class TestArtifactRegistry:
-    def test_builtin_kinds_registered(self):
-        keys = {k.key for k in artifact_kinds()}
-        assert {
-            "primary",
-            "xattr_user",
-            "xattr_group_r",
-            "xattr_group_nr",
-            "names_fts",
-        } <= keys
+#: file name → kind, for everything a directory may hold and a few
+#: things it may not
+_CLASSIFICATION = (
+    (DB_NAME, "primary"),
+    (side_db_name("user", 1001), "xattr_user"),
+    (side_db_name("group_r", 100), "xattr_group_r"),
+    (side_db_name("group_nr", 100), "xattr_group_nr"),
+    ("gufi_index.json", None),
+    ("stray.txt", None),
+    # what ``trace2index --fts-names`` once left beside the database
+    ("names.fts", None),
+    # near misses: a pattern must match the whole name
+    ("xattrs.db.u12x", None),
+    ("x" + DB_NAME, None),
+    (side_db_name("group_r", 100) + "r", None),
+)
 
+
+class TestArtifactRegistry:
     def test_classify(self):
-        assert classify_artifact(DB_NAME) == "primary"
-        assert classify_artifact(side_db_name("user", 1001)) == "xattr_user"
-        assert classify_artifact(side_db_name("group_r", 100)) == "xattr_group_r"
-        assert classify_artifact(side_db_name("group_nr", 100)) == "xattr_group_nr"
-        # staged names classify as their final kind
-        assert classify_artifact(DB_NAME + PARTIAL_SUFFIX) == "primary"
-        assert classify_artifact("gufi_index.json") is None
-        assert classify_artifact("stray.txt") is None
+        for name, kind in _CLASSIFICATION:
+            assert classify_artifact(name) == kind, name
+            # staged names classify as their final kind
+            assert classify_artifact(name + PARTIAL_SUFFIX) == kind, name
 
     def test_is_side_artifact(self):
-        assert not is_side_artifact(DB_NAME)
-        assert is_side_artifact(side_db_name("user", 1))
-        assert not is_side_artifact("random.file")
+        for name, kind in _CLASSIFICATION:
+            expected = kind is not None and kind != "primary"
+            assert is_side_artifact(name) == expected, name
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            artifact_kind("no-such-kind")
-        with pytest.raises(ValueError):
             side_db_name("bogus", 1)
+
+
+class TestLeftoverSidecar:
+    def test_index_with_stray_names_fts_is_an_ordinary_index(self, tmp_path):
+        """An index ``trace2index --fts-names`` built before the sidecar
+        left holds a ``names.fts`` beside every ``db.db``. It is a
+        stray file now: same rows, healthy doctor, nothing to migrate,
+        not counted, and a rebuild of its directory publishes as ever.
+        (The bytes are not a database: any reader that opened the file
+        would fail.)"""
+        from repro.core.engine import QueryEngine
+        from repro.core.query import Q1_LIST_PATHS, Q2_DIR_SIZES, Q3_DU_SUMMARIES
+        from repro.core.update import update_directory
+        from repro.fs.permissions import ROOT
+        from repro.store.migrate import migrate_index
+        from tests.conftest import ALICE, NTHREADS, build_demo_tree
+
+        opts = BuildOptions(nthreads=NTHREADS)
+        tree = build_demo_tree()
+        clean = dir2index(build_demo_tree(), tmp_path / "clean", opts=opts).index
+        index = dir2index(tree, tmp_path / "idx", opts=opts).index
+        strays = [Path(d) / "names.fts" for d in index.iter_index_dirs()]
+        for stray in strays:
+            stray.write_bytes(b"not a database: a leftover sidecar")
+
+        def rows(i):
+            return [
+                sorted(QueryEngine(i, creds=creds, nthreads=NTHREADS)
+                       .run(spec).rows)
+                for creds in (ROOT, ALICE)
+                for spec in (Q1_LIST_PATHS, Q2_DIR_SIZES, Q3_DU_SUMMARIES)
+            ]
+
+        expected = rows(clean)
+        assert rows(index) == expected and all(expected)
+        report = doctor(index)
+        assert report.healthy and report.side_dbs == doctor(clean).side_dbs
+        migrated = migrate_index(index)
+        assert migrated.ok and migrated.dirs_migrated == 0
+        assert migrated.steps_applied == migrated.side_dbs_migrated == 0
+        assert index.total_db_bytes() == clean.total_db_bytes()
+
+        tree.create_file("/home/bob/new.txt", size=7, mode=0o644, uid=1002, gid=1002)
+        inode = os.stat(index.db_path("/home/bob")).st_ino
+        update_directory(index, tree, "/home/bob", opts=opts)
+        assert os.stat(index.db_path("/home/bob")).st_ino != inode
+        assert DirStore(index.index_dir("/home/bob")).list_partials() == []
+        with QueryEngine(index, creds=ROOT, nthreads=NTHREADS) as q:
+            assert ("/home/bob/new.txt",) in q.run(Q1_LIST_PATHS).rows
+        # no publish removes what it cannot classify
+        assert all(stray.exists() for stray in strays)
 
 
 # ----------------------------------------------------------------------
