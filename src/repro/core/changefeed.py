@@ -178,19 +178,11 @@ def _is_live_dir(tree: VFSTree, path: str) -> bool:
 
 
 def _has_tsummary(index: GUFIIndex, source_path: str) -> bool:
-    store = index.store(source_path)
-    if not store.db_path.exists():
-        return False
-    try:
-        conn = store.open_ro()
-    except Exception:
-        return False
-    try:
-        return conn.execute("SELECT 1 FROM tsummary LIMIT 1").fetchone() is not None
-    except Exception:
-        return False
-    finally:
-        conn.close()
+    """Does the directory's database hold tree-summary rows? (Read
+    with the rest of its metadata; ``None`` — no database, or an
+    unreadable one — has nothing to refresh.)"""
+    meta = index.cached_dir_meta(source_path)
+    return meta is not None and meta.tsummary
 
 
 def _fix_depths(index: GUFIIndex, source_path: str) -> None:
@@ -213,21 +205,23 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
             continue
         try:
             row = conn.execute(
-                "SELECT depth FROM summary WHERE isroot = 1 AND rectype = ? "
-                "LIMIT 1",
+                f"SELECT depth, {schema.has_tsummary_sql()} FROM summary "
+                "WHERE isroot = 1 AND rectype = ? LIMIT 1",
                 (schema.RECTYPE_OVERALL,),
             ).fetchone()
             if row is None or row[0] is None:
                 continue
             delta = expected - int(row[0])
             if delta:
+                conn.execute("BEGIN")
                 conn.execute(
                     "UPDATE summary SET depth = depth + ?", (delta,)
                 )
-                conn.execute(
-                    "UPDATE tsummary SET maxdepth = maxdepth + ?", (delta,)
-                )
-                conn.commit()
+                if row[1]:
+                    conn.execute(
+                        "UPDATE tsummary SET maxdepth = maxdepth + ?", (delta,)
+                    )
+                conn.execute("COMMIT")
                 index.invalidate_cache(sp)
         finally:
             conn.close()
@@ -325,8 +319,8 @@ def changefeed2index(
         checked.clear()
 
     # -- record tsummary roots before rebuilds can destroy the rows
-    #    that identify them (a rebuilt db.db starts with an empty
-    #    tsummary table), so a crashed apply still owes the refresh
+    #    that identify them (a rebuilt db.db starts with no tsummary
+    #    table), so a crashed apply still owes the refresh
     ts_roots = set(pending_ts)
     ts_roots.update(c for c in candidates if _has_tsummary(index, c))
     if ts_roots:
@@ -359,7 +353,6 @@ def changefeed2index(
                 index, root, per_user_group=tsummary_per_user_group
             ).dbs_opened
             tsummary_refreshed += 1
-            index.invalidate_cache(root)
 
     # -- commit point: cursor durable first, then journal trimmed ------
     new_cursor = batch.cursor

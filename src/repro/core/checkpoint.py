@@ -241,7 +241,7 @@ class ChangefeedCheckpoint:
     def load_state(self) -> tuple[int, list[str]]:
         """(cursor, pending tsummary roots). The pending list names
         tsummary roots whose rows a crashed apply may have destroyed
-        (a per-directory rebuild empties the fresh database's tsummary
+        (a per-directory rebuild publishes a database with no tsummary
         table); the resumed apply must re-derive them, because the
         destroyed rows are no longer there to detect."""
         try:

@@ -622,7 +622,7 @@ class QueryEngine:
                 gates = trav.stage_gates(meta, rel_depth)
                 if gates.plan_pruned:
                     st.pruned += 1
-                if gates.run_t:
+                if gates.run_t and meta.tsummary:
                     t_pruned = stage.t_stage(st, local_rows)
                 if not t_pruned and (gates.run_s or gates.run_e):
                     stage.s_e_stages(

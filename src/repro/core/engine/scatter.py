@@ -115,24 +115,17 @@ def _unit_weight(meta: DirMeta | None) -> int:
 
 
 def _t_prunes(
-    index: GUFIIndex, trav: Traversal, spec: QuerySpec, path: str, rel_depth: int
+    trav: Traversal, spec: QuerySpec, meta: DirMeta, rel_depth: int
 ) -> bool:
     """Would the engine's T stage prune descent at this directory?
     Mirrors the walk: T runs only inside the plan's depth window, and
-    prunes when tsummary has rows (unless ``t_no_prune``)."""
-    if not spec.T or spec.t_no_prune or not trav.wants_level(rel_depth):
-        return False
-    try:
-        conn = index.store(path).open_ro()
-    except Exception:
-        return False
-    try:
-        (n,) = conn.execute("SELECT COUNT(*) FROM tsummary").fetchone()
-        return bool(n)
-    except sqlite3.Error:
-        return False
-    finally:
-        conn.close()
+    prunes where tsummary has rows (unless ``t_no_prune``)."""
+    return bool(
+        spec.T
+        and not spec.t_no_prune
+        and meta.tsummary
+        and trav.wants_level(rel_depth)
+    )
 
 
 def plan_shards(
@@ -176,7 +169,7 @@ def plan_shards(
                 # (denied / errored); nothing descends below it
                 continue
             rel_depth = path_depth(path) - start_depth
-            t_pruned = _t_prunes(index, trav, spec, path, rel_depth)
+            t_pruned = _t_prunes(trav, spec, meta, rel_depth)
             children = trav.descend(path, meta, rel_depth, t_pruned=t_pruned)
             if not children:
                 continue

@@ -109,28 +109,14 @@ class StageRunner:
     # Per-directory stages
     # ------------------------------------------------------------------
     def t_stage(self, st: _ThreadState, rows: list[tuple]) -> bool:
-        """Run ``T`` when the attached directory has tsummary rows.
-        Returns True when the subtree is answered here and descent
-        should prune (Fig 10's 230× query 4)."""
+        """Run ``T`` against the attached directory's tsummary rows —
+        the caller asks only where ``DirMeta.tsummary`` says there are
+        some. Returns True when the subtree is answered here and
+        descent should prune (Fig 10's 230× query 4)."""
         spec = self.spec
-        pruned = False
-        tb = time.perf_counter() if self.timing else 0.0
-        sp = self.otr.start("query.sql", stage="T") if self.tracing else None
-        try:
-            (n_ts,) = st.conn.execute(
-                "SELECT COUNT(*) FROM gufi.tsummary"
-            ).fetchone()
-            if n_ts:
-                assert spec.T is not None
-                rows.extend(run_sql(st, spec.T))
-                if not spec.t_no_prune:
-                    pruned = True
-        finally:
-            if sp is not None:
-                self.otr.end(sp)
-            if self.timing:
-                st.t_time += time.perf_counter() - tb
-        return pruned
+        assert spec.T is not None
+        self._timed_stage(st, "T", spec.T, rows)
+        return not spec.t_no_prune
 
     def s_e_stages(
         self,
@@ -177,10 +163,13 @@ class StageRunner:
             if sp is not None:
                 self.otr.end(sp)
             if self.timing:
-                if stage == "S":
-                    st.s_time += time.perf_counter() - tb
+                elapsed = time.perf_counter() - tb
+                if stage == "T":
+                    st.t_time += elapsed
+                elif stage == "S":
+                    st.s_time += elapsed
                 else:
-                    st.e_time += time.perf_counter() - tb
+                    st.e_time += elapsed
 
 
 class MergeRunner:

@@ -83,6 +83,9 @@ class DirMeta:
     rolledup: bool
     rollup_entries: int
     stats: DirStats | None = None
+    #: the database holds tree-summary rows (``bfti`` was asked here):
+    #: the ``T`` stage runs, and prunes, exactly where this is set
+    tsummary: bool = False
 
 
 class IndexError_(Exception):
@@ -90,24 +93,31 @@ class IndexError_(Exception):
 
 
 @functools.cache
-def _meta_sql(alias: str, with_depth: bool) -> str:
+def _meta_sql(alias: str) -> str:
     """The one per-directory metadata statement: every rectype-0
     ``summary`` row — own-record columns first, then the ten bound
-    columns in :class:`DirStats` order — and tsummary's subtree
-    ``maxdepth`` as a scalar sub-select (``NULL`` without it)."""
-    depth = (
-        f"(SELECT MAX(maxdepth) FROM {alias}.tsummary "
-        f"WHERE rectype = {schema.RECTYPE_OVERALL})"
-    )
+    columns in :class:`DirStats` order — and whether the database has
+    a ``tsummary`` table at all (few do)."""
     return (
         "SELECT isroot, inode, mode, uid, gid, rolledup, rollup_entries, "
         "totfiles, totlinks, minsize, maxsize, minmtime, maxmtime, "
-        f"minuid, maxuid, mingid, maxgid, {depth if with_depth else 'NULL'} "
+        f"minuid, maxuid, mingid, maxgid, {schema.has_tsummary_sql(alias)} "
         f"FROM {alias}.summary WHERE rectype = {schema.RECTYPE_OVERALL}"
     )
 
 
-def _fold_stats(rows: list[tuple]) -> DirStats | None:
+@functools.cache
+def _tsummary_sql(alias: str) -> str:
+    """Asked only of a database that has the table: its row count and
+    the subtree ``maxdepth`` of its overall record."""
+    return (
+        "SELECT COUNT(*), "
+        f"MAX(CASE WHEN rectype = {schema.RECTYPE_OVERALL} THEN maxdepth END) "
+        f"FROM {alias}.tsummary"
+    )
+
+
+def _fold_stats(rows: list[tuple], maxdepth: int | None) -> DirStats | None:
     """Fold :func:`_meta_sql` rows into the planner's bounds with SQL's
     aggregate rules: totals add, ``MIN``/``MAX`` skip NULLs.
 
@@ -132,7 +142,6 @@ def _fold_stats(rows: list[tuple]) -> DirStats | None:
     for i in range(9, 17):  # odd columns hold minima, even maxima
         vals = [r[i] for r in rows if r[i] is not None]
         bounds.append((min if i % 2 else max)(vals) if vals else None)
-    maxdepth = rows[0][17]
     return DirStats(
         totfiles, totlinks, *bounds,
         maxdepth=int(maxdepth) if maxdepth is not None else None,
@@ -384,11 +393,34 @@ class GUFIIndex:
     # ------------------------------------------------------------------
     def iter_index_dirs(self, start: str = "/") -> Iterator[Path]:
         """All index directories (depth-first) containing a ``db.db``."""
-        base = self.index_dir(start)
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames.sort()
-            if layout.DB_NAME in filenames:
-                yield Path(dirpath)
+        for source_path, _names in self.iter_tree(start):
+            yield self.index_dir(source_path)
+
+    def iter_tree(self, start: str = "/") -> Iterator[tuple[str, list[str]]]:
+        """``(source path, sorted sub-directory names)`` for every
+        index directory containing a ``db.db``, depth-first: the tree
+        as one enumeration of plain strings, one ``scandir`` per
+        directory, for passes that need both the directories and
+        their child listings (rollup)."""
+        root = str(self.root)
+        stack = [self.index_path(start)]
+        while stack:
+            path = stack.pop()
+            names = []
+            has_db = False
+            try:
+                with os.scandir(path) as it:
+                    for de in it:
+                        if de.is_dir(follow_symlinks=False):
+                            names.append(de.name)
+                        elif de.name == layout.DB_NAME:
+                            has_db = True
+            except OSError:
+                continue  # not there (any more): nothing to enumerate
+            names.sort()
+            if has_db:
+                yield path[len(root):] or "/", names
+            stack.extend(f"{path}/{name}" for name in reversed(names))
 
     def count_dbs(self, start: str = "/") -> int:
         return sum(1 for _ in self.iter_index_dirs(start))
@@ -428,24 +460,27 @@ class GUFIIndex:
         connection (the descent-time 'stat') plus the planner's
         aggregate bounds, in **one** statement: every rectype-0
         ``summary`` row (so rolled-up databases are bounded over their
-        merged subtree too) with tsummary's subtree ``maxdepth`` as a
-        scalar sub-select, folded by :func:`_fold_stats`. ``alias``
-        qualifies the schema when the database is ATTACHed rather than
-        main."""
-        try:
-            rows = conn.execute(_meta_sql(alias, True)).fetchall()
-        except sqlite3.OperationalError:
-            # no tsummary table: no subtree depth bound
-            rows = conn.execute(_meta_sql(alias, False)).fetchall()
+        merged subtree too), folded by :func:`_fold_stats`, with the
+        presence of a ``tsummary`` table as a scalar sub-select. Only
+        where the table exists does a second statement read it — its
+        row count and subtree ``maxdepth``. ``alias`` qualifies the
+        schema when the database is ATTACHed rather than main."""
+        rows = conn.execute(_meta_sql(alias)).fetchall()
         own = next((r for r in rows if r[0] == 1), None)
         if own is None:
             raise IndexError_("index database has no directory summary record")
+        n_ts = maxdepth = None
+        if own[17]:
+            n_ts, maxdepth = conn.execute(_tsummary_sql(alias)).fetchone()
         try:
-            stats = _fold_stats(rows)
+            stats = _fold_stats(rows, maxdepth)
         except TypeError:  # a non-numeric bound bounds nothing
             stats = None
         _isroot, inode, mode, uid, gid, rolledup, rollup_entries = own[:7]
-        return DirMeta(inode, mode, uid, gid, bool(rolledup), rollup_entries, stats)
+        return DirMeta(
+            inode, mode, uid, gid, bool(rolledup), rollup_entries, stats,
+            bool(n_ts),
+        )
 
     def _dir_meta(self, source_path: str, strict: bool) -> DirMeta | None:
         """The one bracketed reader behind :meth:`dir_meta` (strict:

@@ -9,7 +9,10 @@ one of four permission-compatibility conditions, and every
 sub-directory below the target must itself already be rolled up
 (leaves are rolled up by definition).
 
-Mechanics per rolled directory (paper's exact sequence):
+Mechanics per rolled directory (paper's exact sequence, applied to a
+*staged copy* of the directory's databases and published by rename —
+the builders' commit protocol — so a directory is exactly un-rolled or
+exactly rolled at every instant, whatever kills the pass):
 
 1. drop the ``pentries`` view and materialise a ``pentries`` *table*
    seeded from the directory's own ``entries`` rows;
@@ -31,11 +34,12 @@ tool relies on.
 from __future__ import annotations
 
 import os
+import shutil
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Any
 
 from repro import obs
 from repro.scan.walker import ParallelTreeWalker
@@ -43,7 +47,7 @@ from repro.store import connect, layout, schema
 from repro.store.attach import attached
 from repro.store.layout import DirStore, is_side_artifact
 
-from .index import GUFIIndex
+from .index import GUFIIndex, IndexError_
 from .xattrs import side_db_name  # noqa: F401  (re-exported for tools)
 
 
@@ -170,12 +174,15 @@ _SUMMARY_COPY_SELECT = ", ".join(
 
 def _merge_child(
     conn: sqlite3.Connection,
-    parent_dir: Path,
+    store: DirStore,
     child_name: str,
+    sides: list[str],
 ) -> None:
-    """Steps 2–4 for one child: pentries, summary, xattr stores."""
-    child_db = DirStore(parent_dir / child_name).db_path
-    with attached(conn, child_db, "child", ro=False):
+    """Steps 2–4 for one child, into the staged parent: pentries,
+    summary, xattr stores. ``sides`` names the side databases the
+    staged parent has so far; the ones this child adds are appended."""
+    child_dir = store.index_dir / child_name
+    with attached(conn, DirStore(child_dir).db_path, "child"):
         conn.execute("INSERT INTO pentries SELECT * FROM child.pentries")
         conn.execute(
             f"INSERT INTO summary ({_SUMMARY_COPY_COLS}) "
@@ -193,22 +200,24 @@ def _merge_child(
     # side databases of the parent (created on demand, tracked with
     # isroot=0 so unrollup can remove them).
     for filename, uid, gid, mode in side_rows:
-        src = parent_dir / child_name / filename
-        dst = parent_dir / filename
+        src = child_dir / filename
         if not src.exists():
             continue
-        existed = dst.exists()
-        dst_conn = connect.create_side_db(dst)
+        dst = store.partial_path(filename)
+        if filename in sides:
+            dst_conn = connect.open_rw(dst)
+        else:
+            dst_conn = connect.create_side_db(dst, fresh=True)
         try:
-            with attached(dst_conn, src, "src", ro=False):
+            with attached(dst_conn, src, "src"):
                 dst_conn.execute(
                     "INSERT INTO xattrs (exinode, exattrs, isroot) "
                     "SELECT exinode, exattrs, 0 FROM src.xattrs"
                 )
-                dst_conn.commit()
         finally:
             dst_conn.close()
-        if not existed:
+        if filename not in sides:
+            sides.append(filename)
             conn.execute(
                 "INSERT INTO xattrs_avail (filename, uid, gid, mode, isroot) "
                 "VALUES (?,?,?,?,0)",
@@ -216,12 +225,42 @@ def _merge_child(
             )
 
 
-def rollup_dir(index: GUFIIndex, source_path: str, child_names: list[str]) -> int:
+#: fault-injection site fired at every boundary of one directory's
+#: rollup (key = source path): on entry, after the seed, after each
+#: child's merge, and before the publishing renames
+FAULT_SITE = "rollup_dir"
+
+
+def rollup_dir(
+    index: GUFIIndex,
+    source_path: str,
+    child_names: list[str],
+    faults: Any | None = None,
+) -> int:
     """Perform the merge for one directory (conditions already
-    verified by the caller). Returns the merged pentries row count."""
-    parent_dir = index.index_dir(source_path)
-    conn = index.store(source_path).open_rw()
+    verified by the caller). Returns the merged pentries row count.
+
+    All-or-nothing: the merge runs on staged copies of the directory's
+    primary and side databases and :meth:`DirStore.publish` renames
+    them into place, the primary last. Killed anywhere before that,
+    the directory is as it was and the staging files go with the next
+    attempt's publish; readers holding the old database keep reading
+    it."""
+
+    def boundary() -> None:
+        if faults is not None:
+            faults.fire(FAULT_SITE, source_path)
+
+    # no sweep: every staging file used below is written afresh, and
+    # publish removes whatever else a killed attempt left
+    store = DirStore(index.index_path(source_path))
+    boundary()
+    sides = store.side_artifacts()
+    for name in (layout.DB_NAME, *sides):
+        shutil.copyfile(store.artifact_path(name), store.partial_path(name))
+    conn = connect.open_rw(store.partial_path(layout.DB_NAME))
     try:
+        conn.execute("BEGIN")
         conn.execute("DROP VIEW IF EXISTS pentries")
         conn.execute(schema.compact_ddl(schema.CREATE_PENTRIES_TABLE))
         conn.execute(
@@ -229,21 +268,25 @@ def rollup_dir(index: GUFIIndex, source_path: str, child_names: list[str]) -> in
             "(SELECT inode FROM summary WHERE isroot=1 AND rectype=0) "
             "FROM entries"
         )
+        conn.execute("COMMIT")
+        boundary()
         for child in child_names:
-            _merge_child(conn, parent_dir, child)
+            _merge_child(conn, store, child, sides)
+            boundary()
         (count,) = conn.execute("SELECT COUNT(*) FROM pentries").fetchone()
         conn.execute(
             "UPDATE summary SET rolledup = 1, rollup_entries = ? "
             "WHERE isroot = 1 AND rectype = 0",
             (count,),
         )
-        conn.commit()
-        # the rolledup flag steers query descent — warm sessions must
-        # see it immediately, not on the next mtime revalidation
-        index.invalidate_cache(source_path)
-        return count
     finally:
         conn.close()
+    boundary()
+    store.publish(sides)
+    # the rolledup flag steers query descent — warm sessions must
+    # see it immediately, not on the next mtime revalidation
+    index.invalidate_cache(source_path)
+    return count
 
 
 def unrollup_dir(index: GUFIIndex, source_path: str) -> None:
@@ -292,11 +335,21 @@ def unrollup_dir(index: GUFIIndex, source_path: str) -> None:
         conn.close()
 
 
+#: the pass's per-directory read: the permission triple, the rollup
+#: state, and how many entries the directory itself holds
+_DIR_SQL = (
+    "SELECT mode, uid, gid, rolledup, rollup_entries, "
+    "(SELECT COUNT(*) FROM entries) "
+    f"FROM summary WHERE isroot = 1 AND rectype = {schema.RECTYPE_OVERALL}"
+)
+
+
 def rollup(
     index: GUFIIndex,
     limit: int | None = None,
     nthreads: int = 8,
     start: str = "/",
+    faults: Any | None = None,
 ) -> RollupStats:
     """Roll up an index bottom-up, bounded by ``limit`` merged entries
     per database (``None`` = unlimited, the paper's MAX; the paper's
@@ -305,31 +358,38 @@ def rollup(
     Directories at the same depth are independent, so each depth level
     is processed by the thread pool; levels run deepest-first because
     a parent's decision needs its children's outcomes.
+
+    ``faults`` is an optional :class:`~repro.scan.faults.FaultPlan`
+    (site :data:`FAULT_SITE`); a simulated process death propagates.
     """
     t0 = time.monotonic()
     stats = RollupStats()
+    # the tree, enumerated once: every directory with a database, by
+    # depth, with the sub-directory names the decisions below need
     dirs_by_depth: dict[int, list[str]] = {}
-    for d in index.iter_index_dirs(start):
-        sp = index.source_path(d)
+    subdirs: dict[str, list[str]] = {}
+    for sp, names in index.iter_tree(start):
         depth = 0 if sp == "/" else sp.count("/")
         dirs_by_depth.setdefault(depth, []).append(sp)
-    stats.total_dirs = sum(len(v) for v in dirs_by_depth.values())
+        subdirs[sp] = names
+    stats.total_dirs = len(subdirs)
 
     states: dict[str, _DirState] = {}
     lock = threading.Lock()
 
     def process(source_path: str) -> list:
-        conn = connect.open_ro(index.db_path(source_path))
+        conn = connect.open_ro(
+            f"{index.index_path(source_path)}/{layout.DB_NAME}"
+        )
         try:
-            meta = index.read_dir_meta(conn)
-            (own_entries,) = conn.execute(
-                "SELECT COUNT(*) FROM entries"
-            ).fetchone()
+            own = conn.execute(_DIR_SQL).fetchone()
         finally:
             conn.close()
-        children = index.subdir_names(source_path)
+        if own is None:
+            raise IndexError_("index database has no directory summary record")
+        mode, uid, gid, rolledup, rollup_entries, own_entries = own
+        children = subdirs[source_path]
         prefix = "" if source_path == "/" else source_path
-        child_states = []
         ok = True
         reason = None
         total = own_entries
@@ -338,21 +398,18 @@ def rollup(
             if cs is None or not cs.rolled:
                 ok, reason = False, "child"
                 break
-            if not rollup_compatible(
-                meta.mode, meta.uid, meta.gid, cs.mode, cs.uid, cs.gid
-            ):
+            if not rollup_compatible(mode, uid, gid, cs.mode, cs.uid, cs.gid):
                 ok, reason = False, "perms"
                 break
-            child_states.append((name, cs))
             total += cs.entry_count
         if ok and limit is not None and total > limit:
             ok, reason = False, "limit"
         if ok and children:
-            if meta.rolledup:
+            if rolledup:
                 # idempotent re-run: already rolled; trust stored count
-                total = meta.rollup_entries
+                total = rollup_entries
             else:
-                total = rollup_dir(index, source_path, children)
+                total = rollup_dir(index, source_path, children, faults)
             with lock:
                 stats.rolled += 1
         elif not ok:
@@ -370,10 +427,10 @@ def rollup(
                 rolled=ok,
                 entry_count=total,
                 # a blocked directory keeps an earlier pass's rollup
-                rolledup=meta.rolledup or (ok and bool(children)),
-                mode=meta.mode,
-                uid=meta.uid,
-                gid=meta.gid,
+                rolledup=bool(rolledup) or (ok and bool(children)),
+                mode=mode,
+                uid=uid,
+                gid=gid,
             )
         return []
 

@@ -24,13 +24,14 @@ handle opens only the databases that changed since the last build.
 
 from __future__ import annotations
 
+import sqlite3
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro import obs
-from repro.store import schema
+from repro.store import connect, layout, schema
 from repro.store.layout import StampBracket
 
 from .index import GUFIIndex, IndexError_
@@ -127,7 +128,7 @@ _GROUPS_SQL = (
     "SELECT type, uid, gid, COUNT(*), COALESCE(SUM(size), 0), "
     "MIN(size), MAX(size), MIN(mtime), MAX(mtime), "
     "COUNT(CASE WHEN LENGTH(xattr_names) > 0 THEN 1 END) "
-    "FROM pentries GROUP BY type, uid, gid"
+    "FROM gufi.pentries GROUP BY type, uid, gid"
 )
 
 
@@ -149,22 +150,27 @@ class DirContribution(NamedTuple):
     groups: tuple[tuple, ...]
 
 
-def _contribution(index: GUFIIndex, source_path: str) -> DirContribution | None:
-    """Read one directory's contribution (``None``: no database) and
-    memoise it, under the cache's usual race rule — publish only if
-    the file provably did not change across the read."""
-    store = index.store(source_path)
-    db_path = str(store.db_path)
+_DIRS_SQL = (
+    "SELECT size, depth, uid, gid, inode, isroot, rolledup "
+    f"FROM gufi.summary WHERE rectype = {schema.RECTYPE_OVERALL}"
+)
+
+
+def _contribution(
+    index: GUFIIndex, conn: sqlite3.Connection, source_path: str
+) -> DirContribution | None:
+    """Read one directory's contribution (``None``: no database)
+    through ``conn`` — the pass's one connection, the database attached
+    read-only for the two statements — and memoise it, under the
+    cache's usual race rule — publish only if the file provably did
+    not change across the read."""
+    db_path = f"{index.index_path(source_path)}/{layout.DB_NAME}"
     bracket = StampBracket(db_path)
     if bracket.missing:
         return None
-    conn = store.open_ro()
+    connect.attach_ro(conn, db_path, "gufi")
     try:
-        dirs = conn.execute(
-            "SELECT size, depth, uid, gid, inode, isroot, rolledup "
-            "FROM summary WHERE rectype = ?",
-            (schema.RECTYPE_OVERALL,),
-        ).fetchall()
+        dirs = conn.execute(_DIRS_SQL).fetchall()
         own = next((d for d in dirs if d[5] == 1), None)
         if own is None:
             raise IndexError_("index database has no directory summary record")
@@ -175,7 +181,7 @@ def _contribution(index: GUFIIndex, source_path: str) -> DirContribution | None:
             groups=tuple(conn.execute(_GROUPS_SQL)),
         )
     finally:
-        conn.close()
+        connect.detach(conn, "gufi")
     if bracket.unchanged():
         index.cache.put_contribution(source_path, bracket.stamp, db_path, contrib)
     return contrib
@@ -216,33 +222,41 @@ def build_tsummary(
 
     start = "/" + "/".join(p for p in start.split("/") if p)
     stack = [start]
-    while stack:
-        sp = stack.pop()
-        contrib = cache.get_contribution(sp)
-        if contrib is None:
-            contrib = _contribution(index, sp)
+    # one connection for the pass; each database the cache cannot
+    # answer for is attached to it for its two statements
+    reader = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        while stack:
+            sp = stack.pop()
+            contrib = cache.get_contribution(sp)
             if contrib is None:
+                contrib = _contribution(index, reader, sp)
+                if contrib is None:
+                    continue
+                dbs_opened += 1
+            dirs_scanned += 1
+            # Every summary row (original + rolled-in) is one directory;
+            # the start directory's own row contributes size but is not
+            # counted as a sub-directory of itself.
+            for size, depth, uid, gid, inode in contrib.dirs:
+                count_dir = not (sp == start and inode == contrib.inode)
+                overall.add_dir(size, depth, uid, gid, count_dir)
+                if per_user_group:
+                    by_uid[uid].add_dir(size, depth, uid, gid, count_dir)
+                    by_gid[gid].add_dir(size, depth, uid, gid, count_dir)
+            for group in contrib.groups:
+                overall.add_group(group)
+                if per_user_group:
+                    by_uid[group[1]].add_group(group)
+                    by_gid[group[2]].add_group(group)
+            if contrib.rolledup:
                 continue
-            dbs_opened += 1
-        dirs_scanned += 1
-        # Every summary row (original + rolled-in) is one directory;
-        # the start directory's own row contributes size but is not
-        # counted as a sub-directory of itself.
-        for size, depth, uid, gid, inode in contrib.dirs:
-            count_dir = not (sp == start and inode == contrib.inode)
-            overall.add_dir(size, depth, uid, gid, count_dir)
-            if per_user_group:
-                by_uid[uid].add_dir(size, depth, uid, gid, count_dir)
-                by_gid[gid].add_dir(size, depth, uid, gid, count_dir)
-        for group in contrib.groups:
-            overall.add_group(group)
-            if per_user_group:
-                by_uid[group[1]].add_group(group)
-                by_gid[group[2]].add_group(group)
-        if contrib.rolledup:
-            continue
-        prefix = "" if sp == "/" else sp
-        stack.extend(f"{prefix}/{n}" for n in index.cached_subdir_names(sp))
+            prefix = "" if sp == "/" else sp
+            stack.extend(
+                f"{prefix}/{n}" for n in index.cached_subdir_names(sp)
+            )
+    finally:
+        reader.close()
 
     rows = [overall.row(schema.RECTYPE_OVERALL, 0, 0)]
     if per_user_group:
@@ -251,13 +265,21 @@ def build_tsummary(
         for gid in sorted(by_gid):
             rows.append(by_gid[gid].row(schema.RECTYPE_GROUP, 0, gid))
 
+    # §III-B: the table is created here, where bfti was asked, in the
+    # transaction that writes its rows — a database either has tree-
+    # summary rows or no tsummary table
     conn = index.store(start).open_rw()
     try:
+        conn.execute("BEGIN")
+        conn.execute(schema.compact_ddl(schema.CREATE_TSUMMARY))
         conn.execute("DELETE FROM tsummary")
         conn.executemany(_TS_INSERT, rows)
-        conn.commit()
+        conn.execute("COMMIT")
     finally:
         conn.close()
+    # DirMeta.tsummary steers the T stage: warm sessions must see it
+    # now, not on the next stamp revalidation
+    index.invalidate_cache(start)
     obs.metrics().counter("gufi_tsummary_dbs_opened_total", dbs_opened)
     return TSummaryResult(
         seconds=time.monotonic() - t0,
@@ -268,10 +290,10 @@ def build_tsummary(
 
 
 def drop_tsummary(index: GUFIIndex, start: str = "/") -> None:
-    """Remove the tsummary rows at ``start`` (admin operation)."""
+    """Remove the tree summary at ``start`` (admin operation)."""
     conn = index.store(start).open_rw()
     try:
-        conn.execute("DELETE FROM tsummary")
-        conn.commit()
+        conn.execute("DROP TABLE IF EXISTS tsummary")
     finally:
         conn.close()
+    index.invalidate_cache(start)

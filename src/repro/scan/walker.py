@@ -28,7 +28,11 @@ meets on a billion-entry file system:
 * :class:`FatalWalkError` (e.g. an injected
   :class:`~repro.scan.faults.BuildCrash`) aborts the whole walk:
   workers drain the queue without processing and the exception
-  propagates, simulating process death for crash-safety tests.
+  propagates, simulating process death for crash-safety tests. So
+  does anything that is not an ``Exception`` — ``SystemExit``,
+  ``KeyboardInterrupt`` — raised from ``expand``: it is re-raised on
+  the caller, never left to kill a worker whose share of the queue
+  nobody would then drain.
 
 Per-thread completion times are recorded because Fig 8c plots exactly
 that: when each worker finishes its last unit of work, revealing the
@@ -177,8 +181,9 @@ class ParallelTreeWalker:
         ``retry`` (when transient), then recorded in the returned stats
         (or re-raised after the walk if ``collect_errors`` is False);
         they do not stop other work — matching how a production walker
-        must survive unreadable directories. :class:`FatalWalkError`
-        aborts the walk and is re-raised.
+        must survive unreadable directories. :class:`FatalWalkError`,
+        and any ``BaseException`` that is not an ``Exception``, aborts
+        the walk and is re-raised.
 
         ``faults`` is an optional
         :class:`~repro.scan.faults.FaultPlan`-shaped object whose
@@ -205,7 +210,7 @@ class ParallelTreeWalker:
         errors_per_thread: list[list[tuple[Any, Exception]]] = [
             [] for _ in range(self.nthreads)
         ]
-        fatal: list[FatalWalkError | None] = [None] * self.nthreads
+        fatal: list[BaseException | None] = [None] * self.nthreads
         abort = threading.Event()
 
         def attempt_expand(tid: int, item: T) -> list[T] | None:
@@ -230,6 +235,10 @@ class ParallelTreeWalker:
                         continue
                     errors_per_thread[tid].append((item, exc))
                     errored[tid] += 1
+                    return None
+                except BaseException as exc:  # exit, interrupt: the caller's
+                    fatal[tid] = exc
+                    abort.set()
                     return None
 
         otr = obs.tracer()

@@ -4,7 +4,7 @@ The security theorem's load-bearing invariant — *only side databases
 the querying credentials can read are ever attached* — lives here and
 nowhere else. Every xattr shard that reaches a query connection goes
 through :class:`AttachSession` (the per-query xattr views) or
-:func:`attached` (administrative merge scopes), so the gate in
+:func:`attached` (rollup's read-only merge scopes), so the gate in
 :func:`accessible_side_dbs` cannot be bypassed by an engine stage
 growing its own attach code. The primary database is attached by the
 walk unit itself (:func:`repro.store.connect.attach_ro`, after the
@@ -151,17 +151,12 @@ def attached(
     conn: sqlite3.Connection,
     path: Path | str,
     alias: str,
-    ro: bool = True,
     tracer: "IOTracer | None" = None,
 ) -> Iterator[None]:
-    """Administrative attach scope (rollup's child merges): ATTACH for
-    the duration of the block, DETACH on the way out. ``ro=False`` is
-    for administrator-only writers merging into an attached database —
-    never reachable from query credentials."""
-    if ro:
-        connect.attach_ro(conn, path, alias, tracer)
-    else:
-        conn.execute(f"ATTACH DATABASE ? AS {alias}", (str(path),))
+    """Attach scope (rollup's child merges, the xattr spill):
+    read-only ATTACH for the duration of the block, DETACH on the way
+    out."""
+    connect.attach_ro(conn, path, alias, tracer)
     try:
         yield
     finally:

@@ -12,11 +12,12 @@ Centralises the paper's database-access rules:
   periodic re-pull, so durability is not bought with fsyncs);
 * every database this layer creates is stamped with ``PRAGMA
   user_version = SCHEMA_VERSION`` (see :mod:`repro.store.schema`);
-* the templates store their DDL compacted (``schema.compact_ddl``):
-  SQLite re-parses the stored ``CREATE`` text on every open and ATTACH
-  — a cost every cold directory of every query pays — and at
-  ``page_size = 1024`` the commented source text takes one more page
-  of every database.
+* the templates are built at ``schema.PAGE_SIZE`` and store their DDL
+  compacted (``schema.compact_ddl``): SQLite re-parses the stored
+  ``CREATE`` text on every open and ATTACH — a cost every cold
+  directory of every query pays — and the text is most of an empty
+  database: short enough, the empty primary database is eight
+  512-byte pages, one file-system block.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _template(kind: str) -> bytes:
             os.unlink(path)  # sqlite must create it fresh
             conn = sqlite3.connect(path, isolation_level=None)
             try:
-                conn.execute("PRAGMA page_size = 1024")
+                conn.execute(f"PRAGMA page_size = {schema.PAGE_SIZE}")
                 conn.execute("PRAGMA journal_mode = MEMORY")
                 conn.execute("PRAGMA synchronous = OFF")
                 ddl = schema.ALL_DDL if kind == "full" else (schema.CREATE_XATTRS,)

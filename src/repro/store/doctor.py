@@ -3,8 +3,9 @@
 Walks the index and reports, without modifying anything:
 
 * the schema-version histogram of the primary databases (spotting
-  pre-versioning ``user_version=0`` indexes that want ``gufi index
-  migrate``, and databases newer than this code supports);
+  v0/v1 databases that want ``gufi index migrate`` — a whole older
+  index, or the older part of a mixed one — and databases newer than
+  this code supports);
 * **missing shards**: xattr side databases named by a primary's
   ``xattrs_avail`` tracking table whose file is absent (the query path
   tolerates these by skipping them, but they signal an interrupted

@@ -1,13 +1,24 @@
-"""In-place, resumable schema migration (``gufi index migrate``).
+"""Resumable schema migration (``gufi index migrate``).
 
-Indexes written before the store layer existed carry ``PRAGMA
-user_version = 0``. They stay *read-compatible* — every query path
-works against them unchanged — but new schema objects (and the version
-stamp itself) arrive only through migration. Migration is:
+Indexes written by earlier versions of the store layer carry an older
+``PRAGMA user_version`` (0: before the store layer existed; 1: the
+1 024-byte-page format with an empty ``tsummary`` in every database).
+They stay *read-compatible* — every query path works against them
+unchanged, side by side with current databases — and migration brings
+them to :data:`~repro.store.schema.SCHEMA_VERSION`. Migration is:
 
-* **per-directory**: each primary database (and its xattr side
-  databases) upgrades independently through
-  :data:`repro.store.schema.MIGRATIONS`, committing after every step,
+* **staged, then published**: an outdated database is never rewritten
+  where it lies (the connection policy is ``journal_mode = MEMORY``: a
+  kill inside an in-place rewrite would leave neither the old database
+  nor the new one). ``VACUUM INTO`` writes a copy at
+  :data:`~repro.store.schema.PAGE_SIZE` under the ``.partial`` name,
+  the :data:`~repro.store.schema.MIGRATIONS` steps run on that copy,
+  and :meth:`~repro.store.layout.DirStore.publish` renames it over
+  the old one — the builders' own commit protocol, so a reader finds
+  the old directory or the new one and a kill leaves only staging
+  files the next attempt sweeps;
+* **per-directory**: each primary database and its xattr side
+  databases upgrade together, independently of every other directory,
   so a crash can only lose the single in-flight directory;
 * **resumable**: completed directories are journaled through the same
   :class:`~repro.core.checkpoint.BuildJournal` machinery the builders
@@ -20,12 +31,14 @@ stamp itself) arrive only through migration. Migration is:
 
 from __future__ import annotations
 
+import os
+import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 from . import connect, schema
-from .layout import DirStore, file_stamp
+from .layout import DB_NAME, PARTIAL_SUFFIX, DirStore, file_stamp
 
 #: journal file for resumable migrations (lives in the index root,
 #: next to — never colliding with — the build journal)
@@ -58,28 +71,69 @@ class MigrateResult:
         return not self.errors
 
 
-def migrate_db(path: Path | str) -> int:
-    """Upgrade one database file in place. Returns the number of
-    migration steps applied (0: already current). Each step commits
-    with its version stamp before the next begins, so a kill between
-    steps resumes exactly where it stopped."""
-    conn = connect.open_rw(path)
+def _outdated(path: Path | str) -> bool:
+    conn = connect.open_ro(path)
     try:
-        return schema.migrate_conn(conn)
+        return schema.is_outdated(conn)
     finally:
         conn.close()
 
 
+def _stage_upgraded(src: Path | str, staged: Path | str) -> int:
+    """Write an upgraded copy of ``src`` at ``staged``; ``src`` is only
+    read. Returns the number of migration steps applied to the copy."""
+    try:
+        os.unlink(staged)  # VACUUM INTO refuses an existing file
+    except FileNotFoundError:
+        pass
+    # not ``immutable``: SQLite ignores a page-size request on an
+    # immutable connection
+    conn = sqlite3.connect(f"file:{src}?mode=ro", uri=True, isolation_level=None)
+    try:
+        conn.execute(f"PRAGMA page_size = {schema.PAGE_SIZE}")
+        conn.execute("VACUUM INTO ?", (str(staged),))
+    finally:
+        conn.close()
+    conn = connect.open_rw(staged)
+    try:
+        steps = schema.migrate_conn(conn)
+        if conn.execute("PRAGMA freelist_count").fetchone()[0]:
+            # a step dropped something: give its pages back (in place
+            # is safe here — nobody reads a staging file)
+            conn.execute("VACUUM")
+        return steps
+    finally:
+        conn.close()
+
+
+def migrate_db(path: Path | str) -> int:
+    """Upgrade one database file: stage the upgraded copy beside it,
+    rename it over the original. Returns the number of migration steps
+    applied (0: already current, nothing written)."""
+    if not _outdated(path):
+        return 0
+    staged = str(path) + PARTIAL_SUFFIX
+    steps = _stage_upgraded(path, staged)
+    os.replace(staged, path)
+    return steps
+
+
 def _migrate_dir(store: DirStore) -> tuple[int, int]:
-    """(steps applied, side databases touched) for one directory."""
-    steps = migrate_db(store.db_path)
-    side_touched = 0
+    """(steps applied to the primary, side databases upgraded) for one
+    directory. Every artifact is staged, then the set is published at
+    once — side databases first, the primary last — so the directory
+    is its old self or its new self at every instant."""
     # every side artifact is an xattr shard, schema-stamped like the
     # primary
-    for name in store.side_artifacts():
-        if migrate_db(store.artifact_path(name)):
-            side_touched += 1
-    return steps, side_touched
+    sides = store.side_artifacts()
+    if not any(_outdated(store.artifact_path(n)) for n in (DB_NAME, *sides)):
+        return 0, 0
+    steps = {
+        name: _stage_upgraded(store.artifact_path(name), store.partial_path(name))
+        for name in (DB_NAME, *sides)
+    }
+    store.publish(sides)
+    return steps[DB_NAME], sum(1 for name in sides if steps[name])
 
 
 def migrate_index(

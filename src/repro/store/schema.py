@@ -12,8 +12,10 @@ record-holding tables plus views:
   *overall* (rectype 0), *per-user* (rectype 1), and *per-group*
   (rectype 2) records. After a rollup, sub-directory summary rows are
   copied in with ``isroot=0`` and the relative path in ``name``.
-* ``tsummary`` — whole-subtree aggregates, built on demand by the
-  ``bfti`` tool (:mod:`repro.core.tsummary`); also rectype-typed.
+* ``tsummary`` — whole-subtree aggregates; also rectype-typed. The
+  table exists only in the databases ``bfti`` was asked about
+  (:mod:`repro.core.tsummary` creates it with its rows; §III-B:
+  "``tsummary`` tables are not created during index construction").
 * ``pentries`` — a view of ``entries`` augmented with the parent
   inode. Rollup materialises it into a real table so sub-directory
   rows can be merged in without touching ``entries``.
@@ -25,10 +27,22 @@ Versioning
 ----------
 
 Every database written by the store layer carries ``PRAGMA
-user_version = SCHEMA_VERSION`` (side databases included). Version 0
-is the pre-store, unversioned layout; it is read-compatible with the
-current readers (the DDL is unchanged — the stamp itself is what v1
-adds), and :mod:`repro.store.migrate` upgrades it in place through the
+user_version = SCHEMA_VERSION`` (side databases included):
+
+* **v0** — the pre-store, unversioned layout;
+* **v1** — the same DDL, stamped: 1 024-byte pages, the DDL text
+  stored with ``INTEGER``, an empty ``tsummary`` table in every
+  database. An empty database is 8 KiB — two file-system blocks;
+* **v2** — :data:`PAGE_SIZE`-byte (512) pages, the DDL text stored
+  with ``INT`` (same affinity, a third fewer characters for SQLite to
+  keep and re-parse), no ``tsummary`` until ``bfti`` creates one. An
+  empty database is 4 KiB — one block.
+
+Every reader reads all three side by side (a changefeed apply on a v1
+index leaves a mixed one): the only difference a reader can observe
+is whether ``tsummary`` exists, which the per-directory metadata
+statement learns from ``sqlite_master`` (:func:`has_tsummary_sql`).
+:mod:`repro.store.migrate` upgrades a database through the
 :data:`MIGRATIONS` registry, one step per version, per directory, and
 resumably. New steps append to the registry; a reader that encounters
 a version *newer* than :data:`SCHEMA_VERSION` should refuse rather
@@ -43,7 +57,13 @@ from collections.abc import Callable
 
 #: the schema epoch stamped into ``PRAGMA user_version`` of every
 #: database this layer writes; bump when a migration step is added
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: page size of every database this layer creates or migrates. Most
+#: directories hold a handful of rows per table, so a table is its
+#: root page and the smallest page SQLite has is the densest: the
+#: empty primary database is eight pages, one 4 KiB block.
+PAGE_SIZE = 512
 
 ENTRIES_COLUMNS = (
     "name",
@@ -266,10 +286,11 @@ CREATE VIEW IF NOT EXISTS vrpentries AS
     ON pentries.pinode = summary.inode AND summary.rectype = 0;
 """
 
+#: what every new primary database holds (``tsummary`` is not here:
+#: ``build_tsummary`` creates it where it is asked to)
 ALL_DDL = (
     CREATE_ENTRIES,
     CREATE_SUMMARY,
-    CREATE_TSUMMARY,
     CREATE_PENTRIES_VIEW,
     CREATE_VRPENTRIES_VIEW,
     CREATE_XATTRS,
@@ -280,8 +301,23 @@ ALL_DDL = (
 def compact_ddl(sql: str) -> str:
     """One DDL statement as it should be *stored* (SQLite re-parses
     the stored text on every open): comments and runs of whitespace
-    removed. The commented source above is documentation."""
-    return " ".join(re.sub(r"--[^\n]*", "", sql).split())
+    removed, ``INTEGER`` written ``INT`` (the same column affinity; no
+    column here is an ``INTEGER PRIMARY KEY``). The commented source
+    above is documentation."""
+    sql = " ".join(re.sub(r"--[^\n]*", "", sql).split())
+    return re.sub(r"\bINTEGER\b", "INT", sql)
+
+
+def has_tsummary_sql(alias: str = "main") -> str:
+    """Scalar sub-select: 1 when the ``alias`` database has a
+    ``tsummary`` table, else 0. Readers embed it in the statement that
+    already reads the directory's ``summary`` record, so learning that
+    a database has no tree summary (all but the few ``bfti`` was asked
+    about) costs no statement of its own and no failed compile."""
+    return (
+        f"(SELECT COUNT(*) FROM {alias}.sqlite_master "
+        "WHERE type = 'table' AND name = 'tsummary')"
+    )
 
 
 # rectype values, named for readability at call sites
@@ -360,12 +396,25 @@ def _upgrade_0_to_1(conn: sqlite3.Connection) -> None:
         conn.executescript(CREATE_VRPENTRIES_VIEW)
 
 
+def _upgrade_1_to_2(conn: sqlite3.Connection) -> None:
+    """v1 → v2: drop the ``tsummary`` table v1 created in every
+    database where it is *empty*; one with rows (``bfti`` was asked
+    here) stays, as v2 would have it. The other half of v2 — the page
+    size — is not a statement on an open database:
+    :mod:`repro.store.migrate` runs these steps on a copy it staged at
+    :data:`PAGE_SIZE` and publishes the copy by rename. The stored DDL
+    text stays as v1 wrote it (``INTEGER``)."""
+    (present,) = conn.execute("SELECT " + has_tsummary_sql()).fetchone()
+    if present and conn.execute("SELECT 1 FROM tsummary LIMIT 1").fetchone() is None:
+        conn.execute("DROP TABLE tsummary")
+
+
 #: migration registry: ``MIGRATIONS[v]`` upgrades a database *from*
 #: version ``v`` to ``v + 1``; :func:`migrate_conn` walks it and
-#: stamps after each step, so a crash mid-walk resumes at the step it
-#: died in
+#: stamps after each step
 MIGRATIONS: dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _upgrade_0_to_1,
+    1: _upgrade_1_to_2,
 }
 
 
@@ -373,17 +422,28 @@ class SchemaVersionError(Exception):
     """A database stamped newer than this code understands."""
 
 
-def migrate_conn(conn: sqlite3.Connection) -> int:
-    """Upgrade one open database to :data:`SCHEMA_VERSION` in place.
-    Returns the number of steps applied (0: already current). Each
-    step commits with its version stamp, so the walk is resumable at
-    step granularity."""
+def _supported_version(conn: sqlite3.Connection) -> int:
     version = db_schema_version(conn)
     if version > SCHEMA_VERSION:
         raise SchemaVersionError(
             f"database is schema v{version}, newer than supported "
             f"v{SCHEMA_VERSION}"
         )
+    return version
+
+
+def is_outdated(conn: sqlite3.Connection) -> bool:
+    """Does this database want migrating? (Raises
+    :class:`SchemaVersionError` for one newer than this code.)"""
+    return _supported_version(conn) < SCHEMA_VERSION
+
+
+def migrate_conn(conn: sqlite3.Connection) -> int:
+    """Apply every outstanding :data:`MIGRATIONS` step to one open
+    database — :mod:`repro.store.migrate` hands it the staged copy,
+    never the published file. Returns the number of steps applied (0:
+    already current); each step commits with its version stamp."""
+    version = _supported_version(conn)
     applied = 0
     while version < SCHEMA_VERSION:
         step = MIGRATIONS[version]

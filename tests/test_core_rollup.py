@@ -299,3 +299,113 @@ class TestXattrRollup:
         conn = connect.open_ro(idx.db_path("/p"))
         assert conn.execute("SELECT COUNT(*) FROM xattrs").fetchone()[0] == 0
         conn.close()
+
+
+class TestRollupIsAllOrNothing:
+    """A directory's rollup runs on staged copies and publishes by
+    rename: killed at any boundary of any directory's merge, every
+    directory is exactly un-rolled or exactly rolled, the pass re-runs
+    clean, and ``index doctor`` has nothing to report."""
+
+    XQ = QuerySpec(E="SELECT name, exattrs FROM xpentries", xattrs=True)
+
+    def tree(self) -> VFSTree:
+        t = VFSTree()
+        t.mkdir("/p", mode=0o700, uid=1001, gid=1001)
+        t.create_file("/p/own", size=5, mode=0o600, uid=1001, gid=1001)
+        # a foreign-owned file at every level: the parent has a side
+        # database of its own for the children's to merge into
+        t.create_file("/p/g0", mode=0o600, uid=1002, gid=1002)
+        t.setxattr("/p/g0", "user.b", b"w0")
+        for c in ("c1", "c2", "c3"):
+            t.mkdir(f"/p/{c}", mode=0o700, uid=1001, gid=1001)
+            t.create_file(f"/p/{c}/f", size=7, mode=0o600, uid=1001, gid=1001)
+            t.setxattr(f"/p/{c}/f", "user.k", c.encode())
+            t.create_file(f"/p/{c}/g", mode=0o600, uid=1002, gid=1002)
+            t.setxattr(f"/p/{c}/g", "user.b", c.encode())
+        t.mkdir("/p/c1/deep", mode=0o700, uid=1001, gid=1001)
+        t.create_file("/p/c1/deep/h", mode=0o600, uid=1003, gid=1003)
+        t.setxattr("/p/c1/deep/h", "user.h", b"x")
+        return t
+
+    def answers(self, index):
+        index.cache.clear()
+        out = []
+        for creds in (Credentials(uid=0, gid=0), ALICE, BOB):
+            for spec in (Q1_LIST_PATHS, Q2_DIR_SIZES, self.XQ):
+                with QueryEngine(index, creds=creds, nthreads=NTHREADS) as q:
+                    out.append(sorted(q.run(spec).rows))
+        return out
+
+    def dir_state(self, index, sp):
+        """(rolled?, the database's rows in every table a merge
+        touches, its side databases) — what 'exactly' compares."""
+        conn = connect.open_ro(index.db_path(sp))
+        try:
+            rows = [
+                sorted(conn.execute(f"SELECT * FROM {table}"), key=repr)
+                for table in ("pentries", "summary", "xattrs", "xattrs_avail")
+            ]
+            (kind,) = conn.execute(
+                "SELECT type FROM sqlite_master WHERE name = 'pentries'"
+            ).fetchone()
+        finally:
+            conn.close()
+        store = index.store(sp)
+        sides = {}
+        for name in store.side_artifacts():
+            side = connect.open_ro(store.artifact_path(name))
+            try:
+                sides[name] = sorted(side.execute("SELECT * FROM xattrs"), key=repr)
+            finally:
+                side.close()
+        return kind, rows, sides
+
+    def snapshot(self, index):
+        return {
+            index.source_path(d): self.dir_state(index, index.source_path(d))
+            for d in index.iter_index_dirs()
+        }
+
+    def test_killed_at_every_boundary(self, tmp_path):
+        from repro.core.rollup import FAULT_SITE
+        from repro.scan.faults import BuildCrash, FaultPlan
+        from repro.store.doctor import doctor
+
+        opts = BuildOptions(nthreads=NTHREADS)
+        flat = dir2index(self.tree(), tmp_path / "flat", opts=opts).index
+        rolled = dir2index(self.tree(), tmp_path / "rolled", opts=opts).index
+        expected_stats = rollup(rolled, nthreads=1)
+        assert expected_stats.rolled == 2  # /p/c1 and /p
+        unrolled_state, rolled_state = self.snapshot(flat), self.snapshot(rolled)
+        assert unrolled_state["/p"] != rolled_state["/p"]
+        expected = self.answers(flat)
+        assert expected == self.answers(rolled) and all(expected[:3])
+
+        boundaries = 0
+        for at in range(1, 100):
+            index = dir2index(
+                self.tree(), tmp_path / f"kill{at}", opts=opts
+            ).index
+            plan = FaultPlan.crash_at(FAULT_SITE, at)
+            try:
+                rollup(index, nthreads=1, faults=plan)
+            except BuildCrash:
+                boundaries += 1
+            else:
+                assert not plan.fired  # every boundary has been a kill site
+                break
+            # each directory is exactly one of its two states
+            for sp, state in self.snapshot(index).items():
+                assert state in (unrolled_state[sp], rolled_state[sp]), (at, sp)
+            assert self.answers(index) == expected, at
+            # the pass re-runs clean and lands where an unkilled one does
+            again = rollup(index, nthreads=1)
+            assert (again.rolled, again.visible_dbs) == (
+                expected_stats.rolled, expected_stats.visible_dbs
+            ), at
+            assert self.snapshot(index) == rolled_state, at
+            assert self.answers(index) == expected, at
+            assert doctor(index).healthy, at
+        # entry + seed + one per child + publish, for both rolled dirs
+        assert boundaries == (3 + 1) + (3 + 3)

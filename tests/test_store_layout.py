@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import sqlite3
 from pathlib import Path
 
@@ -197,7 +198,76 @@ def _path_calls_on_hot_path(path: Path) -> list[tuple[int, str]]:
     return hits
 
 
+#: the only modules that may set a database's page size — the
+#: template builder and the migration's staging — and the baseline
+#: that is not a GUFI index
+_PAGE_SIZE_SETTERS = ("store/connect.py", "store/migrate.py")
+_PAGE_SIZE_EXEMPT = ("baselines/brindexer.py",)
+_SETS_PAGE_SIZE = re.compile(r"pragma\s+page_size\s*=", re.IGNORECASE)
+
+
+def _page_size_settings(path: Path) -> list[tuple[int, bool]]:
+    """``(line, from schema.PAGE_SIZE?)`` for every string in the file
+    that sets ``PRAGMA page_size``: the one accepted spelling is an
+    f-string whose value is ``schema.PAGE_SIZE``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = _docstring_nodes(tree)
+    hits: list[tuple[int, bool]] = []
+    in_fstring: set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.JoinedStr):
+            continue
+        in_fstring.update(id(part) for part in node.values)
+        for part, value in zip(node.values, [*node.values[1:], None]):
+            if isinstance(part, ast.Constant) and _SETS_PAGE_SIZE.search(
+                str(part.value)
+            ):
+                expr = getattr(value, "value", None)
+                hits.append((
+                    node.lineno,
+                    str(part.value).rstrip().endswith("=")
+                    and isinstance(expr, ast.Attribute)
+                    and expr.attr == "PAGE_SIZE"
+                    and getattr(expr.value, "id", None) == "schema",
+                ))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in in_fstring
+            and id(node) not in docstrings
+            and _SETS_PAGE_SIZE.search(node.value)
+        ):
+            hits.append((node.lineno, False))
+    return hits
+
+
 class TestEncapsulationLint:
+    def test_page_size_is_set_from_the_schema_constant(self, tmp_path):
+        setters = 0
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            rel = path.relative_to(SRC_ROOT).as_posix()
+            if rel in _PAGE_SIZE_EXEMPT:
+                continue
+            found = _page_size_settings(path)
+            if rel in _PAGE_SIZE_SETTERS:
+                assert found and all(ok for _line, ok in found), (rel, found)
+                setters += 1
+            else:
+                assert not found, (rel, found)
+        assert setters == len(_PAGE_SIZE_SETTERS)
+        bad = tmp_path / "bad.py"
+        for line, ok in (
+            ('c.execute("PRAGMA page_size = 1024")', False),
+            ('c.execute(f"PRAGMA page_size = {n}")', False),
+            ('c.execute(f"pragma page_size={other.PAGE_SIZE}")', False),
+            ('c.execute(f"PRAGMA page_size = {schema.PAGE_SIZE}")', True),
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert [hit[1] for hit in _page_size_settings(bad)] == [ok], line
+        bad.write_text('n = c.execute("PRAGMA page_size").fetchone()\n')
+        assert not _page_size_settings(bad)  # reading it is anyone's
+
     def test_no_path_objects_on_the_per_directory_step(self, tmp_path):
         seen = 0
         for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -309,14 +379,15 @@ class TestEncapsulationLint:
 # ----------------------------------------------------------------------
 
 def _verbatim_template(tmp_path: Path) -> bytes:
-    """An empty primary database as builds wrote it before the DDL was
-    stored compact: ``ALL_DDL`` executed verbatim, comments and all."""
+    """An empty primary database as the first v1 builds wrote it,
+    before the DDL was stored compact: the DDL executed verbatim,
+    comments and all, an empty ``tsummary`` included."""
     path = tmp_path / "verbatim_template.db"
     conn = sqlite3.connect(path, isolation_level=None)
     conn.execute("PRAGMA page_size = 1024")
     conn.execute("PRAGMA journal_mode = MEMORY")
-    conn.executescript("".join(schema.ALL_DDL))
-    schema.stamp_schema_version(conn)
+    conn.executescript("".join((*schema.ALL_DDL, schema.CREATE_TSUMMARY)))
+    schema.stamp_schema_version(conn, 1)
     conn.close()
     return path.read_bytes()
 
@@ -337,28 +408,37 @@ class TestStoredDdl:
                 assert "--" not in sql and sql == " ".join(sql.split())
 
     def test_compaction_keeps_the_schema(self, tmp_path):
-        """Same tables, columns, views and version as the source DDL."""
+        """Same tables, columns and views as the source DDL — all but
+        ``tsummary``, which ``bfti`` creates — with every ``INTEGER``
+        stored as ``INT`` (the same affinity)."""
         def shape(path):
             conn = open_ro(path)
             try:
                 objects = conn.execute(
-                    "SELECT type, name FROM sqlite_master ORDER BY name"
+                    "SELECT type, name FROM sqlite_master "
+                    "WHERE name <> 'tsummary' ORDER BY name"
                 ).fetchall()
                 columns = {
-                    name: conn.execute(f"PRAGMA table_xinfo({name})").fetchall()
+                    name: [
+                        (*col[:2], col[2].replace("INTEGER", "INT"), *col[3:])
+                        for col in conn.execute(f"PRAGMA table_xinfo({name})")
+                    ]
                     for _type, name in objects
                 }
-                return objects, columns, schema.db_schema_version(conn)
+                return objects, columns
             finally:
                 conn.close()
 
         (tmp_path / "old.db").write_bytes(_verbatim_template(tmp_path))
         connect.create_db(tmp_path / "new.db", fresh=True).close()
         assert shape(tmp_path / "new.db") == shape(tmp_path / "old.db")
+        assert "INTEGER" not in "".join(_stored_ddl(tmp_path / "new.db"))
+        assert ("table", "tsummary") not in shape(tmp_path / "new.db")[0]
 
     def test_pre_compaction_index_answers_identically(self, tmp_path, monkeypatch):
-        """An index built before this change (verbatim DDL on disk)
-        needs no migration: same rows for every query, clean doctor."""
+        """An index built before the DDL was stored compact (verbatim
+        DDL on disk, format v1) answers every query with the same rows;
+        all ``index doctor`` has to say is that it wants migrating."""
         from repro.core.engine import QueryEngine
         from repro.core.query import Q1_LIST_PATHS, Q2_DIR_SIZES, Q3_DU_SUMMARIES
         from repro.core.rollup import rollup
@@ -388,9 +468,13 @@ class TestStoredDdl:
                         for i in (old, new)
                     ]
                     assert rows[0] == rows[1] and rows[0], (rolled, creds)
-            for index in (old, new):
-                report = doctor(index)
-                assert report.healthy and report.dirs_outdated == 0
+            assert doctor(new).healthy
+            report = doctor(old)
+            assert report.versions == {1: report.dirs_seen}
+            assert report.dirs_outdated == report.dirs_seen
+            assert not (
+                report.missing_shards or report.stale_partials or report.errors
+            )
 
 
 # ----------------------------------------------------------------------

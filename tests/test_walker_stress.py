@@ -245,3 +245,41 @@ class TestFatalAbort:
         ]
         stats = w.walk([0], lambda n: [])
         assert stats.items_processed == 1
+
+    @pytest.mark.parametrize("nthreads", [1, 4])
+    def test_base_exception_from_expand_is_fatal(self, nthreads):
+        """``SystemExit`` (any non-``Exception``) from ``expand`` once
+        killed the worker: with one thread nobody drained the queue and
+        ``walk`` never returned. It aborts the walk and is re-raised on
+        the caller, like a :class:`FatalWalkError`."""
+        tree = make_random_tree(9, n_nodes=200)
+        calls = []
+        policy = RetryPolicy(
+            retries=5, retry_on=(BaseException,), sleep=lambda s: None
+        )
+
+        def expand(node):
+            calls.append(node)
+            if len(calls) == 20:
+                raise SystemExit(3)
+            return tree[node]
+
+        raised = []
+
+        def run():
+            try:
+                ParallelTreeWalker(nthreads=nthreads).walk(
+                    [0], expand, retry=policy
+                )
+            except BaseException as exc:  # noqa: BLE001 - what walk raised
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=20)
+        assert not caller.is_alive(), "walk() hung on a dead worker"
+        assert [type(e) for e in raised] == [SystemExit] and raised[0].code == 3
+        assert len(calls) < 200  # aborted, and never retried
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("walker-")
+        ]
