@@ -345,6 +345,8 @@ def cmd_index_doctor(args: argparse.Namespace) -> int:
         print(f"newer-schema dirs: {report.dirs_newer} (upgrade this tool)")
     for sp, shard in report.missing_shards:
         print(f"# {sp}: tracked xattr shard {shard} missing", file=sys.stderr)
+    for sp, what in report.view_mismatches:
+        print(f"# {sp}: {what}", file=sys.stderr)
     for sp, name in report.stale_partials:
         print(f"# {sp}: stale staging file {name}", file=sys.stderr)
     for sp, msg in report.errors:
@@ -658,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     ip = isub.add_parser(
         "doctor",
         help="read-only health report: schema versions, missing xattr "
-             "shards, stale staging files",
+             "shards, view-form mismatches, stale staging files",
     )
     ip.add_argument("index_root")
     ip.set_defaults(func=cmd_index_doctor)

@@ -239,11 +239,12 @@ def changefeed2index(
     """Drain the journal and apply the delta to an existing index.
 
     ``faults`` is threaded into :func:`build_dir_db` (sites
-    ``"build_dir_db"`` / ``"build_dir_db.commit"``) so crash tests can
-    kill the apply mid-rebuild; ``limit`` bounds how many raw events
-    one batch drains. Raises :class:`ChangelogOverflow` when the
-    consumer's cursor predates the journal's retained window — the
-    caller must fall back to a full rebuild.
+    ``"build_dir_db"`` / ``"build_dir_db.commit"``) and
+    :func:`unroll_path_to` (site ``"unrollup_dir"``) so crash tests can
+    kill the apply mid-rebuild or mid-unroll; ``limit`` bounds how
+    many raw events one batch drains. Raises :class:`ChangelogOverflow`
+    when the consumer's cursor predates the journal's retained window
+    — the caller must fall back to a full rebuild.
     """
     opts = opts or BuildOptions()
     t0 = time.monotonic()
@@ -295,7 +296,7 @@ def changefeed2index(
     # -- structural phase (event order, idempotent per op) -------------
     for kind, path, dst in structural:
         if kind == "remove":
-            unrolled += unroll_path_to(index, _parent(path), checked)
+            unrolled += unroll_path_to(index, _parent(path), checked, faults)
             idx_dir = index.index_dir(path)
             if idx_dir.exists():
                 shutil.rmtree(idx_dir, ignore_errors=True)
@@ -303,8 +304,8 @@ def changefeed2index(
             index.cache.invalidate_subtree(path)
         else:
             assert dst is not None
-            unrolled += unroll_path_to(index, _parent(path), checked)
-            unrolled += unroll_path_to(index, _parent(dst), checked)
+            unrolled += unroll_path_to(index, _parent(path), checked, faults)
+            unrolled += unroll_path_to(index, _parent(dst), checked, faults)
             src_dir = index.index_dir(path)
             dst_dir = index.index_dir(dst)
             if src_dir.exists() and not dst_dir.exists():
@@ -330,7 +331,7 @@ def changefeed2index(
     dirs_rebuilt = entries_indexed = 0
     for d in sorted(dirty):
         if _is_live_dir(tree, d):
-            unrolled += unroll_path_to(index, d, checked)
+            unrolled += unroll_path_to(index, d, checked, faults)
             stanza = scan_single_dir(tree, d)
             n, _ = build_dir_db(index, stanza, opts, faults=faults)
             dirs_rebuilt += 1

@@ -15,7 +15,10 @@ the builders' commit protocol — so a directory is exactly un-rolled or
 exactly rolled at every instant, whatever kills the pass):
 
 1. drop the ``pentries`` view and materialise a ``pentries`` *table*
-   seeded from the directory's own ``entries`` rows;
+   seeded from the directory's own ``entries`` rows; ``vrpentries``
+   becomes the view that finds each row's directory by a join (an
+   un-rolled database's views describe one directory —
+   :func:`repro.store.schema.view_ddl`);
 2. copy each child's ``pentries`` rows in (children were rolled first,
    so this captures their whole sub-trees) — ``entries`` is never
    touched, preserving the original data;
@@ -26,9 +29,9 @@ exactly rolled at every instant, whatever kills the pass):
 5. flag the directory ``rolledup`` with its merged entry count.
 
 Rolled-up children stay on disk, so queries may start anywhere and
-rollups can be undone per-directory (:func:`unrollup_dir`) without
-touching any other directory — the property the incremental update
-tool relies on.
+rollups can be undone per-directory (:func:`unrollup_dir`, staged and
+published the same way) without touching any other directory — the
+property the incremental update tool relies on.
 """
 
 from __future__ import annotations
@@ -230,6 +233,19 @@ def _merge_child(
 #: child's merge, and before the publishing renames
 FAULT_SITE = "rollup_dir"
 
+#: the same for one directory's unrollup: on entry, after the primary
+#: database is its un-rolled self, after each side database, and
+#: before the publishing renames
+UNROLLUP_FAULT_SITE = "unrollup_dir"
+
+
+def _stage_copies(store: DirStore, names: list[str]) -> None:
+    """Copy published artifacts to their staging names. No sweep: each
+    is written afresh, and publish removes whatever else a killed
+    attempt left."""
+    for name in names:
+        shutil.copyfile(store.artifact_path(name), store.partial_path(name))
+
 
 def rollup_dir(
     index: GUFIIndex,
@@ -251,13 +267,10 @@ def rollup_dir(
         if faults is not None:
             faults.fire(FAULT_SITE, source_path)
 
-    # no sweep: every staging file used below is written afresh, and
-    # publish removes whatever else a killed attempt left
     store = DirStore(index.index_path(source_path))
     boundary()
     sides = store.side_artifacts()
-    for name in (layout.DB_NAME, *sides):
-        shutil.copyfile(store.artifact_path(name), store.partial_path(name))
+    _stage_copies(store, [layout.DB_NAME, *sides])
     conn = connect.open_rw(store.partial_path(layout.DB_NAME))
     try:
         conn.execute("BEGIN")
@@ -268,6 +281,7 @@ def rollup_dir(
             "(SELECT inode FROM summary WHERE isroot=1 AND rectype=0) "
             "FROM entries"
         )
+        schema.create_views(conn, rolled=True)
         conn.execute("COMMIT")
         boundary()
         for child in child_names:
@@ -289,50 +303,67 @@ def rollup_dir(
     return count
 
 
-def unrollup_dir(index: GUFIIndex, source_path: str) -> None:
+def unrollup_dir(
+    index: GUFIIndex, source_path: str, faults: Any | None = None
+) -> None:
     """Undo one directory's rollup — independent of every other
-    directory's rollup state (§III-C3's lightweight-undo property)."""
-    parent_dir = index.index_dir(source_path)
-    conn = index.store(source_path).open_rw()
+    directory's rollup state (§III-C3's lightweight-undo property).
+
+    All-or-nothing like :func:`rollup_dir`, by the same protocol: the
+    flag steers descent, so a directory still flagged rolled over an
+    emptied ``pentries`` would hide its whole sub-tree from every
+    answer. The primary and the side databases that stay are edited as
+    staged copies and published together; the side databases rollup
+    created are simply not in the published set."""
+
+    def boundary() -> None:
+        if faults is not None:
+            faults.fire(UNROLLUP_FAULT_SITE, source_path)
+
+    store = DirStore(index.index_path(source_path))
+    boundary()
+    conn = connect.open_ro(store.db_path)
     try:
-        meta = index.read_dir_meta(conn)
-        if not meta.rolledup:
+        if not conn.execute(
+            "SELECT rolledup FROM summary WHERE isroot = 1 AND rectype = 0"
+        ).fetchone()[0]:
             return  # nothing to undo
-        conn.execute("DROP TABLE IF EXISTS pentries")
-        conn.execute(schema.compact_ddl(schema.CREATE_PENTRIES_VIEW))
-        conn.execute("DELETE FROM summary WHERE isroot = 0")
-        conn.execute("DELETE FROM xattrs WHERE isroot = 0")
-        created = conn.execute(
-            "SELECT filename FROM xattrs_avail WHERE isroot = 0"
-        ).fetchall()
-        for (filename,) in created:
-            try:
-                os.unlink(parent_dir / filename)
-            except OSError:
-                pass
-        conn.execute("DELETE FROM xattrs_avail WHERE isroot = 0")
-        # Pre-existing side databases may still hold rolled-in rows.
-        kept = conn.execute(
-            "SELECT filename FROM xattrs_avail WHERE isroot = 1"
-        ).fetchall()
-        for (filename,) in kept:
-            path = parent_dir / filename
-            if not path.exists():
-                continue
-            side = connect.open_rw(path)
-            try:
-                side.execute("DELETE FROM xattrs WHERE isroot = 0")
-                side.commit()
-            finally:
-                side.close()
+        created = {
+            filename
+            for (filename,) in conn.execute(
+                "SELECT filename FROM xattrs_avail WHERE isroot = 0"
+            )
+        }
+    finally:
+        conn.close()
+    # pre-existing side databases may hold rolled-in rows
+    kept = [n for n in store.side_artifacts() if n not in created]
+    _stage_copies(store, [layout.DB_NAME, *kept])
+    conn = connect.open_rw(store.partial_path(layout.DB_NAME))
+    try:
+        conn.execute("BEGIN")
+        conn.execute("DROP TABLE pentries")
+        schema.create_views(conn, rolled=False)
+        for table in ("summary", "xattrs", "xattrs_avail"):
+            conn.execute(f"DELETE FROM {table} WHERE isroot = 0")
         conn.execute(
             "UPDATE summary SET rolledup = 0, rollup_entries = 0 "
             "WHERE isroot = 1 AND rectype = 0"
         )
-        conn.commit()
-        index.invalidate_cache(source_path)
+        conn.execute("COMMIT")
     finally:
         conn.close()
+    boundary()
+    for name in kept:
+        side = connect.open_rw(store.partial_path(name))
+        try:
+            side.execute("DELETE FROM xattrs WHERE isroot = 0")
+        finally:
+            side.close()
+        boundary()
+    boundary()
+    store.publish(kept)
+    index.invalidate_cache(source_path)
 
 
 #: the pass's per-directory read: the permission triple, the rollup

@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.fs.inode import FileType
 from repro.fs.tree import VFSTree
@@ -42,7 +43,10 @@ class UpdateResult:
 
 
 def unroll_path_to(
-    index: GUFIIndex, target: str, checked: set[str] | None = None
+    index: GUFIIndex,
+    target: str,
+    checked: set[str] | None = None,
+    faults: Any | None = None,
 ) -> list[str]:
     """Undo rollups on every directory from the root down to (and
     including) ``target`` so the target's database is authoritative
@@ -52,7 +56,8 @@ def unroll_path_to(
     to be rolled up: members are skipped and every directory verified
     (or unrolled) here is added, so a batch of targets checks each
     shared ancestor once. The caller empties it when it moves or
-    removes a directory.
+    removes a directory. ``faults`` is threaded into
+    :func:`~repro.core.rollup.unrollup_dir` (site ``"unrollup_dir"``).
     """
     parts = [p for p in target.split("/") if p]
     unrolled = []
@@ -67,7 +72,7 @@ def unroll_path_to(
             continue
         meta = index.dir_meta(sp)
         if meta.rolledup:
-            unrollup_dir(index, sp)
+            unrollup_dir(index, sp, faults)
             unrolled.append(sp)
         if checked is not None:
             checked.add(sp)

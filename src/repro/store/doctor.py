@@ -10,6 +10,11 @@ Walks the index and reports, without modifying anything:
   ``xattrs_avail`` tracking table whose file is absent (the query path
   tolerates these by skipping them, but they signal an interrupted
   build that resume never finished);
+* **view-form mismatches**: a database whose views are not those of
+  what it is (:func:`~repro.store.schema.view_ddl`) — a database
+  flagged rolled up whose ``pentries`` is not a table or whose
+  ``vrpentries`` is the single-directory view (every rolled-in row
+  would answer with this directory's name), or the reverse;
 * **stale staging files**: crash-leftover ``*.partial`` artifacts
   (``DirStore.open`` sweeps these before a rebuild; doctor only
   reports them — reporting must be runnable by anyone, including
@@ -44,6 +49,9 @@ class DoctorReport:
     #: (source path, shard file name) tracked by ``xattrs_avail`` but
     #: absent on disk
     missing_shards: list[tuple[str, str]] = field(default_factory=list)
+    #: (source path, what is wrong) for databases whose ``pentries`` /
+    #: ``vrpentries`` are not those of their rollup state
+    view_mismatches: list[tuple[str, str]] = field(default_factory=list)
     #: (source path, file name) of leftover ``*.partial`` staging files
     stale_partials: list[tuple[str, str]] = field(default_factory=list)
     #: (source path, message) for unreadable/corrupt databases
@@ -51,15 +59,44 @@ class DoctorReport:
 
     @property
     def healthy(self) -> bool:
-        """No findings that need an operator: every database current,
-        every tracked shard present, no staging residue, no errors."""
+        """No findings that need an operator: every database current
+        and carrying its own views, every tracked shard present, no
+        staging residue, no errors."""
         return not (
             self.dirs_outdated
             or self.dirs_newer
             or self.missing_shards
+            or self.view_mismatches
             or self.stale_partials
             or self.errors
         )
+
+
+def _view_mismatch(conn: sqlite3.Connection, version: int) -> str | None:
+    """What is wrong with the database's views, if anything. Formats
+    before v3 carried the join-form ``vrpentries`` in every database
+    (slower, not wrong), so an un-rolled one is held to the
+    single-directory form only from v3 on."""
+    row = conn.execute(
+        "SELECT rolledup, "
+        "(SELECT type FROM sqlite_master WHERE name = 'pentries'), "
+        "(SELECT sql FROM sqlite_master WHERE name = 'vrpentries') "
+        "FROM summary WHERE isroot = 1 AND rectype = 0"
+    ).fetchone()
+    if row is None:
+        return None  # no directory record: not this check's finding
+    rolled, kind, stored = bool(row[0]), row[1], row[2]
+    if (kind == "table") != rolled:
+        return f"rolledup = {int(rolled)} but pentries is a {kind}"
+    single = schema.view_ddl(rolled=False)[-1]
+    if stored != schema.view_ddl(rolled)[-1] and (
+        version >= 3 or stored == single
+    ):
+        return (
+            f"{'rolled-up' if rolled else 'un-rolled'} database carries the "
+            f"{'single-directory' if stored == single else 'join-form'} vrpentries"
+        )
+    return None
 
 
 def _check_dir(store: DirStore, source_path: str, report: DoctorReport) -> None:
@@ -78,6 +115,9 @@ def _check_dir(store: DirStore, source_path: str, report: DoctorReport) -> None:
             report.dirs_outdated += 1
         elif version > schema.SCHEMA_VERSION:
             report.dirs_newer += 1
+        mismatch = _view_mismatch(conn, version)
+        if mismatch:
+            report.view_mismatches.append((source_path, mismatch))
         for (filename,) in conn.execute("SELECT filename FROM xattrs_avail"):
             if not store.artifact_path(filename).exists():
                 report.missing_shards.append((source_path, filename))

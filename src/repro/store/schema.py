@@ -19,6 +19,9 @@ record-holding tables plus views:
 * ``pentries`` — a view of ``entries`` augmented with the parent
   inode. Rollup materialises it into a real table so sub-directory
   rows can be merged in without touching ``entries``.
+* ``vrpentries`` — ``pentries`` plus the parent directory's relative
+  path, so full paths survive rollup. :func:`view_ddl` holds the text
+  of both views, for an un-rolled and for a rolled-up database.
 * ``xattrs`` — xattr values for entries whose protection matches the
   directory database itself; ``xattrs_avail`` tracks the per-user /
   per-group side databases holding the rest (§III-A2, §III-B1).
@@ -36,12 +39,19 @@ user_version = SCHEMA_VERSION`` (side databases included):
 * **v2** — :data:`PAGE_SIZE`-byte (512) pages, the DDL text stored
   with ``INT`` (same affinity, a third fewer characters for SQLite to
   keep and re-parse), no ``tsummary`` until ``bfti`` creates one. An
-  empty database is 4 KiB — one block.
+  empty database is 4 KiB — one block;
+* **v3** — the views of an *un-rolled* database describe one
+  directory (scalar sub-selects over ``entries``, no join with
+  ``summary``): same columns, rows and order, but SQLite re-compiles
+  the user's ``E`` in every directory and planning the join cost more
+  than the ATTACH. A rolled-up database keeps the join
+  (:func:`view_ddl`).
 
-Every reader reads all three side by side (a changefeed apply on a v1
-index leaves a mixed one): the only difference a reader can observe
-is whether ``tsummary`` exists, which the per-directory metadata
-statement learns from ``sqlite_master`` (:func:`has_tsummary_sql`).
+Every reader reads all four side by side (a changefeed apply on an
+older index leaves a mixed one) and none asks which it has: the views
+live in the file, and the one difference a reader can observe —
+whether ``tsummary`` exists — the per-directory metadata statement
+learns from ``sqlite_master`` (:func:`has_tsummary_sql`).
 :mod:`repro.store.migrate` upgrades a database through the
 :data:`MIGRATIONS` registry, one step per version, per directory, and
 resumably. New steps append to the registry; a reader that encounters
@@ -57,7 +67,7 @@ from collections.abc import Callable
 
 #: the schema epoch stamped into ``PRAGMA user_version`` of every
 #: database this layer writes; bump when a migration step is added
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: page size of every database this layer creates or migrates. Most
 #: directories hold a handful of rows per table, so a table is its
@@ -213,19 +223,9 @@ CREATE TABLE IF NOT EXISTS tsummary (
 );
 """
 
-# The pentries view joins every entry with the (single) original
-# overall summary record to expose the parent inode, exactly as the
-# paper's Fig 5 describes. Rollup drops the view and materialises a
-# table of the same shape.
-CREATE_PENTRIES_VIEW = """
-CREATE VIEW IF NOT EXISTS pentries AS
-    SELECT entries.*, summary.inode AS pinode
-    FROM entries, summary
-    WHERE summary.isroot = 1 AND summary.rectype = 0;
-"""
-
 PENTRIES_COLUMNS = ENTRIES_COLUMNS + ("pinode",)
 
+# What rollup materialises ``pentries`` into (the view's shape).
 CREATE_PENTRIES_TABLE = """
 CREATE TABLE IF NOT EXISTS pentries (
     name        TEXT,
@@ -272,27 +272,74 @@ CREATE TABLE IF NOT EXISTS xattrs_avail (
 );
 """
 
-# vrpentries joins each (p)entries row with its parent directory's
-# summary record so full paths survive rollup: ``dname`` is the parent
-# directory's path relative to this database's directory (its plain
-# basename for non-rolled rows, a multi-segment relative path for
-# rolled-in rows) and ``d_isroot`` tells the rpath() SQL function
-# whether a prefix is needed. This is the moral equivalent of GUFI's
-# vrpentries/rpath machinery.
-CREATE_VRPENTRIES_VIEW = """
-CREATE VIEW IF NOT EXISTS vrpentries AS
-    SELECT pentries.*, summary.name AS dname, summary.isroot AS d_isroot
-    FROM pentries JOIN summary
-    ON pentries.pinode = summary.inode AND summary.rectype = 0;
-"""
+def view_ddl(rolled: bool) -> tuple[str, ...]:
+    """The ``CREATE VIEW`` statements of a database, as stored — the
+    only home of view text: the template, rollup, unrollup and the
+    migrations all create views from here.
+
+    ``pentries`` is ``entries`` plus ``pinode``, the parent directory's
+    inode (the paper's Fig 5). ``vrpentries`` adds ``dname`` — the
+    parent directory's path relative to this database's directory: its
+    plain name for the directory's own rows, a multi-segment path for
+    rolled-in ones — and ``d_isroot``, which tells the ``rpath()`` SQL
+    function whether a prefix is needed (the moral equivalent of
+    GUFI's vrpentries/rpath machinery).
+
+    An **un-rolled** database is one directory, and its views say so:
+    every row's parent is the one original summary record, read by
+    scalar sub-selects that SQLite evaluates once. ``vrpentries``
+    stands on ``entries`` directly, not on ``pentries``: every
+    directory of every query re-compiles the user's ``E`` (ATTACH
+    expires prepared statements), and a view on a view, or a join with
+    a one-row table, costs more to plan than the ATTACH itself.
+
+    A **rolled-up** database holds many directories: ``pentries`` is a
+    table (:data:`CREATE_PENTRIES_TABLE`, rows of the whole sub-tree)
+    and ``vrpentries`` finds each row's directory by joining it to
+    ``summary`` on the parent inode.
+    """
+    if rolled:
+        return (
+            "CREATE VIEW vrpentries AS SELECT pentries.*, "
+            "summary.name AS dname, summary.isroot AS d_isroot "
+            "FROM pentries JOIN summary "
+            "ON pentries.pinode = summary.inode AND summary.rectype = 0",
+        )
+    # the directory's own overall summary record, as a scalar sub-select
+    own = "(SELECT {} FROM summary WHERE isroot=1 AND rectype=0)"
+    pinode = own.format("inode") + " AS pinode"
+    dname = own.format("name") + " AS dname"
+    return (
+        f"CREATE VIEW pentries AS SELECT *, {pinode} FROM entries",
+        f"CREATE VIEW vrpentries AS SELECT *, {pinode}, {dname}, "
+        "1 AS d_isroot FROM entries",
+    )
+
+
+def is_rolled(conn: sqlite3.Connection) -> bool:
+    """Is this a rolled-up database — is ``pentries`` a table?"""
+    return conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'pentries'"
+    ).fetchone() is not None
+
+
+def create_views(conn: sqlite3.Connection, rolled: bool) -> None:
+    """Replace whatever views the database carries with
+    :func:`view_ddl`'s. (A ``pentries`` *table* is the caller's: rollup
+    creates it before, unrollup drops it before.)"""
+    conn.execute("DROP VIEW IF EXISTS vrpentries")
+    if not rolled:
+        conn.execute("DROP VIEW IF EXISTS pentries")
+    for statement in view_ddl(rolled):
+        conn.execute(statement)
+
 
 #: what every new primary database holds (``tsummary`` is not here:
 #: ``build_tsummary`` creates it where it is asked to)
 ALL_DDL = (
     CREATE_ENTRIES,
     CREATE_SUMMARY,
-    CREATE_PENTRIES_VIEW,
-    CREATE_VRPENTRIES_VIEW,
+    *view_ddl(rolled=False),
     CREATE_XATTRS,
     CREATE_XATTRS_AVAIL,
 )
@@ -382,10 +429,11 @@ def stamp_schema_version(
 def _upgrade_0_to_1(conn: sqlite3.Connection) -> None:
     """v0 → v1: the unversioned layout *is* the v1 layout — this step
     exists to stamp the epoch so later migrations have a floor. It
-    also re-creates the ``vrpentries`` view for primary databases
-    predating it (``IF NOT EXISTS``, so stamped-but-current databases
-    pass through untouched). Side databases (only an ``xattrs`` table)
-    take the stamp alone."""
+    also creates the views of a primary database that predates
+    ``vrpentries`` — those of what the database *is*: a rolled-up one
+    given the single-directory view would answer every rolled-in row
+    with its own directory's name. Side databases (only an ``xattrs``
+    table) take the stamp alone."""
     tables = {
         name
         for (name,) in conn.execute(
@@ -393,7 +441,7 @@ def _upgrade_0_to_1(conn: sqlite3.Connection) -> None:
         )
     }
     if "entries" in tables and "vrpentries" not in tables:
-        conn.executescript(CREATE_VRPENTRIES_VIEW)
+        create_views(conn, is_rolled(conn))
 
 
 def _upgrade_1_to_2(conn: sqlite3.Connection) -> None:
@@ -409,12 +457,23 @@ def _upgrade_1_to_2(conn: sqlite3.Connection) -> None:
         conn.execute("DROP TABLE tsummary")
 
 
+def _upgrade_2_to_3(conn: sqlite3.Connection) -> None:
+    """v2 → v3: the views become those :func:`view_ddl` gives a
+    database of this kind — single-directory ones unless ``pentries``
+    is a table. Side databases have none."""
+    if conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE name = 'entries'"
+    ).fetchone():
+        create_views(conn, is_rolled(conn))
+
+
 #: migration registry: ``MIGRATIONS[v]`` upgrades a database *from*
 #: version ``v`` to ``v + 1``; :func:`migrate_conn` walks it and
 #: stamps after each step
 MIGRATIONS: dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _upgrade_0_to_1,
     1: _upgrade_1_to_2,
+    2: _upgrade_2_to_3,
 }
 
 

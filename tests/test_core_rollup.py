@@ -301,11 +301,10 @@ class TestXattrRollup:
         conn.close()
 
 
-class TestRollupIsAllOrNothing:
-    """A directory's rollup runs on staged copies and publishes by
-    rename: killed at any boundary of any directory's merge, every
-    directory is exactly un-rolled or exactly rolled, the pass re-runs
-    clean, and ``index doctor`` has nothing to report."""
+class _AllOrNothing:
+    """What 'exactly rolled or exactly un-rolled' compares: a tree
+    whose rollup touches every table and side database, the answers
+    three users get, and each directory's state on disk."""
 
     XQ = QuerySpec(E="SELECT name, exattrs FROM xpentries", xattrs=True)
 
@@ -338,17 +337,19 @@ class TestRollupIsAllOrNothing:
         return out
 
     def dir_state(self, index, sp):
-        """(rolled?, the database's rows in every table a merge
-        touches, its side databases) — what 'exactly' compares."""
+        """(what ``pentries`` and ``vrpentries`` are, the database's
+        rows in every table a merge touches, its side databases) —
+        what 'exactly' compares."""
         conn = connect.open_ro(index.db_path(sp))
         try:
             rows = [
                 sorted(conn.execute(f"SELECT * FROM {table}"), key=repr)
                 for table in ("pentries", "summary", "xattrs", "xattrs_avail")
             ]
-            (kind,) = conn.execute(
-                "SELECT type FROM sqlite_master WHERE name = 'pentries'"
-            ).fetchone()
+            kind = conn.execute(
+                "SELECT name, type, sql FROM sqlite_master "
+                "WHERE name IN ('pentries', 'vrpentries') ORDER BY name"
+            ).fetchall()
         finally:
             conn.close()
         store = index.store(sp)
@@ -366,6 +367,14 @@ class TestRollupIsAllOrNothing:
             index.source_path(d): self.dir_state(index, index.source_path(d))
             for d in index.iter_index_dirs()
         }
+
+
+
+class TestRollupIsAllOrNothing(_AllOrNothing):
+    """A directory's rollup runs on staged copies and publishes by
+    rename: killed at any boundary of any directory's merge, every
+    directory is exactly un-rolled or exactly rolled, the pass re-runs
+    clean, and ``index doctor`` has nothing to report."""
 
     def test_killed_at_every_boundary(self, tmp_path):
         from repro.core.rollup import FAULT_SITE
@@ -409,3 +418,88 @@ class TestRollupIsAllOrNothing:
             assert doctor(index).healthy, at
         # entry + seed + one per child + publish, for both rolled dirs
         assert boundaries == (3 + 1) + (3 + 3)
+
+
+class TestUnrollupIsAllOrNothing(_AllOrNothing):
+    """Unrollup is staged and published like rollup. Killed at any
+    boundary, a directory is exactly rolled or exactly un-rolled —
+    never flagged rolled over an emptied ``pentries``, which would
+    hide its whole sub-tree from every answer."""
+
+    def rolled_index(self, root):
+        index = dir2index(
+            self.tree(), root, opts=BuildOptions(nthreads=NTHREADS)
+        ).index
+        rollup(index, nthreads=1)
+        return index
+
+    def test_killed_at_every_boundary(self, tmp_path):
+        from repro.core.rollup import UNROLLUP_FAULT_SITE
+        from repro.core.update import unroll_path_to
+        from repro.scan.faults import BuildCrash, FaultPlan
+        from repro.store.doctor import doctor
+
+        flat = dir2index(
+            self.tree(), tmp_path / "flat", opts=BuildOptions(nthreads=NTHREADS)
+        ).index
+        rolled = self.rolled_index(tmp_path / "rolled")
+        unrolled = self.rolled_index(tmp_path / "unrolled")
+        assert unroll_path_to(unrolled, "/p/c1") == ["/p", "/p/c1"]
+        rolled_state = self.snapshot(rolled)
+        unrolled_state = self.snapshot(unrolled)
+        # an un-rolled directory is what it was before it was rolled
+        assert unrolled_state == self.snapshot(flat)
+        assert unrolled_state["/p"] != rolled_state["/p"]
+        expected = self.answers(flat)
+        assert expected == self.answers(unrolled) and all(expected[:3])
+
+        boundaries = 0
+        for at in range(1, 100):
+            index = self.rolled_index(tmp_path / f"kill{at}")
+            plan = FaultPlan.crash_at(UNROLLUP_FAULT_SITE, at)
+            try:
+                unroll_path_to(index, "/p/c1", faults=plan)
+            except BuildCrash:
+                boundaries += 1
+            else:
+                assert not plan.fired  # every boundary has been a kill site
+                break
+            for sp, state in self.snapshot(index).items():
+                assert state in (unrolled_state[sp], rolled_state[sp]), (at, sp)
+            assert self.answers(index) == expected, at
+            # a re-run lands where an unkilled one does
+            unroll_path_to(index, "/p/c1")
+            assert self.snapshot(index) == unrolled_state, at
+            assert self.answers(index) == expected, at
+            assert doctor(index).healthy, at
+        # entry + primary + the two side databases of the foreign-owned
+        # file (per-user, per-group) + publish, for /p and /p/c1
+        assert boundaries == 2 * (1 + 1 + 2 + 1)
+
+    def test_changefeed_apply_killed_mid_unroll(self, tmp_path):
+        from repro.core.changefeed import changefeed2index
+        from repro.core.rollup import UNROLLUP_FAULT_SITE
+        from repro.fs.changelog import ChangeJournal
+        from repro.scan.faults import BuildCrash, FaultPlan
+        from repro.store.doctor import doctor
+
+        opts = BuildOptions(nthreads=NTHREADS)
+        tree, journal = self.tree(), ChangeJournal()
+        tree.set_changelog(journal)
+        index = dir2index(tree, tmp_path / "idx", opts=opts).index
+        rollup(index, nthreads=1)
+        before = self.answers(index)
+        tree.create_file("/p/c1/new", size=3, mode=0o600, uid=1001, gid=1001)
+        # after /p's view swap: the old code left rolledup = 1 here
+        with pytest.raises(BuildCrash):
+            changefeed2index(
+                index, tree, journal, opts=opts,
+                faults=FaultPlan.crash_at(UNROLLUP_FAULT_SITE, 2),
+            )
+        assert self.answers(index) == before
+        assert changefeed2index(index, tree, journal, opts=opts).unrolled_dirs == [
+            "/p", "/p/c1"
+        ]
+        assert doctor(index).healthy
+        fresh = dir2index(tree, tmp_path / "fresh", opts=opts).index
+        assert self.answers(index) == self.answers(fresh) != before

@@ -242,7 +242,56 @@ def _page_size_settings(path: Path) -> list[tuple[int, bool]]:
     return hits
 
 
+#: view text lives in one function: a second copy would be a second
+#: answer to "which views does a rolled-up database carry"
+_VIEW_DDL_HOME = ("store/schema.py", "view_ddl")
+_CREATES_VIEW = re.compile(
+    r"create\s+(?:temp(?:orary)?\s+)?view\s+(?:if\s+not\s+exists\s+)?"
+    r"(?:\w+\.)?(?:vr)?pentries\b",
+    re.IGNORECASE,
+)
+
+
+def _view_ddl_sites(path: Path) -> list[tuple[int, str | None]]:
+    """``(line, enclosing function)`` of every string outside a
+    docstring that creates a ``pentries`` / ``vrpentries`` view."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = _docstring_nodes(tree)
+    owner: dict[int, str] = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                owner.setdefault(id(node), func.name)
+    return [
+        (node.lineno, owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+        and _CREATES_VIEW.search(node.value)
+    ]
+
+
 class TestEncapsulationLint:
+    def test_view_text_has_one_home(self, tmp_path):
+        home, func = _VIEW_DDL_HOME
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            sites = _view_ddl_sites(path)
+            if path.relative_to(SRC_ROOT).as_posix() == home:
+                assert sites and {f for _line, f in sites} == {func}, sites
+            else:
+                assert not sites, (path, sites)
+        bad = tmp_path / "bad.py"
+        for line, found in (
+            ('c.execute("CREATE VIEW pentries AS SELECT 1")', True),
+            ('c.execute("create view if not exists vrpentries as select 1")', True),
+            ('c.execute("CREATE VIEW main.vrpentries AS " "SELECT 1")', True),
+            ('c.execute("CREATE TEMP VIEW xpentries AS SELECT 1")', False),
+            ('c.execute("DROP VIEW IF EXISTS pentries")', False),
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert bool(_view_ddl_sites(bad)) == found, line
+
     def test_page_size_is_set_from_the_schema_constant(self, tmp_path):
         setters = 0
         for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -386,7 +435,7 @@ def _verbatim_template(tmp_path: Path) -> bytes:
     conn = sqlite3.connect(path, isolation_level=None)
     conn.execute("PRAGMA page_size = 1024")
     conn.execute("PRAGMA journal_mode = MEMORY")
-    conn.executescript("".join((*schema.ALL_DDL, schema.CREATE_TSUMMARY)))
+    conn.executescript(";".join((*schema.ALL_DDL, schema.CREATE_TSUMMARY)))
     schema.stamp_schema_version(conn, 1)
     conn.close()
     return path.read_bytes()
@@ -752,6 +801,51 @@ class TestDoctor:
         assert not report.healthy
         assert ("/home/bob", DB_NAME + PARTIAL_SUFFIX) in report.stale_partials
         assert ("/home/bob", side_db_name("user", 4242)) in report.missing_shards
+
+    def test_reports_view_form_mismatches(self, demo_index):
+        """A database must carry the views of what it is: planted, each
+        wrong pairing is named; a pre-v3 un-rolled database with the
+        join view is only outdated."""
+        from repro.core.rollup import rollup
+
+        rollup(demo_index, nthreads=2)
+        assert doctor(demo_index).healthy
+        rolled = [
+            demo_index.source_path(d)
+            for d in demo_index.iter_index_dirs()
+            if demo_index.dir_meta(demo_index.source_path(d)).rolledup
+        ]
+        flat = next(
+            demo_index.source_path(d)
+            for d in demo_index.iter_index_dirs()
+            if demo_index.source_path(d) not in rolled
+        )
+        assert len(rolled) >= 2
+
+        def edit(sp, *statements):
+            conn = open_rw(demo_index.db_path(sp))
+            try:
+                for sql in statements:
+                    conn.execute(sql)
+            finally:
+                conn.close()
+
+        single, join = schema.view_ddl(False)[-1], schema.view_ddl(True)[-1]
+        edit(rolled[0], "DROP VIEW vrpentries", single)
+        edit(flat, "DROP VIEW vrpentries", join)
+        edit(rolled[1], "UPDATE summary SET rolledup = 0 WHERE isroot = 1")
+        report = doctor(demo_index)
+        assert not report.healthy
+        assert dict(report.view_mismatches) == {
+            rolled[0]: "rolled-up database carries the single-directory vrpentries",
+            flat: "un-rolled database carries the join-form vrpentries",
+            rolled[1]: "rolledup = 0 but pentries is a table",
+        }
+        # before v3 the join form was every database's
+        edit(flat, "PRAGMA user_version = 2")
+        report = doctor(demo_index)
+        assert flat not in dict(report.view_mismatches)
+        assert report.dirs_outdated == 1
 
     def test_reports_outdated_versions(self, demo_index):
         conn = open_rw(demo_index.db_path("/public"))

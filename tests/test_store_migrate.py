@@ -122,6 +122,43 @@ class TestMigrateRoundTrip:
         assert result.side_dbs_migrated > 0
         assert _versions(index) == {SCHEMA_VERSION}
 
+    def test_rolled_v0_lacking_vrpentries_gets_the_join_view(self, demo_index):
+        """The oldest indexes predate ``vrpentries``. Step 0 creates the
+        view of what the database *is*: a rolled-up one given the
+        single-directory view would answer every rolled-in row with
+        its own directory's name."""
+        from repro.core.query import Q1_LIST_PATHS
+        from repro.core.rollup import rollup
+        from repro.store.schema import MIGRATIONS, is_rolled, view_ddl
+
+        rollup(demo_index, nthreads=2)
+        paths = sorted(QueryEngine(demo_index, creds=ROOT).run(Q1_LIST_PATHS).rows)
+        rolled = 0
+        for d in demo_index.iter_index_dirs():
+            conn = open_rw(DirStore(d).db_path)
+            try:
+                conn.execute("DROP VIEW vrpentries")
+                conn.execute("PRAGMA user_version = 0")
+                MIGRATIONS[0](conn)  # the step alone, not the chain
+                (sql,) = conn.execute(
+                    "SELECT sql FROM sqlite_master WHERE name = 'vrpentries'"
+                ).fetchone()
+                assert sql == view_ddl(is_rolled(conn))[-1]
+                rolled += is_rolled(conn)
+            finally:
+                conn.close()
+        assert rolled
+        demo_index.cache.clear()
+        assert sorted(
+            QueryEngine(demo_index, creds=ROOT).run(Q1_LIST_PATHS).rows
+        ) == paths
+        assert migrate_index(demo_index).ok
+        assert _versions(demo_index) == {SCHEMA_VERSION}
+        demo_index.cache.clear()
+        assert sorted(
+            QueryEngine(demo_index, creds=ROOT).run(Q1_LIST_PATHS).rows
+        ) == paths
+
     def test_newer_schema_refuses(self, tmp_path):
         store = DirStore.open(tmp_path / "d")
         conn = store.create_primary()

@@ -6,8 +6,11 @@ byte as the last v1 commit built them.
 
 Nothing under ``src/`` can write a v1 database any more; tests that
 need a v1 index build one with the builders' templates swapped for
-these. ``python -m tests.v1_format DIR`` builds the demo tree's v1
-index at ``DIR`` (the CI index smoke migrates it).
+these (:mod:`tests.v2_format` does the same for format v2). Rollup
+and unrollup are *not* frozen: they write today's views into whatever
+database they are given, as they would on a real old index.
+``python -m tests.v1_format DIR`` builds the demo tree's v1 index at
+``DIR``.
 """
 
 from __future__ import annotations
@@ -21,21 +24,27 @@ from repro.store import connect
 
 _FIXTURES = Path(__file__).parent / "fixtures"
 
-V1_TEMPLATES = {
-    "full": (_FIXTURES / "v1_primary.db").read_bytes(),
-    "side": (_FIXTURES / "v1_side.db").read_bytes(),
-}
+
+def frozen_templates(version: int) -> dict[str, bytes]:
+    """Template kind → bytes, as format ``version``'s builders had them."""
+    return {
+        "full": (_FIXTURES / f"v{version}_primary.db").read_bytes(),
+        "side": (_FIXTURES / f"v{version}_side.db").read_bytes(),
+    }
+
+
+V1_TEMPLATES = frozen_templates(1)
 
 
 @contextmanager
-def writing_v1() -> Iterator[None]:
-    """Every database the builders create inside the block is a v1
-    database."""
-    for kind in V1_TEMPLATES:
+def writing(templates: dict[str, bytes]) -> Iterator[None]:
+    """Every database the builders create inside the block is a copy
+    of one of ``templates``."""
+    for kind in templates:
         connect._template(kind)  # build the real ones, to put back
     with connect._template_lock:
         saved = dict(connect._templates)
-        connect._templates.update(V1_TEMPLATES)
+        connect._templates.update(templates)
     try:
         yield
     finally:
@@ -43,14 +52,20 @@ def writing_v1() -> Iterator[None]:
             connect._templates.update(saved)
 
 
-def main(argv: list[str]) -> int:
+def writing_v1():
+    """Every database the builders create inside the block is a v1
+    database."""
+    return writing(V1_TEMPLATES)
+
+
+def build_demo_index(templates: dict[str, bytes], argv: list[str]) -> int:
     from repro.core.build import BuildOptions, dir2index
     from tests.conftest import build_demo_tree
 
-    with writing_v1():
+    with writing(templates):
         dir2index(build_demo_tree(), argv[0], opts=BuildOptions(nthreads=2))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(build_demo_index(V1_TEMPLATES, sys.argv[1:]))
