@@ -98,7 +98,10 @@ def run_plan_bench(index, reps: int = REPS) -> dict:
 
     q = QueryEngine(index, nthreads=NTHREADS)
     try:
-        q.run(spec)  # untimed warm-up: populates the DirMeta cache
+        # untimed warm-up — the planned run: it populates the DirMeta
+        # cache with the bounds elision reads, which a plan-less run
+        # (the lean record) neither reads nor caches
+        q.run(spec, plan=plan)
         off = q.run(spec)
         on = q.run(spec, plan=plan)
         off_times = _times(lambda: q.run(spec), reps)

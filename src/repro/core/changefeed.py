@@ -182,7 +182,7 @@ def _has_tsummary(index: GUFIIndex, source_path: str) -> bool:
     with the rest of its metadata; ``None`` — no database, or an
     unreadable one — has nothing to refresh.)"""
     meta = index.cached_dir_meta(source_path)
-    return meta is not None and meta.tsummary
+    return meta is not None and bool(meta.tsummary)
 
 
 def _fix_depths(index: GUFIIndex, source_path: str) -> None:

@@ -501,6 +501,12 @@ class QueryEngine:
             and self.tracer is None
             and not (spec.I or spec.T or spec.J or spec.G or spec.xattrs)
         )
+        # What a cold directory's metadata read costs is what the run
+        # asks of it: the planner's bounds and the tree-summary bit are
+        # read by a plan and by ``T`` and by nothing else here, so a run
+        # with neither reads (and caches, marked as such) the lean
+        # record. Decided here, once; enforced by ``get_meta``.
+        lean = trav.plan is None and not spec.T
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
         db_suffix = "/" + DB_NAME
         # Thread-ident -> checked-out state, for *this* run only (the
@@ -555,7 +561,7 @@ class QueryEngine:
             # Descent-time 'stat': the validated cache answers warm
             # queries with a dictionary lookup; denied directories are
             # then skipped without ever attaching their database.
-            meta = index.cache.get_meta(source_path, db_path)
+            meta = index.cache.get_meta(source_path, db_path, lean)
             if meta is not None:
                 if not trav.permitted(meta):
                     st.denied += 1
@@ -599,7 +605,7 @@ class QueryEngine:
             try:
                 if meta is None:
                     try:
-                        meta = stage.read_meta(st)
+                        meta = stage.read_meta(st, lean)
                     except (sqlite3.DatabaseError, IndexError_):
                         # A corrupt or truncated shard, or one with no
                         # summary record, must not kill the whole

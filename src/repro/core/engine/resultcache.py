@@ -97,6 +97,7 @@ from repro.store import layout
 
 from ..checkpoint import ChangefeedCheckpoint
 from .sinks import ResultSink, Row, SinkSummary
+from .traversal import proper_ancestors
 from .types import QueryResult, QuerySpec
 
 if TYPE_CHECKING:
@@ -199,21 +200,6 @@ def make_key(
     start: str,
 ) -> CacheKey:
     return (cred_key(creds), spec_key(spec), plan_key(plan), start)
-
-
-def _ancestors(path: str) -> list[str]:
-    """Every strict ancestor of ``path`` (normalized), root included:
-    their search bits gate reachability, so their stamps are part of
-    the validity token."""
-    if path == "/":
-        return []
-    parts = [p for p in path.split("/") if p]
-    out = ["/"]
-    cur = ""
-    for part in parts[:-1]:
-        cur = f"{cur}/{part}"
-        out.append(cur)
-    return out
 
 
 def _rows_nbytes(rows: Iterable[Row]) -> int:
@@ -731,7 +717,7 @@ class ResultCache:
                 return False
             stamps[path] = (db_stamp, dir_stamp)
         start = key[3]
-        for anc in _ancestors(start):
+        for anc in proper_ancestors(start):
             anc_db = f"{index.index_path(anc)}/{layout.DB_NAME}"
             stamps.setdefault(anc, (layout.file_stamp(anc_db), None))
         cursor = ChangefeedCheckpoint(index.root).load()

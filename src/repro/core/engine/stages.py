@@ -82,10 +82,12 @@ class StageRunner:
         connect.detach(st.conn, "gufi")
 
     @staticmethod
-    def read_meta(st: _ThreadState) -> DirMeta:
+    def read_meta(st: _ThreadState, lean: bool = False) -> DirMeta:
         """The directory's summary record, via the already-attached
-        database (the cold path's combined permission read)."""
-        return GUFIIndex.read_dir_meta(st.conn, "gufi")
+        database (the cold path's combined permission read) — the
+        lean shape of it when the run reads no bounds and no
+        tree-summary bit (the engine decides, once per run)."""
+        return GUFIIndex.read_dir_meta(st.conn, "gufi", lean)
 
     def account_io(self, st: _ThreadState, db_path: str) -> None:
         """Charge the traced-I/O model: entry-level queries read the

@@ -106,6 +106,15 @@ def path_depth(path: str) -> int:
     return 0 if path == "/" else path.count("/")
 
 
+def proper_ancestors(path: str) -> list[str]:
+    """Every proper ancestor of a path, ``/`` first (none for ``/``
+    itself): the directories whose search bits gate reaching
+    ``path`` — what :meth:`Traversal.check_root_reachable` asks and
+    what a cached result's validity token records."""
+    parts = [p for p in path.split("/") if p]
+    return ["/" + "/".join(parts[:i]) for i in range(len(parts))]
+
+
 @dataclass
 class StageGates:
     """Which per-directory stages survive gating for one directory."""
@@ -168,14 +177,12 @@ class Traversal:
     # Permission enforcement
     # ------------------------------------------------------------------
     def check_root_reachable(self, start: str) -> None:
-        """Every ancestor of the query root must grant search (x) —
-        the kernel's path-walk rule, reproduced for the index. With a
-        warm cache this is one dictionary lookup (plus a validating
-        stat) per ancestor, not one database open per ancestor."""
-        parts = [p for p in start.split("/") if p]
-        cur = ""
-        for part in parts[:-1] if parts else []:
-            cur = f"{cur}/{part}"
+        """Every proper ancestor of the query root — ``/`` first — must
+        grant search (x): the kernel's path-walk rule, reproduced for
+        the index. With a warm cache this is one dictionary lookup
+        (plus a validating stat) per ancestor, not one database open
+        per ancestor."""
+        for cur in proper_ancestors(start):
             meta = self.index.cached_dir_meta(cur)
             if meta is None:
                 raise FileNotFoundError(f"no index directory for {cur!r}")

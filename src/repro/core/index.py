@@ -74,7 +74,15 @@ class DirMeta:
     from its summary record — the moral equivalent of ``stat`` on the
     directory during descent. ``stats`` carries the summary aggregates
     the query planner gates on; a warm :class:`DirMetaCache` therefore
-    holds enough to decide matchability without touching SQLite."""
+    holds enough to decide matchability without touching SQLite.
+
+    A record comes in two shapes (see :meth:`GUFIIndex.read_dir_meta`).
+    The **full** one is everything above. The **lean** one is the six
+    own-record fields and nothing else — ``stats`` is ``None`` and
+    ``tsummary`` is ``None``, *unknown*, not ``False`` — read by a walk
+    that has no plan and no ``T`` stage and so can use neither. Only
+    such a walk ever holds a lean record: :meth:`DirMetaCache.get_meta`
+    never answers a full lookup with one."""
 
     inode: int
     mode: int
@@ -84,12 +92,21 @@ class DirMeta:
     rollup_entries: int
     stats: DirStats | None = None
     #: the database holds tree-summary rows (``bfti`` was asked here):
-    #: the ``T`` stage runs, and prunes, exactly where this is set
-    tsummary: bool = False
+    #: the ``T`` stage runs, and prunes, exactly where this is set.
+    #: ``None`` marks a lean record: nobody looked.
+    tsummary: bool | None = False
+
+    @property
+    def lean(self) -> bool:
+        """Read without bounds and without the tree-summary probe."""
+        return self.tsummary is None
 
 
 class IndexError_(Exception):
     """Raised for structurally invalid indexes."""
+
+
+_NO_SUMMARY = "index database has no directory summary record"
 
 
 @functools.cache
@@ -103,6 +120,18 @@ def _meta_sql(alias: str) -> str:
         "totfiles, totlinks, minsize, maxsize, minmtime, maxmtime, "
         f"minuid, maxuid, mingid, maxgid, {schema.has_tsummary_sql(alias)} "
         f"FROM {alias}.summary WHERE rectype = {schema.RECTYPE_OVERALL}"
+    )
+
+
+@functools.cache
+def _lean_meta_sql(alias: str) -> str:
+    """The metadata statement of a walk with no plan and no ``T``: the
+    directory's own record — one row even in a rolled-up database —
+    and only columns every format version has."""
+    return (
+        "SELECT isroot, inode, mode, uid, gid, rolledup, rollup_entries "
+        f"FROM {alias}.summary "
+        f"WHERE rectype = {schema.RECTYPE_OVERALL} AND isroot = 1"
     )
 
 
@@ -223,9 +252,17 @@ class DirMetaCache:
         return entry[0] if entry is not None else None
 
     # -- DirMeta -------------------------------------------------------
-    def get_meta(self, source_path: str, db_path: Path | str) -> DirMeta | None:
+    def get_meta(
+        self, source_path: str, db_path: Path | str, lean: bool = False
+    ) -> DirMeta | None:
+        """The validated record, or ``None`` (a counted miss). A
+        ``lean`` lookup — the caller reads mode/uid/gid/rolledup only —
+        is served by either shape of record. A full lookup is never
+        served by a lean record: it misses, the caller takes the cold
+        path with the full statement, and what it publishes replaces
+        the lean record. This is the one place that rule lives."""
         entry = self._meta.get(source_path)
-        if entry is not None:
+        if entry is not None and (lean or not entry[1].lean):
             stamp = layout.file_stamp(db_path)
             if stamp is not None and stamp == entry[0]:
                 self.meta_hits += 1
@@ -235,6 +272,13 @@ class DirMetaCache:
         return None
 
     def put_meta(self, source_path: str, stamp: tuple, meta: DirMeta) -> None:
+        """Publish a record read under ``stamp``. A lean record never
+        displaces a full one of the same file (two runs racing on one
+        handle): the full one answers both kinds of lookup."""
+        if meta.lean:
+            entry = self._meta.get(source_path)
+            if entry is not None and entry[0] == stamp and not entry[1].lean:
+                return
         self._meta[source_path] = (stamp, meta)
 
     # -- subdir listings ----------------------------------------------
@@ -455,7 +499,9 @@ class GUFIIndex:
     # Per-directory metadata
     # ------------------------------------------------------------------
     @staticmethod
-    def read_dir_meta(conn: sqlite3.Connection, alias: str = "main") -> DirMeta:
+    def read_dir_meta(
+        conn: sqlite3.Connection, alias: str = "main", lean: bool = False
+    ) -> DirMeta:
         """Read the directory's own summary record from an open
         connection (the descent-time 'stat') plus the planner's
         aggregate bounds, in **one** statement: every rectype-0
@@ -464,11 +510,26 @@ class GUFIIndex:
         presence of a ``tsummary`` table as a scalar sub-select. Only
         where the table exists does a second statement read it — its
         row count and subtree ``maxdepth``. ``alias`` qualifies the
-        schema when the database is ATTACHed rather than main."""
+        schema when the database is ATTACHed rather than main.
+
+        ``lean`` reads what a walk with no plan and no ``T`` stage can
+        use and no more: the own record's seven columns, no
+        ``sqlite_master`` sub-select, no fold. The record it returns
+        says so (:attr:`DirMeta.lean`); its six fields equal the full
+        record's."""
+        if lean:
+            own = conn.execute(_lean_meta_sql(alias)).fetchone()
+            if own is None:
+                raise IndexError_(_NO_SUMMARY)
+            _isroot, inode, mode, uid, gid, rolledup, rollup_entries = own
+            return DirMeta(
+                inode, mode, uid, gid, bool(rolledup), rollup_entries,
+                tsummary=None,
+            )
         rows = conn.execute(_meta_sql(alias)).fetchall()
         own = next((r for r in rows if r[0] == 1), None)
         if own is None:
-            raise IndexError_("index database has no directory summary record")
+            raise IndexError_(_NO_SUMMARY)
         n_ts = maxdepth = None
         if own[17]:
             n_ts, maxdepth = conn.execute(_tsummary_sql(alias)).fetchone()

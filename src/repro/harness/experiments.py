@@ -661,10 +661,12 @@ def planning_ablation(
         built = dir2index(tree, tmp, opts=BuildOptions(nthreads=nthreads))
         q = QueryEngine(built.index, nthreads=nthreads)
         built.index.invalidate_cache()
-        cold_on = q.run(spec, plan=plan)
-        built.index.invalidate_cache()
-        off = q.run(spec)  # leaves the cache warm for the warm row
+        off = q.run(spec)
         warm_off = q.run(spec)
+        built.index.invalidate_cache()
+        # the cold planned run leaves the cache warm for the warm row:
+        # only a run that reads the bounds caches them
+        cold_on = q.run(spec, plan=plan)
         warm_on = q.run(spec, plan=plan)
         assert sorted(cold_on.rows) == sorted(off.rows) == sorted(
             warm_on.rows

@@ -149,3 +149,46 @@ class TestCLI:
         assert out == ""
         assert err.startswith("repro-gufi: error: ") and err.count("\n") == 1
         assert not obs.metrics().enabled
+
+    @pytest.mark.parametrize("command", [
+        ("query", "-E", "SELECT name FROM pentries"), ("find",), ("du",),
+        ("search", "*.txt"), ("stats", "--full"),
+    ])
+    def test_bad_start_is_one_error_line(self, index_root, capsys, command):
+        """A start that is not in the index, or one the caller may not
+        reach, reads like a usage error (the HTTP layer's 404 / 403)."""
+        rc = run_cli(command[0], index_root, *command[1:],
+                     "--start", "/nonexistent", "-n", "2")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == (
+            "repro-gufi: error: no index directory for '/nonexistent'\n"
+        )
+        # bob may not search /home/alice, so nothing below it exists for him
+        rc = run_cli(command[0], index_root, *command[1:], "-n", "2",
+                     "--start", "/home/alice/sub", "--uid", "1002",
+                     "--gid", "1002")
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == (
+            "repro-gufi: error: permission denied traversing '/home/alice'\n"
+        )
+
+    def test_rows_are_written_as_print_wrote_them(self, index_root, capsys):
+        """``query`` and ``find`` write their rows in one call: NULL is
+        the empty field, every row ends in a newline, no rows is no
+        output."""
+        assert run_cli("query", index_root, "-n", "1", "--start", "/home/bob",
+                       "-E", "SELECT name, NULL, size FROM entries "
+                             "ORDER BY name") == 0
+        assert capsys.readouterr().out == "b.txt\t\t300\ns.key\t\t50\n"
+        assert run_cli("query", index_root, "-n", "2",
+                       "-E", "SELECT name FROM entries WHERE 0") == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("find", index_root, "-n", "2", "--name", "%.txt",
+                       "--start", "/home") == 0
+        assert capsys.readouterr().out == (
+            "f\t100\t/home/alice/a.txt\nf\t300\t/home/bob/b.txt\n"
+        )
+        assert run_cli("find", index_root, "-n", "2", "--name", "nope") == 0
+        assert capsys.readouterr().out == ""

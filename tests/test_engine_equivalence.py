@@ -104,9 +104,11 @@ def test_run_matrix(request, tmp_path, who, rolled, planned, streamed):
     plan = plan_for(FILTERS) if planned else None
 
     with QueryEngine(index, creds=creds, nthreads=NTHREADS) as engine:
-        # the reference run also warms the cache (attach elision only
-        # fires on cached metadata)
         reference = sorted(engine.run(SPEC).rows)
+        # Attach elision fires on cached *bounds*, and a plan-less run
+        # caches none (it reads the lean record): the planned run warms
+        # itself.
+        engine.run(SPEC, plan=plan)
         if streamed:
             r = engine.run(
                 SPEC, plan=plan, sink=ThreadFileSink(str(tmp_path / "out"))

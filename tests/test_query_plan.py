@@ -408,8 +408,11 @@ class TestRunSingleAlignment:
     def test_plan_applies_to_single_dir(self, demo_index):
         q = QueryEngine(demo_index, nthreads=NTHREADS)
         spec = QuerySpec(E="SELECT name FROM pentries")
-        q.run_single(spec, "/home/alice")  # warm the meta cache
-        r = q.run_single(spec, "/home/alice", plan=QueryPlan(min_size=10**9))
+        plan = QueryPlan(min_size=10**9)
+        # warm the meta cache — with the plan: a plan-less run reads
+        # (and caches) no bounds for the next one to elide on
+        assert q.run_single(spec, "/home/alice", plan=plan).dbs_opened == 1
+        r = q.run_single(spec, "/home/alice", plan=plan)
         assert r.rows == []
         assert r.dirs_pruned_by_plan == 1
         assert r.attaches_elided == 1

@@ -4,7 +4,9 @@ output-file handling across runs, and server-side session caching."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import sqlite3
 
 import pytest
 
@@ -18,9 +20,16 @@ from repro.core.engine import (
 from repro.core.query import (
     Q1_LIST_PATHS,
     Q3_DU_SUMMARIES,
+    Q4_DU_TSUMMARY,
     QuerySpec,
 )
+from repro.core.index import GUFIIndex
+from repro.core.plan import QueryPlan
+from repro.core.rollup import rollup
 from repro.core.server import GUFIServer, IdentityProvider
+from repro.core.tools import FindFilters, GUFITools
+from repro.core.tsummary import build_tsummary
+from repro.fs.permissions import ROOT
 from tests.conftest import ALICE, BOB, NTHREADS
 
 
@@ -141,14 +150,15 @@ class TestStatementBudget:
     cache, so every extra statement is a re-parse per directory.
     A result-cache replay executes no stage, so it costs none at all."""
 
-    def test_cold_is_4n_and_warm_is_3n(self, demo_index):
-        q = QueryEngine(demo_index, nthreads=NTHREADS)
-        log: list[str] = []
+    @staticmethod
+    def traced(index, log: list[str]) -> QueryEngine:
+        """An engine whose worker connections log every statement they
+        run between checkout and release (the pool's own housekeeping
+        is per run, not per directory)."""
+        q = QueryEngine(index, nthreads=NTHREADS)
         acquire, release = q.pool.acquire, q.pool.release
 
         def traced_acquire(*args):
-            # between checkout and release: the pool's own housekeeping
-            # is per run, not per directory
             st = acquire(*args)
             st.conn.set_trace_callback(log.append)
             return st
@@ -159,6 +169,11 @@ class TestStatementBudget:
             release(states)
 
         q.pool.acquire, q.pool.release = traced_acquire, untraced_release
+        return q
+
+    def test_cold_is_4n_and_warm_is_3n(self, demo_index):
+        log: list[str] = []
+        q = self.traced(demo_index, log)
         for warm in (False, True):
             del log[:]
             result = q.run(Q1_LIST_PATHS)
@@ -170,6 +185,42 @@ class TestStatementBudget:
             assert verbs == expected, log
         q.close()
 
+    #: what only the full metadata statement names
+    BOUNDS = ("totfiles", "minsize", "maxmtime", "maxgid", "sqlite_master")
+
+    @pytest.mark.parametrize("shape", ["lean", "plan", "window", "T"])
+    def test_the_metadata_read_asks_what_the_run_can_use(self, demo_index, shape):
+        """Cold is four statements per directory in either shape of the
+        metadata ``SELECT``: seven own-record columns when the run has
+        no plan and no ``T`` stage to read bounds or the tree-summary
+        bit, the full statement when it has either (a depth-window-only
+        plan included)."""
+        spec, plan = {
+            "lean": (Q1_LIST_PATHS, None),
+            "plan": (Q1_LIST_PATHS, QueryPlan(min_size=1)),
+            "window": (Q1_LIST_PATHS, QueryPlan(min_level=0, entries_shaped=False)),
+            "T": (QuerySpec(T="SELECT totsize FROM tsummary", E=Q1_LIST_PATHS.E,
+                            t_no_prune=True), None),
+        }[shape]
+        log: list[str] = []
+        with self.traced(demo_index, log) as q:
+            result = q.run(spec, plan=plan)
+        n = demo_index.count_dbs()
+        assert result.dirs_visited == result.dbs_opened == n
+        # (the stats gate drops ``E`` where the bounds show no entry)
+        assert (result.dirs_pruned_by_plan > 0) == (shape == "plan")
+        assert sorted(sql.split()[0] for sql in log) == (
+            ["ATTACH"] * n + ["DETACH"] * n
+            + ["SELECT"] * (2 * n - result.dirs_pruned_by_plan)
+        ), log
+        meta = [sql for sql in log if "gufi.summary" in sql]
+        assert len(meta) == n and len(set(meta)) == 1
+        named = [word for word in self.BOUNDS if word in meta[0]]
+        assert named == ([] if shape == "lean" else list(self.BOUNDS)), meta[0]
+        assert ("isroot = 1" in meta[0]) == (shape == "lean")
+        cached = [m for _stamp, m in demo_index.cache._meta.values()]
+        assert len(cached) == n
+        assert all(m.lean == (shape == "lean") for m in cached)
 
     @pytest.mark.parametrize("shape", ["memory", "paginated", "files"])
     def test_replay_issues_no_statement(self, demo_index, tmp_path, shape):
@@ -231,6 +282,118 @@ class TestStatementBudget:
             run(NAMES_AND_COUNT, "/", True)
             run(NAMES_AND_COUNT, "/home", True)
             run(ROWS_AND_TOTAL, "/home", True)
+
+
+class TestLeanThenFull:
+    """A plan-less, ``T``-less walk leaves *lean* records behind —
+    permission bits, no bounds, tree-summary bit unknown. Whatever
+    reads bounds or that bit afterwards, on the same handle, must get
+    what a fresh handle gets: a lean record answers no such lookup."""
+
+    BIG = FindFilters(min_size=500)
+
+    @pytest.fixture(params=["flat", "rolled"])
+    def index(self, request, demo_index):
+        if request.param == "rolled":
+            rollup(demo_index, nthreads=NTHREADS)
+        build_tsummary(demo_index, "/home")
+        return GUFIIndex.open(demo_index.root)
+
+    @pytest.mark.parametrize("creds", [ROOT, ALICE, BOB], ids=["root", "alice", "bob"])
+    def test_one_handle_in_sequence(self, index, creds):
+        def find(tools):
+            return tools.find("/", self.BIG)
+
+        steps = [
+            ("q1", lambda tools: tools.engine.run(Q1_LIST_PATHS)),
+            ("find", find),
+            ("du", lambda tools: tools.du("/", use_tsummary=True)),
+            # T alone: it prunes at /home only if the bit is known there
+            ("q4", lambda tools: tools.engine.run(Q4_DU_TSUMMARY)),
+            ("find again", find),
+        ]
+        seen = {}
+        with GUFITools(index, creds, nthreads=1) as tools:
+            for name, step in steps:
+                misses = index.cache.meta_misses
+                got = step(tools)
+                # the oracle: the same step on a handle that holds nothing
+                with GUFITools(
+                    GUFIIndex.open(index.root), creds, nthreads=1
+                ) as fresh:
+                    want = step(fresh)
+                if name == "du":
+                    assert got == want
+                    continue
+                assert got.rows == want.rows, name
+                assert (got.dirs_visited, got.dirs_denied) == (
+                    want.dirs_visited, want.dirs_denied), name
+                seen[name] = got, index.cache.meta_misses - misses
+        q1, q1_misses = seen["q1"]
+        first, first_misses = seen["find"]
+        again, again_misses = seen["find again"]
+        touched = q1.dirs_visited + q1.dirs_denied
+        assert q1_misses == touched
+        # the planned run found a record everywhere and used none: every
+        # database it may read is opened, nothing is elided
+        assert first.attaches_elided == 0
+        assert first.dbs_opened == first.dirs_visited == q1.dirs_visited
+        assert first_misses == touched
+        # ... and left full records: the same run again decides from them
+        assert again.attaches_elided > 0 and again_misses == 0
+        assert again.dbs_opened == first.dbs_opened - again.attaches_elided
+
+    def test_cached_dir_meta_never_returns_a_lean_record(self, index):
+        with QueryEngine(index, nthreads=NTHREADS) as q:
+            q.run(Q1_LIST_PATHS)
+        paths = list(index.cache._meta)
+        assert "/home" in paths
+        assert all(m.lean for _stamp, m in index.cache._meta.values())
+        fresh = GUFIIndex.open(index.root)
+        hits = index.cache.meta_hits
+        for path in paths:
+            meta = index.cached_dir_meta(path)
+            assert not meta.lean and meta == fresh.dir_meta(path)
+            assert meta.tsummary == (path == "/home")
+        assert index.cache.meta_hits == hits  # every one a miss, re-read
+        # and a lean walk afterwards is served by the full records
+        misses = index.cache.meta_misses
+        with QueryEngine(index, nthreads=NTHREADS) as q:
+            q.run(Q1_LIST_PATHS)
+        assert index.cache.meta_misses == misses
+        assert not any(m.lean for _stamp, m in index.cache._meta.values())
+
+    def test_a_lean_record_does_not_displace_a_full_one(self, index):
+        full = index.dir_meta("/home")
+        stamp = index.cache.peek_stamp("/home")
+        lean = dataclasses.replace(full, stats=None, tsummary=None)
+        index.cache.put_meta("/home", stamp, lean)
+        assert index.cached_dir_meta("/home") is full
+        # unless it describes another file: then it is the news
+        index.cache.put_meta("/home", (0, 0, 0), lean)
+        assert index.cache._meta["/home"][1] is lean
+
+    @pytest.mark.parametrize("plan", [None, QueryPlan()], ids=["lean", "full"])
+    @pytest.mark.parametrize("damage", ["garbage", "empty", "no-summary-row"])
+    def test_damaged_database_is_counted_in_either_shape(
+        self, demo_index, plan, damage
+    ):
+        db = demo_index.db_path("/home/bob")
+        if damage == "garbage":
+            db.write_bytes(b"\xde\xad\xbe\xef" * 1000)
+        elif damage == "empty":
+            db.write_bytes(b"")
+        else:
+            conn = sqlite3.connect(db)
+            conn.execute("DELETE FROM summary WHERE isroot = 1")
+            conn.commit()
+            conn.close()
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
+            walk = q.run(Q1_LIST_PATHS, plan=plan)
+            single = q.run_single(Q1_LIST_PATHS, "/home/bob", plan=plan)
+        assert (walk.dirs_errored, single.dirs_errored) == (1, 1)
+        assert ("/home/alice/a.txt",) in walk.rows and single.rows == []
+        assert "/home/bob" not in demo_index.cache._meta
 
 
 class TestOutputFilesAcrossRuns:

@@ -20,17 +20,23 @@ exhaustively and structurally:
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
+from repro.core.engine import QueryEngine, QueryPermissionError, QuerySpec
 from repro.core.rollup import rollup, rollup_compatible
+from repro.core.server import GUFIServer, IdentityProvider
+from repro.core.tools import GUFITools
+from repro.fs.errors import PermissionDenied
 from repro.fs.permissions import Credentials, can_read_dir, can_search_dir
 from repro.fs.tree import VFSTree
 from repro.gen.datasets import dataset2, table1_namespace
+from repro.serve import ASGIClient, GUFIApp
 from repro.store import connect
-from tests.conftest import NTHREADS
+from tests.conftest import ALICE, NTHREADS
 
 # a reader population covering owner / group / other / multi-group
 UIDS = (10, 11)
@@ -153,3 +159,68 @@ class TestRolledIndexesAudit:
 
         rollup_dir(idx, "/p", ["c"])
         assert audit_rolled_index(idx, t) == ["/p absorbed c"]
+
+
+class TestRootSearchBit:
+    """The theorem's path-walk half starts at ``/``: a tree whose root
+    denies search hides everything below it from the denied user, at
+    every entry point, exactly as the source tree does."""
+
+    SPEC = QuerySpec(E="SELECT rpath(dname, d_isroot, name) FROM vrpentries")
+
+    @pytest.fixture
+    def locked(self, tmp_path):
+        t = VFSTree(root_mode=0o700)  # root:root, nobody else passes
+        t.mkdir("/home", mode=0o755, uid=0, gid=0)
+        t.mkdir("/home/alice", mode=0o700, uid=1001, gid=1001)
+        t.create_file("/home/alice/a.txt", size=1, uid=1001, gid=1001)
+        t.create_file("/home/alice/b.txt", size=2, uid=1001, gid=1001)
+        t.create_file("/home/readme", size=3, uid=0, gid=0)
+        idx = dir2index(
+            t, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS)
+        ).index
+        return t, idx
+
+    @pytest.mark.parametrize("start", ["/home", "/home/alice"])
+    def test_every_entry_point_refuses(self, locked, start):
+        tree, idx = locked
+        # POSIX on the source tree: the walk stops at ``/``
+        with pytest.raises(PermissionDenied) as posix:
+            tree.readdir(start, ALICE)
+        assert posix.value.path == "/"
+        for processes in (1, 2):
+            with QueryEngine(
+                idx, creds=ALICE, nthreads=NTHREADS, processes=processes
+            ) as q:
+                with pytest.raises(QueryPermissionError):
+                    q.run(self.SPEC, start)
+        with QueryEngine(idx, creds=ALICE, nthreads=NTHREADS) as q:
+            with pytest.raises(QueryPermissionError):
+                q.run_single(self.SPEC, start)
+        with GUFITools(idx, creds=ALICE, nthreads=NTHREADS) as tools:
+            with pytest.raises(QueryPermissionError):
+                tools.ls(start)
+
+    def test_served_find_is_403(self, locked):
+        _tree, idx = locked
+        idp = IdentityProvider()
+        idp.add_user("alice", uid=1001, gid=1001)
+        idp.add_user("root", uid=0, gid=0)
+        with GUFIServer(idx, idp, nthreads=NTHREADS) as srv, GUFIApp(srv) as app:
+            client = ASGIClient(app)
+            denied = asyncio.run(client.invoke("alice", "find", "/home/alice"))
+            assert denied.status == 403
+            assert denied.json()["error"]["code"] == "permission_denied"
+            allowed = asyncio.run(client.invoke("root", "find", "/home/alice"))
+            assert allowed.status == 200
+
+    def test_root_and_the_start_itself_are_unaffected(self, locked):
+        """Only *proper* ancestors are path-walked: root passes
+        everywhere, and a start of ``/`` has no ancestor to ask (the
+        walk itself counts the denied directory)."""
+        _tree, idx = locked
+        with QueryEngine(idx, nthreads=NTHREADS) as q:
+            assert len(q.run(self.SPEC, "/home/alice").rows) == 2
+        with QueryEngine(idx, creds=ALICE, nthreads=NTHREADS) as q:
+            r = q.run(self.SPEC, "/")
+            assert (r.rows, r.dirs_denied) == ([], 1)

@@ -208,6 +208,28 @@ class TestFormatsReadAlike:
                     got.add((tools.du(start, use_tsummary=True), tools.du(start)))
             assert len(got) == 1, (start, got)
 
+    def test_lean_record_is_the_full_records_own_fields(self, matrix, state, who):
+        """What a plan-less walk reads of a directory — one statement
+        naming only columns every format has — is what the full
+        statement reads of it, less the bounds and the tree-summary
+        bit; denied directories are read (and denied) the same way."""
+        own = ("inode", "mode", "uid", "gid", "rolledup", "rollup_entries")
+        for fmt in FORMATS:
+            index = GUFIIndex.open(matrix[fmt, state])
+            with QueryEngine(index, creds=CREDS[who], nthreads=1) as q:
+                r = q.run(Q1_LIST_PATHS)
+            left = {p: m for p, (_stamp, m) in index.cache._meta.items()}
+            assert len(left) == r.dirs_visited + r.dirs_denied, fmt
+            full = GUFIIndex.open(matrix[fmt, state])
+            for path, lean in left.items():
+                want = full.dir_meta(path)
+                assert lean.lean and not want.lean and want.stats is not None
+                assert (lean.stats, lean.tsummary) == (None, None)
+                assert [getattr(lean, f) for f in own] == [
+                    getattr(want, f) for f in own
+                ], (fmt, path)
+                assert want.tsummary == (path in TS_ROOTS), (fmt, path)
+
     def test_t_stage_prunes_where_bfti_was_asked(self, matrix, state, who):
         """``T`` answers at the tree-summary roots and stops there; a
         start with no tree summary above its directories descends."""
