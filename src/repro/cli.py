@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro.core.build import BuildOptions, BuildResult, trace2index
 from repro.core.index import GUFIIndex, IndexError_
@@ -379,8 +380,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     plan = plan_for(parsed.filters, planned=not args.no_plan)
     with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads) as q:
         result = q.run(parsed.to_spec(), args.start, plan=plan)
-    for row in sorted(result.rows):
-        print("\t".join(str(v) for v in row))
+    _write_lines(["\t".join(str(v) for v in row) for row in sorted(result.rows)])
     print(
         f"# {len(result.rows)} matches from {result.dirs_visited} dirs "
         f"({result.dirs_pruned_by_plan} plan-pruned, "
@@ -548,14 +548,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-gufi",
-        description="GUFI reproduction: index, query, and benchmark tools",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trace2index", help="ingest a trace file into an index")
+def _args_trace2index(p: argparse.ArgumentParser) -> None:
     p.add_argument("trace")
     p.add_argument("index_root")
     p.add_argument("--resume", action="store_true",
@@ -567,15 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retries per directory on transient errors")
     _add_threads(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_trace2index)
 
-    p = sub.add_parser("demo-index", help="generate a demo namespace and index it")
+
+def _args_demo_index(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--scale", type=float, default=0.0005)
     _add_threads(p)
-    p.set_defaults(func=cmd_demo_index)
 
-    p = sub.add_parser("query", help="run raw gufi_query-style SQL")
+
+def _args_query(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--start", default="/")
     p.add_argument("-I", dest="init", default=None)
@@ -597,9 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_result_cache(p)
     _add_identity(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("find", help="gufi_find")
+
+def _args_find(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--start", default="/")
     p.add_argument("--name", default=None, help="SQL LIKE pattern")
@@ -618,35 +611,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_result_cache(p)
     _add_identity(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_find)
 
-    p = sub.add_parser("du", help="gufi_du")
+
+def _args_du(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--start", default="/")
     p.add_argument("--tsummary", action="store_true")
     _add_threads(p)
     _add_identity(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_du)
 
-    p = sub.add_parser("rollup", help="roll up an index (admin)")
+
+def _args_rollup(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("-L", "--limit", type=int, default=None)
     _add_threads(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_rollup)
 
-    p = sub.add_parser("unrollup", help="undo one directory's rollup (admin)")
+
+def _args_unrollup(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("dir")
-    p.set_defaults(func=cmd_unrollup)
 
-    p = sub.add_parser("bfti", help="build tree summary (admin)")
+
+def _args_bfti(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--start", default="/")
-    p.set_defaults(func=cmd_bfti)
 
-    p = sub.add_parser("stats", help="index statistics")
+
+def _args_stats(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--full", action="store_true",
                    help="full gufi_stats-style characterisation")
@@ -654,11 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads(p)
     _add_identity(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser(
-        "index", help="index maintenance: schema migrate, health doctor"
-    )
+
+def _args_index(p: argparse.ArgumentParser) -> None:
     isub = p.add_subparsers(dest="index_command", required=True)
     ip = isub.add_parser(
         "migrate",
@@ -677,7 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("index_root")
     ip.set_defaults(func=cmd_index_doctor)
 
-    p = sub.add_parser("search", help="portal search-bar query language")
+
+def _args_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("query", help="e.g. '*.h5 size>>100m older:90d'")
     p.add_argument("--start", default="/")
@@ -689,13 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads(p)
     _add_identity(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser(
-        "changefeed2index",
-        help="incremental indexing demo: mutate a namespace and apply "
-             "the change journal to its index",
-    )
+
+def _args_changefeed2index(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--scale", type=float, default=0.0005,
                    help="demo namespace scale (as demo-index)")
@@ -713,12 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds to sleep between --watch cycles")
     _add_threads(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_changefeed)
 
-    p = sub.add_parser(
-        "serve",
-        help="multi-tenant HTTP serving over the restricted server",
-    )
+
+def _args_serve(p: argparse.ArgumentParser) -> None:
     p.add_argument("index_root")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
@@ -745,28 +730,83 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shared result-cache byte budget (default 64)")
     _add_threads(p)
     _add_obs(p)
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("split-trace",
-                       help="split a trace for distributed ingest")
+
+def _args_split_trace(p: argparse.ArgumentParser) -> None:
     p.add_argument("trace")
     p.add_argument("dest_dir")
     p.add_argument("-p", "--parts", type=int, default=4)
-    p.set_defaults(func=cmd_split_trace)
 
-    p = sub.add_parser("experiments", help="regenerate paper tables/figures")
+
+def _args_experiments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "which",
         choices=["fig1", "table1", "fig7", "fig8", "fig9", "fig10",
                  "rollup", "ingest", "resilience", "planning", "all"],
     )
-    p.set_defaults(func=cmd_experiments)
 
+
+#: every sub-command: (name, help, add_arguments, handler). ``index``
+#: has no handler of its own: its nested sub-commands set theirs.
+COMMANDS: list[tuple[str, str, Callable, Callable | None]] = [
+    ("trace2index", "ingest a trace file into an index",
+     _args_trace2index, cmd_trace2index),
+    ("demo-index", "generate a demo namespace and index it",
+     _args_demo_index, cmd_demo_index),
+    ("query", "run raw gufi_query-style SQL", _args_query, cmd_query),
+    ("find", "gufi_find", _args_find, cmd_find),
+    ("du", "gufi_du", _args_du, cmd_du),
+    ("rollup", "roll up an index (admin)", _args_rollup, cmd_rollup),
+    ("unrollup", "undo one directory's rollup (admin)",
+     _args_unrollup, cmd_unrollup),
+    ("bfti", "build tree summary (admin)", _args_bfti, cmd_bfti),
+    ("stats", "index statistics", _args_stats, cmd_stats),
+    ("index", "index maintenance: schema migrate, health doctor",
+     _args_index, None),
+    ("search", "portal search-bar query language", _args_search, cmd_search),
+    ("changefeed2index",
+     "incremental indexing demo: mutate a namespace and apply "
+     "the change journal to its index",
+     _args_changefeed2index, cmd_changefeed),
+    ("serve", "multi-tenant HTTP serving over the restricted server",
+     _args_serve, cmd_serve),
+    ("split-trace", "split a trace for distributed ingest",
+     _args_split_trace, cmd_split_trace),
+    ("experiments", "regenerate paper tables/figures",
+     _args_experiments, cmd_experiments),
+]
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser — of every sub-command, or of ``only`` alone:
+    registering all of them costs more than a one-directory query, and
+    a call runs one (what a sub-parser parses, prints for ``-h`` and
+    reports as an error does not depend on its siblings)."""
+    parser = argparse.ArgumentParser(
+        prog="repro-gufi",
+        description="GUFI reproduction: index, query, and benchmark tools",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_, add_arguments, handler in COMMANDS:
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_)
+            add_arguments(p)
+            if handler is not None:
+                p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help and the "invalid choice" error list every sub-command
+    only = None
+    if argv and not {"-h", "--help"}.intersection(argv):
+        only = next((c[0] for c in COMMANDS if c[0] == argv[0]), None)
+    args, extras = build_parser(only).parse_known_args(argv)
+    if extras:
+        # "unrecognized arguments" is the top-level parser's error,
+        # under its usage line
+        args = build_parser().parse_args(argv)
     obs_on = _obs_begin(args)
     try:
         return args.func(args)

@@ -14,7 +14,8 @@ breadth-first walker:
   database.
 
 Sessions: an engine is a *persistent* handle. Its worker-thread
-connections, registered SQL functions, and scratch directory live in a
+connections (each to an in-memory scratch database) and registered SQL
+functions live in a
 :class:`~repro.core.session.ThreadStatePool` that survives across
 ``run()`` calls, and permission metadata comes from the index's
 mtime-validated :class:`~repro.core.index.DirMetaCache` — so repeated
@@ -64,8 +65,8 @@ class QueryEngine:
     The handle is a *session*: scratch connections and output files
     persist across :meth:`run` calls (see :mod:`repro.core.session`).
     Call :meth:`close` (or use the handle as a context manager) for
-    deterministic cleanup; otherwise a GC finalizer reclaims the
-    scratch directory.
+    deterministic cleanup; otherwise GC finalizers close the pooled
+    connections (and remove a scatter-gather hand-off directory).
     """
 
     def __init__(
@@ -108,8 +109,12 @@ class QueryEngine:
         self.collect_visited = result_cache is not None
 
     def close(self) -> None:
-        """Release the session's pooled connections and scratch files."""
+        """Release the session's pooled connections (and with them
+        their in-memory scratch databases) and, after a scatter-gather
+        run, the workers' hand-off directory."""
         self.pool.close()
+        if self._scatter_engine is not None:
+            self._scatter_engine.close()
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -283,9 +288,10 @@ class QueryEngine:
         is the absolute depth of the *original* query start, so plan
         depth windows stay relative to it.
 
-        ``agg_path`` names the run's aggregate database file and keeps
-        it on disk after the run so the gather phase can fold the
-        per-worker ``J`` results and run ``G`` once globally. No
+        ``agg_path`` makes the run's aggregate database that file (it
+        is otherwise in memory) and leaves it on disk after the run so
+        the gather phase can fold the per-worker ``J`` results and run
+        ``G`` once globally. No
         whole-query observability is recorded here — the parent owns
         the query-level span/counters; workers contribute their
         walker/session metrics through snapshot merging."""
@@ -707,14 +713,12 @@ class QueryEngine:
         # --------------------------------------------------------------
         merge = MergeRunner(
             spec,
-            pool,
             self.users,
             self.groups,
             otr,
             timing,
             tracing,
             agg_path=agg_path,
-            keep_aggregate=agg_path is not None,
         )
         try:
             g_rows = merge.run(states)
@@ -725,7 +729,6 @@ class QueryEngine:
             # Output files flush (and record) even when J/G raised;
             # states go back to the pool either way.
             output_files = retire()
-            merge.cleanup()
 
         if stats.errors:
             item, exc = stats.errors[0]

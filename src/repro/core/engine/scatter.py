@@ -30,6 +30,14 @@ Brindexer and Icicle applied to a GUFI tree:
   ``stage_seconds``, and obs metric snapshots are merged from every
   worker so observability stays whole-query.
 
+This is the one place a query's intermediate data touches disk: rows
+and ``J`` aggregates cross a *process* boundary, so each worker leaves
+a result file and (with ``J``) an aggregate database in a hand-off
+directory the :class:`ScatterGatherEngine` makes on first use and
+removes when the engine closes. The aggregate files are written with
+the rollback journal and sync off and deleted once folded — hand-offs,
+not durable stores — and the parent's fold database is in memory.
+
 Crash semantics: workers report results through a *result file*
 (pickle + atomic rename), never a pipe the parent must block on. A
 worker that dies without writing its file — OOM-killed, segfaulted —
@@ -50,9 +58,12 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import shutil
 import sqlite3
+import tempfile
 import time
 import traceback
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -436,8 +447,28 @@ class ScatterGatherEngine:
         #: test hook forwarded to every worker (see ``_WorkerTask``)
         self.worker_init: Callable[[int], None] | None = None
         self._seq = 0
+        #: the hand-off directory, made by the first sharded run
+        self._handoff_dir: str | None = None
+        self._finalizer: weakref.finalize | None = None
 
     # ------------------------------------------------------------------
+    def _handoff(self) -> str:
+        """The directory workers leave their result and aggregate
+        files in (the parent deletes each file as it reads it)."""
+        if self._handoff_dir is None:
+            self._handoff_dir = tempfile.mkdtemp(prefix="gufi_scatter_")
+            self._finalizer = weakref.finalize(
+                self, shutil.rmtree, self._handoff_dir, ignore_errors=True
+            )
+        return self._handoff_dir
+
+    def close(self) -> None:
+        """Remove the hand-off directory, if a run made one."""
+        if self._finalizer is not None:
+            self._finalizer()
+            self._finalizer = None
+            self._handoff_dir = None
+
     def run(
         self,
         spec: QuerySpec,
@@ -490,7 +521,7 @@ class ScatterGatherEngine:
 
         timing = obs.metrics().enabled
         worker_spec = replace(spec, G=None, output_prefix=None)
-        scratch = engine.pool.tmpdir
+        scratch = self._handoff()
         seq = self._seq
         self._seq += 1
         nthreads = max(1, engine.nthreads // len(shards))
@@ -673,9 +704,10 @@ class ScatterGatherEngine:
             return [], 0.0
         g_rows: list[tuple] = []
         g_time = 0.0
-        parent_agg = engine.pool.aggregate_path()
         try:
-            conn = sqlite3.connect(parent_agg)
+            # only this connection reads the fold: a private in-memory
+            # database the worker files are attached to, one at a time
+            conn = sqlite3.connect(":memory:")
             try:
                 if spec.I:
                     conn.executescript(spec.I)
@@ -734,7 +766,7 @@ class ScatterGatherEngine:
             finally:
                 conn.close()
         finally:
-            for path in [parent_agg, *worker_aggs]:
+            for path in worker_aggs:
                 try:
                     os.unlink(path)
                 except OSError:

@@ -5,7 +5,9 @@ directory's ``db.db`` read-only, reading its summary record on the
 cold path, the per-directory ``T``/``S``/``E`` stages (with the
 per-user xattr views and per-stage wall-clock timings), traced-I/O
 accounting, and the ``J``/``G`` merge phase that owns the run's
-aggregate database lifecycle.
+aggregate database lifecycle — an in-memory database, like the
+per-thread scratch databases it merges: a single-process query writes
+no intermediate file.
 
 The stage layer is policy-free: it never decides *whether* a stage
 runs (that is :mod:`repro.core.engine.traversal`'s job, expressed as a
@@ -15,7 +17,7 @@ runs (that is :mod:`repro.core.engine.traversal`'s job, expressed as a
 
 from __future__ import annotations
 
-import os
+import itertools
 import sqlite3
 import time
 from typing import Any
@@ -26,7 +28,7 @@ from repro.store.attach import AttachSession
 from repro.store.layout import DirStore
 
 from ..index import DirMeta, GUFIIndex
-from ..session import ThreadStatePool, _ThreadState
+from ..session import _ThreadState
 from ..sqlfuncs import QueryContext, register
 from .types import QuerySpec
 
@@ -174,30 +176,49 @@ class StageRunner:
                     st.e_time += elapsed
 
 
+def _unjournaled(conn: sqlite3.Connection, alias: str) -> None:
+    """No rollback journal and no fsync for ``alias``: what a database
+    handed to another process and then deleted needs of neither."""
+    conn.execute(f"PRAGMA {alias}.journal_mode = OFF")
+    conn.execute(f"PRAGMA {alias}.synchronous = OFF")
+
+
+#: names the process's shared-cache aggregate databases apart: the
+#: shared-cache namespace is per process, whatever engine or pool asks
+_agg_names = itertools.count()
+
+
 class MergeRunner:
     """The run's merge phase: ``J`` once per thread database into a
     shared aggregate database, then ``G`` once against the aggregate.
 
-    Owns the aggregate database's lifecycle: created from the ``I``
-    script, attached per thread for ``J``, queried for ``G`` with the
-    SQL helper functions registered, and unlinked in :meth:`cleanup`
-    (which the engine calls from its ``finally`` so the scratch file
-    never outlives the run, even when a stage raises)."""
+    Owns the aggregate database's lifecycle. It lives in memory, as
+    ``gufi_query`` keeps it: a shared-cache in-memory database under a
+    process-unique name (two runs in flight on one pool never meet),
+    held open by one autocommit *owner* connection from the ``I``
+    script through ``G``. Shared-cache is what lets each thread
+    connection ``ATTACH`` the same in-memory database by URI for ``J``;
+    ``G`` runs on the owner with the SQL helper functions registered,
+    and closing the owner frees the database — nothing to unlink, no
+    journal, no fsync — also when a stage raises.
+
+    ``agg_path`` is the one exception: a scatter-gather worker hands
+    its aggregate to the parent *process*, so it is a file, left behind
+    for the parent's fold and opened (owner and ``aggregate`` alias)
+    with the rollback journal and sync off — a hand-off, not a durable
+    store."""
 
     def __init__(
         self,
         spec: QuerySpec,
-        pool: ThreadStatePool,
         users: dict[int, str],
         groups: dict[int, str],
         otr: Any,
         timing: bool,
         tracing: bool,
         agg_path: str | None = None,
-        keep_aggregate: bool = False,
     ) -> None:
         self.spec = spec
-        self.pool = pool
         self.users = users
         self.groups = groups
         self.otr = otr
@@ -205,46 +226,41 @@ class MergeRunner:
         self.tracing = tracing
         self.j_time = 0.0
         self.g_time = 0.0
-        #: explicit aggregate location (scatter-gather workers pin the
-        #: file so the parent can fold it); None = pool scratch file
-        self._explicit_agg = agg_path
-        self.keep_aggregate = keep_aggregate
-        self._agg_path: str | None = None
+        self._agg_path = agg_path
 
     def run(self, states: list[_ThreadState]) -> list[tuple]:
         """Execute J/G if the spec has them; returns the G rows."""
         spec = self.spec
         if not (spec.J or spec.G):
             return []
-        agg_path = (
-            self._explicit_agg
-            if self._explicit_agg is not None
-            else self.pool.aggregate_path()
+        # a plain path is a file even on a ``uri=True`` connection
+        name = self._agg_path or (
+            f"file:gufi_agg_{next(_agg_names)}?mode=memory&cache=shared"
         )
-        self._agg_path = agg_path
-        agg = sqlite3.connect(agg_path)
+        owner = sqlite3.connect(name, uri=True, isolation_level=None)
         try:
+            if self._agg_path is not None:
+                _unjournaled(owner, "main")
             if spec.I:
-                agg.executescript(spec.I)
-            agg.commit()
+                owner.executescript(spec.I)
+            if spec.J:
+                self._j_stage(states, name)
+            if spec.G:
+                return self._g_stage(owner)
+            return []
         finally:
-            agg.close()
-        if spec.J:
-            self._j_stage(states, agg_path)
-        if spec.G:
-            return self._g_stage(agg_path)
-        return []
+            owner.close()
 
-    def _j_stage(self, states: list[_ThreadState], agg_path: str) -> None:
+    def _j_stage(self, states: list[_ThreadState], name: str) -> None:
         spec = self.spec
         jb = time.perf_counter() if self.timing else 0.0
         sp = self.otr.start("query.sql", stage="J") if self.tracing else None
         try:
             for st in states:
-                st.conn.execute(
-                    "ATTACH DATABASE ? AS aggregate", (agg_path,)
-                )
+                st.conn.execute("ATTACH DATABASE ? AS aggregate", (name,))
                 try:
+                    if self._agg_path is not None:
+                        _unjournaled(st.conn, "aggregate")
                     assert spec.J is not None
                     st.conn.executescript(spec.J)
                     st.conn.commit()
@@ -256,37 +272,19 @@ class MergeRunner:
             if self.timing:
                 self.j_time = time.perf_counter() - jb
 
-    def _g_stage(self, agg_path: str) -> list[tuple]:
+    def _g_stage(self, owner: sqlite3.Connection) -> list[tuple]:
         spec = self.spec
         gb = time.perf_counter() if self.timing else 0.0
         sp = self.otr.start("query.sql", stage="G") if self.tracing else None
         try:
-            agg = sqlite3.connect(agg_path)
-            try:
-                register(
-                    agg, QueryContext(users=self.users, groups=self.groups)
-                )
-                assert spec.G is not None
-                cur = agg.execute(spec.G)
-                if cur.description is not None:
-                    return cur.fetchall()
-                return []
-            finally:
-                agg.close()
+            register(owner, QueryContext(users=self.users, groups=self.groups))
+            assert spec.G is not None
+            cur = owner.execute(spec.G)
+            if cur.description is not None:
+                return cur.fetchall()
+            return []
         finally:
             if sp is not None:
                 self.otr.end(sp)
             if self.timing:
                 self.g_time = time.perf_counter() - gb
-
-    def cleanup(self) -> None:
-        """Remove the aggregate database file, if one was created —
-        unless the run asked to keep it (scatter-gather workers leave
-        the file behind for the parent's fold)."""
-        if self._agg_path is not None:
-            if not self.keep_aggregate:
-                try:
-                    os.unlink(self._agg_path)
-                except OSError:
-                    pass
-            self._agg_path = None

@@ -1,19 +1,21 @@
 """Persistent query sessions: the per-thread state pool.
 
 A cold ``QueryEngine.run()`` historically paid large fixed costs that
-have nothing to do with the data the caller can see: a fresh scratch
-directory, one new SQLite connection per worker thread, re-registering
-every SQL helper function, re-running the ``I`` init script, and
-tearing it all down again — per query. A long-lived service (the
+have nothing to do with the data the caller can see: one new SQLite
+connection per worker thread, re-registering every SQL helper
+function, re-running the ``I`` init script, and tearing it all down
+again — per query. A long-lived service (the
 ``core.server`` portal) issues thousands of queries against the same
 warm index between refreshes, so those costs dominate exactly the
 small repeated queries the paper says should be cheapest.
 
 This module keeps that state alive across queries:
 
-* :class:`_ThreadState` — one worker thread's scratch database
-  connection, registered SQL functions, per-run counters/row buffer,
-  and (optional) streamed-output file;
+* :class:`_ThreadState` — one worker thread's connection to a private
+  *in-memory* scratch database (the paper's per-thread intermediate
+  result database, kept where ``gufi_query`` keeps it), registered SQL
+  functions, per-run counters/row buffer, and (optional)
+  streamed-output file;
 * :class:`ThreadStatePool` — a free-list of thread states owned by a
   :class:`~repro.core.engine.QueryEngine`. Worker threads check states
   out at the start of a run and the engine returns them at the end,
@@ -23,6 +25,12 @@ This module keeps that state alive across queries:
   never the whole connection — and only for a run that executes
   stages: a result-cache replay checks a state out untouched.
 
+The pool owns connections and nothing on disk: no temp directory, no
+scratch file, no journal. What an ``INSERT`` stage deposits is held in
+memory until ``J`` folds it into the run's aggregate (also in memory,
+see :class:`~repro.core.engine.stages.MergeRunner`); a result too
+large to hold is what ``-o`` streams to files.
+
 Security note: nothing permission-relevant is cached here. Thread
 states hold only *scratch* result tables; every per-directory
 permission decision still reads the index's (mtime-validated,
@@ -31,10 +39,7 @@ explicitly invalidated) DirMeta — see :mod:`repro.core.index`.
 
 from __future__ import annotations
 
-import os
-import shutil
 import sqlite3
-import tempfile
 import threading
 import weakref
 
@@ -54,7 +59,6 @@ class _ThreadState:
     __slots__ = (
         "conn",
         "ctx",
-        "db_path",
         "out",
         "out_path",
         "rows",
@@ -70,12 +74,12 @@ class _ThreadState:
         "touched",
         "ran",
         "_init_sql",
+        "_used",
     )
 
-    def __init__(self, conn: sqlite3.Connection, ctx: QueryContext, db_path: str):
+    def __init__(self, conn: sqlite3.Connection, ctx: QueryContext):
         self.conn = conn
         self.ctx = ctx
-        self.db_path = db_path
         self.out = None  # lazily opened per-thread output file
         self.out_path: str | None = None
         self.rows: list[tuple] = []
@@ -97,6 +101,8 @@ class _ThreadState:
         # QueryResult.ran_paths)
         self.ran: list[str] = []
         self._init_sql: str | None = None
+        # has a run executed stages on this connection yet
+        self._used = False
 
     # ------------------------------------------------------------------
     def prepare(self, init_sql: str | None, out_path: str | None, stages: bool) -> None:
@@ -119,12 +125,16 @@ class _ThreadState:
     def _prepare_scratch(self, init_sql: str | None) -> None:
         # A previous run that died mid-directory (or mid-merge) may
         # have left a database attached; a stale attach would shadow
-        # this run's.
-        for alias in ("gufi", "aggregate"):
-            try:
-                self.conn.execute(f"DETACH DATABASE {alias}")
-            except sqlite3.Error:
-                pass
+        # this run's. Ask what is attached (a healthy connection lists
+        # ``main`` alone) and detach only that; a connection no run
+        # has used has nothing attached.
+        if self._used:
+            for _seq, alias, _file in self.conn.execute(
+                "PRAGMA database_list"
+            ).fetchall():
+                if alias in ("gufi", "aggregate"):
+                    self.conn.execute(f"DETACH DATABASE {alias}")
+        self._used = True
         if init_sql != self._init_sql:
             self._drop_scratch()
             if init_sql:
@@ -188,14 +198,11 @@ class _ThreadState:
             self.out = None
 
 
-def _dispose_pool(states: list[_ThreadState], tmpdir_box: list[str | None]) -> None:
+def _dispose_pool(states: list[_ThreadState]) -> None:
     """Finalizer body — module-level so the pool itself can be GC'd."""
     for st in states:
         st.dispose()
     states.clear()
-    if tmpdir_box[0] is not None:
-        shutil.rmtree(tmpdir_box[0], ignore_errors=True)
-        tmpdir_box[0] = None
 
 
 class ThreadStatePool:
@@ -204,8 +211,8 @@ class ThreadStatePool:
     Walker threads are created per walk, so states are keyed by
     *checkout*, not by thread ident: ``acquire`` hands out a prepared
     state (reusing a parked one when available) and ``release`` parks
-    them again. The pool owns one scratch directory holding every
-    thread database plus per-run aggregate databases.
+    them again. Every state's scratch database is in memory: the pool
+    owns connections and no file.
     """
 
     def __init__(
@@ -218,25 +225,14 @@ class ThreadStatePool:
         self._lock = threading.Lock()
         self._free: list[_ThreadState] = []
         self._all: list[_ThreadState] = []
-        self._tmpdir_box: list[str | None] = [None]
-        self._seq = 0
-        self._agg_seq = 0
         self._closed = False
         #: states ever created / checkouts served from the free list —
         #: the session layer's effectiveness counters
         self.created = 0
         self.reused = 0
-        self._finalizer = weakref.finalize(
-            self, _dispose_pool, self._all, self._tmpdir_box
-        )
+        self._finalizer = weakref.finalize(self, _dispose_pool, self._all)
 
     # ------------------------------------------------------------------
-    @property
-    def tmpdir(self) -> str:
-        if self._tmpdir_box[0] is None:
-            self._tmpdir_box[0] = tempfile.mkdtemp(prefix="gufi_session_")
-        return self._tmpdir_box[0]
-
     def acquire(
         self, init_sql: str | None, out_path: str | None, stages: bool = True
     ) -> _ThreadState:
@@ -265,21 +261,18 @@ class ThreadStatePool:
         return st
 
     def _create_locked(self) -> _ThreadState:
-        db_path = os.path.join(self.tmpdir, f"thread_{self._seq}.db")
-        self._seq += 1
-        # uri=True so read-only ATTACH URIs are honoured on this
-        # connection (SQLITE_OPEN_URI is per-connection).
+        # A private in-memory database. uri=True so read-only ATTACH
+        # URIs (and the aggregate's shared-cache one) are honoured on
+        # this connection: SQLITE_OPEN_URI is per-connection.
         conn = sqlite3.connect(
-            f"file:{db_path}",
+            "file::memory:",
             uri=True,
             check_same_thread=False,
             isolation_level=None,
         )
-        conn.execute("PRAGMA journal_mode = MEMORY")
-        conn.execute("PRAGMA synchronous = OFF")
         ctx = QueryContext(users=self.users, groups=self.groups)
         register(conn, ctx)
-        st = _ThreadState(conn, ctx, db_path)
+        st = _ThreadState(conn, ctx)
         self._all.append(st)
         return st
 
@@ -291,17 +284,9 @@ class ThreadStatePool:
             else:
                 self._free.extend(states)
 
-    def aggregate_path(self) -> str:
-        """A fresh path for one run's aggregate database (unique so
-        concurrent runs on the same pool never collide)."""
-        with self._lock:
-            n = self._agg_seq
-            self._agg_seq += 1
-        return os.path.join(self.tmpdir, f"aggregate_{n}.db")
-
     def close(self) -> None:
-        """Close every pooled connection and remove the scratch
-        directory. Idempotent; checked-out states are disposed on
+        """Close every pooled connection (which frees its scratch
+        database). Idempotent; checked-out states are disposed on
         release."""
         with self._lock:
             if self._closed:

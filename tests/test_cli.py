@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, build_parser, main
 from repro.core.build import BuildOptions, dir2index
 from repro.scan.scanners import TreeWalkScanner
 from repro.scan.trace import write_trace
@@ -192,3 +192,79 @@ class TestCLI:
         )
         assert run_cli("find", index_root, "-n", "2", "--name", "nope") == 0
         assert capsys.readouterr().out == ""
+        assert run_cli("search", index_root, "*.txt", "--start", "/home",
+                       "-n", "2") == 0
+        assert capsys.readouterr().out == (
+            "/home/alice/a.txt\tf\t100\t4\n/home/bob/b.txt\tf\t300\t7\n"
+        )
+        assert run_cli("search", index_root, "nope", "-n", "2") == 0
+        assert capsys.readouterr().out == ""
+
+
+#: one example call per sub-command (the nested ``index`` ones each)
+EXAMPLE_ARGV = [
+    ["trace2index", "t.trace", "idx", "--resume", "--retries", "3", "-n", "2",
+     "--metrics"],
+    ["demo-index", "idx", "--scale", "0.001"],
+    ["query", "idx", "-I", "CREATE TABLE t (n)", "-S", "s", "-E", "e", "-J", "j",
+     "-G", "g", "-o", "out", "-y", "1", "-z", "3", "--uid", "7", "--groups",
+     "1,2", "--processes", "2", "--result-cache", "--slow-query-ms", "5"],
+    ["find", "idx", "--name", "%.c", "--type", "f", "--min-size", "1",
+     "--no-plan", "--gid", "9", "--trace-out", "spans.jsonl"],
+    ["du", "idx", "--start", "/home", "--tsummary", "--uid", "1001"],
+    ["rollup", "idx", "-L", "100", "-n", "1"],
+    ["unrollup", "idx", "/home/alice"],
+    ["bfti", "idx", "--start", "/proj"],
+    ["stats", "idx", "--full", "--metrics-out", "m.prom"],
+    ["index", "migrate", "idx", "--resume"],
+    ["index", "doctor", "idx"],
+    ["search", "idx", "*.h5 size>>100m", "--now", "100", "--no-plan"],
+    ["changefeed2index", "idx", "--watch", "--cycles", "2", "--seed", "4"],
+    ["serve", "idx", "--port", "0", "--tenant-qps", "2.5", "--passwd", "pw"],
+    ["split-trace", "t.trace", "parts", "-p", "3"],
+    ["experiments", "fig7"],
+]
+
+
+class TestOneCommandParser:
+    """``main`` registers only the sub-command it runs; what it parses,
+    prints and rejects is what the parser of all of them does."""
+
+    def test_every_command_has_an_example(self):
+        assert {argv[0] for argv in EXAMPLE_ARGV} == {c[0] for c in COMMANDS}
+
+    @pytest.mark.parametrize("argv", EXAMPLE_ARGV, ids=" ".join)
+    def test_namespace_is_the_full_parser_s(self, argv, monkeypatch):
+        full = build_parser().parse_args(argv)
+        assert callable(full.func)
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(full)
+
+        class Built(Exception):
+            pass
+
+        def spy(only=None):
+            raise Built(only)
+
+        monkeypatch.setattr("repro.cli.build_parser", spy)
+        for args, only in [(argv, argv[0]), (argv + ["--help"], None)]:
+            with pytest.raises(Built) as built:
+                main(args)
+            assert built.value.args == (only,)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], [], ["bogus", "idx"], ["query"], ["find", "idx", "--type", "x"],
+         ["index"], ["index", "bogus"], ["query", "idx", "--bogus"],
+         ["du", "idx", "extra"]]
+        + [[c[0], "-h"] for c in COMMANDS]
+        + [["index", "migrate", "--help"], ["query", "idx", "-E", "x", "-h"]],
+        ids=" ".join,
+    )
+    def test_help_and_usage_errors_are_the_full_parser_s(self, argv, capsys):
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as lazy:
+            main(argv)
+        assert lazy.value.code == full.value.code
+        assert capsys.readouterr() == want

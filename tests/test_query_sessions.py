@@ -4,14 +4,21 @@ output-file handling across runs, and server-side session caching."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import sqlite3
+import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.engine import (
     MemorySink,
+    MergeRunner,
     PaginatedSink,
     QueryEngine,
     ResultCache,
@@ -30,6 +37,7 @@ from repro.core.server import GUFIServer, IdentityProvider
 from repro.core.tools import FindFilters, GUFITools
 from repro.core.tsummary import build_tsummary
 from repro.fs.permissions import ROOT
+from repro.store import connect
 from tests.conftest import ALICE, BOB, NTHREADS
 
 
@@ -90,10 +98,19 @@ class TestPoolReuse:
         q.close()
 
     def test_close_is_idempotent_and_frees_tmpdir(self, demo_index):
+        """A single-process engine never had a directory; a
+        ``processes=2`` engine's hand-off directory is gone after
+        ``close()``."""
         q = QueryEngine(demo_index, nthreads=NTHREADS)
-        q.run(Q1_LIST_PATHS)
-        tmpdir = q.pool.tmpdir
-        assert os.path.isdir(tmpdir)
+        q.run(Q3_DU_SUMMARIES)
+        assert not hasattr(q.pool, "tmpdir") and q._scatter_engine is None
+        q.close()
+        q.close()
+        q = QueryEngine(demo_index, nthreads=NTHREADS, processes=2)
+        q.run(Q3_DU_SUMMARIES)
+        tmpdir = q._scatter_engine._handoff_dir
+        # every hand-off file is deleted as the parent reads it
+        assert os.path.isdir(tmpdir) and os.listdir(tmpdir) == []
         q.close()
         q.close()
         assert not os.path.exists(tmpdir)
@@ -113,6 +130,23 @@ class TestPoolReuse:
         assert sorted(q.run(Q1_LIST_PATHS).rows) == good
         q.close()
 
+    def test_stale_attaches_are_detached_at_checkout(self, demo_index):
+        """A state parked with a stale ``gufi`` *and* a stale
+        ``aggregate`` attached is checked out clean: both gone (either
+        would shadow the run's own), the next run's rows right."""
+        with QueryEngine(demo_index, nthreads=1) as q:
+            want = q.run(Q3_DU_SUMMARIES).rows
+            (st,) = q.pool._all
+            connect.attach_ro(st.conn, str(demo_index.db_path("/home/bob")), "gufi")
+            st.conn.execute(
+                "ATTACH DATABASE 'file:stale?mode=memory&cache=shared' AS aggregate"
+            )
+            st.conn.execute("CREATE TABLE aggregate.sizes (total_size INTEGER)")
+            st.conn.execute("INSERT INTO aggregate.sizes VALUES (1000000)")
+            assert q.run(Q3_DU_SUMMARIES).rows == want
+            assert q.pool._all == [st]
+            assert attached(st) == ["main"]
+
     def test_run_single_reuses_pool_and_times_itself(self, demo_index):
         q = QueryEngine(demo_index, nthreads=NTHREADS)
         spec = QuerySpec(E="SELECT name FROM entries ORDER BY name")
@@ -124,6 +158,11 @@ class TestPoolReuse:
         # the satellite bugfix: elapsed is measured, not hardcoded 0.0
         assert r1.elapsed > 0.0 and r2.elapsed > 0.0
         q.close()
+
+
+def attached(st) -> list[str]:
+    """The aliases a pooled connection has attached (``main`` included)."""
+    return [alias for _seq, alias, _file in st.conn.execute("PRAGMA database_list")]
 
 
 #: scratch table, per-directory rows and a J/G total, all in one spec
@@ -184,6 +223,58 @@ class TestStatementBudget:
             expected += ["SELECT"] * (n if warm else 2 * n)
             assert verbs == expected, log
         q.close()
+
+    def test_a_fresh_state_is_an_in_memory_database_and_runs_no_pragma(
+        self, demo_index, monkeypatch
+    ):
+        """Every statement a pooled connection runs from ``connect`` on:
+        a fresh state is ``file::memory:`` with nothing to configure
+        and nothing stale to look for (one ``sqlite_master`` read finds
+        nothing to drop before ``I``); a reused one asks once what is
+        attached (and raises nothing: no failing ``DETACH``). Per cold
+        directory Q3 is ATTACH, the metadata read, ``S``, ``E``,
+        DETACH; per state ``I``'s table, and ``J`` between the
+        aggregate's ATTACH and DETACH."""
+        log: list[str] = []
+        opened: list[str] = []
+
+        class Traced:
+            """``sqlite3`` as the session module sees it."""
+
+            def __getattr__(self, name):
+                return getattr(sqlite3, name)
+
+            @staticmethod
+            def connect(database, **kwargs):
+                opened.append(database)
+                conn = sqlite3.connect(database, **kwargs)
+                conn.set_trace_callback(log.append)
+                return conn
+
+        monkeypatch.setattr("repro.core.session.sqlite3", Traced())
+        n = demo_index.count_dbs()
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
+            for run in range(3):
+                del log[:]
+                created, reused = q.pool.created, q.pool.reused
+                result = q.run(Q3_DU_SUMMARIES)
+                assert result.dbs_opened == n
+                fresh = q.pool.created - created
+                parked = q.pool.reused - reused
+                states = fresh + parked
+                assert states >= 1 and (parked == 0 if run == 0 else parked >= 1)
+                verbs = sorted(sql.split()[0] for sql in log)
+                assert verbs == sorted(
+                    ["ATTACH", "DETACH"] * (n + states)
+                    + ["SELECT"] * (n if run == 0 else 0)
+                    + ["INSERT"] * (2 * n + states)
+                    + ["SELECT", "CREATE"] * fresh
+                    + ["PRAGMA", "SELECT", "DELETE"] * parked
+                ), log
+                assert [s for s in log if s.startswith("PRAGMA")] == (
+                    ["PRAGMA database_list"] * parked
+                )
+        assert opened == ["file::memory:"] * q.pool.created
 
     #: what only the full metadata statement names
     BOUNDS = ("totfiles", "minsize", "maxmtime", "maxgid", "sqlite_master")
@@ -396,6 +487,137 @@ class TestLeanThenFull:
         assert "/home/bob" not in demo_index.cache._meta
 
 
+def spy_on_j_stage(monkeypatch, before=lambda: None) -> list[str]:
+    """The name of the aggregate each run's ``J`` attaches, recorded
+    as it starts (after ``before()``: a place to hold the run)."""
+    names: list[str] = []
+    j_stage = MergeRunner._j_stage
+
+    def spied(self, states, name):
+        names.append(name)
+        before()
+        j_stage(self, states, name)
+
+    monkeypatch.setattr(MergeRunner, "_j_stage", spied)
+    return names
+
+
+def _refuse_tempfile(*_args, **_kwargs):
+    raise AssertionError("a single-process query asked tempfile for a path")
+
+
+class TestIntermediateDatabasesInMemory:
+    """Per-thread scratch and the ``J``/``G`` aggregate are in-memory
+    databases: a single-process query makes no directory and no file,
+    two runs in flight never share one, and a failing ``J`` leaves
+    none behind."""
+
+    Q3_ARGS = [
+        arg
+        for flag in "ISEJG"
+        for arg in (f"-{flag}", getattr(Q3_DU_SUMMARIES, flag))
+    ]
+
+    @pytest.fixture(params=["flat", "rolled"])
+    def index(self, request, demo_index):
+        if request.param == "rolled":
+            rollup(demo_index, nthreads=NTHREADS)
+        build_tsummary(demo_index, "/")
+        return GUFIIndex.open(demo_index.root)
+
+    def everything(self, root: str, creds) -> dict:
+        """The aggregate-shaped queries of the CLI and of the tools,
+        and a result-cache replay, each on a cold handle."""
+        ident = ["--uid", str(creds.uid), "--gid", str(creds.gid)]
+        got: dict = {}
+        for name, argv in [
+            ("q3", ["query", root, "-n", "2", *self.Q3_ARGS]),
+            ("find", ["find", root, "-n", "2"]),
+            ("du", ["du", root, "-n", "2"]),
+            ("du --tsummary", ["du", root, "--tsummary", "-n", "2"]),
+        ]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli_main(argv + ident) == 0
+            got[name] = out.getvalue()
+        with GUFITools(
+            GUFIIndex.open(root), creds, nthreads=NTHREADS,
+            result_cache=ResultCache(),
+        ) as tools:
+            got["space_by_user"] = tools.space_by_user("/")
+            got["largest_files"] = tools.largest_files("/")
+            live = tools.engine.run(Q3_DU_SUMMARIES)
+            replay = tools.engine.run(Q3_DU_SUMMARIES)
+            assert not live.cached and replay.cached
+            got["replay"] = live.rows, replay.rows
+        return got
+
+    @pytest.mark.parametrize("creds", [ROOT, ALICE], ids=["root", "alice"])
+    def test_no_temp_directory_and_no_temp_file(self, index, creds, monkeypatch):
+        root = str(index.root)
+        want = self.everything(root, creds)
+        assert float(want["q3"]) == float(want["du"]) > 0
+        assert want["replay"][0] == want["replay"][1]
+        with monkeypatch.context() as patch:
+            patch.setattr(tempfile, "mkdtemp", _refuse_tempfile)
+            patch.setattr(tempfile, "mkstemp", _refuse_tempfile)
+            assert self.everything(root, creds) == want
+            # only rows handed across processes may touch disk
+            with QueryEngine(index, nthreads=NTHREADS, processes=2) as q:
+                with pytest.raises(AssertionError, match="tempfile"):
+                    q.run(Q1_LIST_PATHS)
+
+    def test_two_runs_in_flight_share_nothing(self, demo_index, monkeypatch):
+        """Two runs on one pool, both inside ``J`` at the same moment
+        (a barrier holds each until the other has its aggregate): same
+        table name, different shapes — a shared aggregate or scratch
+        table would fail the ``I`` script or mix the rows."""
+        with QueryEngine(demo_index, nthreads=NTHREADS) as cold:
+            want = [
+                sorted(cold.run(spec).rows, key=repr)
+                for spec in (ROWS_AND_TOTAL, NAMES_AND_COUNT)
+            ]
+        barrier = threading.Barrier(2, timeout=60)
+        uris = spy_on_j_stage(monkeypatch, before=barrier.wait)
+        rounds = 5
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q, \
+                ThreadPoolExecutor(2) as both:
+            for _ in range(rounds):
+                runs = [
+                    both.submit(q.run, spec)
+                    for spec in (ROWS_AND_TOTAL, NAMES_AND_COUNT)
+                ]
+                got = [sorted(r.result(timeout=120).rows, key=repr) for r in runs]
+                assert got == want
+            assert q.pool.created <= 2 * NTHREADS
+        # the aggregate's name is per run
+        assert len(set(uris)) == len(uris) == 2 * rounds
+        assert all("mode=memory&cache=shared" in uri for uri in uris)
+
+    def test_a_failing_j_leaves_no_aggregate_behind(self, demo_index, monkeypatch):
+        uris = spy_on_j_stage(monkeypatch)
+        broken = dataclasses.replace(
+            Q3_DU_SUMMARIES, J="INSERT INTO aggregate.nonsense SELECT 1"
+        )
+        with QueryEngine(demo_index, nthreads=NTHREADS) as q:
+            want = q.run(Q3_DU_SUMMARIES).rows
+            with pytest.raises(sqlite3.OperationalError, match="nonsense"):
+                q.run(broken)
+            assert q.pool._all and len(q.pool._free) == len(q.pool._all)
+            assert all(attached(st) == ["main"] for st in q.pool._all)
+            # the failed run's aggregate died with its owner connection:
+            # its name now opens an empty database
+            probe = sqlite3.connect(uris[-1], uri=True)
+            try:
+                assert probe.execute("SELECT * FROM sqlite_master").fetchall() == []
+            finally:
+                probe.close()
+            assert q.run(Q3_DU_SUMMARIES).rows == want
+            with pytest.raises(sqlite3.OperationalError, match="nonsense"):
+                q.run(broken)
+            assert q.run(Q3_DU_SUMMARIES).rows == want
+
+
 class TestOutputFilesAcrossRuns:
     def test_same_prefix_truncates_between_runs(self, demo_index, tmp_path):
         spec = QuerySpec(
@@ -446,8 +668,12 @@ class TestEngineLifecycle:
         with QueryEngine(demo_index, creds=BOB, nthreads=NTHREADS) as q:
             rows = q.run(Q1_LIST_PATHS).rows
             assert rows
-            tmpdir = q.pool.tmpdir
-        assert not os.path.exists(tmpdir)
+            states = list(q.pool._all)
+            assert states
+        assert q.pool._all == []
+        for st in states:
+            with pytest.raises(sqlite3.ProgrammingError):  # closed
+                st.conn.execute("SELECT 1")
 
     def test_cache_stats_exposed(self, demo_index):
         with QueryEngine(demo_index, nthreads=NTHREADS) as q:
@@ -457,23 +683,26 @@ class TestEngineLifecycle:
         assert stats["meta_hits"] > 0
 
 
-def _make_server(index):
+def _make_server(index, nthreads=NTHREADS):
     idp = IdentityProvider()
     idp.add_user("alice", uid=ALICE.uid, gid=ALICE.gid)
     idp.add_user("bob", uid=BOB.uid, gid=BOB.gid)
-    return GUFIServer(index, idp, nthreads=NTHREADS)
+    return GUFIServer(index, idp, nthreads=nthreads)
 
 
 class TestServerSessions:
     def test_repeat_invocations_reuse_one_session(self, demo_index):
-        with _make_server(demo_index) as server:
+        # one worker thread: states are checked out lazily, so with
+        # more a thread that got no work the first time may get some
+        # (and its first state) the second
+        with _make_server(demo_index, nthreads=1) as server:
             r1 = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             tools = server._sessions[(BOB.uid, BOB.gid, BOB.groups)]
             created = tools.engine.pool.created
             r2 = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             assert sorted(r1.rows) == sorted(r2.rows)
             assert server._sessions[(BOB.uid, BOB.gid, BOB.groups)] is tools
-            assert tools.engine.pool.created == created
+            assert tools.engine.pool.created == created == 1
             assert len(server.audit_log) == 2
 
     def test_disabled_user_blocked_despite_warm_session(self, demo_index):
