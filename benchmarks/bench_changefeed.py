@@ -10,7 +10,9 @@ grows with the tree, the apply cost stays flat with the batch.
 
 Correctness gates the timing claim: at every scale the incrementally
 updated index must answer Q1 byte-identically to the from-scratch
-rebuild before any number is reported.
+rebuild before any number is reported, and the root tree summary the
+applies refreshed on their one warm handle — folding contributions the
+rebuilds handed over — must equal ``bfti`` on a fresh handle.
 
 Honesty matters more than the headline: the report records the CPUs
 this process may run on, the thread-pool width, and the batch size.
@@ -35,7 +37,9 @@ from _bench_helpers import NTHREADS, save_bench_report
 from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
 from repro.core.engine import QueryEngine
+from repro.core.index import GUFIIndex
 from repro.core.query import Q1_LIST_PATHS
+from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
@@ -60,10 +64,29 @@ def query_rows(index) -> list:
         q.close()
 
 
+def root_tsummary_rows(index_root: Path) -> list:
+    conn = GUFIIndex(index_root).store("/").open_ro()
+    try:
+        return sorted(conn.execute("SELECT * FROM tsummary"))
+    finally:
+        conn.close()
+
+
+def tsummary_matches_fresh(index: GUFIIndex) -> bool:
+    """The root tree summary the applies left on ``index`` (a warm
+    handle) equals what ``bfti`` writes through a fresh one — a wrong
+    memoised contribution shows here."""
+    warm = root_tsummary_rows(index.root)
+    build_tsummary(GUFIIndex.open(index.root), "/")
+    return bool(warm) and warm == root_tsummary_rows(index.root)
+
+
 def bench_one_scale(tmp_root: Path, scale: float, seed: int = 7) -> dict:
     opts = BuildOptions(nthreads=NTHREADS)
     ns = dataset2(scale=scale, seed=seed)
     index = dir2index(ns.tree, tmp_root / "idx", opts=opts).index
+    # a root tree summary, refreshed by every apply on this handle
+    build_tsummary(index, "/")
     journal = ChangeJournal()
     ns.tree.set_changelog(journal)
     mut = NamespaceMutator(ns, seed=seed)
@@ -90,6 +113,9 @@ def bench_one_scale(tmp_root: Path, scale: float, seed: int = 7) -> dict:
 
     identical = query_rows(index) == query_rows(fresh_index)
     assert identical, f"scale {scale}: incremental index diverged"
+    assert tsummary_matches_fresh(index), (
+        f"scale {scale}: refreshed root tsummary differs from a fresh bfti"
+    )
 
     inc = statistics.median(apply_times)
     full = statistics.median(rebuild_times)
@@ -185,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.smoke:
             print(
                 "smoke ok: incremental apply identical to full rebuild "
-                f"at every scale ({BATCHES}x{BATCH} mutations each)"
+                f"at every scale ({BATCHES}x{BATCH} mutations each), "
+                "root tsummary equal to a fresh bfti"
             )
         else:
             print(f"saved {save_report(report)}")

@@ -10,7 +10,13 @@ Two paths mirror GUFI's tool pair:
   ingested in parallel (``gufi_trace2index``).
 
 Both funnel into :func:`build_dir_db`, which writes one directory's
-``entries`` rows, ``summary`` record(s), and xattr shards.
+``entries`` rows, ``summary`` record(s), and xattr shards. It has one
+writer and two producers of rows: a trace stanza's records are
+converted with :func:`entry_row`; a live directory's inodes
+(:func:`dir_rows` — ``dir2index``, and the single-directory rescans of
+:mod:`repro.core.update` and :mod:`repro.core.changefeed`) become rows
+directly, with a :class:`~repro.scan.trace.TraceRecord` only for the
+directory and for the entries that carry xattrs.
 
 Crash safety and resumability
 -----------------------------
@@ -45,22 +51,26 @@ entries, so the build path is structured to survive them:
 
 from __future__ import annotations
 
+import posixpath
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro.fs.inode import BLKSIZE, FileType, Inode
 from repro.fs.tree import VFSTree
 from repro.scan.faults import FaultPlan
 from repro.scan.scanners import record_from_inode
 from repro.scan.trace import DirStanza, TraceRecord, read_trace
 from repro.scan.walker import FatalWalkError, ParallelTreeWalker, RetryPolicy
 from repro.store import schema
-from repro.store.layout import PARTIAL_SUFFIX, DirStore
+from repro.store.layout import DB_NAME, PARTIAL_SUFFIX, DirStore, file_stamp
 
 from .checkpoint import BuildJournal
 from .index import GUFIIndex
+from .tsummary import read_contribution
 from .xattrs import shard_xattrs, write_xattr_shards
 
 
@@ -112,10 +122,52 @@ class BuildResult:
         return total / self.seconds if self.seconds > 0 else 0.0
 
 
+def _aggregates(rows: list[tuple]) -> tuple:
+    """The §III-B aggregate columns of a summary record over ``entries``
+    rows, in :data:`schema.SUMMARY_COLUMNS` order from ``totfiles`` to
+    ``totxattr`` — ``totsubdirs`` (from the directory's ``nlink``) left
+    out. The rows are transposed once; every column aggregate after
+    that is a builtin over one column."""
+    if not rows:
+        return (0, 0, None, None, None, None, None, None, 0,
+                None, None, None, None, 0)
+    cols = tuple(zip(*rows))
+    types, uids, gids, sizes = cols[1], cols[5], cols[6], cols[7]
+    atimes, mtimes = cols[10], cols[11]
+    nfiles = types.count("f")
+    nlinks = types.count("l")
+    if nfiles == len(types):
+        fsizes = sizes
+    else:
+        fsizes = [s for t, s in zip(types, sizes) if t == "f"]
+    # files and symlinks add their sizes (the only non-directory types)
+    if nfiles + nlinks == len(types):
+        totsize = sum(sizes)
+    else:
+        totsize = sum(s for t, s in zip(types, sizes) if t in ("f", "l"))
+    return (
+        nfiles,
+        nlinks,
+        min(uids),
+        max(uids),
+        min(gids),
+        max(gids),
+        min(fsizes) if fsizes else None,
+        max(fsizes) if fsizes else None,
+        totsize,
+        min(mtimes),
+        max(mtimes),
+        min(atimes),
+        max(atimes),
+        len(rows) - cols[14].count(""),  # totxattr: xattr-bearing rows
+    )
+
+
 def summary_rows(
-    stanza: DirStanza, depth: int, per_user_group: bool
+    d: TraceRecord, rows: list[tuple], depth: int, per_user_group: bool
 ) -> list[tuple]:
-    """Build the summary record(s) for one directory.
+    """Build the summary record(s) of directory ``d`` from its
+    ``entries`` rows (:data:`schema.ENTRIES_COLUMNS` order).
 
     The overall (rectype 0) record carries the directory's own inode
     attributes — the query engine's permission source — plus the
@@ -129,70 +181,33 @@ def summary_rows(
     for per-user/per-group records, which describe a credential's view
     of the directory rather than the directory itself.
     """
-    d = stanza.directory
+    subdirs = max(0, d.nlink - 2)  # POSIX: nlink = 2 + subdir count
 
-    def aggregate(rows: list[TraceRecord], rectype: int, uid: int, gid: int) -> tuple:
-        files = [r for r in rows if r.ftype == "f"]
-        links = [r for r in rows if r.ftype == "l"]
-        sizes = [r.size for r in files]
-        mtimes = [r.mtime for r in rows]
-        atimes = [r.atime for r in rows]
-        uids = [r.uid for r in rows]
-        gids = [r.gid for r in rows]
-        totxattr = sum(1 for r in rows if r.xattrs)
-        if rectype == schema.RECTYPE_USER:
-            name = f"u{uid}"
-        elif rectype == schema.RECTYPE_GROUP:
-            name = f"g{gid}"
-        else:
-            name = d.name
+    def record(name: str, rectype: int, uid: int, gid: int, agg: tuple) -> tuple:
         return (
-            name,
-            rectype,
-            1,  # isroot
-            d.ino,
-            d.mode,
-            d.nlink,
-            uid,
-            gid,
-            d.size,
-            d.blksize,
-            d.blocks,
-            d.atime,
-            d.mtime,
-            d.ctime,
-            len(files),
-            len(links),
-            max(0, d.nlink - 2),  # POSIX: nlink = 2 + subdir count
-            min(uids) if uids else None,
-            max(uids) if uids else None,
-            min(gids) if gids else None,
-            max(gids) if gids else None,
-            min(sizes) if sizes else None,
-            max(sizes) if sizes else None,
-            sum(r.size for r in files) + sum(r.size for r in links),
-            min(mtimes) if mtimes else None,
-            max(mtimes) if mtimes else None,
-            min(atimes) if atimes else None,
-            max(atimes) if atimes else None,
-            totxattr,
+            name, rectype, 1,  # isroot
+            d.ino, d.mode, d.nlink, uid, gid, d.size, d.blksize, d.blocks,
+            d.atime, d.mtime, d.ctime,
+            agg[0], agg[1], subdirs, *agg[2:],
             0,  # rolledup
             0,  # rollup_entries
             depth,
         )
 
-    rows = [aggregate(stanza.entries, schema.RECTYPE_OVERALL, d.uid, d.gid)]
+    out = [record(d.name, schema.RECTYPE_OVERALL, d.uid, d.gid, _aggregates(rows))]
     if per_user_group:
-        by_uid: dict[int, list[TraceRecord]] = {}
-        by_gid: dict[int, list[TraceRecord]] = {}
-        for r in stanza.entries:
-            by_uid.setdefault(r.uid, []).append(r)
-            by_gid.setdefault(r.gid, []).append(r)
+        by_uid: dict[int, list[tuple]] = {}
+        by_gid: dict[int, list[tuple]] = {}
+        for r in rows:
+            by_uid.setdefault(r[5], []).append(r)
+            by_gid.setdefault(r[6], []).append(r)
         for uid, rs in sorted(by_uid.items()):
-            rows.append(aggregate(rs, schema.RECTYPE_USER, uid, d.gid))
+            out.append(record(f"u{uid}", schema.RECTYPE_USER, uid, d.gid,
+                              _aggregates(rs)))
         for gid, rs in sorted(by_gid.items()):
-            rows.append(aggregate(rs, schema.RECTYPE_GROUP, d.uid, gid))
-    return rows
+            out.append(record(f"g{gid}", schema.RECTYPE_GROUP, d.uid, gid,
+                              _aggregates(rs)))
+    return out
 
 
 _SUMMARY_INSERT = (
@@ -213,6 +228,8 @@ _ENTRIES_INSERT = (
 
 
 def entry_row(rec: TraceRecord) -> tuple:
+    """A trace record as its ``entries`` row
+    (:data:`schema.ENTRIES_COLUMNS` order)."""
     return (
         rec.name,
         rec.ftype,
@@ -232,38 +249,126 @@ def entry_row(rec: TraceRecord) -> tuple:
     )
 
 
+@dataclass
+class DirRows:
+    """One directory as the database writer takes it: the directory's
+    own record, its ``entries`` rows (:data:`schema.ENTRIES_COLUMNS`
+    order) and a record for every entry that carries xattrs — the only
+    entries :func:`~repro.core.xattrs.shard_xattrs` looks at."""
+
+    directory: TraceRecord
+    rows: list[tuple] = field(default_factory=list)
+    xattr_entries: list[TraceRecord] = field(default_factory=list)
+
+
+_FILE, _SYMLINK = FileType.FILE, FileType.SYMLINK
+
+
+def dir_rows(
+    directory: TraceRecord, children: Iterable[tuple[str, Inode]]
+) -> DirRows:
+    """A live directory's :class:`DirRows`, built straight from the
+    ``(name, Inode)`` pairs a READDIRPLUS returned
+    (:meth:`~repro.fs.tree.VFSTree.readdir_plus`): one row per
+    non-directory child, column for column what :func:`entry_row` makes
+    of :func:`~repro.scan.scanners.record_from_inode`'s record, and a
+    record only for the xattr-bearing children. ``directory`` is the
+    caller's: whether it is taken before or after the listing bumps
+    the directory's atime is the caller's to keep."""
+    out = DirRows(directory)
+    rows, xattr_entries = out.rows, out.xattr_entries
+    prefix = "" if directory.path == "/" else directory.path
+    for name, ino in children:
+        # identity tests: an enum's ``.value`` is a Python-level
+        # property, paid per entry
+        ftype = ino.ftype
+        if ftype is _FILE:
+            code = "f"
+        elif ftype is _SYMLINK:
+            code = "l"
+        else:
+            continue  # a sub-directory: its own database describes it
+        size = ino.size
+        xattrs = ino.xattrs
+        rows.append((
+            name,
+            code,
+            ino.ino,
+            ino.mode,
+            ino.nlink,
+            ino.uid,
+            ino.gid,
+            size,
+            BLKSIZE,
+            (size + 511) // 512,
+            ino.atime,
+            ino.mtime,
+            ino.ctime,
+            ino.symlink_target or "",
+            schema.pack_xattr_names(xattrs) if xattrs else "",
+        ))
+        if xattrs:
+            xattr_entries.append(record_from_inode(f"{prefix}/{name}", ino))
+    return out
+
+
 def build_dir_db(
     index: GUFIIndex,
-    stanza: DirStanza,
+    stanza: DirStanza | DirRows,
     opts: BuildOptions,
     faults: FaultPlan | None = None,
     journal: BuildJournal | None = None,
+    handover: dict | None = None,
 ) -> tuple[int, int]:
     """Create one directory's index database. Returns
     (entries inserted, side databases created).
+
+    ``stanza`` is a trace stanza (its records converted with
+    :func:`entry_row`) or the :class:`DirRows` a live rescan built
+    (:func:`dir_rows`); either way one writer computes the summary
+    record(s) from the rows and writes the database.
 
     All writes are staged under :data:`PARTIAL_SUFFIX` and published
     by rename — side databases first, ``db.db`` last, over the
     directory's previous database if it has one — so a crash at any
     point leaves either the new directory or what was there before: the
     old database on a rebuild, none on a first build (queries treat a
-    missing ``db.db`` as denied-by-absence, never as partial data)."""
+    missing ``db.db`` as denied-by-absence, never as partial data).
+
+    ``handover`` is a caller-owned dict. When one is given, the rebuild
+    reads the directory's tree-summary contribution
+    (:func:`~repro.core.tsummary.read_contribution`) on the staging
+    connection before closing it, stamps the staged file — the rename
+    that publishes it keeps inode, ``mtime_ns`` and size — and, once
+    published, adds ``source path -> (stamp, db.db path,
+    contribution)``. The caller memoises that
+    (``index.cache.put_contribution``) after its ``invalidate_cache``:
+    any later rewrite of the database changes the stamp, and the memo
+    misses. A crash before the publish adds nothing."""
     otr = obs.tracer()
     if otr.enabled:
         with otr.span("build.dir", path=stanza.directory.path):
-            return _build_dir_db(index, stanza, opts, faults, journal)
-    return _build_dir_db(index, stanza, opts, faults, journal)
+            return _build_dir_db(index, stanza, opts, faults, journal, handover)
+    return _build_dir_db(index, stanza, opts, faults, journal, handover)
 
 
 def _build_dir_db(
     index: GUFIIndex,
-    stanza: DirStanza,
+    stanza: DirStanza | DirRows,
     opts: BuildOptions,
     faults: FaultPlan | None,
     journal: BuildJournal | None,
+    handover: dict | None,
 ) -> tuple[int, int]:
+    if isinstance(stanza, DirStanza):
+        stanza = DirRows(
+            stanza.directory,
+            [entry_row(r) for r in stanza.entries],
+            [r for r in stanza.entries if r.xattrs],
+        )
+    directory, rows = stanza.directory, stanza.rows
     faults = faults if faults is not None else opts.faults
-    src_path = stanza.directory.path
+    src_path = directory.path
     if faults is not None:
         faults.fire("build_dir_db", src_path)
     # DirStore.open sweeps crash-leftover staging files before this
@@ -272,37 +377,37 @@ def _build_dir_db(
     depth = 0 if src_path == "/" else src_path.count("/")
     conn = store.stage_primary()
     side_names: list[str] = []
+    contribution = None
     try:
         conn.execute("BEGIN")
-        conn.executemany(
-            _ENTRIES_INSERT, [entry_row(r) for r in stanza.entries]
-        )
+        conn.executemany(_ENTRIES_INSERT, rows)
         conn.executemany(
             _SUMMARY_INSERT,
-            summary_rows(stanza, depth, opts.per_user_group_summaries),
+            summary_rows(directory, rows, depth, opts.per_user_group_summaries),
         )
         conn.execute("COMMIT")
+        if handover is not None:
+            contribution = read_contribution(conn, "main")
         if opts.with_xattrs:
-            shards = shard_xattrs(stanza.directory, stanza.entries)
+            shards = shard_xattrs(directory, stanza.xattr_entries)
             side_names = write_xattr_shards(
                 store.index_dir, conn, shards, suffix=PARTIAL_SUFFIX, faults=faults
             )
     finally:
         conn.close()
+    if handover is not None:
+        stamp = file_stamp(store.partial_path(DB_NAME))
     if faults is not None:
         faults.fire("build_dir_db.commit", src_path)
     # Publish: xattr shards before db.db, which is the commit point
     # (see DirStore.publish).
     store.publish(side_names)
-    index.apply_physical_mode(src_path, stanza.directory.mode)
+    index.apply_physical_mode(src_path, directory.mode)
     if journal is not None:
-        journal.record(
-            src_path,
-            store.stamp(),
-            len(stanza.entries),
-            len(side_names),
-        )
-    return len(stanza.entries), len(side_names)
+        journal.record(src_path, store.stamp(), len(rows), len(side_names))
+    if handover is not None and stamp is not None:
+        handover[src_path] = (stamp, str(store.db_path), contribution)
+    return len(rows), len(side_names)
 
 
 def trace2index(
@@ -348,7 +453,7 @@ class _BuildState:
             self.skipped += 1
         return True
 
-    def build(self, stanza: DirStanza) -> None:
+    def build(self, stanza: DirStanza | DirRows) -> None:
         n, s = build_dir_db(
             self.index, stanza, self.opts,
             faults=self.opts.faults, journal=self.journal,
@@ -445,26 +550,19 @@ def dir2index(
     opts = opts or BuildOptions()
     index = GUFIIndex.create(index_root, source_name)
     state = _BuildState(index, opts, source_name)
-    import posixpath
 
     def expand(dirpath: str) -> list[str]:
         dir_inode = tree.get_inode(dirpath)
-        entries = tree.readdir(dirpath)
+        children = tree.readdir_plus(dirpath)
         subdirs = [
-            posixpath.join(dirpath, e.name)
-            for e in entries
-            if e.ftype.value == "d"
+            posixpath.join(dirpath, name)
+            for name, inode in children
+            if inode.ftype is FileType.DIRECTORY
         ]
-        if state.should_skip(dirpath):
-            return subdirs
-        stanza = DirStanza(directory=record_from_inode(dirpath, dir_inode))
-        for e in entries:
-            if e.ftype.value != "d":
-                child = posixpath.join(dirpath, e.name)
-                stanza.entries.append(
-                    record_from_inode(child, tree.get_inode(child))
-                )
-        state.build(stanza)
+        if not state.should_skip(dirpath):
+            # the record is taken after the listing bumped the atime
+            directory = record_from_inode(dirpath, dir_inode)
+            state.build(dir_rows(directory, children))
         return subdirs
 
     t0 = time.monotonic()

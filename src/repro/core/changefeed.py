@@ -34,17 +34,22 @@ source tree and surgically updates an existing index —
    republishing through :func:`repro.core.build.build_dir_db`'s
    atomic ``.partial``+rename path — one directory, not the subtree.
    Rescanning the live tree is what makes replay exactly-once in
-   effect: a directory rebuilt twice converges to the same rows.
-   Every touched directory's :class:`~repro.core.index.DirMetaCache`
-   entry (and the plan stats riding on it) is invalidated per event,
-   not per stamp.
+   effect: a directory rebuilt twice converges to the same rows. The
+   rescan turns inodes into ``entries`` rows in one pass
+   (:func:`~repro.core.update.scan_single_dir`). Every touched
+   directory's :class:`~repro.core.index.DirMetaCache` entry (and the
+   plan stats riding on it) is invalidated per event, not per stamp.
 5. **Refresh tsummary roots** whose subtrees changed (only where
    tsummary rows already exist — tsummary is admin-triggered). The
    roots are recorded in the checkpoint *before* the rebuild phase
-   can destroy the rows used to detect them. On a long-lived index
-   handle the refresh re-reads only the databases this and earlier
-   steps rewrote (:mod:`repro.core.tsummary` memoises every other
-   directory's contribution on the handle) and stats the rest.
+   can destroy the rows used to detect them. When there is a root to
+   refresh, each rebuild of step 4 reads its directory's contribution
+   on the staging connection and hands it to the handle, memoised
+   under the published file's stamp; so on a long-lived handle the
+   refresh re-reads only what the structural phase moved and the
+   databases earlier refreshes wrote their rows into
+   (:mod:`repro.core.tsummary` memoises every other directory's
+   contribution on the handle) and stats the rest.
 6. **Commit the cursor** through
    :class:`~repro.core.checkpoint.ChangefeedCheckpoint` (atomic
    rename, same discipline as the databases) and only then
@@ -63,6 +68,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import sqlite3
 import time
 from dataclasses import dataclass, field
 
@@ -75,7 +81,7 @@ from repro.fs.changelog import (
 )
 from repro.fs.inode import FileType
 from repro.fs.tree import VFSTree
-from repro.store import schema
+from repro.store import connect, schema
 
 from .build import BuildOptions, build_dir_db
 from .checkpoint import ChangefeedCheckpoint
@@ -185,6 +191,13 @@ def _has_tsummary(index: GUFIIndex, source_path: str) -> bool:
     return meta is not None and bool(meta.tsummary)
 
 
+#: a database's stored depth and whether it has tree-summary rows
+_DEPTH_SQL = (
+    f"SELECT depth, {schema.has_tsummary_sql('gufi')} FROM gufi.summary "
+    f"WHERE isroot = 1 AND rectype = {schema.RECTYPE_OVERALL} LIMIT 1"
+)
+
+
 def _fix_depths(index: GUFIIndex, source_path: str) -> None:
     """Normalise absolute-depth columns under a moved index subtree.
 
@@ -195,36 +208,41 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
     path-computed depth — and every row in the database shifted by it,
     so the pass is idempotent: replaying it after a crash finds delta
     zero and does nothing.
+
+    Every database is read through one connection, attached read-only
+    for one statement; only one whose delta is non-zero is opened
+    read-write, so a same-depth rename writes nothing.
     """
-    for idx_dir in index.iter_index_dirs(source_path):
-        sp = index.source_path(idx_dir)
-        expected = 0 if sp == "/" else sp.count("/")
-        try:
-            conn = index.store(sp).open_rw()
-        except Exception:
-            continue
-        try:
-            row = conn.execute(
-                f"SELECT depth, {schema.has_tsummary_sql()} FROM summary "
-                "WHERE isroot = 1 AND rectype = ? LIMIT 1",
-                (schema.RECTYPE_OVERALL,),
-            ).fetchone()
+    reader = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        for sp, _names in index.iter_tree(source_path):
+            try:
+                connect.attach_ro(reader, index.db_path(sp), "gufi")
+            except sqlite3.Error:
+                continue
+            try:
+                row = reader.execute(_DEPTH_SQL).fetchone()
+            finally:
+                connect.detach(reader, "gufi")
             if row is None or row[0] is None:
                 continue
-            delta = expected - int(row[0])
-            if delta:
+            delta = (0 if sp == "/" else sp.count("/")) - int(row[0])
+            if not delta:
+                continue
+            conn = index.store(sp).open_rw()
+            try:
                 conn.execute("BEGIN")
-                conn.execute(
-                    "UPDATE summary SET depth = depth + ?", (delta,)
-                )
+                conn.execute("UPDATE summary SET depth = depth + ?", (delta,))
                 if row[1]:
                     conn.execute(
                         "UPDATE tsummary SET maxdepth = maxdepth + ?", (delta,)
                     )
                 conn.execute("COMMIT")
-                index.invalidate_cache(sp)
-        finally:
-            conn.close()
+            finally:
+                conn.close()
+            index.invalidate_cache(sp)
+    finally:
+        reader.close()
 
 
 def changefeed2index(
@@ -329,14 +347,21 @@ def changefeed2index(
 
     # -- dirty-directory rebuild phase (rescan the live tree) ----------
     dirs_rebuilt = entries_indexed = 0
+    # a refresh below folds every rebuilt directory's contribution:
+    # each rebuild hands it over instead of the refresh re-reading it
+    handover: dict | None = {} if ts_roots else None
     for d in sorted(dirty):
         if _is_live_dir(tree, d):
             unrolled += unroll_path_to(index, d, checked, faults)
-            stanza = scan_single_dir(tree, d)
-            n, _ = build_dir_db(index, stanza, opts, faults=faults)
+            scanned = scan_single_dir(tree, d)
+            n, _ = build_dir_db(
+                index, scanned, opts, faults=faults, handover=handover
+            )
             dirs_rebuilt += 1
             entries_indexed += n
             index.invalidate_cache(d)
+            if handover:
+                index.cache.put_contribution(d, *handover.pop(d))
         else:
             # the directory vanished between event and apply (or was
             # created and removed within the batch)
@@ -364,6 +389,10 @@ def changefeed2index(
     metrics.counter("gufi_changefeed_applied_total", len(batch.events))
     if metrics.enabled:
         metrics.observe("gufi_changefeed_apply_seconds", elapsed)
+        metrics.counter("gufi_changefeed_entries_indexed_total", entries_indexed)
+        # events emitted after the drain (or beyond ``limit``) that the
+        # committed cursor has not covered yet
+        metrics.gauge("gufi_changefeed_lag_events", journal.head - new_cursor)
     return ApplyResult(
         seconds=elapsed,
         cursor=new_cursor,

@@ -123,17 +123,24 @@ _TS_INSERT = (
 #: ``pentries`` (a directory's own entries plus, when rolled up, every
 #: merged sub-directory's) aggregated where the rows live. NULL sizes
 #: add nothing and bound nothing; NULL or empty ``xattr_names`` is not
-#: xattr-bearing.
+#: xattr-bearing. ``{alias}`` is the schema the database is open as.
 _GROUPS_SQL = (
     "SELECT type, uid, gid, COUNT(*), COALESCE(SUM(size), 0), "
     "MIN(size), MAX(size), MIN(mtime), MAX(mtime), "
     "COUNT(CASE WHEN LENGTH(xattr_names) > 0 THEN 1 END) "
-    "FROM gufi.pentries GROUP BY type, uid, gid"
+    "FROM {alias}.pentries GROUP BY type, uid, gid"
 )
 
 
 class DirContribution(NamedTuple):
     """What one directory database adds to any tree summary above it.
+
+    Read by :func:`read_contribution` — from a published database by a
+    tree-summary build (:func:`_contribution`), or from the staged one
+    by the rebuild that wrote it (:func:`repro.core.build.build_dir_db`
+    with a ``handover`` dict), which the changefeed then memoises under
+    the published file's stamp. Either way the same two statements read
+    it, so a memoised contribution is the one a later read would find.
 
     Deliberately excludes the ``tsummary`` table itself: writing a
     result into the start directory's database changes that file's
@@ -152,8 +159,24 @@ class DirContribution(NamedTuple):
 
 _DIRS_SQL = (
     "SELECT size, depth, uid, gid, inode, isroot, rolledup "
-    f"FROM gufi.summary WHERE rectype = {schema.RECTYPE_OVERALL}"
+    f"FROM {{alias}}.summary WHERE rectype = {schema.RECTYPE_OVERALL}"
 )
+
+
+def read_contribution(conn: sqlite3.Connection, alias: str) -> DirContribution:
+    """One directory database's contribution, read through ``conn``
+    where the database is open as ``alias`` (``gufi`` when attached,
+    ``main`` on the rebuild's staging connection)."""
+    dirs = conn.execute(_DIRS_SQL.format(alias=alias)).fetchall()
+    own = next((d for d in dirs if d[5] == 1), None)
+    if own is None:
+        raise IndexError_("index database has no directory summary record")
+    return DirContribution(
+        inode=own[4],
+        rolledup=bool(own[6]),
+        dirs=tuple(d[:5] for d in dirs),
+        groups=tuple(conn.execute(_GROUPS_SQL.format(alias=alias))),
+    )
 
 
 def _contribution(
@@ -170,16 +193,7 @@ def _contribution(
         return None
     connect.attach_ro(conn, db_path, "gufi")
     try:
-        dirs = conn.execute(_DIRS_SQL).fetchall()
-        own = next((d for d in dirs if d[5] == 1), None)
-        if own is None:
-            raise IndexError_("index database has no directory summary record")
-        contrib = DirContribution(
-            inode=own[4],
-            rolledup=bool(own[6]),
-            dirs=tuple(d[:5] for d in dirs),
-            groups=tuple(conn.execute(_GROUPS_SQL)),
-        )
+        contrib = read_contribution(conn, "gufi")
     finally:
         connect.detach(conn, "gufi")
     if bracket.unchanged():

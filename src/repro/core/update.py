@@ -28,9 +28,8 @@ from typing import Any
 from repro.fs.inode import FileType
 from repro.fs.tree import VFSTree
 from repro.scan.scanners import record_from_inode
-from repro.scan.trace import DirStanza
 
-from .build import BuildOptions, build_dir_db
+from .build import BuildOptions, DirRows, build_dir_db, dir_rows
 from .index import GUFIIndex
 from .rollup import unrollup_dir
 
@@ -134,14 +133,15 @@ def update_directory(
     )
 
 
-def scan_single_dir(tree: VFSTree, source_path: str) -> DirStanza:
-    dir_inode = tree.get_inode(source_path)
-    stanza = DirStanza(directory=record_from_inode(source_path, dir_inode))
-    prefix = "" if source_path == "/" else source_path
-    for name, inode in tree.readdir_plus(source_path):
-        if inode.ftype is not FileType.DIRECTORY:
-            stanza.entries.append(record_from_inode(f"{prefix}/{name}", inode))
-    return stanza
+def scan_single_dir(tree: VFSTree, source_path: str) -> DirRows:
+    """Rescan one live directory into what
+    :func:`~repro.core.build.build_dir_db` writes: the directory's
+    record (taken before the listing bumps its atime), then one
+    READDIRPLUS whose inodes become ``entries`` rows in the same pass
+    (:func:`~repro.core.build.dir_rows`). No trace record is made per
+    entry — only for the entries that carry xattrs."""
+    directory = record_from_inode(source_path, tree.get_inode(source_path))
+    return dir_rows(directory, tree.readdir_plus(source_path))
 
 
 def _prune_stale_index_dirs(

@@ -12,6 +12,7 @@ from repro.core.build import (
     BuildOptions,
     build_from_stanzas,
     dir2index,
+    entry_row,
     summary_rows,
     trace2index,
 )
@@ -88,12 +89,18 @@ class TestDbHelpers:
         assert tr.total_bytes == (tmp_path / "db.db").stat().st_size
 
 
+def stanza_summary(stanza, depth: int, per_user_group: bool) -> list[tuple]:
+    """The summary record(s) ``build_dir_db`` writes for a stanza."""
+    rows = [entry_row(e) for e in stanza.entries]
+    return summary_rows(stanza.directory, rows, depth, per_user_group)
+
+
 class TestSummaryRows:
     def test_aggregates_match_brute_force(self):
         tree = build_demo_tree()
         stanzas = TreeWalkScanner(tree, nthreads=1).scan("/").stanzas
         for stanza in stanzas:
-            (row,) = summary_rows(stanza, depth=1, per_user_group=False)
+            (row,) = stanza_summary(stanza, depth=1, per_user_group=False)
             cols = dict(zip(schema.SUMMARY_COLUMNS, row))
             files = [e for e in stanza.entries if e.ftype == "f"]
             links = [e for e in stanza.entries if e.ftype == "l"]
@@ -111,7 +118,7 @@ class TestSummaryRows:
         tree = build_demo_tree()
         stanzas = TreeWalkScanner(tree, nthreads=1).scan("/").stanzas
         shared = next(s for s in stanzas if s.directory.path == "/proj/shared")
-        rows = summary_rows(shared, depth=2, per_user_group=True)
+        rows = stanza_summary(shared, depth=2, per_user_group=True)
         rectypes = [dict(zip(schema.SUMMARY_COLUMNS, r))["rectype"] for r in rows]
         assert rectypes.count(schema.RECTYPE_OVERALL) == 1
         assert schema.RECTYPE_USER in rectypes
@@ -133,7 +140,7 @@ class TestSummaryRows:
         tree = build_demo_tree()
         stanzas = TreeWalkScanner(tree, nthreads=1).scan("/").stanzas
         shared = next(s for s in stanzas if s.directory.path == "/proj/shared")
-        rows = summary_rows(shared, depth=2, per_user_group=True)
+        rows = stanza_summary(shared, depth=2, per_user_group=True)
         names = {}
         for r in rows:
             cols = dict(zip(schema.SUMMARY_COLUMNS, r))
@@ -152,7 +159,7 @@ class TestSummaryRows:
         tree = build_demo_tree()
         stanzas = TreeWalkScanner(tree, nthreads=1).scan("/").stanzas
         home = next(s for s in stanzas if s.directory.path == "/home")
-        (row,) = summary_rows(home, depth=1, per_user_group=False)
+        (row,) = stanza_summary(home, depth=1, per_user_group=False)
         cols = dict(zip(schema.SUMMARY_COLUMNS, row))
         assert cols["totsubdirs"] == 2  # alice, bob
 

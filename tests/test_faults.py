@@ -216,7 +216,7 @@ class TestVFSTreeHooks:
         t.set_fault_plan(FaultPlan.io_at("vfs.get_inode", 3))
         with pytest.raises(InjectedFault, match=r"\(/d/b\)"):
             scan_single_dir(t, "/d")
-        assert [r.name for r in scan_single_dir(t, "/d").entries] == [
+        assert [row[0] for row in scan_single_dir(t, "/d").rows] == [
             "a", "b", "c"
         ]
         plan = FaultPlan.io_at("vfs.get_inode", 3)
