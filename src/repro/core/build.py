@@ -56,6 +56,7 @@ import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from repro import obs
@@ -122,18 +123,28 @@ class BuildResult:
         return total / self.seconds if self.seconds > 0 else 0.0
 
 
+#: getters of the ``entries`` columns a summary record aggregates
+_TYPE, _UID, _GID, _SIZE, _ATIME, _MTIME, _XATTR_NAMES = (
+    itemgetter(schema.ENTRIES_COLUMNS.index(c))
+    for c in ("type", "uid", "gid", "size", "atime", "mtime", "xattr_names")
+)
+
+
 def _aggregates(rows: list[tuple]) -> tuple:
     """The §III-B aggregate columns of a summary record over ``entries``
     rows, in :data:`schema.SUMMARY_COLUMNS` order from ``totfiles`` to
     ``totxattr`` — ``totsubdirs`` (from the directory's ``nlink``) left
-    out. The rows are transposed once; every column aggregate after
-    that is a builtin over one column."""
+    out. Each column is pulled out of the rows once, in C
+    (``map(itemgetter)``), and aggregated by builtins."""
     if not rows:
         return (0, 0, None, None, None, None, None, None, 0,
                 None, None, None, None, 0)
-    cols = tuple(zip(*rows))
-    types, uids, gids, sizes = cols[1], cols[5], cols[6], cols[7]
-    atimes, mtimes = cols[10], cols[11]
+    types = list(map(_TYPE, rows))
+    uids = list(map(_UID, rows))
+    gids = list(map(_GID, rows))
+    sizes = list(map(_SIZE, rows))
+    atimes = list(map(_ATIME, rows))
+    mtimes = list(map(_MTIME, rows))
     nfiles = types.count("f")
     nlinks = types.count("l")
     if nfiles == len(types):
@@ -159,7 +170,8 @@ def _aggregates(rows: list[tuple]) -> tuple:
         max(mtimes),
         min(atimes),
         max(atimes),
-        len(rows) - cols[14].count(""),  # totxattr: xattr-bearing rows
+        # totxattr: the rows that name an xattr
+        len(rows) - list(map(_XATTR_NAMES, rows)).count(""),
     )
 
 
@@ -199,8 +211,8 @@ def summary_rows(
         by_uid: dict[int, list[tuple]] = {}
         by_gid: dict[int, list[tuple]] = {}
         for r in rows:
-            by_uid.setdefault(r[5], []).append(r)
-            by_gid.setdefault(r[6], []).append(r)
+            by_uid.setdefault(_UID(r), []).append(r)
+            by_gid.setdefault(_GID(r), []).append(r)
         for uid, rs in sorted(by_uid.items()):
             out.append(record(f"u{uid}", schema.RECTYPE_USER, uid, d.gid,
                               _aggregates(rs)))
