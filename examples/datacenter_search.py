@@ -11,8 +11,9 @@ The full deployment story in one script:
    /Search root (the index is composable — §I);
 3. a :class:`GUFIServer` fronts the unified index behind an LDAP-like
    identity provider and a restricted tool whitelist (Fig 4);
-4. users query through the server / web-portal layer — cross-
-   filesystem, permission-gated, re-authenticated per query;
+4. users query through the server — raw SQL, the web portal's canned
+   reports and its search bar alike: cross-filesystem,
+   permission-gated, re-authenticated per query;
 5. one file system is decommissioned and **pruned** from the index.
 
 Run:  python examples/datacenter_search.py
@@ -28,7 +29,6 @@ from repro.core import (
     GUFIServer,
     IdentityProvider,
     Q1_LIST_PATHS,
-    QueryPortal,
     ToolNotAllowed,
     dir2index,
     graft,
@@ -88,7 +88,6 @@ def main() -> None:
         idp.add_user(f"user{uid}", uid=uid, gid=pop.primary_gid[uid])
     idp.add_user("admin", uid=0, gid=0)
     server = GUFIServer(search, idp, nthreads=NTHREADS)
-    portal = QueryPortal(server)
 
     # 4. Queries through the restricted shell.
     username = f"user{pop.uids[0]}"
@@ -98,8 +97,10 @@ def main() -> None:
           f"center (admin sees {len(admin_all.rows)})")
     fs_hit = {p.split('/')[1] for p, in mine.rows}
     print(f"  file systems with hits for {username}: {sorted(fs_hit)}")
-    top = portal.my_largest_files(username, limit=3)
+    top = server.invoke(username, "largest_files", limit=3)
     print(f"  portal 'my largest files': {[(s, p) for p, s in top]}")
+    found = server.invoke(username, "search", query="type:f size>>1k")
+    print(f"  portal search 'type:f size>>1k': {len(found.rows)} matches")
 
     try:
         server.invoke(username, "rollup")

@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.core.build import BuildOptions, BuildResult, trace2index
 from repro.core.index import GUFIIndex, IndexError_
-from repro.core.plan import QueryPlan, plan_for
+from repro.core.plan import QueryPlan
 from repro.core.engine import QueryEngine, QueryPermissionError
 from repro.core.query import QuerySpec
 from repro.core.rollup import rollup, unrollup_dir, visible_db_count
@@ -373,13 +373,11 @@ def cmd_index_doctor(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     """The portal search bar from the command line."""
-    from repro.core.search import parse
-
     index = GUFIIndex.open(args.index_root)
-    parsed = parse(args.query, now=args.now)
-    plan = plan_for(parsed.filters, planned=not args.no_plan)
-    with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads) as q:
-        result = q.run(parsed.to_spec(), args.start, plan=plan)
+    with GUFITools(index, creds=_creds(args), nthreads=args.nthreads) as tools:
+        result = tools.search(
+            args.query, args.start, now=args.now, planned=not args.no_plan
+        )
     _write_lines(["\t".join(str(v) for v in row) for row in sorted(result.rows)])
     print(
         f"# {len(result.rows)} matches from {result.dirs_visited} dirs "

@@ -83,7 +83,6 @@ from .server import (
     GUFIServer,
     IdentityProvider,
     InvocationLog,
-    QueryPortal,
     ToolNotAllowed,
 )
 from .tools import FindFilters, GUFITools
@@ -116,7 +115,6 @@ __all__ = [
     "graft",
     "ValidationReport",
     "ToolNotAllowed",
-    "QueryPortal",
     "InvocationLog",
     "IdentityProvider",
     "GUFIServer",

@@ -75,8 +75,7 @@ class QueryEngine:
         creds: Credentials = ROOT,
         nthreads: int = 8,
         tracer: IOTracer | None = None,
-        users: dict[int, str] | None = None,
-        groups: dict[int, str] | None = None,
+        pool: ThreadStatePool | None = None,
         processes: int = 1,
         mp_start_method: str | None = None,
         result_cache: ResultCache | None = None,
@@ -85,11 +84,10 @@ class QueryEngine:
         self.creds = creds
         self.nthreads = nthreads
         self.tracer = tracer
-        # keep these exact dict objects: the pool's QueryContexts alias
-        # them, so in-place updates propagate to live sessions
-        self.users = users if users is not None else {}
-        self.groups = groups if groups is not None else {}
-        self.pool = ThreadStatePool(users=self.users, groups=self.groups)
+        #: warm thread states and the uid -> name map; a pool passed in
+        #: may serve other principals too and outlives this engine
+        self._owns_pool = pool is None
+        self.pool = ThreadStatePool() if pool is None else pool
         #: worker processes for run(); 1 = single-process (historical)
         self.processes = max(1, int(processes))
         #: multiprocessing start method for scatter-gather workers
@@ -110,9 +108,10 @@ class QueryEngine:
 
     def close(self) -> None:
         """Release the session's pooled connections (and with them
-        their in-memory scratch databases) and, after a scatter-gather
-        run, the workers' hand-off directory."""
-        self.pool.close()
+        their in-memory scratch databases) if it made the pool, and,
+        after a scatter-gather run, the workers' hand-off directory."""
+        if self._owns_pool:
+            self.pool.close()
         if self._scatter_engine is not None:
             self._scatter_engine.close()
 
@@ -528,7 +527,7 @@ class QueryEngine:
                 with checkout_lock:
                     ordinal = len(run_states)
                     st = pool.acquire(
-                        spec.I, sink.thread_output_path(ordinal)
+                        spec.I, sink.thread_output_path(ordinal), True, creds
                     )
                     run_states[tid] = st
             return st
@@ -713,8 +712,7 @@ class QueryEngine:
         # --------------------------------------------------------------
         merge = MergeRunner(
             spec,
-            self.users,
-            self.groups,
+            pool.users,
             otr,
             timing,
             tracing,

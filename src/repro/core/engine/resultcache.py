@@ -14,8 +14,8 @@ equal to what a cold run would return right now:
 
 * **Validity token.** At capture time each entry records (a) the
   stamp of every directory the walk visited — the ``db.db``
-  :func:`~repro.core.db.file_stamp` (inode, mtime_ns, size) plus the
-  physical directory's :func:`~repro.core.db.dir_stamp` for listing
+  :func:`~repro.store.layout.file_stamp` (inode, mtime_ns, size) plus the
+  physical directory's :func:`~repro.store.layout.dir_stamp` for listing
   changes — including the start path's ancestors (whose permission
   bits gate reachability), and (b) the index's applied changefeed
   cursor (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`).
@@ -72,8 +72,8 @@ equal to what a cold run would return right now:
   cross-checks those — the guard holds across process boundaries.
 
 * **Credential scoping.** The key includes the resolved
-  ``(uid, gid, groups)`` — the same key the server's warm-session
-  LRU uses — so entries can never be replayed across principals,
+  ``(uid, gid, groups)`` — what the server resolves on every
+  invocation — so entries can never be replayed across principals,
   and an optional per-scope byte budget keeps one tenant's hot
   queries from evicting everyone else's.
 
@@ -108,7 +108,7 @@ if TYPE_CHECKING:
     from ..plan import QueryPlan
     from ..session import _ThreadState
 
-#: (uid, gid, supplementary groups) — the server's session-LRU key
+#: (uid, gid, supplementary groups) — one principal's scope
 CredKey = tuple[int, int, frozenset[int]]
 #: full cache key: (credentials, normalized spec, plan window, start)
 CacheKey = tuple[CredKey, tuple, tuple | None, str]

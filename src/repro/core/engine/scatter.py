@@ -75,9 +75,11 @@ from repro.scan.walker import WalkStats
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
 from ..rollup import rollup_compatible
+from ..session import user_script
 from ..sqlfuncs import QueryContext, register
 from .engine import QueryEngine
 from .sinks import MemorySink, ResultSink
+from .stages import run_sql
 from .traversal import Traversal, normalize_path, path_depth
 from .types import QueryResult, QuerySpec
 
@@ -292,7 +294,6 @@ class _WorkerTask:
     start_depth: int
     nthreads: int
     users: dict[int, str]
-    groups: dict[int, str]
     #: where the worker leaves its J-stage aggregate (None: no J)
     agg_path: str | None
     #: where the worker writes its pickled result (atomic rename)
@@ -357,13 +358,8 @@ def _worker_main(task: _WorkerTask) -> None:
             index = fork_index  # warm cache, copy-on-write
         else:
             index = GUFIIndex.open(task.index_root)
-        engine = QueryEngine(
-            index,
-            creds=task.creds,
-            nthreads=task.nthreads,
-            users=dict(task.users),
-            groups=dict(task.groups),
-        )
+        engine = QueryEngine(index, creds=task.creds, nthreads=task.nthreads)
+        engine.pool.users.update(task.users)
         engine.collect_visited = task.collect_paths
         try:
             result = engine.run_shard(
@@ -535,8 +531,7 @@ class ScatterGatherEngine:
                 units=shard.units,
                 start_depth=start_depth,
                 nthreads=nthreads,
-                users=dict(engine.users),
-                groups=dict(engine.groups),
+                users=dict(engine.pool.users),
                 agg_path=(
                     os.path.join(scratch, f"scatter_{seq}_w{wid}.agg.db")
                     if spec.J
@@ -710,7 +705,7 @@ class ScatterGatherEngine:
             conn = sqlite3.connect(":memory:")
             try:
                 if spec.I:
-                    conn.executescript(spec.I)
+                    user_script(conn, spec.I)
                     conn.commit()
                 for task, res in zip(tasks, results):
                     if (
@@ -753,15 +748,8 @@ class ScatterGatherEngine:
                         conn.execute("DETACH DATABASE worker")
                 if spec.G:
                     gb = time.perf_counter()
-                    register(
-                        conn,
-                        QueryContext(
-                            users=engine.users, groups=engine.groups
-                        ),
-                    )
-                    cur = conn.execute(spec.G)
-                    if cur.description is not None:
-                        g_rows = cur.fetchall()
+                    register(conn, QueryContext(users=engine.pool.users))
+                    g_rows = run_sql(conn, spec.G, 0)
                     g_time = time.perf_counter() - gb
             finally:
                 conn.close()

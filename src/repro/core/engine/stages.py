@@ -28,18 +28,27 @@ from repro.store.attach import AttachSession
 from repro.store.layout import DirStore
 
 from ..index import DirMeta, GUFIIndex
-from ..session import _ThreadState
+from ..session import _ThreadState, user_script
 from ..sqlfuncs import QueryContext, register
 from .types import QuerySpec
 
+_ATTACHED = sqlite3.SQLITE_LIMIT_ATTACHED
 
-def run_sql(st: _ThreadState, sql: str) -> list[tuple]:
-    """Execute one stage statement; SELECT rows come back, DML does
-    its work against the thread's scratch database."""
-    cur = st.conn.execute(sql)
-    if cur.description is not None:
-        return cur.fetchall()
-    return []
+
+def run_sql(conn: sqlite3.Connection, sql: str, attached: int) -> list[tuple]:
+    """Execute one stage statement; SELECT rows come back, DML does its
+    work against the scratch database. ``conn`` has ``attached``
+    databases attached besides main and temp, and the statement can
+    open no other: the attach limit, pinned to that, refuses ``ATTACH``
+    and ``VACUUM … INTO``."""
+    limit = conn.setlimit(_ATTACHED, attached)
+    try:
+        cur = conn.execute(sql)
+        if cur.description is not None:
+            return cur.fetchall()
+        return []
+    finally:
+        conn.setlimit(_ATTACHED, limit)
 
 
 class StageRunner:
@@ -149,20 +158,22 @@ class StageRunner:
                 self._timed_stage(st, "S", spec.S, rows)
             if run_e:
                 assert spec.E is not None
-                self._timed_stage(st, "E", spec.E, rows)
+                xa = 0 if session is None else session.attached
+                self._timed_stage(st, "E", spec.E, rows, 1 + xa)
         finally:
             if session is not None:
                 session.drop_xattr_views()
 
     def _timed_stage(
-        self, st: _ThreadState, stage: str, sql: str, rows: list[tuple]
+        self, st: _ThreadState, stage: str, sql: str, rows: list[tuple],
+        attached: int = 1,
     ) -> None:
         tb = time.perf_counter() if self.timing else 0.0
         sp = (
             self.otr.start("query.sql", stage=stage) if self.tracing else None
         )
         try:
-            rows.extend(run_sql(st, sql))
+            rows.extend(run_sql(st.conn, sql, attached))
         finally:
             if sp is not None:
                 self.otr.end(sp)
@@ -212,7 +223,6 @@ class MergeRunner:
         self,
         spec: QuerySpec,
         users: dict[int, str],
-        groups: dict[int, str],
         otr: Any,
         timing: bool,
         tracing: bool,
@@ -220,7 +230,6 @@ class MergeRunner:
     ) -> None:
         self.spec = spec
         self.users = users
-        self.groups = groups
         self.otr = otr
         self.timing = timing
         self.tracing = tracing
@@ -242,7 +251,7 @@ class MergeRunner:
             if self._agg_path is not None:
                 _unjournaled(owner, "main")
             if spec.I:
-                owner.executescript(spec.I)
+                user_script(owner, spec.I)
             if spec.J:
                 self._j_stage(states, name)
             if spec.G:
@@ -262,7 +271,7 @@ class MergeRunner:
                     if self._agg_path is not None:
                         _unjournaled(st.conn, "aggregate")
                     assert spec.J is not None
-                    st.conn.executescript(spec.J)
+                    user_script(st.conn, spec.J, 1)
                     st.conn.commit()
                 finally:
                     st.conn.execute("DETACH DATABASE aggregate")
@@ -277,12 +286,9 @@ class MergeRunner:
         gb = time.perf_counter() if self.timing else 0.0
         sp = self.otr.start("query.sql", stage="G") if self.tracing else None
         try:
-            register(owner, QueryContext(users=self.users, groups=self.groups))
+            register(owner, QueryContext(users=self.users))
             assert spec.G is not None
-            cur = owner.execute(spec.G)
-            if cur.description is not None:
-                return cur.fetchall()
-            return []
+            return run_sql(owner, spec.G, 0)
         finally:
             if sp is not None:
                 self.otr.end(sp)

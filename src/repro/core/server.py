@@ -9,26 +9,30 @@ query engine the caller's uid/gid/groups so index traversal is
 permission-gated.
 
 This module reproduces that layer: an :class:`IdentityProvider` is the
-LDAP stand-in, :class:`GUFIServer` the restricted entry point, and
-:class:`QueryPortal` the web portal's pre-generated query set ("the
-user's largest files and their most recently accessed files").
+LDAP stand-in and :class:`GUFIServer` the restricted entry point, whose
+tool table (:data:`ALLOWED_TOOLS`) names :class:`GUFITools` methods.
+The web portal is a client of it: its pre-generated queries ("the
+user's largest files and their most recently accessed files") are
+``largest_files``/``recently_modified`` invocations, and its search bar
+is the ``search`` tool.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro import obs
 from repro.fs.permissions import Credentials
 
-from .engine import CancelToken, PaginatedSink, ResultCache, ResultSink
+from .engine import PaginatedSink, ResultCache
 from .index import GUFIIndex
-from .plan import plan_for
-from .query import QueryResult, QuerySpec
-from .tools import FindFilters, GUFITools
+from .session import ThreadStatePool
+from .tools import GUFITools
 
 
 class AuthenticationError(PermissionError):
@@ -63,23 +67,20 @@ class IdentityProvider:
             "enabled": enabled,
         }
 
-    def disable(self, username: str) -> None:
+    def _record(self, username: str) -> dict:
         try:
-            self._users[username]["enabled"] = False
+            return self._users[username]
         except KeyError:
             raise AuthenticationError(f"unknown user {username!r}") from None
+
+    def disable(self, username: str) -> None:
+        self._record(username)["enabled"] = False
 
     def enable(self, username: str) -> None:
-        try:
-            self._users[username]["enabled"] = True
-        except KeyError:
-            raise AuthenticationError(f"unknown user {username!r}") from None
+        self._record(username)["enabled"] = True
 
     def set_groups(self, username: str, groups: frozenset[int]) -> None:
-        try:
-            self._users[username]["groups"] = frozenset(groups)
-        except KeyError:
-            raise AuthenticationError(f"unknown user {username!r}") from None
+        self._record(username)["groups"] = frozenset(groups)
 
     def authenticate(self, username: str) -> Credentials:
         rec = self._users.get(username)
@@ -138,10 +139,14 @@ class IdentityProvider:
         return {rec["uid"]: name for name, rec in self._users.items()}
 
 
-#: tools a remote invocation may name — the restricted shell's whitelist
-ALLOWED_TOOLS = frozenset({"query", "find", "ls", "du", "dir_sizes",
-                           "largest_files", "recently_modified",
-                           "space_by_user", "xattr_search"})
+#: the restricted shell's tool table: each tool a remote invocation may
+#: name (a :class:`GUFITools` method) → whether it returns a pageable
+#: :class:`QueryResult`, and so takes the response ``sink``
+ALLOWED_TOOLS: Mapping[str, bool] = MappingProxyType({
+    "query": True, "find": True, "search": True, "xattr_search": True,
+    "ls": False, "du": False, "dir_sizes": False, "largest_files": False,
+    "recently_modified": False, "space_by_user": False,
+})
 
 
 @dataclass
@@ -163,25 +168,23 @@ class InvocationLog:
 
 
 class GUFIServer:
-    """The index host's restricted entry point.
+    """The index host's restricted entry point — the one core between a
+    transport (:mod:`repro.serve`, or a direct call) and the tools.
 
     Every invocation re-authenticates, is checked against the tool
-    whitelist, runs with the caller's credentials, and is audited.
-    All database opens happen read-only (enforced downstream).
+    table, runs with the caller's credentials, and is audited. All
+    database opens happen read-only (enforced downstream).
 
-    Query *sessions* are reused: the server keeps a small LRU of warm
-    :class:`GUFITools` handles keyed by the caller's **resolved
-    credentials** — not the username — so repeated portal queries skip
-    per-query setup (scratch connections, SQL function registration,
-    DirMeta reads) while preserving §III-A5's immediacy guarantees:
-    authentication still happens on every invocation, and a group or
-    uid change yields a different key, hence a fresh session with the
-    new credentials. All sessions share the index handle's
+    Every principal runs on the one warm :class:`ThreadStatePool` the
+    server owns: an invocation binds a :class:`GUFITools` handle to the
+    credentials it has just resolved, over that pool. Repeated queries
+    skip per-query setup (scratch connections, SQL function
+    registration), a uid or group change takes effect on the next call
+    (§III-A5), and a checkout is principal-clean (see
+    :mod:`repro.core.session`). All handles share the index handle's
     mtime-validated DirMeta cache.
     """
 
-    #: warm sessions kept per server (one per distinct credential set)
-    SESSION_CACHE_SIZE = 32
     #: default bound on the in-memory audit log; oldest entries are
     #: dropped (and counted in ``audit_dropped``) past it
     AUDIT_LOG_CAP = 10_000
@@ -200,19 +203,16 @@ class GUFIServer:
         nthreads: int = 8,
         audit_cap: int | None = None,
         max_rows: int | None = None,
-        processes: int = 1,
         result_cache_mb: float | None = None,
     ) -> None:
         self.index = index
         self.identity = identity
         self.nthreads = nthreads
-        #: worker processes per query session (scatter-gather when > 1)
-        self.processes = max(1, int(processes))
-        #: one materialized-result cache shared by every warm session.
-        #: Entries are keyed by resolved credentials (the same key as
-        #: the session LRU), so tenants can never see each other's
-        #: rows; the per-scope budget (a quarter of the total) keeps
-        #: one tenant's hot queries from evicting everyone else's.
+        #: one materialized-result cache shared by every invocation.
+        #: Entries are keyed by resolved credentials, so tenants can
+        #: never see each other's rows; the per-scope budget (a quarter
+        #: of the total) keeps one tenant's hot queries from evicting
+        #: everyone else's.
         self.result_cache: ResultCache | None = None
         if result_cache_mb is not None and result_cache_mb > 0:
             total = int(result_cache_mb * 1024 * 1024)
@@ -232,49 +232,35 @@ class GUFIServer:
         #: entries evicted from the (full) audit log
         self.audit_dropped = 0
         self._audit_lock = threading.Lock()
-        self._sessions: OrderedDict[tuple, GUFITools] = OrderedDict()
-        self._sessions_lock = threading.Lock()
+        #: the warm thread states every invocation runs on
+        self.pool = ThreadStatePool(users=identity.uid_map())
+        self._names_lock = threading.Lock()
 
     def _tools_for(self, username: str) -> GUFITools:
         creds = self.identity.authenticate(username)
-        key = (creds.uid, creds.gid, creds.groups)
-        with self._sessions_lock:
-            tools = self._sessions.get(key)
-            if tools is not None:
-                self._sessions.move_to_end(key)
-                # keep name translation current without discarding the
-                # warm session (the pooled QueryContexts alias this
-                # exact dict, so an in-place update reaches them). A
-                # request running under the same credentials reads it
-                # meanwhile: look the new map up first, add before
-                # removing, so a uid in both is never absent.
-                users = tools.engine.users
-                fresh = self.identity.uid_map()
-                users.update(fresh)
-                for uid in users.keys() - fresh.keys():
-                    del users[uid]
-                return tools
-            tools = GUFITools(
-                self.index, creds=creds, nthreads=self.nthreads,
-                users=self.identity.uid_map(), processes=self.processes,
-                result_cache=self.result_cache,
-            )
-            self._sessions[key] = tools
-            while len(self._sessions) > self.SESSION_CACHE_SIZE:
-                _, evicted = self._sessions.popitem(last=False)
-                evicted.close()
-            return tools
+        # Keep name translation current. The pooled contexts alias this
+        # exact dict, and a request running meanwhile reads it: look
+        # the new map up first, add before removing, so a uid named
+        # before and after is never absent.
+        users = self.pool.users
+        fresh = self.identity.uid_map()
+        with self._names_lock:
+            users.update(fresh)
+            for uid in users.keys() - fresh.keys():
+                del users[uid]
+        return GUFITools(
+            self.index, creds=creds, nthreads=self.nthreads,
+            pool=self.pool, result_cache=self.result_cache,
+        )
 
     def close(self) -> None:
-        """Dispose every warm session (scratch dirs, connections) and
-        detach the shared result cache from the index's invalidation
-        hooks — without the detach, a closed server would leave live
-        listener callbacks bound to the :class:`DirMetaCache`, firing
-        into (and pinning) a cache nobody serves from anymore."""
-        with self._sessions_lock:
-            for tools in self._sessions.values():
-                tools.close()
-            self._sessions.clear()
+        """Close the warm pool (its connections and scratch databases)
+        and detach the shared result cache from the index's
+        invalidation hooks — without the detach, a closed server would
+        leave live listener callbacks bound to the
+        :class:`DirMetaCache`, firing into (and pinning) a cache nobody
+        serves from anymore."""
+        self.pool.close()
         if self.result_cache is not None:
             self.result_cache.close()
 
@@ -291,19 +277,29 @@ class GUFIServer:
         start: str = "/",
         **kwargs,
     ):
-        """A remote invocation: ``ssh gufi-server <tool> <args>``.
+        """A remote invocation: ``ssh gufi-server <tool> <args>``, i.e.
+        ``GUFITools.<tool>(start=start, **kwargs)`` as ``username``.
 
-        Raises :class:`ToolNotAllowed` for anything off the whitelist
+        Raises :class:`ToolNotAllowed` for anything off the tool table
         and :class:`AuthenticationError` for unknown/disabled users —
-        *before* touching the index either way.
+        *before* touching the index either way; a row tool's rows go to
+        :meth:`response_sink` unless a ``sink`` is passed.
         """
         t0 = time.perf_counter()
         error: str | None = None
         truncated = False
         try:
             with obs.tracer().span("server.invoke", user=username, tool=tool):
-                result = self._dispatch(username, tool, start, kwargs)
-                if isinstance(result, QueryResult):
+                pageable = ALLOWED_TOOLS.get(tool)
+                if pageable is None:
+                    raise ToolNotAllowed(
+                        f"{tool!r} is not available through the restricted shell"
+                    )
+                tools = self._tools_for(username)
+                if pageable and kwargs.get("sink") is None:
+                    kwargs["sink"] = self.response_sink()
+                result = getattr(tools, tool)(start=start, **kwargs)
+                if pageable:
                     truncated = result.truncated
                 return result
         except BaseException as exc:
@@ -315,49 +311,13 @@ class GUFIServer:
                 truncated,
             )
 
-    def _dispatch(self, username: str, tool: str, start: str, kwargs: dict) -> object:
-        if tool not in ALLOWED_TOOLS:
-            raise ToolNotAllowed(
-                f"{tool!r} is not available through the restricted shell"
-            )
-        tools = self._tools_for(username)
-        if tool == "query":
-            spec = kwargs.pop("spec")
-            if not isinstance(spec, QuerySpec):
-                raise TypeError("query requires a QuerySpec")
-            plan = kwargs.pop("plan", None)
-            result: QueryResult = tools.engine.run(
-                spec, start, plan=plan,
-                sink=kwargs.pop("sink", None) or self._response_sink(),
-                cancel=kwargs.pop("cancel", None),
-            )
-            return result
-        method = getattr(tools, tool)
-        if tool == "find":
-            return method(
-                start,
-                kwargs.pop("filters", None),
-                planned=kwargs.pop("planned", True),
-                sink=kwargs.pop("sink", None) or self._response_sink(),
-                cancel=kwargs.pop("cancel", None),
-            )
-        if tool == "xattr_search":
-            # ``start`` is the query root, like every other tool
-            if "needle" not in kwargs:
-                raise TypeError("xattr_search requires needle=<value>")
-            kwargs.setdefault("sink", self._response_sink())
-            return method(kwargs.pop("needle"), start=start, **kwargs)
-        return method(start, **kwargs)
-
-    def _response_sink(self) -> ResultSink | None:
-        """A fresh paginated, row-capped sink for one invocation (None
-        when the cap is disabled — the engine then defaults to plain
-        in-memory collection)."""
-        if self.max_rows is None:
-            return None
+    def response_sink(self, page_size: int | None = None) -> PaginatedSink:
+        """A fresh sink for one invocation's rows: capped at
+        ``max_rows`` (the surplus counted, the result marked
+        truncated) and served in pages of ``page_size`` rows
+        (``RESPONSE_PAGE_SIZE`` by default)."""
         return PaginatedSink(
-            min(self.RESPONSE_PAGE_SIZE, self.max_rows),
-            max_rows=self.max_rows,
+            page_size or self.RESPONSE_PAGE_SIZE, max_rows=self.max_rows
         )
 
     def _audit(
@@ -402,53 +362,3 @@ class GUFIServer:
                 user=username,
             )
 
-
-class QueryPortal:
-    """The web portal's pre-generated query set (§III-A5): canned,
-    parameter-free reports a browser button triggers. Each call
-    re-authenticates through the server."""
-
-    def __init__(self, server: GUFIServer) -> None:
-        self.server = server
-
-    def my_largest_files(self, username: str, limit: int = 10) -> list[tuple]:
-        return self.server.invoke(
-            username, "largest_files", "/", limit=limit
-        )
-
-    def my_recent_files(self, username: str, limit: int = 20) -> list[tuple]:
-        return self.server.invoke(
-            username, "recently_modified", "/", limit=limit
-        )
-
-    def my_space_usage(self, username: str) -> int:
-        creds = self.server.identity.authenticate(username)
-        usage = self.server.invoke(username, "space_by_user", "/")
-        return usage.get(creds.uid, 0)
-
-    def my_stale_data(
-        self, username: str, older_than: int, min_size: int = 0
-    ) -> QueryResult:
-        creds = self.server.identity.authenticate(username)
-        return self.server.invoke(
-            username, "find", "/",
-            filters=FindFilters(
-                uid=creds.uid, mtime_before=older_than, min_size=min_size,
-                ftype="f",
-            ),
-        )
-
-    def search(self, username: str, query: str, start: str = "/",
-               now: int | None = None, planned: bool = True) -> QueryResult:
-        """The search bar: parse the portal query language and run it
-        with the caller's credentials (see :mod:`repro.core.search`).
-        The parsed terms also compile to a summary-statistics query
-        plan, so selective searches skip most directories' databases;
-        ``planned=False`` runs unplanned (identical results)."""
-        from .search import parse
-
-        parsed = parse(query, now=now)
-        plan = plan_for(parsed.filters, planned=planned)
-        return self.server.invoke(
-            username, "query", start, spec=parsed.to_spec(), plan=plan
-        )

@@ -31,8 +31,9 @@ memory until ``J`` folds it into the run's aggregate (also in memory,
 see :class:`~repro.core.engine.stages.MergeRunner`); a result too
 large to hold is what ``-o`` streams to files.
 
-Security note: nothing permission-relevant is cached here. Thread
-states hold only *scratch* result tables; every per-directory
+Security note: nothing permission-relevant is cached here, and a
+checkout is principal-clean (one pool may serve every principal).
+Thread states hold only *scratch* result tables; every per-directory
 permission decision still reads the index's (mtime-validated,
 explicitly invalidated) DirMeta — see :mod:`repro.core.index`.
 """
@@ -46,6 +47,27 @@ import weakref
 from repro import obs
 
 from .sqlfuncs import QueryContext, register
+
+def _no_attach(action: int, *_args: object) -> int:
+    if action in (sqlite3.SQLITE_ATTACH, sqlite3.SQLITE_DETACH):
+        return sqlite3.SQLITE_DENY
+    return sqlite3.SQLITE_OK
+
+
+def user_script(conn: sqlite3.Connection, sql: str, attached: int = 0) -> None:
+    """Run a caller's ``I``/``J`` script on ``conn``, which has
+    ``attached`` databases attached besides main and temp. Like a
+    single stage statement (:func:`~repro.core.engine.stages.run_sql`)
+    it can attach nothing more; a script could also ``DETACH`` one
+    alias and ``ATTACH`` another in its place, so an authorizer
+    refuses both verbs for its duration."""
+    limit = conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, attached)
+    conn.set_authorizer(_no_attach)
+    try:
+        conn.executescript(sql)
+    finally:
+        conn.set_authorizer(None)
+        conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, limit)
 
 
 class _ThreadState:
@@ -74,6 +96,7 @@ class _ThreadState:
         "touched",
         "ran",
         "_init_sql",
+        "_principal",
         "_used",
     )
 
@@ -101,17 +124,26 @@ class _ThreadState:
         # QueryResult.ran_paths)
         self.ran: list[str] = []
         self._init_sql: str | None = None
+        # whose run last executed stages on this connection
+        self._principal: object = None
         # has a run executed stages on this connection yet
         self._used = False
 
     # ------------------------------------------------------------------
-    def prepare(self, init_sql: str | None, out_path: str | None, stages: bool) -> None:
+    def prepare(
+        self,
+        init_sql: str | None,
+        out_path: str | None,
+        stages: bool,
+        principal: object = None,
+    ) -> None:
         """Make the state ready for a new run: reset counters, clear or
         rebuild the scratch schema, and (re)point the output file.
         ``stages=False`` (a result-cache replay: rows go to a sink, no
         stage executes) skips the scratch half — no statement runs, and
         schema, stale rows and ``_init_sql`` stay as the last real run
-        left them for the next one to prepare in full."""
+        left them for the next one to prepare in full. ``principal``
+        names whose run this is: a state changing hands is rebuilt."""
         self.rows = []
         self.visited = self.denied = self.opened = self.errored = 0
         self.pruned = self.elided = 0
@@ -119,26 +151,34 @@ class _ThreadState:
         self.touched = []
         self.ran = []
         if stages:
-            self._prepare_scratch(init_sql)
+            self._prepare_scratch(init_sql, principal)
         self._set_output(out_path)
 
-    def _prepare_scratch(self, init_sql: str | None) -> None:
-        # A previous run that died mid-directory (or mid-merge) may
-        # have left a database attached; a stale attach would shadow
-        # this run's. Ask what is attached (a healthy connection lists
-        # ``main`` alone) and detach only that; a connection no run
-        # has used has nothing attached.
+    def _prepare_scratch(self, init_sql: str | None, principal: object) -> None:
+        # A checkout carries nothing of the last run over: a run that
+        # died mid-directory (or mid-merge) may have left a database
+        # attached, and ``temp`` holds whatever a stage put there. Ask
+        # what is attached (a healthy connection lists ``main`` alone);
+        # a connection no run has used has nothing.
+        handover = False
         if self._used:
+            handover = principal != self._principal
             for _seq, alias, _file in self.conn.execute(
                 "PRAGMA database_list"
             ).fetchall():
-                if alias in ("gufi", "aggregate"):
+                if alias == "temp":
+                    self._drop_scratch("temp")
+                elif alias != "main":
                     self.conn.execute(f"DETACH DATABASE {alias}")
         self._used = True
-        if init_sql != self._init_sql:
-            self._drop_scratch()
+        self._principal = principal
+        if handover or init_sql != self._init_sql:
+            # Stage SQL may leave tables and triggers of its own in
+            # ``main``: a state changing hands starts from an empty
+            # schema, never from the previous principal's.
+            self._drop_scratch("main")
             if init_sql:
-                self.conn.executescript(init_sql)
+                user_script(self.conn, init_sql)
             self._init_sql = init_sql
         elif init_sql:
             # Same scratch schema as last run: emptying the tables is
@@ -149,15 +189,20 @@ class _ThreadState:
             ).fetchall():
                 self.conn.execute(f'DELETE FROM "{name}"')
 
-    def _drop_scratch(self) -> None:
+    def _drop_scratch(self, schema: str) -> None:
         objects = self.conn.execute(
-            "SELECT type, name FROM main.sqlite_master "
+            f"SELECT type, name FROM {schema}.sqlite_master "
             "WHERE name NOT LIKE 'sqlite_%'"
         ).fetchall()
-        # views may depend on tables; drop them first
-        for typ, name in sorted(objects, key=lambda o: o[0] != "view"):
-            if typ in ("table", "view"):
-                self.conn.execute(f'DROP {typ.upper()} IF EXISTS "{name}"')
+        # views may depend on tables, and a ``temp`` trigger may sit on
+        # a ``main`` table: drop those first (a table takes its own
+        # indexes and triggers with it)
+        order = {"trigger": 0, "view": 1, "table": 2}
+        for typ, name in sorted(objects, key=lambda o: order.get(o[0], 3)):
+            if typ in order:
+                self.conn.execute(
+                    f'DROP {typ.upper()} IF EXISTS {schema}."{name}"'
+                )
 
     def _set_output(self, out_path: str | None) -> None:
         if out_path == self.out_path and self.out is not None:
@@ -215,13 +260,10 @@ class ThreadStatePool:
     owns connections and no file.
     """
 
-    def __init__(
-        self,
-        users: dict[int, str] | None = None,
-        groups: dict[int, str] | None = None,
-    ):
+    def __init__(self, users: dict[int, str] | None = None):
+        #: uid -> name for ``uidtouser()``: update in place, every
+        #: pooled context aliases it
         self.users = users if users is not None else {}
-        self.groups = groups if groups is not None else {}
         self._lock = threading.Lock()
         self._free: list[_ThreadState] = []
         self._all: list[_ThreadState] = []
@@ -234,11 +276,16 @@ class ThreadStatePool:
 
     # ------------------------------------------------------------------
     def acquire(
-        self, init_sql: str | None, out_path: str | None, stages: bool = True
+        self,
+        init_sql: str | None,
+        out_path: str | None,
+        stages: bool = True,
+        principal: object = None,
     ) -> _ThreadState:
         """Check a prepared state out of the pool (creating one if all
-        are busy). Pass ``stages=False`` when no stage will execute on
-        the state (see :meth:`_ThreadState.prepare`)."""
+        are busy) for ``principal``'s run. Pass ``stages=False`` when
+        no stage will execute on the state (see
+        :meth:`_ThreadState.prepare`)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("query session is closed")
@@ -257,7 +304,12 @@ class ThreadStatePool:
                 if fresh
                 else "gufi_session_states_reused_total"
             )
-        st.prepare(init_sql, out_path, stages)
+        try:
+            st.prepare(init_sql, out_path, stages, principal)
+        except BaseException:
+            # a caller's ``I`` that fails leaves the state to be rebuilt
+            self.release([st])
+            raise
         return st
 
     def _create_locked(self) -> _ThreadState:
@@ -270,7 +322,7 @@ class ThreadStatePool:
             check_same_thread=False,
             isolation_level=None,
         )
-        ctx = QueryContext(users=self.users, groups=self.groups)
+        ctx = QueryContext(users=self.users)
         register(conn, ctx)
         st = _ThreadState(conn, ctx)
         self._all.append(st)

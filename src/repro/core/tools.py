@@ -17,8 +17,9 @@ from repro.sim.blktrace import IOTracer
 
 from .engine import CancelToken, QueryEngine, ResultSink
 from .index import GUFIIndex
-from .plan import plan_for
+from .plan import QueryPlan, plan_for
 from .query import QueryResult, QuerySpec
+from .session import ThreadStatePool
 from .sqltext import quote_literal
 
 
@@ -72,10 +73,11 @@ class GUFITools:
 
     The handle is a warm *query session*: the underlying
     :class:`~repro.core.engine.QueryEngine` keeps its scratch
-    connections and the index's DirMeta cache alive across calls, so
-    repeated invocations (the portal's canned reports, polling
-    dashboards) skip per-query setup. Call :meth:`close` — or use the
-    handle as a context manager — for deterministic cleanup.
+    connections (or uses the ``pool`` passed in) and the index's
+    DirMeta cache alive across calls, so repeated invocations skip
+    per-query setup. Call :meth:`close` — or use the handle as a
+    context manager — for deterministic cleanup. Every tool takes the
+    query root as ``start``.
     """
 
     def __init__(
@@ -84,15 +86,13 @@ class GUFITools:
         creds: Credentials = ROOT,
         nthreads: int = 8,
         tracer: IOTracer | None = None,
-        users: dict[int, str] | None = None,
-        groups: dict[int, str] | None = None,
+        pool: ThreadStatePool | None = None,
         processes: int = 1,
         result_cache=None,
     ) -> None:
         self.engine = QueryEngine(
             index, creds=creds, nthreads=nthreads, tracer=tracer,
-            users=users, groups=groups, processes=processes,
-            result_cache=result_cache,
+            pool=pool, processes=processes, result_cache=result_cache,
         )
 
     def close(self) -> None:
@@ -105,6 +105,38 @@ class GUFITools:
         self.close()
 
     # ------------------------------------------------------------------
+    def query(
+        self,
+        spec: QuerySpec,
+        start: str = "/",
+        plan: QueryPlan | None = None,
+        sink: ResultSink | None = None,
+        cancel: CancelToken | None = None,
+    ) -> QueryResult:
+        """``gufi_query``: the caller's own stage SQL."""
+        return self.engine.run(spec, start, plan=plan, sink=sink, cancel=cancel)
+
+    def search(
+        self,
+        query: str,
+        start: str = "/",
+        now: int | None = None,
+        planned: bool = True,
+        sink: ResultSink | None = None,
+        cancel: CancelToken | None = None,
+    ) -> QueryResult:
+        """The portal's search bar (:mod:`repro.core.search`). The
+        terms also compile to a summary-statistics plan;
+        ``planned=False`` runs unplanned (identical rows)."""
+        from .search import parse
+
+        parsed = parse(query, now=now)
+        return self.engine.run(
+            parsed.to_spec(), start,
+            plan=plan_for(parsed.filters, planned=planned),
+            sink=sink, cancel=cancel,
+        )
+
     def find(
         self,
         start: str = "/",
@@ -131,14 +163,14 @@ class GUFITools:
         return self.engine.run(spec, start, plan=plan, sink=sink,
                                cancel=cancel)
 
-    def ls(self, path: str = "/", long_format: bool = False,
+    def ls(self, start: str = "/", long_format: bool = False,
            cancel: CancelToken | None = None) -> list[str]:
         """``gufi_ls``: one directory's listing (non-recursive)."""
         spec = QuerySpec(
             E="SELECT name, type, mode, uid, gid, size, mtime FROM entries "
             "ORDER BY name"
         )
-        result = self.engine.run_single(spec, path, cancel=cancel)
+        result = self.engine.run_single(spec, start, cancel=cancel)
         out = []
         for name, ftype, mode, uid, gid, size, mtime in result.rows:
             if long_format:

@@ -3,14 +3,17 @@
 The paper's access model is "ssh to the server and run a tool"
 (§III-A5's web portal is a thin wrapper over the same synchronous
 calls). :class:`~repro.core.server.GUFIServer` reproduces that model
-and stays the synchronous core; this package layers the *service*
-shape a production deployment needs on top of it:
+and stays the one synchronous core — authentication, the tool table,
+dispatch over its one warm thread-state pool, audit; this package is
+a transport over it, adding the *service* shape a production
+deployment needs:
 
 * :mod:`repro.serve.app` — :class:`GUFIApp`, a stdlib-only
   ASGI-compatible application: authenticates via
-  :class:`~repro.core.server.IdentityProvider`, dispatches tool calls
-  to the credential-scoped warm-session LRU through a bounded
-  worker-thread executor, returns JSON;
+  :class:`~repro.core.server.IdentityProvider`, hands each tool call
+  to :meth:`~repro.core.server.GUFIServer.invoke` on a bounded
+  worker-thread executor (row tools into the server's
+  :meth:`~repro.core.server.GUFIServer.response_sink`), returns JSON;
 * :mod:`repro.serve.qos` — the QoS machinery: per-tenant token-bucket
   rate limits (:class:`TokenBucket`), per-tenant concurrency quotas
   (:class:`TenantQuota`), and global admission control with a bounded

@@ -16,11 +16,11 @@ Request lifecycle (one ``POST /v1/invoke``):
    armed with the request deadline: traversal observes it once per
    directory and a late query dies mid-walk with a structured
    ``deadline_exceeded`` error instead of finishing late;
-4. **page** — row-producing tools (``query``/``find``/
-   ``xattr_search``) collect into a
-   :class:`~repro.core.engine.PaginatedSink` and, when the client
-   asked for pages, the response carries an opaque resumption cursor
-   (:mod:`repro.serve.cursors`). A cursor replay re-runs the query —
+4. **page** — the tools :data:`~repro.core.server.ALLOWED_TOOLS`
+   marks pageable collect into the server's
+   :meth:`~repro.core.server.GUFIServer.response_sink` and, when the
+   client asked for pages, the response carries an opaque resumption
+   cursor (:mod:`repro.serve.cursors`). A cursor replay re-runs the query —
    O(rows) against the materialized
    :class:`~repro.core.engine.ResultCache` — and serves the next
    page only if the full row digest still matches; otherwise the
@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import secrets
+import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -52,10 +53,10 @@ from repro.core.engine import (
     PaginatedSink,
     QueryCancelled,
     QueryPermissionError,
-    QueryResult,
     QuerySpec,
 )
 from repro.core.server import (
+    ALLOWED_TOOLS,
     AuthenticationError,
     GUFIServer,
     ToolNotAllowed,
@@ -76,9 +77,6 @@ from .qos import (
     TenantQuota,
     TokenBucket,
 )
-
-#: tools whose result is a pageable row set (they accept ``sink=``)
-_ROW_TOOLS = frozenset({"query", "find", "xattr_search"})
 
 #: QuerySpec fields a remote caller may set. ``output_prefix`` is
 #: deliberately absent: it writes files on the server.
@@ -370,6 +368,12 @@ class GUFIApp:
             raise _HTTPError(
                 400, "bad_request", f"{type(exc).__name__}: {exc}"
             ) from exc
+        except (sqlite3.Error, RuntimeError) as exc:
+            # the caller's own SQL failed, directly or inside the walk
+            cause = exc if isinstance(exc, sqlite3.Error) else exc.__cause__
+            if not isinstance(cause, sqlite3.Error):
+                raise
+            raise _HTTPError(400, "bad_query", str(cause)) from exc
         finally:
             self.admission.release()
             rec = obs.metrics()
@@ -410,14 +414,10 @@ class GUFIApp:
         kwargs = self._build_kwargs(tool, dict(args))
         kwargs["cancel"] = token
         sink: PaginatedSink | None = None
-        if tool in _ROW_TOOLS:
-            sink = PaginatedSink(
-                page_size or self.server.RESPONSE_PAGE_SIZE,
-                max_rows=self.server.max_rows,
-            )
-            kwargs["sink"] = sink
+        if ALLOWED_TOOLS.get(tool):
+            sink = kwargs["sink"] = self.server.response_sink(page_size)
         result = self.server.invoke(user, tool, start, **kwargs)
-        if not isinstance(result, QueryResult):
+        if sink is None:
             return {"ok": True, "tool": tool, "result": jsonable(result)}
         meta = {
             "elapsed": result.elapsed,
@@ -427,7 +427,7 @@ class GUFIApp:
             "cached": result.cached,
             "total_rows": len(result.rows),
         }
-        if page_size is None or sink is None:
+        if page_size is None:
             return {
                 "ok": True, "tool": tool,
                 "rows": jsonable(result.rows), "meta": meta,

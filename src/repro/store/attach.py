@@ -75,6 +75,11 @@ class AttachSession:
         #: TEMP objects created, as ``(kind, name)``; dropped in reverse
         self._temps: list[tuple[str, str]] = []
 
+    @property
+    def attached(self) -> int:
+        """Side databases attached right now."""
+        return len(self._aliases)
+
     # -- xattr views (§III-B1) -----------------------------------------
     def xattr_views(self, creds: Credentials) -> None:
         """Create the per-query temporary xattr views.

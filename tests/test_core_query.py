@@ -20,6 +20,7 @@ from repro.core.query import (
     QueryPermissionError,
     QuerySpec,
 )
+from repro.core.session import ThreadStatePool
 from repro.core.tsummary import build_tsummary
 from repro.fs.permissions import Credentials
 from repro.sim.blktrace import IOTracer
@@ -193,7 +194,8 @@ class TestSqlFuncs:
 
     def test_uidtouser(self, demo_index):
         q = QueryEngine(
-            demo_index, nthreads=NTHREADS, users={1001: "alice"}
+            demo_index, nthreads=NTHREADS,
+            pool=ThreadStatePool(users={1001: "alice"}),
         )
         spec = QuerySpec(E="SELECT uidtouser(uid) FROM pentries")
         rows = q.run(spec, "/home/alice").rows

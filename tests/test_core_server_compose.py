@@ -1,5 +1,6 @@
 """Tests for the deployment access layer (restricted server, identity,
-portal) and index composition (graft / prune / validate)."""
+the portal's reports as invocations) and index composition (graft /
+prune / validate)."""
 
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from repro.core.server import (
     AuthenticationError,
     GUFIServer,
     IdentityProvider,
-    QueryPortal,
     ToolNotAllowed,
 )
+from repro.core.tools import FindFilters, GUFITools
 from repro.fs.tree import VFSTree
 from repro.gen.datasets import linux_kernel_tree
 from tests.conftest import NTHREADS, build_demo_tree
@@ -113,11 +114,27 @@ class TestGUFIServer:
         top = server.invoke("root", "largest_files", limit=2)
         assert len(top) == 2
 
+    def test_portal_reports_are_invocations(self, server):
+        """The web portal's pre-generated queries (§III-A5) are plain
+        invocations, re-authenticated on each call."""
+        top = server.invoke("alice", "largest_files", limit=3)
+        sizes = [s for _, s in top]
+        assert sizes == sorted(sizes, reverse=True) and len(top) == 3
+        # only alice-visible paths appear
+        assert not any("secret" in p for p, _ in top)
+        assert server.invoke("bob", "recently_modified", limit=5)
+        assert server.invoke("alice", "space_by_user")[1001] == 100 + 250 + 700
+        stale = server.invoke(
+            "alice", "find",
+            filters=FindFilters(uid=1001, mtime_before=10**9, ftype="f"),
+        )
+        assert stale.rows and all(row[1] == "f" for row in stale.rows)
+
 
 @dataclass
 class _SnoopingIdentity(IdentityProvider):
-    """Records what a request already running on ``live`` (a warm
-    session's name map) would read at the moment the server asks the
+    """Records what a request already running on ``live`` (the server
+    pool's name map) would read at the moment the server asks the
     directory for names — optionally after a directory-service delay."""
 
     live: dict[int, str] | None = None
@@ -137,14 +154,12 @@ def snooping(identity):
 
 
 class TestWarmNameMapRefresh:
-    """The warm path refreshes a dict every pooled context of the
-    session aliases; a uid named before and after is never absent."""
+    """Each invocation refreshes the one dict every pooled context of
+    the server aliases; a uid named before and after is never absent."""
 
     def test_refresh_never_empties_the_live_map(self, demo_index, snooping):
         with GUFIServer(demo_index, snooping, nthreads=NTHREADS) as server:
-            server.invoke("root", "du")  # cold: creates the session
-            (tools,) = server._sessions.values()
-            snooping.live = tools.engine.users
+            snooping.live = server.pool.users
             before = dict(snooping.live)
             server.invoke("root", "du")
             assert snooping.seen == [before] and before[1001] == "alice"
@@ -152,7 +167,7 @@ class TestWarmNameMapRefresh:
             snooping.add_user("robert", uid=1002, gid=1002)
             del snooping._users["bob"], snooping._users["carol"]
             server.invoke("root", "du")
-            assert tools.engine.users is snooping.live
+            assert server.pool.users is snooping.live
             assert snooping.live == {0: "root", 1001: "alice", 1002: "robert"}
 
     def test_concurrent_request_always_reads_names(self, demo_index, snooping):
@@ -160,8 +175,10 @@ class TestWarmNameMapRefresh:
         with GUFIServer(demo_index, snooping, nthreads=NTHREADS) as server:
             expected = sorted(server.invoke("root", "query", spec=spec).rows)
             assert not any(name.isdigit() for (name,) in expected)
-            (tools,) = server._sessions.values()
-            snooping.live, snooping.delay = tools.engine.users, 0.001
+            snooping.live, snooping.delay = server.pool.users, 0.001
+            # a request on the server's pool that never waits for the
+            # refresher: the engine directly
+            reader = GUFITools(demo_index, nthreads=NTHREADS, pool=server.pool)
             stop = threading.Event()
 
             def refresher():
@@ -171,29 +188,12 @@ class TestWarmNameMapRefresh:
             thread = threading.Thread(target=refresher)
             thread.start()
             try:
-                # the engine, not invoke: the reader must not queue
-                # behind the refresher on the session lock
                 for _ in range(30):
-                    assert sorted(tools.engine.run(spec).rows) == expected
+                    assert sorted(reader.engine.run(spec).rows) == expected
             finally:
                 stop.set()
                 thread.join(timeout=30)
             assert not thread.is_alive() and len(snooping.seen) > 1
-
-
-class TestQueryPortal:
-    def test_pregenerated_queries(self, server):
-        portal = QueryPortal(server)
-        top = portal.my_largest_files("alice", limit=3)
-        sizes = [s for _, s in top]
-        assert sizes == sorted(sizes, reverse=True) and len(top) == 3
-        # only alice-visible paths appear
-        assert not any("secret" in p for p, _ in top)
-        recent = portal.my_recent_files("bob", limit=5)
-        assert recent
-        assert portal.my_space_usage("alice") == 100 + 250 + 700
-        stale = portal.my_stale_data("alice", older_than=10**9)
-        assert all(row[1] == "f" for row in stale.rows)
 
 
 class TestGraftPrune:
@@ -357,5 +357,5 @@ class TestXattrSearchConvention:
     def test_positional_form_rejected(self, xattr_server):
         """The historical convention smuggled the needle through the
         ``start`` slot; it is gone — the slot is only ever the root."""
-        with pytest.raises(TypeError, match="needle="):
+        with pytest.raises(TypeError, match="needle"):
             xattr_server.invoke("root", "xattr_search", "needle")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.search import SearchSyntaxError, parse
-from repro.core.server import GUFIServer, IdentityProvider, QueryPortal
+from repro.core.server import GUFIServer, IdentityProvider
 from repro.core.stats import _bucket, collect_stats, render_stats
 from repro.core.engine import QueryEngine
 from repro.core.rollup import rollup
@@ -171,8 +171,8 @@ class TestSearchExecution:
     def test_portal_search(self, demo_index):
         idp = IdentityProvider()
         idp.add_user("alice", uid=1001, gid=1001)
-        portal = QueryPortal(GUFIServer(demo_index, idp, nthreads=NTHREADS))
-        result = portal.search("alice", "*.txt")
+        with GUFIServer(demo_index, idp, nthreads=NTHREADS) as server:
+            result = server.invoke("alice", "search", query="*.txt")
         assert len(result.rows) == 2
 
 

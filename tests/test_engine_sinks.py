@@ -14,7 +14,7 @@ from repro.core.engine import (
     ThreadFileSink,
 )
 from repro.core.query import Q1_LIST_PATHS, QuerySpec
-from repro.core.server import GUFIServer, IdentityProvider, QueryPortal
+from repro.core.server import GUFIServer, IdentityProvider
 from repro.core.tools import FindFilters
 
 from .conftest import NTHREADS
@@ -216,7 +216,6 @@ class TestServerRowCap:
 
     def test_portal_search_is_capped(self, demo_index):
         with _server(demo_index, max_rows=1) as server:
-            portal = QueryPortal(server)
-            result = portal.search("root", "type:f")
+            result = server.invoke("root", "search", query="type:f")
             assert result.truncated
             assert len(result.rows) == 1

@@ -186,7 +186,7 @@ class TestPlanFor:
         callers: the engine gets the window-only plan (or none) and
         returns that run's rows, byte for byte."""
         from repro.cli import main
-        from repro.core.server import GUFIServer, IdentityProvider, QueryPortal
+        from repro.core.server import GUFIServer, IdentityProvider
 
         query = "size>>200" + (" minlevel:2 maxlevel:2" if window else "")
         plan = (
@@ -217,7 +217,7 @@ class TestPlanFor:
             identity = IdentityProvider()
             identity.add_user("root", uid=0, gid=0)
             with GUFIServer(demo_index, identity, nthreads=NTHREADS) as server:
-                got = QueryPortal(server).search("root", query, planned=False)
+                got = server.invoke("root", "search", query=query, planned=False)
             assert sorted(got.rows) == expected
         else:
             argv = ["search", str(demo_index.root), query, "--no-plan", "-n", "2"]

@@ -1,6 +1,7 @@
 """Tests for the persistent query session layer: thread-state pool
 reuse, scratch-schema recycling between runs, warm-equals-cold results,
-output-file handling across runs, and server-side session caching."""
+output-file handling across runs, and the server's one pool shared by
+every principal."""
 
 from __future__ import annotations
 
@@ -163,6 +164,39 @@ class TestPoolReuse:
 def attached(st) -> list[str]:
     """The aliases a pooled connection has attached (``main`` included)."""
     return [alias for _seq, alias, _file in st.conn.execute("PRAGMA database_list")]
+
+
+def schema(st, alias: str) -> list[str]:
+    return [name for (name,) in st.conn.execute(f"SELECT name FROM {alias}.sqlite_master")]
+
+
+class TestOnePoolManyPrincipals:
+    def test_a_state_changing_hands_is_clean(self, demo_index):
+        """A state parked with an ``xa0`` attach, a ``temp`` table and
+        a table a stage left in ``main`` reaches the next principal's
+        run with none of them — and an engine over a pool it was
+        handed leaves that pool open."""
+        with QueryEngine(demo_index, creds=ALICE, nthreads=1) as cold:
+            want = cold.run(Q3_DU_SUMMARIES).rows
+        with QueryEngine(demo_index, creds=BOB, nthreads=1) as bob:
+            # no ``I`` here or in alice's probes: a same-``I`` checkout
+            # by the same principal would leave ``main`` as it is
+            bob.run(Q1_LIST_PATHS)
+            (st,) = bob.pool._all
+            connect.attach_ro(st.conn, str(demo_index.db_path("/home/bob")), "xa0")
+            for table in ("temp.loot", "main.left_over"):
+                st.conn.execute(f"CREATE TABLE {table} AS SELECT name FROM xa0.entries")
+            with QueryEngine(
+                demo_index, creds=ALICE, nthreads=1, pool=bob.pool
+            ) as alice:
+                for leak in ("xa0.entries", "loot", "left_over"):
+                    with pytest.raises(RuntimeError, match="no such table"):
+                        alice.run(QuerySpec(E=f"SELECT name FROM {leak}"))
+                assert alice.run(Q3_DU_SUMMARIES).rows == want
+            assert bob.pool._all == [st]
+            assert attached(st) == ["main", "temp"]
+            assert schema(st, "temp") == [] and schema(st, "main") == ["sizes"]
+            assert bob.run(Q3_DU_SUMMARIES).rows
 
 
 #: scratch table, per-directory rows and a J/G total, all in one spec
@@ -697,13 +731,21 @@ class TestServerSessions:
         # (and its first state) the second
         with _make_server(demo_index, nthreads=1) as server:
             r1 = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
-            tools = server._sessions[(BOB.uid, BOB.gid, BOB.groups)]
-            created = tools.engine.pool.created
+            created = server.pool.created
             r2 = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
+            # another principal runs on the same warm state
+            server.invoke("alice", "query", "/", spec=Q1_LIST_PATHS)
             assert sorted(r1.rows) == sorted(r2.rows)
-            assert server._sessions[(BOB.uid, BOB.gid, BOB.groups)] is tools
-            assert tools.engine.pool.created == created == 1
-            assert len(server.audit_log) == 2
+            assert server.pool.created == created == 1
+            assert len(server.audit_log) == 3
+
+    def test_pool_stays_bounded_across_principals(self, demo_index):
+        with _make_server(demo_index) as server:
+            for round_ in range(4):
+                for user in ("alice", "bob"):
+                    server.invoke(user, "query", "/", spec=Q1_LIST_PATHS)
+                server.identity.set_groups("bob", frozenset({100 + round_}))
+            assert 1 <= server.pool.created <= NTHREADS
 
     def test_disabled_user_blocked_despite_warm_session(self, demo_index):
         from repro.core.server import AuthenticationError
@@ -719,17 +761,7 @@ class TestServerSessions:
             before = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             assert not any("/proj/shared/" in r[0] for r in before.rows)
             # admin adds bob to the project group: next query must see
-            # the group area even though a warm session existed
+            # the group area although the pool is warm
             server.identity.set_groups("bob", frozenset({100}))
             after = server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
             assert any("/proj/shared/" in r[0] for r in after.rows)
-
-    def test_lru_eviction_closes_sessions(self, demo_index):
-        with _make_server(demo_index) as server:
-            server.SESSION_CACHE_SIZE = 1
-            server.invoke("alice", "query", "/", spec=Q1_LIST_PATHS)
-            alice_tools = server._sessions[(ALICE.uid, ALICE.gid, ALICE.groups)]
-            server.invoke("bob", "query", "/", spec=Q1_LIST_PATHS)
-            assert len(server._sessions) == 1
-            with pytest.raises(RuntimeError):
-                alice_tools.engine.run(Q1_LIST_PATHS)

@@ -16,6 +16,8 @@ thread states to the session pool instead of leaking connections.
 from __future__ import annotations
 
 import asyncio
+import json
+import sqlite3
 import time
 
 import pytest
@@ -30,10 +32,11 @@ from repro.core.engine import (
     QueryEngine,
     QuerySpec,
 )
-from repro.core.server import GUFIServer, IdentityProvider
+from repro.core.server import ALLOWED_TOOLS, GUFIServer, IdentityProvider
+from repro.core.tools import FindFilters, GUFITools
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
-from repro.serve import ASGIClient, GUFIApp
+from repro.serve import ASGIClient, GUFIApp, jsonable
 from tests.conftest import NTHREADS, build_demo_tree
 
 E_ALL = "SELECT rpath(dname, d_isroot, name), size FROM vrpentries"
@@ -175,7 +178,19 @@ class TestInvoke:
     def test_xattr_search_without_needle_is_a_bad_request(self, client):
         resp = run(client.invoke("root", "xattr_search", "needle"))
         assert resp.status == 400
-        assert "needle=" in resp.json()["error"]["message"]
+        assert "needle" in resp.json()["error"]["message"]
+
+    def test_bad_sql_is_a_bad_query(self, client):
+        """A caller's SQL failing — in ``I`` before the walk, or in a
+        stage inside it — is the caller's error, with SQLite's word."""
+        for spec, message in (
+            ({"I": "CREATE TABLE (", "E": E_ALL}, "syntax error"),
+            ({"E": "SELECT nonsense FROM nowhere"}, "no such table: nowhere"),
+        ):
+            resp = run(client.invoke("root", "query", args={"spec": spec}))
+            assert resp.status == 400, resp.text
+            error = resp.json()["error"]
+            assert error["code"] == "bad_query" and message in error["message"]
 
     def test_every_invoke_is_audited(self, client, server):
         before = len(server.audit_log)
@@ -555,3 +570,145 @@ class TestMetricsEndpoint:
             "gufi_serve_request_seconds",
         ):
             assert series in text, f"missing {series}\n{text}"
+
+
+def _normal(value):
+    """A tool's answer as JSON carries it, rows in a fixed order."""
+    value = json.loads(json.dumps(jsonable(value)))
+    return sorted(value, key=json.dumps) if isinstance(value, list) else value
+
+
+#: tool -> (wire args, in-process kwargs); every tool of the table
+TOOL_CALLS = {
+    "query": ({"spec": {"E": E_ALL}}, {"spec": QuerySpec(E=E_ALL)}),
+    "find": ({"filters": {"ftype": "f"}}, {"filters": FindFilters(ftype="f")}),
+    "search": ({"query": "type:f size>>100"},) * 2,
+    "xattr_search": ({"needle": "x"},) * 2,
+    "ls": ({"long_format": True},) * 2,
+    "du": ({"use_tsummary": False},) * 2,
+    "dir_sizes": ({},) * 2,
+    "largest_files": ({"limit": 3},) * 2,
+    "recently_modified": ({"limit": 3},) * 2,
+    "space_by_user": ({},) * 2,
+}
+
+
+class TestOneToolTable:
+    """Every tool of :data:`ALLOWED_TOOLS`, for root and a user: the
+    server and HTTP answer what :class:`GUFITools` answers directly,
+    and exactly the tools the table marks pageable page."""
+
+    def test_table_covers_the_calls(self):
+        assert set(ALLOWED_TOOLS) == set(TOOL_CALLS)
+        assert {t for t, rows in ALLOWED_TOOLS.items() if rows} == {
+            "query", "find", "search", "xattr_search",
+        }
+
+    @pytest.mark.parametrize("user", ["root", "alice"])
+    @pytest.mark.parametrize("tool", sorted(TOOL_CALLS))
+    def test_every_transport_answers_alike(self, demo_index, identity, tool, user):
+        wire, kwargs = TOOL_CALLS[tool]
+        pageable = ALLOWED_TOOLS[tool]
+        creds = identity.authenticate(user)
+        with GUFITools(demo_index, creds, nthreads=NTHREADS) as tools:
+            direct = getattr(tools, tool)(start="/", **kwargs)
+        with GUFIServer(demo_index, identity, nthreads=NTHREADS) as srv, \
+                GUFIApp(srv, max_inflight=2, queue_limit=4) as app:
+            invoked = srv.invoke(user, tool, "/", **kwargs)
+            body = run(ASGIClient(app).invoke(user, tool, "/", args=wire, page_size=1)).json()
+        assert body["ok"], body
+        assert ("num_pages" in body) == pageable
+        if pageable:
+            assert _normal(invoked.rows) == _normal(direct.rows)
+            assert body["num_pages"] == len(direct.rows)
+            assert body["meta"]["total_rows"] == len(direct.rows)
+        else:
+            assert _normal(invoked) == _normal(direct) == _normal(body["result"])
+
+
+class TestRawSQLOpensNoFile:
+    """Raw stage SQL may read the databases the engine attached and no
+    other: bob's ``ATTACH`` of alice's private database — in ``I``,
+    ``E`` or ``J``, in-process or over HTTP — reads none of her rows
+    and deletes none, and ``VACUUM … INTO`` writes no file."""
+
+    @staticmethod
+    def probes(index, copy) -> dict[str, list[dict]]:
+        alice = index.db_path("/home/alice")
+        return {
+            "I": [{
+                "I": f"ATTACH DATABASE '{alice}' AS x; "
+                     "CREATE TABLE s AS SELECT name FROM x.entries",
+                "E": "SELECT name FROM entries",
+                "J": "INSERT INTO aggregate.s SELECT name FROM s",
+                "G": "SELECT name FROM s",
+            }],
+            "I-delete": [{
+                "I": f"ATTACH DATABASE '{alice}' AS y; DELETE FROM y.entries",
+                "E": "SELECT name FROM entries",
+            }],
+            # the alias would outlive the run on the pooled state
+            "E": [
+                {"E": f"ATTACH DATABASE '{alice}' AS y"},
+                {"E": "SELECT name FROM y.entries"},
+            ],
+            "J": [{
+                "I": "CREATE TABLE t (name TEXT)",
+                "E": "INSERT INTO t SELECT name FROM entries",
+                "J": f"ATTACH DATABASE '{alice}' AS x; "
+                     "INSERT INTO aggregate.t SELECT name FROM x.entries",
+                "G": "SELECT name FROM t",
+            }],
+            # one alias swapped for another inside a script: alice's
+            # names written to a file of bob's choosing
+            "J-swap": [{
+                "I": "CREATE TABLE t (n INTEGER)",
+                "E": "INSERT INTO t SELECT 1",
+                "J": f"DETACH DATABASE aggregate; ATTACH DATABASE '{alice}' AS x; "
+                     "CREATE TABLE loot AS SELECT name FROM x.entries; "
+                     f"DETACH DATABASE x; ATTACH DATABASE '{copy}' AS y; "
+                     "CREATE TABLE y.loot AS SELECT name FROM loot",
+            }],
+            "VACUUM": [{"E": f"VACUUM INTO '{copy}'"}],
+        }
+
+    @staticmethod
+    def alice_entries(index) -> list[str]:
+        conn = sqlite3.connect(f"file:{index.db_path('/home/alice')}?mode=ro", uri=True)
+        try:
+            return sorted(name for (name,) in conn.execute("SELECT name FROM entries"))
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("transport", ["in-process", "http"])
+    @pytest.mark.parametrize("probe", ["I", "I-delete", "E", "J", "J-swap", "VACUUM"])
+    def test_bob_reaches_nothing_of_alice(
+        self, demo_index, identity, tmp_path, probe, transport
+    ):
+        hers = self.alice_entries(demo_index)
+        assert "a.txt" in hers
+        copy = tmp_path / "copy.db"
+        seen: list = []
+        # one worker thread: one pooled state, where an alias would stay
+        with GUFIServer(demo_index, identity, nthreads=1) as srv, \
+                GUFIApp(srv, max_inflight=1, queue_limit=4) as app:
+            client = ASGIClient(app)
+            for spec in self.probes(demo_index, copy)[probe]:
+                if transport == "http":
+                    resp = run(client.invoke(
+                        "bob", "query", "/home/bob", args={"spec": spec}
+                    ))
+                    seen += resp.json().get("rows", [])
+                    assert resp.status == 400, resp.text
+                    assert resp.json()["error"]["code"] == "bad_query"
+                else:
+                    with pytest.raises((sqlite3.Error, RuntimeError)):
+                        seen += srv.invoke(
+                            "bob", "query", "/home/bob", spec=QuerySpec(**spec)
+                        ).rows
+            # and the pooled state serves bob's next query as usual
+            mine = srv.invoke("bob", "query", "/home/bob", spec=QuerySpec(E=E_ALL))
+        assert "/home/bob/b.txt" in {r[0] for r in mine.rows}
+        assert not {"a.txt", "sub"} & {str(v) for row in seen for v in row}
+        assert self.alice_entries(demo_index) == hers
+        assert not copy.exists()

@@ -3,13 +3,14 @@
 The server's contract under concurrency: every invocation — success or
 failure — lands exactly one well-formed audit entry; the bounded audit
 log never loses count of what it evicted; and the observability
-counters agree with the audit log. The per-credential session cache is
-shared across threads, so these runs also exercise the warm-session
-path under contention.
+counters agree with the audit log. Every principal runs on the
+server's one pool of warm thread states, so these runs also exercise
+states changing hands under contention.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -128,30 +129,44 @@ class TestConcurrentInvocations:
         assert hist_count == total
 
     def test_concurrent_sessions_isolate_credentials(self, server):
-        """Warm-session reuse under contention must never leak one
-        caller's visibility to another."""
+        """Pooled states changing hands under contention must never
+        leak one caller's visibility — rows, or scratch-table sums — to
+        another."""
         from repro.core.query import Q1_LIST_PATHS
 
+        want = {u: server.invoke(u, "du") for u in ("alice", "bob", "root")}
         results: dict[str, set] = {}
+        errors: list[BaseException] = []
         lock = threading.Lock()
 
         def query_as(user: str) -> None:
-            for _ in range(6):
-                rows = server.invoke(user, "query", spec=Q1_LIST_PATHS).rows
-                paths = {r[0] for r in rows}
-                with lock:
-                    seen = results.setdefault(user, paths)
-                    assert paths == seen, f"visibility flapped for {user}"
+            try:
+                for _ in range(6):
+                    rows = server.invoke(user, "query", spec=Q1_LIST_PATHS).rows
+                    paths = {r[0] for r in rows}
+                    assert server.invoke(user, "du") == want[user]
+                    with lock:
+                        seen = results.setdefault(user, paths)
+                        assert paths == seen, f"visibility flapped for {user}"
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
 
         threads = [
             threading.Thread(target=query_as, args=(u,))
             for u in ("alice", "bob", "root")
             for _ in range(3)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(set(want.values())) == 3
         assert "/home/alice/a.txt" in results["alice"]
         assert "/home/alice/a.txt" not in results["bob"]
         assert results["bob"] < results["root"]

@@ -90,6 +90,8 @@ _DELETED_NAMES = (
     "ArtifactKind",
     "register_artifact_kind",
     "AggregateDBSink",
+    "QueryPortal",
+    "SESSION_CACHE_SIZE",
 )
 
 
