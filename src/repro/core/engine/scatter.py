@@ -75,11 +75,10 @@ from repro.scan.walker import WalkStats
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
 from ..rollup import rollup_compatible
-from ..session import user_script
+from ..session import run_sql, user_script
 from ..sqlfuncs import QueryContext, register
 from .engine import QueryEngine
 from .sinks import MemorySink, ResultSink
-from .stages import run_sql
 from .traversal import Traversal, normalize_path, path_depth
 from .types import QueryResult, QuerySpec
 

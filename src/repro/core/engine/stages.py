@@ -28,27 +28,9 @@ from repro.store.attach import AttachSession
 from repro.store.layout import DirStore
 
 from ..index import DirMeta, GUFIIndex
-from ..session import _ThreadState, user_script
+from ..session import _ThreadState, run_sql, user_script
 from ..sqlfuncs import QueryContext, register
 from .types import QuerySpec
-
-_ATTACHED = sqlite3.SQLITE_LIMIT_ATTACHED
-
-
-def run_sql(conn: sqlite3.Connection, sql: str, attached: int) -> list[tuple]:
-    """Execute one stage statement; SELECT rows come back, DML does its
-    work against the scratch database. ``conn`` has ``attached``
-    databases attached besides main and temp, and the statement can
-    open no other: the attach limit, pinned to that, refuses ``ATTACH``
-    and ``VACUUM … INTO``."""
-    limit = conn.setlimit(_ATTACHED, attached)
-    try:
-        cur = conn.execute(sql)
-        if cur.description is not None:
-            return cur.fetchall()
-        return []
-    finally:
-        conn.setlimit(_ATTACHED, limit)
 
 
 class StageRunner:

@@ -20,10 +20,11 @@ This module keeps that state alive across queries:
   :class:`~repro.core.engine.QueryEngine`. Worker threads check states
   out at the start of a run and the engine returns them at the end,
   so the *connections* survive even though the walker's *threads* do
-  not. Scratch tables created by an ``I`` script are cleared (same
-  script) or dropped and recreated (script changed) between runs —
-  never the whole connection — and only for a run that executes
-  stages: a result-cache replay checks a state out untouched.
+  not. Between one principal's runs, scratch tables created by an
+  ``I`` script are cleared (same script) or dropped and recreated
+  (script changed); a state changing hands gets a fresh connection.
+  Only a run that executes stages prepares: a result-cache replay
+  checks a state out untouched.
 
 The pool owns connections and nothing on disk: no temp directory, no
 scratch file, no journal. What an ``INSERT`` stage deposits is held in
@@ -33,9 +34,11 @@ large to hold is what ``-o`` streams to files.
 
 Security note: nothing permission-relevant is cached here, and a
 checkout is principal-clean (one pool may serve every principal).
-Thread states hold only *scratch* result tables; every per-directory
-permission decision still reads the index's (mtime-validated,
-explicitly invalidated) DirMeta — see :mod:`repro.core.index`.
+Caller SQL opens no file: it runs through :func:`run_sql` and
+:func:`user_script`. Thread states hold only *scratch* result tables;
+every per-directory permission decision still reads the index's
+(mtime-validated, explicitly invalidated) DirMeta — see
+:mod:`repro.core.index`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,25 @@ from repro import obs
 
 from .sqlfuncs import QueryContext, register
 
+_ATTACHED = sqlite3.SQLITE_LIMIT_ATTACHED
+
+
+def run_sql(conn: sqlite3.Connection, sql: str, attached: int) -> list[tuple]:
+    """Execute one caller stage statement; SELECT rows come back, DML
+    does its work against the scratch database. Caller SQL opens no
+    file: the engine attaches what a run may read (``attached``
+    databases besides main and temp), and the attach limit pinned to
+    that refuses ``ATTACH`` and ``VACUUM … INTO``."""
+    limit = conn.setlimit(_ATTACHED, attached)
+    try:
+        cur = conn.execute(sql)
+        if cur.description is not None:
+            return cur.fetchall()
+        return []
+    finally:
+        conn.setlimit(_ATTACHED, limit)
+
+
 def _no_attach(action: int, *_args: object) -> int:
     if action in (sqlite3.SQLITE_ATTACH, sqlite3.SQLITE_DETACH):
         return sqlite3.SQLITE_DENY
@@ -55,19 +77,36 @@ def _no_attach(action: int, *_args: object) -> int:
 
 
 def user_script(conn: sqlite3.Connection, sql: str, attached: int = 0) -> None:
-    """Run a caller's ``I``/``J`` script on ``conn``, which has
-    ``attached`` databases attached besides main and temp. Like a
-    single stage statement (:func:`~repro.core.engine.stages.run_sql`)
-    it can attach nothing more; a script could also ``DETACH`` one
-    alias and ``ATTACH`` another in its place, so an authorizer
-    refuses both verbs for its duration."""
-    limit = conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, attached)
+    """Run a caller's ``I``/``J`` script. A script could also ``DETACH``
+    one alias and ``ATTACH`` another in its place, so besides the
+    pinned limit an authorizer refuses both verbs for its duration."""
+    limit = conn.setlimit(_ATTACHED, attached)
     conn.set_authorizer(_no_attach)
     try:
         conn.executescript(sql)
     finally:
         conn.set_authorizer(None)
-        conn.setlimit(sqlite3.SQLITE_LIMIT_ATTACHED, limit)
+        conn.setlimit(_ATTACHED, limit)
+
+
+def _connect(ctx: QueryContext) -> sqlite3.Connection:
+    """A private in-memory database with the SQL helpers bound to
+    ``ctx``. uri=True so read-only ATTACH URIs (and the aggregate's
+    shared-cache one) are honoured on this connection:
+    SQLITE_OPEN_URI is per-connection."""
+    conn = sqlite3.connect(
+        "file::memory:",
+        uri=True,
+        check_same_thread=False,
+        isolation_level=None,
+    )
+    register(conn, ctx)
+    return conn
+
+
+#: whose a state is before its first run and while its scratch is
+#: being prepared: no run's
+_NOBODY = object()
 
 
 class _ThreadState:
@@ -100,8 +139,8 @@ class _ThreadState:
         "_used",
     )
 
-    def __init__(self, conn: sqlite3.Connection, ctx: QueryContext):
-        self.conn = conn
+    def __init__(self, ctx: QueryContext):
+        self.conn = _connect(ctx)
         self.ctx = ctx
         self.out = None  # lazily opened per-thread output file
         self.out_path: str | None = None
@@ -125,7 +164,7 @@ class _ThreadState:
         self.ran: list[str] = []
         self._init_sql: str | None = None
         # whose run last executed stages on this connection
-        self._principal: object = None
+        self._principal: object = _NOBODY
         # has a run executed stages on this connection yet
         self._used = False
 
@@ -143,7 +182,8 @@ class _ThreadState:
         stage executes) skips the scratch half — no statement runs, and
         schema, stale rows and ``_init_sql`` stay as the last real run
         left them for the next one to prepare in full. ``principal``
-        names whose run this is: a state changing hands is rebuilt."""
+        names whose run this is: a state changing hands gets a fresh
+        connection."""
         self.rows = []
         self.visited = self.denied = self.opened = self.errored = 0
         self.pruned = self.elided = 0
@@ -155,28 +195,26 @@ class _ThreadState:
         self._set_output(out_path)
 
     def _prepare_scratch(self, init_sql: str | None, principal: object) -> None:
-        # A checkout carries nothing of the last run over: a run that
-        # died mid-directory (or mid-merge) may have left a database
-        # attached, and ``temp`` holds whatever a stage put there. Ask
-        # what is attached (a healthy connection lists ``main`` alone);
-        # a connection no run has used has nothing.
-        handover = False
-        if self._used:
-            handover = principal != self._principal
-            for _seq, alias, _file in self.conn.execute(
-                "PRAGMA database_list"
-            ).fetchall():
-                if alias == "temp":
-                    self._drop_scratch("temp")
-                elif alias != "main":
-                    self.conn.execute(f"DETACH DATABASE {alias}")
-        self._used = True
-        self._principal = principal
-        if handover or init_sql != self._init_sql:
-            # Stage SQL may leave tables and triggers of its own in
-            # ``main``: a state changing hands starts from an empty
-            # schema, never from the previous principal's.
-            self._drop_scratch("main")
+        # A checkout carries over nothing but ``main``'s scratch tables,
+        # and those only to the same principal's next run. A state
+        # changing hands, or one whose last run left a database attached
+        # (it died mid-directory or mid-merge) or ``temp`` objects
+        # behind, gets a fresh connection: tables, triggers, aliases and
+        # PRAGMAs are gone by construction. A healthy connection lists
+        # ``main`` alone.
+        if self._used and (
+            principal != self._principal
+            or len(self.conn.execute("PRAGMA database_list").fetchall()) > 1
+        ):
+            self.conn.close()
+            self.conn = _connect(self.ctx)
+            self._init_sql = None
+        # Until its scratch is ready the state is nobody's: a prepare
+        # that raises (a caller's failing ``I``, a PRAGMA the last run
+        # left) leaves it to a fresh connection at its next checkout.
+        self._used, self._principal = True, _NOBODY
+        if init_sql != self._init_sql:
+            self._drop_scratch()
             if init_sql:
                 user_script(self.conn, init_sql)
             self._init_sql = init_sql
@@ -188,21 +226,17 @@ class _ThreadState:
                 "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
             ).fetchall():
                 self.conn.execute(f'DELETE FROM "{name}"')
+        self._principal = principal
 
-    def _drop_scratch(self, schema: str) -> None:
+    def _drop_scratch(self) -> None:
         objects = self.conn.execute(
-            f"SELECT type, name FROM {schema}.sqlite_master "
+            "SELECT type, name FROM main.sqlite_master "
             "WHERE name NOT LIKE 'sqlite_%'"
         ).fetchall()
-        # views may depend on tables, and a ``temp`` trigger may sit on
-        # a ``main`` table: drop those first (a table takes its own
-        # indexes and triggers with it)
-        order = {"trigger": 0, "view": 1, "table": 2}
-        for typ, name in sorted(objects, key=lambda o: order.get(o[0], 3)):
-            if typ in order:
-                self.conn.execute(
-                    f'DROP {typ.upper()} IF EXISTS {schema}."{name}"'
-                )
+        # views may depend on tables; drop them first
+        for typ, name in sorted(objects, key=lambda o: o[0] != "view"):
+            if typ in ("table", "view"):
+                self.conn.execute(f'DROP {typ.upper()} IF EXISTS "{name}"')
 
     def _set_output(self, out_path: str | None) -> None:
         if out_path == self.out_path and self.out is not None:
@@ -307,24 +341,13 @@ class ThreadStatePool:
         try:
             st.prepare(init_sql, out_path, stages, principal)
         except BaseException:
-            # a caller's ``I`` that fails leaves the state to be rebuilt
+            # parked as nobody's: its next checkout reconnects
             self.release([st])
             raise
         return st
 
     def _create_locked(self) -> _ThreadState:
-        # A private in-memory database. uri=True so read-only ATTACH
-        # URIs (and the aggregate's shared-cache one) are honoured on
-        # this connection: SQLITE_OPEN_URI is per-connection.
-        conn = sqlite3.connect(
-            "file::memory:",
-            uri=True,
-            check_same_thread=False,
-            isolation_level=None,
-        )
-        ctx = QueryContext(users=self.users)
-        register(conn, ctx)
-        st = _ThreadState(conn, ctx)
+        st = _ThreadState(QueryContext(users=self.users))
         self._all.append(st)
         return st
 

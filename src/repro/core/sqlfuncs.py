@@ -19,9 +19,8 @@ class QueryContext:
 
     current_path: str = "/"
     current_depth: int = 0
-    #: uid -> username / gid -> groupname maps for *touser functions
+    #: uid -> username map for uidtouser()
     users: dict[int, str] = field(default_factory=dict)
-    groups: dict[int, str] = field(default_factory=dict)
 
 
 def register(conn: sqlite3.Connection, ctx: QueryContext) -> None:
@@ -47,7 +46,7 @@ def register(conn: sqlite3.Connection, ctx: QueryContext) -> None:
         return ctx.users.get(uid, str(uid))
 
     def gidtogroup(gid: int) -> str:
-        return ctx.groups.get(gid, str(gid))
+        return str(gid)
 
     def basename(p: str) -> str:
         return p.rstrip("/").rsplit("/", 1)[-1] or "/"

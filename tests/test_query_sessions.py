@@ -193,10 +193,48 @@ class TestOnePoolManyPrincipals:
                     with pytest.raises(RuntimeError, match="no such table"):
                         alice.run(QuerySpec(E=f"SELECT name FROM {leak}"))
                 assert alice.run(Q3_DU_SUMMARIES).rows == want
+            # bob's connection is gone, not cleaned: alice ran on a new one
             assert bob.pool._all == [st]
-            assert attached(st) == ["main", "temp"]
-            assert schema(st, "temp") == [] and schema(st, "main") == ["sizes"]
+            assert attached(st) == ["main"] and schema(st, "main") == ["sizes"]
             assert bob.run(Q3_DU_SUMMARIES).rows
+
+    def test_a_failing_init_script_leaves_the_state_to_be_rebuilt(
+        self, demo_index
+    ):
+        """One principal, one state: ``I`` that fails after the last
+        schema was dropped must not leave the state claiming it."""
+        broken = dataclasses.replace(Q3_DU_SUMMARIES, I="CREATE TABLE (")
+        with QueryEngine(demo_index, creds=BOB, nthreads=1) as q:
+            want = q.run(Q3_DU_SUMMARIES).rows
+            with pytest.raises((sqlite3.Error, RuntimeError)):
+                q.run(broken)
+            assert q.run(Q3_DU_SUMMARIES).rows == want
+            assert q.pool.created == 1
+
+    @pytest.mark.parametrize(
+        "pragma", ["query_only = 1", "case_sensitive_like = 1"]
+    )
+    def test_a_pragma_one_principal_sets_reaches_no_other(
+        self, demo_index, pragma
+    ):
+        """A connection-level setting bob's stage SQL makes stays with
+        bob's connection: alice's ``du`` (which writes scratch) and
+        ``find`` (whose ``name_like`` is a LIKE) equal a cold server's."""
+        upper = FindFilters(name_like="%.TXT")
+
+        def alice(server):
+            return (
+                server.invoke("alice", "du", "/"),
+                sorted(server.invoke("alice", "find", "/", filters=upper).rows),
+            )
+
+        with _make_server(demo_index, nthreads=1) as cold:
+            want = alice(cold)
+        assert want[0] > 0 and want[1]
+        with _make_server(demo_index, nthreads=1) as server:
+            server.invoke("bob", "query", "/", spec=QuerySpec(E=f"PRAGMA {pragma}"))
+            assert alice(server) == want
+            assert server.pool.created == 1
 
 
 #: scratch table, per-directory rows and a J/G total, all in one spec
