@@ -59,27 +59,6 @@ def _add_processes(p: argparse.ArgumentParser) -> None:
                         "(1 = single-process)")
 
 
-def _add_result_cache(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--result-cache", action="store_true",
-                   help="materialize query results and replay them while "
-                        "the visited directories' stamps (and the "
-                        "changefeed cursor) prove them current")
-    p.add_argument("--result-cache-mb", type=float, default=64.0,
-                   metavar="MB",
-                   help="result-cache byte budget (default 64)")
-
-
-def _result_cache(args: argparse.Namespace):
-    """A ResultCache per the CLI flags, or None when disabled."""
-    if not getattr(args, "result_cache", False):
-        return None
-    from repro.core.engine import ResultCache
-
-    return ResultCache(
-        max_bytes=max(1, int(args.result_cache_mb * 1024 * 1024))
-    )
-
-
 def _add_obs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metrics", action="store_true",
                    help="record process metrics and print the table on exit")
@@ -220,8 +199,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             entries_shaped=False,
         )
     with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads,
-                     processes=args.processes,
-                     result_cache=_result_cache(args)) as q:
+                     processes=args.processes) as q:
         result = q.run(spec, args.start, plan=plan)
     _write_lines(
         [
@@ -249,8 +227,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         min_level=args.min_level, max_level=args.max_level,
     )
     with GUFITools(index, creds=_creds(args), nthreads=args.nthreads,
-                   processes=args.processes,
-                   result_cache=_result_cache(args)) as tools:
+                   processes=args.processes) as tools:
         result = tools.find(args.start, filters, planned=not args.no_plan)
     _write_lines(
         [f"{ftype}\t{size}\t{path}" for path, ftype, size in sorted(result.rows)]
@@ -585,7 +562,6 @@ def _args_query(p: argparse.ArgumentParser) -> None:
                         "(descent stops there too)")
     _add_threads(p)
     _add_processes(p)
-    _add_result_cache(p)
     _add_identity(p)
     _add_obs(p)
 
@@ -606,7 +582,6 @@ def _args_find(p: argparse.ArgumentParser) -> None:
                         "(results are identical; for comparison)")
     _add_threads(p)
     _add_processes(p)
-    _add_result_cache(p)
     _add_identity(p)
     _add_obs(p)
 

@@ -2,6 +2,7 @@
 summaries, the parallel query engine, and the user-facing tools.
 """
 
+from repro.store import accessible_side_dbs, side_db_name
 from repro.store.layout import DB_NAME
 from repro.store.schema import (
     RECTYPE_GROUP,
@@ -92,9 +93,7 @@ from .xattrs import (
     GID_NONE,
     UID_NONE,
     XattrShards,
-    accessible_side_dbs,
     shard_xattrs,
-    side_db_name,
     side_db_protection,
 )
 

@@ -80,6 +80,12 @@ class QueryEngine:
         mp_start_method: str | None = None,
         result_cache: ResultCache | None = None,
     ) -> None:
+        if result_cache is not None and (processes > 1 or tracer is not None):
+            # a replay reads nothing, so a traced one would record a
+            # false trace; scatter workers validate in their own process
+            raise ValueError(
+                "a result cache needs a single-process, untraced engine"
+            )
         self.index = index
         self.creds = creds
         self.nthreads = nthreads
@@ -101,10 +107,6 @@ class QueryEngine:
         self.result_cache = result_cache
         if result_cache is not None:
             result_cache.bind_index(index)
-        #: collect per-run visited paths (the cache's validity token).
-        #: Scatter workers have no cache of their own but set this on
-        #: the parent's behalf so the gathered result can be stored.
-        self.collect_visited = result_cache is not None
 
     def close(self) -> None:
         """Release the session's pooled connections (and with them
@@ -153,10 +155,12 @@ class QueryEngine:
         :mod:`repro.core.engine.scatter`). ``processes=1`` is exactly
         the historical single-process path.
 
-        With a :class:`ResultCache` attached, the run is served from a
-        revalidated materialized entry when one exists (rows replayed
-        through ``sink``), and otherwise captured through a tee for
-        the next caller — see :mod:`repro.core.engine.resultcache`."""
+        With a :class:`ResultCache` attached (single-process, untraced
+        engines only), the run is served from a revalidated
+        materialized entry when one exists (rows replayed through
+        ``sink``), and otherwise captured through a tee for the next
+        call on this engine or on any other sharing the cache — see
+        :mod:`repro.core.engine.resultcache`."""
         if cancel is not None and cancel.cancelled:
             raise QueryCancelled("query cancelled before dispatch")
         if self.result_cache is not None:
@@ -216,13 +220,11 @@ class QueryEngine:
         # predate the write its stamps postdate).
         inv_seq = cache.invalidation_seq
         # A stale entry under this key donates its unchanged
-        # directories' rows to the walk that replaces it (scatter
-        # workers and traced I/O always read the databases).
-        reads_all = self.processes > 1 or self.tracer is not None
+        # directories' rows to the walk that replaces it.
         capture = CaptureSink(
             self._default_sink(spec) if sink is None else sink,
             cache.max_entry_bytes,
-            None if reads_all else cache.donor(key),
+            cache.donor(key),
         )
         result = self._run_uncached(
             spec, start, plan, capture, cancel,
@@ -497,14 +499,14 @@ class QueryEngine:
         # read once so the per-directory path tests plain locals.
         timing = obs.metrics().enabled
         tracing = otr.enabled
-        collect = self.collect_visited
-        # A stream-shaped run (S/E rows, nothing carried between
-        # directories) also reports where its stages completed: those
-        # directories' rows can be donated to the run that replaces it.
-        donates = (
-            collect
-            and self.tracer is None
-            and not (spec.I or spec.T or spec.J or spec.G or spec.xattrs)
+        # A cached run collects the paths it touched (the entry's
+        # validity token); a stream-shaped one (S/E rows, nothing
+        # carried between directories) also reports where its stages
+        # completed: those directories' rows can be donated to the run
+        # that replaces it.
+        collect = self.result_cache is not None
+        donates = collect and not (
+            spec.I or spec.T or spec.J or spec.G or spec.xattrs
         )
         # What a cold directory's metadata read costs is what the run
         # asks of it: the planner's bounds and the tree-summary bit are

@@ -50,9 +50,9 @@ equal to what a cold run would return right now:
   without a single stat. An evicted window (overflow) falls back to
   the stamp pass — never to trust. The journal only sees writers
   that *announce* themselves (in-process hooks, changefeed applies),
-  so the stat-free path is bounded: unless the cache is constructed
-  with ``journal_exclusive=True`` (the changefeed is provably the
-  sole writer), every entry re-runs the stamp pass at least once per
+  so the stat-free path is bounded: unless the journal is attached
+  with ``exclusive=True`` (the changefeed is provably the sole
+  writer), every entry re-runs the stamp pass at least once per
   ``stamp_ttl`` seconds, so an out-of-band rewrite from another
   process is detected within the TTL instead of never.
 
@@ -65,11 +65,9 @@ equal to what a cold run would return right now:
   DirMeta cache validated (a mismatch means an out-of-band rewrite
   landed mid-run — capture aborted); and the DirMeta cache itself
   only publishes entries whose stamp is unchanged across the read
-  (see :meth:`GUFIIndex.cached_dir_meta`). For scatter-gather runs
-  the walk's DirMeta entries live in the *worker* processes, so each
-  worker ships the per-path stamps its walk validated alongside its
-  visited set (``QueryResult.visited_stamps``) and the parent
-  cross-checks those — the guard holds across process boundaries.
+  (see :meth:`GUFIIndex.cached_dir_meta`). The cross-check needs the
+  walk's reads in the engine's own DirMeta cache, which is why a
+  cache attaches only to a single-process engine.
 
 * **Credential scoping.** The key includes the resolved
   ``(uid, gid, groups)`` — what the server resolves on every
@@ -339,8 +337,8 @@ class CacheEntry:
     hits: int = 0
     #: directory -> batch, for every directory whose stages ran to
     #: completion (not denied, elided, errored or absent ones); None
-    #: when the run cannot donate (aggregate/xattr spec, scatter,
-    #: traced I/O) and the entry is dropped on invalidation
+    #: when the run cannot donate (aggregate/xattr spec) and the entry
+    #: is dropped on invalidation
     ran: dict[str, Batch] | None = None
     #: invalidated, kept only as the donor of the run that replaces it
     stale: bool = False
@@ -361,8 +359,6 @@ class ResultCache:
         max_entries: int = 256,
         max_entry_bytes: int | None = None,
         max_scope_bytes: int | None = None,
-        journal: "ChangeJournal | None" = None,
-        journal_exclusive: bool = False,
         stamp_ttl: float = 2.0,
     ) -> None:
         if max_bytes <= 0:
@@ -373,13 +369,14 @@ class ResultCache:
             max_entry_bytes if max_entry_bytes is not None else max_bytes // 4
         )
         self.max_scope_bytes = max_scope_bytes
-        self.journal = journal
+        #: set by :meth:`attach_journal`
+        self.journal: "ChangeJournal | None" = None
         #: the changefeed is provably the only writer of this index —
         #: only then may the stat-free fast path serve an entry
         #: indefinitely. Writers in *other processes* never fire this
         #: cache's hooks nor journal their writes, so the default is
         #: False and the fast path is bounded by ``stamp_ttl``.
-        self.journal_exclusive = journal_exclusive
+        self.journal_exclusive = False
         #: max seconds the fast path may skip the stamp pass when the
         #: journal is not exclusive (out-of-band writes are detected
         #: within this bound instead of never)
@@ -691,28 +688,21 @@ class ResultCache:
             # postdate — abort, the next run re-captures
             self._abort_capture()
             return False
+        # The stamps the walk validated its reads against are in the
+        # engine's DirMeta cache.
         cache = index.cache
-        # The stamps the walk actually validated its reads against.
-        # Single-process runs leave them in this engine's DirMeta
-        # cache; scatter-gather workers ship theirs back explicitly
-        # (the parent's cache never saw the reads, so peeking it alone
-        # would make this cross-check vacuous for every path).
-        shipped = result.visited_stamps or {}
         stamped_at = time.monotonic()
         stamps: dict[str, tuple[DbStamp, DirStamp]] = {}
         for path in set(result.visited_paths):
-            walk_db, walk_dir = shipped.get(path, (None, None))
-            if walk_db is None:
-                walk_db = cache.peek_stamp(path)
-            if walk_dir is None:
-                walk_dir = cache.peek_subdir_stamp(path)
+            walk_db = cache.peek_stamp(path)
+            walk_dir = cache.peek_subdir_stamp(path)
             base = index.index_path(path)
             db_stamp = layout.file_stamp(f"{base}/{layout.DB_NAME}")
-            if walk_db is not None and db_stamp != tuple(walk_db):
+            if walk_db is not None and db_stamp != walk_db:
                 self._abort_capture()
                 return False
             dir_stamp = layout.dir_stamp(base)
-            if walk_dir is not None and dir_stamp != tuple(walk_dir):
+            if walk_dir is not None and dir_stamp != walk_dir:
                 self._abort_capture()
                 return False
             stamps[path] = (db_stamp, dir_stamp)

@@ -299,9 +299,6 @@ class _WorkerTask:
     result_path: str
     #: enable the worker's own metrics registry and ship a snapshot
     obs_metrics: bool
-    #: collect the shard's touched paths (the parent's result cache
-    #: needs them as a validity token; workers have no cache)
-    collect_paths: bool = False
     #: test hook, called with worker_id before any work (picklable
     #: module-level function; crash tests kill the process here)
     worker_init: Callable[[int], None] | None = None
@@ -320,13 +317,6 @@ class _WorkerResult:
     elapsed: float
     metrics: dict | None
     error: str | None
-    #: the shard's touched paths when the parent asked for them
-    visited: list[str] | None = None
-    #: path -> (db.db stamp, listing stamp) this worker's DirMeta
-    #: cache validated during the walk — the parent's result-cache
-    #: store cross-checks these against its own store-time stamps
-    #: (its cache never saw the reads; see resultcache.store)
-    visited_stamps: dict[str, tuple] | None = None
 
 
 _COUNTER_FIELDS = (
@@ -359,7 +349,6 @@ def _worker_main(task: _WorkerTask) -> None:
             index = GUFIIndex.open(task.index_root)
         engine = QueryEngine(index, creds=task.creds, nthreads=task.nthreads)
         engine.pool.users.update(task.users)
-        engine.collect_visited = task.collect_paths
         try:
             result = engine.run_shard(
                 task.spec,
@@ -371,15 +360,6 @@ def _worker_main(task: _WorkerTask) -> None:
             )
         finally:
             engine.close()
-        visited_stamps: dict[str, tuple] | None = None
-        if task.collect_paths and result.visited_paths is not None:
-            visited_stamps = {
-                p: (
-                    index.cache.peek_stamp(p),
-                    index.cache.peek_subdir_stamp(p),
-                )
-                for p in set(result.visited_paths)
-            }
         walk = result.walk_stats
         payload = _WorkerResult(
             worker_id=task.worker_id,
@@ -391,8 +371,6 @@ def _worker_main(task: _WorkerTask) -> None:
             elapsed=result.elapsed,
             metrics=obs.snapshot().to_dict() if task.obs_metrics else None,
             error=None,
-            visited=result.visited_paths,
-            visited_stamps=visited_stamps,
         )
     except BaseException:
         payload = _WorkerResult(
@@ -540,7 +518,6 @@ class ScatterGatherEngine:
                     scratch, f"scatter_{seq}_w{wid}.result.pkl"
                 ),
                 obs_metrics=timing,
-                collect_paths=engine.collect_visited,
                 worker_init=self.worker_init,
             )
             for wid, shard in enumerate(shards)
@@ -637,27 +614,6 @@ class ScatterGatherEngine:
                 r.worker_id: r.walk_processed + r.walk_errored for r in clean
             },
         )
-        visited_paths: list[str] | None = None
-        visited_stamps: dict[str, tuple] | None = None
-        if engine.collect_visited and not crashes:
-            # A crashed worker's touched set is unknowable, so the
-            # whole token is withheld — the parent's cache then
-            # (correctly) refuses to store this run. Same for the
-            # walk-validated stamps: without every worker's, the
-            # store-time race cross-check cannot be tied to the
-            # actual reads, so nothing is cached.
-            gathered: list[str] = []
-            gathered_stamps: dict[str, tuple] = {}
-            complete = True
-            for res in clean:
-                if res.visited is None or res.visited_stamps is None:
-                    complete = False
-                    break
-                gathered.extend(res.visited)
-                gathered_stamps.update(res.visited_stamps)
-            if complete:
-                visited_paths = gathered
-                visited_stamps = gathered_stamps
         stage_seconds: dict[str, float] | None = None
         if timing:
             stage_seconds = {"T": 0.0, "S": 0.0, "E": 0.0, "J": 0.0, "G": g_time}
@@ -677,8 +633,6 @@ class ScatterGatherEngine:
             output_files=sorted(output_files) if output_files else None,
             truncated=summary.truncated,
             walk_stats=walk,
-            visited_paths=visited_paths,
-            visited_stamps=visited_stamps,
             stage_seconds=stage_seconds,
         )
 

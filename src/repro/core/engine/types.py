@@ -77,14 +77,8 @@ class QueryResult:
     #: every source path the walk touched (visited, denied, pruned,
     #: elided, errored), collected only when a result cache needs a
     #: validity token for this run (see engine/resultcache.py); None
-    #: when collection was off or the set is unreliable (worker crash)
+    #: otherwise
     visited_paths: list[str] | None = None
-    #: path -> (db.db stamp, listing stamp) the walk's DirMeta cache
-    #: validated its reads against, shipped back from scatter-gather
-    #: workers so the parent's result-cache store can cross-check its
-    #: store-time stamps against the actual reads (single-process runs
-    #: leave this None — the stamps are in the engine's own cache)
-    visited_stamps: dict[str, tuple] | None = None
     #: the directories whose stages ran to completion, collected with
     #: ``visited_paths`` for a run whose cache entry could later donate
     #: their rows to its own re-run; None otherwise

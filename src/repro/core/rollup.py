@@ -51,7 +51,6 @@ from repro.store.attach import attached
 from repro.store.layout import DirStore, is_side_artifact
 
 from .index import GUFIIndex, IndexError_
-from .xattrs import side_db_name  # noqa: F401  (re-exported for tools)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ from pathlib import Path
 
 from repro.scan.trace import TraceRecord
 from repro.store import connect
-from repro.store.attach import accessible_side_dbs
 from repro.store.layout import side_db_name
 from repro.store.schema import pack_xattrs
 
@@ -41,9 +40,7 @@ __all__ = [
     "MAIN",
     "UID_NONE",
     "XattrShards",
-    "accessible_side_dbs",
     "shard_xattrs",
-    "side_db_name",
     "side_db_protection",
     "write_xattr_shards",
 ]

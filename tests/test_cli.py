@@ -126,6 +126,20 @@ class TestCLI:
         with pytest.raises(SystemExit):
             run_cli()
 
+    @pytest.mark.parametrize("argv", [
+        ("query", "idx", "--result-cache"),
+        ("find", "idx", "--result-cache-mb", "8"),
+    ], ids=" ".join)
+    def test_one_shot_commands_take_no_result_cache(self, argv, capsys):
+        """A process that exits after one run has no second call to
+        serve from a cache; only ``serve`` sizes one."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --result-cache" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_index(self, tmp_path, capsys):
         assert run_cli("stats", str(tmp_path)) == 2
         out, err = capsys.readouterr()
@@ -208,7 +222,7 @@ EXAMPLE_ARGV = [
     ["demo-index", "idx", "--scale", "0.001"],
     ["query", "idx", "-I", "CREATE TABLE t (n)", "-S", "s", "-E", "e", "-J", "j",
      "-G", "g", "-o", "out", "-y", "1", "-z", "3", "--uid", "7", "--groups",
-     "1,2", "--processes", "2", "--result-cache", "--slow-query-ms", "5"],
+     "1,2", "--processes", "2", "--slow-query-ms", "5"],
     ["find", "idx", "--name", "%.c", "--type", "f", "--min-size", "1",
      "--no-plan", "--gid", "9", "--trace-out", "spans.jsonl"],
     ["du", "idx", "--start", "/home", "--tsummary", "--uid", "1001"],

@@ -12,15 +12,13 @@ from repro.core.query import QuerySpec
 from repro.core.xattrs import (
     GID_NONE,
     UID_NONE,
-    accessible_side_dbs,
     shard_xattrs,
-    side_db_name,
     side_db_protection,
 )
 from repro.fs.permissions import ROOT, Credentials
 from repro.fs.tree import VFSTree
 from repro.scan.trace import TraceRecord
-from repro.store import connect
+from repro.store import accessible_side_dbs, connect, side_db_name
 from tests.conftest import NTHREADS
 
 ALICE = Credentials(uid=1001, gid=1001)

@@ -20,8 +20,9 @@ Layout:
 * ``TestCredentialScoping`` — no replay across principals, per-scope
   budgets.
 * ``TestBounds`` — LRU byte/entry budgets, oversized-entry refusal.
-* ``TestScatterGather`` — the ``processes>1`` parent caches the
-  gathered result; workers bypass.
+* ``TestWhereACacheAttaches`` — only to a single-process, untraced
+  engine.
+* ``TestMetricNames`` — the six exported ``gufi_result_cache_*`` names.
 * ``TestReuseBudget`` / ``TestReuseSecurity`` / ``TestStaleEntries`` —
   an invalidated stream-shaped entry is the donor of its own re-run:
   that run attaches only what changed, equals a cold run in rows and
@@ -29,13 +30,12 @@ Layout:
   entry is never served and first to be evicted.
 * ``TestNoStaleReadsProperty`` — the acceptance property, PR 7 style:
   hypothesis-driven mutate/apply/query interleavings under root and
-  unprivileged creds, with and without rollups and ``processes>1``.
+  unprivileged creds, with and without rollups.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 import shutil
 import sqlite3
@@ -45,6 +45,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
 from repro.core.engine import (
@@ -64,17 +65,19 @@ from repro.core.query import (
     Q3_DU_SUMMARIES,
 )
 from repro.core.rollup import rollup
+from repro.core.tools import GUFITools
 from repro.core.update import update_directory
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
 from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
+from repro.obs.export import to_prometheus
+from repro.sim.blktrace import IOTracer
 from repro.store import connect
 from repro.store.layout import DirStore, file_stamp
 from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
 
 OPTS = BuildOptions(nthreads=NTHREADS)
-FORK = mp.get_context().get_start_method() == "fork"
 
 E_ALL = QuerySpec(E="SELECT path() || '/' || name, size FROM pentries")
 
@@ -365,7 +368,8 @@ class TestInvalidation:
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
         # ttl 0: every lookup re-stamps, so detection is immediate
-        cache = ResultCache(journal=journal, stamp_ttl=0.0)
+        cache = ResultCache(stamp_ttl=0.0)
+        cache.attach_journal(journal)
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
@@ -386,7 +390,8 @@ class TestInvalidation:
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
-        cache = ResultCache(journal=journal)
+        cache = ResultCache()
+        cache.attach_journal(journal)
         eng = QueryEngine(
             index, creds=ALICE, nthreads=NTHREADS, result_cache=cache
         )
@@ -410,7 +415,8 @@ class TestInvalidation:
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
-        cache = ResultCache(journal=journal)
+        cache = ResultCache()
+        cache.attach_journal(journal)
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
@@ -427,7 +433,8 @@ class TestInvalidation:
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
-        cache = ResultCache(journal=journal)
+        cache = ResultCache()
+        cache.attach_journal(journal)
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
@@ -769,95 +776,53 @@ class TestBinding:
         assert len(demo_index.cache._listeners) == 0
 
 
-@pytest.mark.skipif(not FORK, reason="scatter cache tests rely on fork")
-class TestScatterGather:
-    def test_parent_caches_the_gathered_result(self, dataset2_index):
-        index = dataset2_index.index
-        cache = ResultCache()
-        eng = QueryEngine(
-            index, nthreads=NTHREADS, processes=2, result_cache=cache
-        )
-        try:
-            r1 = eng.run(E_ALL)
-            r2 = eng.run(E_ALL)
-            assert not r1.cached and r2.cached
-            assert sorted(r1.rows) == sorted(r2.rows)
-            assert sorted(r2.rows) == cold_rows(index, E_ALL)
-        finally:
-            eng.close()
+class TestWhereACacheAttaches:
+    """A replay reads nothing, so a traced engine would record a false
+    trace, and scatter workers validate their reads in other
+    processes: a cache attaches only to a single-process, untraced
+    engine."""
 
-    def test_workers_ship_walk_validated_stamps(self, dataset2_index):
-        """The parent's DirMeta cache never saw the workers' reads, so
-        the store-time race cross-check must run against the stamps
-        the workers validated and shipped back — one per touched
-        path."""
-        index = dataset2_index.index
-        cache = ResultCache()
-        eng = QueryEngine(
-            index, nthreads=NTHREADS, processes=2, result_cache=cache
-        )
-        try:
-            r = eng.run(E_ALL)
-            assert not r.cached
-            assert r.visited_stamps is not None
-            assert set(r.visited_stamps) == set(r.visited_paths)
-            # at least the visited (db-opened) paths carry a db stamp
-            assert any(
-                db is not None for db, _ in r.visited_stamps.values()
-            )
-            assert eng.run(E_ALL).cached  # matching stamps stored fine
-        finally:
-            eng.close()
+    @pytest.mark.parametrize("make", [QueryEngine, GUFITools])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"processes": 2}, {"tracer": IOTracer()}],
+        ids=["processes", "tracer"],
+    )
+    def test_refused(self, demo_index, make, kwargs):
+        with pytest.raises(ValueError, match="single-process, untraced"):
+            make(demo_index, nthreads=NTHREADS, result_cache=ResultCache(),
+                 **kwargs)
 
-    def test_mismatched_worker_stamps_abort_the_store(self, dataset2_index):
-        """A shipped walk stamp that disagrees with the store-time
-        stamp means a write landed between a worker's read and the
-        parent's store: nothing may be cached."""
-        index = dataset2_index.index
-        cache = ResultCache()
-        eng = QueryEngine(
-            index, nthreads=NTHREADS, processes=2, result_cache=cache
-        )
-        real_store = cache.store
 
-        def tampered_store(key, capture, result, index_, inv_seq):
-            result.visited_stamps = {
-                p: ((0, 0, 0), None) for p in result.visited_paths
-            }
-            return real_store(key, capture, result, index_, inv_seq)
-
-        cache.store = tampered_store
-        before = cache.capture_aborts
-        try:
-            r = eng.run(E_ALL)
-        finally:
-            cache.store = real_store
-            eng.close()
-        assert not r.cached
-        assert len(cache) == 0
-        assert cache.capture_aborts == before + 1
-
-    def test_worker_crash_withholds_the_store(self, dataset2_index):
-        from repro.core.engine.scatter import ScatterGatherEngine
-        from tests.test_scatter_gather import _kill_worker_zero
-
-        index = dataset2_index.index
-        cache = ResultCache()
-        eng = QueryEngine(
-            index, nthreads=NTHREADS, processes=2, result_cache=cache
-        )
-        try:
-            scatter = eng._scatter()
-            assert isinstance(scatter, ScatterGatherEngine)
-            scatter.worker_init = _kill_worker_zero
-            r = eng.run(E_ALL)
-            assert r.dirs_errored > 0  # the crashed shard
-            # an incomplete result must never be materialized
-            assert len(cache) == 0
-            scatter.worker_init = None
-            assert not eng.run(E_ALL).cached
-        finally:
-            eng.close()
+class TestMetricNames:
+    def test_every_result_cache_metric_is_exported(self, demo_tree, tmp_path):
+        """The six ``gufi_result_cache_*`` names are a contract with
+        dashboards: a miss, a hit, an invalidation, a donor re-run and
+        an eviction export every one of them."""
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        with obs.enabled(metrics=True):
+            cache = ResultCache(max_entries=1)
+            with QueryEngine(
+                index, nthreads=NTHREADS, result_cache=cache
+            ) as eng:
+                assert not eng.run(Q1_LIST_PATHS, "/public").cached
+                assert eng.run(Q1_LIST_PATHS, "/public").cached
+                demo_tree.create_file("/public/xonly/fresh.txt", size=1)
+                update_directory(index, demo_tree, "/public/xonly", opts=OPTS)
+                assert not eng.run(Q1_LIST_PATHS, "/public").cached
+                assert cache.stats()["dirs_reused"] > 0
+                eng.run(Q1_LIST_PATHS, "/home")
+                assert cache.evictions == 1
+            text = to_prometheus(obs.snapshot())
+        for name in (
+            "gufi_result_cache_hits_total",
+            "gufi_result_cache_misses_total",
+            "gufi_result_cache_invalidations_total",
+            "gufi_result_cache_evictions_total",
+            "gufi_result_cache_dirs_reused_total",
+            "gufi_result_cache_validate_seconds",
+        ):
+            assert name in text, name
 
 
 COUNTERS = (
@@ -963,7 +928,8 @@ class TestReuseBudget:
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
         if writer == "changefeed":
-            cache = ResultCache(journal=journal)
+            cache = ResultCache()
+            cache.attach_journal(journal)
         else:
             cache = ResultCache(stamp_ttl=0.0)
         eng = QueryEngine(
@@ -1043,18 +1009,11 @@ class TestReuseBudget:
             )
             assert any(r[0].endswith("/big.dat") for r in rerun.rows)
 
-    @pytest.mark.parametrize(
-        "shape", ["du", "largest_files", "xattrs", "iotracer", "processes"]
-    )
+    @pytest.mark.parametrize("shape", ["du", "largest_files", "xattrs"])
     def test_other_entries_drop_and_attach_everything(self, tmp_path, shape):
-        """Aggregates carry state between directories, xattr views read
-        side databases, a traced run must charge every read, scatter
-        workers have no donor: invalidation drops those entries as it
+        """Aggregates carry state between directories and xattr views
+        read side databases: invalidation drops those entries as it
         always did and the re-run reads every database."""
-        from repro.sim.blktrace import IOTracer
-
-        if shape == "processes" and not FORK:
-            pytest.skip("needs fork for cheap workers")
         ns = dataset2(scale=0.00005, seed=22)
         index = dir2index(ns.tree, tmp_path / "idx", opts=OPTS).index
         spec = {
@@ -1069,13 +1028,9 @@ class TestReuseBudget:
             "xattrs": QuerySpec(
                 E="SELECT name, exattrs FROM xpentries", xattrs=True
             ),
-        }.get(shape, Q1_LIST_PATHS)
-        tracer = IOTracer() if shape == "iotracer" else None
+        }[shape]
         cache = ResultCache()
-        eng = QueryEngine(
-            index, nthreads=NTHREADS, result_cache=cache, tracer=tracer,
-            processes=2 if shape == "processes" else 1,
-        )
+        eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             first = eng.run(spec)
             assert len(cache) == 1
@@ -1084,16 +1039,11 @@ class TestReuseBudget:
             update_directory(index, ns.tree, victim, opts=OPTS)
             assert len(cache) == 0 and cache.stats()["stale"] == 0
             assert cache._entries == {} and cache.total_bytes == 0
-            if tracer is not None:
-                tracer.reset()
             with attached_dirs(index) as seen:
                 rerun = eng.run(spec)
             assert not rerun.cached and cache.stats()["dirs_reused"] == 0
             assert sorted(rerun.rows) == cold_rows(index, spec)
-            if shape != "processes":  # workers attach in their own process
-                assert len(seen) == rerun.dbs_opened == first.dbs_opened
-            if tracer is not None:
-                assert len(tracer.events) == rerun.dbs_opened
+            assert len(seen) == rerun.dbs_opened == first.dbs_opened
             assert eng.run(spec).cached
         finally:
             eng.close()
@@ -1339,7 +1289,8 @@ class TestNoStaleReadsProperty:
         index = dir2index(ns.tree, root / "idx", opts=OPTS).index
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
-        cache = ResultCache(journal=journal)
+        cache = ResultCache()
+        cache.attach_journal(journal)
         engines = [
             (ROOT, QueryEngine(index, nthreads=NTHREADS,
                                result_cache=cache)),
@@ -1380,7 +1331,8 @@ class TestNoStaleReadsProperty:
         rollup(index, nthreads=NTHREADS)
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
-        cache = ResultCache(journal=journal)
+        cache = ResultCache()
+        cache.attach_journal(journal)
         engines = [
             (ROOT, QueryEngine(index, nthreads=NTHREADS,
                                result_cache=cache)),
@@ -1404,39 +1356,6 @@ class TestNoStaleReadsProperty:
             changefeed2index(index, ns.tree, journal, opts=OPTS)
             self._check_round(engines, index)
             assert cache.stats()["dirs_reused"] > reused
-        finally:
-            for _, eng in engines:
-                eng.close()
-
-    @pytest.mark.skipif(not FORK, reason="needs fork for cheap workers")
-    @settings(
-        max_examples=2,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_multiprocess_property(self, tmp_path_factory, seed):
-        ns = dataset2(scale=0.00005, seed=seed)
-        root = tmp_path_factory.mktemp("rcmp")
-        index = dir2index(ns.tree, root / "idx", opts=OPTS).index
-        journal = ChangeJournal()
-        ns.tree.set_changelog(journal)
-        cache = ResultCache(journal=journal)
-        engines = [
-            (ROOT, QueryEngine(index, nthreads=NTHREADS, processes=2,
-                               result_cache=cache)),
-            (ALICE, QueryEngine(index, creds=ALICE, nthreads=NTHREADS,
-                                processes=2, result_cache=cache)),
-        ]
-        mut = NamespaceMutator(ns, seed=seed ^ 0xF00D)
-        try:
-            self._check_round(engines, index)
-            mut.mutate(8)
-            changefeed2index(index, ns.tree, journal, opts=OPTS)
-            self._check_round(engines, index)
-            self._check_round(engines, index)
-            # scatter workers always read the databases
-            assert cache.stats()["dirs_reused"] == 0
         finally:
             for _, eng in engines:
                 eng.close()

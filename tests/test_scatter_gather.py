@@ -478,26 +478,3 @@ class TestForkInheritedStaleness:
             rows = sorted(multi.run(Q1_LIST_PATHS).rows)
             assert any("fresh.log" in str(r[0]) for r in rows)
             assert rows == self._cold_rows(index)
-
-    def test_result_cache_multiprocess_refresh(self, tmp_path):
-        """Tentpole x satellite: a cached multi-process engine must
-        re-gather (not replay) after an incremental refresh."""
-        from repro.core.changefeed import changefeed2index
-        from repro.core.engine import ResultCache
-
-        tree, index, journal = self._fresh(tmp_path)
-        cache = ResultCache(journal=journal)
-        with QueryEngine(
-            index, nthreads=NTHREADS, processes=PROCESSES,
-            result_cache=cache,
-        ) as multi:
-            multi.run(Q1_LIST_PATHS)
-            assert multi.run(Q1_LIST_PATHS).cached
-            tree.create_file("/public/cachebust.txt", size=5,
-                             uid=0, gid=0)
-            changefeed2index(index, tree, journal,
-                             opts=BuildOptions(nthreads=NTHREADS))
-            res = multi.run(Q1_LIST_PATHS)
-            assert not res.cached
-            assert any("cachebust.txt" in str(r[0]) for r in res.rows)
-            assert sorted(res.rows) == self._cold_rows(index)

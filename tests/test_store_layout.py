@@ -82,7 +82,8 @@ def _layout_literals_in(path: Path) -> list[tuple[int, str]]:
 _DELETED_MODULES = ("repro.core.db", "repro.core.schema", "repro.store.fts")
 
 #: query handles folded into ``QueryEngine``, the artifact registry
-#: replaced by ``layout``'s constants, and a sink nothing used — not
+#: replaced by ``layout``'s constants, a sink nothing used, and the
+#: scatter-gather hand-off of a result cache's validity token — not
 #: to be re-created
 _DELETED_NAMES = (
     "GUFIQuery",
@@ -92,6 +93,10 @@ _DELETED_NAMES = (
     "AggregateDBSink",
     "QueryPortal",
     "SESSION_CACHE_SIZE",
+    "visited_stamps",
+    "collect_visited",
+    "collect_paths",
+    "_add_result_cache",
 )
 
 
