@@ -21,16 +21,17 @@ equal to what a cold run would return right now:
   cursor (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`).
   Revalidation is two stats per visited directory and one per
   ancestor, on path strings, and nothing else — not O(traversal),
-  which would open every database and re-run SQL — or O(journal
-  drain) when the changefeed fast path applies (below).
+  which would open every database and re-run SQL — or no stat at all
+  on the changefeed fast path (below).
 
 * **Push invalidation.** Every writer in this codebase (update,
   refresh, rollup/unrollup, changefeed apply) already announces
   itself through :class:`~repro.core.index.DirMetaCache`'s
-  ``invalidate*`` hooks; the result cache subscribes to them and
-  takes out of service exactly the entries whose visited set
-  intersects the invalidated path (or subtree). An entry for
-  ``/home/alice`` is untouched by churn under ``/proj``.
+  ``invalidate*`` hooks; the result cache subscribes to those of its
+  one index handle (cache keys do not name the index, so a cache
+  serves one) and takes out of service exactly the entries whose
+  visited set intersects the invalidated path (or subtree). An entry
+  for ``/home/alice`` is untouched by churn under ``/proj``.
 
 * **The re-run is the repair.** An invalidated *stream-shaped* entry
   (``S``/``E`` rows only — nothing carried between directories) is
@@ -43,18 +44,18 @@ equal to what a cold run would return right now:
   database (:meth:`CaptureSink.reuse`).
 
 * **Changefeed fast path.** When a :class:`~repro.fs.changelog
-  .ChangeJournal` is attached, a lookup first consults the applied
-  cursor: if no invalidation reached this cache since capture and
-  the events in ``(entry cursor, applied cursor]`` are retained and
-  touch none of the entry's visited directories, the entry is valid
-  without a single stat. An evicted window (overflow) falls back to
-  the stamp pass — never to trust. The journal only sees writers
-  that *announce* themselves (in-process hooks, changefeed applies),
-  so the stat-free path is bounded: unless the journal is attached
-  with ``exclusive=True`` (the changefeed is provably the sole
-  writer), every entry re-runs the stamp pass at least once per
-  ``stamp_ttl`` seconds, so an out-of-band rewrite from another
-  process is detected within the TTL instead of never.
+  .ChangeJournal` is attached — the declaration that a changefeed
+  feeds this index — a lookup first reads the applied cursor: if no
+  invalidation reached this cache and no apply moved the cursor
+  since the entry was last checked, the entry is valid without a
+  single stat. A cursor that moved either way with no hook firing
+  goes to the stamp pass. Only writers that *announce* themselves
+  (in-process hooks, changefeed applies) are seen this way, so the
+  stat-free path is bounded: unless the journal is attached with
+  ``exclusive=True`` (the changefeed is provably the sole writer),
+  every entry re-runs the stamp pass at least once per ``stamp_ttl``
+  seconds, so an out-of-band rewrite from another process is
+  detected within the TTL instead of never.
 
 * **Capture races.** Rows are captured through a tee
   (:class:`CaptureSink`) while stamps are taken *after* the run; a
@@ -88,7 +89,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro import obs
 from repro.store import layout
@@ -96,13 +97,13 @@ from repro.store import layout
 from ..checkpoint import ChangefeedCheckpoint
 from .sinks import ResultSink, Row, SinkSummary
 from .traversal import proper_ancestors
-from .types import QueryResult, QuerySpec
+from .types import _COUNTER_FIELDS, QueryResult, QuerySpec
 
 if TYPE_CHECKING:
-    from repro.fs.changelog import ChangeEvent, ChangeJournal
+    from repro.fs.changelog import ChangeJournal
     from repro.fs.permissions import Credentials
 
-    from ..index import GUFIIndex
+    from ..index import DirMetaCache, GUFIIndex
     from ..plan import QueryPlan
     from ..session import _ThreadState
 
@@ -117,16 +118,6 @@ DirStamp = tuple[int, int] | None
 #: one directory's extent in an entry's flat ``rows`` and its measured
 #: bytes: (start, end, nbytes)
 Batch = tuple[int, int, int]
-
-#: QueryResult counters replayed verbatim from the captured run
-_COUNTER_FIELDS = (
-    "dirs_visited",
-    "dirs_denied",
-    "dbs_opened",
-    "dirs_errored",
-    "dirs_pruned_by_plan",
-    "attaches_elided",
-)
 
 
 #: quoted SQL regions — string literals and quoted identifiers —
@@ -325,7 +316,7 @@ class CacheEntry:
     counters: dict[str, int]
     #: visited path -> (db.db stamp, physical-dir stamp)
     stamps: dict[str, tuple[DbStamp, DirStamp]]
-    #: applied changefeed cursor at capture time
+    #: applied changefeed cursor at capture/last validation
     cursor: int
     #: the cache's invalidation sequence at capture/last validation
     inv_seq: int
@@ -334,7 +325,6 @@ class CacheEntry:
     #: one) — bounds how long the stat-free changefeed fast path may
     #: serve this entry without re-statting (see ``stamp_ttl``)
     stamped_at: float = 0.0
-    hits: int = 0
     #: directory -> batch, for every directory whose stages ran to
     #: completion (not denied, elided, errored or absent ones); None
     #: when the run cannot donate (aggregate/xattr spec) and the entry
@@ -347,10 +337,23 @@ class CacheEntry:
 class ResultCache:
     """Bounded credential-scoped cache of materialized query results.
 
-    Thread-safe: the server shares one instance across every warm
-    session. ``max_scope_bytes`` bounds how much of the budget a
-    single credential key may hold (the per-tenant budget); the global
-    bound evicts LRU-first across scopes.
+    An entry is served only when it is still valid, by one of two
+    rules:
+
+    1. **Stat-free.** A journal is attached, nothing was invalidated
+       (``inv_seq == invalidation_seq``) and nothing was applied (the
+       applied changefeed cursor equals the entry's) since the entry
+       was last checked, and the journal is exclusive or the last
+       stamp pass is younger than ``stamp_ttl``.
+    2. **Stamp pass.** Otherwise — and always without a journal —
+       every recorded directory's ``db.db`` and listing stamp (one
+       stamp per ancestor of the start) still equals the captured one.
+
+    A cache serves one index handle (:meth:`bind_index`). Thread-safe:
+    the server shares one instance across every warm session.
+    ``max_scope_bytes`` bounds how much of the budget a single
+    credential key may hold (the per-tenant budget); the global bound
+    evicts LRU-first across scopes.
     """
 
     def __init__(
@@ -369,7 +372,7 @@ class ResultCache:
             max_entry_bytes if max_entry_bytes is not None else max_bytes // 4
         )
         self.max_scope_bytes = max_scope_bytes
-        #: set by :meth:`attach_journal`
+        #: set by :meth:`attach_journal`: a changefeed feeds this index
         self.journal: "ChangeJournal | None" = None
         #: the changefeed is provably the only writer of this index —
         #: only then may the stat-free fast path serve an entry
@@ -385,13 +388,13 @@ class ResultCache:
         self._lock = threading.RLock()
         self.total_bytes = 0
         self._scope_bytes: dict[CredKey, int] = {}
-        #: bumped by every DirMetaCache invalidation on a bound index;
+        #: bumped by every DirMetaCache invalidation on the bound index;
         #: captures observe it to detect writes racing a run
         self.invalidation_seq = 0
-        #: bound DirMeta caches as (weakref, listener) pairs — weak so
-        #: a long-lived shared cache never pins short-lived per-index
-        #: caches (or their listener cycles) in memory
-        self._bound: list[tuple[weakref.ref, Any]] = []
+        #: the DirMeta cache of the one index handle this cache serves,
+        #: and the listener hooked on it while bound
+        self._meta: DirMetaCache | None = None
+        self._hook: Callable[[str | None, bool], None] | None = None
         # advisory counters (mirrored into obs metrics when enabled)
         self.hits = 0
         self.misses = 0
@@ -404,52 +407,46 @@ class ResultCache:
     # Wiring
     # ------------------------------------------------------------------
     def bind_index(self, index: "GUFIIndex") -> None:
-        """Subscribe to the index's DirMeta-cache invalidation hooks —
-        the push half of invalidation. Idempotent per index handle.
-
-        The subscription is weak on both sides: the listener holds no
-        strong reference to this cache, and ``_bound`` holds none to
-        the index's DirMeta cache — binding many short-lived indexes
-        to one long-lived shared cache leaks nothing."""
-        cache = index.cache
+        """Subscribe to the index handle's DirMeta-cache invalidation
+        hooks — the push half of invalidation. Cache keys do not name
+        the index, so a cache serves one handle: binding it again does
+        nothing, binding another raises ``ValueError``. The hook holds
+        this cache weakly, so a dropped cache unhooks itself at the
+        next notification."""
+        meta = index.cache
         with self._lock:
-            live = [(ref, hook) for ref, hook in self._bound
-                    if ref() is not None]
-            if any(ref() is cache for ref, _ in live):
-                self._bound = live
+            if self._meta is not None and self._meta is not meta:
+                raise ValueError("a result cache serves one index handle")
+            self._meta = meta
+            if self._hook is not None:
                 return
             self_ref = weakref.ref(self)
-            cache_ref = weakref.ref(cache)
 
             def hook(path: str | None, subtree: bool) -> None:
                 rc = self_ref()
                 if rc is None:
-                    c = cache_ref()
-                    if c is not None:
-                        c.remove_listener(hook)
-                    return
-                rc._on_invalidate(path, subtree)
+                    meta.remove_listener(hook)
+                else:
+                    rc._on_invalidate(path, subtree)
 
-            live.append((cache_ref, hook))
-            self._bound = live
-            cache.add_listener(hook)
+            self._hook = hook
+            meta.add_listener(hook)
 
     def close(self) -> None:
-        """Detach from every bound index's invalidation hooks. Safe to
+        """Unhook from the bound index's invalidation hooks. Safe to
         call repeatedly; the cache remains usable (lookups just lose
-        push invalidation until indexes are bound again)."""
+        push invalidation until the same handle is bound again)."""
         with self._lock:
-            bound, self._bound = self._bound, []
-        for cache_ref, hook in bound:
-            cache = cache_ref()
-            if cache is not None:
-                cache.remove_listener(hook)
+            hook, self._hook = self._hook, None
+        if hook is not None and self._meta is not None:
+            self._meta.remove_listener(hook)
 
     def attach_journal(
         self, journal: "ChangeJournal", exclusive: bool = False
     ) -> None:
-        """Enable the changefeed fast path: lookups may validate from
-        the journal window instead of per-directory stats. Pass
+        """Declare that a changefeed feeds this index, enabling the
+        stat-free fast path: an entry untouched by any hook and by any
+        apply since it was last checked is valid without a stat. Pass
         ``exclusive=True`` only when the changefeed is the sole writer
         of the index — it lifts the ``stamp_ttl`` bound on stat-free
         validation."""
@@ -568,12 +565,11 @@ class ResultCache:
             # invalidation that *touched* this entry retired it (the
             # liveness check above fails), so a surviving entry was
             # untouched by whatever bumped the sequence.
-            entry.cursor = max(entry.cursor, applied)
+            entry.cursor = applied
             entry.inv_seq = self.invalidation_seq
             if stamped:
                 entry.stamped_at = max(entry.stamped_at, mono0)
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.hits += 1
         if rec.enabled:
             rec.counter("gufi_result_cache_hits_total")
@@ -592,39 +588,26 @@ class ResultCache:
         """Revalidate one entry without mutating it (the caller folds
         the outcome in under the lock). Returns ``(valid, applied
         cursor, stamp pass ran)``."""
-        journal = self.journal
-        # Only the journal branches read the applied cursor. A cursor
-        # left lagging merely widens a later journal window (safe).
+        # Only the fast path reads the applied cursor; without a
+        # journal the entry's own stands in and the stamps decide.
         applied = entry.cursor
-        if journal is not None:
+        if self.journal is not None:
             applied = ChangefeedCheckpoint(index.root).load()
-            # Changefeed fast path: provably untouched without a stat.
-            # Requires that no invalidation reached this cache since
-            # the entry was (re)validated — the push hooks are how
-            # non-changefeed writers (rollup, update, refresh)
-            # announce themselves. Writers in *other* processes
-            # announce nothing, so unless the journal is exclusive the
-            # stat-free answer is only trusted within ``stamp_ttl`` of
-            # the entry's last stamp pass.
-            fresh = self.journal_exclusive or (
-                time.monotonic() - entry.stamped_at < self.stamp_ttl
-            )
-            if fresh and entry.inv_seq == self.invalidation_seq:
-                events = journal.events_between(entry.cursor, applied)
-                if events is not None and not any(
-                    self._event_touches(e, entry.stamps) for e in events
-                ):
-                    return True, applied, False
-            # Precise event-driven invalidation: a retained window
-            # that touches a visited directory kills the entry without
-            # the stamp pass; an evicted window (overflow) falls
-            # through to stamps — never to trust.
-            if applied > entry.cursor:
-                events = journal.events_between(entry.cursor, applied)
-                if events is not None and any(
-                    self._event_touches(e, entry.stamps) for e in events
-                ):
-                    return False, applied, False
+            # Stat-free: no hook fired (non-changefeed writers —
+            # rollup, update, refresh — announce themselves there) and
+            # no apply moved the cursor since the last check. Writers
+            # in *other* processes announce nothing, so unless the
+            # journal is exclusive this is only trusted within
+            # ``stamp_ttl`` of the entry's last stamp pass.
+            if (
+                entry.inv_seq == self.invalidation_seq
+                and applied == entry.cursor
+                and (
+                    self.journal_exclusive
+                    or time.monotonic() - entry.stamped_at < self.stamp_ttl
+                )
+            ):
+                return True, applied, False
         # Stamp pass: two stats per recorded directory (one for an
         # ancestor) on plain path strings, and nothing else.
         for path, (db_stamp, dir_stamp) in entry.stamps.items():
@@ -635,30 +618,6 @@ class ResultCache:
                 if layout.dir_stamp(base) != dir_stamp:
                     return False, applied, True
         return True, applied, True
-
-    @staticmethod
-    def _event_touches(
-        event: "ChangeEvent", stamps: dict[str, tuple[DbStamp, DirStamp]]
-    ) -> bool:
-        """Conservative: does this journal event affect any visited
-        directory? File events touch their parent's database; directory
-        events touch the directory and its parent; structural directory
-        ops (rename/rmdir) touch the whole subtree."""
-        paths = [event.path]
-        if event.dst_path is not None:
-            paths.append(event.dst_path)
-        for p in paths:
-            if p in stamps:
-                return True
-            parent = p.rsplit("/", 1)[0] or "/"
-            if parent in stamps:
-                return True
-        if event.is_dir and event.op in ("rename", "rmdir"):
-            for p in paths:
-                prefix = p.rstrip("/") + "/"
-                if any(s.startswith(prefix) for s in stamps):
-                    return True
-        return False
 
     # ------------------------------------------------------------------
     # Store

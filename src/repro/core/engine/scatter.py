@@ -80,7 +80,7 @@ from ..sqlfuncs import QueryContext, register
 from .engine import QueryEngine
 from .sinks import MemorySink, ResultSink
 from .traversal import Traversal, normalize_path, path_depth
-from .types import QueryResult, QuerySpec
+from .types import _COUNTER_FIELDS, QueryResult, QuerySpec
 
 #: set around fork-start so workers inherit the parent's warm index
 #: handle (DirMeta cache included) instead of re-opening cold; spawn
@@ -317,16 +317,6 @@ class _WorkerResult:
     elapsed: float
     metrics: dict | None
     error: str | None
-
-
-_COUNTER_FIELDS = (
-    "dirs_visited",
-    "dirs_denied",
-    "dbs_opened",
-    "dirs_errored",
-    "dirs_pruned_by_plan",
-    "attaches_elided",
-)
 
 
 def _worker_main(task: _WorkerTask) -> None:

@@ -94,6 +94,18 @@ class QueryResult:
         return self.rows[0][0]
 
 
+#: QueryResult counters carried verbatim from one run to another (a
+#: scatter worker's shard, a result-cache replay)
+_COUNTER_FIELDS = (
+    "dirs_visited",
+    "dirs_denied",
+    "dbs_opened",
+    "dirs_errored",
+    "dirs_pruned_by_plan",
+    "attaches_elided",
+)
+
+
 def spec_label(spec: QuerySpec) -> str:
     """Compact one-line description of a spec, for the slow-query log
     and trace attributes (SQL whitespace-collapsed and truncated)."""

@@ -324,7 +324,6 @@ class TestServerClose:
         assert srv.result_cache is not None
         srv.close()
         assert demo_index.cache._listeners == []
-        assert srv.result_cache._bound == []
 
     def test_close_is_idempotent(self, demo_index, identity):
         srv = GUFIServer(

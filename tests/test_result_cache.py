@@ -453,9 +453,9 @@ class TestInvalidation:
     def test_journal_attached_after_capture(self, demo_tree, tmp_path, hooks):
         """Without a journal a lookup does not read the applied cursor,
         so entries captured journal-less carry a cursor that lags. A
-        journal attached later then sees a *wider* event window — a
-        superset can only invalidate more — and every answer still
-        equals a cold run, with or without the push hooks."""
+        journal attached later finds it moved and sends those entries
+        to the stamp pass, and every answer still equals a cold run,
+        with or without the push hooks."""
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
@@ -560,6 +560,57 @@ class TestHitBudget:
             base = demo_index.index_path(path)
             expected += [base + "/db.db"] + [base] * (listing is not None)
         assert stats == expected
+
+    @pytest.mark.parametrize("mover", ["commit", "foreign-apply"])
+    def test_exclusive_journal_stats_only_when_the_cursor_moved(
+        self, demo_tree, tmp_path, monkeypatch, mover
+    ):
+        """With an exclusive journal a hit on an unchanged index makes
+        no stat. An applied cursor that moved with no hook firing — a
+        commit, or a changefeed applied through another handle —
+        sends the next hit to the stamp pass, which finds it valid."""
+        from repro.core.checkpoint import ChangefeedCheckpoint
+
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        journal = ChangeJournal()
+        demo_tree.set_changelog(journal)
+        cache = ResultCache()
+        cache.attach_journal(journal, exclusive=True)
+        start = "/home/bob"
+        with QueryEngine(
+            index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            n = eng.run(E_ALL, start).dirs_visited
+        key = make_key(ROOT, E_ALL, None, start)
+        entry = cache._entries[key]
+
+        stats: list[str] = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        def hit_stats() -> int:
+            stats.clear()
+            with monkeypatch.context() as m:
+                m.setattr(os, "stat", counting_stat)
+                assert cache.lookup(key, index) is entry
+            return len(stats)
+
+        assert hit_stats() == 0
+        checkpoint = ChangefeedCheckpoint(index.root)
+        before = checkpoint.load()
+        if mover == "commit":
+            checkpoint.commit(before + 1)
+        else:  # a write outside the entry, applied on a foreign handle
+            demo_tree.create_file("/public/elsewhere", size=1, uid=0, gid=0)
+            changefeed2index(
+                GUFIIndex.open(index.root), demo_tree, journal, opts=OPTS
+            )
+        assert checkpoint.load() != before
+        assert hit_stats() == 2 * n + path_depth(start)
+        assert hit_stats() == 0  # checked at the new cursor
 
 
 #: out-of-band change -> what it does, given the index directories of
@@ -723,33 +774,49 @@ class TestBounds:
 
 
 class TestBinding:
-    """A long-lived shared cache bound to many short-lived indexes
-    must not pin their DirMeta caches (or listener cycles) in
-    memory."""
+    """Cache keys do not name the index, so a cache serves one index
+    handle, hooked once; a dropped cache unhooks itself."""
 
-    def test_bound_index_cache_is_not_pinned(self, demo_tree, tmp_path):
-        import gc
-        import weakref
-
+    def test_second_index_is_refused(self, demo_index, tmp_path):
+        """Regression: two indexes of different trees behind one cache
+        with an exclusive journal — the second was served the first's
+        rows as hits, and no stamp pass ran to catch it."""
+        tree = build_demo_tree()
+        tree.create_file("/public/only_in_b", size=3, uid=0, gid=0)
+        other = dir2index(tree, tmp_path / "b", opts=OPTS).index
         cache = ResultCache()
-        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
-        eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
-        eng.run(E_ALL)
-        eng.close()
-        ref = weakref.ref(index.cache)
-        del eng, index
-        gc.collect()
-        assert ref() is None  # the shared cache held no strong ref
+        cache.attach_journal(ChangeJournal(), exclusive=True)
+        spec = QuerySpec(E="SELECT name FROM entries")
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as q:
+            q.run(spec)
+        for _ in range(2):  # closed, it still holds the first's entries
+            with pytest.raises(ValueError, match="one index handle"):
+                QueryEngine(other, nthreads=NTHREADS, result_cache=cache)
+            cache.close()
+        assert other.cache._listeners == []
 
     def test_bind_is_idempotent_per_index(self, demo_index):
         cache = ResultCache()
+        listeners = demo_index.cache._listeners
         e1 = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
         e2 = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
         try:
-            assert len(demo_index.cache._listeners) == 1
+            assert len(listeners) == 1
         finally:
             e1.close()
             e2.close()
+        cache.close()
+        assert listeners == []
+        # the same handle again after close: hooked once more
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as q:
+            assert len(listeners) == 1
+            q.run(E_ALL)
+            demo_index.invalidate_cache("/public")  # the push arrives
+            assert cache.invalidations == 1 and len(cache) == 0
 
     def test_close_unhooks_listeners(self, demo_index):
         cache = ResultCache()

@@ -97,6 +97,8 @@ _DELETED_NAMES = (
     "collect_visited",
     "collect_paths",
     "_add_result_cache",
+    "_event_touches",
+    "_bound",
 )
 
 
