@@ -12,7 +12,8 @@ Public surface of :mod:`repro.core.engine`:
 * the layer classes themselves (:class:`Traversal`,
   :class:`StageRunner`, :class:`MergeRunner`) for extension;
 * :class:`ScatterGatherEngine` / :func:`plan_shards` — the
-  multi-process scatter-gather front end behind ``processes > 1``;
+  multi-process scatter-gather front end behind ``processes > 1``,
+  whose planner is a dry run of the query's own :class:`Traversal`;
 * :class:`ResultCache` / :class:`CaptureSink` — the materialized
   query-result cache behind ``result_cache=`` (changefeed-driven
   invalidation; see :mod:`repro.core.engine.resultcache`).
@@ -20,7 +21,7 @@ Public surface of :mod:`repro.core.engine`:
 
 from .engine import QueryEngine
 from .resultcache import CacheEntry, CaptureSink, ResultCache
-from .scatter import ScatterGatherEngine, ShardPlan, plan_shards
+from .scatter import ScatterGatherEngine, plan_shards
 from .sinks import (
     BoundedSink,
     MemorySink,
@@ -63,7 +64,6 @@ __all__ = [
     "ResultSink",
     "Row",
     "ScatterGatherEngine",
-    "ShardPlan",
     "SinkSummary",
     "StageGates",
     "StageRunner",

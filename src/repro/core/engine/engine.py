@@ -42,7 +42,7 @@ from ..index import DirMeta, GUFIIndex, IndexError_
 from ..plan import QueryPlan
 from ..session import ThreadStatePool, _ThreadState
 from .resultcache import CacheEntry, CaptureSink, ResultCache, make_key
-from .sinks import MemorySink, ResultSink, ThreadFileSink
+from .sinks import MemorySink, ResultSink, SinkSummary, ThreadFileSink
 from .stages import MergeRunner, StageRunner
 from .traversal import (
     CancelToken,
@@ -77,7 +77,6 @@ class QueryEngine:
         tracer: IOTracer | None = None,
         pool: ThreadStatePool | None = None,
         processes: int = 1,
-        mp_start_method: str | None = None,
         result_cache: ResultCache | None = None,
     ) -> None:
         if result_cache is not None and (processes > 1 or tracer is not None):
@@ -96,9 +95,6 @@ class QueryEngine:
         self.pool = ThreadStatePool() if pool is None else pool
         #: worker processes for run(); 1 = single-process (historical)
         self.processes = max(1, int(processes))
-        #: multiprocessing start method for scatter-gather workers
-        #: (None = the platform default, fork on Linux)
-        self.mp_start_method = mp_start_method
         self._scatter_engine: Any = None
         #: optional materialized-result cache (engine/resultcache.py).
         #: Sharing one instance across engines/sessions is the point —
@@ -143,10 +139,11 @@ class QueryEngine:
         ``cancel`` is a cooperative :class:`CancelToken` (deadline
         and/or caller-side kill): the traversal layer observes it once
         per directory and aborts the walk with :class:`QueryCancelled`
-        — the serving layer's deadline enforcement. Cancellation is
-        cooperative *within this process*: a ``processes > 1`` run
-        checks the token at dispatch but the worker processes do not
-        observe it mid-shard.
+        — the serving layer's deadline enforcement. A ``processes > 1``
+        run carries the token's deadline into every worker process
+        (the clock is system-wide), so a shard past it stops within
+        one directory too; a manual :meth:`CancelToken.cancel` is seen
+        while the shards are planned, not once they are dispatched.
 
         With ``processes > 1`` the run is executed scatter-gather: the
         index is partitioned into subtree shards, each processed by a
@@ -178,7 +175,7 @@ class QueryEngine:
     ) -> QueryResult:
         """One real run: scatter-gather, or the single-process walk."""
         if self.processes > 1:
-            return self._scatter().run(spec, start, plan=plan, sink=sink)
+            return self._scatter().run(spec, start, plan, sink, cancel)
         sink = self._default_sink(spec) if sink is None else sink
         sink._claim()
         return self._observed(
@@ -246,28 +243,42 @@ class QueryEngine:
         t0 = time.monotonic()
         sink = self._default_sink(spec) if sink is None else sink
         sink._claim()
-        # a replay executes no stage, so its checkout runs no SQL
-        st = self.pool.acquire(spec.I, sink.thread_output_path(0), stages=False)
-        output_files: list[str] = []
-        try:
-            if entry.rows:
-                sink.emit(st, entry.rows)
-            if entry.final_rows:
-                sink.emit_final(entry.final_rows)
-            summary = sink.finish([st])
-        finally:
-            out_path = st.finish_output()
-            if out_path is not None:
-                output_files.append(out_path)
-            self.pool.release([st])
+        summary, output_files = self._deliver(
+            spec, sink, entry.rows, entry.final_rows
+        )
         return QueryResult(
             rows=summary.rows,
             elapsed=time.monotonic() - t0,
             **entry.counters,
-            output_files=output_files or None,
+            output_files=output_files,
             truncated=summary.truncated,
             cached=True,
         )
+
+    def _deliver(
+        self,
+        spec: QuerySpec,
+        sink: ResultSink,
+        rows: list[tuple],
+        final_rows: list[tuple],
+    ) -> tuple[SinkSummary, list[str] | None]:
+        """Hand rows no stage of this process produced — a cached
+        entry's, or the scatter workers' — to ``sink`` on one state
+        that runs no SQL, in the emit/emit_final/finish sequence a
+        real run produces, so caps, paging and files behave
+        identically. Returns the sink's summary and the output file
+        written, if any."""
+        st = self.pool.acquire(spec.I, sink.thread_output_path(0), stages=False)
+        try:
+            if rows:
+                sink.emit(st, rows)
+            if final_rows:
+                sink.emit_final(final_rows)
+            summary = sink.finish([st])
+        finally:
+            out_path = st.finish_output()
+            self.pool.release([st])
+        return summary, [out_path] if out_path is not None else None
 
     def run_shard(
         self,
@@ -277,6 +288,7 @@ class QueryEngine:
         plan: QueryPlan | None = None,
         sink: ResultSink | None = None,
         agg_path: str | None = None,
+        cancel: CancelToken | None = None,
     ) -> QueryResult:
         """Process a list of shard work units ``(path, may_descend)``.
 
@@ -299,7 +311,9 @@ class QueryEngine:
         sink = self._default_sink(spec) if sink is None else sink
         sink._claim()
         norm = [(normalize_path(p), bool(rec)) for p, rec in units]
-        trav = Traversal(self.index, self.creds, spec, plan, start_depth)
+        trav = Traversal(
+            self.index, self.creds, spec, plan, start_depth, cancel=cancel
+        )
         return self._walk_units(
             spec, norm, start_depth, trav, sink, obs.tracer(),
             agg_path=agg_path,
@@ -310,11 +324,7 @@ class QueryEngine:
         if self._scatter_engine is None:
             from .scatter import ScatterGatherEngine
 
-            self._scatter_engine = ScatterGatherEngine(
-                self,
-                processes=self.processes,
-                mp_start_method=self.mp_start_method,
-            )
+            self._scatter_engine = ScatterGatherEngine(self, self.processes)
         return self._scatter_engine
 
     def run_single(
@@ -465,9 +475,7 @@ class QueryEngine:
         trav = Traversal(
             self.index, self.creds, spec, plan, start_depth, cancel=cancel
         )
-        trav.check_root_reachable(start)
-        if not self.index.db_path(start).exists():
-            raise FileNotFoundError(f"no index directory for {start!r}")
+        trav.check_start(start)
         return self._walk_units(
             spec, [(start, descend)], start_depth, trav, sink, otr,
             donor=donor,
@@ -553,13 +561,11 @@ class QueryEngine:
             st.ctx.current_depth = depth
             rel_depth = depth - start_depth
 
-            def children(
-                meta: DirMeta, t_pruned: bool = False
-            ) -> list[tuple[str, bool]]:
+            def children(meta: DirMeta) -> list[tuple[str, bool]]:
                 # a no-descend unit never pays for its child listing
                 if not may_descend:
                     return []
-                paths = trav.descend(source_path, meta, rel_depth, t_pruned)
+                paths = trav.descend(source_path, meta, rel_depth)
                 return [(child, True) for child in paths]
 
             # plain strings: Path objects here cost more than the listing
@@ -607,7 +613,6 @@ class QueryEngine:
             except sqlite3.DatabaseError:
                 st.errored += 1
                 return []
-            t_pruned = False
             local_rows: list[tuple] = []
             try:
                 if meta is None:
@@ -636,8 +641,10 @@ class QueryEngine:
                 if gates.plan_pruned:
                     st.pruned += 1
                 if gates.run_t and meta.tsummary:
-                    t_pruned = stage.t_stage(st, local_rows)
-                if not t_pruned and (gates.run_s or gates.run_e):
+                    stage.t_stage(st, local_rows)
+                if (gates.run_s or gates.run_e) and not trav.t_prunes(
+                    meta, rel_depth
+                ):
                     stage.s_e_stages(
                         st, index_dir, creds, gates.run_s, gates.run_e, local_rows
                     )
@@ -647,7 +654,7 @@ class QueryEngine:
                 st.ran.append(source_path)
             if local_rows:
                 sink.emit(st, local_rows)
-            return children(meta, t_pruned)
+            return children(meta)
 
         expand: Callable[[tuple[str, bool]], list[tuple[str, bool]]]
         if tracing:

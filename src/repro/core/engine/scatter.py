@@ -6,29 +6,30 @@ at roughly one core of useful work regardless of ``nthreads``. This
 module is the way past that — the partitioned-parallel-query design of
 Brindexer and Icicle applied to a GUFI tree:
 
-* a **shard planner** walks the top levels of the index through the
-  warm :class:`~repro.core.index.DirMetaCache`, replicating the
-  engine's exact descent decisions (permissions, rollup cuts,
-  tsummary pruning, plan depth windows), and splits the tree into a
-  *spine* (every expanded directory, dispatched as a single-directory
-  no-descend unit) and a *frontier* (subtree roots processed
-  recursively). Frontier siblings that are permission-compatible with
-  their parent — rollup's own grouping predicate,
-  :func:`~repro.core.rollup.rollup_compatible` — are packed into the
-  same shard, and shards are balanced by ``DirStats.totfiles``;
+* the **shard planner** is a dry run of the query's own
+  :class:`~repro.core.engine.traversal.Traversal` over the warm
+  :class:`~repro.core.index.DirMetaCache`: it expands the top levels
+  breadth-first, asking the traversal every descent question the walk
+  asks (permissions, rollup cuts, tsummary pruning, plan depth
+  windows), so workers collectively visit exactly the directories one
+  process would. Expanded directories (the *spine*) ride along as
+  single-directory no-descend units; the directories below them (the
+  *frontier*) are recursive units, packed onto shards longest first by
+  ``DirStats.totfiles``;
 * one :class:`~repro.core.engine.engine.QueryEngine` per **worker
   process** runs its shard via ``run_shard``. Workers are spawn-safe:
   the task payload carries only the index path, ``Credentials``,
-  ``QuerySpec``, ``QueryPlan``, and the unit list — all picklable.
-  Under the default ``fork`` start method the parent's warm index
-  cache is inherited for free;
-* the **gather** folds everything back through the caller's single
-  :class:`~repro.core.engine.sinks.ResultSink`: worker rows are
-  emitted in worker order, per-worker aggregate databases (the ``J``
-  stage output) are row-unioned into one parent aggregate on which
-  ``G`` runs exactly once, and ``QueryResult`` counters,
-  ``stage_seconds``, and obs metric snapshots are merged from every
-  worker so observability stays whole-query.
+  ``QuerySpec``, ``QueryPlan``, the unit list and the run's deadline —
+  all picklable. Under the default ``fork`` start method the parent's
+  warm index cache is inherited for free;
+* the **gather** hands worker rows, in worker order, and the ``G``
+  rows to the caller's single
+  :class:`~repro.core.engine.sinks.ResultSink` the way a result-cache
+  replay does (``QueryEngine._deliver``): per-worker aggregate
+  databases (the ``J`` stage output) are row-unioned into one parent
+  aggregate on which ``G`` runs exactly once, and ``QueryResult``
+  counters, ``stage_seconds``, and obs metric snapshots are merged
+  from every worker so observability stays whole-query.
 
 This is the one place a query's intermediate data touches disk: rows
 and ``J`` aggregates cross a *process* boundary, so each worker leaves
@@ -44,7 +45,10 @@ worker that dies without writing its file — OOM-killed, segfaulted —
 surfaces as its shard's units counted in ``dirs_errored`` (plus a
 ``gufi_scatter_worker_crashes_total`` metric), not as a hang. A worker
 that *reports* an exception re-raises in the parent, matching the
-single-process walk-error contract.
+single-process walk-error contract; one that reports its deadline
+passed makes the parent raise
+:class:`~repro.core.engine.traversal.QueryCancelled` before any row
+reaches the sink.
 
 Merge contract (documented in ARCHITECTURE.md): for scatter-gather to
 be equivalent to a single-process run, ``J`` must be append-only into
@@ -64,7 +68,6 @@ import tempfile
 import time
 import traceback
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -74,18 +77,28 @@ from repro.scan.walker import WalkStats
 
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
-from ..rollup import rollup_compatible
 from ..session import run_sql, user_script
 from ..sqlfuncs import QueryContext, register
 from .engine import QueryEngine
 from .sinks import MemorySink, ResultSink
-from .traversal import Traversal, normalize_path, path_depth
+from .traversal import (
+    CancelToken,
+    QueryCancelled,
+    Traversal,
+    normalize_path,
+    path_depth,
+)
 from .types import _COUNTER_FIELDS, QueryResult, QuerySpec
 
 #: set around fork-start so workers inherit the parent's warm index
 #: handle (DirMeta cache included) instead of re-opening cold; spawn
 #: children never see it and fall back to ``GUFIIndex.open``
 _FORK_INDEX: GUFIIndex | None = None
+
+#: the planner stops widening the frontier at this many units per
+#: process, or this many levels below the start, whichever comes first
+_OVERSHARD = 4
+_MAX_LEVELS = 4
 
 #: one shard work unit: (source path, may_descend)
 Unit = tuple[str, bool]
@@ -102,20 +115,6 @@ class Shard:
     weight: int = 0
 
 
-@dataclass
-class ShardPlan:
-    """The planner's output: balanced shards plus bookkeeping the
-    tests and benchmarks introspect."""
-
-    shards: list[Shard]
-    #: directories the planner expanded (each dispatched as a
-    #: no-descend unit inside some shard)
-    spine: list[str]
-    #: recursive subtree roots across all shards
-    frontier: list[str]
-    start_depth: int
-
-
 def _unit_weight(meta: DirMeta | None) -> int:
     """Balance weight of a recursive unit: the subtree's total file
     count when the summary stats carry one, else 1."""
@@ -126,154 +125,56 @@ def _unit_weight(meta: DirMeta | None) -> int:
     return 1
 
 
-def _t_prunes(
-    trav: Traversal, spec: QuerySpec, meta: DirMeta, rel_depth: int
-) -> bool:
-    """Would the engine's T stage prune descent at this directory?
-    Mirrors the walk: T runs only inside the plan's depth window, and
-    prunes where tsummary has rows (unless ``t_no_prune``)."""
-    return bool(
-        spec.T
-        and not spec.t_no_prune
-        and meta.tsummary
-        and trav.wants_level(rel_depth)
-    )
-
-
 def plan_shards(
-    index: GUFIIndex,
-    trav: Traversal,
-    spec: QuerySpec,
-    start: str,
-    start_depth: int,
-    processes: int,
-    overshard: int = 4,
-    max_levels: int = 4,
-) -> ShardPlan | None:
+    trav: Traversal, start: str, processes: int
+) -> list[Shard] | None:
     """Partition the subtree under ``start`` into balanced shards.
 
-    Levels are expanded breadth-first until the recursive frontier is
-    wide enough (``processes * overshard``) or ``max_levels`` deep.
-    Every descent decision replicates the engine's own traversal layer
-    — a directory the single-process walk would not descend into is
-    never expanded here — so workers collectively visit exactly the
-    directories one process would. Returns ``None`` when the tree is
-    too narrow to shard (fewer than two frontier groups), in which
-    case the caller falls back to single-process execution.
+    A dry run of ``trav`` — the run's own traversal, so its
+    credentials, plan, spec and cancel token — over the DirMeta cache:
+    levels are expanded breadth-first until the frontier is
+    ``processes * _OVERSHARD`` wide or ``_MAX_LEVELS`` deep, and a
+    directory the walk would not descend into is never expanded here.
+    Returns ``None`` when there are fewer than two units to pack, in
+    which case the caller runs single-process.
     """
-    target = max(2, processes * overshard)
-    metas: dict[str, DirMeta | None] = {}
-    parents: dict[str, str] = {}
+    index = trav.index
     spine: list[str] = []
-    candidates = [start]
-    level = 0
-    while candidates and len(candidates) < target and level < max_levels:
-        next_level: list[str] = []
-        expanded = False
-        for path in candidates:
-            meta = metas.get(path)
-            if path not in metas:
-                meta = index.cached_dir_meta(path)
-                metas[path] = meta
-            spine.append(path)
-            if meta is None or not trav.permitted(meta):
-                # the worker processing this unit does the counting
-                # (denied / errored); nothing descends below it
-                continue
-            rel_depth = path_depth(path) - start_depth
-            t_pruned = _t_prunes(trav, spec, meta, rel_depth)
-            children = trav.descend(path, meta, rel_depth, t_pruned=t_pruned)
-            if not children:
-                continue
-            expanded = True
-            for child in children:
-                parents[child] = path
-                next_level.append(child)
-        if not expanded:
-            candidates = []
+    frontier = [start]
+    for _ in range(_MAX_LEVELS):
+        if len(frontier) >= processes * _OVERSHARD:
             break
-        candidates = next_level
-        level += 1
-
-    frontier = candidates
-    #: work groups kept together in one shard: [(path, may_descend,
-    #: weight), ...]
-    groups: list[list[tuple[str, bool, int]]] = []
-    spine_rides_along = True
-    if frontier:
-        # Group frontier siblings that rollup could have merged into
-        # their parent — they share a permission shape, so keeping
-        # them in one shard keeps each worker's profile coherent.
-        by_parent: dict[str, list[str]] = defaultdict(list)
+        below: list[str] = []
         for path in frontier:
-            by_parent[parents.get(path, start)].append(path)
-        for parent, kids in by_parent.items():
-            pmeta = metas.get(parent)
-            compat: list[tuple[str, bool, int]] = []
-            for kid in kids:
-                kmeta = metas.get(kid)
-                if kid not in metas:
-                    kmeta = index.cached_dir_meta(kid)
-                    metas[kid] = kmeta
-                w = _unit_weight(kmeta)
-                if (
-                    pmeta is not None
-                    and kmeta is not None
-                    and rollup_compatible(
-                        pmeta.mode, pmeta.uid, pmeta.gid,
-                        kmeta.mode, kmeta.uid, kmeta.gid,
-                    )
-                ):
-                    compat.append((kid, True, w))
-                else:
-                    groups.append([(kid, True, w)])
-            if compat:
-                groups.append(compat)
-
-        # A compatibility group heavier than a fair share would defeat
-        # balancing: break it back into single-directory groups.
-        total_weight = sum(w for g in groups for _, _, w in g)
-        fair = total_weight / max(1, processes)
-        split: list[list[tuple[str, bool, int]]] = []
-        for g in groups:
-            if len(g) > 1 and sum(w for _, _, w in g) > fair:
-                split.extend([item] for item in g)
-            else:
-                split.append(g)
-        groups = split
-    else:
-        # The walk exhausted the tree during planning: every visitable
-        # directory is on the spine. Shard the complete enumeration as
-        # single-directory units instead of giving up — small-but-wide
-        # trees still parallelise.
-        groups = [
-            [(path, False, _unit_weight(metas.get(path)))] for path in spine
-        ]
-        spine_rides_along = False
-    if len(groups) < 2:
+            trav.checkpoint()
+            spine.append(path)
+            meta = index.cached_dir_meta(path)
+            # a denied or missing directory is the worker's to count
+            if meta is not None and trav.permitted(meta):
+                below += trav.descend(
+                    path, meta, path_depth(path) - trav.start_depth
+                )
+        frontier = below
+    # Recursive frontier units, with the spine riding along; a tree the
+    # planner exhausted is sharded as its spine, so small-but-wide
+    # trees still parallelise.
+    riders = spine if frontier else []
+    units = [
+        (path, bool(frontier), _unit_weight(index.cached_dir_meta(path)))
+        for path in (frontier or spine)
+    ]
+    if len(units) < 2:
         return None
-
-    # LPT greedy pack: heaviest group onto the lightest shard.
-    nbins = min(processes, len(groups))
-    shards = [Shard() for _ in range(nbins)]
-    for g in sorted(groups, key=lambda g: -sum(w for _, _, w in g)):
-        bin_ = min(shards, key=lambda s: s.weight)
-        bin_.units.extend((path, rec) for path, rec, _ in g)
-        bin_.weight += sum(w for _, _, w in g)
-    if spine_rides_along:
-        # Expanded directories ride along as single-directory units.
-        for path in spine:
-            bin_ = min(shards, key=lambda s: s.weight)
-            bin_.units.append((path, False))
-            bin_.weight += 1
+    # LPT greedy pack: heaviest unit onto the lightest shard.
+    shards = [Shard() for _ in range(min(processes, len(units)))]
+    units.sort(key=lambda unit: -unit[2])
+    for path, rec, weight in units + [(path, False, 1) for path in riders]:
+        shard = min(shards, key=lambda s: s.weight)
+        shard.units.append((path, rec))
+        shard.weight += weight
     for shard in shards:
         shard.units.sort()
-    return ShardPlan(
-        shards=shards,
-        spine=spine,
-        frontier=sorted(frontier),
-        start_depth=start_depth,
-    )
+    return shards
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +200,10 @@ class _WorkerTask:
     result_path: str
     #: enable the worker's own metrics registry and ship a snapshot
     obs_metrics: bool
+    #: the run's absolute ``time.monotonic()`` deadline, if any: the
+    #: clock is system-wide, so the worker's token trips when the
+    #: parent's would (a manual cancel does not cross the fork)
+    deadline: float | None
     #: test hook, called with worker_id before any work (picklable
     #: module-level function; crash tests kill the process here)
     worker_init: Callable[[int], None] | None = None
@@ -309,14 +214,16 @@ class _WorkerResult:
     """What comes back through the result file."""
 
     worker_id: int
-    rows: list[tuple]
-    counters: dict[str, int]
-    stage_seconds: dict[str, float] | None
-    walk_processed: int
-    walk_errored: int
-    elapsed: float
-    metrics: dict | None
-    error: str | None
+    rows: list[tuple] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
+    stage_seconds: dict[str, float] | None = None
+    walk_processed: int = 0
+    walk_errored: int = 0
+    elapsed: float = 0.0
+    metrics: dict | None = None
+    error: str | None = None
+    #: the shard stopped at the run's deadline
+    cancelled: bool = False
 
 
 def _worker_main(task: _WorkerTask) -> None:
@@ -347,6 +254,7 @@ def _worker_main(task: _WorkerTask) -> None:
                 plan=task.plan,
                 sink=MemorySink(),
                 agg_path=task.agg_path,
+                cancel=CancelToken(task.deadline),
             )
         finally:
             engine.close()
@@ -360,24 +268,23 @@ def _worker_main(task: _WorkerTask) -> None:
             walk_errored=walk.items_errored if walk else 0,
             elapsed=result.elapsed,
             metrics=obs.snapshot().to_dict() if task.obs_metrics else None,
-            error=None,
         )
+    except QueryCancelled:
+        payload = _WorkerResult(task.worker_id, cancelled=True)
     except BaseException:
-        payload = _WorkerResult(
-            worker_id=task.worker_id,
-            rows=[],
-            counters={},
-            stage_seconds=None,
-            walk_processed=0,
-            walk_errored=0,
-            elapsed=0.0,
-            metrics=None,
-            error=traceback.format_exc(),
-        )
+        payload = _WorkerResult(task.worker_id, error=traceback.format_exc())
     tmp = task.result_path + ".tmp"
     with open(tmp, "wb") as fh:
         pickle.dump(payload, fh)
     os.replace(tmp, task.result_path)
+
+
+def _unlink(path: str) -> None:
+    """Remove a hand-off file that may never have been written."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -394,19 +301,9 @@ class ScatterGatherEngine:
     walker/session metrics fold in through snapshot merging.
     """
 
-    def __init__(
-        self,
-        engine: QueryEngine,
-        processes: int,
-        mp_start_method: str | None = None,
-        overshard: int = 4,
-        max_levels: int = 4,
-    ) -> None:
+    def __init__(self, engine: QueryEngine, processes: int) -> None:
         self.engine = engine
         self.processes = max(2, int(processes))
-        self.mp_start_method = mp_start_method
-        self.overshard = overshard
-        self.max_levels = max_levels
         #: test hook forwarded to every worker (see ``_WorkerTask``)
         self.worker_init: Callable[[int], None] | None = None
         self._seq = 0
@@ -438,7 +335,15 @@ class ScatterGatherEngine:
         start: str = "/",
         plan: QueryPlan | None = None,
         sink: ResultSink | None = None,
+        cancel: CancelToken | None = None,
     ) -> QueryResult:
+        """:meth:`QueryEngine.run` over worker processes. ``cancel``
+        is checked once per directory the planner expands, and its
+        deadline travels with every shard: a worker past it stops
+        within one directory, and the run raises
+        :class:`QueryCancelled` before any row reaches ``sink``. A
+        manual :meth:`CancelToken.cancel` is seen only until the
+        shards are dispatched."""
         engine = self.engine
         sink = engine._default_sink(spec) if sink is None else sink
         sink._claim()
@@ -446,7 +351,7 @@ class ScatterGatherEngine:
             "query.run",
             spec,
             start,
-            lambda otr: self._run_impl(spec, start, plan, sink, otr),
+            lambda otr: self._run_impl(spec, start, plan, sink, otr, cancel),
         )
 
     def _run_impl(
@@ -456,31 +361,21 @@ class ScatterGatherEngine:
         plan: QueryPlan | None,
         sink: ResultSink,
         otr: Any,
+        cancel: CancelToken | None,
     ) -> QueryResult:
         global _FORK_INDEX
         engine = self.engine
         t0 = time.monotonic()
         start = normalize_path(start)
         start_depth = path_depth(start)
-        trav = Traversal(engine.index, engine.creds, spec, plan, start_depth)
-        trav.check_root_reachable(start)
-        if not engine.index.db_path(start).exists():
-            raise FileNotFoundError(f"no index directory for {start!r}")
-
-        shard_plan = plan_shards(
-            engine.index,
-            trav,
-            spec,
-            start,
-            start_depth,
-            self.processes,
-            overshard=self.overshard,
-            max_levels=self.max_levels,
+        trav = Traversal(
+            engine.index, engine.creds, spec, plan, start_depth, cancel=cancel
         )
-        if shard_plan is None:
+        trav.check_start(start)
+        shards = plan_shards(trav, start, self.processes)
+        if shards is None:
             # Tree too narrow to shard: run single-process, same sink.
-            return engine._run_impl(spec, start, True, plan, sink, otr)
-        shards = shard_plan.shards
+            return engine._run_impl(spec, start, True, plan, sink, otr, cancel)
 
         timing = obs.metrics().enabled
         worker_spec = replace(spec, G=None, output_prefix=None)
@@ -508,12 +403,13 @@ class ScatterGatherEngine:
                     scratch, f"scatter_{seq}_w{wid}.result.pkl"
                 ),
                 obs_metrics=timing,
+                deadline=None if cancel is None else cancel.deadline,
                 worker_init=self.worker_init,
             )
             for wid, shard in enumerate(shards)
         ]
 
-        ctx = mp.get_context(self.mp_start_method)
+        ctx = mp.get_context()
         procs = [
             ctx.Process(target=_worker_main, args=(task,), daemon=True)
             for task in tasks
@@ -537,10 +433,7 @@ class ScatterGatherEngine:
             except (OSError, pickle.UnpicklingError, EOFError):
                 res = None  # the worker died before writing: a crash
             finally:
-                try:
-                    os.unlink(task.result_path)
-                except OSError:
-                    pass
+                _unlink(task.result_path)
             results.append(res)
 
         crashes = sum(1 for r in results if r is None)
@@ -567,24 +460,19 @@ class ScatterGatherEngine:
                 if res is not None and res.metrics is not None:
                     rec.merge_snapshot(MetricsSnapshot.from_dict(res.metrics))
 
-        g_rows, g_time = self._fold_aggregates(spec, tasks, results)
-
-        # Gather rows through the caller's sink, via one parent state.
-        clean = [r for r in results if r is not None and r.error is None]
-        st = engine.pool.acquire(spec.I, sink.thread_output_path(0))
-        output_files: list[str] = []
         try:
-            for res in clean:
-                if res.rows:
-                    sink.emit(st, res.rows)
-            if g_rows:
-                sink.emit_final(g_rows)
-            summary = sink.finish([st])
+            if any(r is not None and r.cancelled for r in results):
+                raise QueryCancelled("query cancelled (deadline exceeded)")
+            g_rows, g_time = self._fold_aggregates(spec, tasks, results)
         finally:
-            out_path = st.finish_output()
-            if out_path is not None:
-                output_files.append(out_path)
-            engine.pool.release([st])
+            for task in tasks:
+                if task.agg_path is not None:
+                    _unlink(task.agg_path)
+
+        clean = [r for r in results if r is not None and r.error is None]
+        summary, output_files = engine._deliver(
+            spec, sink, [row for r in clean for row in r.rows], g_rows
+        )
 
         if worker_error is not None:
             wid, text = worker_error
@@ -592,9 +480,11 @@ class ScatterGatherEngine:
                 f"query failed in scatter worker {wid}:\n{text}"
             )
 
-        def total(name: str) -> int:
-            return sum(r.counters.get(name, 0) for r in clean)
-
+        counters = {
+            name: sum(r.counters[name] for r in clean)
+            for name in _COUNTER_FIELDS
+        }
+        counters["dirs_errored"] += crashed_units
         walk = WalkStats(
             items_processed=sum(r.walk_processed for r in clean),
             items_errored=sum(r.walk_errored for r in clean),
@@ -614,13 +504,8 @@ class ScatterGatherEngine:
         return QueryResult(
             rows=summary.rows,
             elapsed=time.monotonic() - t0,
-            dirs_visited=total("dirs_visited"),
-            dirs_denied=total("dirs_denied"),
-            dbs_opened=total("dbs_opened"),
-            dirs_errored=total("dirs_errored") + crashed_units,
-            dirs_pruned_by_plan=total("dirs_pruned_by_plan"),
-            attaches_elided=total("attaches_elided"),
-            output_files=sorted(output_files) if output_files else None,
+            **counters,
+            output_files=output_files,
             truncated=summary.truncated,
             walk_stats=walk,
             stage_seconds=stage_seconds,
@@ -635,71 +520,61 @@ class ScatterGatherEngine:
     ) -> tuple[list[tuple], float]:
         """Row-union every clean worker's aggregate database into one
         parent aggregate built from the ``I`` script, then run ``G``
-        exactly once against it. Returns (G rows, G seconds)."""
-        engine = self.engine
-        worker_aggs = [t.agg_path for t in tasks if t.agg_path is not None]
+        exactly once against it. Returns (G rows, G seconds); the
+        caller deletes the worker files."""
         if not (spec.J or spec.G):
             return [], 0.0
         g_rows: list[tuple] = []
         g_time = 0.0
+        # only this connection reads the fold: a private in-memory
+        # database the worker files are attached to, one at a time
+        conn = sqlite3.connect(":memory:")
         try:
-            # only this connection reads the fold: a private in-memory
-            # database the worker files are attached to, one at a time
-            conn = sqlite3.connect(":memory:")
-            try:
-                if spec.I:
-                    user_script(conn, spec.I)
-                    conn.commit()
-                for task, res in zip(tasks, results):
-                    if (
-                        task.agg_path is None
-                        or res is None
-                        or res.error is not None
-                        or not os.path.exists(task.agg_path)
-                    ):
-                        continue
-                    conn.execute(
-                        "ATTACH DATABASE ? AS worker", (task.agg_path,)
-                    )
-                    try:
-                        tables = [
-                            name
-                            for (name,) in conn.execute(
-                                "SELECT name FROM worker.sqlite_master "
-                                "WHERE type = 'table' "
-                                "AND name NOT LIKE 'sqlite_%'"
-                            )
-                        ]
-                        for table in tables:
-                            here = conn.execute(
-                                "SELECT name FROM main.sqlite_master "
-                                "WHERE type = 'table' AND name = ?",
-                                (table,),
-                            ).fetchone()
-                            if here is not None:
-                                conn.execute(
-                                    f'INSERT INTO main."{table}" '
-                                    f'SELECT * FROM worker."{table}"'
-                                )
-                            else:
-                                conn.execute(
-                                    f'CREATE TABLE main."{table}" AS '
-                                    f'SELECT * FROM worker."{table}"'
-                                )
-                        conn.commit()
-                    finally:
-                        conn.execute("DETACH DATABASE worker")
-                if spec.G:
-                    gb = time.perf_counter()
-                    register(conn, QueryContext(users=engine.pool.users))
-                    g_rows = run_sql(conn, spec.G, 0)
-                    g_time = time.perf_counter() - gb
-            finally:
-                conn.close()
-        finally:
-            for path in worker_aggs:
+            if spec.I:
+                user_script(conn, spec.I)
+                conn.commit()
+            for task, res in zip(tasks, results):
+                if (
+                    task.agg_path is None
+                    or res is None
+                    or res.error is not None
+                    or not os.path.exists(task.agg_path)
+                ):
+                    continue
+                conn.execute("ATTACH DATABASE ? AS worker", (task.agg_path,))
                 try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+                    tables = [
+                        name
+                        for (name,) in conn.execute(
+                            "SELECT name FROM worker.sqlite_master "
+                            "WHERE type = 'table' "
+                            "AND name NOT LIKE 'sqlite_%'"
+                        )
+                    ]
+                    for table in tables:
+                        here = conn.execute(
+                            "SELECT name FROM main.sqlite_master "
+                            "WHERE type = 'table' AND name = ?",
+                            (table,),
+                        ).fetchone()
+                        if here is not None:
+                            conn.execute(
+                                f'INSERT INTO main."{table}" '
+                                f'SELECT * FROM worker."{table}"'
+                            )
+                        else:
+                            conn.execute(
+                                f'CREATE TABLE main."{table}" AS '
+                                f'SELECT * FROM worker."{table}"'
+                            )
+                    conn.commit()
+                finally:
+                    conn.execute("DETACH DATABASE worker")
+            if spec.G:
+                gb = time.perf_counter()
+                register(conn, QueryContext(users=self.engine.pool.users))
+                g_rows = run_sql(conn, spec.G, 0)
+                g_time = time.perf_counter() - gb
+        finally:
+            conn.close()
         return g_rows, g_time

@@ -103,15 +103,13 @@ class StageRunner:
     # ------------------------------------------------------------------
     # Per-directory stages
     # ------------------------------------------------------------------
-    def t_stage(self, st: _ThreadState, rows: list[tuple]) -> bool:
+    def t_stage(self, st: _ThreadState, rows: list[tuple]) -> None:
         """Run ``T`` against the attached directory's tsummary rows —
         the caller asks only where ``DirMeta.tsummary`` says there are
-        some. Returns True when the subtree is answered here and
-        descent should prune (Fig 10's 230× query 4)."""
-        spec = self.spec
-        assert spec.T is not None
-        self._timed_stage(st, "T", spec.T, rows)
-        return not spec.t_no_prune
+        some. Whether that prunes is the traversal's call
+        (:meth:`~repro.core.engine.traversal.Traversal.t_prunes`)."""
+        assert self.spec.T is not None
+        self._timed_stage(st, "T", self.spec.T, rows)
 
     def s_e_stages(
         self,

@@ -109,7 +109,7 @@ def path_depth(path: str) -> int:
 def proper_ancestors(path: str) -> list[str]:
     """Every proper ancestor of a path, ``/`` first (none for ``/``
     itself): the directories whose search bits gate reaching
-    ``path`` — what :meth:`Traversal.check_root_reachable` asks and
+    ``path`` — what :meth:`Traversal.check_start` asks and
     what a cached result's validity token records."""
     parts = [p for p in path.split("/") if p]
     return ["/" + "/".join(parts[:i]) for i in range(len(parts))]
@@ -176,12 +176,12 @@ class Traversal:
     # ------------------------------------------------------------------
     # Permission enforcement
     # ------------------------------------------------------------------
-    def check_root_reachable(self, start: str) -> None:
-        """Every proper ancestor of the query root — ``/`` first — must
-        grant search (x): the kernel's path-walk rule, reproduced for
-        the index. With a warm cache this is one dictionary lookup
-        (plus a validating stat) per ancestor, not one database open
-        per ancestor."""
+    def check_start(self, start: str) -> None:
+        """The query root must be reachable — every proper ancestor,
+        ``/`` first, grants search (x): the kernel's path-walk rule,
+        reproduced for the index — and indexed. With a warm cache this
+        is one dictionary lookup (plus a validating stat) per ancestor,
+        not one database open per ancestor."""
         for cur in proper_ancestors(start):
             meta = self.index.cached_dir_meta(cur)
             if meta is None:
@@ -190,6 +190,8 @@ class Traversal:
                 raise QueryPermissionError(
                     f"permission denied traversing {cur!r}"
                 )
+        if not self.index.db_path(start).exists():
+            raise FileNotFoundError(f"no index directory for {start!r}")
 
     def permitted(self, meta: DirMeta) -> bool:
         """x on the directory (to pass through) and r (to enumerate):
@@ -246,19 +248,28 @@ class Traversal:
     # ------------------------------------------------------------------
     # Descent control
     # ------------------------------------------------------------------
+    def t_prunes(self, meta: DirMeta, rel_depth: int) -> bool:
+        """Does a tsummary answer this directory's subtree? Where ``T``
+        runs (inside the plan's depth window) on tree-summary rows, and
+        ``t_no_prune`` is off, ``S``/``E`` are skipped and descent
+        stops (Fig 10's 230× query 4)."""
+        spec = self.spec
+        return bool(
+            spec.T
+            and meta.tsummary
+            and not spec.t_no_prune
+            and self.wants_level(rel_depth)
+        )
+
     def descend(
-        self,
-        source_path: str,
-        meta: DirMeta,
-        rel_depth: int,
-        t_pruned: bool = False,
+        self, source_path: str, meta: DirMeta, rel_depth: int
     ) -> list[str]:
         """The directory's child work units, or nothing when descent
-        stops here: a tsummary answered the subtree (``t_pruned``), a
-        rolled-up database already contains it, the plan's depth
+        stops here: a tsummary answered the subtree (:meth:`t_prunes`),
+        a rolled-up database already contains it, the plan's depth
         window is exhausted, or the cached subtree ``maxdepth`` proves
         ``min_level`` is unreachable."""
-        if t_pruned or meta.rolledup:
+        if meta.rolledup or self.t_prunes(meta, rel_depth):
             return []
         if self.plan is not None:
             sub_max = None

@@ -16,6 +16,7 @@ import multiprocessing as mp
 import os
 import signal
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.core.build import BuildOptions, dir2index
 from repro.core.engine import (
+    CancelToken,
+    QueryCancelled,
     QueryEngine,
     QuerySpec,
     ThreadFileSink,
@@ -31,9 +34,10 @@ from repro.core.engine import (
     plan_shards,
 )
 from repro.core.plan import plan_for
-from repro.core.query import Q1_LIST_PATHS, Q3_DU_SUMMARIES
+from repro.core.query import Q1_LIST_PATHS, Q3_DU_SUMMARIES, Q4_DU_TSUMMARY
 from repro.core.rollup import rollup
 from repro.core.tools import FindFilters, GUFITools
+from repro.core.tsummary import build_tsummary
 from repro.fs.permissions import ROOT
 from repro.fs.tree import VFSTree
 
@@ -108,14 +112,14 @@ def test_planner_shards_demo_tree(plain_index):
     complete spine enumeration is sharded, covering every directory
     exactly once."""
     trav = Traversal(plain_index, ROOT, Q1_LIST_PATHS, None, 1)
-    sp = plan_shards(plain_index, trav, Q1_LIST_PATHS, "/", 1, PROCESSES)
-    assert sp is not None
-    assert 2 <= len(sp.shards) <= PROCESSES
-    all_units = [u for shard in sp.shards for u in shard.units]
+    shards = plan_shards(trav, "/", PROCESSES)
+    assert shards is not None
+    assert 2 <= len(shards) <= PROCESSES
+    all_units = [u for shard in shards for u in shard.units]
     paths = [p for p, _ in all_units]
     assert len(paths) == len(set(paths))  # no unit dispatched twice
     assert "/" in paths
-    assert all(w >= 0 for w in (s.weight for s in sp.shards))
+    assert all(w >= 0 for w in (s.weight for s in shards))
 
 
 def test_planner_respects_permissions(plain_index):
@@ -123,10 +127,10 @@ def test_planner_respects_permissions(plain_index):
     caller cannot search — those units go to workers no-descend or as
     opaque recursive roots, exactly like the single-process walk."""
     trav = Traversal(plain_index, ALICE, Q1_LIST_PATHS, None, 1)
-    sp = plan_shards(plain_index, trav, Q1_LIST_PATHS, "/", 1, PROCESSES)
-    if sp is None:
+    shards = plan_shards(trav, "/", PROCESSES)
+    if shards is None:
         pytest.skip("tree too narrow for this planner shape")
-    paths = [p for shard in sp.shards for p, _ in shard.units]
+    paths = [p for shard in shards for p, _ in shard.units]
     # alice cannot search /home/bob/secret: nothing below it planned
     assert not any(p.startswith("/home/bob/secret/") for p in paths)
 
@@ -138,7 +142,23 @@ def test_planner_narrow_tree_returns_none(tmp_path):
         t, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS)
     ).index
     trav = Traversal(index, ROOT, Q1_LIST_PATHS, None, 1)
-    assert plan_shards(index, trav, Q1_LIST_PATHS, "/", 1, PROCESSES) is None
+    assert plan_shards(trav, "/", PROCESSES) is None
+
+
+def test_planner_stops_where_a_tsummary_answers(tmp_path):
+    """The planner asks the traversal's own T-prune rule: with a ``T``
+    spec, nothing below a directory holding tsummary rows is planned."""
+    index = dir2index(
+        build_demo_tree(), tmp_path / "idx",
+        opts=BuildOptions(nthreads=NTHREADS),
+    ).index
+    build_tsummary(index, "/home")
+    trav = Traversal(index, ROOT, Q4_DU_TSUMMARY, None, 0)
+    shards = plan_shards(trav, "/", PROCESSES)
+    assert shards is not None
+    paths = [p for shard in shards for p, _ in shard.units]
+    assert "/home" in paths
+    assert not any(p.startswith("/home/") for p in paths)
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +233,38 @@ def test_aggregate_join_final_fold(plain_index):
             mp_ = multi.run(Q3_DU_SUMMARIES)
             assert sp.scalar() == mp_.scalar()
             assert len(mp_.rows) == 1
+
+
+@pytest.mark.parametrize("at", ["/home", "/"])
+@pytest.mark.parametrize("who", [w for w, _ in CREDS_CASES])
+def test_tsummary_stage_matches_single_process(tmp_path, at, who):
+    """A ``T`` stage prunes the same subtrees, and answers the same,
+    one process or many."""
+    index = dir2index(
+        build_demo_tree(), tmp_path / "idx",
+        opts=BuildOptions(nthreads=NTHREADS),
+    ).index
+    build_tsummary(index, at)
+    creds = dict(CREDS_CASES)[who]
+    with GUFITools(index, creds=creds, nthreads=NTHREADS) as single, \
+            GUFITools(
+                index, creds=creds, nthreads=NTHREADS, processes=PROCESSES
+            ) as multi:
+        assert single.du("/", use_tsummary=True) == multi.du(
+            "/", use_tsummary=True
+        )
+    with QueryEngine(index, creds=creds, nthreads=NTHREADS) as single, \
+            QueryEngine(
+                index, creds=creds, nthreads=NTHREADS, processes=PROCESSES
+            ) as multi:
+        single.run(Q4_DU_TSUMMARY)  # warm-up: both see one cache state
+        sp = single.run(Q4_DU_TSUMMARY)
+        mp_ = multi.run(Q4_DU_TSUMMARY)
+    assert sorted(sp.rows) == sorted(mp_.rows)
+    if FORK:
+        assert _counters(sp) == _counters(mp_)
+    else:
+        assert _counters(sp, COLD_SAFE) == _counters(mp_, COLD_SAFE)
 
 
 def test_tools_thread_processes_through(plain_index):
@@ -329,6 +381,24 @@ def test_worker_exception_reraises_in_parent(plain_index):
         multi._scatter().worker_init = None
         ok = multi.run(Q1_LIST_PATHS)
         assert ok.dirs_errored == 0 and ok.rows
+
+
+def _sleep_half_second(worker_id: int) -> None:
+    time.sleep(0.5)
+
+
+def test_deadline_crosses_into_the_workers(plain_index):
+    """The run's deadline is the workers' deadline: shards that start
+    after it has passed stop at their first directory and the run
+    raises instead of returning late rows."""
+    with QueryEngine(
+        plain_index, nthreads=NTHREADS, processes=PROCESSES
+    ) as multi:
+        multi._scatter().worker_init = _sleep_half_second
+        with pytest.raises(QueryCancelled):
+            multi.run(Q1_LIST_PATHS, cancel=CancelToken.after(0.2))
+        ok = multi.run(Q1_LIST_PATHS, cancel=CancelToken.after(60))
+        assert ok.rows and ok.dirs_errored == 0
 
 
 # ----------------------------------------------------------------------

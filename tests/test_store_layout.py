@@ -99,6 +99,9 @@ _DELETED_NAMES = (
     "_add_result_cache",
     "_event_touches",
     "_bound",
+    "_t_prunes",
+    "ShardPlan",
+    "mp_start_method",
 )
 
 
@@ -164,13 +167,16 @@ def _deleted_names_in(path: Path) -> list[int]:
 
 
 #: the per-directory step of every walk — strings only (five ``Path``
-#: objects per directory once cost more than listing the directory)
-#: — and of every result-cache hit and capture, whose validity token
+#: objects per directory once cost more than listing the directory),
+#: the shard planner's included, which asks the same descent rule —
+#: and of every result-cache hit and capture, whose validity token
 #: is two stats per recorded directory and nothing else (a method is
 #: named ``Class.method`` where the bare name is not unique)
 _HOT_FUNCTIONS = (
     "process_dir",
     "cached_subdir_names",
+    "Traversal.descend",
+    "Traversal.t_prunes",
     "ResultCache._validate",
     "ResultCache.store",
 )
