@@ -22,7 +22,7 @@ from .build import (
     dir2index,
     trace2index,
 )
-from .changefeed import ApplyResult, changefeed2index, reduce_events
+from .changefeed import ApplyResult, apply_delta, changefeed2index, reduce_events
 from .checkpoint import (
     JOURNAL_NAME,
     BuildJournal,
@@ -88,7 +88,7 @@ from .server import (
 )
 from .tools import FindFilters, GUFITools
 from .tsummary import TSummaryResult, build_tsummary, drop_tsummary
-from .update import UpdateResult, update_directory
+from .update import update_directory
 from .xattrs import (
     GID_NONE,
     UID_NONE,
@@ -124,6 +124,7 @@ __all__ = [
     "BuildJournal",
     "BuildOptions",
     "ChangefeedCheckpoint",
+    "apply_delta",
     "changefeed2index",
     "reduce_events",
     "BuildResult",
@@ -165,7 +166,6 @@ __all__ = [
     "RollupStats",
     "TSummaryResult",
     "UID_NONE",
-    "UpdateResult",
     "XattrShards",
     "accessible_side_dbs",
     "build_dir_db",

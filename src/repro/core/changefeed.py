@@ -6,7 +6,10 @@ per cycle no matter how little changed. Robinhood and Icicle instead
 consume file-system changelogs and pay O(changes). This module is
 that consumer: :func:`changefeed2index` drains a
 :class:`~repro.fs.changelog.ChangeJournal` attached to the live
-source tree and surgically updates an existing index —
+source tree and surgically updates an existing index. Steps 2–5 are
+:func:`apply_delta`, which has three callers: this one,
+:func:`~repro.core.update.update_directory` (dirty directories) and
+:mod:`~repro.core.compose`'s graft and prune (one structural op) —
 
 1. **Reduce** the drained events to (a) an *ordered* list of
    structural index operations (a directory rename is one physical
@@ -20,7 +23,7 @@ source tree and surgically updates an existing index —
 2. **Unroll** any rollups on the root→target path of every touched
    directory (a rolled-up ancestor holds merged copies of the data
    being changed), reusing :func:`repro.core.update.unroll_path_to`;
-   each ancestor is checked once per batch, not once per target.
+   each ancestor is checked once per apply, not once per target.
 3. **Apply structural ops in event order.** Each op is idempotent —
    a move is skipped when its source index directory is missing or
    its destination already exists, a delete of a missing directory is
@@ -32,10 +35,11 @@ source tree and surgically updates an existing index —
    (not remembered) it is zero on replay.
 4. **Rebuild dirty directories** by rescanning the *live* tree and
    republishing through :func:`repro.core.build.build_dir_db`'s
-   atomic ``.partial``+rename path — one directory, not the subtree.
-   Rescanning the live tree is what makes replay exactly-once in
-   effect: a directory rebuilt twice converges to the same rows. The
-   rescan turns inodes into ``entries`` rows in one pass
+   atomic ``.partial``+rename path — one directory, not the subtree;
+   a dirty directory that is no longer live is removed like a
+   structural delete. Rescanning the live tree is what makes replay
+   exactly-once in effect: a directory rebuilt twice converges to the
+   same rows. The rescan turns inodes into ``entries`` rows in one pass
    (:func:`~repro.core.update.scan_single_dir`). Every touched
    directory's :class:`~repro.core.index.DirMetaCache` entry (and the
    plan stats riding on it) is invalidated per event, not per stamp.
@@ -52,8 +56,9 @@ source tree and surgically updates an existing index —
    contribution on the handle) and stats the rest.
 6. **Commit the cursor** through
    :class:`~repro.core.checkpoint.ChangefeedCheckpoint` (atomic
-   rename, same discipline as the databases) and only then
-   :meth:`~repro.fs.changelog.ChangeJournal.release` the events.
+   rename, same discipline as the databases; an apply with no cursor
+   writes it only to record, then settle, a refresh it owes) and only
+   then :meth:`~repro.fs.changelog.ChangeJournal.release` the events.
    A crash anywhere earlier re-drains the same batch from the last
    committed cursor: nothing is dropped, and idempotent application
    means nothing is double-applied.
@@ -70,7 +75,7 @@ import os
 import shutil
 import sqlite3
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.fs.changelog import (
@@ -92,7 +97,8 @@ from .update import scan_single_dir, unroll_path_to
 
 @dataclass
 class ApplyResult:
-    """Outcome of one :func:`changefeed2index` batch."""
+    """Outcome of one apply. Outside a :func:`changefeed2index` batch
+    ``events_*`` are zero and ``cursor`` is the one committed before."""
 
     seconds: float
     cursor: int
@@ -245,55 +251,31 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
         reader.close()
 
 
-def changefeed2index(
+def apply_delta(
     index: GUFIIndex,
-    tree: VFSTree,
-    journal: ChangeJournal,
+    tree: VFSTree | None,
+    structural: list[tuple[str, str, str | None]],
+    dirty: set[str],
     opts: BuildOptions | None = None,
     faults=None,
-    limit: int | None = None,
     tsummary_per_user_group: bool = True,
+    commit: int | None = None,
 ) -> ApplyResult:
-    """Drain the journal and apply the delta to an existing index.
-
-    ``faults`` is threaded into :func:`build_dir_db` (sites
-    ``"build_dir_db"`` / ``"build_dir_db.commit"``) and
-    :func:`unroll_path_to` (site ``"unrollup_dir"``) so crash tests can
-    kill the apply mid-rebuild or mid-unroll; ``limit`` bounds how
-    many raw events one batch drains. Raises :class:`ChangelogOverflow`
-    when the consumer's cursor predates the journal's retained window
-    — the caller must fall back to a full rebuild.
-    """
+    """Steps 2–5 for one delta: what :func:`reduce_events` returns,
+    or what an in-place writer spells out. ``tree`` is only read for
+    dirty directories. ``commit`` is the cursor a changefeed commits;
+    with none, the checkpoint is written only to record a tree-summary
+    refresh owed and then to settle it. ``faults`` reaches
+    :func:`build_dir_db` and :func:`unroll_path_to`, so crash tests
+    can kill the apply mid-rebuild or mid-unroll."""
+    # with no tree every dirty directory would look vanished
+    assert tree is not None or not dirty
     opts = opts or BuildOptions()
     t0 = time.monotonic()
-    metrics = obs.metrics()
     ckpt = ChangefeedCheckpoint(index.root)
     cursor, pending_ts = ckpt.load_state()
-    try:
-        batch = journal.drain(cursor, limit=limit)
-    except ChangelogOverflow:
-        metrics.counter("gufi_changefeed_overflows_total")
-        raise
-    metrics.counter("gufi_changefeed_events_total", batch.raw_count)
-    metrics.counter("gufi_changefeed_coalesced_total", batch.coalesced)
 
-    if not batch.events and not pending_ts:
-        return ApplyResult(
-            seconds=time.monotonic() - t0,
-            cursor=cursor,
-            events_raw=0,
-            events_applied=0,
-            events_coalesced=0,
-            dirs_rebuilt=0,
-            dirs_moved=0,
-            dirs_removed=0,
-            entries_indexed=0,
-            tsummary_refreshed=0,
-        )
-
-    structural, dirty = reduce_events(batch.events)
-
-    # Every path an event touches, in both event-time and final
+    # Every path the delta touches, in both event-time and final
     # coordinates, contributes its ancestor chain to the tsummary
     # candidate set (a tsummary row summarises a whole subtree, so any
     # change below its root stales it).
@@ -307,7 +289,7 @@ def changefeed2index(
         candidates.update(_ancestors(p))
 
     unrolled: list[str] = []
-    #: directories this batch already found (or made) not rolled up
+    #: directories this apply already found (or made) not rolled up
     checked: set[str] = set()
     dirs_moved = dirs_removed = 0
 
@@ -351,7 +333,7 @@ def changefeed2index(
     # each rebuild hands it over instead of the refresh re-reading it
     handover: dict | None = {} if ts_roots else None
     for d in sorted(dirty):
-        if _is_live_dir(tree, d):
+        if tree is not None and _is_live_dir(tree, d):
             unrolled += unroll_path_to(index, d, checked, faults)
             scanned = scan_single_dir(tree, d)
             n, _ = build_dir_db(
@@ -359,12 +341,16 @@ def changefeed2index(
             )
             dirs_rebuilt += 1
             entries_indexed += n
+            # before returning: a warm session's very next query must
+            # not see the old mode/uid/gid (the §III-A3 security fix)
             index.invalidate_cache(d)
             if handover:
                 index.cache.put_contribution(d, *handover.pop(d))
         else:
             # the directory vanished between event and apply (or was
-            # created and removed within the batch)
+            # created and removed within the batch): removed like a
+            # structural ``remove``, rollups above it undone first
+            unrolled += unroll_path_to(index, _parent(d), checked, faults)
             idx_dir = index.index_dir(d)
             if idx_dir.exists():
                 shutil.rmtree(idx_dir, ignore_errors=True)
@@ -380,25 +366,17 @@ def changefeed2index(
             ).dbs_opened
             tsummary_refreshed += 1
 
-    # -- commit point: cursor durable first, then journal trimmed ------
-    new_cursor = batch.cursor
-    ckpt.commit(new_cursor)
-    journal.release(new_cursor)
+    # -- settle: the changefeed's cursor, or the refresh owed ----------
+    cursor = cursor if commit is None else commit
+    if commit is not None or ts_roots:
+        ckpt.commit(cursor)
 
-    elapsed = time.monotonic() - t0
-    metrics.counter("gufi_changefeed_applied_total", len(batch.events))
-    if metrics.enabled:
-        metrics.observe("gufi_changefeed_apply_seconds", elapsed)
-        metrics.counter("gufi_changefeed_entries_indexed_total", entries_indexed)
-        # events emitted after the drain (or beyond ``limit``) that the
-        # committed cursor has not covered yet
-        metrics.gauge("gufi_changefeed_lag_events", journal.head - new_cursor)
     return ApplyResult(
-        seconds=elapsed,
-        cursor=new_cursor,
-        events_raw=batch.raw_count,
-        events_applied=len(batch.events),
-        events_coalesced=batch.coalesced,
+        seconds=time.monotonic() - t0,
+        cursor=cursor,
+        events_raw=0,
+        events_applied=0,
+        events_coalesced=0,
         dirs_rebuilt=dirs_rebuilt,
         dirs_moved=dirs_moved,
         dirs_removed=dirs_removed,
@@ -406,4 +384,59 @@ def changefeed2index(
         tsummary_refreshed=tsummary_refreshed,
         unrolled_dirs=sorted(set(unrolled)),
         tsummary_dbs_opened=tsummary_dbs_opened,
+    )
+
+
+def changefeed2index(
+    index: GUFIIndex,
+    tree: VFSTree,
+    journal: ChangeJournal,
+    opts: BuildOptions | None = None,
+    faults=None,
+    limit: int | None = None,
+    tsummary_per_user_group: bool = True,
+) -> ApplyResult:
+    """Drain the journal and :func:`apply_delta` the batch to an
+    existing index; ``limit`` bounds how many raw events one batch
+    drains. Raises :class:`ChangelogOverflow` when the consumer's
+    cursor predates the journal's retained window — the caller must
+    fall back to a full rebuild.
+    """
+    t0 = time.monotonic()
+    metrics = obs.metrics()
+    try:
+        batch = journal.drain(ChangefeedCheckpoint(index.root).load(), limit)
+    except ChangelogOverflow:
+        metrics.counter("gufi_changefeed_overflows_total")
+        raise
+    metrics.counter("gufi_changefeed_events_total", batch.raw_count)
+    metrics.counter("gufi_changefeed_coalesced_total", batch.coalesced)
+    if not batch.events:
+        # nothing drained: only a refresh a crashed apply owes is left
+        return apply_delta(
+            index, tree, [], set(), opts, faults, tsummary_per_user_group
+        )
+
+    structural, dirty = reduce_events(batch.events)
+    result = apply_delta(
+        index, tree, structural, dirty, opts, faults,
+        tsummary_per_user_group, commit=batch.cursor,
+    )
+    # the cursor is durable: only now may the journal trim
+    journal.release(batch.cursor)
+
+    elapsed = time.monotonic() - t0
+    metrics.counter("gufi_changefeed_applied_total", len(batch.events))
+    if metrics.enabled:
+        metrics.observe("gufi_changefeed_apply_seconds", elapsed)
+        metrics.counter("gufi_changefeed_entries_indexed_total", result.entries_indexed)
+        # events emitted after the drain (or beyond ``limit``) that the
+        # committed cursor has not covered yet
+        metrics.gauge("gufi_changefeed_lag_events", journal.head - batch.cursor)
+    return replace(
+        result,
+        seconds=elapsed,
+        events_raw=batch.raw_count,
+        events_applied=len(batch.events),
+        events_coalesced=batch.coalesced,
     )

@@ -4,7 +4,8 @@
 directory or sub-tree of directories within the index can be trivially
 added, updated, or removed as desired by administrators." Because the
 index is *just files and directories*, these operations are plain tree
-surgery plus a little rollup hygiene:
+surgery, and the surgery is one changefeed apply
+(:func:`~repro.core.changefeed.apply_delta`) of a structural op:
 
 * :func:`graft` — splice another index's tree (or one of its subtrees)
   into this index at a path (e.g. mount a newly indexed file system
@@ -15,9 +16,12 @@ surgery plus a little rollup hygiene:
   a database with a summary record, rollup flags are consistent with
   pentries materialisation, tracked xattr side databases exist.
 
-Grafting/pruning under a rolled-up ancestor first undoes the rollups
-on the affected path (each directory's rollup is independently
-reversible, §III-C3) so merged data never goes stale.
+So a graft or prune does what the changefeed does for a directory
+moved in or removed: the rollups on the affected path are undone (each
+directory's rollup is independently reversible, §III-C3) so merged
+data never goes stale, the absolute depths of a grafted subtree are
+shifted to its new place, the caches hear of the change, and the tree
+summaries above it are refreshed.
 """
 
 from __future__ import annotations
@@ -28,28 +32,12 @@ from dataclasses import dataclass, field
 
 from repro.store import connect, layout
 
+from .changefeed import apply_delta
 from .index import GUFIIndex
-from .rollup import unrollup_dir
 
 
 class CompositionError(Exception):
     """Invalid graft/prune request."""
-
-
-def _unroll_ancestors(index: GUFIIndex, path: str) -> list[str]:
-    """Undo rollups on every existing directory from the root down to
-    (and including) ``path``'s parent, so none of them claims to
-    summarise the about-to-change subtree."""
-    parts = [p for p in path.split("/") if p]
-    unrolled = []
-    chain = ["/"] + ["/" + "/".join(parts[: i + 1]) for i in range(len(parts) - 1)]
-    for sp in chain:
-        if not index.db_path(sp).exists():
-            continue
-        if index.dir_meta(sp).rolledup:
-            unrollup_dir(index, sp)
-            unrolled.append(sp)
-    return unrolled
 
 
 def graft(
@@ -79,7 +67,6 @@ def graft(
                 f"destination {at!r} already indexed (pass overwrite=True)"
             )
         shutil.rmtree(dst_dir)
-    unrolled = _unroll_ancestors(dst, at)
     dst_dir.parent.mkdir(parents=True, exist_ok=True)
     shutil.copytree(src_dir, dst_dir)
     # the grafted root must not be skipped by gufi_index.json checks
@@ -93,7 +80,12 @@ def graft(
     for i in range(len(parts)):
         sp = "/" + "/".join(parts[: i + 1])
         ensure_dir_db(dst, sp)
-    return unrolled
+    # The subtree arrived at ``at`` from elsewhere: a move onto itself
+    # skips the rename (the destination exists) and does everything
+    # else an arrived subtree needs — unroll above it, shift its
+    # absolute depths, tell the caches, refresh the tree summaries
+    # above it.
+    return apply_delta(dst, None, [("move", at, at)], set()).unrolled_dirs
 
 
 def ensure_dir_db(index: GUFIIndex, source_path: str) -> None:
@@ -133,9 +125,7 @@ def prune(dst: GUFIIndex, path: str) -> list[str]:
     target = dst.index_dir(path)
     if not target.exists():
         raise CompositionError(f"nothing indexed at {path!r}")
-    unrolled = _unroll_ancestors(dst, path)
-    shutil.rmtree(target)
-    return unrolled
+    return apply_delta(dst, None, [("remove", path, None)], set()).unrolled_dirs
 
 
 @dataclass

@@ -24,14 +24,15 @@ equal to what a cold run would return right now:
   which would open every database and re-run SQL — or no stat at all
   on the changefeed fast path (below).
 
-* **Push invalidation.** Every writer in this codebase (update,
-  refresh, rollup/unrollup, changefeed apply) already announces
-  itself through :class:`~repro.core.index.DirMetaCache`'s
-  ``invalidate*`` hooks; the result cache subscribes to those of its
-  one index handle (cache keys do not name the index, so a cache
-  serves one) and takes out of service exactly the entries whose
-  visited set intersects the invalidated path (or subtree). An entry
-  for ``/home/alice`` is untouched by churn under ``/proj``.
+* **Push invalidation.** Every writer in this codebase (the one
+  in-place apply — changefeed, update, graft and prune — refresh and
+  rollup/unrollup) already announces itself through
+  :class:`~repro.core.index.DirMetaCache`'s ``invalidate*`` hooks;
+  the result cache subscribes to those of its one index handle (cache
+  keys do not name the index, so a cache serves one) and takes out of
+  service exactly the entries whose visited set intersects the
+  invalidated path (or subtree). An entry for ``/home/alice`` is
+  untouched by churn under ``/proj``.
 
 * **The re-run is the repair.** An invalidated *stream-shaped* entry
   (``S``/``E`` rows only — nothing carried between directories) is
@@ -593,12 +594,13 @@ class ResultCache:
         applied = entry.cursor
         if self.journal is not None:
             applied = ChangefeedCheckpoint(index.root).load()
-            # Stat-free: no hook fired (non-changefeed writers —
-            # rollup, update, refresh — announce themselves there) and
-            # no apply moved the cursor since the last check. Writers
-            # in *other* processes announce nothing, so unless the
-            # journal is exclusive this is only trusted within
-            # ``stamp_ttl`` of the entry's last stamp pass.
+            # Stat-free: no hook fired (writers that move no cursor —
+            # rollup, refresh, update, graft, prune — announce
+            # themselves there) and no apply moved the cursor since
+            # the last check. Writers in *other* processes announce
+            # nothing, so unless the journal is exclusive this is only
+            # trusted within ``stamp_ttl`` of the entry's last stamp
+            # pass.
             if (
                 entry.inv_seq == self.invalidation_seq
                 and applied == entry.cursor

@@ -12,33 +12,28 @@ updates:
 
 :func:`update_directory` re-scans a single source directory and
 replaces that directory's index database (entries, summary, xattr
-shards, preserved permissions). If the directory's data was rolled up
-into an ancestor, the rollups on the root-to-target path are undone
-first — each directory's rollup is independently reversible, so only
-the path is touched, not the whole subtree (§III-C3).
+shards, preserved permissions). It is a changefeed apply
+(:func:`~repro.core.changefeed.apply_delta`) of one dirty directory,
+so it does what a changefeed does for the same change: the rollups on
+the root-to-target path are undone first — each directory's rollup is
+independently reversible, so only the path is touched, not the whole
+subtree (§III-C3) — the caches hear of the write, and the tree
+summaries above the directory are refreshed.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.fs.inode import FileType
 from repro.fs.tree import VFSTree
 from repro.scan.scanners import record_from_inode
 
-from .build import BuildOptions, DirRows, build_dir_db, dir_rows
+from .build import BuildOptions, DirRows, dir_rows
 from .index import GUFIIndex
 from .rollup import unrollup_dir
 
-
-@dataclass
-class UpdateResult:
-    seconds: float
-    unrolled_dirs: list[str]
-    entries_indexed: int
+if TYPE_CHECKING:
+    from .changefeed import ApplyResult
 
 
 def unroll_path_to(
@@ -84,53 +79,24 @@ def update_directory(
     source_path: str,
     opts: BuildOptions | None = None,
     recursive: bool = False,
-) -> UpdateResult:
+) -> ApplyResult:
     """Re-scan ``source_path`` on the live source tree and replace its
     index database(s).
 
     Non-recursive (default, matching the paper's tool): only the named
     directory's own entries, permissions, and xattr shards are
     refreshed; existing sub-directory databases are left alone.
-    ``recursive=True`` additionally rebuilds the whole subtree
-    (removing index directories whose source directories vanished).
+    ``recursive=True`` additionally rebuilds the whole subtree. An
+    index directory whose source directory vanished is removed.
     """
-    opts = opts or BuildOptions()
-    t0 = time.monotonic()
+    from .changefeed import apply_delta
+
     source_path = "/" + "/".join(p for p in source_path.split("/") if p)
-    unrolled = unroll_path_to(index, source_path)
-
-    targets = [source_path]
+    dirty = {source_path}
     if recursive:
-        targets = []
-        queue = [source_path]
-        while queue:
-            d = queue.pop()
-            targets.append(d)
-            prefix = "" if d == "/" else d
-            for e in tree.readdir(d):
-                if e.ftype is FileType.DIRECTORY:
-                    queue.append(f"{prefix}/{e.name}")
-        _prune_stale_index_dirs(index, tree, source_path)
-
-    total_entries = 0
-    for d in targets:
-        stanza = scan_single_dir(tree, d)
-        # published over the old database: a reader racing the update
-        # (or arriving after a crash inside it) finds one or the other
-        n, _ = build_dir_db(index, stanza, opts)
-        total_entries += n
-        # Invalidate before returning so no warm query session can
-        # observe the pre-update mode/uid/gid — the security use case
-        # (user exposed something, chmod'd, asked for an update) must
-        # be honoured by the very next query.
-        index.invalidate_cache(d)
-    if recursive:
-        index.cache.invalidate_subtree(source_path)
-    return UpdateResult(
-        seconds=time.monotonic() - t0,
-        unrolled_dirs=unrolled,
-        entries_indexed=total_entries,
-    )
+        dirty.update(d for d, _dirs, _files in tree.walk(source_path))
+        dirty.update(d for d, _names in index.iter_tree(source_path))
+    return apply_delta(index, tree, [], dirty, opts)
 
 
 def scan_single_dir(tree: VFSTree, source_path: str) -> DirRows:
@@ -142,27 +108,3 @@ def scan_single_dir(tree: VFSTree, source_path: str) -> DirRows:
     entry — only for the entries that carry xattrs."""
     directory = record_from_inode(source_path, tree.get_inode(source_path))
     return dir_rows(directory, tree.readdir_plus(source_path))
-
-
-def _prune_stale_index_dirs(
-    index: GUFIIndex, tree: VFSTree, source_path: str
-) -> list[str]:
-    """Delete index directories whose source directories no longer
-    exist (recursive updates only)."""
-    import shutil
-    from pathlib import Path
-
-    removed = []
-    base = index.index_dir(source_path)
-    for dirpath, dirnames, _ in os.walk(base, topdown=True):
-        keep = []
-        for name in sorted(dirnames):
-            idx_dir = os.path.join(dirpath, name)
-            sp = index.source_path(Path(idx_dir))
-            if tree.exists(sp):
-                keep.append(name)
-            else:
-                shutil.rmtree(idx_dir, ignore_errors=True)
-                removed.append(sp)
-        dirnames[:] = keep
-    return removed

@@ -18,7 +18,7 @@ from repro.core.compose import (
     validate,
 )
 from repro.core.index import GUFIIndex
-from repro.core.engine import QueryEngine
+from repro.core.engine import QueryEngine, ResultCache
 from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup
 from repro.core.server import (
@@ -28,9 +28,16 @@ from repro.core.server import (
     ToolNotAllowed,
 )
 from repro.core.tools import FindFilters, GUFITools
+from repro.core.tsummary import build_tsummary
+from repro.fs.changelog import ChangeJournal
 from repro.fs.tree import VFSTree
 from repro.gen.datasets import linux_kernel_tree
-from tests.conftest import NTHREADS, build_demo_tree
+from tests.conftest import (
+    NTHREADS,
+    build_demo_tree,
+    fresh_tsummary_rows,
+    tsummary_rows,
+)
 
 
 @pytest.fixture
@@ -263,6 +270,76 @@ class TestGraftPrune:
         rows = [r[0] for r in q.run(Q1_LIST_PATHS).rows]
         assert not any(r.startswith("/proj") for r in rows)
         assert "/home/bob/b.txt" in rows
+
+    @staticmethod
+    def journal_fed_cache() -> ResultCache:
+        """A cache told a changefeed feeds the index (not exclusively),
+        with a stamp pass owed only after an hour: in between, only a
+        writer that announces itself takes an entry out of service."""
+        cache = ResultCache(stamp_ttl=3600.0)
+        cache.attach_journal(ChangeJournal())
+        return cache
+
+    def test_prune_announces_itself_and_refreshes_tree_summaries(
+        self, tmp_path
+    ):
+        main = dir2index(
+            build_demo_tree(), tmp_path / "main",
+            opts=BuildOptions(nthreads=NTHREADS),
+        ).index
+        build_tsummary(main, "/")
+        cache = self.journal_fed_cache()
+        with GUFITools(main, nthreads=NTHREADS, result_cache=cache) as tools:
+            before = tools.find("/")
+            assert tools.find("/").cached
+            prune(main, "/proj")
+            after = tools.find("/")
+            assert not after.cached
+            assert len(after.rows) < len(before.rows)
+            assert not any(r[0].startswith("/proj") for r in after.rows)
+            assert tools.du("/", use_tsummary=True) == tools.du("/")
+        assert tsummary_rows(main.root) == fresh_tsummary_rows(main.root)
+
+    def test_graft_at_another_depth_shifts_depths_and_announces(
+        self, tmp_path
+    ):
+        main = dir2index(
+            build_demo_tree(), tmp_path / "main",
+            opts=BuildOptions(nthreads=NTHREADS),
+        ).index
+        other = dir2index(
+            build_demo_tree(), tmp_path / "other",
+            opts=BuildOptions(nthreads=NTHREADS),
+        ).index
+        build_tsummary(other, "/proj")
+        cache = self.journal_fed_cache()
+        with GUFITools(main, nthreads=NTHREADS, result_cache=cache) as tools:
+            tools.find("/")
+            assert tools.find("/").cached
+            graft(main, other, src_subtree="/proj", at="/x/y/proj")
+            after = tools.find("/")
+            assert not after.cached
+            assert "/x/y/proj/shared/p.c" in {r[0] for r in after.rows}
+            # /proj sat at depth 1 and now sits at depth 3: its
+            # subtree's absolute depths (summary.depth, the tree
+            # summary's maxdepth) moved with it
+            deep = FindFilters(ftype="f", min_level=3)
+            for planned in (True, False):
+                rows = tools.find("/x", deep, planned=planned).rows
+                assert {r[0] for r in rows} == {
+                    "/x/y/proj/shared/p.c",
+                    "/x/y/proj/shared/data/d.h5",
+                }
+        conn = main.store("/x/y/proj").open_ro()
+        try:
+            assert conn.execute(
+                "SELECT depth FROM summary WHERE isroot = 1"
+            ).fetchone() == (3,)
+            assert conn.execute(
+                "SELECT maxdepth FROM tsummary WHERE rectype = 0"
+            ).fetchone() == (5,)
+        finally:
+            conn.close()
 
     def test_prune_root_refused(self, demo_index):
         with pytest.raises(CompositionError):

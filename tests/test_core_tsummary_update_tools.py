@@ -247,9 +247,18 @@ class TestTSummaryMemo:
         demo_tree.unlink("/proj/shared/p.c")
         demo_tree.chown("/public/xonly", uid=1002, gid=1002)
         for d in ("/home/bob", "/proj/shared", "/public/xonly"):
-            update_directory(demo_index, demo_tree, d)
+            result = update_directory(demo_index, demo_tree, d)
+            # each update refreshes the root itself: the rebuilt
+            # directory hands its contribution over, so only the start
+            # (rewritten by the previous refresh) is re-read
+            assert result.tsummary_refreshed == 1
+            assert result.tsummary_dbs_opened == 1
+        # nothing is owed afterwards
         r = self.rebuild(demo_index)
-        assert r.dbs_opened == 3 + 1
+        assert r.dbs_opened == 1
+        assert tsummary_rows(demo_index.root) == fresh_tsummary_rows(
+            demo_index.root
+        )
 
     def test_other_start_shares_the_memo(self, demo_index):
         build_tsummary(demo_index, "/")
@@ -389,6 +398,47 @@ class TestIncrementalUpdate:
         q2 = sorted(QueryEngine(fresh, nthreads=NTHREADS).run(Q1_LIST_PATHS).rows)
         assert q1 == q2
         assert idx.dir_meta("/proj/shared").mode == 0o750
+
+    def test_update_refreshes_tree_summaries_above(
+        self, demo_tree, demo_index
+    ):
+        build_tsummary(demo_index, "/")
+        demo_tree.create_file("/home/bob/big.dat", size=1_000_000,
+                              mode=0o644, uid=1002, gid=1002)
+        update_directory(demo_index, demo_tree, "/home/bob")
+        with GUFITools(demo_index, nthreads=NTHREADS) as tools:
+            summaries = tools.du("/")
+            assert summaries == brute_force(demo_tree)[3]
+            assert tools.du("/", use_tsummary=True) == summaries
+        assert tsummary_rows(demo_index.root) == fresh_tsummary_rows(
+            demo_index.root
+        )
+
+    def test_update_of_removed_directory_removes_its_index_dir(
+        self, tmp_path
+    ):
+        tree = build_demo_tree()
+        tree.mkdir("/proj/shared/kept", mode=0o770, uid=1001, gid=100)
+        tree.create_file("/proj/shared/kept/k.txt", size=3, mode=0o660,
+                         uid=1001, gid=100)
+        index = dir2index(
+            tree, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS)
+        ).index
+        rollup(index, nthreads=NTHREADS)
+        # the parent holds merged copies of the doomed directory's rows
+        assert index.dir_meta("/proj/shared").rolledup
+        tree.unlink("/proj/shared/data/d.h5")
+        tree.rmdir("/proj/shared/data")
+        result = update_directory(index, tree, "/proj/shared/data")
+        assert result.dirs_removed == 1
+        assert result.unrolled_dirs == ["/proj/shared"]
+        assert not index.index_dir("/proj/shared/data").exists()
+        # the parent and its other children stay
+        assert index.db_path("/proj/shared/kept").exists()
+        rows = {r[0] for r in QueryEngine(index, nthreads=NTHREADS)
+                .run(Q1_LIST_PATHS).rows}
+        assert {"/proj/shared/p.c", "/proj/shared/kept/k.txt"} <= rows
+        assert not any("d.h5" in r for r in rows)
 
 
 class TestTools:

@@ -82,9 +82,10 @@ def _layout_literals_in(path: Path) -> list[tuple[int, str]]:
 _DELETED_MODULES = ("repro.core.db", "repro.core.schema", "repro.store.fts")
 
 #: query handles folded into ``QueryEngine``, the artifact registry
-#: replaced by ``layout``'s constants, a sink nothing used, and the
-#: scatter-gather hand-off of a result cache's validity token — not
-#: to be re-created
+#: replaced by ``layout``'s constants, a sink nothing used, the
+#: scatter-gather hand-off of a result cache's validity token, and the
+#: in-place writers' copies of the changefeed apply — not to be
+#: re-created
 _DELETED_NAMES = (
     "GUFIQuery",
     "QuerySession",
@@ -102,6 +103,9 @@ _DELETED_NAMES = (
     "_t_prunes",
     "ShardPlan",
     "mp_start_method",
+    "UpdateResult",
+    "_unroll_ancestors",
+    "_prune_stale_index_dirs",
 )
 
 
