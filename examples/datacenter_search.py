@@ -34,10 +34,10 @@ from repro.core import (
     graft,
     prune,
     rollup,
-    validate,
 )
 from repro.gen import dataset1, dataset2, linux_kernel_tree
 from repro.scan import LesterScanner
+from repro.store.doctor import doctor
 from repro.core.build import build_from_stanzas
 
 NTHREADS = 4
@@ -77,9 +77,9 @@ def main() -> None:
 
     ensure_dir_db(search, "/")
     rollup(search, nthreads=NTHREADS)
-    report = validate(search)
-    print(f"\nunified index: {report.dirs_checked} directories, "
-          f"{'valid' if report.ok else report.problems}")
+    report = doctor(search)
+    print(f"\nunified index: {report.dirs_seen} directories, "
+          f"{'healthy' if report.healthy else report}")
 
     # 3. Access layer.
     idp = IdentityProvider()

@@ -32,10 +32,10 @@ from repro.core import (
     collect_stats,
     render_stats,
     rollup,
-    validate,
     visible_db_count,
 )
 from repro.gen import Sampler, dataset2
+from repro.store.doctor import doctor
 
 NTHREADS = 4
 
@@ -95,11 +95,11 @@ def main() -> None:
 
     # --- morning hygiene -------------------------------------------------
     current = refresher.current()
-    report = validate(current)
-    assert report.ok
+    report = doctor(current)
+    assert report.healthy
     stats_before = visible_db_count(current)
     rollup(current, limit=rec1.entries // 10, nthreads=NTHREADS)
-    print(f"\nvalidated {report.dirs_checked} dirs; rollup "
+    print(f"\nvalidated {report.dirs_seen} dirs; rollup "
           f"{stats_before} -> {visible_db_count(current)} visible DBs")
     stats = collect_stats(current, nthreads=NTHREADS)
     print()

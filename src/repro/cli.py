@@ -333,6 +333,11 @@ def cmd_index_doctor(args: argparse.Namespace) -> int:
         print(f"outdated dirs:   {report.dirs_outdated} (run `index migrate`)")
     if report.dirs_newer:
         print(f"newer-schema dirs: {report.dirs_newer} (upgrade this tool)")
+    for sp in report.missing_primary:
+        print(
+            f"# {sp}: no primary database (walks skip its subtree)",
+            file=sys.stderr,
+        )
     for sp, shard in report.missing_shards:
         print(f"# {sp}: tracked xattr shard {shard} missing", file=sys.stderr)
     for sp, what in report.view_mismatches:

@@ -32,10 +32,8 @@ from .checkpoint import (
 from .compose import (
     CompositionError,
     ensure_dir_db,
-    ValidationReport,
     graft,
     prune,
-    validate,
 )
 from .engine import (
     BoundedSink,
@@ -108,11 +106,9 @@ __all__ = [
     "SearchSyntaxError",
     "SearchQuery",
     "IndexStats",
-    "validate",
     "prune",
     "ensure_dir_db",
     "graft",
-    "ValidationReport",
     "ToolNotAllowed",
     "InvocationLog",
     "IdentityProvider",

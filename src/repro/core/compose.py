@@ -11,10 +11,10 @@ surgery, and the surgery is one changefeed apply
   into this index at a path (e.g. mount a newly indexed file system
   under the data-center-wide /Search root);
 * :func:`prune` — remove a subtree from the index (a decommissioned
-  file system or project);
-* :func:`validate` — structural health check: every directory carries
-  a database with a summary record, rollup flags are consistent with
-  pentries materialisation, tracked xattr side databases exist.
+  file system or project).
+
+The structural health check of the result is
+:func:`repro.store.doctor.doctor`.
 
 So a graft or prune does what the changefeed does for a directory
 moved in or removed: the rollups on the affected path are undone (each
@@ -26,11 +26,7 @@ summaries above it are refreshed.
 
 from __future__ import annotations
 
-import os
 import shutil
-from dataclasses import dataclass, field
-
-from repro.store import connect, layout
 
 from .changefeed import apply_delta
 from .index import GUFIIndex
@@ -126,57 +122,3 @@ def prune(dst: GUFIIndex, path: str) -> list[str]:
     if not target.exists():
         raise CompositionError(f"nothing indexed at {path!r}")
     return apply_delta(dst, None, [("remove", path, None)], set()).unrolled_dirs
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of :func:`validate`."""
-
-    dirs_checked: int = 0
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def validate(index: GUFIIndex, start: str = "/") -> ValidationReport:
-    """Structural health check over the on-disk index."""
-    report = ValidationReport()
-    base = index.index_dir(start)
-    for dirpath, dirnames, filenames in os.walk(base):
-        dirnames.sort()
-        rel = os.path.relpath(dirpath, index.root)
-        sp = "/" if rel == "." else "/" + rel.replace(os.sep, "/")
-        if layout.DB_NAME not in filenames:
-            report.problems.append(f"{sp}: missing {layout.DB_NAME}")
-            continue
-        report.dirs_checked += 1
-        conn = connect.open_ro(os.path.join(dirpath, layout.DB_NAME))
-        try:
-            try:
-                meta = index.read_dir_meta(conn)
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                report.problems.append(f"{sp}: unreadable summary ({exc})")
-                continue
-            (kind,) = conn.execute(
-                "SELECT type FROM sqlite_master WHERE name = 'pentries'"
-            ).fetchone()
-            if meta.rolledup and kind != "table":
-                report.problems.append(
-                    f"{sp}: rolledup flag set but pentries is a {kind}"
-                )
-            if not meta.rolledup and kind != "view":
-                report.problems.append(
-                    f"{sp}: not rolled up but pentries is a {kind}"
-                )
-            for (filename,) in conn.execute(
-                "SELECT filename FROM xattrs_avail"
-            ):
-                if not os.path.exists(os.path.join(dirpath, filename)):
-                    report.problems.append(
-                        f"{sp}: tracked xattr side db {filename} missing"
-                    )
-        finally:
-            conn.close()
-    return report

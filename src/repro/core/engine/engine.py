@@ -55,6 +55,7 @@ from .types import (
     QueryPermissionError,
     QueryResult,
     QuerySpec,
+    Token,
     spec_label,
 )
 
@@ -212,9 +213,11 @@ class QueryEngine:
                 start,
                 lambda otr: self._replay(spec, entry, sink),
             )
-        # Snapshot the invalidation sequence *before* the run: a write
-        # landing mid-run bumps it and the store aborts (the rows may
-        # predate the write its stamps postdate).
+        # Snapshot the applied cursor and the invalidation sequence
+        # *before* the run, like every stamp of its token: an apply
+        # committed mid-run sends the entry to the stamp pass, a writer
+        # announcing itself mid-run aborts the store.
+        cursor = cache.applied_cursor(self.index)
         inv_seq = cache.invalidation_seq
         # A stale entry under this key donates its unchanged
         # directories' rows to the walk that replaces it.
@@ -227,7 +230,7 @@ class QueryEngine:
             spec, start, plan, capture, cancel,
             capture if capture.donor is not None else None,
         )
-        cache.store(key, capture, result, self.index, inv_seq)
+        cache.store(key, capture, result, cursor, inv_seq)
         return result
 
     def _replay(
@@ -475,11 +478,14 @@ class QueryEngine:
         trav = Traversal(
             self.index, self.creds, spec, plan, start_depth, cancel=cancel
         )
-        trav.check_start(start)
-        return self._walk_units(
+        ancestors = trav.check_start(start)
+        result = self._walk_units(
             spec, [(start, descend)], start_depth, trav, sink, otr,
             donor=donor,
         )
+        if result.visited_paths is not None:
+            result.visited_paths.update(ancestors)
+        return result
 
     def _walk_units(
         self,
@@ -507,11 +513,11 @@ class QueryEngine:
         # read once so the per-directory path tests plain locals.
         timing = obs.metrics().enabled
         tracing = otr.enabled
-        # A cached run collects the paths it touched (the entry's
-        # validity token); a stream-shaped one (S/E rows, nothing
-        # carried between directories) also reports where its stages
-        # completed: those directories' rows can be donated to the run
-        # that replaces it.
+        # A cached run collects the paths it touched with the stamps it
+        # read them under (the entry's validity token); a stream-shaped
+        # one (S/E rows, nothing carried between directories) also
+        # reports where its stages completed: those directories' rows
+        # can be donated to the run that replaces it.
         collect = self.result_cache is not None
         donates = collect and not (
             spec.I or spec.T or spec.J or spec.G or spec.xattrs
@@ -550,23 +556,10 @@ class QueryEngine:
             trav.checkpoint()
 
             st = thread_state()
-            if collect:
-                # Every touched directory — visited, denied, pruned,
-                # elided, errored, or absent — is part of the result's
-                # validity token: a change to any of them could change
-                # the answer.
-                st.touched.append(source_path)
             st.ctx.current_path = source_path
             depth = path_depth(source_path)
             st.ctx.current_depth = depth
             rel_depth = depth - start_depth
-
-            def children(meta: DirMeta) -> list[tuple[str, bool]]:
-                # a no-descend unit never pays for its child listing
-                if not may_descend:
-                    return []
-                paths = trav.descend(source_path, meta, rel_depth)
-                return [(child, True) for child in paths]
 
             # plain strings: Path objects here cost more than the listing
             index_dir = index.index_path(source_path)
@@ -575,6 +568,28 @@ class QueryEngine:
             # queries with a dictionary lookup; denied directories are
             # then skipped without ever attaching their database.
             meta = index.cache.get_meta(source_path, db_path, lean)
+            if meta is not None:
+                db_stamp = meta.stamp
+            else:
+                bracket = StampBracket(db_path)
+                db_stamp = bracket.stamp
+            if collect:
+                # Every touched directory — visited, denied, pruned,
+                # elided, errored, or absent — is part of the result's
+                # validity token, under the stamp taken before anything
+                # of it was read: a change to any of them could change
+                # the answer.
+                st.token[source_path] = (db_stamp, None)
+
+            def children(meta: DirMeta) -> list[tuple[str, bool]]:
+                # a no-descend unit never pays for its child listing
+                if not may_descend:
+                    return []
+                dir_stamp, paths = trav.descend(source_path, meta, rel_depth)
+                if collect and dir_stamp is not None:
+                    st.token[source_path] = (db_stamp, dir_stamp)
+                return [(child, True) for child in paths]
+
             if meta is not None:
                 if not trav.permitted(meta):
                     st.denied += 1
@@ -589,9 +604,7 @@ class QueryEngine:
                     st.pruned += 1
                     st.elided += 1
                     return children(meta)
-                if donor is not None and donor.reuse(
-                    st, source_path, index.cache.peek_stamp(source_path)
-                ):
+                if donor is not None and donor.reuse(st, source_path, db_stamp):
                     # Unchanged since the donor's capture (the stamp
                     # ``get_meta`` validated above): its rows stand in
                     # for ATTACH, S/E, DETACH; the rest is this run's.
@@ -601,10 +614,8 @@ class QueryEngine:
                         st.pruned += 1
                     st.ran.append(source_path)
                     return children(meta)
-            else:
-                bracket = StampBracket(db_path)
-                if bracket.missing:
-                    return []
+            elif db_stamp is None:
+                return []
             # Warm, the cached record has granted access (the kernel
             # would have refused a denied user the open). Cold, this
             # one attach serves the permission read and the stages.
@@ -617,7 +628,7 @@ class QueryEngine:
             try:
                 if meta is None:
                     try:
-                        meta = stage.read_meta(st, lean)
+                        meta = stage.read_meta(st, lean, db_stamp)
                     except (sqlite3.DatabaseError, IndexError_):
                         # A corrupt or truncated shard, or one with no
                         # summary record, must not kill the whole
@@ -630,7 +641,7 @@ class QueryEngine:
                         # Publish only when the file is unchanged
                         # across the read — a racing rewrite must
                         # never pin its predecessor's DirMeta.
-                        index.cache.put_meta(source_path, bracket.stamp, meta)
+                        index.cache.put_meta(source_path, meta)
                     if not trav.permitted(meta):
                         st.denied += 1
                         return []
@@ -709,9 +720,12 @@ class QueryEngine:
         t_time = sum(st.t_time for st in states)
         s_time = sum(st.s_time for st in states)
         e_time = sum(st.e_time for st in states)
-        visited_paths: list[str] | None = None
+        visited_paths: Token | None = None
         if collect:
-            visited_paths = [p for st in states for p in st.touched]
+            # each directory is processed by one thread: no key clashes
+            visited_paths = {}
+            for st in states:
+                visited_paths.update(st.token)
         ran_paths: list[str] | None = None
         if donates:
             ran_paths = [p for st in states for p in st.ran]

@@ -12,17 +12,18 @@ spec, plan window, start path)``.
 Correctness model — an entry may be served only when it is *provably*
 equal to what a cold run would return right now:
 
-* **Validity token.** At capture time each entry records (a) the
-  stamp of every directory the walk visited — the ``db.db``
-  :func:`~repro.store.layout.file_stamp` (inode, mtime_ns, size) plus the
-  physical directory's :func:`~repro.store.layout.dir_stamp` for listing
-  changes — including the start path's ancestors (whose permission
-  bits gate reachability), and (b) the index's applied changefeed
-  cursor (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`).
-  Revalidation is two stats per visited directory and one per
-  ancestor, on path strings, and nothing else — not O(traversal),
-  which would open every database and re-run SQL — or no stat at all
-  on the changefeed fast path (below).
+* **Validity token.** Each entry holds (a) the stamps its walk read
+  under, recorded by the walk itself (:attr:`QueryResult.visited_paths`)
+  — for every directory it touched the ``db.db``
+  :func:`~repro.store.layout.file_stamp` (inode, mtime_ns, size), plus
+  the physical directory's :func:`~repro.store.layout.dir_stamp` where
+  it read the child listing, and the ``db.db`` stamp of each of the
+  start path's ancestors (whose permission bits gate reachability) —
+  and (b) the index's applied changefeed cursor
+  (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`). Revalidation
+  is one stat per recorded stamp, on path strings, and nothing else —
+  not O(traversal), which would open every database and re-run SQL —
+  or no stat at all on the sole-writer fast path (below).
 
 * **Push invalidation.** Every writer in this codebase (the one
   in-place apply — changefeed, update, graft and prune — refresh and
@@ -44,32 +45,26 @@ equal to what a cold run would return right now:
   validated does it emit the donor's rows instead of attaching the
   database (:meth:`CaptureSink.reuse`).
 
-* **Changefeed fast path.** When a :class:`~repro.fs.changelog
-  .ChangeJournal` is attached — the declaration that a changefeed
-  feeds this index — a lookup first reads the applied cursor: if no
-  invalidation reached this cache and no apply moved the cursor
-  since the entry was last checked, the entry is valid without a
-  single stat. A cursor that moved either way with no hook firing
-  goes to the stamp pass. Only writers that *announce* themselves
-  (in-process hooks, changefeed applies) are seen this way, so the
-  stat-free path is bounded: unless the journal is attached with
-  ``exclusive=True`` (the changefeed is provably the sole writer),
-  every entry re-runs the stamp pass at least once per ``stamp_ttl``
-  seconds, so an out-of-band rewrite from another process is
-  detected within the TTL instead of never.
+* **Sole-writer fast path.** Attaching a :class:`~repro.fs.changelog
+  .ChangeJournal` declares that the changefeed is the sole writer of
+  the index (``exclusive=True`` is required): every write then either
+  fires a hook or moves the applied cursor. A lookup first reads the
+  cursor: if no invalidation reached this cache and no apply moved
+  the cursor since the entry was last checked, the entry is valid
+  without a single stat. A cursor that moved either way with no hook
+  firing goes to the stamp pass. Without a sole writer a write from
+  another process announces nothing, so every hit pays the stamp
+  pass.
 
-* **Capture races.** Rows are captured through a tee
-  (:class:`CaptureSink`) while stamps are taken *after* the run; a
-  write racing the run could therefore stamp fresh over stale rows.
-  Three guards close this: any invalidation observed between run
-  start and store aborts the capture; each visited directory's
-  store-time stamp is cross-checked against the stamp the walk's
-  DirMeta cache validated (a mismatch means an out-of-band rewrite
-  landed mid-run — capture aborted); and the DirMeta cache itself
-  only publishes entries whose stamp is unchanged across the read
-  (see :meth:`GUFIIndex.cached_dir_meta`). The cross-check needs the
-  walk's reads in the engine's own DirMeta cache, which is why a
-  cache attaches only to a single-process engine.
+* **Capture races.** One invariant: every stamp in an entry — and
+  its cursor — was taken *before* the rows it vouches for were read,
+  so a write racing the walk makes the next stamp pass miss (an apply
+  also moves the cursor past the entry's) and never vouches for what
+  it replaced: :meth:`ResultCache.store` re-stats nothing. The walk
+  records each stamp as it reads (the DirMeta record's own, a
+  listing's, a cold read's bracket), which is why a cache attaches
+  only to a single-process engine; a writer that announced itself
+  mid-run (the invalidation sequence moved) aborts the store.
 
 * **Credential scoping.** The key includes the resolved
   ``(uid, gid, groups)`` — what the server resolves on every
@@ -97,8 +92,7 @@ from repro.store import layout
 
 from ..checkpoint import ChangefeedCheckpoint
 from .sinks import ResultSink, Row, SinkSummary
-from .traversal import proper_ancestors
-from .types import _COUNTER_FIELDS, QueryResult, QuerySpec
+from .types import _COUNTER_FIELDS, QueryResult, QuerySpec, Token
 
 if TYPE_CHECKING:
     from repro.fs.changelog import ChangeJournal
@@ -112,10 +106,6 @@ if TYPE_CHECKING:
 CredKey = tuple[int, int, frozenset[int]]
 #: full cache key: (credentials, normalized spec, plan window, start)
 CacheKey = tuple[CredKey, tuple, tuple | None, str]
-#: db.db file stamp (None: no database at capture time)
-DbStamp = tuple[int, int, int] | None
-#: physical index-directory stamp (None: listing not load-bearing)
-DirStamp = tuple[int, int] | None
 #: one directory's extent in an entry's flat ``rows`` and its measured
 #: bytes: (start, end, nbytes)
 Batch = tuple[int, int, int]
@@ -315,17 +305,14 @@ class CacheEntry:
     final_rows: list[Row]
     #: QueryResult counters replayed verbatim
     counters: dict[str, int]
-    #: visited path -> (db.db stamp, physical-dir stamp)
-    stamps: dict[str, tuple[DbStamp, DirStamp]]
+    #: the run's validity token: touched path -> (db.db stamp,
+    #: listing stamp), each taken before the walk read it
+    stamps: Token
     #: applied changefeed cursor at capture/last validation
     cursor: int
     #: the cache's invalidation sequence at capture/last validation
     inv_seq: int
     nbytes: int
-    #: ``time.monotonic()`` of the last stamp pass (store counts as
-    #: one) — bounds how long the stat-free changefeed fast path may
-    #: serve this entry without re-statting (see ``stamp_ttl``)
-    stamped_at: float = 0.0
     #: directory -> batch, for every directory whose stages ran to
     #: completion (not denied, elided, errored or absent ones); None
     #: when the run cannot donate (aggregate/xattr spec) and the entry
@@ -341,14 +328,13 @@ class ResultCache:
     An entry is served only when it is still valid, by one of two
     rules:
 
-    1. **Stat-free.** A journal is attached, nothing was invalidated
-       (``inv_seq == invalidation_seq``) and nothing was applied (the
-       applied changefeed cursor equals the entry's) since the entry
-       was last checked, and the journal is exclusive or the last
-       stamp pass is younger than ``stamp_ttl``.
+    1. **Stat-free.** A journal is attached (the changefeed is the
+       sole writer), nothing was invalidated (``inv_seq ==
+       invalidation_seq``) and nothing was applied (the applied
+       changefeed cursor equals the entry's) since the entry was last
+       checked.
     2. **Stamp pass.** Otherwise — and always without a journal —
-       every recorded directory's ``db.db`` and listing stamp (one
-       stamp per ancestor of the start) still equals the captured one.
+       every stamp the walk read under still equals the file's.
 
     A cache serves one index handle (:meth:`bind_index`). Thread-safe:
     the server shares one instance across every warm session.
@@ -363,7 +349,6 @@ class ResultCache:
         max_entries: int = 256,
         max_entry_bytes: int | None = None,
         max_scope_bytes: int | None = None,
-        stamp_ttl: float = 2.0,
     ) -> None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be > 0")
@@ -373,18 +358,9 @@ class ResultCache:
             max_entry_bytes if max_entry_bytes is not None else max_bytes // 4
         )
         self.max_scope_bytes = max_scope_bytes
-        #: set by :meth:`attach_journal`: a changefeed feeds this index
+        #: set by :meth:`attach_journal`: a changefeed is the sole
+        #: writer of this index
         self.journal: "ChangeJournal | None" = None
-        #: the changefeed is provably the only writer of this index —
-        #: only then may the stat-free fast path serve an entry
-        #: indefinitely. Writers in *other processes* never fire this
-        #: cache's hooks nor journal their writes, so the default is
-        #: False and the fast path is bounded by ``stamp_ttl``.
-        self.journal_exclusive = False
-        #: max seconds the fast path may skip the stamp pass when the
-        #: journal is not exclusive (out-of-band writes are detected
-        #: within this bound instead of never)
-        self.stamp_ttl = stamp_ttl
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
         self.total_bytes = 0
@@ -443,16 +419,20 @@ class ResultCache:
             self._meta.remove_listener(hook)
 
     def attach_journal(
-        self, journal: "ChangeJournal", exclusive: bool = False
+        self, journal: "ChangeJournal", *, exclusive: bool = False
     ) -> None:
-        """Declare that a changefeed feeds this index, enabling the
-        stat-free fast path: an entry untouched by any hook and by any
-        apply since it was last checked is valid without a stat. Pass
-        ``exclusive=True`` only when the changefeed is the sole writer
-        of the index — it lifts the ``stamp_ttl`` bound on stat-free
-        validation."""
+        """Declare that a changefeed is the sole writer of this index
+        (``exclusive=True``, anything else is a ``ValueError``),
+        enabling the stat-free fast path: an entry untouched by any
+        hook and by any apply since it was last checked is valid
+        without a stat. A writer in another process announces nothing,
+        so without that declaration every hit pays the stamp pass."""
+        if not exclusive:
+            raise ValueError(
+                "attach_journal needs exclusive=True: the stat-free path "
+                "is sound only when the changefeed is the sole writer"
+            )
         self.journal = journal
-        self.journal_exclusive = exclusive
 
     # ------------------------------------------------------------------
     # Push invalidation (DirMetaCache listener)
@@ -539,8 +519,7 @@ class ResultCache:
                 rec.counter("gufi_result_cache_misses_total")
             return None
         t0 = time.perf_counter()
-        mono0 = time.monotonic()
-        valid, applied, stamped = self._validate(entry, index)
+        valid, applied = self._validate(entry, index)
         if rec.enabled:
             rec.observe(
                 "gufi_result_cache_validate_seconds",
@@ -568,13 +547,16 @@ class ResultCache:
             # untouched by whatever bumped the sequence.
             entry.cursor = applied
             entry.inv_seq = self.invalidation_seq
-            if stamped:
-                entry.stamped_at = max(entry.stamped_at, mono0)
             self._entries.move_to_end(key)
             self.hits += 1
         if rec.enabled:
             rec.counter("gufi_result_cache_hits_total")
         return entry
+
+    def applied_cursor(self, index: "GUFIIndex") -> int:
+        """The index's applied changefeed cursor, read by a run before
+        it starts: the entry it stores is valid at this cursor."""
+        return ChangefeedCheckpoint(index.root).load()
 
     def donor(self, key: CacheKey) -> CacheEntry | None:
         """The stale entry under ``key``, for the run that replaces it
@@ -585,41 +567,32 @@ class ResultCache:
 
     def _validate(
         self, entry: CacheEntry, index: "GUFIIndex"
-    ) -> tuple[bool, int, bool]:
+    ) -> tuple[bool, int]:
         """Revalidate one entry without mutating it (the caller folds
         the outcome in under the lock). Returns ``(valid, applied
-        cursor, stamp pass ran)``."""
+        cursor)``."""
         # Only the fast path reads the applied cursor; without a
         # journal the entry's own stands in and the stamps decide.
         applied = entry.cursor
         if self.journal is not None:
-            applied = ChangefeedCheckpoint(index.root).load()
-            # Stat-free: no hook fired (writers that move no cursor —
-            # rollup, refresh, update, graft, prune — announce
-            # themselves there) and no apply moved the cursor since
-            # the last check. Writers in *other* processes announce
-            # nothing, so unless the journal is exclusive this is only
-            # trusted within ``stamp_ttl`` of the entry's last stamp
-            # pass.
-            if (
-                entry.inv_seq == self.invalidation_seq
-                and applied == entry.cursor
-                and (
-                    self.journal_exclusive
-                    or time.monotonic() - entry.stamped_at < self.stamp_ttl
-                )
-            ):
-                return True, applied, False
-        # Stamp pass: two stats per recorded directory (one for an
-        # ancestor) on plain path strings, and nothing else.
+            applied = self.applied_cursor(index)
+            # Stat-free: the changefeed is the sole writer, no hook
+            # fired (writers that move no cursor — rollup, refresh,
+            # update, graft, prune — announce themselves there) and no
+            # apply moved the cursor since the last check.
+            if entry.inv_seq == self.invalidation_seq and applied == entry.cursor:
+                return True, applied
+        # Stamp pass: one stat per recorded stamp — a directory's
+        # database, then its listing where the walk read one — on
+        # plain path strings, and nothing else.
         for path, (db_stamp, dir_stamp) in entry.stamps.items():
             base = index.index_path(path)
             if layout.file_stamp(f"{base}/{layout.DB_NAME}") != db_stamp:
-                return False, applied, True
+                return False, applied
             if dir_stamp is not None:
                 if layout.dir_stamp(base) != dir_stamp:
-                    return False, applied, True
-        return True, applied, True
+                    return False, applied
+        return True, applied
 
     # ------------------------------------------------------------------
     # Store
@@ -629,12 +602,13 @@ class ResultCache:
         key: CacheKey,
         capture: CaptureSink,
         result: QueryResult,
-        index: "GUFIIndex",
+        cursor: int,
         inv_seq_at_start: int,
     ) -> bool:
-        """Materialize one finished run. Returns False (and caches
-        nothing) when the capture cannot be proven race-free or is
-        over budget."""
+        """Materialize one finished run, whose applied changefeed
+        cursor and invalidation sequence were read before it started.
+        Returns False (and caches nothing) when a writer announced
+        itself meanwhile or the capture is over budget."""
         rec = obs.metrics()
         if capture.reused:
             with self._lock:
@@ -644,34 +618,15 @@ class ResultCache:
             self._abort_capture()
             return False
         if self.invalidation_seq != inv_seq_at_start:
-            # a writer invalidated something while the run was in
-            # flight: the rows may predate the write its stamps
-            # postdate — abort, the next run re-captures
+            # a writer announced itself while the run was in flight:
+            # abort, the next run re-captures
             self._abort_capture()
             return False
-        # The stamps the walk validated its reads against are in the
-        # engine's DirMeta cache.
-        cache = index.cache
-        stamped_at = time.monotonic()
-        stamps: dict[str, tuple[DbStamp, DirStamp]] = {}
-        for path in set(result.visited_paths):
-            walk_db = cache.peek_stamp(path)
-            walk_dir = cache.peek_subdir_stamp(path)
-            base = index.index_path(path)
-            db_stamp = layout.file_stamp(f"{base}/{layout.DB_NAME}")
-            if walk_db is not None and db_stamp != walk_db:
-                self._abort_capture()
-                return False
-            dir_stamp = layout.dir_stamp(base)
-            if walk_dir is not None and dir_stamp != walk_dir:
-                self._abort_capture()
-                return False
-            stamps[path] = (db_stamp, dir_stamp)
-        start = key[3]
-        for anc in proper_ancestors(start):
-            anc_db = f"{index.index_path(anc)}/{layout.DB_NAME}"
-            stamps.setdefault(anc, (layout.file_stamp(anc_db), None))
-        cursor = ChangefeedCheckpoint(index.root).load()
+        # No re-stat: every stamp in the token — and the cursor — was
+        # taken before the rows it vouches for were read, so a write
+        # that landed after it makes the next stamp pass miss (an apply
+        # moves the cursor past the entry's); it never makes a stale hit.
+        stamps = result.visited_paths
         nbytes = capture.nbytes + 128 * len(stamps)
         if nbytes > self.max_entry_bytes:
             self._abort_capture()
@@ -689,7 +644,6 @@ class ResultCache:
             cursor=cursor,
             inv_seq=inv_seq_at_start,
             nbytes=nbytes,
-            stamped_at=stamped_at,
             ran=ran,
         )
         with self._lock:

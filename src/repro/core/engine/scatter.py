@@ -153,7 +153,7 @@ def plan_shards(
             if meta is not None and trav.permitted(meta):
                 below += trav.descend(
                     path, meta, path_depth(path) - trav.start_depth
-                )
+                )[1]
         frontier = below
     # Recursive frontier units, with the spine riding along; a tree the
     # planner exhausted is sharded as its spine, so small-but-wide

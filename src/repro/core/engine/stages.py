@@ -30,7 +30,7 @@ from repro.store.layout import DirStore
 from ..index import DirMeta, GUFIIndex
 from ..session import _ThreadState, run_sql, user_script
 from ..sqlfuncs import QueryContext, register
-from .types import QuerySpec
+from .types import DbStamp, QuerySpec
 
 
 class StageRunner:
@@ -75,12 +75,15 @@ class StageRunner:
         connect.detach(st.conn, "gufi")
 
     @staticmethod
-    def read_meta(st: _ThreadState, lean: bool = False) -> DirMeta:
+    def read_meta(
+        st: _ThreadState, lean: bool = False, stamp: DbStamp = None
+    ) -> DirMeta:
         """The directory's summary record, via the already-attached
         database (the cold path's combined permission read) — the
         lean shape of it when the run reads no bounds and no
-        tree-summary bit (the engine decides, once per run)."""
-        return GUFIIndex.read_dir_meta(st.conn, "gufi", lean)
+        tree-summary bit (the engine decides, once per run) — carrying
+        ``stamp``, the database's stamp taken before the attach."""
+        return GUFIIndex.read_dir_meta(st.conn, "gufi", lean, stamp)
 
     def account_io(self, st: _ThreadState, db_path: str) -> None:
         """Charge the traced-I/O model: entry-level queries read the

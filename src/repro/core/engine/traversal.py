@@ -43,7 +43,7 @@ from repro.scan.walker import FatalWalkError
 
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
-from .types import QueryPermissionError, QuerySpec
+from .types import DirStamp, QueryPermissionError, QuerySpec, Token
 
 
 class QueryCancelled(FatalWalkError):
@@ -176,12 +176,15 @@ class Traversal:
     # ------------------------------------------------------------------
     # Permission enforcement
     # ------------------------------------------------------------------
-    def check_start(self, start: str) -> None:
+    def check_start(self, start: str) -> Token:
         """The query root must be reachable — every proper ancestor,
         ``/`` first, grants search (x): the kernel's path-walk rule,
         reproduced for the index — and indexed. With a warm cache this
         is one dictionary lookup (plus a validating stat) per ancestor,
-        not one database open per ancestor."""
+        not one database open per ancestor. Returns each ancestor's
+        ``db.db`` stamp, the one its permission bits were read under
+        (no listing: the walk reads none there)."""
+        token: Token = {}
         for cur in proper_ancestors(start):
             meta = self.index.cached_dir_meta(cur)
             if meta is None:
@@ -190,8 +193,10 @@ class Traversal:
                 raise QueryPermissionError(
                     f"permission denied traversing {cur!r}"
                 )
+            token[cur] = (meta.stamp, None)
         if not self.index.db_path(start).exists():
             raise FileNotFoundError(f"no index directory for {start!r}")
+        return token
 
     def permitted(self, meta: DirMeta) -> bool:
         """x on the directory (to pass through) and r (to enumerate):
@@ -263,23 +268,22 @@ class Traversal:
 
     def descend(
         self, source_path: str, meta: DirMeta, rel_depth: int
-    ) -> list[str]:
+    ) -> tuple[DirStamp, list[str]]:
         """The directory's child work units, or nothing when descent
         stops here: a tsummary answered the subtree (:meth:`t_prunes`),
         a rolled-up database already contains it, the plan's depth
         window is exhausted, or the cached subtree ``maxdepth`` proves
-        ``min_level`` is unreachable."""
+        ``min_level`` is unreachable. Returned with the stamp the
+        listing was read under — ``None`` where none was read."""
         if meta.rolledup or self.t_prunes(meta, rel_depth):
-            return []
+            return None, []
         if self.plan is not None:
             sub_max = None
             stats = meta.stats
             if stats is not None and stats.maxdepth is not None:
                 sub_max = stats.maxdepth - self.start_depth
             if not self.plan.descend_allowed(rel_depth, sub_max):
-                return []
+                return None, []
         prefix = "" if source_path == "/" else source_path
-        return [
-            f"{prefix}/{name}"
-            for name in self.index.cached_subdir_names(source_path)
-        ]
+        stamp, names = self.index.cached_subdir_names(source_path)
+        return stamp, [f"{prefix}/{name}" for name in names]

@@ -17,6 +17,17 @@ from dataclasses import dataclass
 from repro.scan.walker import WalkStats
 
 
+#: a ``db.db`` :func:`~repro.store.layout.file_stamp` (None: no
+#: database when the walk looked)
+DbStamp = tuple[int, int, int] | None
+#: an index directory's :func:`~repro.store.layout.dir_stamp` (None: the
+#: walk read no listing there)
+DirStamp = tuple[int, int] | None
+#: a run's validity token: every directory it read -> the stamps it
+#: read under, each taken before the read
+Token = dict[str, tuple[DbStamp, DirStamp]]
+
+
 class QueryPermissionError(PermissionError):
     """The query root (or an ancestor of it) is not searchable."""
 
@@ -75,10 +86,11 @@ class QueryResult:
     #: metrics recorder is enabled (see :mod:`repro.obs`)
     stage_seconds: dict[str, float] | None = None
     #: every source path the walk touched (visited, denied, pruned,
-    #: elided, errored), collected only when a result cache needs a
-    #: validity token for this run (see engine/resultcache.py); None
-    #: otherwise
-    visited_paths: list[str] | None = None
+    #: elided, errored, absent) and every ancestor of the start, with
+    #: the stamps it read them under — the run's validity token,
+    #: collected only when a result cache needs one (see
+    #: engine/resultcache.py); None otherwise
+    visited_paths: Token | None = None
     #: the directories whose stages ran to completion, collected with
     #: ``visited_paths`` for a run whose cache entry could later donate
     #: their rows to its own re-run; None otherwise

@@ -25,7 +25,7 @@ import os
 import sqlite3
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -95,6 +95,10 @@ class DirMeta:
     #: the ``T`` stage runs, and prunes, exactly where this is set.
     #: ``None`` marks a lean record: nobody looked.
     tsummary: bool | None = False
+    #: the ``db.db`` :func:`~repro.store.layout.file_stamp` taken
+    #: *before* the read: a cached record is valid while the file still
+    #: has it, and a result-cache entry vouches for rows with it
+    stamp: tuple[int, int, int] | None = field(default=None, compare=False)
 
     @property
     def lean(self) -> bool:
@@ -200,7 +204,8 @@ class DirMetaCache:
     """
 
     def __init__(self) -> None:
-        self._meta: dict[str, tuple[tuple, DirMeta]] = {}
+        #: source path -> record, valid while ``db.db`` has its stamp
+        self._meta: dict[str, DirMeta] = {}
         self._subdirs: dict[str, tuple[tuple, list[str]]] = {}
         #: source path -> (db.db stamp, db.db path, contribution); the
         #: path string rides along so a warm lookup is one ``os.stat``
@@ -237,20 +242,6 @@ class DirMetaCache:
         for cb in list(self._listeners):
             cb(path, subtree)
 
-    # -- stamp peeks (no validation, no stat) -------------------------
-    def peek_stamp(self, source_path: str) -> tuple | None:
-        """The db.db stamp a cached DirMeta was validated against, or
-        None when nothing is cached. Lets the result cache cross-check
-        its store-time stamps against what the walk actually read."""
-        entry = self._meta.get(source_path)
-        return entry[0] if entry is not None else None
-
-    def peek_subdir_stamp(self, source_path: str) -> tuple | None:
-        """The directory stamp a cached child listing was validated
-        against, or None when nothing is cached."""
-        entry = self._subdirs.get(source_path)
-        return entry[0] if entry is not None else None
-
     # -- DirMeta -------------------------------------------------------
     def get_meta(
         self, source_path: str, db_path: Path | str, lean: bool = False
@@ -261,34 +252,38 @@ class DirMetaCache:
         served by a lean record: it misses, the caller takes the cold
         path with the full statement, and what it publishes replaces
         the lean record. This is the one place that rule lives."""
-        entry = self._meta.get(source_path)
-        if entry is not None and (lean or not entry[1].lean):
+        meta = self._meta.get(source_path)
+        if meta is not None and (lean or not meta.lean):
             stamp = layout.file_stamp(db_path)
-            if stamp is not None and stamp == entry[0]:
+            if stamp is not None and stamp == meta.stamp:
                 self.meta_hits += 1
-                return entry[1]
+                return meta
             self._meta.pop(source_path, None)
         self.meta_misses += 1
         return None
 
-    def put_meta(self, source_path: str, stamp: tuple, meta: DirMeta) -> None:
-        """Publish a record read under ``stamp``. A lean record never
-        displaces a full one of the same file (two runs racing on one
-        handle): the full one answers both kinds of lookup."""
+    def put_meta(self, source_path: str, meta: DirMeta) -> None:
+        """Publish a record read under ``meta.stamp``. A lean record
+        never displaces a full one of the same file (two runs racing on
+        one handle): the full one answers both kinds of lookup."""
         if meta.lean:
-            entry = self._meta.get(source_path)
-            if entry is not None and entry[0] == stamp and not entry[1].lean:
+            held = self._meta.get(source_path)
+            if held is not None and held.stamp == meta.stamp and not held.lean:
                 return
-        self._meta[source_path] = (stamp, meta)
+        self._meta[source_path] = meta
 
     # -- subdir listings ----------------------------------------------
-    def get_subdirs(self, source_path: str, dir_path: Path | str) -> list[str] | None:
+    def get_subdirs(
+        self, source_path: str, dir_path: Path | str
+    ) -> tuple[tuple, list[str]] | None:
+        """The validated ``(directory stamp, names)``, or ``None`` (a
+        counted miss)."""
         entry = self._subdirs.get(source_path)
         if entry is not None:
             stamp = layout.dir_stamp(dir_path)
             if stamp is not None and stamp == entry[0]:
                 self.subdir_hits += 1
-                return entry[1]
+                return entry
             self._subdirs.pop(source_path, None)
         self.subdir_misses += 1
         return None
@@ -500,7 +495,10 @@ class GUFIIndex:
     # ------------------------------------------------------------------
     @staticmethod
     def read_dir_meta(
-        conn: sqlite3.Connection, alias: str = "main", lean: bool = False
+        conn: sqlite3.Connection,
+        alias: str = "main",
+        lean: bool = False,
+        stamp: tuple[int, int, int] | None = None,
     ) -> DirMeta:
         """Read the directory's own summary record from an open
         connection (the descent-time 'stat') plus the planner's
@@ -516,7 +514,8 @@ class GUFIIndex:
         use and no more: the own record's seven columns, no
         ``sqlite_master`` sub-select, no fold. The record it returns
         says so (:attr:`DirMeta.lean`); its six fields equal the full
-        record's."""
+        record's. ``stamp`` is the database's stamp taken before the
+        read (:attr:`DirMeta.stamp`)."""
         if lean:
             own = conn.execute(_lean_meta_sql(alias)).fetchone()
             if own is None:
@@ -524,7 +523,7 @@ class GUFIIndex:
             _isroot, inode, mode, uid, gid, rolledup, rollup_entries = own
             return DirMeta(
                 inode, mode, uid, gid, bool(rolledup), rollup_entries,
-                tsummary=None,
+                tsummary=None, stamp=stamp,
             )
         rows = conn.execute(_meta_sql(alias)).fetchall()
         own = next((r for r in rows if r[0] == 1), None)
@@ -540,7 +539,7 @@ class GUFIIndex:
         _isroot, inode, mode, uid, gid, rolledup, rollup_entries = own[:7]
         return DirMeta(
             inode, mode, uid, gid, bool(rolledup), rollup_entries, stats,
-            bool(n_ts),
+            bool(n_ts), stamp,
         )
 
     def _dir_meta(self, source_path: str, strict: bool) -> DirMeta | None:
@@ -560,7 +559,7 @@ class GUFIIndex:
         try:
             conn = connect.open_ro(db_path)
             try:
-                meta = self.read_dir_meta(conn)
+                meta = self.read_dir_meta(conn, stamp=bracket.stamp)
             finally:
                 conn.close()
         except (sqlite3.Error, OSError, IndexError_):
@@ -568,7 +567,7 @@ class GUFIIndex:
                 raise
             return None
         if bracket.unchanged():
-            self.cache.put_meta(source_path, bracket.stamp, meta)
+            self.cache.put_meta(source_path, meta)
         return meta
 
     def dir_meta(self, source_path: str) -> DirMeta:
@@ -590,18 +589,22 @@ class GUFIIndex:
         else:
             self.cache.invalidate(source_path)
 
-    def cached_subdir_names(self, source_path: str) -> list[str]:
-        """:meth:`subdir_names` through the mtime-validated cache."""
+    def cached_subdir_names(
+        self, source_path: str
+    ) -> tuple[tuple[int, int] | None, list[str]]:
+        """:meth:`subdir_names` through the mtime-validated cache, with
+        the directory stamp the listing was validated or read under
+        (taken before the read; ``None`` when the directory is gone)."""
         # a plain string: this runs once per directory of every walk
         base = self.index_path(source_path)
-        names = self.cache.get_subdirs(source_path, base)
-        if names is not None:
-            return names
+        entry = self.cache.get_subdirs(source_path, base)
+        if entry is not None:
+            return entry
         stamp = layout.dir_stamp(base)
         names = self.subdir_names(source_path)
         if stamp is not None:
             self.cache.put_subdirs(source_path, stamp, names)
-        return names
+        return stamp, names
 
     def subdir_names(self, source_path: str) -> list[str]:
         """Names of index sub-directories (the physical readdir the

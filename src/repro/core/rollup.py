@@ -41,6 +41,7 @@ import shutil
 import sqlite3
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -498,24 +499,28 @@ def rollup(
     return stats
 
 
+def _visible_dirs(index: GUFIIndex, start: str = "/") -> Iterator[str]:
+    """Source paths of the directories a full traversal from ``start``
+    opens: every directory with a database, descending by the physical
+    listing and stopping below a rolled-up one (it already holds its
+    subtree)."""
+    stack = [start]
+    while stack:
+        sp = stack.pop()
+        if not index.db_path(sp).exists():
+            continue
+        yield sp
+        if index.dir_meta(sp).rolledup:
+            continue
+        prefix = "" if sp == "/" else sp
+        stack.extend(f"{prefix}/{n}" for n in index.subdir_names(sp))
+
+
 def visible_db_count(index: GUFIIndex, start: str = "/") -> int:
     """Databases a full traversal from ``start`` opens: descent prunes
     beneath rolled-up directories. This is the paper's '386× reduction
     in the number of databases' metric (Fig 8b's x-axis companion)."""
-    count = 0
-    stack = [start]
-    while stack:
-        sp = stack.pop()
-        db_path = index.db_path(sp)
-        if not db_path.exists():
-            continue
-        count += 1
-        meta = index.dir_meta(sp)
-        if meta.rolledup:
-            continue
-        prefix = "" if sp == "/" else sp
-        stack.extend(f"{prefix}/{n}" for n in index.subdir_names(sp))
-    return count
+    return sum(1 for _ in _visible_dirs(index, start))
 
 
 def visible_db_bytes(index: GUFIIndex, start: str = "/") -> int:
@@ -525,42 +530,28 @@ def visible_db_bytes(index: GUFIIndex, start: str = "/") -> int:
     per-query read volume — which rollup shrinks by eliminating the
     ~12 KB fixed overhead of thousands of tiny databases."""
     total = 0
-    stack = [start]
-    while stack:
-        sp = stack.pop()
-        db_path = index.db_path(sp)
-        if not db_path.exists():
-            continue
-        total += layout.artifact_bytes(db_path)
+    for sp in _visible_dirs(index, start):
         idx_dir = index.index_dir(sp)
+        total += layout.artifact_bytes(idx_dir / layout.DB_NAME)
         try:
-            for name in os.listdir(idx_dir):
-                if is_side_artifact(name):
-                    total += layout.artifact_bytes(idx_dir / name)
+            names = os.listdir(idx_dir)
         except OSError:
-            pass
-        meta = index.dir_meta(sp)
-        if meta.rolledup:
             continue
-        prefix = "" if sp == "/" else sp
-        stack.extend(f"{prefix}/{n}" for n in index.subdir_names(sp))
+        total += sum(
+            layout.artifact_bytes(idx_dir / name)
+            for name in names
+            if is_side_artifact(name)
+        )
     return total
 
 
 def largest_visible_db_bytes(index: GUFIIndex, start: str = "/") -> int:
     """Size of the largest database a traversal touches (Fig 8c's
     tail-latency driver)."""
-    largest = 0
-    stack = [start]
-    while stack:
-        sp = stack.pop()
-        db_path = index.db_path(sp)
-        if not db_path.exists():
-            continue
-        largest = max(largest, layout.artifact_bytes(db_path))
-        meta = index.dir_meta(sp)
-        if meta.rolledup:
-            continue
-        prefix = "" if sp == "/" else sp
-        stack.extend(f"{prefix}/{n}" for n in index.subdir_names(sp))
-    return largest
+    return max(
+        (
+            layout.artifact_bytes(index.db_path(sp))
+            for sp in _visible_dirs(index, start)
+        ),
+        default=0,
+    )

@@ -46,10 +46,14 @@ from __future__ import annotations
 import sqlite3
 import threading
 import weakref
+from typing import TYPE_CHECKING
 
 from repro import obs
 
 from .sqlfuncs import QueryContext, register
+
+if TYPE_CHECKING:
+    from .engine.types import Token
 
 _ATTACHED = sqlite3.SQLITE_LIMIT_ATTACHED
 
@@ -132,7 +136,7 @@ class _ThreadState:
         "t_time",
         "s_time",
         "e_time",
-        "touched",
+        "token",
         "ran",
         "_init_sql",
         "_principal",
@@ -156,9 +160,10 @@ class _ThreadState:
         self.t_time = 0.0
         self.s_time = 0.0
         self.e_time = 0.0
-        # source paths this thread's walk touched, collected only when
-        # the engine needs a result-cache validity token
-        self.touched: list[str] = []
+        # source path -> (db stamp, listing stamp) for every directory
+        # this thread's walk touched, collected only when the engine
+        # needs a result-cache validity token
+        self.token: Token = {}
         # ... and those whose stages ran to completion (see
         # QueryResult.ran_paths)
         self.ran: list[str] = []
@@ -188,7 +193,7 @@ class _ThreadState:
         self.visited = self.denied = self.opened = self.errored = 0
         self.pruned = self.elided = 0
         self.t_time = self.s_time = self.e_time = 0.0
-        self.touched = []
+        self.token = {}
         self.ran = []
         if stages:
             self._prepare_scratch(init_sql, principal)

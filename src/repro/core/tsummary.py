@@ -267,7 +267,7 @@ def build_tsummary(
                 continue
             prefix = "" if sp == "/" else sp
             stack.extend(
-                f"{prefix}/{n}" for n in index.cached_subdir_names(sp)
+                f"{prefix}/{n}" for n in index.cached_subdir_names(sp)[1]
             )
     finally:
         reader.close()

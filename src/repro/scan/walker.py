@@ -68,6 +68,22 @@ T = TypeVar("T")
 _yield_cpu: Callable[[], None] = getattr(os, "sched_yield", lambda: None)
 
 
+def _await_exit(thread: threading.Thread) -> None:
+    """Hand a joined thread the CPU until its OS thread is gone.
+
+    ``join()`` returns when the thread's interpreter state is released,
+    a few microseconds before its OS thread exits — and on a busy CPU
+    waking the joiner preempts it right there, so it outlives the walk
+    by milliseconds, its CPU time still charged to the live process.
+    Where ``/proc`` lists the process's threads, yield until it no
+    longer lists this one (at most a thousand times); elsewhere once."""
+    task = f"/proc/self/task/{thread.native_id}"
+    for _ in range(1000):
+        _yield_cpu()
+        if not os.path.exists(task):
+            return
+
+
 def default_worker_count() -> int:
     """Worker threads to use when the caller doesn't say: the CPUs this
     process may actually run on (its affinity mask — a container or
@@ -297,12 +313,7 @@ class ParallelTreeWalker:
                 work.put(_SENTINEL)
             for t in threads:
                 t.join()
-                # join() returns when the worker's interpreter state is
-                # released, a few microseconds before its OS thread
-                # exits — and on a busy CPU waking us preempts it right
-                # there, so it outlives the walk by milliseconds. Hand
-                # it the CPU to finish.
-                _yield_cpu()
+                _await_exit(t)
 
             fatal_exc = next((f for f in fatal if f is not None), None)
             if fatal_exc is not None:

@@ -2,6 +2,9 @@
 
 Walks the index and reports, without modifying anything:
 
+* **missing primaries**: index directories with no ``db.db`` (every
+  walk skips the whole subtree below one — its permissions cannot be
+  read);
 * the schema-version histogram of the primary databases (spotting
   v0/v1 databases that want ``gufi index migrate`` — a whole older
   index, or the older part of a mixed one — and databases newer than
@@ -23,13 +26,14 @@ Walks the index and reports, without modifying anything:
 
 from __future__ import annotations
 
+import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from . import connect, schema
-from .layout import DirStore
+from .layout import DB_NAME, DirStore
 
 
 @dataclass
@@ -46,6 +50,8 @@ class DoctorReport:
     #: supports (reading them risks misinterpretation)
     dirs_newer: int = 0
     side_dbs: int = 0
+    #: source paths of index directories with no primary database
+    missing_primary: list[str] = field(default_factory=list)
     #: (source path, shard file name) tracked by ``xattrs_avail`` but
     #: absent on disk
     missing_shards: list[tuple[str, str]] = field(default_factory=list)
@@ -59,11 +65,12 @@ class DoctorReport:
 
     @property
     def healthy(self) -> bool:
-        """No findings that need an operator: every database current
-        and carrying its own views, every tracked shard present, no
-        staging residue, no errors."""
+        """No findings that need an operator: every directory has its
+        database, every database current and carrying its own views,
+        every tracked shard present, no staging residue, no errors."""
         return not (
-            self.dirs_outdated
+            self.missing_primary
+            or self.dirs_outdated
             or self.dirs_newer
             or self.missing_shards
             or self.view_mismatches
@@ -135,7 +142,13 @@ def doctor(index: Any) -> DoctorReport:
 
         index = GUFIIndex.open(Path(index))
     report = DoctorReport()
-    for d in index.iter_index_dirs():
+    root = str(index.root)
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        source_path = dirpath[len(root):] or "/"
+        if DB_NAME not in filenames:
+            report.missing_primary.append(source_path)
+            continue
         report.dirs_seen += 1
-        _check_dir(DirStore(d), index.source_path(d), report)
+        _check_dir(DirStore(Path(dirpath)), source_path, report)
     return report

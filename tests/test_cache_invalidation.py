@@ -540,7 +540,7 @@ class TestReadStablePublish:
         meta = demo_index.cached_dir_meta("/home/bob")
         assert meta is not None  # the read itself still answers
         # ...but nothing was published: the cache must not hold it
-        assert demo_index.cache.peek_stamp("/home/bob") is None
+        assert "/home/bob" not in demo_index.cache._meta
 
     def test_dir_meta_discards_on_mismatch(self, demo_index, monkeypatch):
         db_path = demo_index.db_path("/public")
@@ -550,11 +550,11 @@ class TestReadStablePublish:
             flipping_stamp(layout.file_stamp, db_path),
         )
         assert demo_index.dir_meta("/public") is not None
-        assert demo_index.cache.peek_stamp("/public") is None
+        assert "/public" not in demo_index.cache._meta
 
     def test_stable_read_still_publishes(self, demo_index):
         assert demo_index.cached_dir_meta("/home/bob") is not None
-        assert demo_index.cache.peek_stamp("/home/bob") is not None
+        assert demo_index.cache._meta["/home/bob"].stamp is not None
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,6 @@
 """Tests for the deployment access layer (restricted server, identity,
 the portal's reports as invocations) and index composition (graft /
-prune / validate)."""
+prune, checked by the index doctor)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.core.compose import (
     CompositionError,
     graft,
     prune,
-    validate,
 )
 from repro.core.index import GUFIIndex
 from repro.core.engine import QueryEngine, ResultCache
@@ -32,6 +31,7 @@ from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.fs.tree import VFSTree
 from repro.gen.datasets import linux_kernel_tree
+from repro.store.doctor import doctor
 from tests.conftest import (
     NTHREADS,
     build_demo_tree,
@@ -273,11 +273,11 @@ class TestGraftPrune:
 
     @staticmethod
     def journal_fed_cache() -> ResultCache:
-        """A cache told a changefeed feeds the index (not exclusively),
-        with a stamp pass owed only after an hour: in between, only a
-        writer that announces itself takes an entry out of service."""
-        cache = ResultCache(stamp_ttl=3600.0)
-        cache.attach_journal(ChangeJournal())
+        """A cache told a changefeed is the sole writer of the index: a
+        hit makes no stat, so only a writer that announces itself takes
+        an entry out of service."""
+        cache = ResultCache()
+        cache.attach_journal(ChangeJournal(), exclusive=True)
         return cache
 
     def test_prune_announces_itself_and_refreshes_tree_summaries(
@@ -351,20 +351,22 @@ class TestGraftPrune:
 
 
 class TestValidate:
+    """The structural health check of a composed index is the doctor."""
+
     def test_clean_index_validates(self, demo_index):
-        report = validate(demo_index)
-        assert report.ok
-        assert report.dirs_checked == demo_index.count_dbs()
+        report = doctor(demo_index)
+        assert report.healthy
+        assert report.dirs_seen == demo_index.count_dbs()
 
     def test_validates_after_rollup(self, demo_index):
         rollup(demo_index, nthreads=NTHREADS)
-        assert validate(demo_index).ok
+        assert doctor(demo_index).healthy
 
     def test_detects_missing_db(self, demo_index):
         (demo_index.index_dir("/home/bob") / "db.db").unlink()
-        report = validate(demo_index)
-        assert not report.ok
-        assert any("missing db.db" in p for p in report.problems)
+        report = doctor(demo_index)
+        assert not report.healthy
+        assert report.missing_primary == ["/home/bob"]
 
     def test_detects_inconsistent_rollup_flag(self, demo_index):
         from repro.store import connect
@@ -372,8 +374,8 @@ class TestValidate:
         conn = connect.open_rw(demo_index.db_path("/home/alice"))
         conn.execute("UPDATE summary SET rolledup = 1 WHERE isroot = 1")
         conn.close()
-        report = validate(demo_index)
-        assert any("pentries is a view" in p for p in report.problems)
+        report = doctor(demo_index)
+        assert any("pentries is a view" in w for _, w in report.view_mismatches)
 
     def test_detects_missing_side_db(self, tmp_path):
         t = VFSTree()
@@ -383,8 +385,8 @@ class TestValidate:
         idx = dir2index(t, tmp_path / "i",
                         opts=BuildOptions(nthreads=NTHREADS)).index
         (idx.index_dir("/d") / "xattrs.db.u1002").unlink()
-        report = validate(idx)
-        assert any("xattrs.db.u1002 missing" in p for p in report.problems)
+        report = doctor(idx)
+        assert ("/d", "xattrs.db.u1002") in report.missing_shards
 
 
 class TestServerClose:

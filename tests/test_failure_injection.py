@@ -6,10 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.build import BuildOptions, dir2index
-from repro.core.compose import validate
 from repro.core.engine import QueryEngine
 from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup
+from repro.store.doctor import doctor
 from tests.conftest import NTHREADS, build_demo_tree
 
 
@@ -67,8 +67,7 @@ class TestCorruptShard:
 
     def test_validate_reports_corruption(self, idx):
         idx.db_path("/home/bob").write_bytes(b"junk" * 100)
-        report = validate(idx)
-        assert not report.ok
+        assert not doctor(idx).healthy
 
     def test_user_sql_errors_still_propagate(self, idx):
         """Corruption is survivable; a typo in the user's SQL is not

@@ -381,7 +381,7 @@ class TestStatementBudget:
         named = [word for word in self.BOUNDS if word in meta[0]]
         assert named == ([] if shape == "lean" else list(self.BOUNDS)), meta[0]
         assert ("isroot = 1" in meta[0]) == (shape == "lean")
-        cached = [m for _stamp, m in demo_index.cache._meta.values()]
+        cached = list(demo_index.cache._meta.values())
         assert len(cached) == n
         assert all(m.lean == (shape == "lean") for m in cached)
 
@@ -511,7 +511,7 @@ class TestLeanThenFull:
             q.run(Q1_LIST_PATHS)
         paths = list(index.cache._meta)
         assert "/home" in paths
-        assert all(m.lean for _stamp, m in index.cache._meta.values())
+        assert all(m.lean for m in index.cache._meta.values())
         fresh = GUFIIndex.open(index.root)
         hits = index.cache.meta_hits
         for path in paths:
@@ -524,17 +524,18 @@ class TestLeanThenFull:
         with QueryEngine(index, nthreads=NTHREADS) as q:
             q.run(Q1_LIST_PATHS)
         assert index.cache.meta_misses == misses
-        assert not any(m.lean for _stamp, m in index.cache._meta.values())
+        assert not any(m.lean for m in index.cache._meta.values())
 
     def test_a_lean_record_does_not_displace_a_full_one(self, index):
         full = index.dir_meta("/home")
-        stamp = index.cache.peek_stamp("/home")
+        assert full.stamp is not None
         lean = dataclasses.replace(full, stats=None, tsummary=None)
-        index.cache.put_meta("/home", stamp, lean)
+        index.cache.put_meta("/home", lean)
         assert index.cached_dir_meta("/home") is full
         # unless it describes another file: then it is the news
-        index.cache.put_meta("/home", (0, 0, 0), lean)
-        assert index.cache._meta["/home"][1] is lean
+        other = dataclasses.replace(lean, stamp=(0, 0, 0))
+        index.cache.put_meta("/home", other)
+        assert index.cache._meta["/home"] is other
 
     @pytest.mark.parametrize("plan", [None, QueryPlan()], ids=["lean", "full"])
     @pytest.mark.parametrize("damage", ["garbage", "empty", "no-summary-row"])

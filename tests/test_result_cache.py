@@ -91,14 +91,24 @@ def cold_rows(index, spec, creds=ROOT, plan=None, start="/"):
         eng.close()
 
 
-def _write_in_place(db_path, name="oob.txt"):
+def _write_in_place(db_path, name="oob.txt", journal_mode="DELETE"):
     """A foreign process adds an entry behind every cache's back."""
-    con = sqlite3.connect(db_path)
-    con.execute(
+    _sql_in_place(
+        db_path,
         "INSERT INTO entries (name, type, mode, uid, gid, size) "
         "VALUES (?, 'f', 420, 0, 0, 11)",
         (name,),
+        journal_mode,
     )
+
+
+def _sql_in_place(db_path, sql, params=(), journal_mode="DELETE"):
+    """One foreign write to a database, in place. ``MEMORY`` keeps the
+    rollback journal off the disk, so no file comes and goes beside
+    the database and the directory's mtime does not move."""
+    con = sqlite3.connect(db_path)
+    con.execute(f"PRAGMA journal_mode={journal_mode}")
+    con.execute(sql, params)
     con.commit()
     con.close()
 
@@ -357,19 +367,21 @@ class TestInvalidation:
         finally:
             eng.close()
 
-    def test_journal_fast_path_bounded_by_stamp_ttl(self, demo_tree,
-                                                    tmp_path):
+    def test_journal_needs_a_sole_writer(self, demo_tree, tmp_path):
         """A writer in *another process* journals nothing and fires no
-        hooks, so the stat-free changefeed fast path cannot see it.
-        Unless the journal is declared exclusive, the fast path must
-        fall back to the stamp pass within ``stamp_ttl`` — a foreign
-        rewrite is detected, not masked forever."""
+        hooks, so the stat-free changefeed fast path cannot see it: a
+        journal is attached only as the declaration of a sole writer,
+        and without one a foreign rewrite is seen on the very next
+        lookup."""
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
-        # ttl 0: every lookup re-stamps, so detection is immediate
-        cache = ResultCache(stamp_ttl=0.0)
-        cache.attach_journal(journal)
+        cache = ResultCache()
+        with pytest.raises(ValueError):
+            cache.attach_journal(journal)
+        with pytest.raises(ValueError):
+            cache.attach_journal(journal, exclusive=False)
+        assert cache.journal is None
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
@@ -391,7 +403,7 @@ class TestInvalidation:
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
         cache = ResultCache()
-        cache.attach_journal(journal)
+        cache.attach_journal(journal, exclusive=True)
         eng = QueryEngine(
             index, creds=ALICE, nthreads=NTHREADS, result_cache=cache
         )
@@ -416,7 +428,7 @@ class TestInvalidation:
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
         cache = ResultCache()
-        cache.attach_journal(journal)
+        cache.attach_journal(journal, exclusive=True)
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
@@ -434,7 +446,7 @@ class TestInvalidation:
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
         cache = ResultCache()
-        cache.attach_journal(journal)
+        cache.attach_journal(journal, exclusive=True)
         eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
         try:
             eng.run(E_ALL)
@@ -481,7 +493,7 @@ class TestInvalidation:
             check("/home/bob", True)
             check("/public/xonly", True)
             check("/proj/shared", False)
-            cache.attach_journal(journal)
+            cache.attach_journal(journal, exclusive=True)
             demo_tree.create_file("/public/xonly/late", size=6, uid=0, gid=0)
             changefeed2index(index, demo_tree, journal, opts=OPTS)
             check("/home/bob", True)  # the window touches nothing of its
@@ -497,10 +509,10 @@ class TestInvalidation:
         before = cache.capture_aborts
         real_store = cache.store
 
-        def racing_store(key, capture, result, index, inv_seq):
+        def racing_store(key, capture, result, cursor, inv_seq):
             # a writer lands between run start and store
             eng.index.invalidate_cache("/public")
-            return real_store(key, capture, result, index, inv_seq)
+            return real_store(key, capture, result, cursor, inv_seq)
 
         cache.store = racing_store
         try:
@@ -510,6 +522,108 @@ class TestInvalidation:
         assert not r.cached
         assert len(cache) == 0
         assert cache.capture_aborts == before + 1
+
+    @staticmethod
+    def _racing(cache, write):
+        """``cache.store`` with ``write()`` landing after the walk read
+        everything and before the entry is stored, announcing nothing."""
+        real_store = cache.store
+
+        def racing_store(*args):
+            write()
+            return real_store(*args)
+
+        cache.store = racing_store
+        return real_store
+
+    def test_a_stamp_republished_mid_capture_vouches_for_nothing(
+        self, demo_index
+    ):
+        """No journal: every hit pays the stamp pass. A foreign row lands
+        in ``/public`` after the walk read it (the directory's mtime
+        stays), and a reader on the same handle republishes its record
+        under the new stamp before the store: the entry is still valid
+        only by the stamp the walk read under."""
+        cache = ResultCache()
+        eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
+
+        def write():
+            _write_in_place(
+                demo_index.db_path("/public"), "racing.txt", "MEMORY"
+            )
+            demo_index.cached_dir_meta("/public")
+
+        real_store = self._racing(cache, write)
+        try:
+            eng.run(E_ALL)
+            cache.store = real_store
+            r = eng.run(E_ALL)
+            assert not r.cached
+            assert any("racing.txt" in str(row[0]) for row in r.rows)
+            assert sorted(r.rows) == cold_rows(demo_index, E_ALL)
+        finally:
+            eng.close()
+
+    def test_an_apply_committed_mid_capture_is_seen(self, demo_tree, tmp_path):
+        """Sole writer declared: a changefeed applied through another
+        handle (no hook on this cache) lands after the walk read
+        ``/public`` and before the store. The entry's cursor is the one
+        read before the run, so the next hit takes the stamp pass and
+        misses."""
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        journal = ChangeJournal()
+        demo_tree.set_changelog(journal)
+        cache = ResultCache()
+        cache.attach_journal(journal, exclusive=True)
+        eng = QueryEngine(index, nthreads=NTHREADS, result_cache=cache)
+
+        def write():
+            demo_tree.create_file("/public/racing.txt", size=3, uid=0, gid=0)
+            changefeed2index(
+                GUFIIndex.open(index.root), demo_tree, journal, opts=OPTS
+            )
+
+        real_store = self._racing(cache, write)
+        try:
+            eng.run(E_ALL)
+            cache.store = real_store
+            r = eng.run(E_ALL)
+            assert not r.cached
+            assert any("racing.txt" in str(row[0]) for row in r.rows)
+            assert sorted(r.rows) == cold_rows(index, E_ALL)
+        finally:
+            eng.close()
+
+    def test_an_ancestor_revoked_mid_capture_is_seen(self, demo_index):
+        """No journal: ``/home/alice`` stops granting search after the
+        run checked it and before the entry is stored. The ancestor's
+        stamp is the one its bits were read under, so the next run
+        misses and is denied, as a cold one is."""
+        from repro.core.engine import QueryPermissionError
+
+        cache = ResultCache()
+        eng = QueryEngine(
+            demo_index, creds=ALICE, nthreads=NTHREADS, result_cache=cache
+        )
+
+        def write():
+            _sql_in_place(
+                demo_index.db_path("/home/alice"),
+                "UPDATE summary SET mode = 0 WHERE isroot = 1",
+                journal_mode="MEMORY",
+            )
+
+        real_store = self._racing(cache, write)
+        try:
+            assert len(eng.run(E_ALL, "/home/alice/sub").rows) == 1
+            cache.store = real_store
+            with pytest.raises(QueryPermissionError):
+                eng.run(E_ALL, "/home/alice/sub")
+            with QueryEngine(demo_index, creds=ALICE, nthreads=NTHREADS) as cold:
+                with pytest.raises(QueryPermissionError):
+                    cold.run(E_ALL, "/home/alice/sub")
+        finally:
+            eng.close()
 
 
 class TestHitBudget:
@@ -523,7 +637,7 @@ class TestHitBudget:
     ):
         from repro.core.checkpoint import ChangefeedCheckpoint
 
-        cache = ResultCache(stamp_ttl=0.0)
+        cache = ResultCache()
         with QueryEngine(
             demo_index, nthreads=NTHREADS, result_cache=cache
         ) as eng:
@@ -612,11 +726,36 @@ class TestHitBudget:
         assert hit_stats() == 2 * n + path_depth(start)
         assert hit_stats() == 0  # checked at the new cursor
 
+    def test_store_makes_no_stat(self, demo_index, monkeypatch):
+        """A capture's token is what its walk read under: storing it
+        re-stamps nothing."""
+        cache = ResultCache()
+        real_store = cache.store
+        stats: list[str] = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        def counted_store(*args):
+            with monkeypatch.context() as m:
+                m.setattr(os, "stat", counting_stat)
+                return real_store(*args)
+
+        cache.store = counted_store
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            assert not eng.run(E_ALL).cached
+            assert len(cache) == 1
+        assert stats == []
+
 
 #: out-of-band change -> what it does, given the index directories of
 #: (a visited directory with no visited child, a sub-directory to
-#: remove, the start's parent). Each runs with no journal, no hook and
-#: ``stamp_ttl = 0``: only the stamp pass can see it.
+#: remove, the start's parent). Each runs with no journal and no hook:
+#: only the stamp pass can see it.
 _OOB_CHANGES = {
     "write-in-place": lambda leaf, doomed, above: _write_in_place(
         leaf + "/db.db"
@@ -642,10 +781,16 @@ _STARTS = {
     "/home/alice": ("/home/alice", "/home/alice/sub"),
 }
 
+#: (start, change) pairs no walk from that start can see: the walk never
+#: reads the rolled-up ``/home/alice``'s listing, so a sub-directory
+#: added or removed there changes no answer and the entry keeps serving
+_UNSEEN = {("/home/alice", "subdir-added"), ("/home/alice", "subdir-removed")}
+
 
 class TestFreshnessMatrix:
     """Every kind of start x every kind of out-of-band change: the
-    next lookup misses and the re-run equals a cold engine's answer."""
+    next lookup misses — unless no walk can see the change — and the
+    answer equals a cold engine's."""
 
     @staticmethod
     def _outcome(engine, start):
@@ -664,7 +809,7 @@ class TestFreshnessMatrix:
             pytest.skip("the root has no ancestor")
         rollup(demo_index, nthreads=NTHREADS)
         assert demo_index.dir_meta("/home/alice").rolledup
-        cache = ResultCache(stamp_ttl=0.0)
+        cache = ResultCache()
         eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
         try:
             assert not eng.run(E_ALL, start).cached
@@ -676,9 +821,10 @@ class TestFreshnessMatrix:
                 *map(demo_index.index_path, _STARTS[start]),
                 demo_index.index_path(start.rsplit("/", 1)[0]),
             )
+            unseen = (start, change) in _UNSEEN
             hits = cache.hits
             cached, got = self._outcome(eng, start)
-            assert not cached and cache.hits == hits
+            assert cached is unseen and cache.hits == hits + unseen
             with QueryEngine(demo_index, nthreads=NTHREADS) as cold:
                 assert (False, got) == self._outcome(cold, start)
         finally:
@@ -996,9 +1142,9 @@ class TestReuseBudget:
         ns.tree.set_changelog(journal)
         if writer == "changefeed":
             cache = ResultCache()
-            cache.attach_journal(journal)
+            cache.attach_journal(journal, exclusive=True)
         else:
-            cache = ResultCache(stamp_ttl=0.0)
+            cache = ResultCache()
         eng = QueryEngine(
             index, creds=creds, nthreads=NTHREADS, result_cache=cache
         )
@@ -1357,7 +1503,7 @@ class TestNoStaleReadsProperty:
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
         cache = ResultCache()
-        cache.attach_journal(journal)
+        cache.attach_journal(journal, exclusive=True)
         engines = [
             (ROOT, QueryEngine(index, nthreads=NTHREADS,
                                result_cache=cache)),
@@ -1399,7 +1545,7 @@ class TestNoStaleReadsProperty:
         journal = ChangeJournal()
         ns.tree.set_changelog(journal)
         cache = ResultCache()
-        cache.attach_journal(journal)
+        cache.attach_journal(journal, exclusive=True)
         engines = [
             (ROOT, QueryEngine(index, nthreads=NTHREADS,
                                result_cache=cache)),

@@ -83,9 +83,10 @@ _DELETED_MODULES = ("repro.core.db", "repro.core.schema", "repro.store.fts")
 
 #: query handles folded into ``QueryEngine``, the artifact registry
 #: replaced by ``layout``'s constants, a sink nothing used, the
-#: scatter-gather hand-off of a result cache's validity token, and the
-#: in-place writers' copies of the changefeed apply — not to be
-#: re-created
+#: scatter-gather hand-off of a result cache's validity token, the
+#: in-place writers' copies of the changefeed apply, the result cache's
+#: time-bounded stat-free mode and store-time re-stamp, and the health
+#: check the index doctor already was — not to be re-created
 _DELETED_NAMES = (
     "GUFIQuery",
     "QuerySession",
@@ -106,6 +107,12 @@ _DELETED_NAMES = (
     "UpdateResult",
     "_unroll_ancestors",
     "_prune_stale_index_dirs",
+    "stamp_ttl",
+    "stamped_at",
+    "journal_exclusive",
+    "peek_stamp",
+    "peek_subdir_stamp",
+    "ValidationReport",
 )
 
 
@@ -173,9 +180,10 @@ def _deleted_names_in(path: Path) -> list[int]:
 #: the per-directory step of every walk — strings only (five ``Path``
 #: objects per directory once cost more than listing the directory),
 #: the shard planner's included, which asks the same descent rule —
-#: and of every result-cache hit and capture, whose validity token
-#: is two stats per recorded directory and nothing else (a method is
-#: named ``Class.method`` where the bare name is not unique)
+#: and of every result-cache hit and capture: a hit checks one stat
+#: per stamp its walk read under, a capture stores that token without
+#: a stat (a method is named ``Class.method`` where the bare name is
+#: not unique)
 _HOT_FUNCTIONS = (
     "process_dir",
     "cached_subdir_names",
@@ -802,6 +810,15 @@ class TestDoctor:
         assert report.dirs_outdated == 0
         assert report.missing_shards == []
         assert report.stale_partials == []
+
+    def test_reports_a_directory_without_its_database(self, demo_index):
+        """Every walk skips the whole subtree below an index directory
+        with no ``db.db``: named, and not healthy."""
+        (demo_index.index_dir("/home/bob") / DB_NAME).unlink()
+        report = doctor(demo_index)
+        assert report.missing_primary == ["/home/bob"]
+        assert not report.healthy
+        assert report.dirs_seen == demo_index.count_dbs()
 
     def test_reports_stale_partials_and_missing_shards(self, demo_index):
         victim = demo_index.index_dir("/home/bob")
