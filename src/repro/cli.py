@@ -27,7 +27,7 @@ from typing import Callable
 from repro.core.build import BuildOptions, BuildResult, trace2index
 from repro.core.index import GUFIIndex, IndexError_
 from repro.core.plan import QueryPlan
-from repro.core.engine import QueryEngine, QueryPermissionError
+from repro.core.engine import QueryEngine, QueryPermissionError, ThreadFileSink
 from repro.core.query import QuerySpec
 from repro.core.rollup import rollup, unrollup_dir, visible_db_count
 from repro.core.tools import FindFilters, GUFITools
@@ -187,7 +187,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     spec = QuerySpec(
         I=args.init, T=args.tsum, S=args.sum, E=args.entries,
         J=args.join, G=args.final, xattrs=args.xattrs,
-        output_prefix=args.output,
     )
     plan = None
     if args.min_level is not None or args.max_level is not None:
@@ -200,7 +199,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
     with QueryEngine(index, creds=_creds(args), nthreads=args.nthreads,
                      processes=args.processes) as q:
-        result = q.run(spec, args.start, plan=plan)
+        result = q.run(
+            spec, args.start, plan=plan,
+            sink=None if args.output is None else ThreadFileSink(args.output),
+        )
     _write_lines(
         [
             "\t".join(["" if v is None else str(v) for v in row])
@@ -383,7 +385,7 @@ def cmd_changefeed(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.core.build import dir2index
-    from repro.core.changefeed import changefeed2index
+    from repro.core.changefeed import apply_delta, changefeed2index
     from repro.fs.changelog import ChangeJournal, ChangelogOverflow
     from repro.gen import dataset2
     from repro.gen.namespace import NamespaceMutator
@@ -406,12 +408,17 @@ def cmd_changefeed(args: argparse.Namespace) -> int:
         try:
             r = changefeed2index(index, ns.tree, journal, opts=opts)
         except ChangelogOverflow:
+            # Events were lost: rescan every directory either side
+            # knows of, in place, and move the cursor past them all.
             print(
-                "# journal overflowed — falling back to full rebuild",
+                "# journal overflowed — falling back to full rescan",
                 file=sys.stderr,
             )
-            result = dir2index(ns.tree, args.index_root, opts=opts)
-            index = GUFIIndex.open(args.index_root)
+            head = journal.head
+            dirty = {d for d, _dirs, _files in ns.tree.walk("/")}
+            dirty.update(d for d, _names in index.iter_tree("/"))
+            apply_delta(index, ns.tree, [], dirty, opts, commit=head)
+            journal.release(head)
             continue
         print(
             f"cycle {cycle}: {r.events_raw} events "
@@ -670,7 +677,7 @@ def _args_changefeed2index(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mutations", type=int, default=50,
                    help="mutations per cycle")
     p.add_argument("--journal-capacity", type=int, default=65536,
-                   help="journal bound; overflow forces a full rebuild")
+                   help="journal bound; overflow forces a full rescan")
     p.add_argument("--watch", action="store_true",
                    help="keep cycling mutate/apply instead of one batch")
     p.add_argument("--cycles", type=int, default=5,

@@ -80,8 +80,6 @@ class BuildOptions:
     """Knobs for index construction."""
 
     nthreads: int = 8
-    #: index xattr values (with per-user/per-group sharding)
-    with_xattrs: bool = True
     #: also write per-user and per-group summary records (rectype 1/2)
     per_user_group_summaries: bool = False
     #: skip directories already journaled by an interrupted build
@@ -388,7 +386,6 @@ def _build_dir_db(
     store = DirStore.open(index.index_dir(src_path))
     depth = 0 if src_path == "/" else src_path.count("/")
     conn = store.stage_primary()
-    side_names: list[str] = []
     contribution = None
     try:
         conn.execute("BEGIN")
@@ -400,11 +397,13 @@ def _build_dir_db(
         conn.execute("COMMIT")
         if handover is not None:
             contribution = read_contribution(conn, "main")
-        if opts.with_xattrs:
-            shards = shard_xattrs(directory, stanza.xattr_entries)
-            side_names = write_xattr_shards(
-                store.index_dir, conn, shards, suffix=PARTIAL_SUFFIX, faults=faults
-            )
+        side_names = write_xattr_shards(
+            store.index_dir,
+            conn,
+            shard_xattrs(directory, stanza.xattr_entries),
+            suffix=PARTIAL_SUFFIX,
+            faults=faults,
+        )
     finally:
         conn.close()
     if handover is not None:

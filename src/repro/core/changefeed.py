@@ -258,7 +258,6 @@ def apply_delta(
     dirty: set[str],
     opts: BuildOptions | None = None,
     faults=None,
-    tsummary_per_user_group: bool = True,
     commit: int | None = None,
 ) -> ApplyResult:
     """Steps 2–5 for one delta: what :func:`reduce_events` returns,
@@ -361,9 +360,7 @@ def apply_delta(
     tsummary_refreshed = tsummary_dbs_opened = 0
     for root in sorted(ts_roots):
         if index.db_path(root).exists():
-            tsummary_dbs_opened += build_tsummary(
-                index, root, per_user_group=tsummary_per_user_group
-            ).dbs_opened
+            tsummary_dbs_opened += build_tsummary(index, root).dbs_opened
             tsummary_refreshed += 1
 
     # -- settle: the changefeed's cursor, or the refresh owed ----------
@@ -394,7 +391,6 @@ def changefeed2index(
     opts: BuildOptions | None = None,
     faults=None,
     limit: int | None = None,
-    tsummary_per_user_group: bool = True,
 ) -> ApplyResult:
     """Drain the journal and :func:`apply_delta` the batch to an
     existing index; ``limit`` bounds how many raw events one batch
@@ -413,14 +409,11 @@ def changefeed2index(
     metrics.counter("gufi_changefeed_coalesced_total", batch.coalesced)
     if not batch.events:
         # nothing drained: only a refresh a crashed apply owes is left
-        return apply_delta(
-            index, tree, [], set(), opts, faults, tsummary_per_user_group
-        )
+        return apply_delta(index, tree, [], set(), opts, faults)
 
     structural, dirty = reduce_events(batch.events)
     result = apply_delta(
-        index, tree, structural, dirty, opts, faults,
-        tsummary_per_user_group, commit=batch.cursor,
+        index, tree, structural, dirty, opts, faults, commit=batch.cursor
     )
     # the cursor is durable: only now may the journal trim
     journal.release(batch.cursor)

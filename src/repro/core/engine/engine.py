@@ -20,9 +20,9 @@ functions live in a
 ``run()`` calls, and permission metadata comes from the index's
 mtime-validated :class:`~repro.core.index.DirMetaCache` — so repeated
 queries on a warm index skip per-query setup and per-directory summary
-reads. Per-directory accounting (counters, row buffers) is kept in the
-per-thread state and merged once after the walk; the hot path takes no
-locks.
+reads. Per-directory counters are kept in the per-thread state and
+merged once after the walk; rows go to the run's sink, which owns them.
+The hot path takes no locks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from ..index import DirMeta, GUFIIndex, IndexError_
 from ..plan import QueryPlan
 from ..session import ThreadStatePool, _ThreadState
 from .resultcache import CacheEntry, CaptureSink, ResultCache, make_key
-from .sinks import MemorySink, ResultSink, SinkSummary, ThreadFileSink
+from .sinks import MemorySink, ResultSink, SinkSummary
 from .stages import MergeRunner, StageRunner
 from .traversal import (
     CancelToken,
@@ -63,8 +63,8 @@ from .types import (
 class QueryEngine:
     """Query executor bound to an index, credentials, and a pool size.
 
-    The handle is a *session*: scratch connections and output files
-    persist across :meth:`run` calls (see :mod:`repro.core.session`).
+    The handle is a *session*: scratch connections persist across
+    :meth:`run` calls (see :mod:`repro.core.session`).
     Call :meth:`close` (or use the handle as a context manager) for
     deterministic cleanup; otherwise GC finalizers close the pooled
     connections (and remove a scatter-gather hand-off directory).
@@ -134,8 +134,7 @@ class QueryEngine:
         """Parallel permission-gated descent from ``start``.
 
         ``sink`` chooses the result path; the default is in-memory
-        rows (or per-thread files when ``spec.output_prefix`` is set,
-        preserving the ``-o`` shorthand).
+        rows (:class:`MemorySink`).
 
         ``cancel`` is a cooperative :class:`CancelToken` (deadline
         and/or caller-side kill): the traversal layer observes it once
@@ -177,7 +176,7 @@ class QueryEngine:
         """One real run: scatter-gather, or the single-process walk."""
         if self.processes > 1:
             return self._scatter().run(spec, start, plan, sink, cancel)
-        sink = self._default_sink(spec) if sink is None else sink
+        sink = MemorySink() if sink is None else sink
         sink._claim()
         return self._observed(
             "query.run",
@@ -211,7 +210,7 @@ class QueryEngine:
                 "query.run",
                 spec,
                 start,
-                lambda otr: self._replay(spec, entry, sink),
+                lambda otr: self._replay(entry, sink),
             )
         # Snapshot the applied cursor and the invalidation sequence
         # *before* the run, like every stamp of its token: an apply
@@ -222,7 +221,7 @@ class QueryEngine:
         # A stale entry under this key donates its unchanged
         # directories' rows to the walk that replaces it.
         capture = CaptureSink(
-            self._default_sink(spec) if sink is None else sink,
+            MemorySink() if sink is None else sink,
             cache.max_entry_bytes,
             cache.donor(key),
         )
@@ -234,54 +233,42 @@ class QueryEngine:
         return result
 
     def _replay(
-        self,
-        spec: QuerySpec,
-        entry: CacheEntry,
-        sink: ResultSink | None,
+        self, entry: CacheEntry, sink: ResultSink | None
     ) -> QueryResult:
         """Serve one materialized entry through the caller's sink —
         the sink sees the same emit/emit_final/finish sequence a real
         run produces, so caps, paging, files, and aggregate databases
         all behave identically."""
         t0 = time.monotonic()
-        sink = self._default_sink(spec) if sink is None else sink
+        sink = MemorySink() if sink is None else sink
         sink._claim()
-        summary, output_files = self._deliver(
-            spec, sink, entry.rows, entry.final_rows
-        )
+        summary = self._deliver(sink, entry.rows, entry.final_rows)
         return QueryResult(
             rows=summary.rows,
             elapsed=time.monotonic() - t0,
             **entry.counters,
-            output_files=output_files,
+            output_files=summary.files,
             truncated=summary.truncated,
             cached=True,
         )
 
+    @staticmethod
     def _deliver(
-        self,
-        spec: QuerySpec,
-        sink: ResultSink,
-        rows: list[tuple],
-        final_rows: list[tuple],
-    ) -> tuple[SinkSummary, list[str] | None]:
-        """Hand rows no stage of this process produced — a cached
-        entry's, or the scatter workers' — to ``sink`` on one state
-        that runs no SQL, in the emit/emit_final/finish sequence a
-        real run produces, so caps, paging and files behave
-        identically. Returns the sink's summary and the output file
-        written, if any."""
-        st = self.pool.acquire(spec.I, sink.thread_output_path(0), stages=False)
+        sink: ResultSink, rows: list[tuple], final_rows: list[tuple]
+    ) -> SinkSummary:
+        """Hand rows no walk of this process produced — a cached
+        entry's, or the scatter workers' — to ``sink`` in the
+        emit/emit_final/finish sequence a real run produces, so caps,
+        paging and files behave identically. Nothing is checked out
+        of the pool: no stage runs."""
         try:
             if rows:
-                sink.emit(st, rows)
+                sink.emit(None, rows)
             if final_rows:
                 sink.emit_final(final_rows)
-            summary = sink.finish([st])
         finally:
-            out_path = st.finish_output()
-            self.pool.release([st])
-        return summary, [out_path] if out_path is not None else None
+            summary = sink.finish()
+        return summary
 
     def run_shard(
         self,
@@ -311,7 +298,7 @@ class QueryEngine:
         whole-query observability is recorded here — the parent owns
         the query-level span/counters; workers contribute their
         walker/session metrics through snapshot merging."""
-        sink = self._default_sink(spec) if sink is None else sink
+        sink = MemorySink() if sink is None else sink
         sink._claim()
         norm = [(normalize_path(p), bool(rec)) for p, rec in units]
         trav = Traversal(
@@ -347,7 +334,7 @@ class QueryEngine:
         :class:`QueryPermissionError` instead of being counted in
         ``dirs_denied``, and a failing stage raises its own exception
         (no walker collects it into a ``RuntimeError``)."""
-        sink = self._default_sink(spec) if sink is None else sink
+        sink = MemorySink() if sink is None else sink
         sink._claim()
 
         def single(otr: Any) -> QueryResult:
@@ -357,12 +344,6 @@ class QueryEngine:
             return result
 
         return self._observed("query.run_single", spec, path, single)
-
-    @staticmethod
-    def _default_sink(spec: QuerySpec) -> ResultSink:
-        if spec.output_prefix is not None:
-            return ThreadFileSink(spec.output_prefix)
-        return MemorySink()
 
     # ------------------------------------------------------------------
     # Observability wrapper
@@ -531,21 +512,16 @@ class QueryEngine:
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
         db_suffix = "/" + DB_NAME
         # Thread-ident -> checked-out state, for *this* run only (the
-        # walker creates fresh threads per walk). The lock is taken
-        # once per thread per run — at checkout — never per directory.
+        # walker creates fresh threads per walk). The pool's lock is
+        # taken once per thread per run — at checkout — never per
+        # directory.
         run_states: dict[int, _ThreadState] = {}
-        checkout_lock = threading.Lock()
 
         def thread_state() -> _ThreadState:
             tid = threading.get_ident()
             st = run_states.get(tid)
             if st is None:
-                with checkout_lock:
-                    ordinal = len(run_states)
-                    st = pool.acquire(
-                        spec.I, sink.thread_output_path(ordinal), True, creds
-                    )
-                    run_states[tid] = st
+                st = run_states[tid] = pool.acquire(spec.I, creds)
             return st
 
         def process_dir(unit: tuple[str, bool]) -> list[tuple[str, bool]]:
@@ -594,7 +570,10 @@ class QueryEngine:
                 if not trav.permitted(meta):
                     st.denied += 1
                     return []
-                if trav.elide_warm(meta, rel_depth):
+                gates = trav.stage_gates(meta, rel_depth)
+                if trav.plan is not None and not (
+                    gates.run_t or gates.run_s or gates.run_e
+                ):
                     # Warm fast path: the cached stats decide
                     # matchability before any SQLite work. No surviving
                     # stage needs the database, so the attach is elided
@@ -604,13 +583,13 @@ class QueryEngine:
                     st.pruned += 1
                     st.elided += 1
                     return children(meta)
-                if donor is not None and donor.reuse(st, source_path, db_stamp):
+                if donor is not None and donor.reuse(source_path, db_stamp):
                     # Unchanged since the donor's capture (the stamp
                     # ``get_meta`` validated above): its rows stand in
                     # for ATTACH, S/E, DETACH; the rest is this run's.
                     st.visited += 1
                     st.opened += 1
-                    if trav.stage_gates(meta, rel_depth).plan_pruned:
+                    if gates.plan_pruned:
                         st.pruned += 1
                     st.ran.append(source_path)
                     return children(meta)
@@ -645,10 +624,10 @@ class QueryEngine:
                     if not trav.permitted(meta):
                         st.denied += 1
                         return []
+                    gates = trav.stage_gates(meta, rel_depth)
                 stage.account_io(st, db_path)
                 st.visited += 1
                 st.opened += 1
-                gates = trav.stage_gates(meta, rel_depth)
                 if gates.plan_pruned:
                     st.pruned += 1
                 if gates.run_t and meta.tsummary:
@@ -664,7 +643,7 @@ class QueryEngine:
             if donates:
                 st.ran.append(source_path)
             if local_rows:
-                sink.emit(st, local_rows)
+                sink.emit(source_path, local_rows)
             return children(meta)
 
         expand: Callable[[tuple[str, bool]], list[tuple[str, bool]]]
@@ -680,17 +659,18 @@ class QueryEngine:
         else:
             expand = process_dir
 
-        def retire() -> list[str]:
-            """Flush the checked-out states' output files and park the
-            states in the pool again; returns the files written."""
-            states = list(run_states.values())
-            files = sorted(p for st in states if (p := st.finish_output()))
-            pool.release(states)
-            return files
+        def retire() -> SinkSummary:
+            """Finish the sink (a file sink closes its files) and park
+            the states in the pool again."""
+            try:
+                return sink.finish()
+            finally:
+                pool.release(list(run_states.values()))
 
-        # An aborted run parks its (idle) states instead of orphaning
-        # them: a long-lived server times queries out routinely and
-        # must not leak a pool's worth of connections each time.
+        # An aborted run finishes its sink and parks its (idle) states
+        # instead of orphaning them: a long-lived server times queries
+        # out routinely and must not leak a pool's worth of connections
+        # (or a file sink's files) each time.
         if len(units) == 1 and not units[0][1]:
             # One directory, no descent (``run_single``): the step runs
             # on the calling thread — starting ``nthreads`` threads
@@ -745,11 +725,10 @@ class QueryEngine:
             g_rows = merge.run(states)
             if g_rows:
                 sink.emit_final(g_rows)
-            summary = sink.finish(states)
         finally:
-            # Output files flush (and record) even when J/G raised;
-            # states go back to the pool either way.
-            output_files = retire()
+            # Output files close even when J/G raised; states go back
+            # to the pool either way.
+            summary = retire()
 
         if stats.errors:
             item, exc = stats.errors[0]
@@ -766,7 +745,7 @@ class QueryEngine:
             dirs_errored=errored,
             dirs_pruned_by_plan=plan_pruned,
             attaches_elided=elided,
-            output_files=output_files or None,
+            output_files=summary.files,
             truncated=summary.truncated,
             walk_stats=stats,
             visited_paths=visited_paths,

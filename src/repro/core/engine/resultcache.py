@@ -100,7 +100,6 @@ if TYPE_CHECKING:
 
     from ..index import DirMetaCache, GUFIIndex
     from ..plan import QueryPlan
-    from ..session import _ThreadState
 
 #: (uid, gid, supplementary groups) — one principal's scope
 CredKey = tuple[int, int, frozenset[int]]
@@ -144,11 +143,9 @@ def _norm_sql(sql: str | None) -> str | None:
 
 
 def spec_key(spec: QuerySpec) -> tuple:
-    """Normalized row-determining fields of a spec.
-
-    ``output_prefix`` is deliberately excluded: it only chooses the
-    default *sink* shape, never the rows, and replay goes through the
-    caller's sink anyway."""
+    """Normalized row-determining fields of a spec. Where rows go is
+    the sink's business, never the key's: replay goes through the
+    caller's sink."""
     return (
         _norm_sql(spec.I),
         _norm_sql(spec.T),
@@ -232,9 +229,6 @@ class CaptureSink(ResultSink):
         super()._claim()
         self.inner._claim()
 
-    def thread_output_path(self, ordinal: int) -> str | None:
-        return self.inner.thread_output_path(ordinal)
-
     def _record(
         self,
         bucket: list[Row],
@@ -261,12 +255,11 @@ class CaptureSink(ResultSink):
                 self.batches[path] = (lo, lo + len(rows), nbytes)
             bucket.extend(rows)
 
-    def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
-        # the walk names the directory it is in on the thread's context
-        self._record(self.rows, rows, st.ctx.current_path)
-        self.inner.emit(st, rows)
+    def emit(self, path: str | None, rows: list[Row]) -> None:
+        self._record(self.rows, rows, path)
+        self.inner.emit(path, rows)
 
-    def reuse(self, st: "_ThreadState", path: str, stamp: tuple | None) -> bool:
+    def reuse(self, path: str, stamp: tuple | None) -> bool:
         """Emit the donor's rows for ``path`` in place of running its
         stages — only if they ran to completion at capture, under the
         ``db.db`` stamp the walk has just validated (``stamp``). The
@@ -281,7 +274,7 @@ class CaptureSink(ResultSink):
         if hi > lo:
             rows = donor.rows[lo:hi]
             self._record(self.rows, rows, path, nbytes)
-            self.inner.emit(st, rows)
+            self.inner.emit(path, rows)
         with self._lock:
             self.reused += 1
         return True
@@ -290,8 +283,8 @@ class CaptureSink(ResultSink):
         self._record(self.final_rows, rows)
         self.inner.emit_final(rows)
 
-    def finish(self, states: list["_ThreadState"]) -> SinkSummary:
-        return self.inner.finish(states)
+    def finish(self) -> SinkSummary:
+        return self.inner.finish()
 
 
 @dataclasses.dataclass

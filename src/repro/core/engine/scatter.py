@@ -345,7 +345,7 @@ class ScatterGatherEngine:
         manual :meth:`CancelToken.cancel` is seen only until the
         shards are dispatched."""
         engine = self.engine
-        sink = engine._default_sink(spec) if sink is None else sink
+        sink = MemorySink() if sink is None else sink
         sink._claim()
         return engine._observed(
             "query.run",
@@ -378,7 +378,7 @@ class ScatterGatherEngine:
             return engine._run_impl(spec, start, True, plan, sink, otr, cancel)
 
         timing = obs.metrics().enabled
-        worker_spec = replace(spec, G=None, output_prefix=None)
+        worker_spec = replace(spec, G=None)
         scratch = self._handoff()
         seq = self._seq
         self._seq += 1
@@ -470,8 +470,8 @@ class ScatterGatherEngine:
                     _unlink(task.agg_path)
 
         clean = [r for r in results if r is not None and r.error is None]
-        summary, output_files = engine._deliver(
-            spec, sink, [row for r in clean for row in r.rows], g_rows
+        summary = engine._deliver(
+            sink, [row for r in clean for row in r.rows], g_rows
         )
 
         if worker_error is not None:
@@ -505,7 +505,7 @@ class ScatterGatherEngine:
             rows=summary.rows,
             elapsed=time.monotonic() - t0,
             **counters,
-            output_files=output_files,
+            output_files=summary.files,
             truncated=summary.truncated,
             walk_stats=walk,
             stage_seconds=stage_seconds,

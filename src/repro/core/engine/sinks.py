@@ -11,12 +11,15 @@ responses — without forking the engine per consumer.
 
 Concurrency contract: ``emit`` is called by walker threads, at most
 once per directory *that produced rows* (plan-pruned and denied
-directories never reach the sink), always with the emitting thread's
-own checked-out :class:`~repro.core.session._ThreadState`. Sinks that
-keep per-thread data on the state (memory, files) need no locks; sinks
-with shared state (bounded, paginated) take a lock per
-*batch*, not per row, so the lock-free per-directory hot path is
-preserved for the common case of directories that emit nothing.
+directories never reach the sink), with the directory's source path —
+or ``None`` for rows no walk of this process produced (a result-cache
+replay, a scatter gather). Sinks own what they write: nothing of a
+sink lives on the engine's pooled thread states, so a state carries no
+file handle or row buffer from one run to the next. A sink's shared
+state is touched once per *batch*, never per row (a lock, or one
+``list.extend``, atomic under the GIL), so the lock-free
+per-directory hot path is preserved for the common case of
+directories that emit nothing.
 
 A sink instance serves **one** run. Reusing one across runs is not
 supported (the engine raises); create a fresh sink per call.
@@ -26,10 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.core.session import _ThreadState
+from typing import TextIO
 
 #: a row as the engine produces it
 Row = tuple
@@ -44,6 +44,8 @@ class SinkSummary:
     rows: list[Row]
     #: True when the sink dropped rows to honour a cap
     truncated: bool = False
+    #: the files the rows were written to (``QueryResult.output_files``)
+    files: list[str] | None = None
 
 
 class ResultSink:
@@ -51,9 +53,7 @@ class ResultSink:
 
     Subclasses override the methods they care about; the defaults
     describe a sink that ignores everything (useful for counting-only
-    queries). ``thread_output_path`` is consulted once per worker
-    thread at checkout so file-backed sinks can reuse the session
-    pool's persistent output handles.
+    queries).
     """
 
     _consumed: bool = False
@@ -67,79 +67,87 @@ class ResultSink:
             )
         self._consumed = True
 
-    def thread_output_path(self, ordinal: int) -> str | None:
-        """Path for worker ``ordinal``'s streamed output file, or None
-        when this sink does not stream to per-thread files."""
-        return None
-
-    def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
+    def emit(self, path: str | None, rows: list[Row]) -> None:
         """Absorb one directory's SELECT rows (worker thread)."""
 
     def emit_final(self, rows: list[Row]) -> None:
         """Absorb the ``G``-stage rows (engine thread, once)."""
 
-    def finish(self, states: list["_ThreadState"]) -> SinkSummary:
-        """Summarise the run. Called once, after the walk and merge,
-        while the run's thread states are still checked out."""
+    def finish(self) -> SinkSummary:
+        """Summarise the run. Called once, after the walk and merge —
+        and on every path out of a failed run too, so a sink holding
+        resources releases them."""
         return SinkSummary(rows=[])
 
 
 class MemorySink(ResultSink):
-    """The default: rows accumulate in memory, per thread, lock-free.
+    """The default: rows accumulate in memory, one batch at a time.
 
-    Per-directory rows land on the emitting thread's own state buffer
-    and are concatenated once at the end (state-checkout order, then
-    ``G`` rows) — byte-identical to the historical monolith."""
+    Per-directory batches land in one list in arrival order, then the
+    ``G`` rows. With one thread that is the walk's order; between
+    several threads the interleaving is whichever finished a directory
+    first, and never was defined — compare row multisets."""
 
     def __init__(self) -> None:
-        self._final: list[Row] = []
+        self._rows: list[Row] = []
 
-    def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
-        st.rows.extend(rows)
+    def emit(self, path: str | None, rows: list[Row]) -> None:
+        self._rows.extend(rows)
 
     def emit_final(self, rows: list[Row]) -> None:
-        self._final.extend(rows)
+        self._rows.extend(rows)
 
-    def finish(self, states: list["_ThreadState"]) -> SinkSummary:
-        out: list[Row] = []
-        for st in states:
-            out.extend(st.rows)
-        out.extend(self._final)
-        return SinkSummary(rows=out)
+    def finish(self) -> SinkSummary:
+        return SinkSummary(rows=self._rows)
 
 
 class ThreadFileSink(ResultSink):
-    """Stream rows to per-thread files ``<prefix>.<ordinal>`` — the
-    real ``gufi_query -o``, for result sets too large to hold.
+    """Stream rows to per-thread files ``<prefix>.<n>`` — the real
+    ``gufi_query -o``, for result sets too large to hold.
 
-    Rows are written tab-separated, one per line, to the session
-    pool's persistent output handles (reused across runs with the same
-    prefix). ``G``-stage rows still come back in memory, matching the
-    monolith: the merge phase is a reduction, so its output is small
-    by construction."""
+    A thread's first batch opens (truncating) the next file, numbered
+    in first-batch order; each batch is one write, tab-separated, one
+    row per line. ``finish`` closes every file, and a run that emitted
+    nothing still leaves an empty ``<prefix>.0``. ``G``-stage rows
+    still come back in memory, matching the monolith: the merge phase
+    is a reduction, so its output is small by construction."""
 
     def __init__(self, prefix: str) -> None:
         self.prefix = prefix
         self._final: list[Row] = []
+        #: thread ident -> its open file, and every path opened in order
+        self._files: dict[int, TextIO] = {}
+        self._paths: list[str] = []
+        self._lock = threading.Lock()
 
-    def thread_output_path(self, ordinal: int) -> str | None:
-        return f"{self.prefix}.{ordinal}"
+    def _open_next(self) -> TextIO:
+        with self._lock:
+            path = f"{self.prefix}.{len(self._paths)}"
+            out = open(path, "w", encoding="utf-8")
+            self._paths.append(path)
+        return out
 
-    def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
-        out = st.out
-        if out is None:  # pragma: no cover - pool always opened it
-            st.rows.extend(rows)
-            return
-        for row in rows:
-            out.write(
+    def emit(self, path: str | None, rows: list[Row]) -> None:
+        tid = threading.get_ident()
+        out = self._files.get(tid)
+        if out is None:
+            out = self._files[tid] = self._open_next()
+        out.write(
+            "".join(
                 "\t".join("" if v is None else str(v) for v in row) + "\n"
+                for row in rows
             )
+        )
 
     def emit_final(self, rows: list[Row]) -> None:
         self._final.extend(rows)
 
-    def finish(self, states: list["_ThreadState"]) -> SinkSummary:
-        return SinkSummary(rows=list(self._final))
+    def finish(self) -> SinkSummary:
+        if not self._paths:
+            self._open_next().close()
+        for out in self._files.values():
+            out.close()
+        return SinkSummary(rows=list(self._final), files=list(self._paths))
 
 
 class BoundedSink(ResultSink):
@@ -147,9 +155,8 @@ class BoundedSink(ResultSink):
     kept. The server threads its response cap through this sink so a
     runaway query cannot materialise an unbounded row list.
 
-    Row order is arrival order (not state-checkout order): bounding is
-    inherently a shared decision, so rows interleave as threads finish
-    directories. The lock is taken once per emitted batch."""
+    Row order is arrival order, as :class:`MemorySink`'s; the lock is
+    taken once per emitted batch."""
 
     def __init__(self, max_rows: int) -> None:
         if max_rows < 0:
@@ -169,7 +176,7 @@ class BoundedSink(ResultSink):
                     self._rows.extend(rows[:room])
                 self.dropped += len(rows) - max(room, 0)
 
-    def emit(self, st: "_ThreadState", rows: list[Row]) -> None:
+    def emit(self, path: str | None, rows: list[Row]) -> None:
         self._absorb(rows)
 
     def emit_final(self, rows: list[Row]) -> None:
@@ -179,7 +186,7 @@ class BoundedSink(ResultSink):
     def truncated(self) -> bool:
         return self.dropped > 0
 
-    def finish(self, states: list["_ThreadState"]) -> SinkSummary:
+    def finish(self) -> SinkSummary:
         return SinkSummary(rows=self._rows, truncated=self.truncated)
 
 

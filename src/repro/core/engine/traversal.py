@@ -211,26 +211,11 @@ class Traversal:
     def wants_level(self, rel_depth: int) -> bool:
         return self.plan.wants_level(rel_depth) if self.plan else True
 
-    def elide_warm(self, meta: DirMeta, rel_depth: int) -> bool:
-        """Warm fast path: with cached metadata at hand, decide whether
-        *no* surviving stage needs this directory's database — in which
-        case the attach is elided outright and the walk continues off
-        the cached child listing."""
-        plan = self.plan
-        if plan is None:
-            return False
-        spec = self.spec
-        process_level = plan.wants_level(rel_depth)
-        run_e = bool(spec.E) and process_level and plan.dir_can_match(meta)
-        if not process_level or (bool(spec.E) and not run_e):
-            if not (process_level and (spec.T or spec.S)):
-                return True
-        return False
-
     def stage_gates(self, meta: DirMeta, rel_depth: int) -> StageGates:
-        """Effective stages for a directory that *will* be attached.
-        Outside the depth window nothing runs; the stats gate (sound
-        only for entries-shaped E) can further drop E."""
+        """Effective stages for one directory. Outside the depth window
+        nothing runs; the stats gate (sound only for entries-shaped E)
+        can further drop E. Under a plan, a directory where no stage
+        survives is never attached: warm, the engine elides it."""
         spec = self.spec
         process_level = self.wants_level(rel_depth)
         run_t = bool(spec.T) and process_level

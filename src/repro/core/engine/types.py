@@ -46,13 +46,6 @@ class QuerySpec:
     xattrs: bool = False
     #: stop T-pruning (process tsummary but keep descending)
     t_no_prune: bool = False
-    #: stream SELECT rows to per-thread files ``<prefix>.<n>`` instead
-    #: of accumulating them in memory (the real tool's ``-o`` flag,
-    #: for result sets too large to hold). Tab-separated, one row per
-    #: line; QueryResult.rows stays empty for streamed stages.
-    #: Shorthand for passing a
-    #: :class:`~repro.core.engine.sinks.ThreadFileSink` explicitly.
-    output_prefix: str | None = None
 
     def per_dir_stages(self) -> bool:
         """Whether any per-directory stage (T/S/E) is present."""
@@ -75,7 +68,7 @@ class QueryResult:
     #: plan-pruned directories that never attached their database at
     #: all (warm cache answered permission + matchability)
     attaches_elided: int = 0
-    #: per-thread output files when a file sink / output_prefix was used
+    #: the files a file sink wrote (``SinkSummary.files``)
     output_files: list[str] | None = None
     #: True when the result sink hit its row cap and dropped rows
     #: (bounded/paginated sinks; see :mod:`repro.core.engine.sinks`)

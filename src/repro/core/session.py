@@ -14,8 +14,8 @@ This module keeps that state alive across queries:
 * :class:`_ThreadState` — one worker thread's connection to a private
   *in-memory* scratch database (the paper's per-thread intermediate
   result database, kept where ``gufi_query`` keeps it), registered SQL
-  functions, per-run counters/row buffer, and (optional)
-  streamed-output file;
+  functions and the run's counters. Rows are not kept here: the run's
+  sink owns them, and any file it writes;
 * :class:`ThreadStatePool` — a free-list of thread states owned by a
   :class:`~repro.core.engine.QueryEngine`. Worker threads check states
   out at the start of a run and the engine returns them at the end,
@@ -23,14 +23,15 @@ This module keeps that state alive across queries:
   not. Between one principal's runs, scratch tables created by an
   ``I`` script are cleared (same script) or dropped and recreated
   (script changed); a state changing hands gets a fresh connection.
-  Only a run that executes stages prepares: a result-cache replay
-  checks a state out untouched.
+  Only a run that walks checks a state out: a result-cache replay and
+  a scatter gather hand their rows straight to the sink.
 
 The pool owns connections and nothing on disk: no temp directory, no
-scratch file, no journal. What an ``INSERT`` stage deposits is held in
-memory until ``J`` folds it into the run's aggregate (also in memory,
-see :class:`~repro.core.engine.stages.MergeRunner`); a result too
-large to hold is what ``-o`` streams to files.
+scratch file, no journal, no output file. What an ``INSERT`` stage
+deposits is held in memory until ``J`` folds it into the run's
+aggregate (also in memory, see
+:class:`~repro.core.engine.stages.MergeRunner`); a result too large to
+hold is what ``-o`` streams to files, through the run's sink.
 
 Security note: nothing permission-relevant is cached here, and a
 checkout is principal-clean (one pool may serve every principal).
@@ -116,17 +117,14 @@ _NOBODY = object()
 class _ThreadState:
     """Per-worker-thread connection + context + per-run accounting.
 
-    The counters and row buffer are written by exactly one thread
-    during a walk (the thread that checked the state out), so the hot
-    path needs no locks; the engine sums them after the walk ends.
+    The counters are written by exactly one thread during a walk (the
+    thread that checked the state out), so the hot path needs no
+    locks; the engine sums them after the walk ends.
     """
 
     __slots__ = (
         "conn",
         "ctx",
-        "out",
-        "out_path",
-        "rows",
         "visited",
         "denied",
         "opened",
@@ -146,9 +144,6 @@ class _ThreadState:
     def __init__(self, ctx: QueryContext):
         self.conn = _connect(ctx)
         self.ctx = ctx
-        self.out = None  # lazily opened per-thread output file
-        self.out_path: str | None = None
-        self.rows: list[tuple] = []
         self.visited = 0
         self.denied = 0
         self.opened = 0
@@ -174,39 +169,21 @@ class _ThreadState:
         self._used = False
 
     # ------------------------------------------------------------------
-    def prepare(
-        self,
-        init_sql: str | None,
-        out_path: str | None,
-        stages: bool,
-        principal: object = None,
-    ) -> None:
-        """Make the state ready for a new run: reset counters, clear or
-        rebuild the scratch schema, and (re)point the output file.
-        ``stages=False`` (a result-cache replay: rows go to a sink, no
-        stage executes) skips the scratch half — no statement runs, and
-        schema, stale rows and ``_init_sql`` stay as the last real run
-        left them for the next one to prepare in full. ``principal``
-        names whose run this is: a state changing hands gets a fresh
-        connection."""
-        self.rows = []
+    def prepare(self, init_sql: str | None, principal: object = None) -> None:
+        """Make the state ready for ``principal``'s run: reset the
+        counters, then clear or rebuild the scratch schema. A checkout
+        carries over nothing but ``main``'s scratch tables, and those
+        only to the same principal's next run. A state changing hands,
+        or one whose last run left a database attached (it died
+        mid-directory or mid-merge) or ``temp`` objects behind, gets a
+        fresh connection: tables, triggers, aliases and PRAGMAs are
+        gone by construction. A healthy connection lists ``main``
+        alone."""
         self.visited = self.denied = self.opened = self.errored = 0
         self.pruned = self.elided = 0
         self.t_time = self.s_time = self.e_time = 0.0
         self.token = {}
         self.ran = []
-        if stages:
-            self._prepare_scratch(init_sql, principal)
-        self._set_output(out_path)
-
-    def _prepare_scratch(self, init_sql: str | None, principal: object) -> None:
-        # A checkout carries over nothing but ``main``'s scratch tables,
-        # and those only to the same principal's next run. A state
-        # changing hands, or one whose last run left a database attached
-        # (it died mid-directory or mid-merge) or ``temp`` objects
-        # behind, gets a fresh connection: tables, triggers, aliases and
-        # PRAGMAs are gone by construction. A healthy connection lists
-        # ``main`` alone.
         if self._used and (
             principal != self._principal
             or len(self.conn.execute("PRAGMA database_list").fetchall()) > 1
@@ -243,43 +220,11 @@ class _ThreadState:
             if typ in ("table", "view"):
                 self.conn.execute(f'DROP {typ.upper()} IF EXISTS "{name}"')
 
-    def _set_output(self, out_path: str | None) -> None:
-        if out_path == self.out_path and self.out is not None:
-            # same destination as the previous run: reuse the open
-            # handle, truncating the old contents
-            self.out.seek(0)
-            self.out.truncate()
-            return
-        if self.out is not None:
-            self.out.close()
-            self.out = None
-        self.out_path = out_path
-        if out_path is not None:
-            self.out = open(out_path, "w", encoding="utf-8")
-
-    def finish_output(self) -> str | None:
-        """Flush the streamed-output file at the end of a run so
-        readers see complete contents; the handle stays open for reuse.
-        Returns the path when one was written."""
-        if self.out is None:
-            return None
-        try:
-            self.out.flush()
-        except OSError:
-            pass
-        return self.out_path
-
     def dispose(self) -> None:
         try:
             self.conn.close()
         except sqlite3.Error:
             pass
-        if self.out is not None:
-            try:
-                self.out.close()
-            except OSError:
-                pass
-            self.out = None
 
 
 def _dispose_pool(states: list[_ThreadState]) -> None:
@@ -315,15 +260,10 @@ class ThreadStatePool:
 
     # ------------------------------------------------------------------
     def acquire(
-        self,
-        init_sql: str | None,
-        out_path: str | None,
-        stages: bool = True,
-        principal: object = None,
+        self, init_sql: str | None, principal: object = None
     ) -> _ThreadState:
         """Check a prepared state out of the pool (creating one if all
-        are busy) for ``principal``'s run. Pass ``stages=False`` when
-        no stage will execute on the state (see
+        are busy) for ``principal``'s run (see
         :meth:`_ThreadState.prepare`)."""
         with self._lock:
             if self._closed:
@@ -344,7 +284,7 @@ class ThreadStatePool:
                 else "gufi_session_states_reused_total"
             )
         try:
-            st.prepare(init_sql, out_path, stages, principal)
+            st.prepare(init_sql, principal)
         except BaseException:
             # parked as nobody's: its next checkout reconnects
             self.release([st])

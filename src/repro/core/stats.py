@@ -129,37 +129,17 @@ def collect_stats(
             stats.entries_by_uid[uid] = stats.entries_by_uid.get(uid, 0) + count
             stats.bytes_by_gid[gid] = stats.bytes_by_gid.get(gid, 0) + nbytes
 
+        # Bucketed here, not in SQL: LOG/POWER/CEIL are a compile-time
+        # option of SQLite.
         size_spec = QuerySpec(
-            I="CREATE TABLE s (bucket INTEGER, n INTEGER)",
-            E=(
-                "INSERT INTO s SELECT "
-                "CASE WHEN size <= 0 THEN 0 ELSE "
-                "CAST(POWER(2, CAST(CEIL(LOG(2, size)) AS INTEGER)) AS INTEGER) "
-                "END, COUNT(*) FROM pentries WHERE type = 'f' GROUP BY 1"
-            ),
+            I="CREATE TABLE s (size INTEGER, n INTEGER)",
+            E="INSERT INTO s SELECT size, COUNT(*) FROM pentries "
+            "WHERE type = 'f' GROUP BY size",
             J="INSERT INTO aggregate.s SELECT * FROM s",
-            G="SELECT bucket, SUM(n) FROM s GROUP BY bucket",
+            G="SELECT size, SUM(n) FROM s GROUP BY size",
         )
-        try:
-            rows = q.run(size_spec, start).rows
-        except RuntimeError:
-            # SQLite math functions (LOG/POWER/CEIL) are a compile-time
-            # option; fall back to Python-side bucketing.
-            rows = []
-            fallback = QuerySpec(
-                I="CREATE TABLE s (size INTEGER, n INTEGER)",
-                E="INSERT INTO s SELECT size, COUNT(*) FROM pentries "
-                "WHERE type = 'f' GROUP BY size",
-                J="INSERT INTO aggregate.s SELECT * FROM s",
-                G="SELECT size, SUM(n) FROM s GROUP BY size",
-            )
-            sizes: dict[int, int] = {}
-            for size, n in q.run(fallback, start).rows:
-                b = _bucket(int(size))
-                sizes[b] = sizes.get(b, 0) + int(n)
-            rows = list(sizes.items())
-        for bucket, n in rows:
-            b = int(bucket)
+        for size, n in q.run(size_spec, start).rows:
+            b = _bucket(int(size))
             stats.size_histogram[b] = stats.size_histogram.get(b, 0) + int(n)
         return stats
     finally:

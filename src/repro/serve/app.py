@@ -78,8 +78,8 @@ from .qos import (
     TokenBucket,
 )
 
-#: QuerySpec fields a remote caller may set. ``output_prefix`` is
-#: deliberately absent: it writes files on the server.
+#: QuerySpec fields a remote caller may set. Where rows go is the
+#: server's choice of sink, never a spec field: no request writes a file.
 _SPEC_FIELDS = frozenset(
     {"I", "T", "S", "E", "J", "G", "xattrs", "t_no_prune"}
 )

@@ -188,6 +188,52 @@ class TestCLI:
             "repro-gufi: error: permission denied traversing '/home/alice'\n"
         )
 
+    def test_changefeed_demo_recovers_from_overflow_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An overflowed journal is answered once, in place: the rescan
+        drops what the source lost and moves the cursor to the head, so
+        the small cycles after it apply incrementally."""
+        from repro.core.checkpoint import ChangefeedCheckpoint
+        from repro.core.engine import QueryEngine
+        from repro.core.index import GUFIIndex
+        from repro.core.query import Q1_LIST_PATHS
+        from repro.gen.namespace import NamespaceMutator
+
+        sizes = iter([300, 5, 5, 5])
+        mutated = []
+        mutate = NamespaceMutator.mutate
+
+        def sized(self, n=1):
+            mutated.append(self.ns.tree)
+            return mutate(self, next(sizes))
+
+        monkeypatch.setattr(NamespaceMutator, "mutate", sized)
+        idx = str(tmp_path / "idx")
+        assert run_cli(
+            "changefeed2index", idx, "--scale", "0.0003", "--watch",
+            "--cycles", "4", "--journal-capacity", "100", "-n", "1",
+        ) == 0
+        out, err = capsys.readouterr()
+        assert err.count("overflowed") == 1
+        assert [ln.split(":")[0] for ln in out.splitlines()[1:]] == [
+            "cycle 1", "cycle 2", "cycle 3"
+        ]
+        tree = mutated[-1]
+        index = GUFIIndex.open(idx)
+        assert {d for d, _ in index.iter_tree("/")} == {
+            d for d, _dirs, _files in tree.walk("/")
+        }
+        cursor = ChangefeedCheckpoint(idx).load()
+        assert out.rstrip().endswith(f"(cursor {cursor})")
+        assert cursor > 300
+        fresh = dir2index(tree, tmp_path / "fresh").index
+        rows = []
+        for i in (index, fresh):
+            with QueryEngine(i, nthreads=NTHREADS) as q:
+                rows.append(sorted(q.run(Q1_LIST_PATHS).rows))
+        assert rows[0] == rows[1]
+
     def test_rows_are_written_as_print_wrote_them(self, index_root, capsys):
         """``query`` and ``find`` write their rows in one call: NULL is
         the empty field, every row ends in a newline, no rows is no

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.core.engine import QueryEngine
+from repro.core.engine import QueryEngine, ThreadFileSink
 from repro.core.plan import QueryPlan
 from repro.core.query import (
     Q1_LIST_NAMES,
@@ -294,11 +294,11 @@ class TestRunSingle:
         assert single.scalar() > 0
 
     def test_output_prefix_streams_to_files(self, demo_index, tmp_path):
-        spec = QuerySpec(
-            E="SELECT name FROM entries", output_prefix=str(tmp_path / "o")
-        )
+        spec = QuerySpec(E="SELECT name FROM entries")
         with QueryEngine(demo_index, nthreads=NTHREADS) as q:
-            result = q.run_single(spec, "/home/bob")
+            result = q.run_single(
+                spec, "/home/bob", sink=ThreadFileSink(str(tmp_path / "o"))
+            )
         assert result.rows == []
         assert result.output_files == [str(tmp_path / "o.0")]
         assert (tmp_path / "o.0").read_text() == "b.txt\n"

@@ -50,6 +50,15 @@ class TestCollectStats:
         stats = collect_stats(demo_index, nthreads=NTHREADS)
         assert sum(stats.size_histogram.values()) == demo_tree.num_files
 
+    def test_size_histogram_buckets(self, demo_tree, demo_index):
+        stats = collect_stats(demo_index, nthreads=NTHREADS)
+        want: dict[int, int] = {}
+        for _, inode in demo_tree.iter_inodes():
+            if inode.ftype.value == "f":
+                b = _bucket(inode.size)
+                want[b] = want.get(b, 0) + 1
+        assert stats.size_histogram == want
+
     def test_permission_scoped(self, demo_index):
         root_stats = collect_stats(demo_index, nthreads=NTHREADS)
         bob_stats = collect_stats(demo_index, creds=BOB, nthreads=NTHREADS)

@@ -3,6 +3,9 @@ server's bounded/paginated responses built on it."""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import obs
@@ -13,7 +16,7 @@ from repro.core.engine import (
     QueryEngine,
     ThreadFileSink,
 )
-from repro.core.query import Q1_LIST_PATHS, QuerySpec
+from repro.core.query import Q1_LIST_PATHS
 from repro.core.server import GUFIServer, IdentityProvider
 from repro.core.tools import FindFilters
 
@@ -60,18 +63,6 @@ class TestThreadFileSink:
                 lines.extend(ln.rstrip("\n") for ln in fh)
         return sorted(lines)
 
-    def test_matches_output_prefix_shorthand(self, engine, tmp_path):
-        via_spec = engine.run(
-            QuerySpec(E=SPEC.E, output_prefix=str(tmp_path / "a"))
-        )
-        via_sink = engine.run(
-            QuerySpec(E=SPEC.E), sink=ThreadFileSink(str(tmp_path / "b"))
-        )
-        assert via_spec.rows == via_sink.rows == []
-        assert self._lines(via_spec) == self._lines(via_sink)
-        assert via_sink.output_files
-        assert all(p.startswith(str(tmp_path / "b.")) for p in via_sink.output_files)
-
     def test_streams_every_row(self, engine, tmp_path):
         expected = ["\t".join(str(v) for v in r) for r in _all_rows(engine)]
         result = engine.run(SPEC, sink=ThreadFileSink(str(tmp_path / "o")))
@@ -84,6 +75,35 @@ class TestThreadFileSink:
         assert result.rows == []
         assert result.output_files is not None
         assert self._lines(result)
+
+
+class TestSharedUnderContention:
+    """Memory and file sinks share one list / one file table between
+    walker threads: with more threads than cores and a switch every
+    microsecond, no batch is lost or duplicated and file numbers stay
+    contiguous."""
+
+    def test_no_batch_lost(self, dataset2_index, tmp_path):
+        index = dataset2_index.index
+        with QueryEngine(index, nthreads=1) as q:
+            want = sorted(q.run(SPEC).rows)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryEngine(index, nthreads=8) as q:
+                memory = q.run(SPEC)
+                files = q.run(SPEC, sink=ThreadFileSink(str(tmp_path / "o")))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(memory.rows) == want
+        n = len(files.output_files)
+        assert files.output_files == [f"{tmp_path / 'o'}.{i}" for i in range(n)]
+        lines = sorted(
+            ln
+            for p in files.output_files
+            for ln in Path(p).read_text().splitlines()
+        )
+        assert lines == sorted("\t".join(map(str, r)) for r in want)
 
 
 class TestBoundedSink:

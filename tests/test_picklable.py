@@ -44,7 +44,6 @@ class TestPicklable:
             G="SELECT TOTAL(v) FROM t",
             xattrs=True,
             t_no_prune=True,
-            output_prefix="/tmp/out",
         )
         clone = round_trip(spec, protocol)
         assert clone == spec

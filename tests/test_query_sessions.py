@@ -416,6 +416,17 @@ class TestStatementBudget:
         assert lines(replay) == lines(live)
         assert bool(lines(live)) == (shape == "files")
 
+    def test_replay_checks_no_state_out(self, demo_index):
+        """A hit hands its rows straight to the sink: the pool serves
+        no checkout for it."""
+        with QueryEngine(
+            demo_index, nthreads=2, result_cache=ResultCache()
+        ) as q:
+            q.run(Q1_LIST_PATHS)
+            before = (q.pool.created, q.pool.reused)
+            assert q.run(Q1_LIST_PATHS).cached
+            assert (q.pool.created, q.pool.reused) == before
+
     def test_real_run_after_replay_prepares_in_full(self, demo_index):
         """A replay leaves the state's scratch schema, its stale rows
         and the record of which ``I`` built it as it found them; the
@@ -695,14 +706,13 @@ class TestOutputFilesAcrossRuns:
     def test_same_prefix_truncates_between_runs(self, demo_index, tmp_path):
         spec = QuerySpec(
             E="SELECT rpath(dname, d_isroot, name) FROM vrpentries",
-            output_prefix=str(tmp_path / "out"),
         )
         q = QueryEngine(demo_index, nthreads=NTHREADS)
-        r1 = q.run(spec)
+        r1 = q.run(spec, sink=ThreadFileSink(str(tmp_path / "out")))
         lines1 = sorted(
             ln for p in r1.output_files for ln in open(p).read().splitlines()
         )
-        r2 = q.run(spec)
+        r2 = q.run(spec, sink=ThreadFileSink(str(tmp_path / "out")))
         lines2 = sorted(
             ln for p in r2.output_files for ln in open(p).read().splitlines()
         )
@@ -718,13 +728,12 @@ class TestOutputFilesAcrossRuns:
         spec = QuerySpec(
             E="SELECT name FROM pentries",
             J="INSERT INTO nonsense_table SELECT 1",
-            output_prefix=str(tmp_path / "o"),
         )
         q = QueryEngine(demo_index, nthreads=NTHREADS)
         import sqlite3
 
         with pytest.raises(sqlite3.Error):
-            q.run(spec)
+            q.run(spec, sink=ThreadFileSink(str(tmp_path / "o")))
         files = sorted(
             str(tmp_path / f)
             for f in os.listdir(tmp_path)

@@ -340,10 +340,10 @@ class TestEngineCancellation:
         emits = []
 
         class TripwireSink(MemorySink):
-            def emit(self, st, rows):
+            def emit(self, path, rows):
                 emits.append(len(rows))
                 token.cancel()
-                super().emit(st, rows)
+                super().emit(path, rows)
 
         with QueryEngine(index, ROOT, nthreads=NTHREADS) as eng:
             baseline = eng.run(QuerySpec(E=E_ALL), "/")
@@ -385,9 +385,9 @@ class TestEngineCancellation:
                 sink = MemorySink()
                 orig_emit = sink.emit
 
-                def emit(st, rows, _t=token, _o=orig_emit):
+                def emit(path, rows, _t=token, _o=orig_emit):
                     _t.cancel()
-                    _o(st, rows)
+                    _o(path, rows)
 
                 sink.emit = emit  # type: ignore[method-assign]
                 with pytest.raises(QueryCancelled):

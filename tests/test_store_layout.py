@@ -113,6 +113,14 @@ _DELETED_NAMES = (
     "peek_stamp",
     "peek_subdir_stamp",
     "ValidationReport",
+    "output_prefix",
+    "thread_output_path",
+    "finish_output",
+    "_set_output",
+    "_default_sink",
+    "elide_warm",
+    "with_xattrs",
+    "tsummary_per_user_group",
 )
 
 
