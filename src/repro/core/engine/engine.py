@@ -60,6 +60,11 @@ from .types import (
 )
 
 
+def _kind(descend: bool) -> str:
+    """The observability name of a run: the walk, or one directory."""
+    return "query.run" if descend else "query.run_single"
+
+
 class QueryEngine:
     """Query executor bound to an index, credentials, and a pool size.
 
@@ -158,56 +163,99 @@ class QueryEngine:
         ``sink``), and otherwise captured through a tee for the next
         call on this engine or on any other sharing the cache — see
         :mod:`repro.core.engine.resultcache`."""
+        return self._front(spec, start, True, plan, sink, cancel)
+
+    def run_single(
+        self,
+        spec: QuerySpec,
+        path: str = "/",
+        plan: QueryPlan | None = None,
+        sink: ResultSink | None = None,
+        cancel: CancelToken | None = None,
+    ) -> QueryResult:
+        """Process exactly one directory's database (no descent).
+
+        This is :meth:`run` without descent — the same front end
+        (pre-dispatch cancel check, result cache), per-directory step
+        (``cancel`` checkpoint included), merge phase and sinks — on
+        the calling thread, also under ``processes > 1``. Its error
+        mapping is a direct call's: a directory the caller may not read
+        raises :class:`QueryPermissionError` instead of being counted
+        in ``dirs_denied``, and a failing stage raises its own
+        exception (no walker collects it into a ``RuntimeError``);
+        either way nothing is cached. Its cache entry is its own (the
+        key carries the descent bit), valid while the directory's
+        ``db.db`` stamp and its ancestors' are."""
+        return self._front(spec, path, False, plan, sink, cancel)
+
+    def _front(
+        self,
+        spec: QuerySpec,
+        start: str,
+        descend: bool,
+        plan: QueryPlan | None,
+        sink: ResultSink | None,
+        cancel: CancelToken | None,
+    ) -> QueryResult:
+        """The front end :meth:`run` and :meth:`run_single` share."""
         if cancel is not None and cancel.cancelled:
             raise QueryCancelled("query cancelled before dispatch")
         if self.result_cache is not None:
-            return self._run_cached(spec, start, plan, sink, cancel)
-        return self._run_uncached(spec, start, plan, sink, cancel)
+            return self._run_cached(spec, start, descend, plan, sink, cancel)
+        return self._run_uncached(spec, start, descend, plan, sink, cancel)
 
     def _run_uncached(
         self,
         spec: QuerySpec,
         start: str,
+        descend: bool,
         plan: QueryPlan | None,
         sink: ResultSink | None,
         cancel: CancelToken | None,
         donor: CaptureSink | None = None,
     ) -> QueryResult:
-        """One real run: scatter-gather, or the single-process walk."""
-        if self.processes > 1:
+        """One real run: scatter-gather, the single-process walk, or
+        (no descent) the one directory on the calling thread."""
+        if descend and self.processes > 1:
             return self._scatter().run(spec, start, plan, sink, cancel)
         sink = MemorySink() if sink is None else sink
         sink._claim()
-        return self._observed(
-            "query.run",
-            spec,
-            start,
-            lambda otr: self._run_impl(
-                spec, start, True, plan, sink, otr, cancel, donor
-            ),
-        )
+
+        def impl(otr: Any) -> QueryResult:
+            result = self._run_impl(
+                spec, start, descend, plan, sink, otr, cancel, donor
+            )
+            if not descend and result.dirs_denied:
+                raise QueryPermissionError(f"permission denied: {start!r}")
+            return result
+
+        return self._observed(_kind(descend), spec, start, impl)
 
     def _run_cached(
         self,
         spec: QuerySpec,
         start: str,
+        descend: bool,
         plan: QueryPlan | None,
         sink: ResultSink | None,
         cancel: CancelToken | None,
     ) -> QueryResult:
-        """The result-cache front end of :meth:`run`: replay a valid
-        entry, or run for real through a capturing tee and store.
+        """The result-cache front end: replay a valid entry, or run for
+        real through a capturing tee and store. A run that raises —
+        a denied :meth:`run_single` included — stores nothing.
 
-        Replay ignores ``cancel`` past the entry check in :meth:`run`:
+        Replay ignores ``cancel`` past the entry check in :meth:`_front`:
         serving a validated materialized entry is O(rows), already far
         cheaper than any deadline worth enforcing."""
         cache = self.result_cache
         assert cache is not None
-        key = make_key(self.creds, spec, plan, normalize_path(start))
+        key = make_key(
+            self.creds, spec, plan, normalize_path(start), descend=descend
+        )
         entry = cache.lookup(key, self.index)
         if entry is not None:
             return self._observed(
-                "query.run",
+                _kind(descend),
                 spec,
                 start,
                 lambda otr: self._replay(entry, sink),
@@ -226,7 +274,7 @@ class QueryEngine:
             cache.donor(key),
         )
         result = self._run_uncached(
-            spec, start, plan, capture, cancel,
+            spec, start, descend, plan, capture, cancel,
             capture if capture.donor is not None else None,
         )
         cache.store(key, capture, result, cursor, inv_seq)
@@ -316,34 +364,6 @@ class QueryEngine:
 
             self._scatter_engine = ScatterGatherEngine(self, self.processes)
         return self._scatter_engine
-
-    def run_single(
-        self,
-        spec: QuerySpec,
-        path: str = "/",
-        plan: QueryPlan | None = None,
-        sink: ResultSink | None = None,
-        cancel: CancelToken | None = None,
-    ) -> QueryResult:
-        """Process exactly one directory's database (no descent).
-
-        This is one directory of :meth:`run` — the same per-directory
-        step (``cancel`` checkpoint included), merge phase and sinks —
-        executed on the calling thread, with a direct call's error
-        mapping: a directory the caller may not read raises
-        :class:`QueryPermissionError` instead of being counted in
-        ``dirs_denied``, and a failing stage raises its own exception
-        (no walker collects it into a ``RuntimeError``)."""
-        sink = MemorySink() if sink is None else sink
-        sink._claim()
-
-        def single(otr: Any) -> QueryResult:
-            result = self._run_impl(spec, path, False, plan, sink, otr, cancel)
-            if result.dirs_denied:
-                raise QueryPermissionError(f"permission denied: {path!r}")
-            return result
-
-        return self._observed("query.run_single", spec, path, single)
 
     # ------------------------------------------------------------------
     # Observability wrapper

@@ -7,7 +7,9 @@ every time even when the index has not changed. This module adds that
 missing layer: a bounded, credential-scoped :class:`ResultCache` that
 materializes complete result row sets (walk-stage rows plus the J/G
 aggregate output) keyed by ``(resolved credentials, normalized query
-spec, plan window, start path)``.
+spec, plan window, start path)`` — plus the descent bit ``False`` for a
+one-directory run (``run_single``: ``gufi_ls``/``gufi_stat``), which
+never shares the walk's entry from the same start.
 
 Correctness model — an entry may be served only when it is *provably*
 equal to what a cold run would return right now:
@@ -20,7 +22,9 @@ equal to what a cold run would return right now:
   it read the child listing, and the ``db.db`` stamp of each of the
   start path's ancestors (whose permission bits gate reachability) —
   and (b) the index's applied changefeed cursor
-  (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`). Revalidation
+  (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`). A
+  one-directory entry's stamps are that directory's ``db.db`` and its
+  ancestors' — no listing: it reads none. Revalidation
   is one stat per recorded stamp, on path strings, and nothing else —
   not O(traversal), which would open every database and re-run SQL —
   or no stat at all on the sole-writer fast path (below).
@@ -80,6 +84,7 @@ makes for ``gufi_query``-shaped specs.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import re
 import threading
 import time
@@ -91,6 +96,7 @@ from repro import obs
 from repro.store import layout
 
 from ..checkpoint import ChangefeedCheckpoint
+from ..plan import QueryPlan
 from .sinks import ResultSink, Row, SinkSummary
 from .types import _COUNTER_FIELDS, QueryResult, QuerySpec, Token
 
@@ -99,12 +105,15 @@ if TYPE_CHECKING:
     from repro.fs.permissions import Credentials
 
     from ..index import DirMetaCache, GUFIIndex
-    from ..plan import QueryPlan
 
 #: (uid, gid, supplementary groups) — one principal's scope
 CredKey = tuple[int, int, frozenset[int]]
-#: full cache key: (credentials, normalized spec, plan window, start)
-CacheKey = tuple[CredKey, tuple, tuple | None, str]
+#: full cache key: (credentials, normalized spec, plan window, start),
+#: plus ``False`` for a one-directory (non-descending) run
+CacheKey = (
+    tuple[CredKey, tuple, tuple | None, str]
+    | tuple[CredKey, tuple, tuple | None, str, bool]
+)
 #: one directory's extent in an entry's flat ``rows`` and its measured
 #: bytes: (start, end, nbytes)
 Batch = tuple[int, int, int]
@@ -158,12 +167,16 @@ def spec_key(spec: QuerySpec) -> tuple:
     )
 
 
-def plan_key(plan: "QueryPlan | None") -> tuple | None:
-    """The plan window as a value key (QueryPlan is a frozen dataclass
-    of primitives)."""
-    if plan is None:
-        return None
-    return dataclasses.astuple(plan)
+#: reads QueryPlan's fields, in order, into a tuple (they are all
+#: primitives, so unlike ``dataclasses.astuple`` it copies nothing)
+_plan_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(QueryPlan))
+)
+
+
+def plan_key(plan: QueryPlan | None) -> tuple | None:
+    """The plan window as a value key."""
+    return None if plan is None else _plan_fields(plan)
 
 
 def cred_key(creds: "Credentials") -> CredKey:
@@ -173,10 +186,16 @@ def cred_key(creds: "Credentials") -> CredKey:
 def make_key(
     creds: "Credentials",
     spec: QuerySpec,
-    plan: "QueryPlan | None",
+    plan: QueryPlan | None,
     start: str,
+    *,
+    descend: bool = True,
 ) -> CacheKey:
-    return (cred_key(creds), spec_key(spec), plan_key(plan), start)
+    """The key of a walk from ``start`` — or, ``descend=False``, of the
+    one directory ``run_single`` reads there, which carries the descent
+    bit as a fifth element and so never shares the walk's entry."""
+    key = (cred_key(creds), spec_key(spec), plan_key(plan), start)
+    return key if descend else key + (False,)
 
 
 def _rows_nbytes(rows: Iterable[Row]) -> int:

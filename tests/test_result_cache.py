@@ -11,6 +11,9 @@ Layout:
 
 * ``TestCacheBasics`` — hit/miss/replay mechanics, counters, spec
   normalization, sink variants.
+* ``TestRunSingle`` — a one-directory run (``ls``/``stat``) replays an
+  entry of its own, byte-identical, and never stores a denied
+  directory.
 * ``TestInvalidation`` — push invalidation precision, stamp-pass
   validation, changefeed semantics (unapplied events must *not*
   invalidate: the index is unchanged).
@@ -36,6 +39,7 @@ Layout:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import shutil
 import sqlite3
@@ -220,10 +224,26 @@ class TestCacheBasics:
         finally:
             eng.close()
 
-    def test_run_single_bypasses_the_cache(self, cached_engine):
-        eng, cache = cached_engine
-        eng.run_single(QuerySpec(E="SELECT name FROM pentries"), "/public")
-        assert len(cache) == 0
+    def test_plan_key_is_the_plans_fields(self):
+        """Equal plans share a key; a plan differing from the default in
+        any one field — every field QueryPlan has — gets a key of its
+        own, distinct from every other one-field change."""
+        from repro.core.engine.resultcache import plan_key
+        from repro.core.plan import QueryPlan
+
+        base = QueryPlan()
+        assert plan_key(base) == plan_key(QueryPlan())
+        assert plan_key(QueryPlan(min_size=10, ftype="f")) == plan_key(
+            QueryPlan(min_size=10, ftype="f")
+        )
+        assert plan_key(None) is None
+        other = {"ftype": "f", "entries_shaped": False}
+        keys = {
+            plan_key(dataclasses.replace(base, **{f.name: other.get(f.name, 1)}))
+            for f in dataclasses.fields(QueryPlan)
+        }
+        assert plan_key(base) not in keys
+        assert len(keys) == len(dataclasses.fields(QueryPlan))
 
     def test_shared_cache_across_engines(self, demo_index):
         cache = ResultCache()
@@ -266,6 +286,172 @@ class TestCacheBasics:
             demo_index, nthreads=NTHREADS, result_cache=cache
         ) as q2:
             assert q2.run(E_ALL).cached
+
+
+LS = QuerySpec(
+    E="SELECT name, type, mode, uid, gid, size, mtime FROM entries "
+    "ORDER BY name"
+)
+STAT_DIR = QuerySpec(
+    S="SELECT name, mode, uid, gid, size, mtime, totfiles, totsubdirs "
+    "FROM summary WHERE isroot = 1 AND rectype = 0"
+)
+#: credentials -> directories they may read, flat and rolled up
+_SINGLE_DIRS = {
+    "root": (ROOT, ["/", "/home/alice", "/home/bob/secret", "/public"]),
+    "alice": (ALICE, ["/home/alice", "/home/alice/sub", "/proj/shared"]),
+}
+
+
+class TestRunSingle:
+    """``run_single`` goes through ``run``'s front end: a repeated
+    call replays an entry of its own, validated by the directory's
+    ``db.db`` stamp and its ancestors', and is byte-identical to the
+    uncached call; a denied directory is never stored."""
+
+    @pytest.mark.parametrize("spec", [LS, STAT_DIR, Q3_DU_SUMMARIES],
+                             ids=["ls", "stat", "aggregate"])
+    @pytest.mark.parametrize("rolled", [False, True], ids=["flat", "rolled"])
+    @pytest.mark.parametrize("who", sorted(_SINGLE_DIRS))
+    def test_second_call_is_a_byte_identical_hit(
+        self, demo_index, who, rolled, spec
+    ):
+        creds, paths = _SINGLE_DIRS[who]
+        if rolled:
+            rollup(demo_index, nthreads=NTHREADS)
+            assert demo_index.dir_meta("/home/alice").rolledup
+        cache = ResultCache()
+        with QueryEngine(
+            demo_index, creds=creds, nthreads=NTHREADS, result_cache=cache
+        ) as eng, QueryEngine(
+            demo_index, creds=creds, nthreads=NTHREADS
+        ) as cold:
+            for path in paths:
+                first = eng.run_single(spec, path)
+                second = eng.run_single(spec, path)
+                assert not first.cached and second.cached
+                uncached = cold.run_single(spec, path)
+                assert repr(first.rows) == repr(uncached.rows)
+                assert repr(second.rows) == repr(uncached.rows)
+                for f in ("dirs_visited", "dirs_denied", "dbs_opened",
+                          "dirs_errored", "dirs_pruned_by_plan",
+                          "attaches_elided"):
+                    assert getattr(second, f) == getattr(uncached, f), f
+            assert cache.hits == len(paths) == len(cache)
+            # the token: the directory's db.db stamp and its ancestors'
+            entry = cache._entries[
+                make_key(creds, spec, None, paths[-1], descend=False)
+            ]
+            depth = path_depth(paths[-1])
+            assert len(entry.stamps) == depth + 1
+            assert all(ls is None for _, ls in entry.stamps.values())
+
+    def test_never_shares_an_entry_with_run(self, cached_engine):
+        eng, cache = cached_engine
+        single = eng.run_single(E_ALL, "/home/bob")
+        walk = eng.run(E_ALL, "/home/bob")
+        assert not walk.cached and len(cache) == 2
+        assert len(walk.rows) > len(single.rows)
+        again = eng.run_single(E_ALL, "/home/bob")
+        assert again.cached and sorted(again.rows) == sorted(single.rows)
+        assert eng.run(E_ALL, "/home/bob").cached
+        # the walk's key is the four-part key it always was
+        key = make_key(ROOT, E_ALL, None, "/home/bob")
+        assert len(key) == 4 and key in cache._entries
+        assert make_key(ROOT, E_ALL, None, "/home/bob", descend=False) == (
+            *key, False
+        )
+
+    @pytest.mark.parametrize(
+        "creds,path",
+        [(BOB, "/home/alice"), (BOB, "/home/alice/sub"),
+         (BOB, "/public/ronly"), (ALICE, "/home/bob/secret")],
+    )
+    def test_denied_raises_every_call_and_stores_nothing(
+        self, demo_index, creds, path
+    ):
+        from repro.core.engine import QueryPermissionError
+
+        cache = ResultCache()
+        with QueryEngine(
+            demo_index, creds=creds, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            for _ in range(3):
+                with pytest.raises(QueryPermissionError):
+                    eng.run_single(LS, path)
+            assert cache.stats()["entries"] == cache.stats()["stale"] == 0
+            assert cache.hits == 0 and cache.misses == 3
+
+    @pytest.mark.parametrize("push", [True, False], ids=["hooks", "stamps"])
+    def test_apply_rewriting_the_directory_makes_ls_miss(
+        self, demo_tree, tmp_path, push
+    ):
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        journal = ChangeJournal()
+        demo_tree.set_changelog(journal)
+        cache = ResultCache()
+        if push:
+            cache.attach_journal(journal, exclusive=True)
+        with GUFITools(index, nthreads=NTHREADS, result_cache=cache) as tools:
+            before = tools.ls("/public", long_format=True)
+            assert tools.ls("/public", long_format=True) == before
+            assert cache.hits == 1
+            if not push:
+                cache.close()  # only the stamps can tell
+            demo_tree.create_file("/public/applied.txt", size=77,
+                                  uid=0, gid=0)
+            changefeed2index(index, demo_tree, journal, opts=OPTS)
+            hits = cache.hits
+            after = tools.ls("/public", long_format=True)
+            assert cache.hits == hits
+            assert any(line.endswith(" applied.txt") for line in after)
+            with GUFITools(index, nthreads=NTHREADS) as cold:
+                assert after == cold.ls("/public", long_format=True)
+            assert tools.ls("/public", long_format=True) == after
+            assert cache.hits == hits + 1
+
+    def test_chmod_of_an_ancestor_makes_ls_miss(self, demo_tree, tmp_path):
+        """An ancestor's bits gate reachability: a chmod that keeps
+        the directory reachable is a miss with the cold rows, one that
+        revokes it raises on the next call."""
+        from repro.core.engine import QueryPermissionError
+
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        journal = ChangeJournal()
+        demo_tree.set_changelog(journal)
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=ALICE, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            rows = eng.run_single(LS, "/home/alice/sub").rows
+            assert eng.run_single(LS, "/home/alice/sub").cached
+            demo_tree.chmod("/home/alice", 0o500, ALICE)
+            changefeed2index(index, demo_tree, journal, opts=OPTS)
+            again = eng.run_single(LS, "/home/alice/sub")
+            assert not again.cached and repr(again.rows) == repr(rows)
+            assert eng.run_single(LS, "/home/alice/sub").cached
+            demo_tree.chmod("/home/alice", 0o000, ALICE)
+            changefeed2index(index, demo_tree, journal, opts=OPTS)
+            for _ in range(2):
+                with pytest.raises(QueryPermissionError):
+                    eng.run_single(LS, "/home/alice/sub")
+
+    def test_stays_on_the_calling_thread_under_processes(self, demo_index):
+        import threading
+
+        from repro.core.engine import MemorySink
+
+        threads: list[int] = []
+
+        class Recording(MemorySink):
+            def emit(self, path, rows):
+                threads.append(threading.get_ident())
+                super().emit(path, rows)
+
+        with QueryEngine(demo_index, nthreads=NTHREADS, processes=2) as eng:
+            r = eng.run_single(LS, "/public", sink=Recording())
+            assert r.rows and threads == [threading.get_ident()]
+            assert eng._scatter_engine is None
 
 
 class TestSinkReplay:
