@@ -13,9 +13,11 @@ Measures repeated queries two ways on a dataset-2-scaled index:
 Every case asserts byte-identical rows between the two modes; the
 repeated selective queries must be >=5x faster cached. ``--smoke``
 guards the hit itself against the recorded ``BENCH_result_cache.json``
-baseline instead of overwriting it: a hit is two ``os.stat`` calls per
+baseline instead of overwriting it: when unarmed (no inotify write
+clock over the index tree), a hit is two ``os.stat`` calls per
 recorded directory plus handing the rows over, so its cost is compared
-with those stats alone, timed in the same seconds (``hit_over_stats``)
+with those stats alone, timed in the same seconds (``hit_over_stats``;
+an armed hit makes one ``stat`` and lands well under the baseline)
 — a ratio that moves neither with the host's speed nor with how fast
 a walk happens to be (the guard used to be hit ÷ walk, and failed the
 day the walk got faster). It then prints a Prometheus dump carrying
@@ -296,6 +298,7 @@ def prometheus_dump(tmp_root: Path) -> str:
         "gufi_result_cache_evictions_total",
         "gufi_result_cache_dirs_reused_total",
         "gufi_result_cache_validate_seconds",
+        "gufi_result_cache_validations_total",
     ):
         assert metric in text, f"missing metric: {metric}"
     return text

@@ -260,12 +260,12 @@ class QueryEngine:
                 start,
                 lambda otr: self._replay(entry, sink),
             )
-        # Snapshot the applied cursor and the invalidation sequence
-        # *before* the run, like every stamp of its token: an apply
-        # committed mid-run sends the entry to the stamp pass, a writer
+        # Snapshot the write clock and the invalidation sequence
+        # *before* the run, like every stamp of its token: a write
+        # landing mid-run sends the entry to the stamp pass, a writer
         # announcing itself mid-run aborts the store.
-        cursor = cache.applied_cursor(self.index)
         inv_seq = cache.invalidation_seq
+        clock = cache.clock(self.index)
         # A stale entry under this key donates its unchanged
         # directories' rows to the walk that replaces it.
         capture = CaptureSink(
@@ -277,7 +277,7 @@ class QueryEngine:
             spec, start, descend, plan, capture, cancel,
             capture if capture.donor is not None else None,
         )
-        cache.store(key, capture, result, cursor, inv_seq)
+        cache.store(key, capture, result, clock, inv_seq)
         return result
 
     def _replay(

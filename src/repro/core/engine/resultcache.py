@@ -21,13 +21,12 @@ equal to what a cold run would return right now:
   the physical directory's :func:`~repro.store.layout.dir_stamp` where
   it read the child listing, and the ``db.db`` stamp of each of the
   start path's ancestors (whose permission bits gate reachability) —
-  and (b) the index's applied changefeed cursor
-  (:class:`~repro.core.checkpoint.ChangefeedCheckpoint`). A
+  and (b) the index's write clock (below), read before the run. A
   one-directory entry's stamps are that directory's ``db.db`` and its
   ancestors' — no listing: it reads none. Revalidation
   is one stat per recorded stamp, on path strings, and nothing else —
   not O(traversal), which would open every database and re-run SQL —
-  or no stat at all on the sole-writer fast path (below).
+  or, while the write clock has not moved, no stamp at all (below).
 
 * **Push invalidation.** Every writer in this codebase (the one
   in-place apply — changefeed, update, graft and prune — refresh and
@@ -49,22 +48,30 @@ equal to what a cold run would return right now:
   validated does it emit the donor's rows instead of attaching the
   database (:meth:`CaptureSink.reuse`).
 
-* **Sole-writer fast path.** Attaching a :class:`~repro.fs.changelog
-  .ChangeJournal` declares that the changefeed is the sole writer of
-  the index (``exclusive=True`` is required): every write then either
-  fires a hook or moves the applied cursor. A lookup first reads the
-  cursor: if no invalidation reached this cache and no apply moved
-  the cursor since the entry was last checked, the entry is valid
-  without a single stat. A cursor that moved either way with no hook
-  firing goes to the stamp pass. Without a sole writer a write from
-  another process announces nothing, so every hit pays the stamp
-  pass.
+* **Write clock.** A lookup first reads the cache's clock
+  (:meth:`ResultCache.clock`): the invalidation sequence paired with
+  something that any write to the index advances. Where the index
+  tree sits on a local file system the cache arms a
+  :mod:`repro.store.watch` on it — inotify over every directory — and
+  the clock is its generation, which moves on every write from any
+  process, this one or another: one ``stat`` of the root and one
+  drain of an empty event queue. Without an armed watch, an attached
+  :class:`~repro.fs.changelog.ChangeJournal` declared the sole writer
+  (``exclusive=True`` is required) makes the clock the applied
+  changefeed cursor. An entry whose clock equals the cache's is valid
+  without a stamp; any other goes to the stamp pass, and one that
+  passes is re-armed at the clock read before it. With neither —
+  a network file system, a forked child, a re-pointed root — there
+  is no clock and every hit pays the stamp pass, since a write from
+  another process announces nothing. Armed, the boundary is the
+  watch's: a write through a hard link from outside the tree, a
+  shared mapping, or a mount over an index directory raises no event.
 
 * **Capture races.** One invariant: every stamp in an entry — and
-  its cursor — was taken *before* the rows it vouches for were read,
-  so a write racing the walk makes the next stamp pass miss (an apply
-  also moves the cursor past the entry's) and never vouches for what
-  it replaced: :meth:`ResultCache.store` re-stats nothing. The walk
+  its clock — was taken *before* the rows it vouches for were read,
+  so a write racing the walk makes the next stamp pass miss (it also
+  moves the clock past the entry's) and never vouches for what it
+  replaced: :meth:`ResultCache.store` re-stats nothing. The walk
   records each stamp as it reads (the DirMeta record's own, a
   listing's, a cold read's bracket), which is why a cache attaches
   only to a single-process engine; a writer that announced itself
@@ -103,6 +110,7 @@ from .types import _COUNTER_FIELDS, QueryResult, QuerySpec, Token
 if TYPE_CHECKING:
     from repro.fs.changelog import ChangeJournal
     from repro.fs.permissions import Credentials
+    from repro.store.watch import Watch
 
     from ..index import DirMetaCache, GUFIIndex
 
@@ -117,6 +125,10 @@ CacheKey = (
 #: one directory's extent in an entry's flat ``rows`` and its measured
 #: bytes: (start, end, nbytes)
 Batch = tuple[int, int, int]
+#: the write clock: (invalidation sequence, source, reading), the
+#: source ``"inotify"`` (a watch generation) or ``"cursor"`` (the
+#: applied changefeed cursor)
+Clock = tuple[int, str, int]
 
 
 #: quoted SQL regions — string literals and quoted identifiers —
@@ -320,10 +332,9 @@ class CacheEntry:
     #: the run's validity token: touched path -> (db.db stamp,
     #: listing stamp), each taken before the walk read it
     stamps: Token
-    #: applied changefeed cursor at capture/last validation
-    cursor: int
-    #: the cache's invalidation sequence at capture/last validation
-    inv_seq: int
+    #: the cache's write clock read before the capture or the last
+    #: stamp pass that found the entry valid; None: no clock then
+    clock: Clock | None
     nbytes: int
     #: directory -> batch, for every directory whose stages ran to
     #: completion (not denied, elided, errored or absent ones); None
@@ -340,12 +351,10 @@ class ResultCache:
     An entry is served only when it is still valid, by one of two
     rules:
 
-    1. **Stat-free.** A journal is attached (the changefeed is the
-       sole writer), nothing was invalidated (``inv_seq ==
-       invalidation_seq``) and nothing was applied (the applied
-       changefeed cursor equals the entry's) since the entry was last
-       checked.
-    2. **Stamp pass.** Otherwise — and always without a journal —
+    1. **Clock.** The entry's write clock equals the cache's
+       (:meth:`clock`): nothing was invalidated and nothing was
+       written to the index since the entry was last checked.
+    2. **Stamp pass.** Otherwise — and always without a clock —
        every stamp the walk read under still equals the file's.
 
     A cache serves one index handle (:meth:`bind_index`). Thread-safe:
@@ -373,6 +382,9 @@ class ResultCache:
         #: set by :meth:`attach_journal`: a changefeed is the sole
         #: writer of this index
         self.journal: "ChangeJournal | None" = None
+        #: the inotify write clock over the bound index's tree, armed
+        #: by the first :meth:`bind_index` where the file system allows
+        self._watch: "Watch | None" = None
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
         self.total_bytes = 0
@@ -397,15 +409,24 @@ class ResultCache:
     # ------------------------------------------------------------------
     def bind_index(self, index: "GUFIIndex") -> None:
         """Subscribe to the index handle's DirMeta-cache invalidation
-        hooks — the push half of invalidation. Cache keys do not name
-        the index, so a cache serves one handle: binding it again does
-        nothing, binding another raises ``ValueError``. The hook holds
-        this cache weakly, so a dropped cache unhooks itself at the
-        next notification."""
+        hooks — the push half of invalidation — and, the first time,
+        arm the write clock's watch over its tree. Cache keys do not
+        name the index, so a cache serves one handle: binding it again
+        does nothing, binding another raises ``ValueError``. The hook
+        holds this cache weakly, so a dropped cache unhooks itself at
+        the next notification; the watch goes with the cache."""
         meta = index.cache
         with self._lock:
             if self._meta is not None and self._meta is not meta:
                 raise ValueError("a result cache serves one index handle")
+            if self._meta is None:
+                # imported here: a one-shot CLI run binds no cache and
+                # need not load ctypes
+                from repro.store import watch
+
+                self._watch = watch.arm(str(index.root))
+                if self._watch is not None:
+                    weakref.finalize(self, self._watch.release)
             self._meta = meta
             if self._hook is not None:
                 return
@@ -424,7 +445,8 @@ class ResultCache:
     def close(self) -> None:
         """Unhook from the bound index's invalidation hooks. Safe to
         call repeatedly; the cache remains usable (lookups just lose
-        push invalidation until the same handle is bound again)."""
+        push invalidation until the same handle is bound again, and
+        keep the write clock)."""
         with self._lock:
             hook, self._hook = self._hook, None
         if hook is not None and self._meta is not None:
@@ -434,15 +456,17 @@ class ResultCache:
         self, journal: "ChangeJournal", *, exclusive: bool = False
     ) -> None:
         """Declare that a changefeed is the sole writer of this index
-        (``exclusive=True``, anything else is a ``ValueError``),
-        enabling the stat-free fast path: an entry untouched by any
-        hook and by any apply since it was last checked is valid
-        without a stat. A writer in another process announces nothing,
-        so without that declaration every hit pays the stamp pass."""
+        (``exclusive=True``, anything else is a ``ValueError``), which
+        makes its applied cursor the write clock where no watch is
+        armed: an entry untouched by any hook and by any apply since
+        it was last checked is valid without a stat. A writer in
+        another process announces nothing to a journal, so without
+        that declaration (and without a watch) every hit pays the
+        stamp pass."""
         if not exclusive:
             raise ValueError(
-                "attach_journal needs exclusive=True: the stat-free path "
-                "is sound only when the changefeed is the sole writer"
+                "attach_journal needs exclusive=True: the cursor is a "
+                "write clock only when the changefeed is the sole writer"
             )
         self.journal = journal
 
@@ -531,12 +555,13 @@ class ResultCache:
                 rec.counter("gufi_result_cache_misses_total")
             return None
         t0 = time.perf_counter()
-        valid, applied = self._validate(entry, index)
+        valid, clock, rule = self._validate(entry, index)
         if rec.enabled:
             rec.observe(
                 "gufi_result_cache_validate_seconds",
                 time.perf_counter() - t0,
             )
+            rec.counter("gufi_result_cache_validations_total", rule=rule)
         with self._lock:
             # the push hooks may have retired or replaced it meanwhile
             live = self._entries.get(key) is entry and not entry.stale
@@ -552,23 +577,29 @@ class ResultCache:
                 return None
             # Entry mutations happen only here, under the lock and
             # after the liveness re-check, so concurrent validations
-            # of the same entry cannot race each other. ``inv_seq``
-            # may legitimately advance past the validated value: any
-            # invalidation that *touched* this entry retired it (the
-            # liveness check above fails), so a surviving entry was
-            # untouched by whatever bumped the sequence.
-            entry.cursor = applied
-            entry.inv_seq = self.invalidation_seq
+            # of the same entry cannot race each other: the entry is
+            # re-armed at the clock read before its validation.
+            entry.clock = clock
             self._entries.move_to_end(key)
             self.hits += 1
         if rec.enabled:
             rec.counter("gufi_result_cache_hits_total")
         return entry
 
-    def applied_cursor(self, index: "GUFIIndex") -> int:
-        """The index's applied changefeed cursor, read by a run before
-        it starts: the entry it stores is valid at this cursor."""
-        return ChangefeedCheckpoint(index.root).load()
+    def clock(self, index: "GUFIIndex") -> Clock | None:
+        """The write clock, read by a lookup before it validates and by
+        a run before it starts: the invalidation sequence and the
+        armed watch's generation, else the applied changefeed cursor
+        of a declared sole writer, else None (no clock: every hit pays
+        the stamp pass)."""
+        if self._watch is not None:
+            generation = self._watch.clock()
+            if generation is not None:
+                return (self.invalidation_seq, "inotify", generation)
+        if self.journal is not None:
+            cursor = ChangefeedCheckpoint(index.root).load()
+            return (self.invalidation_seq, "cursor", cursor)
+        return None
 
     def donor(self, key: CacheKey) -> CacheEntry | None:
         """The stale entry under ``key``, for the run that replaces it
@@ -579,32 +610,26 @@ class ResultCache:
 
     def _validate(
         self, entry: CacheEntry, index: "GUFIIndex"
-    ) -> tuple[bool, int]:
+    ) -> tuple[bool, Clock | None, str]:
         """Revalidate one entry without mutating it (the caller folds
-        the outcome in under the lock). Returns ``(valid, applied
-        cursor)``."""
-        # Only the fast path reads the applied cursor; without a
-        # journal the entry's own stands in and the stamps decide.
-        applied = entry.cursor
-        if self.journal is not None:
-            applied = self.applied_cursor(index)
-            # Stat-free: the changefeed is the sole writer, no hook
-            # fired (writers that move no cursor — rollup, refresh,
-            # update, graft, prune — announce themselves there) and no
-            # apply moved the cursor since the last check.
-            if entry.inv_seq == self.invalidation_seq and applied == entry.cursor:
-                return True, applied
+        the outcome in under the lock). Returns ``(valid, the clock
+        read first, the rule that decided: "clock" or "stamps")``."""
+        clock = self.clock(index)
+        # No stamp: no hook fired and nothing was written to the
+        # index since the entry was last checked.
+        if clock is not None and clock == entry.clock:
+            return True, clock, "clock"
         # Stamp pass: one stat per recorded stamp — a directory's
         # database, then its listing where the walk read one — on
         # plain path strings, and nothing else.
         for path, (db_stamp, dir_stamp) in entry.stamps.items():
             base = index.index_path(path)
             if layout.file_stamp(f"{base}/{layout.DB_NAME}") != db_stamp:
-                return False, applied
+                return False, clock, "stamps"
             if dir_stamp is not None:
                 if layout.dir_stamp(base) != dir_stamp:
-                    return False, applied
-        return True, applied
+                    return False, clock, "stamps"
+        return True, clock, "stamps"
 
     # ------------------------------------------------------------------
     # Store
@@ -614,13 +639,13 @@ class ResultCache:
         key: CacheKey,
         capture: CaptureSink,
         result: QueryResult,
-        cursor: int,
+        clock: Clock | None,
         inv_seq_at_start: int,
     ) -> bool:
-        """Materialize one finished run, whose applied changefeed
-        cursor and invalidation sequence were read before it started.
-        Returns False (and caches nothing) when a writer announced
-        itself meanwhile or the capture is over budget."""
+        """Materialize one finished run, whose write clock and
+        invalidation sequence were read before it started. Returns
+        False (and caches nothing) when a writer announced itself
+        meanwhile or the capture is over budget."""
         rec = obs.metrics()
         if capture.reused:
             with self._lock:
@@ -634,10 +659,10 @@ class ResultCache:
             # abort, the next run re-captures
             self._abort_capture()
             return False
-        # No re-stat: every stamp in the token — and the cursor — was
+        # No re-stat: every stamp in the token — and the clock — was
         # taken before the rows it vouches for were read, so a write
-        # that landed after it makes the next stamp pass miss (an apply
-        # moves the cursor past the entry's); it never makes a stale hit.
+        # that landed after it makes the next stamp pass miss (and
+        # moves the clock past the entry's); it never makes a stale hit.
         stamps = result.visited_paths
         nbytes = capture.nbytes + 128 * len(stamps)
         if nbytes > self.max_entry_bytes:
@@ -653,8 +678,7 @@ class ResultCache:
             final_rows=capture.final_rows,
             counters={f: getattr(result, f) for f in _COUNTER_FIELDS},
             stamps=stamps,
-            cursor=cursor,
-            inv_seq=inv_seq_at_start,
+            clock=clock,
             nbytes=nbytes,
             ran=ran,
         )

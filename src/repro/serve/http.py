@@ -152,12 +152,40 @@ async def serve(
     ``ready`` is set once the listening socket is bound (tests and
     the CLI use it to sequence client startup); the actual bound port
     is stashed on it as ``ready.port``, so ``port=0`` (ephemeral) is
-    usable from tests."""
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(app, r, w), host, port
-    )
+    usable from tests.
+
+    Cancelled, it stops listening, then cancels every open connection
+    and waits for each to close. Each connection runs as a task of its
+    own, not as the coroutine ``start_server`` would wrap: the stream
+    protocol asks that task for its exception, which a task cancelled
+    at shutdown (a keep-alive connection still open on SIGINT) answers
+    by raising, and the loop prints the traceback. Nor does it wait in
+    ``Server.serve_forever``: cancelled, that awaits
+    ``Server.wait_closed``, which from Python 3.12.1 waits for every
+    connection to close — one left open would hang the shutdown."""
+    connections: set[asyncio.Task] = set()
+
+    def accept(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.get_running_loop().create_task(
+            _handle_connection(app, reader, writer)
+        )
+        connections.add(task)
+        task.add_done_callback(connections.discard)
+
+    server = await asyncio.start_server(accept, host, port)
     if ready is not None:
         ready.port = server.sockets[0].getsockname()[1]
         ready.set()
-    async with server:
-        await server.serve_forever()
+    try:
+        await asyncio.get_running_loop().create_future()  # until cancelled
+    finally:
+        server.close()
+        # a connection accepted just before the close may add its task
+        # while the first ones wind down
+        while connections:
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
+        await server.wait_closed()

@@ -18,14 +18,20 @@ Layout:
   validation, changefeed semantics (unapplied events must *not*
   invalidate: the index is unchanged).
 * ``TestHitBudget`` / ``TestFreshnessMatrix`` — a hit costs exactly
-  the stats its token needs, and those stats still catch every kind of
-  out-of-band change from every kind of start.
+  the stats its token needs (one, the root's, while the write clock's
+  watch is armed), and the clock and those stats still catch every
+  kind of out-of-band change from every kind of start, made by this
+  process or another one, armed or not.
+* ``TestWriteClock`` — the inotify watch follows the tree's shape
+  (moves, new directories), gives up where it cannot vouch (a
+  re-pointed root, a forked child, a failed re-arm), and survives
+  queue overflow.
 * ``TestCredentialScoping`` — no replay across principals, per-scope
   budgets.
 * ``TestBounds`` — LRU byte/entry budgets, oversized-entry refusal.
 * ``TestWhereACacheAttaches`` — only to a single-process, untraced
   engine.
-* ``TestMetricNames`` — the six exported ``gufi_result_cache_*`` names.
+* ``TestMetricNames`` — the seven exported ``gufi_result_cache_*`` names.
 * ``TestReuseBudget`` / ``TestReuseSecurity`` / ``TestStaleEntries`` —
   an invalidated stream-shaped entry is the donor of its own re-run:
   that run attaches only what changed, equals a cold run in rows and
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import os
 import shutil
 import sqlite3
@@ -77,7 +84,7 @@ from repro.gen.datasets import dataset2
 from repro.gen.namespace import NamespaceMutator
 from repro.obs.export import to_prometheus
 from repro.sim.blktrace import IOTracer
-from repro.store import connect
+from repro.store import connect, watch
 from repro.store.layout import DirStore, file_stamp
 from tests.conftest import ALICE, BOB, NTHREADS, build_demo_tree
 
@@ -130,6 +137,33 @@ def _replace_same_bytes(db_path: str) -> None:
     os.utime(db_path, ns=(file_ns, file_ns))
     os.utime(parent, ns=(dir_ns, dir_ns))
     assert os.stat(db_path).st_ino != inode
+
+
+def _unarm(monkeypatch) -> None:
+    """Caches bound from here on find their file system unsupported:
+    no watch, so no write clock without a journal."""
+    monkeypatch.setattr(watch, "fs_supported", lambda path: False)
+
+
+def _arm(monkeypatch) -> None:
+    """Caches bound from here on arm their watch whatever file system
+    the test's directory is on (inotify sees this process's and its
+    children's writes on any of them)."""
+    monkeypatch.setattr(watch, "fs_supported", lambda path: True)
+
+
+def _in_child(fn, *args) -> None:
+    """Run ``fn(*args)`` in a forked child process and wait for it."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fn(*args)
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.fixture
@@ -813,19 +847,22 @@ class TestInvalidation:
 
 
 class TestHitBudget:
-    """A hit costs what its contract requires and nothing else: two
-    stats per recorded directory — its database, then its listing —
-    one per ancestor of the start, on plain path strings."""
+    """A hit costs what its contract requires and nothing else: with
+    the write clock's watch armed, one stat of the index root; unarmed,
+    two stats per recorded directory — its database, then its listing
+    — one per ancestor of the start, on plain path strings."""
 
-    @pytest.mark.parametrize("start", ["/", "/home/alice", "/proj/shared/data"])
-    def test_hit_is_2n_plus_d_stats_and_no_path_objects(
-        self, demo_index, monkeypatch, start
-    ):
+    @staticmethod
+    def _hit_stats(index, monkeypatch, start, armed):
+        """Capture ``E_ALL`` from ``start``, then look it up once with
+        every path-object constructor forbidden: the hit's ``os.stat``
+        paths, the directories the capture visited, and its entry."""
         from repro.core.checkpoint import ChangefeedCheckpoint
 
+        (_arm if armed else _unarm)(monkeypatch)
         cache = ResultCache()
         with QueryEngine(
-            demo_index, nthreads=NTHREADS, result_cache=cache
+            index, nthreads=NTHREADS, result_cache=cache
         ) as eng:
             n = eng.run(E_ALL, start).dirs_visited
         depth = path_depth(start)
@@ -852,8 +889,16 @@ class TestHitBudget:
             m.setattr(GUFIIndex, "index_dir", forbidden)
             m.setattr(ChangefeedCheckpoint, "__init__", forbidden)
             m.setattr(os, "stat", counting_stat)
-            assert cache.lookup(key, demo_index) is entry
-        assert len(stats) == 2 * n + depth
+            assert cache.lookup(key, index) is entry
+        return stats, n, entry
+
+    @pytest.mark.parametrize("start", ["/", "/home/alice", "/proj/shared/data"])
+    def test_hit_is_2n_plus_d_stats_and_no_path_objects(
+        self, demo_index, monkeypatch, start
+    ):
+        """Unarmed, a hit is the stamp pass."""
+        stats, n, entry = self._hit_stats(demo_index, monkeypatch, start, False)
+        assert len(stats) == 2 * n + path_depth(start)
         # and in the token's order: the database, then the listing
         expected = []
         for path, (_, listing) in entry.stamps.items():
@@ -861,16 +906,31 @@ class TestHitBudget:
             expected += [base + "/db.db"] + [base] * (listing is not None)
         assert stats == expected
 
+    @pytest.mark.parametrize("start", ["/", "/home/alice", "/proj/shared/data"])
+    def test_armed_hit_is_one_root_stat_and_no_path_objects(
+        self, demo_index, monkeypatch, start
+    ):
+        """Armed, a hit is the root's identity, then an empty event
+        queue."""
+        stats, _, _ = self._hit_stats(demo_index, monkeypatch, start, True)
+        assert stats == [str(demo_index.root)]
+
+    @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unarmed"])
     @pytest.mark.parametrize("mover", ["commit", "foreign-apply"])
     def test_exclusive_journal_stats_only_when_the_cursor_moved(
-        self, demo_tree, tmp_path, monkeypatch, mover
+        self, demo_tree, tmp_path, monkeypatch, mover, armed
     ):
-        """With an exclusive journal a hit on an unchanged index makes
-        no stat. An applied cursor that moved with no hook firing — a
-        commit, or a changefeed applied through another handle —
-        sends the next hit to the stamp pass, which finds it valid."""
+        """With an exclusive journal and no watch the applied cursor is
+        the clock: a hit on an unchanged index makes no stat, and a
+        cursor that moved with no hook firing — a commit, or a
+        changefeed applied through another handle — sends the next hit
+        to the stamp pass, which finds it valid. Armed, the watch is
+        the clock: one stat of the root per hit, and the cursor file's
+        write moves it the same way."""
         from repro.core.checkpoint import ChangefeedCheckpoint
 
+        (_arm if armed else _unarm)(monkeypatch)
+        root_stat = int(armed)
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
         journal = ChangeJournal()
         demo_tree.set_changelog(journal)
@@ -898,7 +958,7 @@ class TestHitBudget:
                 assert cache.lookup(key, index) is entry
             return len(stats)
 
-        assert hit_stats() == 0
+        assert hit_stats() == root_stat
         checkpoint = ChangefeedCheckpoint(index.root)
         before = checkpoint.load()
         if mover == "commit":
@@ -909,8 +969,8 @@ class TestHitBudget:
                 GUFIIndex.open(index.root), demo_tree, journal, opts=OPTS
             )
         assert checkpoint.load() != before
-        assert hit_stats() == 2 * n + path_depth(start)
-        assert hit_stats() == 0  # checked at the new cursor
+        assert hit_stats() == root_stat + 2 * n + path_depth(start)
+        assert hit_stats() == root_stat  # checked at the new clock
 
     def test_store_makes_no_stat(self, demo_index, monkeypatch):
         """A capture's token is what its walk read under: storing it
@@ -938,10 +998,24 @@ class TestHitBudget:
         assert stats == []
 
 
+def _move_then_write(doomed: str, above: str) -> None:
+    """Move a subtree within the index tree, then write a database
+    inside it at its new place."""
+    moved = above + "/oob_moved"
+    os.rename(doomed, moved)
+    _write_in_place(moved + "/db.db")
+
+
+def _create_and_write(leaf: str) -> None:
+    """Create a directory and write its database before anyone looks."""
+    os.mkdir(leaf + "/oob_new")
+    shutil.copyfile(leaf + "/db.db", leaf + "/oob_new/db.db")
+
+
 #: out-of-band change -> what it does, given the index directories of
 #: (a visited directory with no visited child, a sub-directory to
 #: remove, the start's parent). Each runs with no journal and no hook:
-#: only the stamp pass can see it.
+#: only the write clock and the stamp pass can see it.
 _OOB_CHANGES = {
     "write-in-place": lambda leaf, doomed, above: _write_in_place(
         leaf + "/db.db"
@@ -955,6 +1029,12 @@ _OOB_CHANGES = {
         above + "/db.db"
     ),
     "db-deleted": lambda leaf, doomed, above: os.unlink(leaf + "/db.db"),
+    "subtree-moved-then-written": lambda leaf, doomed, above: (
+        _move_then_write(doomed, above)
+    ),
+    "dir-created-and-written": lambda leaf, doomed, above: (
+        _create_and_write(leaf)
+    ),
 }
 
 #: start -> (the visited leaf a change lands on, the sub-directory to
@@ -969,14 +1049,21 @@ _STARTS = {
 
 #: (start, change) pairs no walk from that start can see: the walk never
 #: reads the rolled-up ``/home/alice``'s listing, so a sub-directory
-#: added or removed there changes no answer and the entry keeps serving
-_UNSEEN = {("/home/alice", "subdir-added"), ("/home/alice", "subdir-removed")}
+#: added, removed or moved away there changes no answer and the entry
+#: keeps serving
+_UNSEEN = {
+    ("/home/alice", change)
+    for change in ("subdir-added", "subdir-removed",
+                   "subtree-moved-then-written", "dir-created-and-written")
+}
 
 
 class TestFreshnessMatrix:
-    """Every kind of start x every kind of out-of-band change: the
-    next lookup misses — unless no walk can see the change — and the
-    answer equals a cold engine's."""
+    """Every kind of start x every kind of out-of-band change x every
+    way of keeping the clock — the watch armed, unarmed (its file
+    system check says no), or armed with the change made by another
+    process: the next lookup misses — unless no walk can see the
+    change — and the answer equals a cold engine's."""
 
     @staticmethod
     def _outcome(engine, start):
@@ -989,24 +1076,44 @@ class TestFreshnessMatrix:
     @pytest.mark.parametrize("change", sorted(_OOB_CHANGES))
     @pytest.mark.parametrize("start", sorted(_STARTS))
     def test_change_misses_and_rerun_equals_cold(
-        self, demo_index, start, change
+        self, demo_index, monkeypatch, start, change
     ):
+        """The watch armed, the change made by this process."""
+        self._check(demo_index, monkeypatch, start, change, "armed")
+
+    @pytest.mark.parametrize("writer", ["unarmed", "child"])
+    @pytest.mark.parametrize("change", sorted(_OOB_CHANGES))
+    @pytest.mark.parametrize("start", sorted(_STARTS))
+    def test_unarmed_or_child_change_misses_and_rerun_equals_cold(
+        self, demo_index, monkeypatch, start, change, writer
+    ):
+        """The watch unarmed, or armed with the change made by a forked
+        child."""
+        self._check(demo_index, monkeypatch, start, change, writer)
+
+    def _check(self, demo_index, monkeypatch, start, change, writer):
         if change == "ancestor-db-replaced" and start == "/":
             pytest.skip("the root has no ancestor")
+        (_unarm if writer == "unarmed" else _arm)(monkeypatch)
         rollup(demo_index, nthreads=NTHREADS)
         assert demo_index.dir_meta("/home/alice").rolledup
         cache = ResultCache()
         eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
         try:
+            assert (cache._watch is not None) is (writer != "unarmed")
             assert not eng.run(E_ALL, start).cached
             # unchanged index -> hit, and the same rows as a cold run
             cached, rows = self._outcome(eng, start)
             assert cached and rows == cold_rows(demo_index, E_ALL, start=start)
-            cache.close()  # no push hook either: stamps alone
-            _OOB_CHANGES[change](
+            cache.close()  # no push hook either: the clock and stamps alone
+            args = (
                 *map(demo_index.index_path, _STARTS[start]),
                 demo_index.index_path(start.rsplit("/", 1)[0]),
             )
+            if writer == "child":
+                _in_child(_OOB_CHANGES[change], *args)
+            else:
+                _OOB_CHANGES[change](*args)
             unseen = (start, change) in _UNSEEN
             hits = cache.hits
             cached, got = self._outcome(eng, start)
@@ -1015,6 +1122,251 @@ class TestFreshnessMatrix:
                 assert (False, got) == self._outcome(cold, start)
         finally:
             eng.close()
+
+
+class TestWriteClock:
+    """The inotify watch behind the write clock: it follows the tree's
+    shape, gives up where it cannot vouch, and every lookup is a miss
+    or a hit equal to a cold run."""
+
+    @pytest.fixture
+    def armed(self, demo_index, monkeypatch):
+        _arm(monkeypatch)
+        cache = ResultCache()
+        eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
+        assert cache._watch is not None
+        yield eng, cache
+        eng.close()
+
+    @staticmethod
+    def _cached(eng, start="/") -> bool:
+        """Run ``E_ALL``: its rows must equal a cold run's; was it a hit?"""
+        r = eng.run(E_ALL, start)
+        assert sorted(r.rows) == cold_rows(eng.index, E_ALL, start=start)
+        return r.cached
+
+    def test_new_directory_inside_a_moved_subtree(self, armed):
+        """A directory moved within the tree keeps its descriptor; its
+        path is rewritten, so a directory created under it later is
+        watched at the right place, and a write there — invisible to
+        a clock that missed it — makes the next lookup miss."""
+        eng, cache = armed
+        index = eng.index
+        w = cache._watch
+        cache.close()  # no push hook: the clock and the stamps alone
+        assert not self._cached(eng) and self._cached(eng)
+        src = index.index_path("/home/bob/secret")
+        dst = index.index_path("/public") + "/moved"
+        os.rename(src, dst)
+        assert not self._cached(eng) and self._cached(eng)
+        assert dst in w.paths.values() and src not in w.paths.values()
+        _create_and_write(dst)
+        assert not self._cached(eng) and self._cached(eng)
+        assert dst + "/oob_new" in w.paths.values()
+        _write_in_place(dst + "/oob_new/db.db", journal_mode="MEMORY")
+        assert not self._cached(eng)
+
+    def test_directory_created_before_its_parent_moved(self, armed):
+        """A directory created, then its parent moved, before either
+        event is read: the move's walk picks the new directory up at
+        its final place."""
+        eng, cache = armed
+        index = eng.index
+        cache.close()
+        assert not self._cached(eng) and self._cached(eng)
+        parent = index.index_path("/home/bob/secret")
+        _create_and_write(parent)
+        moved = index.index_path("/public") + "/moved"
+        os.rename(parent, moved)
+        assert not self._cached(eng) and self._cached(eng)
+        assert moved + "/oob_new" in cache._watch.paths.values()
+        _write_in_place(moved + "/oob_new/db.db", journal_mode="MEMORY")
+        assert not self._cached(eng)
+
+    def test_root_repointed_by_a_symlink_swap(self, demo_tree, tmp_path,
+                                              monkeypatch):
+        """A publisher swaps ``current`` to a new version: the root
+        resolves to another directory, the watch gives up and the
+        stamps (on the new files) decide."""
+        _arm(monkeypatch)
+        v0 = dir2index(demo_tree, tmp_path / "v0", opts=OPTS).index
+        shutil.copytree(v0.root, tmp_path / "v1")
+        _write_in_place(str(tmp_path / "v1" / "public" / "db.db"), "swapped")
+        os.symlink("v0", tmp_path / "current")
+        index = GUFIIndex.open(tmp_path / "current")
+        cache = ResultCache()
+        with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as eng:
+            assert not self._cached(eng) and self._cached(eng)
+            os.symlink("v1", tmp_path / "next")
+            os.replace(tmp_path / "next", tmp_path / "current")
+            r = eng.run(E_ALL)
+            assert not r.cached
+            assert any("swapped" in str(row[0]) for row in r.rows)
+            assert sorted(r.rows) == cold_rows(index, E_ALL)
+            assert cache._watch.clock() is None
+            assert cache.clock(index) is None
+            assert self._cached(eng)  # by its stamps
+
+    def test_a_forked_child_never_drains(self, armed):
+        """The instance belongs to the parent: a child reads no clock
+        and takes none of the parent's events, even its own write's;
+        releasing the child's copy leaves the parent's watches."""
+        eng, cache = armed
+        index = eng.index
+        cache.close()
+        assert not self._cached(eng) and self._cached(eng)
+        w = cache._watch
+
+        def child():
+            assert w.clock() is None and cache.clock(index) is None
+            _write_in_place(str(index.db_path("/public")), "forked.txt",
+                            "MEMORY")
+            assert w.clock() is None
+            w.release()
+
+        _in_child(child)
+        r = eng.run(E_ALL)
+        assert not r.cached
+        assert any("forked.txt" in str(row[0]) for row in r.rows)
+        assert w.clock() is not None
+
+    def test_overflow_moves_the_clock_and_rearms(self, armed):
+        eng, cache = armed
+        cache.close()
+        assert not self._cached(eng) and self._cached(eng)
+        w = cache._watch
+        before, paths = w.clock(), dict(w.paths)
+        with w.lock:
+            w.dispatch(watch.EVENT.pack(-1, watch.IN_Q_OVERFLOW, 0, 0))
+        assert w.armed and w.paths == paths
+        assert w.clock() not in (None, before)
+        assert self._cached(eng)  # by its stamps, at the new clock
+        _write_in_place(str(eng.index.db_path("/public")), journal_mode="MEMORY")
+        assert not self._cached(eng)
+
+    def test_overflow_that_cannot_rearm_falls_back(self, armed, monkeypatch):
+        eng, cache = armed
+        cache.close()
+        assert not self._cached(eng) and self._cached(eng)
+        w = cache._watch
+
+        def no_watches_left(path):
+            raise OSError(errno.ENOSPC, "inotify watch limit reached", path)
+
+        monkeypatch.setattr(w, "add", no_watches_left)
+        with w.lock:
+            w.dispatch(watch.EVENT.pack(-1, watch.IN_Q_OVERFLOW, 0, 0))
+        assert not w.armed and w.paths == {}
+        assert cache.clock(eng.index) is None
+        assert self._cached(eng)  # by its stamps
+        _write_in_place(str(eng.index.db_path("/public")), journal_mode="MEMORY")
+        assert not self._cached(eng)
+
+    def test_deleted_directory_is_ignored(self, armed):
+        """A deleted directory's descriptor goes with the kernel's
+        ``IN_IGNORED``, and the deletion moves the clock."""
+        eng, cache = armed
+        cache.close()
+        assert not self._cached(eng) and self._cached(eng)
+        w = cache._watch
+        doomed = eng.index.index_path("/home/bob/secret")
+        (wd,) = [wd for wd, p in w.paths.items() if p == doomed]
+        shutil.rmtree(doomed)
+        assert not self._cached(eng)
+        assert wd not in w.paths
+
+    def test_root_gone_disarms(self, armed):
+        """The root's own watch saying it was deleted or moved: nothing
+        watches what may be put back at the path, even a directory that
+        reuses the inode number the identity check compares."""
+        eng, cache = armed
+        w = cache._watch
+        (wd,) = [wd for wd, p in w.paths.items() if p == w.real]
+        with w.lock:
+            w.dispatch(watch.EVENT.pack(wd, watch.IN_DELETE_SELF, 0, 0))
+        assert not w.armed and cache.clock(eng.index) is None
+        assert not self._cached(eng) and self._cached(eng)  # by its stamps
+
+    def test_parse(self):
+        """Names are NUL-padded to the event's length; an overflow
+        carries no descriptor and no name."""
+        buf = (
+            watch.EVENT.pack(3, watch.IN_CREATE | watch.IN_ISDIR, 0, 8)
+            + b"new\0\0\0\0\0"
+            + watch.EVENT.pack(-1, watch.IN_Q_OVERFLOW, 0, 0)
+            + watch.EVENT.pack(3, watch.IN_IGNORED, 0, 0)
+        )
+        assert list(watch.parse(buf)) == [
+            (3, watch.IN_CREATE | watch.IN_ISDIR, 0, "new"),
+            (-1, watch.IN_Q_OVERFLOW, 0, ""),
+            (3, watch.IN_IGNORED, 0, ""),
+        ]
+
+    def test_only_allowlisted_file_systems_arm(self, demo_index, monkeypatch):
+        assert not watch.fs_supported("/proc")
+        _unarm(monkeypatch)
+        cache = ResultCache()
+        with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache):
+            assert cache._watch is None and cache.clock(demo_index) is None
+
+    def test_released_with_its_cache(self, demo_index, monkeypatch):
+        """Each cache's watch has an instance of its own: dropping one
+        cache unwatches its tree and leaves the other's armed."""
+        import gc
+
+        _arm(monkeypatch)
+        caches = [ResultCache(), ResultCache()]
+        for cache in caches:
+            QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache).close()
+        kept, dropped = (c._watch for c in caches)
+        assert kept.fd != dropped.fd
+        assert sorted(kept.paths.values()) == sorted(dropped.paths.values())
+        del cache
+        caches.pop()
+        gc.collect()
+        assert not dropped.armed and dropped.clock() is None
+        assert kept.armed and kept.clock() is not None
+
+    def test_tree_over_its_budget_never_arms(self, demo_index, monkeypatch):
+        """A tree takes at most its share of the user's watch budget:
+        one with more directories falls back at arming, and one that
+        grows past it disarms."""
+        _arm(monkeypatch)
+        n = len(os.listdir(demo_index.root))  # well below the tree's size
+        monkeypatch.setattr(watch, "watch_budget", lambda: n)
+        cache = ResultCache()
+        with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache):
+            assert cache._watch is None and cache.clock(demo_index) is None
+        w = watch.arm(str(demo_index.root))
+        assert w is None
+        monkeypatch.setattr(watch, "watch_budget", lambda: 10**6)
+        w = watch.arm(str(demo_index.root))
+        try:
+            assert w.clock() is not None
+            w.budget = len(w.paths)
+            os.mkdir(demo_index.index_path("/public") + "/oob_dir")
+            assert w.clock() is None and not w.armed
+        finally:
+            w.release()
+
+    def test_budget_is_a_share_of_the_user_limit(self):
+        with open("/proc/sys/fs/inotify/max_user_watches") as f:
+            limit = int(f.read())
+        assert watch.watch_budget() == int(limit * watch.BUDGET_SHARE)
+
+    def test_validations_are_counted_by_rule(self, demo_index, monkeypatch):
+        with obs.enabled(metrics=True):
+            for arm, rule in ((_arm, "clock"), (_unarm, "stamps")):
+                arm(monkeypatch)
+                cache = ResultCache()
+                with QueryEngine(
+                    demo_index, nthreads=NTHREADS, result_cache=cache
+                ) as eng:
+                    eng.run(E_ALL)
+                    assert eng.run(E_ALL).cached
+                    assert obs.snapshot().counter(
+                        "gufi_result_cache_validations_total", rule=rule
+                    ) == 1
 
 
 class TestCredentialScoping:
@@ -1195,7 +1547,7 @@ class TestWhereACacheAttaches:
 
 class TestMetricNames:
     def test_every_result_cache_metric_is_exported(self, demo_tree, tmp_path):
-        """The six ``gufi_result_cache_*`` names are a contract with
+        """The seven ``gufi_result_cache_*`` names are a contract with
         dashboards: a miss, a hit, an invalidation, a donor re-run and
         an eviction export every one of them."""
         index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
@@ -1220,6 +1572,7 @@ class TestMetricNames:
             "gufi_result_cache_evictions_total",
             "gufi_result_cache_dirs_reused_total",
             "gufi_result_cache_validate_seconds",
+            "gufi_result_cache_validations_total",
         ):
             assert name in text, name
 

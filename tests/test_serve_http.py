@@ -12,7 +12,14 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +197,69 @@ class TestServeCLI:
         assert rc == 0
         creds = captured["app"].server.identity.authenticate("eve")
         assert creds.uid == 2001 and creds.in_group(100)
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+#: Python 3.12.1's ``Server.wait_closed``: it waits for every open
+#: connection, also once the server is closed (3.11's returns at once)
+_WAIT_CLOSED_312 = """
+import asyncio.base_events
+
+async def wait_closed(self):
+    if self._waiters is None:
+        return
+    waiter = self._loop.create_future()
+    self._waiters.append(waiter)
+    await waiter
+
+asyncio.base_events.Server.wait_closed = wait_closed
+"""
+
+
+class TestServeShutdown:
+    @pytest.mark.parametrize("wait_closed", ["native", "3.12.1"])
+    def test_sigint_with_an_open_keep_alive_connection(
+        self, demo_index, wait_closed
+    ):
+        """SIGINT while a keep-alive connection is still open: the
+        server exits 0 and prints no traceback for the connection it
+        cancels — also where ``wait_closed`` waits for connections,
+        which hangs a shutdown that leaves one open."""
+        import repro
+
+        port = _free_port()
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        prelude = _WAIT_CLOSED_312 if wait_closed == "3.12.1" else ""
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             prelude + "from repro.cli import main; raise SystemExit(main())",
+             "serve", str(demo_index.root), "--port", str(port), "-n", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    conn = socket.create_connection(("127.0.0.1", port))
+                    break
+                except OSError:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+            with conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n")
+                assert conn.recv(4096).startswith(b"HTTP/1.1 200")
+                proc.send_signal(signal.SIGINT)
+                out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        text = out.decode(errors="replace")
+        assert proc.returncode == 0, text
+        assert "Traceback" not in text, text
+        assert "shutting down" in text
