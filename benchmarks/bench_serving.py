@@ -3,7 +3,10 @@
 Drives the full in-process serving stack (auth → QoS rings →
 executor → warm sessions) with an **open-loop** arrival process at 4x
 the measured service capacity — the regime where a queue either
-stays bounded or collapses. Two modes over identical traffic:
+stays bounded or collapses. The server has no result cache: a hit is
+answered on the event loop and never queues, so admission control
+bounds executor work, and here every request is a walk on the
+executor. Two modes over identical traffic:
 
 * **no_control** — an effectively unbounded admission queue: every
   request is accepted and waits. Arrivals outpace service, the queue
@@ -166,9 +169,7 @@ def run_mode(server, rate: float, n: int, controlled: bool) -> dict:
 
 
 def run_serving_bench(index, n: int) -> dict:
-    with GUFIServer(
-        index, build_identity(), nthreads=NTHREADS, result_cache_mb=8.0
-    ) as server:
+    with GUFIServer(index, build_identity(), nthreads=NTHREADS) as server:
         capacity = measure_capacity(server)
         rate = capacity * OVERSUBSCRIPTION
         print(f"capacity {capacity:8.1f} req/s  "
@@ -261,6 +262,14 @@ def prometheus_dump(index) -> str:
                     *(client.invoke("root", "du") for _ in range(4))
                 )
                 assert 503 in {r.status for r in results}
+        # replies_total{on}: a miss crosses to the executor, and its
+        # repeat is answered on the loop
+        with GUFIServer(
+            index, build_identity(), nthreads=NTHREADS, result_cache_mb=8.0
+        ) as server, GUFIApp(server, max_inflight=2, queue_limit=4) as app:
+            client = ASGIClient(app)
+            for _ in range(2):
+                assert (await client.invoke("root", "du")).status == 200
 
     with obs.enabled(metrics=True):
         asyncio.run(traffic())
@@ -272,6 +281,7 @@ def prometheus_dump(index) -> str:
         "gufi_serve_timeouts_total",
         "gufi_serve_queue_depth",
         "gufi_serve_request_seconds",
+        "gufi_serve_replies_total",
     ):
         assert metric in text, f"missing metric: {metric}"
     return text

@@ -16,10 +16,13 @@ Public surface of :mod:`repro.core.engine`:
   whose planner is a dry run of the query's own :class:`Traversal`;
 * :class:`ResultCache` / :class:`CaptureSink` — the materialized
   query-result cache behind ``result_cache=`` (changefeed-driven
-  invalidation; see :mod:`repro.core.engine.resultcache`).
+  invalidation; see :mod:`repro.core.engine.resultcache`);
+* :func:`replay_only` / :class:`NotCached` — the mode in which a run
+  only replays an entry the write clock vouches for (the serving
+  layer's event loop).
 """
 
-from .engine import QueryEngine
+from .engine import NotCached, QueryEngine, replay_only
 from .resultcache import CacheEntry, CaptureSink, ResultCache
 from .scatter import ScatterGatherEngine, plan_shards
 from .sinks import (
@@ -54,6 +57,7 @@ __all__ = [
     "CaptureSink",
     "MemorySink",
     "MergeRunner",
+    "NotCached",
     "PaginatedSink",
     "QueryCancelled",
     "QueryEngine",
@@ -72,5 +76,6 @@ __all__ = [
     "normalize_path",
     "path_depth",
     "plan_shards",
+    "replay_only",
     "spec_label",
 ]

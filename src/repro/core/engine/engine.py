@@ -23,14 +23,25 @@ queries on a warm index skip per-query setup and per-directory summary
 reads. Per-directory counters are kept in the per-thread state and
 merged once after the walk; rows go to the run's sink, which owns them.
 The hot path takes no locks.
+
+Replay-only mode (:func:`replay_only`): a caller that must not block —
+the serving layer's event loop — runs a tool with it set, and every
+engine front end inside either replays a result-cache entry the write
+clock alone vouches for, of at most :data:`REPLAY_ONLY_MAX_ROWS` rows,
+or raises :class:`NotCached` before it walks, audits, opens a span or
+counts anything. The mode is a context variable, so it never reaches
+a thread the caller hands the retry to: ``loop.run_in_executor`` does
+not copy the context.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import sqlite3
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro import obs
 from repro.fs.permissions import ROOT, Credentials
@@ -63,6 +74,38 @@ from .types import (
 def _kind(descend: bool) -> str:
     """The observability name of a run: the walk, or one directory."""
     return "query.run" if descend else "query.run_single"
+
+
+#: The largest entry (rows plus final rows) a replay-only run serves.
+#: Measured on one pinned core of a 2-vCPU Xeon (Python 3.11) with
+#: ``find``-shaped rows (a 50-byte path, a type, a size): the replay
+#: into the response sink, ``jsonable`` and the JSON encode cost ≈2.7 µs
+#: a row together (0.25 ms at 100 rows, 0.44 ms at 250, 0.86 ms at
+#: 500), so at 200 rows a hit holds the event loop ≈0.5 ms; the encode
+#: is on the loop for an executor answer too. A paged hit also digests
+#: its whole result there, ≈8 µs a row more. On ``serve_mix`` a bound of
+#: 1 000 was no faster (0.353 against 0.358 ms a request, one run each).
+REPLAY_ONLY_MAX_ROWS = 200
+
+_replay_only: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "gufi_replay_only", default=False
+)
+
+
+class NotCached(Exception):
+    """A replay-only run found no entry it may serve without blocking.
+    Raised before any walk, audit record, span, metric or cache
+    counter; only a caller that set :func:`replay_only` sees it."""
+
+
+@contextlib.contextmanager
+def replay_only() -> Iterator[None]:
+    """Run the block in replay-only mode (see the module docstring)."""
+    token = _replay_only.set(True)
+    try:
+        yield
+    finally:
+        _replay_only.reset(token)
 
 
 class QueryEngine:
@@ -202,6 +245,8 @@ class QueryEngine:
             raise QueryCancelled("query cancelled before dispatch")
         if self.result_cache is not None:
             return self._run_cached(spec, start, descend, plan, sink, cancel)
+        if _replay_only.get():
+            raise NotCached("no result cache")
         return self._run_uncached(spec, start, descend, plan, sink, cancel)
 
     def _run_uncached(
@@ -242,7 +287,10 @@ class QueryEngine:
     ) -> QueryResult:
         """The result-cache front end: replay a valid entry, or run for
         real through a capturing tee and store. A run that raises —
-        a denied :meth:`run_single` included — stores nothing.
+        a denied :meth:`run_single` included — stores nothing. In
+        replay-only mode only the clock check runs, on entries of at
+        most :data:`REPLAY_ONLY_MAX_ROWS` rows; anything else raises
+        :class:`NotCached`.
 
         Replay ignores ``cancel`` past the entry check in :meth:`_front`:
         serving a validated materialized entry is O(rows), already far
@@ -252,13 +300,19 @@ class QueryEngine:
         key = make_key(
             self.creds, spec, plan, normalize_path(start), descend=descend
         )
-        entry = cache.lookup(key, self.index)
+        if _replay_only.get():
+            entry = cache.lookup_by_clock(key, self.index, REPLAY_ONLY_MAX_ROWS)
+            if entry is None:
+                raise NotCached(start)
+        else:
+            entry = cache.lookup(key, self.index)
         if entry is not None:
             return self._observed(
                 _kind(descend),
                 spec,
                 start,
                 lambda otr: self._replay(entry, sink),
+                walks=False,
             )
         # Snapshot the write clock and the invalidation sequence
         # *before* the run, like every stamp of its token: a write
@@ -374,19 +428,25 @@ class QueryEngine:
         spec: QuerySpec,
         start: str,
         impl: Callable[[Any], QueryResult],
+        walks: bool = True,
     ) -> QueryResult:
         """Run ``impl`` under the process observability layer: a span
         covering the whole call, counters folded once from the
         result's (already lock-free) tallies, per-stage timings, cache
         hit/miss deltas, and a slow-query log check. With everything
-        disabled this is two attribute checks and a straight call."""
+        disabled this is two attribute checks and a straight call.
+        A replay (``walks=False``) folds the run, its seconds and its
+        rows, and nothing of the walk it did not do: the entry's
+        captured walk counters stay on its :class:`QueryResult`."""
         rec = obs.metrics()
         otr = obs.tracer()
         slow = obs.slow_log()
         if not (rec.enabled or otr.enabled or slow.enabled):
             return impl(otr)
         t0 = time.monotonic()
-        cache_before = self.index.cache.stats() if rec.enabled else None
+        cache_before = (
+            self.index.cache.stats() if rec.enabled and walks else None
+        )
         span = otr.start(kind, start=start) if otr.enabled else None
         result: QueryResult | None = None
         error: BaseException | None = None
@@ -405,7 +465,6 @@ class QueryEngine:
                     error=type(error).__name__ if error is not None else None,
                 )
             if rec.enabled:
-                assert cache_before is not None
                 self._fold_metrics(
                     rec, kind, result, error, elapsed, cache_before
                 )
@@ -421,14 +480,19 @@ class QueryEngine:
         result: QueryResult | None,
         error: BaseException | None,
         elapsed: float,
-        cache_before: dict[str, int],
+        cache_before: dict[str, int] | None,
     ) -> None:
+        """Fold one run; ``cache_before`` None marks a replay, which
+        folds no walk counter and no DirMeta-cache delta."""
         rec.counter("gufi_query_runs_total", kind=kind)
         rec.observe("gufi_query_seconds", elapsed, kind=kind)
         if error is not None:
             rec.counter("gufi_query_failures_total", error=type(error).__name__)
         if result is not None:
             rec.counter("gufi_query_rows_total", len(result.rows))
+        if cache_before is None:
+            return
+        if result is not None:
             rec.counter("gufi_query_dirs_visited_total", result.dirs_visited)
             rec.counter("gufi_query_dirs_denied_total", result.dirs_denied)
             rec.counter("gufi_query_dbs_opened_total", result.dbs_opened)

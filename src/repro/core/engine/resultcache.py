@@ -97,7 +97,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro import obs
 from repro.store import layout
@@ -543,38 +543,82 @@ class ResultCache:
     # Lookup / validation
     # ------------------------------------------------------------------
     def lookup(self, key: CacheKey, index: "GUFIIndex") -> CacheEntry | None:
-        """The entry for ``key``, revalidated — or None (miss)."""
+        """The entry for ``key``, revalidated — or None (miss): the
+        clock check, then, where the clock cannot vouch, the stamp
+        pass."""
         rec = obs.metrics()
+        entry = self._servable(key)
+        if entry is not None:
+            t0 = time.perf_counter()
+            clock = self.clock(index)
+            if clock is not None and clock == entry.clock:
+                valid, rule = True, "clock"
+            else:
+                valid, rule = self._validate(entry, index), "stamps"
+            self._observe_validation(rec, t0, rule)
+            if self._settle(rec, key, entry, clock, valid):
+                return entry
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.stale:
-                self.misses += 1
-                entry = None
-        if entry is None:
-            if rec.enabled:
-                rec.counter("gufi_result_cache_misses_total")
+            self.misses += 1
+        if rec.enabled:
+            rec.counter("gufi_result_cache_misses_total")
+        return None
+
+    def lookup_by_clock(
+        self, key: CacheKey, index: "GUFIIndex", max_rows: int
+    ) -> CacheEntry | None:
+        """The clock check alone, for a caller that must not block on
+        the stamp pass: the entry for ``key`` when the write clock
+        vouches for it and it holds at most ``max_rows`` rows, counted
+        as a hit — else None, counting nothing, and the caller asks
+        :meth:`lookup` later. A drain that finds events moves the
+        clock, so a write since the entry was checked declines too."""
+        entry = self._servable(key)
+        if entry is None or len(entry.rows) + len(entry.final_rows) > max_rows:
             return None
         t0 = time.perf_counter()
-        valid, clock, rule = self._validate(entry, index)
+        clock = self.clock(index)
+        if clock is None or clock != entry.clock:
+            return None
+        rec = obs.metrics()
+        self._observe_validation(rec, t0, "clock")
+        return entry if self._settle(rec, key, entry, clock, True) else None
+
+    def _servable(self, key: CacheKey) -> CacheEntry | None:
+        with self._lock:
+            entry = self._entries.get(key)
+        return None if entry is None or entry.stale else entry
+
+    @staticmethod
+    def _observe_validation(rec: Any, t0: float, rule: str) -> None:
         if rec.enabled:
             rec.observe(
                 "gufi_result_cache_validate_seconds",
                 time.perf_counter() - t0,
             )
             rec.counter("gufi_result_cache_validations_total", rule=rule)
+
+    def _settle(
+        self,
+        rec: Any,
+        key: CacheKey,
+        entry: CacheEntry,
+        clock: Clock | None,
+        valid: bool,
+    ) -> bool:
+        """Fold one validation in; True (a hit, counted) when the entry
+        is valid and still live. An invalid live entry is retired."""
         with self._lock:
             # the push hooks may have retired or replaced it meanwhile
             live = self._entries.get(key) is entry and not entry.stale
-            if not (valid and live):
-                if live:
-                    self._retire_locked(entry)
-                    self.invalidations += 1
-                    if rec.enabled:
-                        rec.counter("gufi_result_cache_invalidations_total")
-                self.misses += 1
+            if not live:
+                return False
+            if not valid:
+                self._retire_locked(entry)
+                self.invalidations += 1
                 if rec.enabled:
-                    rec.counter("gufi_result_cache_misses_total")
-                return None
+                    rec.counter("gufi_result_cache_invalidations_total")
+                return False
             # Entry mutations happen only here, under the lock and
             # after the liveness re-check, so concurrent validations
             # of the same entry cannot race each other: the entry is
@@ -584,7 +628,7 @@ class ResultCache:
             self.hits += 1
         if rec.enabled:
             rec.counter("gufi_result_cache_hits_total")
-        return entry
+        return True
 
     def clock(self, index: "GUFIIndex") -> Clock | None:
         """The write clock, read by a lookup before it validates and by
@@ -608,28 +652,19 @@ class ResultCache:
             entry = self._entries.get(key)
             return entry if entry is not None and entry.stale else None
 
-    def _validate(
-        self, entry: CacheEntry, index: "GUFIIndex"
-    ) -> tuple[bool, Clock | None, str]:
-        """Revalidate one entry without mutating it (the caller folds
-        the outcome in under the lock). Returns ``(valid, the clock
-        read first, the rule that decided: "clock" or "stamps")``."""
-        clock = self.clock(index)
-        # No stamp: no hook fired and nothing was written to the
-        # index since the entry was last checked.
-        if clock is not None and clock == entry.clock:
-            return True, clock, "clock"
-        # Stamp pass: one stat per recorded stamp — a directory's
-        # database, then its listing where the walk read one — on
-        # plain path strings, and nothing else.
+    def _validate(self, entry: CacheEntry, index: "GUFIIndex") -> bool:
+        """The stamp pass: True when every stamp the entry's walk read
+        under still equals the file's — one stat per recorded stamp, a
+        directory's database, then its listing where the walk read
+        one, on plain path strings, and nothing else."""
         for path, (db_stamp, dir_stamp) in entry.stamps.items():
             base = index.index_path(path)
             if layout.file_stamp(f"{base}/{layout.DB_NAME}") != db_stamp:
-                return False, clock, "stamps"
+                return False
             if dir_stamp is not None:
                 if layout.dir_stamp(base) != dir_stamp:
-                    return False, clock, "stamps"
-        return True, clock, "stamps"
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Store

@@ -29,7 +29,7 @@ from types import MappingProxyType
 from repro import obs
 from repro.fs.permissions import Credentials
 
-from .engine import PaginatedSink, ResultCache
+from .engine import NotCached, PaginatedSink, ResultCache
 from .index import GUFIIndex
 from .session import ThreadStatePool
 from .tools import GUFITools
@@ -288,28 +288,39 @@ class GUFIServer:
         t0 = time.perf_counter()
         error: str | None = None
         truncated = False
+        declined = False
+        otr = obs.tracer()
+        span = otr.start("server.invoke", user=username, tool=tool)
         try:
-            with obs.tracer().span("server.invoke", user=username, tool=tool):
-                pageable = ALLOWED_TOOLS.get(tool)
-                if pageable is None:
-                    raise ToolNotAllowed(
-                        f"{tool!r} is not available through the restricted shell"
-                    )
-                tools = self._tools_for(username)
-                if pageable and kwargs.get("sink") is None:
-                    kwargs["sink"] = self.response_sink()
-                result = getattr(tools, tool)(start=start, **kwargs)
-                if pageable:
-                    truncated = result.truncated
-                return result
+            pageable = ALLOWED_TOOLS.get(tool)
+            if pageable is None:
+                raise ToolNotAllowed(
+                    f"{tool!r} is not available through the restricted shell"
+                )
+            tools = self._tools_for(username)
+            if pageable and kwargs.get("sink") is None:
+                kwargs["sink"] = self.response_sink()
+            result = getattr(tools, tool)(start=start, **kwargs)
+            if pageable:
+                truncated = result.truncated
+            return result
+        except NotCached:
+            declined = True
+            raise
         except BaseException as exc:
             error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            self._audit(
-                username, tool, start, time.perf_counter() - t0, error,
-                truncated,
-            )
+            if declined:
+                # a replay-only attempt declined before any work: no
+                # invocation happened, the caller retries it off the loop
+                otr.discard(span)
+            else:
+                otr.end(span)
+                self._audit(
+                    username, tool, start, time.perf_counter() - t0, error,
+                    truncated,
+                )
 
     def response_sink(self, page_size: int | None = None) -> PaginatedSink:
         """A fresh sink for one invocation's rows: capped at

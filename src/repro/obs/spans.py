@@ -193,6 +193,14 @@ class Tracer:
             )
         )
 
+    def discard(self, span: _ActiveSpan) -> None:
+        """Close ``span`` without recording it: it timed nothing that
+        happened (a replay-only attempt that declined)."""
+        try:
+            self._state().stack.remove(span)
+        except ValueError:
+            pass
+
     @contextmanager
     def span(self, name: str, **attrs):
         active = self.start(name, **attrs)
@@ -258,6 +266,9 @@ class NullTracer:
         return None
 
     def end(self, span, **attrs) -> None:
+        pass
+
+    def discard(self, span) -> None:
         pass
 
     def span(self, name: str, **attrs):

@@ -11,9 +11,10 @@ deployment needs:
 * :mod:`repro.serve.app` — :class:`GUFIApp`, a stdlib-only
   ASGI-compatible application: authenticates via
   :class:`~repro.core.server.IdentityProvider`, hands each tool call
-  to :meth:`~repro.core.server.GUFIServer.invoke` on a bounded
-  worker-thread executor (row tools into the server's
-  :meth:`~repro.core.server.GUFIServer.response_sink`), returns JSON;
+  to :meth:`~repro.core.server.GUFIServer.invoke` — on the event loop
+  for a result-cache hit the write clock vouches for, else on a
+  bounded worker-thread executor (row tools into the server's
+  :meth:`~repro.core.server.GUFIServer.response_sink`) — returns JSON;
 * :mod:`repro.serve.qos` — the QoS machinery: per-tenant token-bucket
   rate limits (:class:`TokenBucket`), per-tenant concurrency quotas
   (:class:`TenantQuota`), and global admission control with a bounded
@@ -38,7 +39,7 @@ Serving metrics (the ``gufi_serve_*`` series, exported at
 ``/metrics`` in Prometheus text): ``gufi_serve_requests_total``,
 ``gufi_serve_rejected_total``, ``gufi_serve_shed_total``,
 ``gufi_serve_timeouts_total``, ``gufi_serve_queue_depth``,
-``gufi_serve_request_seconds``.
+``gufi_serve_request_seconds``, ``gufi_serve_replies_total{on}``.
 """
 
 from .app import GUFIApp

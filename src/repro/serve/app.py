@@ -7,15 +7,22 @@ Request lifecycle (one ``POST /v1/invoke``):
    :class:`~repro.core.server.GUFIServer` re-resolves per §III-A5 at
    dispatch, so the two can never disagree for long);
 2. **QoS rings** (cheapest first, see :mod:`repro.serve.qos`):
-   per-tenant token bucket → per-tenant concurrency quota → global
-   admission control with its bounded wait queue; every rejection is
-   a structured JSON error with ``retry_after``;
-3. **execute** — the tool call runs on a bounded worker-thread
-   executor (as many workers as admission slots, so the executor
-   never queues), carrying a :class:`~repro.core.engine.CancelToken`
-   armed with the request deadline: traversal observes it once per
-   directory and a late query dies mid-walk with a structured
-   ``deadline_exceeded`` error instead of finishing late;
+   per-tenant token bucket → per-tenant concurrency quota; every
+   rejection is a structured JSON error with ``retry_after``;
+3. **execute** — the tool call first runs on the event loop in
+   replay-only mode (:func:`~repro.core.engine.replay_only`): a
+   result-cache hit the write clock alone vouches for, of a bounded
+   size, is answered there without yielding, holding its tenant slot.
+   Anything else declines before any work and goes through global
+   admission control (bounded wait queue, shed past it) to a bounded
+   worker-thread executor (as many workers as admission slots, so the
+   executor never queues) — so admission bounds executor work, and a
+   hit neither waits for a slot nor is shed. The call carries a
+   :class:`~repro.core.engine.CancelToken` armed with the request
+   deadline: traversal observes it once per directory and a late
+   query dies mid-walk with a structured ``deadline_exceeded`` error
+   instead of finishing late; ``gufi_serve_replies_total{on}`` counts
+   where each answer came from (``loop`` or ``executor``);
 4. **page** — the tools :data:`~repro.core.server.ALLOWED_TOOLS`
    marks pageable collect into the server's
    :meth:`~repro.core.server.GUFIServer.response_sink` and, when the
@@ -37,23 +44,26 @@ load-balancer probe. The app is stdlib-only and callable in-process
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import secrets
 import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any
+from typing import Any, Iterator
 
 from repro import obs
 from repro.obs.export import to_prometheus
 
 from repro.core.engine import (
     CancelToken,
+    NotCached,
     PaginatedSink,
     QueryCancelled,
     QueryPermissionError,
     QuerySpec,
+    replay_only,
 )
 from repro.core.server import (
     ALLOWED_TOOLS,
@@ -109,10 +119,12 @@ class GUFIApp:
     QoS knobs:
 
     ``max_inflight``
-        executor slots — queries running concurrently (and the worker
-        thread count);
+        executor slots — queries running concurrently on worker
+        threads (and the worker thread count); a result-cache hit
+        answered on the event loop takes none;
     ``queue_limit``
-        admission wait-queue bound; arrivals past it are shed;
+        admission wait-queue bound; executor-bound arrivals past it
+        are shed;
     ``tenant_qps`` / ``tenant_burst``
         per-tenant token-bucket rate (None disables rate limiting);
     ``tenant_concurrency``
@@ -329,23 +341,58 @@ class GUFIApp:
                     400, "bad_request", "deadline_ms must be a number"
                 ) from exc
         token = CancelToken.after(deadline)
-        # QoS ring 3: global admission (bounded queue, shed past it;
-        # the queue wait burns the request's own deadline)
+        call = partial(
+            self._invoke_sync, user, tool, req, cursor_payload, token
+        )
+        # A hit the write clock vouches for is answered here, on the
+        # loop, without yielding; anything else declines before it does
+        # any work and crosses to the executor. Without a result cache
+        # every request walks, and a futile attempt per request cost
+        # bench_serving's controlled mode ≈7 % of its throughput.
+        if self.server.result_cache is not None:
+            try:
+                with replay_only(), self._answering(tool, deadline):
+                    return self._replied("loop", call())
+            except NotCached:
+                pass
+        # QoS ring 3: global admission, which bounds executor work
+        # (bounded queue, shed past it; the queue wait burns the
+        # request's own deadline)
         try:
             await self.admission.acquire(timeout=token.remaining())
         except LoadShed as exc:
             raise _HTTPError(
                 503, "overloaded", str(exc), retry_after=exc.retry_after
             ) from exc
-        t0 = time.perf_counter()
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
-                self.executor,
-                partial(
-                    self._invoke_sync, user, tool, req, cursor_payload, token
-                ),
-            )
+            with self._answering(tool, deadline):
+                reply = await asyncio.get_running_loop().run_in_executor(
+                    self.executor, call
+                )
+        finally:
+            self.admission.release()
+        return self._replied("executor", reply)
+
+    @staticmethod
+    def _replied(on: str, reply: dict) -> dict:
+        rec = obs.metrics()
+        if rec.enabled:
+            rec.counter("gufi_serve_replies_total", on=on)
+        return reply
+
+    @contextlib.contextmanager
+    def _answering(self, tool: str, deadline: float) -> Iterator[None]:
+        """Time one answer into ``gufi_serve_request_seconds`` and map
+        what the tool call raised to its structured HTTP error. A
+        replay-only attempt that declined answered nothing: it passes
+        through untimed."""
+        t0 = time.perf_counter()
+        declined = False
+        try:
+            yield
+        except NotCached:
+            declined = True
+            raise
         except QueryCancelled as exc:
             rec = obs.metrics()
             if rec.enabled:
@@ -375,9 +422,8 @@ class GUFIApp:
                 raise
             raise _HTTPError(400, "bad_query", str(cause)) from exc
         finally:
-            self.admission.release()
             rec = obs.metrics()
-            if rec.enabled:
+            if rec.enabled and not declined:
                 rec.observe(
                     "gufi_serve_request_seconds",
                     time.perf_counter() - t0,
@@ -385,7 +431,7 @@ class GUFIApp:
                 )
 
     # ------------------------------------------------------------------
-    # Worker-thread half
+    # The tool call: on the loop (replay-only), else on a worker thread
     # ------------------------------------------------------------------
     def _invoke_sync(
         self,

@@ -92,20 +92,25 @@ async def _respond(
         received = True
         return {"type": "http.request", "body": body, "more_body": False}
 
+    pending: list[bytes] = []
+
     async def send(message: dict) -> None:
+        # The status line and headers wait for the body and leave with
+        # it in one write: the socket has TCP_NODELAY set, so each write
+        # would be a segment of its own.
         if message["type"] == "http.response.start":
-            status = message["status"]
-            writer.write(f"HTTP/1.1 {status} \r\n".encode("latin-1"))
+            pending.append(f"HTTP/1.1 {message['status']} \r\n".encode("latin-1"))
             for name, value in message.get("headers", []):
-                writer.write(name + b": " + value + b"\r\n")
-            writer.write(
-                b"connection: keep-alive\r\n"
+                pending.append(name + b": " + value + b"\r\n")
+            pending.append(
+                b"connection: keep-alive\r\n\r\n"
                 if keep_alive
-                else b"connection: close\r\n"
+                else b"connection: close\r\n\r\n"
             )
-            writer.write(b"\r\n")
         elif message["type"] == "http.response.body":
-            writer.write(message.get("body", b""))
+            pending.append(message.get("body", b""))
+            writer.write(b"".join(pending))
+            pending.clear()
 
     await app(scope, receive, send)
     await writer.drain()

@@ -13,7 +13,9 @@ rings, before a request ever reaches the engine:
    requests one tenant may have in flight at once, so a single tenant
    cannot occupy every executor slot even while under its rate;
 3. **global admission control** (:class:`AdmissionController`) — a
-   fixed number of execution slots plus a *bounded* wait queue.
+   fixed number of executor slots plus a *bounded* wait queue, for
+   the requests that need the executor: a result-cache hit the event
+   loop answers passes the first two rings and never this one.
    Queue-full and deadline-exceeded-while-queued requests are shed
    (HTTP 503 with retry-after) instead of piling on: an unbounded
    queue converts overload into unbounded latency for every tenant
@@ -137,7 +139,7 @@ class TenantQuota:
 
 
 class AdmissionController:
-    """``max_inflight`` execution slots plus a bounded FIFO wait queue.
+    """``max_inflight`` executor slots plus a bounded FIFO wait queue.
 
     Asyncio-only: every method runs on the event loop, so there is no
     lock — no state mutation crosses an ``await``. A request past the

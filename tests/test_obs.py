@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core.build import BuildOptions, dir2index
-from repro.core.engine import QueryEngine
+from repro.core.engine import QueryEngine, ResultCache
 from repro.core.query import Q1_LIST_NAMES, QuerySpec
 from repro.core.tools import FindFilters, GUFITools
 from repro.obs.export import (
@@ -458,6 +458,37 @@ class TestIntegration:
         assert on.dirs_errored == off.dirs_errored
         assert on.dirs_pruned_by_plan == off.dirs_pruned_by_plan
         assert on.attaches_elided == off.attaches_elided
+
+    def test_replay_folds_no_walk(self, demo_index, monkeypatch):
+        """A result-cache hit folds a run, its seconds and its rows —
+        and nothing of the captured walk, nor a DirMeta-cache delta —
+        while its QueryResult still carries the captured counters."""
+        spec = QuerySpec(E="SELECT name FROM pentries")
+        cache = ResultCache()
+        with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache) as q:
+            miss = q.run(spec)
+            with obs.enabled(metrics=True):
+                before = obs.snapshot()
+                monkeypatch.setattr(
+                    demo_index.cache, "stats",
+                    lambda: pytest.fail("a replay read the DirMeta cache"),
+                )
+                hit = q.run(spec)
+                after = obs.snapshot()
+        assert hit.cached and hit.dbs_opened == miss.dbs_opened > 0
+
+        def delta(name, **labels):
+            return after.counter(name, **labels) - before.counter(name, **labels)
+
+        assert delta("gufi_query_runs_total", kind="query.run") == 1.0
+        assert delta("gufi_query_rows_total") == len(hit.rows)
+        for name in (
+            "gufi_query_dbs_opened_total",
+            "gufi_query_dirs_visited_total",
+            "gufi_query_attaches_elided_total",
+        ):
+            assert delta(name) == 0.0, name
+        assert after.histogram("gufi_query_seconds", kind="query.run").count == 1
 
     def test_walker_retry_counter(self):
         flaky = {"left": 3}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import sqlite3
 import time
 
@@ -25,18 +26,22 @@ import pytest
 from repro import obs
 from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
+from repro.core.engine import engine as engine_module
 from repro.core.engine import (
     CancelToken,
     MemorySink,
+    NotCached,
     QueryCancelled,
     QueryEngine,
     QuerySpec,
+    replay_only,
 )
 from repro.core.server import ALLOWED_TOOLS, GUFIServer, IdentityProvider
 from repro.core.tools import FindFilters, GUFITools
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
 from repro.serve import ASGIClient, GUFIApp, jsonable
+from repro.store import watch
 from tests.conftest import NTHREADS, build_demo_tree
 
 E_ALL = "SELECT rpath(dname, d_isroot, name), size FROM vrpentries"
@@ -533,6 +538,157 @@ class TestCursorPagination:
                 )
             ).json()
             assert "/home/bob/new.txt" in {r[0] for r in fresh["rows"]}
+
+
+class TestRepliesOnTheLoop:
+    """A hit the write clock vouches for is answered on the event loop;
+    everything else crosses to the executor exactly as before."""
+
+    @pytest.fixture(autouse=True)
+    def armed(self, monkeypatch):
+        # the write clock exists on any file system the test runs on
+        monkeypatch.setattr(watch, "fs_supported", lambda path: True)
+
+    @staticmethod
+    def submissions(app, monkeypatch) -> list:
+        """Every call the app hands its executor, recorded."""
+        calls: list = []
+        real = app.executor.submit
+
+        def submit(fn, *args, **kwargs):
+            calls.append(fn)
+            return real(fn, *args, **kwargs)
+
+        monkeypatch.setattr(app.executor, "submit", submit)
+        return calls
+
+    @staticmethod
+    def query(client, user="root", start="/", **kw):
+        return run(client.invoke(
+            user, "query", start, args={"spec": {"E": E_ALL}}, **kw
+        ))
+
+    def test_hit_never_reaches_the_executor(self, app, client, monkeypatch):
+        first = self.query(client)
+        assert first.status == 200 and not first.json()["meta"]["cached"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hit reached the executor")
+
+        monkeypatch.setattr(app.executor, "submit", refuse)
+        with obs.enabled(metrics=True):
+            again = self.query(client)
+            snap = obs.snapshot()
+        assert again.status == 200, again.text
+        assert again.json()["meta"]["cached"] is True
+        assert again.json()["rows"] == first.json()["rows"]
+        assert snap.counter("gufi_serve_replies_total", on="loop") == 1.0
+        assert snap.counter("gufi_serve_replies_total", on="executor") == 0.0
+
+    def test_miss_reaches_the_executor(self, app, client, monkeypatch):
+        calls = self.submissions(app, monkeypatch)
+        with obs.enabled(metrics=True):
+            resp = self.query(client)
+            snap = obs.snapshot()
+        assert resp.status == 200 and not resp.json()["meta"]["cached"]
+        assert len(calls) == 1
+        assert snap.counter("gufi_serve_replies_total", on="executor") == 1.0
+
+    def test_no_result_cache_reaches_the_executor(
+        self, demo_index, identity, monkeypatch
+    ):
+        with GUFIServer(demo_index, identity, nthreads=NTHREADS) as srv, \
+                GUFIApp(srv, max_inflight=2, queue_limit=4) as app:
+            calls = self.submissions(app, monkeypatch)
+            client = ASGIClient(app)
+            for _ in range(2):
+                assert self.query(client).status == 200
+            # the mode never walks, whoever sets it
+            with replay_only(), pytest.raises(NotCached):
+                srv.invoke("root", "query", spec=QuerySpec(E=E_ALL))
+        assert len(calls) == 2
+
+    def test_moved_clock_sends_the_hit_to_the_stamp_pass(
+        self, app, client, demo_index, monkeypatch
+    ):
+        """A write elsewhere in the index tree moves the clock: the loop
+        declines, and the executor's stamp pass finds the entry valid."""
+        assert self.query(client, "alice", "/home/alice").status == 200
+        calls = self.submissions(app, monkeypatch)
+        os.utime(demo_index.index_path("/proj") + "/db.db")
+        with obs.enabled(metrics=True):
+            resp = self.query(client, "alice", "/home/alice")
+            snap = obs.snapshot()
+        assert resp.json()["meta"]["cached"] is True
+        assert len(calls) == 1
+        assert snap.counter(
+            "gufi_result_cache_validations_total", rule="stamps"
+        ) == 1.0
+
+    def test_entry_over_the_row_bound_reaches_the_executor(
+        self, app, client, monkeypatch
+    ):
+        rows = len(self.query(client).json()["rows"])
+        monkeypatch.setattr(engine_module, "REPLAY_ONLY_MAX_ROWS", rows - 1)
+        calls = self.submissions(app, monkeypatch)
+        resp = self.query(client)
+        assert resp.json()["meta"]["cached"] is True
+        assert len(calls) == 1
+
+    def test_one_count_and_one_audit_record_per_request(
+        self, app, client, server, demo_index
+    ):
+        """Misses, loop hits, and hits the loop declined because a
+        write under /proj moved the clock: the two walks from / miss
+        again, the others pass the stamp pass."""
+        cache = server.result_cache
+        sent = 0
+        for round_ in range(3):
+            if round_ == 1:
+                os.utime(demo_index.index_path("/proj") + "/db.db")
+            for user, tool, start in (
+                ("root", "du", "/"),
+                ("alice", "find", "/home/alice"),
+                ("bob", "ls", "/home/bob"),
+                ("root", "largest_files", "/"),
+            ):
+                resp = run(client.invoke(user, tool, start))
+                assert resp.status == 200, resp.text
+                sent += 1
+        assert (cache.hits, cache.misses) == (6, 6)
+        assert cache.hits + cache.misses == sent
+        assert len(server.audit_log) == sent
+        assert all(e.ok for e in server.audit_log)
+
+    def test_declined_attempt_leaves_no_span(self, client):
+        """A miss is one invocation in the trace: the loop's declined
+        attempt opened no span that outlived it."""
+        with obs.enabled(tracing=True):
+            assert self.query(client).status == 200
+            names = [s.name for s in obs.tracer().spans()]
+        assert names.count("server.invoke") == 1
+        assert names.count("query.run") == 1
+
+    def test_expired_deadline_on_a_hit_is_504(self, client):
+        assert self.query(client).status == 200
+        resp = self.query(client, deadline_ms=0.0001)
+        assert resp.status == 504
+        assert resp.json()["error"]["code"] == "deadline_exceeded"
+
+    def test_paged_hit_pages_as_before(self, app, client, monkeypatch):
+        full = self.query(client).json()["rows"]
+        first = self.query(client, page_size=4).json()
+        assert first["meta"]["cached"] and first["num_pages"] == 3
+        calls = self.submissions(app, monkeypatch)
+        pages, cursor = [first["rows"]], first["next_cursor"]
+        while cursor is not None:
+            body = run(client.invoke("root", cursor=cursor)).json()
+            assert body["meta"]["cached"] is True
+            pages.append(body["rows"])
+            cursor = body["next_cursor"]
+        assert [len(p) for p in pages] == [4, 4, 1]
+        assert [r for p in pages for r in p] == full
+        assert calls == []
 
 
 class TestMetricsEndpoint:

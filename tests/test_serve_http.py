@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.server import GUFIServer, IdentityProvider
 from repro.serve import GUFIApp
-from repro.serve.http import serve
+from repro.serve.http import _handle_connection, serve
 from tests.conftest import NTHREADS
 
 
@@ -126,6 +126,53 @@ class TestHTTPBridge:
         )
         assert status == 401
         assert json.loads(data)["error"]["code"] == "auth_required"
+
+    def test_one_write_per_response(self):
+        """Status line, headers and body leave in one write (one TCP
+        segment), on a kept-alive connection and on a closing one."""
+
+        async def app(scope, receive, send):
+            await send({
+                "type": "http.response.start", "status": 200,
+                "headers": [(b"content-length", b"2")],
+            })
+            await send({"type": "http.response.body", "body": b"ok"})
+
+        class RecordingWriter:
+            def __init__(self) -> None:
+                self.writes: list[bytes] = []
+
+            def write(self, data: bytes) -> None:
+                self.writes.append(bytes(data))
+
+            async def drain(self) -> None:
+                pass
+
+            def close(self) -> None:
+                pass
+
+            async def wait_closed(self) -> None:
+                pass
+
+        async def scenario() -> list[bytes]:
+            reader = asyncio.StreamReader()
+            reader.feed_data(
+                b"GET /a HTTP/1.1\r\nhost: x\r\n\r\n"
+                b"GET /b HTTP/1.1\r\nconnection: close\r\n\r\n"
+                b"GET /never HTTP/1.1\r\n\r\n"
+            )
+            reader.feed_eof()
+            writer = RecordingWriter()
+            await _handle_connection(app, reader, writer)
+            return writer.writes
+
+        writes = asyncio.run(scenario())
+        assert writes == [
+            b"HTTP/1.1 200 \r\ncontent-length: 2\r\n"
+            b"connection: keep-alive\r\n\r\nok",
+            b"HTTP/1.1 200 \r\ncontent-length: 2\r\n"
+            b"connection: close\r\n\r\nok",
+        ]
 
 
 class TestServeCLI:

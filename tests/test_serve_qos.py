@@ -3,15 +3,19 @@
 The three rings (token bucket, tenant quota, admission control) are
 pure policy with no engine behind them, so they are tested in
 isolation with injected clocks and bare event loops — the full stack
-is covered by ``test_serve_app.py`` / ``test_serve_stress.py``.
+is covered by ``test_serve_app.py`` / ``test_serve_stress.py``, except
+for what admission control bounds in it: executor work, and not the
+result-cache hits the event loop answers (the last class here).
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
+from repro.serve import ASGIClient
 from repro.serve.qos import (
     AdmissionController,
     LoadShed,
@@ -158,3 +162,88 @@ class TestAdmissionController:
             assert adm.inflight == 0
 
         run(scenario())
+
+
+class TestAdmissionBoundsExecutorWork:
+    """Admission control sizes the executor: a flood of misses is still
+    queued and shed, and a hit — answered on the event loop, never
+    yielding — neither waits for a slot nor is shed."""
+
+    E_ALL = "SELECT rpath(dname, d_isroot, name), size FROM vrpentries"
+
+    @pytest.fixture
+    def stack(self, demo_index, monkeypatch):
+        from repro.core.engine.stages import StageRunner
+        from repro.core.server import GUFIServer, IdentityProvider
+        from repro.serve import GUFIApp
+        from repro.store import watch
+
+        monkeypatch.setattr(watch, "fs_supported", lambda path: True)
+        idp = IdentityProvider()
+        idp.add_user("root", uid=0, gid=0)
+        gate = threading.Event()
+        walking = threading.Event()
+        real = StageRunner.s_e_stages
+
+        def blocked(self, *args):
+            walking.set()
+            assert gate.wait(30.0), "the test never opened the gate"
+            return real(self, *args)
+
+        with GUFIServer(
+            demo_index, idp, nthreads=1, result_cache_mb=8.0
+        ) as srv, GUFIApp(srv, max_inflight=1, queue_limit=1) as app:
+            client = ASGIClient(app)
+            # cached before any walk blocks
+            assert run(self.query(client, "/home")).status == 200
+            monkeypatch.setattr(StageRunner, "s_e_stages", blocked)
+            try:
+                yield app, client, walking
+            finally:
+                gate.set()
+
+    def query(self, client, start: str):
+        return client.invoke(
+            "root", "query", start, args={"spec": {"E": self.E_ALL}}
+        )
+
+    @staticmethod
+    async def until(event: threading.Event) -> None:
+        for _ in range(3000):
+            if event.is_set():
+                return
+            await asyncio.sleep(0.01)
+        raise AssertionError("the miss never started walking")
+
+    def test_flood_of_misses_is_shed(self, stack):
+        app, client, walking = stack
+
+        async def scenario():
+            starts = ["/", "/home/alice", "/home/bob", "/proj"]
+            tasks = [asyncio.ensure_future(self.query(client, s)) for s in starts]
+            await self.until(walking)
+            done = [t for t in tasks if t.done()]
+            assert app.admission.inflight == 1 and app.admission.queue_depth == 1
+            return [t.result() for t in done]
+
+        shed = run(scenario())
+        assert len(shed) == 2
+        for resp in shed:
+            assert resp.status == 503
+            assert resp.json()["error"]["code"] == "overloaded"
+
+    def test_hit_does_not_wait_for_a_slot(self, stack):
+        app, client, walking = stack
+
+        async def scenario():
+            miss = asyncio.ensure_future(self.query(client, "/proj"))
+            await self.until(walking)
+            assert app.admission.inflight == 1
+            hit = await asyncio.wait_for(self.query(client, "/home"), 5.0)
+            assert not miss.done()
+            return hit
+
+        hit = run(scenario())
+        assert hit.status == 200, hit.text
+        assert hit.json()["meta"]["cached"] is True
+        assert app.admission.shed == {"queue_full": 0, "deadline": 0}
