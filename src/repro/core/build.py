@@ -51,6 +51,7 @@ entries, so the build path is structured to survive them:
 
 from __future__ import annotations
 
+import dataclasses
 import posixpath
 import threading
 import time
@@ -70,7 +71,7 @@ from repro.store import schema
 from repro.store.layout import DB_NAME, PARTIAL_SUFFIX, DirStore, file_stamp
 
 from .checkpoint import BuildJournal
-from .index import GUFIIndex
+from .index import DirMeta, GUFIIndex
 from .tsummary import read_contribution
 from .xattrs import shard_xattrs, write_xattr_shards
 
@@ -329,6 +330,7 @@ def build_dir_db(
     faults: FaultPlan | None = None,
     journal: BuildJournal | None = None,
     handover: dict | None = None,
+    contribution: bool = False,
 ) -> tuple[int, int]:
     """Create one directory's index database. Returns
     (entries inserted, side databases created).
@@ -346,20 +348,27 @@ def build_dir_db(
     missing ``db.db`` as denied-by-absence, never as partial data).
 
     ``handover`` is a caller-owned dict. When one is given, the rebuild
-    reads the directory's tree-summary contribution
-    (:func:`~repro.core.tsummary.read_contribution`) on the staging
-    connection before closing it, stamps the staged file — the rename
-    that publishes it keeps inode, ``mtime_ns`` and size — and, once
-    published, adds ``source path -> (stamp, db.db path,
-    contribution)``. The caller memoises that
-    (``index.cache.put_contribution``) after its ``invalidate_cache``:
-    any later rewrite of the database changes the stamp, and the memo
-    misses. A crash before the publish adds nothing."""
+    reads the directory's full :class:`~repro.core.index.DirMeta`
+    (:meth:`~repro.core.index.GUFIIndex.read_dir_meta`, one statement)
+    and, with ``contribution``, its tree-summary contribution
+    (:func:`~repro.core.tsummary.read_contribution`, two) on the
+    staging connection before closing it, stamps the staged file — the
+    rename that publishes it keeps inode, ``mtime_ns`` and size — and,
+    once published, adds ``source path -> (DirMeta carrying that stamp,
+    db.db path, contribution or None)``. The caller publishes those
+    (``index.cache.put_meta`` / ``put_contribution``) after its
+    ``invalidate_cache``: any later rewrite of the database changes the
+    stamp, and the cached record misses. A crash before the publish
+    adds nothing."""
     otr = obs.tracer()
     if otr.enabled:
         with otr.span("build.dir", path=stanza.directory.path):
-            return _build_dir_db(index, stanza, opts, faults, journal, handover)
-    return _build_dir_db(index, stanza, opts, faults, journal, handover)
+            return _build_dir_db(
+                index, stanza, opts, faults, journal, handover, contribution
+            )
+    return _build_dir_db(
+        index, stanza, opts, faults, journal, handover, contribution
+    )
 
 
 def _build_dir_db(
@@ -369,6 +378,7 @@ def _build_dir_db(
     faults: FaultPlan | None,
     journal: BuildJournal | None,
     handover: dict | None,
+    contribution: bool,
 ) -> tuple[int, int]:
     if isinstance(stanza, DirStanza):
         stanza = DirRows(
@@ -386,7 +396,8 @@ def _build_dir_db(
     store = DirStore.open(index.index_dir(src_path))
     depth = 0 if src_path == "/" else src_path.count("/")
     conn = store.stage_primary()
-    contribution = None
+    meta: DirMeta | None = None
+    contrib = None
     try:
         conn.execute("BEGIN")
         conn.executemany(_ENTRIES_INSERT, rows)
@@ -396,7 +407,9 @@ def _build_dir_db(
         )
         conn.execute("COMMIT")
         if handover is not None:
-            contribution = read_contribution(conn, "main")
+            meta = GUFIIndex.read_dir_meta(conn, "main")
+            if contribution:
+                contrib = read_contribution(conn, "main")
         side_names = write_xattr_shards(
             store.index_dir,
             conn,
@@ -416,8 +429,10 @@ def _build_dir_db(
     index.apply_physical_mode(src_path, directory.mode)
     if journal is not None:
         journal.record(src_path, store.stamp(), len(rows), len(side_names))
-    if handover is not None and stamp is not None:
-        handover[src_path] = (stamp, str(store.db_path), contribution)
+    if handover is not None and meta is not None and stamp is not None:
+        handover[src_path] = (
+            dataclasses.replace(meta, stamp=stamp), str(store.db_path), contrib
+        )
     return len(rows), len(side_names)
 
 

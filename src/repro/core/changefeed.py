@@ -328,23 +328,31 @@ def apply_delta(
 
     # -- dirty-directory rebuild phase (rescan the live tree) ----------
     dirs_rebuilt = entries_indexed = 0
-    # a refresh below folds every rebuilt directory's contribution:
-    # each rebuild hands it over instead of the refresh re-reading it
-    handover: dict | None = {} if ts_roots else None
+    # each rebuild hands over its DirMeta, so the next walk finds the
+    # directory warm; and, when a refresh below folds every rebuilt
+    # directory's contribution, that too instead of the refresh
+    # re-reading it
+    handover: dict = {}
     for d in sorted(dirty):
         if tree is not None and _is_live_dir(tree, d):
             unrolled += unroll_path_to(index, d, checked, faults)
             scanned = scan_single_dir(tree, d)
             n, _ = build_dir_db(
-                index, scanned, opts, faults=faults, handover=handover
+                index, scanned, opts, faults=faults, handover=handover,
+                contribution=bool(ts_roots),
             )
             dirs_rebuilt += 1
             entries_indexed += n
             # before returning: a warm session's very next query must
-            # not see the old mode/uid/gid (the §III-A3 security fix)
+            # not see the old mode/uid/gid (the §III-A3 security fix);
+            # the record put back is the new file's, under its stamp
             index.invalidate_cache(d)
-            if handover:
-                index.cache.put_contribution(d, *handover.pop(d))
+            published = handover.pop(d, None)
+            if published is not None:
+                meta, db_path, contrib = published
+                index.cache.put_meta(d, meta)
+                if contrib is not None:
+                    index.cache.put_contribution(d, meta.stamp, db_path, contrib)
         else:
             # the directory vanished between event and apply (or was
             # created and removed within the batch): removed like a

@@ -79,12 +79,13 @@ def _kind(descend: bool) -> str:
 #: The largest entry (rows plus final rows) a replay-only run serves.
 #: Measured on one pinned core of a 2-vCPU Xeon (Python 3.11) with
 #: ``find``-shaped rows (a 50-byte path, a type, a size): the replay
-#: into the response sink, ``jsonable`` and the JSON encode cost ≈2.7 µs
-#: a row together (0.25 ms at 100 rows, 0.44 ms at 250, 0.86 ms at
-#: 500), so at 200 rows a hit holds the event loop ≈0.5 ms; the encode
-#: is on the loop for an executor answer too. A paged hit also digests
-#: its whole result there, ≈8 µs a row more. On ``serve_mix`` a bound of
-#: 1 000 was no faster (0.353 against 0.358 ms a request, one run each).
+#: and the reply's one ``json.dumps`` (:func:`repro.serve.codec.dumps`)
+#: cost ≈0.9 µs a row together (≈2.5 µs while a value walk rebuilt
+#: every row before the encode), so at 200 rows a hit holds the event
+#: loop ≈0.2 ms; the encode is on the loop for an executor answer too.
+#: A paged hit also digests its whole result there, ≈1 µs a row more.
+#: On ``serve_mix`` a bound of 1 000 was no faster (0.353 against
+#: 0.358 ms a request, one run each, with the walk).
 REPLAY_ONLY_MAX_ROWS = 200
 
 _replay_only: contextvars.ContextVar[bool] = contextvars.ContextVar(

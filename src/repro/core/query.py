@@ -25,6 +25,7 @@ re-exported here for the tools built on it.
 from __future__ import annotations
 
 from .engine import QueryPermissionError, QueryResult, QuerySpec, spec_label
+from .sqlfuncs import RPATH_SQL
 
 __all__ = [
     "QueryPermissionError",
@@ -47,8 +48,9 @@ __all__ = [
 Q1_LIST_NAMES = QuerySpec(E="SELECT name FROM pentries")
 
 #: Query 1 variant returning full paths, rollup-invariant thanks to
-#: the vrpentries summary join (GUFI's rpath machinery).
-Q1_LIST_PATHS = QuerySpec(E="SELECT rpath(dname, d_isroot, name) FROM vrpentries")
+#: the vrpentries summary join (GUFI's rpath machinery, built in SQL:
+#: :data:`~repro.core.sqlfuncs.RPATH_SQL`).
+Q1_LIST_PATHS = QuerySpec(E=f"SELECT {RPATH_SQL} FROM vrpentries")
 
 #: Query 2: print size and name of every accessible directory.
 #: spath() reconstructs each directory's path whether the row is the

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from .plan import QueryPlan, plan_for
 from .query import QuerySpec
+from .sqlfuncs import RPATH_SQL
 from .sqltext import quote_literal
 from .tools import FindFilters
 
@@ -112,13 +113,11 @@ class SearchQuery:
                 f"{where} AND {cond}" if where else f" WHERE {cond}"
             )
             return QuerySpec(
-                E="SELECT rpath(dname, d_isroot, name), type, size, mtime "
-                f"FROM xpentries{where}",
+                E=f"SELECT {RPATH_SQL}, type, size, mtime FROM xpentries{where}",
                 xattrs=True,
             )
         return QuerySpec(
-            E="SELECT rpath(dname, d_isroot, name), type, size, mtime "
-            f"FROM vrpentries{where}"
+            E=f"SELECT {RPATH_SQL}, type, size, mtime FROM vrpentries{where}"
         )
 
     def to_plan(self) -> QueryPlan:

@@ -5,6 +5,14 @@
 translation, and level/depth helpers. Functions that depend on *which
 directory the thread is currently processing* read a per-thread
 holder the engine updates before each per-directory query.
+
+The tools' own SQL builds row paths with :data:`RPATH_SQL`, not with
+``rpath()``: a Python callback per row costs about a third of a
+fetched row, while ``gufi_dirprefix()`` — the one value that changes
+between directories — is a deterministic zero-argument function, which
+SQLite evaluates once per execution of the statement. ``rpath`` and
+``spath`` stay registered for caller SQL (the paper's appendix uses
+them).
 """
 
 from __future__ import annotations
@@ -21,6 +29,22 @@ class QueryContext:
     current_depth: int = 0
     #: uid -> username map for uidtouser()
     users: dict[int, str] = field(default_factory=dict)
+
+
+#: ``rpath(dname, d_isroot, name)`` in SQL, over ``vrpentries``-shaped
+#: rows: the directory prefix (``''`` at the root), then ``/dname``
+#: where the row was rolled in from a sub-directory, then ``/name``.
+#: Equal to ``rpath`` on every row an index can hold: any ``dname`` of
+#: a directory's own row (``NULL`` and ``''`` included, unused), the
+#: non-empty relative path of a rolled-in one, and any name (an empty
+#: or ``NULL`` one gives the directory's path, ``/`` at the root).
+#: ``dname`` is named once: in an un-rolled database it is a scalar
+#: sub-select of the view, and each mention compiles its own copy.
+RPATH_SQL = (
+    "gufi_dirprefix() || CASE WHEN d_isroot THEN '' ELSE '/' || dname END"
+    " || CASE WHEN name <> '' THEN '/' || name"
+    " WHEN d_isroot AND gufi_dirprefix() = '' THEN '/' ELSE '' END"
+)
 
 
 def register(conn: sqlite3.Connection, ctx: QueryContext) -> None:
@@ -69,10 +93,18 @@ def register(conn: sqlite3.Connection, ctx: QueryContext) -> None:
             return parent
         return ("" if parent == "/" else parent) + "/" + name
 
+    def gufi_dirprefix() -> str:
+        """The current directory as a prefix: ``''`` at the root."""
+        current = ctx.current_path
+        return "" if current == "/" else current
+
     conn.create_function("path", -1, path, deterministic=False)
     conn.create_function("epath", 1, epath, deterministic=False)
     conn.create_function("spath", 2, spath, deterministic=False)
     conn.create_function("rpath", 3, rpath, deterministic=False)
+    # deterministic: evaluated once per execution of a statement, and
+    # re-evaluated when the statement runs again for another directory
+    conn.create_function("gufi_dirprefix", 0, gufi_dirprefix, deterministic=True)
     conn.create_function("level", 0, level, deterministic=False)
     conn.create_function("uidtouser", 1, uidtouser, deterministic=False)
     conn.create_function("gidtogroup", 1, gidtogroup, deterministic=False)

@@ -20,6 +20,7 @@ from .index import GUFIIndex
 from .plan import QueryPlan, plan_for
 from .query import QueryResult, QuerySpec
 from .session import ThreadStatePool
+from .sqlfuncs import RPATH_SQL
 from .sqltext import quote_literal
 
 
@@ -156,8 +157,7 @@ class GUFITools:
         filters = filters or FindFilters()
         where = filters.where_clause()
         spec = QuerySpec(
-            E="SELECT rpath(dname, d_isroot, name), type, size "
-            f"FROM vrpentries{where}"
+            E=f"SELECT {RPATH_SQL}, type, size FROM vrpentries{where}"
         )
         plan = plan_for(filters, planned=planned)
         return self.engine.run(spec, start, plan=plan, sink=sink,
@@ -255,7 +255,7 @@ class GUFITools:
         spec = QuerySpec(
             I="CREATE TABLE top (p TEXT, size INTEGER)",
             E=(
-                "INSERT INTO top SELECT rpath(dname, d_isroot, name), size FROM vrpentries "
+                f"INSERT INTO top SELECT {RPATH_SQL}, size FROM vrpentries "
                 f"WHERE type = 'f' ORDER BY size DESC LIMIT {int(limit)}"
             ),
             J=(
@@ -274,7 +274,7 @@ class GUFITools:
         spec = QuerySpec(
             I="CREATE TABLE recent (p TEXT, mtime INTEGER)",
             E=(
-                "INSERT INTO recent SELECT rpath(dname, d_isroot, name), mtime FROM vrpentries "
+                f"INSERT INTO recent SELECT {RPATH_SQL}, mtime FROM vrpentries "
                 f"WHERE mtime >= {int(since)} "
                 f"ORDER BY mtime DESC LIMIT {int(limit)}"
             ),
@@ -312,7 +312,7 @@ class GUFITools:
         Fig 9's scan/stab query shape."""
         spec = QuerySpec(
             E=(
-                "SELECT rpath(dname, d_isroot, name), exattrs FROM xpentries "
+                f"SELECT {RPATH_SQL}, exattrs FROM xpentries "
                 f"WHERE exattrs LIKE {quote_literal('%' + needle + '%')}"
             ),
             xattrs=True,

@@ -138,7 +138,7 @@ class DirContribution(NamedTuple):
     Read by :func:`read_contribution` — from a published database by a
     tree-summary build (:func:`_contribution`), or from the staged one
     by the rebuild that wrote it (:func:`repro.core.build.build_dir_db`
-    with a ``handover`` dict), which the changefeed then memoises under
+    with a ``handover`` dict and ``contribution``), which the changefeed then memoises under
     the published file's stamp. Either way the same two statements read
     it, so a memoised contribution is the one a later read would find.
 

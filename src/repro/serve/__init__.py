@@ -44,7 +44,7 @@ Serving metrics (the ``gufi_serve_*`` series, exported at
 
 from .app import GUFIApp
 from .client import ASGIClient, ClientResponse
-from .codec import canonical_json, jsonable, rows_digest
+from .codec import canonical_json, dumps, jsonable, rows_digest
 from .cursors import CursorError, CursorExpired, decode_cursor, encode_cursor
 from .http import serve
 from .qos import (
@@ -68,6 +68,7 @@ __all__ = [
     "TokenBucket",
     "canonical_json",
     "decode_cursor",
+    "dumps",
     "encode_cursor",
     "jsonable",
     "rows_digest",

@@ -73,7 +73,7 @@ from repro.core.server import (
 )
 from repro.core.tools import FindFilters
 
-from .codec import canonical_json, jsonable, rows_digest
+from .codec import canonical_json, dumps, rows_digest
 from .cursors import (
     CursorError,
     CursorExpired,
@@ -254,7 +254,7 @@ class GUFIApp:
 
     @staticmethod
     def _json(status: int, payload: dict) -> tuple[int, bytes, bytes]:
-        body = json.dumps(payload).encode("utf-8")
+        body = dumps(payload).encode("utf-8")
         return status, b"application/json", body
 
     @classmethod
@@ -464,7 +464,7 @@ class GUFIApp:
             sink = kwargs["sink"] = self.server.response_sink(page_size)
         result = self.server.invoke(user, tool, start, **kwargs)
         if sink is None:
-            return {"ok": True, "tool": tool, "result": jsonable(result)}
+            return {"ok": True, "tool": tool, "result": result}
         meta = {
             "elapsed": result.elapsed,
             "dirs_visited": result.dirs_visited,
@@ -476,7 +476,7 @@ class GUFIApp:
         if page_size is None:
             return {
                 "ok": True, "tool": tool,
-                "rows": jsonable(result.rows), "meta": meta,
+                "rows": result.rows, "meta": meta,
             }
         digest = rows_digest(result.rows)
         if cursor_payload is not None and digest != cursor_payload["d"]:
@@ -496,7 +496,7 @@ class GUFIApp:
             )
         return {
             "ok": True, "tool": tool,
-            "rows": jsonable(sink.page(page)),
+            "rows": sink.page(page),
             "meta": meta,
             "page": page,
             "num_pages": sink.num_pages,

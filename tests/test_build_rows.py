@@ -1,5 +1,5 @@
-"""The one database writer, its two producers of rows, and the
-tree-summary hand-over of a changefeed rebuild.
+"""The one database writer, its two producers of rows, and what a
+changefeed rebuild hands over to the index handle.
 
 :func:`~repro.core.build.build_dir_db` takes a trace stanza (records
 converted with ``entry_row``) or the rows a live rescan built straight
@@ -7,7 +7,9 @@ from the inodes (``scan_single_dir`` / ``dir_rows``); both must write
 the same database. A changefeed rebuild that a tree-summary refresh
 will fold hands its directory's contribution to the index handle,
 memoised under the published file's stamp: the refresh must not
-re-read it, and must re-read anything rewritten after it.
+re-read it, and must re-read anything rewritten after it. Every
+rebuild hands over its directory's ``DirMeta`` the same way, so the
+first walk after an apply finds the rebuilt directories warm.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.build import BuildOptions, build_dir_db, dir2index
 from repro.core.changefeed import _fix_depths, changefeed2index
+from repro.core.engine.stages import StageRunner
 from repro.core.index import GUFIIndex
+from repro.core.tools import FindFilters, GUFITools
 from repro.core.tsummary import build_tsummary
 from repro.core.update import scan_single_dir
 from repro.fs.changelog import ChangeJournal
@@ -287,14 +291,98 @@ class TestContributionHandOver:
         result = changefeed2index(index, tree, journal, opts=OPTS)
         assert result.dirs_rebuilt == 2
         reads = [s for s in statements if "main.summary" in s or "main.pentries" in s]
-        # tsummary's two statements per rebuilt directory, or none
-        assert len(reads) == (4 if tsummary else 0)
+        # per rebuilt directory: the DirMeta statement always, and
+        # tsummary's two statements when a refresh follows
+        assert len(reads) == 2 * (3 if tsummary else 1)
         for d in ("/home/bob", "/public"):
             memo = index.cache._contribs.get(d)
             if tsummary:
                 assert memo[0] == index.store(d).stamp()
             else:
                 assert memo is None
+            assert index.cache._meta[d].stamp == index.store(d).stamp()
+
+
+REBUILT = ("/home/bob", "/public")
+
+
+def rebuild_two(tree, index, journal):
+    tree.create_file("/home/bob/n.dat", size=20, uid=1002, gid=1002)
+    tree.create_file("/public/n.txt", size=40, uid=0, gid=0)
+    result = changefeed2index(index, tree, journal, opts=OPTS)
+    assert result.dirs_rebuilt == len(REBUILT)
+
+
+def cold_meta(index, d):
+    conn = connect.open_ro(index.db_path(d))
+    try:
+        return GUFIIndex.read_dir_meta(conn)
+    finally:
+        conn.close()
+
+
+class TestDirMetaHandOver:
+    @pytest.mark.parametrize("tsummary", [False, True])
+    def test_rebuilt_directory_is_a_hit_equal_to_a_cold_read(
+        self, tmp_path, tsummary
+    ):
+        tree, index, journal = setup(tmp_path, tsummary=tsummary)
+        rebuild_two(tree, index, journal)
+        cache = index.cache
+        for d in REBUILT:
+            hits, misses = cache.meta_hits, cache.meta_misses
+            meta = cache.get_meta(d, index.db_path(d))
+            assert (cache.meta_hits, cache.meta_misses) == (hits + 1, misses)
+            assert not meta.lean
+            assert meta == cold_meta(index, d)
+            assert meta.stamp == index.store(d).stamp()
+
+    def test_planned_find_elides_rebuilt_directories(
+        self, tmp_path, monkeypatch
+    ):
+        tree, index, journal = setup(tmp_path, tsummary=False)
+        attached: list[str] = []
+        attach = StageRunner.attach
+
+        def counted(self, st, db_path):
+            attached.append(db_path)
+            return attach(self, st, db_path)
+
+        monkeypatch.setattr(StageRunner, "attach", counted)
+        # no directory holds a file this large: the plan prunes them all
+        nothing = FindFilters(min_size=1 << 40)
+        with GUFITools(index, nthreads=NTHREADS) as tools:
+            tools.find("/", nothing)  # cold: reads and caches full records
+            attached.clear()
+            warm = tools.find("/", nothing)
+            warm_attached = sorted(attached)
+            rebuild_two(tree, index, journal)
+            attached.clear()
+            after = tools.find("/", nothing)
+        # /home/bob is pruned and elided, after its rebuild as before;
+        # /public (a symlink's size bounds nothing) is opened both times
+        assert str(index.db_path("/home/bob")) not in attached
+        assert sorted(attached) == warm_attached
+        assert after.rows == []
+        assert after.attaches_elided == warm.attaches_elided > 0
+
+    def test_rewrite_after_the_apply_misses_by_stamp(self, tmp_path):
+        tree, index, journal = setup(tmp_path, tsummary=False)
+        rebuild_two(tree, index, journal)
+        # out of band: a copy with another mode renamed over /public's
+        db = index.db_path("/public")
+        copy = db.with_name("db.copy")
+        shutil.copy(db, copy)
+        conn = connect.open_rw(copy)
+        conn.execute("UPDATE summary SET mode = 448 WHERE isroot = 1")
+        conn.close()
+        os.replace(copy, db)
+        misses = index.cache.meta_misses
+        assert index.cache.get_meta("/public", db) is None
+        assert index.cache.meta_misses == misses + 1
+        reread = index.cached_dir_meta("/public")
+        assert reread == cold_meta(index, "/public")
+        assert reread.mode & 0o777 == 0o700
 
 
 class TestFixDepths:

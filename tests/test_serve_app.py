@@ -40,7 +40,7 @@ from repro.core.server import ALLOWED_TOOLS, GUFIServer, IdentityProvider
 from repro.core.tools import FindFilters, GUFITools
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
-from repro.serve import ASGIClient, GUFIApp, jsonable
+from repro.serve import ASGIClient, GUFIApp, dumps, jsonable, rows_digest
 from repro.store import watch
 from tests.conftest import NTHREADS, build_demo_tree
 
@@ -730,7 +730,7 @@ class TestMetricsEndpoint:
 
 def _normal(value):
     """A tool's answer as JSON carries it, rows in a fixed order."""
-    value = json.loads(json.dumps(jsonable(value)))
+    value = json.loads(dumps(value))
     return sorted(value, key=json.dumps) if isinstance(value, list) else value
 
 
@@ -780,6 +780,49 @@ class TestOneToolTable:
             assert body["meta"]["total_rows"] == len(direct.rows)
         else:
             assert _normal(invoked) == _normal(direct) == _normal(body["result"])
+
+
+class TestCodec:
+    """Replies are encoded in one ``json.dumps`` with a hook, not a
+    value walk first: the bodies are the walk's byte for byte, and the
+    row digest is one encode of the whole list."""
+
+    SHAPES = [
+        [("/a/b", "f", 12), ("/a/c", "d", 0)],
+        [("/x", b"\x00\xffraw", None, 1.5)],
+        {1001: 3, 0: 7, 12: 0},
+        {"name": "a.txt", "type": "f", "mode": 420, "linkname": None},
+        None, 42, ["a", "b"], {frozenset({"b", "a"})}.pop(),
+        {"rows": [(b"v",)], "meta": {"elapsed": 0.25, "cached": True}},
+    ]
+
+    @pytest.mark.parametrize("value", SHAPES)
+    def test_shapes_encode_as_the_walk_did(self, value):
+        assert dumps(value) == json.dumps(jsonable(value))
+
+    @pytest.mark.parametrize("user", ["root", "alice"])
+    def test_every_tool_result_encodes_as_the_walk_did(
+        self, demo_index, identity, user
+    ):
+        creds = identity.authenticate(user)
+        with GUFITools(demo_index, creds, nthreads=NTHREADS) as tools:
+            for tool, (_, kwargs) in TOOL_CALLS.items():
+                result = getattr(tools, tool)(start="/", **kwargs)
+                value = result.rows if ALLOWED_TOOLS[tool] else result
+                assert dumps(value) == json.dumps(jsonable(value)), tool
+
+    def test_rows_digest(self):
+        rows = [("/a", "f", 1), ("/b", "f", 2)]
+        assert rows_digest(rows) == rows_digest([list(r) for r in rows])
+        others = [
+            [("/a", "f", 1), ("/b", "f", 3)],     # changed
+            rows + [("/c", "f", 0)],              # added
+            rows[::-1],                           # reordered
+            [("/a", "f", 1), (b"/b", "f", 2)],    # a bytes value
+            [("/a", "f", 1, "/b", "f", 2)],       # the same values, one row
+        ]
+        digests = {rows_digest(rows)} | {rows_digest(o) for o in others}
+        assert len(digests) == len(others) + 1
 
 
 class TestRawSQLOpensNoFile:
