@@ -6,7 +6,7 @@ Public surface of :mod:`repro.core.engine`:
   accept an optional :class:`ResultSink`;
 * the sink implementations (:class:`MemorySink`,
   :class:`ThreadFileSink`, :class:`BoundedSink`,
-  :class:`PaginatedSink`);
+  :class:`PaginatedSink`, :class:`PageSink`);
 * the shared datatypes (:class:`QuerySpec`, :class:`QueryResult`,
   :class:`QueryPermissionError`, :func:`spec_label`);
 * the layer classes themselves (:class:`Traversal`,
@@ -17,17 +17,18 @@ Public surface of :mod:`repro.core.engine`:
 * :class:`ResultCache` / :class:`CaptureSink` — the materialized
   query-result cache behind ``result_cache=`` (changefeed-driven
   invalidation; see :mod:`repro.core.engine.resultcache`);
-* :func:`replay_only` / :class:`NotCached` — the mode in which a run
-  only replays an entry the write clock vouches for (the serving
-  layer's event loop).
+* :func:`replay_only` / :class:`NotCached` / :func:`small_entry` — the
+  mode in which a run only replays an entry the write clock vouches
+  for and the mode admits (the serving layer's event loop).
 """
 
-from .engine import NotCached, QueryEngine, replay_only
+from .engine import NotCached, QueryEngine, replay_only, small_entry
 from .resultcache import CacheEntry, CaptureSink, ResultCache
 from .scatter import ScatterGatherEngine, plan_shards
 from .sinks import (
     BoundedSink,
     MemorySink,
+    PageSink,
     PaginatedSink,
     ResultSink,
     Row,
@@ -58,6 +59,7 @@ __all__ = [
     "MemorySink",
     "MergeRunner",
     "NotCached",
+    "PageSink",
     "PaginatedSink",
     "QueryCancelled",
     "QueryEngine",
@@ -77,5 +79,6 @@ __all__ = [
     "path_depth",
     "plan_shards",
     "replay_only",
+    "small_entry",
     "spec_label",
 ]

@@ -27,21 +27,21 @@ The hot path takes no locks.
 Replay-only mode (:func:`replay_only`): a caller that must not block —
 the serving layer's event loop — runs a tool with it set, and every
 engine front end inside either replays a result-cache entry the write
-clock alone vouches for, of at most :data:`REPLAY_ONLY_MAX_ROWS` rows,
-or raises :class:`NotCached` before it walks, audits, opens a span or
-counts anything. The mode is a context variable, so it never reaches
+clock alone vouches for and the mode admits (by default one of at most
+:data:`REPLAY_ONLY_MAX_ROWS` rows, :func:`small_entry`), or raises
+:class:`NotCached` before it walks, audits, opens a span or counts
+anything. The mode is a context variable, so it never reaches
 a thread the caller hands the retry to: ``loop.run_in_executor`` does
 not copy the context.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import sqlite3
 import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro import obs
 from repro.fs.permissions import ROOT, Credentials
@@ -76,21 +76,30 @@ def _kind(descend: bool) -> str:
     return "query.run" if descend else "query.run_single"
 
 
-#: The largest entry (rows plus final rows) a replay-only run serves.
-#: Measured on one pinned core of a 2-vCPU Xeon (Python 3.11) with
-#: ``find``-shaped rows (a 50-byte path, a type, a size): the replay
-#: and the reply's one ``json.dumps`` (:func:`repro.serve.codec.dumps`)
-#: cost ≈0.9 µs a row together (≈2.5 µs while a value walk rebuilt
-#: every row before the encode), so at 200 rows a hit holds the event
-#: loop ≈0.2 ms; the encode is on the loop for an executor answer too.
-#: A paged hit also digests its whole result there, ≈1 µs a row more.
-#: On ``serve_mix`` a bound of 1 000 was no faster (0.353 against
-#: 0.358 ms a request, one run each, with the walk).
+#: The largest entry (rows plus final rows) a replay-only run serves by
+#: default. Measured on one pinned core of a 2-vCPU Xeon (Python 3.11)
+#: with ``find``-shaped rows (a 50-byte path, a type, a size): the
+#: replay and the reply's one ``json.dumps``
+#: (:func:`repro.serve.codec.dumps`) cost ≈0.9 µs a row together (≈2.5
+#: µs while a value walk rebuilt every row before the encode), so at
+#: 200 rows a hit holds the event loop ≈0.2 ms; the encode is on the
+#: loop for an executor answer too. A paged hit encodes one page and
+#: reads the rows digest its entry keeps (``CacheEntry.memo``), so the
+#: serving layer admits an entry of any size for one once the digest
+#: is there. On ``serve_mix`` a bound of 1 000 was no faster (0.353
+#: against 0.358 ms a request, one run each, with the walk).
 REPLAY_ONLY_MAX_ROWS = 200
 
-_replay_only: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "gufi_replay_only", default=False
-)
+#: the replay-only mode's admission rule while it is on, else None
+_replay_only: contextvars.ContextVar[
+    Callable[[CacheEntry], bool] | None
+] = contextvars.ContextVar("gufi_replay_only", default=None)
+
+
+def small_entry(entry: CacheEntry) -> bool:
+    """The default replay-only rule: at most
+    :data:`REPLAY_ONLY_MAX_ROWS` rows."""
+    return len(entry.rows) + len(entry.final_rows) <= REPLAY_ONLY_MAX_ROWS
 
 
 class NotCached(Exception):
@@ -99,14 +108,23 @@ class NotCached(Exception):
     counter; only a caller that set :func:`replay_only` sees it."""
 
 
-@contextlib.contextmanager
-def replay_only() -> Iterator[None]:
-    """Run the block in replay-only mode (see the module docstring)."""
-    token = _replay_only.set(True)
-    try:
-        yield
-    finally:
-        _replay_only.reset(token)
+class replay_only:
+    """``with replay_only():`` runs the block in replay-only mode (see
+    the module docstring); ``admits`` says which valid entries it may
+    serve."""
+
+    __slots__ = ("admits", "_token")
+
+    def __init__(
+        self, admits: Callable[[CacheEntry], bool] = small_entry
+    ) -> None:
+        self.admits = admits
+
+    def __enter__(self) -> None:
+        self._token = _replay_only.set(self.admits)
+
+    def __exit__(self, *exc: object) -> None:
+        _replay_only.reset(self._token)
 
 
 class QueryEngine:
@@ -246,7 +264,7 @@ class QueryEngine:
             raise QueryCancelled("query cancelled before dispatch")
         if self.result_cache is not None:
             return self._run_cached(spec, start, descend, plan, sink, cancel)
-        if _replay_only.get():
+        if _replay_only.get() is not None:
             raise NotCached("no result cache")
         return self._run_uncached(spec, start, descend, plan, sink, cancel)
 
@@ -289,9 +307,8 @@ class QueryEngine:
         """The result-cache front end: replay a valid entry, or run for
         real through a capturing tee and store. A run that raises —
         a denied :meth:`run_single` included — stores nothing. In
-        replay-only mode only the clock check runs, on entries of at
-        most :data:`REPLAY_ONLY_MAX_ROWS` rows; anything else raises
-        :class:`NotCached`.
+        replay-only mode only the clock check runs, on entries the mode
+        admits; anything else raises :class:`NotCached`.
 
         Replay ignores ``cancel`` past the entry check in :meth:`_front`:
         serving a validated materialized entry is O(rows), already far
@@ -301,8 +318,9 @@ class QueryEngine:
         key = make_key(
             self.creds, spec, plan, normalize_path(start), descend=descend
         )
-        if _replay_only.get():
-            entry = cache.lookup_by_clock(key, self.index, REPLAY_ONLY_MAX_ROWS)
+        admits = _replay_only.get()
+        if admits is not None:
+            entry = cache.lookup_by_clock(key, self.index, admits)
             if entry is None:
                 raise NotCached(start)
         else:
@@ -332,7 +350,9 @@ class QueryEngine:
             spec, start, descend, plan, capture, cancel,
             capture if capture.donor is not None else None,
         )
-        cache.store(key, capture, result, clock, inv_seq)
+        entry = cache.store(key, capture, result, clock, inv_seq)
+        if entry is not None:
+            result.memo = entry.memo
         return result
 
     def _replay(
@@ -353,6 +373,7 @@ class QueryEngine:
             output_files=summary.files,
             truncated=summary.truncated,
             cached=True,
+            memo=entry.memo,
         )
 
     @staticmethod

@@ -91,6 +91,7 @@ makes for ``gufi_query``-shaped specs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 import re
 import threading
@@ -143,6 +144,10 @@ _QUOTED_RE = re.compile(
 _WS_RE = re.compile(r"\s+")
 
 
+#: SQL texts up to this long have their normal form memoised
+_NORM_MEMO_CHARS = 4096
+
+
 def _norm_sql(sql: str | None) -> str | None:
     """Whitespace-collapsed SQL, so formatting differences share an
     entry — collapsed only *outside* quoted regions. Whitespace inside
@@ -150,9 +155,17 @@ def _norm_sql(sql: str | None) -> str | None:
     meaning: ``name = 'a  b'`` and ``name = 'a b'`` are different
     queries and must never share a cache key. Unquoted runs collapse
     to a single space, never to nothing — ``'a' 'b'`` (a literal with
-    an alias) must not become the escaped literal ``'a''b'``."""
+    an alias) must not become the escaped literal ``'a''b'``.
+    Memoised per text (the last 1 024 short ones): a tool sends the
+    same few statements again and again."""
     if not sql:
         return None
+    if len(sql) <= _NORM_MEMO_CHARS:
+        return _collapse_memo(sql)
+    return _collapse(sql)
+
+
+def _collapse(sql: str) -> str:
     out: list[str] = []
     pos = 0
     for m in _QUOTED_RE.finditer(sql):
@@ -161,6 +174,9 @@ def _norm_sql(sql: str | None) -> str | None:
         pos = m.end()
     out.append(_WS_RE.sub(" ", sql[pos:]))
     return "".join(out).strip()
+
+
+_collapse_memo = functools.lru_cache(maxsize=1024)(_collapse)
 
 
 def spec_key(spec: QuerySpec) -> tuple:
@@ -267,28 +283,31 @@ class CaptureSink(ResultSink):
         path: str | None = None,
         nbytes: int | None = None,
     ) -> None:
+        """Record one batch (caller holds the lock)."""
         if self.overflowed:
             return
-        with self._lock:
-            if self.overflowed:
-                return
-            if nbytes is None:
-                nbytes = _rows_nbytes(rows)
-            self.nbytes += nbytes
-            if self.nbytes > self.max_bytes:
-                self.overflowed = True
-                self.rows = []
-                self.final_rows = []
-                self.batches = {}
-                return
-            if path is not None:
-                lo = len(bucket)
-                self.batches[path] = (lo, lo + len(rows), nbytes)
-            bucket.extend(rows)
+        if nbytes is None:
+            nbytes = _rows_nbytes(rows)
+        self.nbytes += nbytes
+        if self.nbytes > self.max_bytes:
+            self.overflowed = True
+            self.rows = []
+            self.final_rows = []
+            self.batches = {}
+            return
+        if path is not None:
+            lo = len(bucket)
+            self.batches[path] = (lo, lo + len(rows), nbytes)
+        bucket.extend(rows)
 
+    # Each batch is recorded and forwarded under one lock, so the
+    # caller's sink receives the rows in the entry's order: a replay
+    # delivers the sequence this run delivered, and a value derived
+    # from this run's rows (a cursor's digest) holds for its replays.
     def emit(self, path: str | None, rows: list[Row]) -> None:
-        self._record(self.rows, rows, path)
-        self.inner.emit(path, rows)
+        with self._lock:
+            self._record(self.rows, rows, path)
+            self.inner.emit(path, rows)
 
     def reuse(self, path: str, stamp: tuple | None) -> bool:
         """Emit the donor's rows for ``path`` in place of running its
@@ -302,17 +321,18 @@ class CaptureSink(ResultSink):
         if batch is None or stamp is None or donor.stamps[path][0] != stamp:
             return False
         lo, hi, nbytes = batch
-        if hi > lo:
-            rows = donor.rows[lo:hi]
-            self._record(self.rows, rows, path, nbytes)
-            self.inner.emit(path, rows)
         with self._lock:
+            if hi > lo:
+                rows = donor.rows[lo:hi]
+                self._record(self.rows, rows, path, nbytes)
+                self.inner.emit(path, rows)
             self.reused += 1
         return True
 
     def emit_final(self, rows: list[Row]) -> None:
-        self._record(self.final_rows, rows)
-        self.inner.emit_final(rows)
+        with self._lock:
+            self._record(self.final_rows, rows)
+            self.inner.emit_final(rows)
 
     def finish(self) -> SinkSummary:
         return self.inner.finish()
@@ -343,6 +363,10 @@ class CacheEntry:
     ran: dict[str, Batch] | None = None
     #: invalidated, kept only as the donor of the run that replaces it
     stale: bool = False
+    #: values derived from this entry's rows, kept with it by the
+    #: caller that derived them (the serving layer keeps a cursor's
+    #: rows digest here); it goes when the entry goes
+    memo: dict = dataclasses.field(default_factory=dict)
 
 
 class ResultCache:
@@ -565,16 +589,20 @@ class ResultCache:
         return None
 
     def lookup_by_clock(
-        self, key: CacheKey, index: "GUFIIndex", max_rows: int
+        self,
+        key: CacheKey,
+        index: "GUFIIndex",
+        admits: Callable[[CacheEntry], bool],
     ) -> CacheEntry | None:
         """The clock check alone, for a caller that must not block on
         the stamp pass: the entry for ``key`` when the write clock
-        vouches for it and it holds at most ``max_rows`` rows, counted
-        as a hit — else None, counting nothing, and the caller asks
-        :meth:`lookup` later. A drain that finds events moves the
-        clock, so a write since the entry was checked declines too."""
+        vouches for it and ``admits(entry)`` (the caller's bound on
+        what serving it costs), counted as a hit — else None, counting
+        nothing, and the caller asks :meth:`lookup` later. A drain that
+        finds events moves the clock, so a write since the entry was
+        checked declines too."""
         entry = self._servable(key)
-        if entry is None or len(entry.rows) + len(entry.final_rows) > max_rows:
+        if entry is None or not admits(entry):
             return None
         t0 = time.perf_counter()
         clock = self.clock(index)
@@ -676,11 +704,11 @@ class ResultCache:
         result: QueryResult,
         clock: Clock | None,
         inv_seq_at_start: int,
-    ) -> bool:
+    ) -> CacheEntry | None:
         """Materialize one finished run, whose write clock and
-        invalidation sequence were read before it started. Returns
-        False (and caches nothing) when a writer announced itself
-        meanwhile or the capture is over budget."""
+        invalidation sequence were read before it started. Returns the
+        entry, or None (and caches nothing) when a writer announced
+        itself meanwhile or the capture is over budget."""
         rec = obs.metrics()
         if capture.reused:
             with self._lock:
@@ -688,12 +716,12 @@ class ResultCache:
             rec.counter("gufi_result_cache_dirs_reused_total", capture.reused)
         if capture.overflowed or result.visited_paths is None:
             self._abort_capture()
-            return False
+            return None
         if self.invalidation_seq != inv_seq_at_start:
             # a writer announced itself while the run was in flight:
             # abort, the next run re-captures
             self._abort_capture()
-            return False
+            return None
         # No re-stat: every stamp in the token — and the clock — was
         # taken before the rows it vouches for were read, so a write
         # that landed after it makes the next stamp pass miss (and
@@ -702,7 +730,7 @@ class ResultCache:
         nbytes = capture.nbytes + 128 * len(stamps)
         if nbytes > self.max_entry_bytes:
             self._abort_capture()
-            return False
+            return None
         ran: dict[str, Batch] | None = None
         if result.ran_paths is not None:
             batches = capture.batches
@@ -720,7 +748,7 @@ class ResultCache:
         with self._lock:
             if self.invalidation_seq != inv_seq_at_start:
                 self.capture_aborts += 1
-                return False
+                return None
             if key in self._entries:
                 self._drop_locked(key)
             self._entries[key] = entry
@@ -732,7 +760,7 @@ class ResultCache:
             evicted = self._evict_locked(scope)
             if evicted and rec.enabled:
                 rec.counter("gufi_result_cache_evictions_total", evicted)
-        return True
+        return entry
 
     def _abort_capture(self) -> None:
         with self._lock:

@@ -168,13 +168,17 @@ class BoundedSink(ResultSink):
 
     def _absorb(self, rows: list[Row]) -> None:
         with self._lock:
-            room = self.max_rows - len(self._rows)
-            if room >= len(rows):
-                self._rows.extend(rows)
-            else:
-                if room > 0:
-                    self._rows.extend(rows[:room])
-                self.dropped += len(rows) - max(room, 0)
+            self._keep(rows)
+
+    def _keep(self, rows: list[Row]) -> None:
+        """Keep what fits under the cap, count the rest (lock held)."""
+        room = self.max_rows - len(self._rows)
+        if room >= len(rows):
+            self._rows.extend(rows)
+        else:
+            if room > 0:
+                self._rows.extend(rows[:room])
+            self.dropped += len(rows) - max(room, 0)
 
     def emit(self, path: str | None, rows: list[Row]) -> None:
         self._absorb(rows)
@@ -231,3 +235,23 @@ class PaginatedSink(BoundedSink):
         lo = number * self.page_size
         with self._lock:
             return list(self._rows[lo : lo + self.page_size])
+
+
+class PageSink(PaginatedSink):
+    """A :class:`PaginatedSink` that keeps a batch it can keep whole
+    without copying it: the first batch, when it fits under the cap, is
+    held as the very list it came in, and a later batch copies it
+    first. A result-cache replay hands over the entry's own row list in
+    one batch, so a page of a replay is a slice of the entry.
+    ``finish`` may return that list: read it, never change it."""
+
+    _shared = False
+
+    def _absorb(self, rows: list[Row]) -> None:
+        with self._lock:
+            if not self._rows and len(rows) <= self.max_rows:
+                self._rows, self._shared = rows, True
+                return
+            if self._shared:
+                self._rows, self._shared = list(self._rows), False
+            self._keep(rows)

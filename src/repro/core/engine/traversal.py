@@ -97,7 +97,10 @@ class CancelToken:
 
 
 def normalize_path(path: str) -> str:
-    """Collapse a user path to the canonical ``/a/b`` form."""
+    """Collapse a user path to the canonical ``/a/b`` form (a path
+    already in it comes back as it is)."""
+    if path[:1] == "/" and "//" not in path and (path[-1] != "/" or path == "/"):
+        return path
     return "/" + "/".join(p for p in path.split("/") if p)
 
 

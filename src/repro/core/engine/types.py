@@ -91,6 +91,13 @@ class QueryResult:
     #: True when this result was replayed from the materialized result
     #: cache instead of a traversal
     cached: bool = False
+    #: the memo of the result-cache entry holding these rows (a replay,
+    #: or a run whose capture was stored), None when no entry does.
+    #: Through a sink that keeps rows in memory, ``rows`` is the
+    #: entry's row sequence cut at the sink's cap, so a value derived
+    #: from it may be kept there for the entry's next replay (see
+    #: ``CacheEntry.memo``)
+    memo: dict | None = None
 
     def scalar(self) -> object:
         """Convenience for single-value results."""

@@ -53,6 +53,10 @@ class IdentityProvider:
     """
 
     _users: dict[str, dict] = field(default_factory=dict)
+    #: username -> (the record values, the Credentials built from them)
+    _built: dict[str, tuple] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add_user(
         self,
@@ -86,7 +90,16 @@ class IdentityProvider:
         rec = self._users.get(username)
         if rec is None or not rec["enabled"]:
             raise AuthenticationError(f"authentication failed for {username!r}")
-        return Credentials(uid=rec["uid"], gid=rec["gid"], groups=rec["groups"])
+        # the record is read on every call; the Credentials built from
+        # it are kept until one of its three values changes
+        values = (rec["uid"], rec["gid"], rec["groups"])
+        built = self._built.get(username)
+        if built is None or built[0] != values:
+            uid, gid, groups = values
+            built = self._built[username] = (
+                values, Credentials(uid=uid, gid=gid, groups=groups)
+            )
+        return built[1]
 
     @classmethod
     def from_passwd(
@@ -149,7 +162,7 @@ ALLOWED_TOOLS: Mapping[str, bool] = MappingProxyType({
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class InvocationLog:
     """One audited remote invocation."""
 
@@ -176,8 +189,9 @@ class GUFIServer:
     database opens happen read-only (enforced downstream).
 
     Every principal runs on the one warm :class:`ThreadStatePool` the
-    server owns: an invocation binds a :class:`GUFITools` handle to the
-    credentials it has just resolved, over that pool. Repeated queries
+    server owns: an invocation runs on the :class:`GUFITools` handle of
+    the credentials it has just resolved, over that pool (one handle per
+    identity, built on its first call and kept). Repeated queries
     skip per-query setup (scratch connections, SQL function
     registration), a uid or group change takes effect on the next call
     (§III-A5), and a checkout is principal-clean (see
@@ -195,6 +209,9 @@ class GUFIServer:
     DEFAULT_MAX_ROWS = 100_000
     #: page size of the response sink (the portal serves result pages)
     RESPONSE_PAGE_SIZE = 1_000
+    #: tool handles kept, one per resolved identity; past this many the
+    #: memo starts over (a handle holds no connection of its own)
+    TOOLS_MEMO = 256
 
     def __init__(
         self,
@@ -234,7 +251,10 @@ class GUFIServer:
         self._audit_lock = threading.Lock()
         #: the warm thread states every invocation runs on
         self.pool = ThreadStatePool(users=identity.uid_map())
-        self._names_lock = threading.Lock()
+        #: guards the name map's refresh and the handle memo's growth
+        self._lock = threading.Lock()
+        #: a GUFITools handle per resolved identity
+        self._tools: dict[Credentials, GUFITools] = {}
 
     def _tools_for(self, username: str) -> GUFITools:
         creds = self.identity.authenticate(username)
@@ -244,14 +264,24 @@ class GUFIServer:
         # before and after is never absent.
         users = self.pool.users
         fresh = self.identity.uid_map()
-        with self._names_lock:
-            users.update(fresh)
-            for uid in users.keys() - fresh.keys():
-                del users[uid]
-        return GUFITools(
-            self.index, creds=creds, nthreads=self.nthreads,
-            pool=self.pool, result_cache=self.result_cache,
-        )
+        if fresh != users:
+            with self._lock:
+                users.update(fresh)
+                for uid in users.keys() - fresh.keys():
+                    del users[uid]
+        # One handle per resolved identity: the credentials just
+        # resolved are the key, so a uid or group change gets its own.
+        tools = self._tools.get(creds)
+        if tools is None:
+            tools = GUFITools(
+                self.index, creds=creds, nthreads=self.nthreads,
+                pool=self.pool, result_cache=self.result_cache,
+            )
+            with self._lock:
+                if len(self._tools) >= self.TOOLS_MEMO:
+                    self._tools.clear()
+                tools = self._tools.setdefault(creds, tools)
+        return tools
 
     def close(self) -> None:
         """Close the warm pool (its connections and scratch databases)
@@ -290,7 +320,11 @@ class GUFIServer:
         truncated = False
         declined = False
         otr = obs.tracer()
-        span = otr.start("server.invoke", user=username, tool=tool)
+        span = (
+            otr.start("server.invoke", user=username, tool=tool)
+            if otr.enabled
+            else None
+        )
         try:
             pageable = ALLOWED_TOOLS.get(tool)
             if pageable is None:

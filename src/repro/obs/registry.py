@@ -216,27 +216,52 @@ class MetricsRegistry:
 
     enabled = True
 
+    #: the most series keys :meth:`_key` remembers; past it, it starts
+    #: over (the label values a process records are few: tools,
+    #: stages, rules, users)
+    KEY_MEMO_MAX = 4096
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._shards: list[_Shard] = []
         self._gauges: dict[SeriesKey, float] = {}
+        #: series keys by name and label items in call order
+        self._keys: dict[tuple, SeriesKey] = {}
 
     # -- recording (hot path) ------------------------------------------
     def _shard(self) -> _Shard:
-        shard = getattr(self._tls, "shard", None)
-        if shard is None:
-            shard = _Shard()
-            self._tls.shard = shard
+        try:
+            return self._tls.shard
+        except AttributeError:
+            shard = self._tls.shard = _Shard()
             with self._lock:
                 self._shards.append(shard)
-        return shard
+            return shard
+
+    def _key(self, name: str, labels: dict) -> SeriesKey:
+        """:func:`series_key`, resolved once per name and label items.
+        Only string label values are remembered: ``1``, ``1.0`` and
+        ``True`` are one dict key but three series."""
+        key = series_key(name, labels)
+        if all(type(v) is str for v in labels.values()):
+            if len(self._keys) >= self.KEY_MEMO_MAX:
+                self._keys.clear()
+            self._keys[(name, *labels.items())] = key
+        return key
 
     def counter(self, name: str, value: float = 1.0, **labels) -> None:
         """Add ``value`` to a monotonically increasing counter.
         Recording a 0 creates the series (so exporters list it)."""
-        counters = self._shard().counters
-        key = series_key(name, labels)
+        try:
+            counters = self._tls.shard.counters
+        except AttributeError:
+            counters = self._shard().counters
+        key = (
+            self._keys.get((name, *labels.items())) or self._key(name, labels)
+            if labels
+            else (name, ())
+        )
         counters[key] = counters.get(key, 0.0) + value
 
     def observe(
@@ -247,8 +272,15 @@ class MetricsRegistry:
         **labels,
     ) -> None:
         """Record one observation into a histogram series."""
-        hists = self._shard().hists
-        key = series_key(name, labels)
+        try:
+            hists = self._tls.shard.hists
+        except AttributeError:
+            hists = self._shard().hists
+        key = (
+            self._keys.get((name, *labels.items())) or self._key(name, labels)
+            if labels
+            else (name, ())
+        )
         h = hists.get(key)
         if h is None:
             h = hists[key] = _Hist(buckets)

@@ -13,11 +13,15 @@ Request lifecycle (one ``POST /v1/invoke``):
    replay-only mode (:func:`~repro.core.engine.replay_only`): a
    result-cache hit the write clock alone vouches for, of a bounded
    size, is answered there without yielding, holding its tenant slot.
-   Anything else declines before any work and goes through global
-   admission control (bounded wait queue, shed past it) to a bounded
-   worker-thread executor (as many workers as admission slots, so the
-   executor never queues) — so admission bounds executor work, and a
-   hit neither waits for a slot nor is shed. The call carries a
+   Steps 1–3 up to here are one plain method, :meth:`GUFIApp.attempt`:
+   the HTTP bridge calls it straight from the socket's receive
+   callback, and ``__call__`` (ASGI) calls it first. Anything else
+   declines before any work and goes — once, never attempted again —
+   through global admission control (bounded wait queue, shed past it)
+   to a bounded worker-thread executor (as many workers as admission
+   slots, so the executor never queues) — so admission bounds executor
+   work, and a hit neither waits for a slot nor is shed. The call
+   carries a
    :class:`~repro.core.engine.CancelToken` armed with the request
    deadline: traversal observes it once per directory and a late
    query dies mid-walk with a structured ``deadline_exceeded`` error
@@ -27,12 +31,16 @@ Request lifecycle (one ``POST /v1/invoke``):
    marks pageable collect into the server's
    :meth:`~repro.core.server.GUFIServer.response_sink` and, when the
    client asked for pages, the response carries an opaque resumption
-   cursor (:mod:`repro.serve.cursors`). A cursor replay re-runs the query —
-   O(rows) against the materialized
-   :class:`~repro.core.engine.ResultCache` — and serves the next
-   page only if the full row digest still matches; otherwise the
-   cursor has expired and the client restarts, never seeing rows
-   that shifted underneath it.
+   cursor (:mod:`repro.serve.cursors`). A cursor replay re-runs the
+   query and serves the next page only if the full row digest still
+   matches; otherwise the cursor has expired and the client restarts,
+   never seeing rows that shifted underneath it. Against the
+   materialized :class:`~repro.core.engine.ResultCache` a page costs a
+   page: the digest is taken once per cached result and kept with its
+   entry, the page is a slice of the entry's rows
+   (:class:`~repro.core.engine.PageSink`), and the loop answers it
+   whatever the entry's size. Without a result cache every page
+   re-runs the query and digests its rows, O(rows).
 
 ``GET /metrics`` serves the process metrics in Prometheus text
 (:func:`repro.obs.export.to_prometheus`); ``GET /healthz`` is the
@@ -44,26 +52,28 @@ load-balancer probe. The app is stdlib-only and callable in-process
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import secrets
 import sqlite3
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Iterator
+from typing import Any, Awaitable
 
 from repro import obs
 from repro.obs.export import to_prometheus
 
 from repro.core.engine import (
+    CacheEntry,
     CancelToken,
     NotCached,
+    PageSink,
     PaginatedSink,
     QueryCancelled,
     QueryPermissionError,
     QuerySpec,
     replay_only,
+    small_entry,
 )
 from repro.core.server import (
     ALLOWED_TOOLS,
@@ -80,6 +90,7 @@ from .cursors import (
     decode_cursor,
     encode_cursor,
 )
+from .http import Reply
 from .qos import (
     AdmissionController,
     LoadShed,
@@ -87,6 +98,10 @@ from .qos import (
     TenantQuota,
     TokenBucket,
 )
+
+#: ``CacheEntry.memo`` key prefix of the digest of an entry's first
+#: ``n`` rows, a cursor's freshness proof
+_DIGEST = "rows_digest"
 
 #: QuerySpec fields a remote caller may set. Where rows go is the
 #: server's choice of sink, never a spec field: no request writes a file.
@@ -110,6 +125,70 @@ class _HTTPError(Exception):
         self.code = code
         self.message = message
         self.retry_after = retry_after
+
+
+class _Answering:
+    """``with _Answering(tool, deadline):`` times one answer into
+    ``gufi_serve_request_seconds`` and maps what the tool call raised
+    to its structured HTTP error. A replay-only attempt that declined
+    answered nothing: it passes through untimed."""
+
+    __slots__ = ("tool", "deadline", "t0")
+
+    def __init__(self, tool: str, deadline: float) -> None:
+        self.tool = tool
+        self.deadline = deadline
+
+    def __enter__(self) -> None:
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if exc_type is NotCached:
+            return
+        rec = obs.metrics()
+        if rec.enabled:
+            rec.observe(
+                "gufi_serve_request_seconds",
+                time.perf_counter() - self.t0,
+                tool=self.tool,
+            )
+        if isinstance(exc, Exception):
+            mapped = _http_error(exc, self.tool, self.deadline)
+            if mapped is not None:
+                raise mapped from exc
+
+
+def _http_error(
+    exc: Exception, tool: str, deadline: float
+) -> _HTTPError | None:
+    """The structured error a tool call's exception answers as, or None
+    for one that is not the caller's doing (a 500)."""
+    if isinstance(exc, QueryCancelled):
+        rec = obs.metrics()
+        if rec.enabled:
+            rec.counter("gufi_serve_timeouts_total", tool=tool)
+        return _HTTPError(
+            504, "deadline_exceeded",
+            f"query exceeded its {deadline * 1000:.0f}ms deadline ({exc})",
+        )
+    if isinstance(exc, CursorExpired):
+        return _HTTPError(410, "cursor_expired", str(exc))
+    if isinstance(exc, AuthenticationError):
+        GUFIApp._reject("auth")
+        return _HTTPError(401, "auth_failed", str(exc))
+    if isinstance(exc, (QueryPermissionError, ToolNotAllowed)):
+        return _HTTPError(403, "permission_denied", str(exc))
+    if isinstance(exc, FileNotFoundError):
+        return _HTTPError(404, "not_found", str(exc))
+    if isinstance(exc, (TypeError, ValueError, KeyError)):
+        return _HTTPError(400, "bad_request", f"{type(exc).__name__}: {exc}")
+    # the caller's own SQL failed, directly or inside the walk
+    cause = exc if isinstance(exc, sqlite3.Error) else exc.__cause__
+    if isinstance(exc, (sqlite3.Error, RuntimeError)) and isinstance(
+        cause, sqlite3.Error
+    ):
+        return _HTTPError(400, "bad_query", str(cause))
+    return None
 
 
 class GUFIApp:
@@ -179,16 +258,12 @@ class GUFIApp:
             return
         if scope["type"] != "http":  # pragma: no cover - ws etc.
             raise RuntimeError(f"unsupported scope {scope['type']!r}")
-        status, content_type, body = await self._handle(scope, receive)
+        reply = self.attempt(scope, await self._read_body(receive))
+        if not isinstance(reply, tuple):
+            reply = await reply
+        status, headers, body = reply
         await send(
-            {
-                "type": "http.response.start",
-                "status": status,
-                "headers": [
-                    (b"content-type", content_type),
-                    (b"content-length", str(len(body)).encode("ascii")),
-                ],
-            }
+            {"type": "http.response.start", "status": status, "headers": headers}
         )
         await send({"type": "http.response.body", "body": body})
 
@@ -202,33 +277,33 @@ class GUFIApp:
                 await send({"type": "lifespan.shutdown.complete"})
                 return
 
-    async def _handle(
-        self, scope: dict, receive: Any
-    ) -> tuple[int, bytes, bytes]:
+    def attempt(self, scope: dict, body: bytes) -> Reply | Awaitable[Reply]:
+        """Answer one HTTP request on the event loop, without yielding:
+        its ``(status, headers, body)`` — or, when only the executor
+        can answer it, the awaitable that will. An invocation is
+        authenticated, parsed and passed through QoS rings 1–2 here,
+        and with a result cache its tool call runs in replay-only mode;
+        a decline hands the request on, its tenant slot still held, to
+        admission and the executor — once, never attempted again.
+        ``__call__`` and :func:`repro.serve.http.serve` both start
+        here."""
         method = scope.get("method", "GET")
         path = scope.get("path", "/")
+        if method == "POST" and path == "/v1/invoke":
+            try:
+                outcome = self._begin(scope.get("headers", []), body)
+                if isinstance(outcome, dict):
+                    return self._json(200, outcome)
+            except Exception as exc:  # noqa: BLE001 - ASGI boundary
+                return self._failed(exc)
+            return self._executed(*outcome)
         if method == "GET" and path == "/healthz":
             return self._json(200, {"ok": True})
         if method == "GET" and path == "/metrics":
             text = to_prometheus(obs.snapshot())
-            return 200, b"text/plain; version=0.0.4", text.encode("utf-8")
-        if method == "POST" and path == "/v1/invoke":
-            body = await self._read_body(receive)
-            headers = {
-                k.decode("latin-1").lower(): v.decode("latin-1")
-                for k, v in scope.get("headers", [])
-            }
-            try:
-                payload = await self._invoke(headers, body)
-            except _HTTPError as exc:
-                return self._error_response(exc)
-            except Exception as exc:  # noqa: BLE001 - ASGI boundary
-                return self._error_response(
-                    _HTTPError(
-                        500, "internal", f"{type(exc).__name__}: {exc}"
-                    )
-                )
-            return self._json(200, payload)
+            return self._reply(
+                200, b"text/plain; version=0.0.4", text.encode("utf-8")
+            )
         return self._json(
             404,
             {
@@ -253,12 +328,24 @@ class GUFIApp:
         return b"".join(chunks)
 
     @staticmethod
-    def _json(status: int, payload: dict) -> tuple[int, bytes, bytes]:
-        body = dumps(payload).encode("utf-8")
-        return status, b"application/json", body
+    def _reply(status: int, content_type: bytes, body: bytes) -> Reply:
+        return status, [
+            (b"content-type", content_type),
+            (b"content-length", b"%d" % len(body)),
+        ], body
 
     @classmethod
-    def _error_response(cls, exc: _HTTPError) -> tuple[int, bytes, bytes]:
+    def _json(cls, status: int, payload: dict) -> Reply:
+        return cls._reply(
+            status, b"application/json", dumps(payload).encode("utf-8")
+        )
+
+    @classmethod
+    def _failed(cls, exc: Exception) -> Reply:
+        """The structured JSON error an exception maps to (anything
+        but an :class:`_HTTPError` is a 500)."""
+        if not isinstance(exc, _HTTPError):
+            exc = _HTTPError(500, "internal", f"{type(exc).__name__}: {exc}")
         err: dict[str, Any] = {
             "ok": False,
             "error": {"code": exc.code, "message": exc.message},
@@ -270,8 +357,16 @@ class GUFIApp:
     # ------------------------------------------------------------------
     # The invoke pipeline
     # ------------------------------------------------------------------
-    async def _invoke(self, headers: dict, body: bytes) -> dict:
-        user = headers.get("x-gufi-user")
+    def _begin(
+        self, headers: list[tuple[bytes, bytes]], body: bytes
+    ) -> dict | tuple:
+        """The loop's part of one invocation: the payload of a hit
+        answered here, or the arguments of :meth:`_executed`."""
+        user = None
+        for name, value in reversed(headers):  # the last one counts
+            if name.lower() == b"x-gufi-user":
+                user = value.decode("latin-1")
+                break
         if not user:
             raise _HTTPError(
                 401, "auth_required", "missing x-gufi-user header"
@@ -320,58 +415,76 @@ class GUFIApp:
                 429, "quota_exceeded", str(exc),
                 retry_after=self.admission.retry_after,
             ) from exc
+        handed_on = False
         try:
-            return await self._admitted(user, tool, req, cursor_payload)
+            deadline = self.deadline_s
+            if req.get("deadline_ms") is not None:
+                try:
+                    deadline = min(
+                        deadline, float(req["deadline_ms"]) / 1000.0
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise _HTTPError(
+                        400, "bad_request", "deadline_ms must be a number"
+                    ) from exc
+            token = CancelToken.after(deadline)
+            call = partial(
+                self._invoke_sync, user, tool, req, cursor_payload, token
+            )
+            # A hit the write clock vouches for is answered here, on the
+            # loop; anything else declines before it does any work.
+            # Without a result cache every request walks, and a futile
+            # attempt per request cost bench_serving's controlled mode
+            # ≈7 % of its throughput.
+            if self.server.result_cache is not None:
+                paged = (
+                    cursor_payload is not None
+                    or req.get("page_size") is not None
+                )
+                admits = self._pages_cheaply if paged else small_entry
+                try:
+                    with replay_only(admits), _Answering(tool, deadline):
+                        return self._replied("loop", call())
+                except NotCached:
+                    pass
+            handed_on = True
+            return user, tool, deadline, token, call
         finally:
-            self.quota.release(user)
+            if not handed_on:
+                self.quota.release(user)
 
-    async def _admitted(
+    async def _executed(
         self,
         user: str,
         tool: str,
-        req: dict,
-        cursor_payload: dict | None,
-    ) -> dict:
-        deadline = self.deadline_s
-        if req.get("deadline_ms") is not None:
+        deadline: float,
+        token: CancelToken,
+        call: partial,
+    ) -> Reply:
+        """The rest of a request the loop declined: QoS ring 3, global
+        admission, which bounds executor work (bounded queue, shed past
+        it; the queue wait burns the request's own deadline), then the
+        tool call on a worker thread. Releases the tenant slot
+        :meth:`_begin` took."""
+        try:
             try:
-                deadline = min(deadline, float(req["deadline_ms"]) / 1000.0)
-            except (TypeError, ValueError) as exc:
+                await self.admission.acquire(timeout=token.remaining())
+            except LoadShed as exc:
                 raise _HTTPError(
-                    400, "bad_request", "deadline_ms must be a number"
+                    503, "overloaded", str(exc), retry_after=exc.retry_after
                 ) from exc
-        token = CancelToken.after(deadline)
-        call = partial(
-            self._invoke_sync, user, tool, req, cursor_payload, token
-        )
-        # A hit the write clock vouches for is answered here, on the
-        # loop, without yielding; anything else declines before it does
-        # any work and crosses to the executor. Without a result cache
-        # every request walks, and a futile attempt per request cost
-        # bench_serving's controlled mode ≈7 % of its throughput.
-        if self.server.result_cache is not None:
             try:
-                with replay_only(), self._answering(tool, deadline):
-                    return self._replied("loop", call())
-            except NotCached:
-                pass
-        # QoS ring 3: global admission, which bounds executor work
-        # (bounded queue, shed past it; the queue wait burns the
-        # request's own deadline)
-        try:
-            await self.admission.acquire(timeout=token.remaining())
-        except LoadShed as exc:
-            raise _HTTPError(
-                503, "overloaded", str(exc), retry_after=exc.retry_after
-            ) from exc
-        try:
-            with self._answering(tool, deadline):
-                reply = await asyncio.get_running_loop().run_in_executor(
-                    self.executor, call
-                )
+                with _Answering(tool, deadline):
+                    reply = await asyncio.get_running_loop().run_in_executor(
+                        self.executor, call
+                    )
+            finally:
+                self.admission.release()
+            return self._json(200, self._replied("executor", reply))
+        except Exception as exc:  # noqa: BLE001 - ASGI boundary
+            return self._failed(exc)
         finally:
-            self.admission.release()
-        return self._replied("executor", reply)
+            self.quota.release(user)
 
     @staticmethod
     def _replied(on: str, reply: dict) -> dict:
@@ -379,56 +492,6 @@ class GUFIApp:
         if rec.enabled:
             rec.counter("gufi_serve_replies_total", on=on)
         return reply
-
-    @contextlib.contextmanager
-    def _answering(self, tool: str, deadline: float) -> Iterator[None]:
-        """Time one answer into ``gufi_serve_request_seconds`` and map
-        what the tool call raised to its structured HTTP error. A
-        replay-only attempt that declined answered nothing: it passes
-        through untimed."""
-        t0 = time.perf_counter()
-        declined = False
-        try:
-            yield
-        except NotCached:
-            declined = True
-            raise
-        except QueryCancelled as exc:
-            rec = obs.metrics()
-            if rec.enabled:
-                rec.counter("gufi_serve_timeouts_total", tool=tool)
-            raise _HTTPError(
-                504, "deadline_exceeded",
-                f"query exceeded its {deadline * 1000:.0f}ms deadline "
-                f"({exc})",
-            ) from exc
-        except CursorExpired as exc:
-            raise _HTTPError(410, "cursor_expired", str(exc)) from exc
-        except AuthenticationError as exc:
-            self._reject("auth")
-            raise _HTTPError(401, "auth_failed", str(exc)) from exc
-        except (QueryPermissionError, ToolNotAllowed) as exc:
-            raise _HTTPError(403, "permission_denied", str(exc)) from exc
-        except FileNotFoundError as exc:
-            raise _HTTPError(404, "not_found", str(exc)) from exc
-        except (TypeError, ValueError, KeyError) as exc:
-            raise _HTTPError(
-                400, "bad_request", f"{type(exc).__name__}: {exc}"
-            ) from exc
-        except (sqlite3.Error, RuntimeError) as exc:
-            # the caller's own SQL failed, directly or inside the walk
-            cause = exc if isinstance(exc, sqlite3.Error) else exc.__cause__
-            if not isinstance(cause, sqlite3.Error):
-                raise
-            raise _HTTPError(400, "bad_query", str(cause)) from exc
-        finally:
-            rec = obs.metrics()
-            if rec.enabled and not declined:
-                rec.observe(
-                    "gufi_serve_request_seconds",
-                    time.perf_counter() - t0,
-                    tool=tool,
-                )
 
     # ------------------------------------------------------------------
     # The tool call: on the loop (replay-only), else on a worker thread
@@ -461,7 +524,12 @@ class GUFIApp:
         kwargs["cancel"] = token
         sink: PaginatedSink | None = None
         if ALLOWED_TOOLS.get(tool):
-            sink = kwargs["sink"] = self.server.response_sink(page_size)
+            # a page of a replay is a slice of the cache entry's rows
+            sink = kwargs["sink"] = (
+                self.server.response_sink()
+                if page_size is None
+                else PageSink(page_size, max_rows=self.server.max_rows)
+            )
         result = self.server.invoke(user, tool, start, **kwargs)
         if sink is None:
             return {"ok": True, "tool": tool, "result": result}
@@ -478,7 +546,17 @@ class GUFIApp:
                 "ok": True, "tool": tool,
                 "rows": result.rows, "meta": meta,
             }
-        digest = rows_digest(result.rows)
+        # The digest of a result the cache holds is taken once, by the
+        # first paged call that meets the entry — a miss, as it stores
+        # it, or a replay — and kept with it, keyed by how many of its
+        # rows the response cap kept.
+        memo = result.memo
+        memo_key = (_DIGEST, len(result.rows))
+        digest = None if memo is None else memo.get(memo_key)
+        if digest is None:
+            digest = rows_digest(result.rows)
+            if memo is not None:
+                memo[memo_key] = digest
         if cursor_payload is not None and digest != cursor_payload["d"]:
             raise CursorExpired(
                 "the result set changed since this cursor was issued; "
@@ -502,6 +580,16 @@ class GUFIApp:
             "num_pages": sink.num_pages,
             "next_cursor": next_cursor,
         }
+
+    def _pages_cheaply(self, entry: CacheEntry) -> bool:
+        """The loop's rule for a paged request: a small entry, or one
+        whose replay a :class:`PageSink` keeps whole and whose digest
+        it already keeps — then a page costs a page."""
+        n = len(entry.rows) + len(entry.final_rows)
+        cap = self.server.max_rows
+        return small_entry(entry) or (
+            (cap is None or n <= cap) and (_DIGEST, n) in entry.memo
+        )
 
     @staticmethod
     def _build_kwargs(tool: str, args: dict) -> dict:

@@ -9,70 +9,101 @@ invoke bodies are small), keep-alive by default, and a
 chunked streaming) belongs to a real ASGI server in front; the app
 itself is standard ASGI, so ``uvicorn repro...:app`` works unchanged
 where one is available.
+
+Each connection is an :class:`asyncio.Protocol` (:class:`_Connection`)
+that frames requests straight from its receive buffer, in one pass
+over each request's head, and answers them one at a time, in order:
+
+* an app that offers a synchronous ``attempt(scope, body)`` (as
+  :class:`~repro.serve.app.GUFIApp` does) is asked first, from the
+  ``data_received`` callback itself. A reply it returns leaves at once,
+  without a task or an ``await``; an awaitable it returns instead is
+  the rest of the request, run as a task while the connection frames
+  nothing further;
+* any other ASGI callable is run as a task per request.
+
+Every reply leaves in one ``transport.write`` — status line, headers
+and body together (the socket has ``TCP_NODELAY`` set, so each write
+would be a segment of its own). While the transport's write buffer is
+above its high-water mark the connection answers nothing more, and
+while it cannot answer, a receive buffer past :data:`READ_HIGH_WATER`
+pauses reading.
+Malformed input — a bad request line, a head over
+:data:`MAX_HEADER_BYTES`, a bad or oversize ``Content-Length`` —
+closes the connection without a reply; ``Connection: close`` closes it
+after its reply, dropping whatever the client sent behind it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable
+import re
+from typing import Any, Awaitable, Callable, cast
 
 #: request body bytes we will buffer (invoke bodies are small JSON)
 MAX_BODY = 8 * 1024 * 1024
-#: header-section bound (one line or 100 of them, this is plenty)
+#: bound on a request's head: its request line and headers together
 MAX_HEADER_BYTES = 64 * 1024
+#: receive-buffer bytes a connection holds while it cannot answer (a
+#: reply is pending or its writes are paused) before it stops reading
+READ_HIGH_WATER = 64 * 1024
 
 ASGIApp = Callable[[dict, Any, Any], Awaitable[None]]
+#: ``(status, headers, body)``: one whole response
+Reply = tuple[int, list[tuple[bytes, bytes]], bytes]
+
+#: the blank line that ends a head (each line ends ``\n``, most ``\r\n``)
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, list[tuple[bytes, bytes]], bytes] | None:
-    """One parsed request ``(method, path, headers, body)``, or None
-    on EOF / malformed input (the connection is then closed)."""
+class _Malformed(Exception):
+    """The buffer does not start with a request this bridge accepts."""
+
+
+def _frame(
+    buf: bytearray, scan_from: int = 0
+) -> tuple[dict, bytes, bool, int] | int:
+    """The request at the start of ``buf`` as ``(scope, body,
+    keep_alive, consumed)``; while its head or body is still arriving,
+    the offset the search for the head's end resumes from next time
+    (it starts at ``scan_from``). Raises :class:`_Malformed` on input
+    that closes the connection."""
+    m = _HEAD_END.search(buf, scan_from)
+    if m is None:
+        if len(buf) > MAX_HEADER_BYTES:
+            raise _Malformed("head too large")
+        # a terminator may straddle what arrives next
+        return max(0, len(buf) - 2)
+    head_len = m.end()
+    if head_len > MAX_HEADER_BYTES:
+        raise _Malformed("head too large")
+    lines = bytes(buf[: m.start()]).split(b"\n")
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not line or len(line) > MAX_HEADER_BYTES:
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split(None, 2)
+        method, target, _version = lines[0].decode("latin-1").split(None, 2)
     except ValueError:
-        return None
+        raise _Malformed("bad request line") from None
     headers: list[tuple[bytes, bytes]] = []
-    total = 0
-    while True:
-        hline = await reader.readline()
-        total += len(hline)
-        if total > MAX_HEADER_BYTES:
-            return None
-        if hline in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = hline.partition(b":")
-        headers.append((name.strip().lower(), value.strip()))
     length = 0
-    for name, value in headers:
+    keep_alive = True
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        value = value.strip()
+        headers.append((name, value))
         if name == b"content-length":
             try:
                 length = int(value)
             except ValueError:
-                return None
+                raise _Malformed("bad Content-Length") from None
+        elif name == b"connection" and value.lower() == b"close":
+            keep_alive = False
     if length < 0 or length > MAX_BODY:
-        return None
-    body = await reader.readexactly(length) if length else b""
+        raise _Malformed("bad Content-Length")
+    end = head_len + length
+    if len(buf) < end:
+        return 0
+    body = bytes(buf[head_len:end]) if length else b""
     path = target.split("?", 1)[0]
-    return method, path, headers, body
-
-
-async def _respond(
-    app: ASGIApp,
-    writer: asyncio.StreamWriter,
-    method: str,
-    path: str,
-    headers: list[tuple[bytes, bytes]],
-    body: bytes,
-    keep_alive: bool,
-) -> None:
     scope = {
         "type": "http",
         "asgi": {"version": "3.0"},
@@ -83,6 +114,58 @@ async def _respond(
         "query_string": b"",
         "headers": headers,
     }
+    return scope, body, keep_alive, end
+
+
+def _head(
+    status: int, headers: list[tuple[bytes, bytes]], keep_alive: bool
+) -> bytes:
+    """The status line and headers of one response."""
+    parts = [b"HTTP/1.1 %d \r\n" % status]
+    for name, value in headers:
+        parts.append(name + b": " + value + b"\r\n")
+    parts.append(
+        b"connection: keep-alive\r\n\r\n"
+        if keep_alive
+        else b"connection: close\r\n\r\n"
+    )
+    return b"".join(parts)
+
+
+def _respond(
+    app: Any,
+    conn: "_Connection",
+    scope: dict,
+    body: bytes,
+    keep_alive: bool,
+) -> Awaitable[None] | None:
+    """Answer one request: None once its reply has left, else the
+    awaitable that sends it. An app's synchronous ``attempt`` runs here,
+    on the loop, without yielding."""
+    attempt = getattr(app, "attempt", None)
+    if attempt is None:
+        return _asgi(app, conn, scope, body, keep_alive)
+    reply = attempt(scope, body)
+    if isinstance(reply, tuple):
+        conn.reply(reply, keep_alive)
+        return None
+    return _later(conn, reply, keep_alive)
+
+
+async def _later(
+    conn: "_Connection", pending: Awaitable[Reply], keep_alive: bool
+) -> None:
+    conn.reply(await pending, keep_alive)
+
+
+async def _asgi(
+    app: ASGIApp,
+    conn: "_Connection",
+    scope: dict,
+    body: bytes,
+    keep_alive: bool,
+) -> None:
+    """One request through the plain ASGI interface."""
     received = False
 
     async def receive() -> dict:
@@ -92,58 +175,150 @@ async def _respond(
         received = True
         return {"type": "http.request", "body": body, "more_body": False}
 
-    pending: list[bytes] = []
+    head: list[bytes] = []
 
     async def send(message: dict) -> None:
-        # The status line and headers wait for the body and leave with
-        # it in one write: the socket has TCP_NODELAY set, so each write
-        # would be a segment of its own.
+        # the status line and headers wait for the first body part
         if message["type"] == "http.response.start":
-            pending.append(f"HTTP/1.1 {message['status']} \r\n".encode("latin-1"))
-            for name, value in message.get("headers", []):
-                pending.append(name + b": " + value + b"\r\n")
-            pending.append(
-                b"connection: keep-alive\r\n\r\n"
-                if keep_alive
-                else b"connection: close\r\n\r\n"
+            head.append(
+                _head(message["status"], message.get("headers", []), keep_alive)
             )
         elif message["type"] == "http.response.body":
-            pending.append(message.get("body", b""))
-            writer.write(b"".join(pending))
-            pending.clear()
+            conn.write(b"".join(head) + message.get("body", b""))
+            head.clear()
 
     await app(scope, receive, send)
-    await writer.drain()
+    if not keep_alive:
+        conn.close()
 
 
-async def _handle_connection(
-    app: ASGIApp,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    try:
-        while True:
-            request = await _read_request(reader)
-            if request is None:
+class _Connection(asyncio.Protocol):
+    """One client connection (see the module docstring)."""
+
+    def __init__(self, app: Any, live: set["_Connection"]) -> None:
+        self.app = app
+        self.live = live
+        live.add(self)
+        self.transport: asyncio.Transport | None = None
+        self.buf = bytearray()
+        #: where the search for the next head's end resumes
+        self.scanned = 0
+        #: the request being answered off the loop, if any
+        self.task: asyncio.Task | None = None
+        self.write_paused = False
+        self.read_paused = False
+        self.eof = False
+        self.closed = False
+
+    # -- asyncio callbacks ------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        if self.closed:  # shut down while it was being accepted
+            self.transport.abort()
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        self._advance()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._advance()
+        return True  # the transport stays open for the replies due
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        self.live.discard(self)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._advance()
+
+    # -- framing ----------------------------------------------------------
+    def _advance(self) -> None:
+        """Answer the buffered requests in order, until one is still
+        arriving or has to wait (a pending reply, paused writes)."""
+        while not self.closed and self.task is None and not self.write_paused:
+            try:
+                request = _frame(self.buf, self.scanned) if self.buf else 0
+            except _Malformed:
+                self.close()
+                return
+            if isinstance(request, int):
+                # the rest is still arriving, or nothing is
+                self.scanned = request
+                if self.eof:
+                    self.close()
+                    return
                 break
-            method, path, headers, body = request
-            keep_alive = not any(
-                n == b"connection" and v.lower() == b"close"
-                for n, v in headers
-            )
-            await _respond(
-                app, writer, method, path, headers, body, keep_alive
-            )
-            if not keep_alive:
-                break
-    except (ConnectionError, asyncio.IncompleteReadError):
-        pass
-    finally:
+            scope, body, keep_alive, consumed = request
+            del self.buf[:consumed]
+            self.scanned = 0
+            pending = _respond(self.app, self, scope, body, keep_alive)
+            if pending is not None:
+                self.task = asyncio.get_running_loop().create_task(
+                    self._finish(pending)
+                )
+        waiting = self.task is not None or self.write_paused
+        transport = self.transport
+        if transport is None or self.closed:
+            return
+        if waiting and not self.read_paused and len(self.buf) > READ_HIGH_WATER:
+            self.read_paused = True
+            transport.pause_reading()
+        elif not waiting and self.read_paused:
+            self.read_paused = False
+            transport.resume_reading()
+
+    async def _finish(self, pending: Awaitable[None]) -> None:
         try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
+            await pending
+        except Exception as exc:  # the app failed: no reply, close
+            self.close()
+            asyncio.get_running_loop().call_exception_handler({
+                "message": "the app raised answering a request",
+                "exception": exc,
+                "protocol": self,
+            })
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            self.task = None
+        self._advance()
+
+    # -- output -----------------------------------------------------------
+    def reply(self, reply: Reply, keep_alive: bool) -> None:
+        """Send one whole response in one write; after a ``Connection:
+        close`` request's, close."""
+        status, headers, body = reply
+        self.write(_head(status, headers, keep_alive) + body)
+        if not keep_alive:
+            self.close()
+
+    def write(self, data: bytes) -> None:
+        if not self.closed and self.transport is not None:
+            self.transport.write(data)
+
+    def close(self) -> None:
+        """Close after the replies already written have left."""
+        self.closed = True
+        if self.transport is not None:
+            self.transport.close()
+
+    def abort(self) -> asyncio.Task | None:
+        """Shutdown: drop the connection at once and cancel its pending
+        reply, which is returned for the caller to wait on."""
+        self.closed = True
+        self.live.discard(self)
+        if self.transport is not None:
+            self.transport.abort()
+        task = self.task
+        if task is not None:
+            task.cancel()
+        return task
 
 
 async def serve(
@@ -159,38 +334,29 @@ async def serve(
     is stashed on it as ``ready.port``, so ``port=0`` (ephemeral) is
     usable from tests.
 
-    Cancelled, it stops listening, then cancels every open connection
-    and waits for each to close. Each connection runs as a task of its
-    own, not as the coroutine ``start_server`` would wrap: the stream
-    protocol asks that task for its exception, which a task cancelled
-    at shutdown (a keep-alive connection still open on SIGINT) answers
-    by raising, and the loop prints the traceback. Nor does it wait in
-    ``Server.serve_forever``: cancelled, that awaits
-    ``Server.wait_closed``, which from Python 3.12.1 waits for every
-    connection to close — one left open would hang the shutdown."""
-    connections: set[asyncio.Task] = set()
-
-    def accept(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            _handle_connection(app, reader, writer)
-        )
-        connections.add(task)
-        task.add_done_callback(connections.discard)
-
-    server = await asyncio.start_server(accept, host, port)
+    Cancelled, it stops listening, then aborts every open connection,
+    cancels the replies they still owe and waits for those to end,
+    before ``Server.wait_closed``: from Python 3.12.1 that waits for
+    every connection to close, so one left open would hang the
+    shutdown. Nor does it wait in ``Server.serve_forever``, which
+    awaits ``wait_closed`` when cancelled."""
+    connections: set[_Connection] = set()
+    loop = asyncio.get_running_loop()
+    server = await loop.create_server(
+        lambda: _Connection(app, connections), host, port
+    )
     if ready is not None:
         ready.port = server.sockets[0].getsockname()[1]
         ready.set()
     try:
-        await asyncio.get_running_loop().create_future()  # until cancelled
+        await loop.create_future()  # until cancelled
     finally:
         server.close()
-        # a connection accepted just before the close may add its task
+        # a connection accepted just before the close may join the set
         # while the first ones wind down
         while connections:
-            for task in connections:
-                task.cancel()
-            await asyncio.gather(*connections, return_exceptions=True)
+            tasks = [conn.abort() for conn in list(connections)]
+            await asyncio.gather(
+                *(t for t in tasks if t is not None), return_exceptions=True
+            )
         await server.wait_closed()

@@ -54,9 +54,11 @@ from __future__ import annotations
 
 import ctypes
 import errno
+import fcntl
 import os
 import struct
 import sys
+import termios
 import threading
 from typing import Callable, Iterator
 
@@ -191,6 +193,8 @@ class Watch:
         self.paths: dict[int, str] = {}
         self.generation = 0
         self.armed = True
+        #: FIONREAD's answer: bytes of events queued on ``fd``
+        self._queued = bytearray(4)
 
     def add(self, path: str) -> int:
         wd = self.libc.inotify_add_watch(self.fd, os.fsencode(path), WATCH_MASK)
@@ -259,7 +263,13 @@ class Watch:
         os.close(self.fd)
 
     def drain(self) -> None:
-        """Read every queued event and apply it (caller holds the lock)."""
+        """Read every queued event and apply it (caller holds the lock).
+        ``FIONREAD`` first says whether any is queued: an empty queue,
+        what nearly every hit finds, costs one ``ioctl`` and raises
+        nothing."""
+        fcntl.ioctl(self.fd, termios.FIONREAD, self._queued)
+        if not int.from_bytes(self._queued, sys.byteorder):
+            return
         chunks = []
         while True:
             try:

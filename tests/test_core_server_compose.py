@@ -74,6 +74,20 @@ class TestIdentityProvider:
     def test_uid_map(self, identity):
         assert identity.uid_map()[1001] == "alice"
 
+    def test_credentials_follow_the_record(self, identity):
+        """Resolved on every call: the same Credentials while the
+        record is unchanged, new ones the moment it changes."""
+        first = identity.authenticate("carol")
+        assert identity.authenticate("carol") is first
+        identity.set_groups("carol", frozenset({100, 200}))
+        regrouped = identity.authenticate("carol")
+        assert regrouped.in_group(200) and not first.in_group(200)
+        identity._users["carol"]["uid"] = 1033
+        assert identity.authenticate("carol").uid == 1033
+        identity.disable("carol")
+        with pytest.raises(AuthenticationError):
+            identity.authenticate("carol")
+
 
 class TestGUFIServer:
     def test_whitelist(self, server):
@@ -91,6 +105,19 @@ class TestGUFIServer:
         bob_paths = {r[0] for r in r_bob.rows}
         assert "/home/alice/a.txt" in alice_paths
         assert "/home/alice/a.txt" not in bob_paths
+
+    def test_one_tools_handle_per_identity(self, server, identity):
+        """A handle per resolved identity, kept across calls; a group
+        change resolves to another handle, so it runs as the new
+        identity on the very next call."""
+        alice = server._tools_for("alice")
+        assert server._tools_for("alice") is alice
+        assert server._tools_for("bob") is not alice
+        identity.set_groups("alice", frozenset({100}))
+        regrouped = server._tools_for("alice")
+        assert regrouped is not alice
+        assert regrouped.engine.creds.in_group(100)
+        assert not alice.engine.creds.in_group(100)
 
     def test_revocation_is_immediate(self, server, identity):
         server.invoke("bob", "du")

@@ -12,6 +12,7 @@ from repro import obs
 from repro.core.engine import (
     BoundedSink,
     MemorySink,
+    PageSink,
     PaginatedSink,
     QueryEngine,
     ThreadFileSink,
@@ -164,6 +165,44 @@ class TestPaginatedSink:
         sink = PaginatedSink(2)
         with pytest.raises(ValueError):
             sink.page(-1)
+
+
+class TestPageSink:
+    """A PaginatedSink that holds a batch it can keep whole as the list
+    it came in: a replay's page is a slice of the entry."""
+
+    def test_first_batch_is_kept_without_a_copy(self):
+        rows = [(i,) for i in range(5)]
+        sink = PageSink(page_size=2)
+        sink.emit(None, rows)
+        summary = sink.finish()
+        assert summary.rows is rows and not summary.truncated
+        assert [sink.page(n) for n in range(sink.num_pages)] == [
+            [(0,), (1,)], [(2,), (3,)], [(4,)],
+        ]
+
+    def test_a_later_batch_never_writes_to_the_first(self):
+        first, final = [(1,), (2,)], [(3,)]
+        sink = PageSink(page_size=2)
+        sink.emit(None, first)
+        sink.emit_final(final)
+        assert first == [(1,), (2,)]
+        assert sink.finish().rows == [(1,), (2,), (3,)]
+
+    def test_cap_copies_what_fits(self):
+        rows = [(i,) for i in range(5)]
+        sink = PageSink(page_size=2, max_rows=3)
+        sink.emit(None, rows)
+        summary = sink.finish()
+        assert summary.rows == rows[:3] and summary.truncated
+        assert rows == [(i,) for i in range(5)]
+
+    def test_matches_paginated_sink_on_a_walk(self, engine):
+        paged, plain = PageSink(page_size=3), PaginatedSink(page_size=3)
+        a = engine.run(SPEC, sink=paged)
+        b = engine.run(SPEC, sink=plain)
+        assert sorted(a.rows) == sorted(b.rows)
+        assert paged.num_pages == plain.num_pages
 
 
 class TestFacadeSinkPassthrough:

@@ -49,6 +49,22 @@ class TestRegistry:
         assert snap.counter_total("c_total") == 4.5
         assert snap.counter("never_recorded") == 0.0
 
+    def test_label_values_keep_their_series(self):
+        """Series keys are remembered per name and label items: a
+        value that is a dict key equal to another (``1``, ``1.0``,
+        ``True``) still gets its own series, and the order the labels
+        come in does not matter."""
+        reg = MetricsRegistry()
+        for value in (1, 1.0, True, "1", 1, "1"):
+            reg.counter("v_total", 1, v=value)
+        reg.observe("h_seconds", 0.1, a="x", b="y")
+        reg.observe("h_seconds", 0.2, b="y", a="x")
+        snap = reg.snapshot()
+        assert snap.counter("v_total", v="1") == 4.0
+        assert snap.counter("v_total", v="1.0") == 1.0
+        assert snap.counter("v_total", v="True") == 1.0
+        assert snap.histogram("h_seconds", a="x", b="y").count == 2
+
     def test_zero_value_creates_series(self):
         reg = MetricsRegistry()
         reg.counter("zeroed_total", 0.0)

@@ -536,6 +536,40 @@ class TestSinkReplay:
         assert sorted(full.rows) == cold_rows(eng.index, E_ALL)
 
 
+class TestEntryMemo:
+    """A result a cache entry holds carries the entry's memo, and its
+    rows are the entry's row sequence, so a value derived from them
+    (a cursor's digest) holds for every replay."""
+
+    def test_run_and_replays_deliver_the_entrys_sequence(self, demo_index):
+        cache = ResultCache()
+        with QueryEngine(demo_index, nthreads=4, result_cache=cache) as eng:
+            miss = eng.run(E_ALL)
+            (entry,) = cache._entries.values()
+            assert miss.memo is entry.memo
+            assert miss.rows == entry.rows + entry.final_rows
+            for _ in range(2):
+                hit = eng.run(E_ALL, sink=PaginatedSink(page_size=3))
+                assert hit.cached and hit.memo is entry.memo
+                assert hit.rows == miss.rows
+
+    def test_no_entry_no_memo(self, demo_index):
+        cache = ResultCache(max_bytes=1024, max_entry_bytes=1)
+        with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache) as eng:
+            assert eng.run(E_ALL).memo is None
+            assert len(cache) == 0
+        with QueryEngine(demo_index, nthreads=NTHREADS) as eng:
+            assert eng.run(E_ALL).memo is None
+
+    def test_a_replaced_entry_starts_a_new_memo(self, demo_index):
+        cache = ResultCache()
+        with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache) as eng:
+            eng.run(E_ALL).memo["k"] = "v"
+            demo_index.invalidate_cache("/public")
+            again = eng.run(E_ALL)
+            assert not again.cached and again.memo == {}
+
+
 class TestInvalidation:
     def test_explicit_invalidate_drops_only_touched_entries(
         self, cached_engine

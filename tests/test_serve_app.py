@@ -691,6 +691,114 @@ class TestRepliesOnTheLoop:
         assert calls == []
 
 
+class TestCursorPageCostsAPage:
+    """The rows digest a cursor carries is taken once per cached
+    result and kept with its entry: a later page reads it, is a slice
+    of the entry's rows, and is answered on the loop whatever the
+    entry's size."""
+
+    @pytest.fixture(autouse=True)
+    def armed(self, monkeypatch):
+        monkeypatch.setattr(watch, "fs_supported", lambda path: True)
+
+    @pytest.fixture
+    def digests(self, monkeypatch) -> list:
+        from repro.serve import app as app_module
+
+        seen: list = []
+        real = app_module.rows_digest
+
+        def counted(rows):
+            seen.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(app_module, "rows_digest", counted)
+        return seen
+
+    @staticmethod
+    def pages(client, user, first) -> list:
+        rows, cursor = list(first["rows"]), first["next_cursor"]
+        while cursor is not None:
+            body = run(client.invoke(user, cursor=cursor)).json()
+            assert body["meta"]["cached"] is True
+            rows.extend(body["rows"])
+            cursor = body["next_cursor"]
+        return rows
+
+    def test_paging_digests_the_result_once(
+        self, app, client, digests, monkeypatch
+    ):
+        # every entry is over the loop's row bound
+        monkeypatch.setattr(engine_module, "REPLAY_ONLY_MAX_ROWS", 1)
+        first = run(client.invoke(
+            "root", "query", args={"spec": {"E": E_ALL}}, page_size=2
+        )).json()
+        assert not first["meta"]["cached"] and first["num_pages"] > 2
+        assert digests == [first["meta"]["total_rows"]]
+        calls = TestRepliesOnTheLoop.submissions(app, monkeypatch)
+        rows = self.pages(client, "root", first)
+        assert calls == [] and len(digests) == 1
+        # a fresh first page of the same result reads the digest too
+        again = run(client.invoke(
+            "root", "query", args={"spec": {"E": E_ALL}}, page_size=2
+        )).json()
+        assert again["next_cursor"] == first["next_cursor"]
+        assert calls == [] and len(digests) == 1
+        full = run(client.invoke(
+            "root", "query", args={"spec": {"E": E_ALL}}
+        )).json()["rows"]
+        assert rows == full
+
+    def test_an_entry_without_the_digest_pages_off_the_loop(
+        self, app, client, digests, monkeypatch
+    ):
+        """The entry a plain call stored keeps no digest: its first
+        paged call digests it on the executor, then pages on the
+        loop."""
+        monkeypatch.setattr(engine_module, "REPLAY_ONLY_MAX_ROWS", 1)
+        run(client.invoke("root", "query", args={"spec": {"E": E_ALL}}))
+        calls = TestRepliesOnTheLoop.submissions(app, monkeypatch)
+        first = run(client.invoke(
+            "root", "query", args={"spec": {"E": E_ALL}}, page_size=3
+        )).json()
+        assert first["meta"]["cached"] and len(calls) == 1
+        self.pages(client, "root", first)
+        assert len(calls) == 1 and len(digests) == 1
+
+    def test_a_write_between_pages_expires_the_cursor(
+        self, identity, tmp_path, digests
+    ):
+        tree = build_demo_tree()
+        journal = ChangeJournal()
+        tree.set_changelog(journal)
+        index = dir2index(
+            tree, tmp_path / "idx", opts=BuildOptions(nthreads=NTHREADS)
+        ).index
+        with GUFIServer(
+            index, identity, nthreads=NTHREADS, result_cache_mb=8.0
+        ) as srv, GUFIApp(srv, max_inflight=2, queue_limit=4) as app:
+            client = ASGIClient(app)
+            first = run(client.invoke(
+                "root", "query", args={"spec": {"E": E_ALL}}, page_size=2
+            )).json()
+            second = run(
+                client.invoke("root", cursor=first["next_cursor"])
+            ).json()
+            assert second["meta"]["cached"] and len(digests) == 1
+            tree.create_file(
+                "/home/bob/new.txt", size=123, mode=0o644,
+                uid=1002, gid=1002,
+            )
+            changefeed2index(
+                index, tree, journal, opts=BuildOptions(nthreads=NTHREADS)
+            )
+            resp = run(client.invoke("root", cursor=second["next_cursor"]))
+            assert resp.status == 410
+            assert resp.json()["error"]["code"] == "cursor_expired"
+            # the re-run digested the changed result, once
+            assert len(digests) == 2
+
+
 class TestMetricsEndpoint:
     def test_prometheus_serves_every_serve_series(self, server):
         """CI greps these names; all six ``gufi_serve_*`` series must
