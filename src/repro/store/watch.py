@@ -10,7 +10,7 @@ index tree for creation, deletion, moves, writes, close-after-write
 and attribute changes. :meth:`Watch.clock` returns a *generation*
 that any such event anywhere in the tree advances — whoever the
 writer is, this process or another one — after one ``stat`` of the
-root and one drain of the event queue (a ``read`` that finds it
+root and one drain of the event queue (a ``FIONREAD`` that finds it
 empty). Equal generations mean no write reached the tree in between.
 
 The tree's shape is followed as it changes: a directory created or
