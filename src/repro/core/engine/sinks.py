@@ -197,29 +197,18 @@ class BoundedSink(ResultSink):
 class PaginatedSink(BoundedSink):
     """A bounded sink whose kept rows are served in fixed-size pages —
     the server's streamable response shape: collect at most
-    ``page_size * max_pages`` rows, then hand out one page at a time.
+    ``max_rows`` rows (unbounded when None), then hand out one page at
+    a time.
 
     ``finish`` exposes every kept row (so ``QueryResult.rows`` still
     works for library callers); ``page(n)``/``num_pages`` are for the
-    serving layer. The cap is ``page_size * max_pages`` unless an
-    exact ``max_rows`` is given (for caps that are not a whole number
-    of pages — the last page is then short)."""
+    serving layer. The last page is short when ``max_rows`` is not a
+    whole number of pages."""
 
-    def __init__(
-        self,
-        page_size: int,
-        max_pages: int | None = None,
-        max_rows: int | None = None,
-    ) -> None:
+    def __init__(self, page_size: int, max_rows: int | None = None) -> None:
         if page_size <= 0:
             raise ValueError("page_size must be > 0")
-        if max_rows is not None:
-            cap = max_rows
-        elif max_pages is not None:
-            cap = page_size * max_pages
-        else:
-            cap = 2**63 - 1
-        super().__init__(cap)
+        super().__init__(2**63 - 1 if max_rows is None else max_rows)
         self.page_size = page_size
 
     @property

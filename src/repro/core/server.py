@@ -57,6 +57,17 @@ class IdentityProvider:
     _built: dict[str, tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: uid -> username, kept current by the writers below and changed
+    #: only in place (a server's pooled query contexts alias it): a
+    #: name is set before the one it replaces is dropped, so a uid
+    #: named before and after a write is never absent to a reader
+    names: dict[int, str] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for name, rec in self._users.items():
+            self.names[rec["uid"]] = name
 
     def add_user(
         self,
@@ -66,10 +77,33 @@ class IdentityProvider:
         groups: frozenset[int] = frozenset(),
         enabled: bool = True,
     ) -> None:
+        old = self._users.get(username)
         self._users[username] = {
             "uid": uid, "gid": gid, "groups": frozenset(groups),
             "enabled": enabled,
         }
+        self.names[uid] = username
+        if old is not None and old["uid"] != uid:
+            self._unname(username, old["uid"])
+
+    def remove_user(self, username: str) -> None:
+        rec = self._record(username)
+        del self._users[username]
+        self._built.pop(username, None)
+        self._unname(username, rec["uid"])
+
+    def _unname(self, username: str, uid: int) -> None:
+        """``username`` no longer holds ``uid``: the uid keeps a name
+        while another user holds it."""
+        if self.names.get(uid) != username:
+            return
+        heir = next(
+            (n for n, rec in self._users.items() if rec["uid"] == uid), None
+        )
+        if heir is None:
+            del self.names[uid]
+        else:
+            self.names[uid] = heir
 
     def _record(self, username: str) -> dict:
         try:
@@ -148,8 +182,9 @@ class IdentityProvider:
         return idp
 
     def uid_map(self) -> dict[int, str]:
-        """uid → username, for uidtouser() in query output."""
-        return {rec["uid"]: name for name, rec in self._users.items()}
+        """A copy of uid → username (:attr:`names`), for uidtouser()
+        in query output."""
+        return dict(self.names)
 
 
 #: the restricted shell's tool table: each tool a remote invocation may
@@ -249,26 +284,16 @@ class GUFIServer:
         #: entries evicted from the (full) audit log
         self.audit_dropped = 0
         self._audit_lock = threading.Lock()
-        #: the warm thread states every invocation runs on
-        self.pool = ThreadStatePool(users=identity.uid_map())
-        #: guards the name map's refresh and the handle memo's growth
+        #: the warm thread states every invocation runs on; their name
+        #: map is the directory's own, which its writers keep current
+        self.pool = ThreadStatePool(users=identity.names)
+        #: guards the handle memo's growth
         self._lock = threading.Lock()
         #: a GUFITools handle per resolved identity
         self._tools: dict[Credentials, GUFITools] = {}
 
     def _tools_for(self, username: str) -> GUFITools:
         creds = self.identity.authenticate(username)
-        # Keep name translation current. The pooled contexts alias this
-        # exact dict, and a request running meanwhile reads it: look
-        # the new map up first, add before removing, so a uid named
-        # before and after is never absent.
-        users = self.pool.users
-        fresh = self.identity.uid_map()
-        if fresh != users:
-            with self._lock:
-                users.update(fresh)
-                for uid in users.keys() - fresh.keys():
-                    del users[uid]
         # One handle per resolved identity: the credentials just
         # resolved are the key, so a uid or group change gets its own.
         tools = self._tools.get(creds)
@@ -356,14 +381,12 @@ class GUFIServer:
                     truncated,
                 )
 
-    def response_sink(self, page_size: int | None = None) -> PaginatedSink:
+    def response_sink(self) -> PaginatedSink:
         """A fresh sink for one invocation's rows: capped at
         ``max_rows`` (the surplus counted, the result marked
-        truncated) and served in pages of ``page_size`` rows
-        (``RESPONSE_PAGE_SIZE`` by default)."""
-        return PaginatedSink(
-            page_size or self.RESPONSE_PAGE_SIZE, max_rows=self.max_rows
-        )
+        truncated) and served in pages of ``RESPONSE_PAGE_SIZE``
+        rows."""
+        return PaginatedSink(self.RESPONSE_PAGE_SIZE, max_rows=self.max_rows)
 
     def _audit(
         self,

@@ -8,8 +8,8 @@ dispatch over its one warm thread-state pool, audit; this package is
 a transport over it, adding the *service* shape a production
 deployment needs:
 
-* :mod:`repro.serve.app` — :class:`GUFIApp`, a stdlib-only
-  ASGI-compatible application: authenticates via
+* :mod:`repro.serve.app` — :class:`GUFIApp`, a stdlib-only HTTP
+  application with one entry, :meth:`GUFIApp.attempt`: authenticates via
   :class:`~repro.core.server.IdentityProvider`, hands each tool call
   to :meth:`~repro.core.server.GUFIServer.invoke` — on the event loop
   for a result-cache hit the write clock vouches for, else on a
@@ -25,8 +25,12 @@ deployment needs:
   canonical row digest cursors validate against;
 * :mod:`repro.serve.http` — a minimal asyncio HTTP/1.1 bridge so the
   app serves real sockets without any third-party server;
-* :mod:`repro.serve.client` — an in-process ASGI client (tests and
+* :mod:`repro.serve.client` — an in-process client (tests and
   benchmarks drive the full request path without sockets).
+
+The bridge and the in-process client reach the app the same way, by
+``attempt(method, path, headers, body)``, so a request runs the same
+app code on either.
 
 Deadlines are *enforced*, not just observed: each request carries a
 :class:`~repro.core.engine.CancelToken` threaded through the engine's

@@ -1,4 +1,4 @@
-"""`GUFIApp` — the ASGI application over the synchronous server.
+"""`GUFIApp` — the HTTP application over the synchronous server.
 
 Request lifecycle (one ``POST /v1/invoke``):
 
@@ -13,15 +13,15 @@ Request lifecycle (one ``POST /v1/invoke``):
    replay-only mode (:func:`~repro.core.engine.replay_only`): a
    result-cache hit the write clock alone vouches for, of a bounded
    size, is answered there without yielding, holding its tenant slot.
-   Steps 1–3 up to here are one plain method, :meth:`GUFIApp.attempt`:
-   the HTTP bridge calls it straight from the socket's receive
-   callback, and ``__call__`` (ASGI) calls it first. Anything else
-   declines before any work and goes — once, never attempted again —
-   through global admission control (bounded wait queue, shed past it)
-   to a bounded worker-thread executor (as many workers as admission
-   slots, so the executor never queues) — so admission bounds executor
-   work, and a hit neither waits for a slot nor is shed. The call
-   carries a
+   Steps 1–3 up to here are the app's one entry, the plain method
+   :meth:`GUFIApp.attempt`: the HTTP bridge calls it straight from the
+   socket's receive callback, the in-process client from a coroutine.
+   Anything else declines before any work and goes — once, never
+   attempted again — through global admission control (bounded wait
+   queue, shed past it) to a bounded worker-thread executor (as many
+   workers as admission slots, so the executor never queues) — so
+   admission bounds executor work, and a hit neither waits for a slot
+   nor is shed. The call carries a
    :class:`~repro.core.engine.CancelToken` armed with the request
    deadline: traversal observes it once per directory and a late
    query dies mid-walk with a structured ``deadline_exceeded`` error
@@ -44,9 +44,10 @@ Request lifecycle (one ``POST /v1/invoke``):
 
 ``GET /metrics`` serves the process metrics in Prometheus text
 (:func:`repro.obs.export.to_prometheus`); ``GET /healthz`` is the
-load-balancer probe. The app is stdlib-only and callable in-process
-(:class:`repro.serve.client.ASGIClient`) or over sockets
-(:func:`repro.serve.http.serve`).
+load-balancer probe. The app is stdlib-only and has one entry,
+:meth:`GUFIApp.attempt`, which the in-process client
+(:class:`repro.serve.client.ASGIClient`) and the socket bridge
+(:func:`repro.serve.http.serve`) both call.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _http_error(
 
 
 class GUFIApp:
-    """The serving layer's ASGI application (see module docstring).
+    """The serving layer's application (see module docstring).
 
     One instance fronts one :class:`~repro.core.server.GUFIServer`.
     QoS knobs:
@@ -210,7 +211,10 @@ class GUFIApp:
         per-tenant in-flight cap (None disables);
     ``deadline_s``
         default per-request deadline; a request may *lower* it via
-        ``deadline_ms`` but never raise it past this cap.
+        ``deadline_ms`` but never raise it past this cap;
+    ``cursor_secret``
+        the key paging cursors are signed with (a deployment
+        credential; a random one per app by default).
     """
 
     def __init__(
@@ -223,13 +227,10 @@ class GUFIApp:
         tenant_concurrency: int | None = None,
         deadline_s: float = 30.0,
         cursor_secret: bytes | None = None,
-        retry_after: float = 0.5,
     ) -> None:
         self.server = server
         self.deadline_s = deadline_s
-        self.admission = AdmissionController(
-            max_inflight, queue_limit, retry_after=retry_after
-        )
+        self.admission = AdmissionController(max_inflight, queue_limit)
         self.quota = TenantQuota(tenant_concurrency)
         self.tenant_qps = tenant_qps
         self.tenant_burst = tenant_burst
@@ -250,51 +251,31 @@ class GUFIApp:
         self.close()
 
     # ------------------------------------------------------------------
-    # ASGI surface
+    # The one entry
     # ------------------------------------------------------------------
-    async def __call__(self, scope: dict, receive: Any, send: Any) -> None:
-        if scope["type"] == "lifespan":
-            await self._lifespan(receive, send)
-            return
-        if scope["type"] != "http":  # pragma: no cover - ws etc.
-            raise RuntimeError(f"unsupported scope {scope['type']!r}")
-        reply = self.attempt(scope, await self._read_body(receive))
-        if not isinstance(reply, tuple):
-            reply = await reply
-        status, headers, body = reply
-        await send(
-            {"type": "http.response.start", "status": status, "headers": headers}
-        )
-        await send({"type": "http.response.body", "body": body})
-
-    @staticmethod
-    async def _lifespan(receive: Any, send: Any) -> None:
-        while True:
-            message = await receive()
-            if message["type"] == "lifespan.startup":
-                await send({"type": "lifespan.startup.complete"})
-            elif message["type"] == "lifespan.shutdown":
-                await send({"type": "lifespan.shutdown.complete"})
-                return
-
-    def attempt(self, scope: dict, body: bytes) -> Reply | Awaitable[Reply]:
-        """Answer one HTTP request on the event loop, without yielding:
-        its ``(status, headers, body)`` — or, when only the executor
-        can answer it, the awaitable that will. An invocation is
-        authenticated, parsed and passed through QoS rings 1–2 here,
-        and with a result cache its tool call runs in replay-only mode;
-        a decline hands the request on, its tenant slot still held, to
-        admission and the executor — once, never attempted again.
-        ``__call__`` and :func:`repro.serve.http.serve` both start
-        here."""
-        method = scope.get("method", "GET")
-        path = scope.get("path", "/")
+    def attempt(
+        self,
+        method: str,
+        path: str,
+        headers: list[tuple[bytes, bytes]],
+        body: bytes,
+    ) -> Reply | Awaitable[Reply]:
+        """The app's one entry: answer one HTTP request on the event
+        loop, without yielding — its ``(status, headers, body)``, or,
+        when only the executor can answer it, the awaitable that will.
+        An invocation is authenticated, parsed and passed through QoS
+        rings 1–2 here, and with a result cache its tool call runs in
+        replay-only mode; a decline hands the request on, its tenant
+        slot still held, to admission and the executor — once, never
+        attempted again. The socket bridge
+        (:func:`repro.serve.http.serve`) and the in-process
+        :class:`~repro.serve.client.ASGIClient` both call it."""
         if method == "POST" and path == "/v1/invoke":
             try:
-                outcome = self._begin(scope.get("headers", []), body)
+                outcome = self._begin(headers, body)
                 if isinstance(outcome, dict):
                     return self._json(200, outcome)
-            except Exception as exc:  # noqa: BLE001 - ASGI boundary
+            except Exception as exc:  # noqa: BLE001 - HTTP boundary
                 return self._failed(exc)
             return self._executed(*outcome)
         if method == "GET" and path == "/healthz":
@@ -314,18 +295,6 @@ class GUFIApp:
                 },
             },
         )
-
-    @staticmethod
-    async def _read_body(receive: Any) -> bytes:
-        chunks: list[bytes] = []
-        while True:
-            message = await receive()
-            if message["type"] != "http.request":  # pragma: no cover
-                break
-            chunks.append(message.get("body", b""))
-            if not message.get("more_body", False):
-                break
-        return b"".join(chunks)
 
     @staticmethod
     def _reply(status: int, content_type: bytes, body: bytes) -> Reply:
@@ -481,7 +450,7 @@ class GUFIApp:
             finally:
                 self.admission.release()
             return self._json(200, self._replied("executor", reply))
-        except Exception as exc:  # noqa: BLE001 - ASGI boundary
+        except Exception as exc:  # noqa: BLE001 - HTTP boundary
             return self._failed(exc)
         finally:
             self.quota.release(user)

@@ -1,24 +1,28 @@
-"""An in-process ASGI client: drive the app without sockets.
+"""An in-process client: drive the app without sockets.
 
 Tests and benchmarks need hundreds of concurrent requests through
 the *full* request path — auth, QoS rings, executor, cursors — but
-none of that requires a TCP connection: ASGI is just an async
-callable. :class:`ASGIClient` builds the scope, feeds the body, and
-collects the response, so a stress test is ``asyncio.gather`` over
-plain coroutines and measures the serving layer rather than loopback
-socket throughput.
+none of that requires a TCP connection. :class:`ASGIClient` calls the
+app's one entry, :meth:`~repro.serve.app.GUFIApp.attempt`, exactly as
+the socket bridge does, and awaits the rest when the app hands back an
+awaitable, so a stress test is ``asyncio.gather`` over plain
+coroutines and measures the serving layer rather than loopback socket
+throughput. (The name is historical: the app no longer speaks ASGI.)
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .app import GUFIApp
 
 
 @dataclass
 class ClientResponse:
-    """One collected ASGI response."""
+    """One collected response."""
 
     status: int
     headers: dict[str, str] = field(default_factory=dict)
@@ -33,9 +37,9 @@ class ClientResponse:
 
 
 class ASGIClient:
-    """Minimal in-process client for an ASGI application."""
+    """Minimal in-process client for a :class:`~repro.serve.app.GUFIApp`."""
 
-    def __init__(self, app: Any) -> None:
+    def __init__(self, app: "GUFIApp") -> None:
         self.app = app
 
     async def request(
@@ -57,41 +61,15 @@ class ASGIClient:
             hdrs.append(
                 (name.lower().encode("latin-1"), value.encode("latin-1"))
             )
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method,
-            "path": path,
-            "raw_path": path.encode("latin-1"),
-            "query_string": b"",
-            "headers": hdrs,
-        }
-        sent = False
-
-        async def receive() -> dict:
-            nonlocal sent
-            if sent:
-                return {"type": "http.disconnect"}
-            sent = True
-            return {"type": "http.request", "body": body, "more_body": False}
-
-        response = ClientResponse(status=500)
-        chunks: list[bytes] = []
-
-        async def send(message: dict) -> None:
-            if message["type"] == "http.response.start":
-                response.status = message["status"]
-                response.headers = {
-                    k.decode("latin-1"): v.decode("latin-1")
-                    for k, v in message.get("headers", [])
-                }
-            elif message["type"] == "http.response.body":
-                chunks.append(message.get("body", b""))
-
-        await self.app(scope, receive, send)
-        response.body = b"".join(chunks)
-        return response
+        reply = self.app.attempt(method, path, hdrs, body)
+        if not isinstance(reply, tuple):
+            reply = await reply
+        status, headers_out, body_out = reply
+        return ClientResponse(
+            status,
+            {k.decode("latin-1"): v.decode("latin-1") for k, v in headers_out},
+            body_out,
+        )
 
     async def invoke(
         self,

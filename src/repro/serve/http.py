@@ -1,26 +1,21 @@
-"""A minimal asyncio HTTP/1.1 bridge for the ASGI app.
+"""A minimal asyncio HTTP/1.1 bridge that puts
+:class:`~repro.serve.app.GUFIApp` on a socket.
 
 The serving subsystem must be runnable without any third-party
-server, so this module speaks just enough HTTP/1.1 to put
-:class:`~repro.serve.app.GUFIApp` on a socket: request-line +
+server, so this module speaks just enough HTTP/1.1: request-line +
 headers, a ``Content-Length`` body (no chunked uploads — the JSON
 invoke bodies are small), keep-alive by default, and a
-``Content-Length``-framed response. Anything fancier (TLS, HTTP/2,
-chunked streaming) belongs to a real ASGI server in front; the app
-itself is standard ASGI, so ``uvicorn repro...:app`` works unchanged
-where one is available.
+``Content-Length``-framed response. TLS, HTTP/2 and chunked streaming
+belong to a proxy in front.
 
 Each connection is an :class:`asyncio.Protocol` (:class:`_Connection`)
 that frames requests straight from its receive buffer, in one pass
-over each request's head, and answers them one at a time, in order:
-
-* an app that offers a synchronous ``attempt(scope, body)`` (as
-  :class:`~repro.serve.app.GUFIApp` does) is asked first, from the
-  ``data_received`` callback itself. A reply it returns leaves at once,
-  without a task or an ``await``; an awaitable it returns instead is
-  the rest of the request, run as a task while the connection frames
-  nothing further;
-* any other ASGI callable is run as a task per request.
+over each request's head, and answers them one at a time, in order,
+through the app's one entry, ``attempt(method, path, headers, body)``,
+called from the ``data_received`` callback itself. A reply it returns
+leaves at once, without a task or an ``await``; an awaitable it
+returns instead is the rest of the request, run as a task while the
+connection frames nothing further.
 
 Every reply leaves in one ``transport.write`` — status line, headers
 and body together (the socket has ``TCP_NODELAY`` set, so each write
@@ -29,16 +24,21 @@ above its high-water mark the connection answers nothing more, and
 while it cannot answer, a receive buffer past :data:`READ_HIGH_WATER`
 pauses reading.
 Malformed input — a bad request line, a head over
-:data:`MAX_HEADER_BYTES`, a bad or oversize ``Content-Length`` —
-closes the connection without a reply; ``Connection: close`` closes it
-after its reply, dropping whatever the client sent behind it.
+:data:`MAX_HEADER_BYTES`, a bad or oversize ``Content-Length``, two
+``Content-Length`` values that differ, any ``Transfer-Encoding`` —
+closes the connection without a reply, so no body is ever read as a
+request of its own; ``Connection: close`` closes it after its reply,
+dropping whatever the client sent behind it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import re
-from typing import Any, Awaitable, Callable, cast
+from typing import TYPE_CHECKING, Awaitable, cast
+
+if TYPE_CHECKING:
+    from .app import GUFIApp
 
 #: request body bytes we will buffer (invoke bodies are small JSON)
 MAX_BODY = 8 * 1024 * 1024
@@ -48,9 +48,11 @@ MAX_HEADER_BYTES = 64 * 1024
 #: reply is pending or its writes are paused) before it stops reading
 READ_HIGH_WATER = 64 * 1024
 
-ASGIApp = Callable[[dict, Any, Any], Awaitable[None]]
 #: ``(status, headers, body)``: one whole response
 Reply = tuple[int, list[tuple[bytes, bytes]], bytes]
+#: one framed request: ``(method, path, headers, body, keep_alive,
+#: bytes consumed)``
+Request = tuple[str, str, list[tuple[bytes, bytes]], bytes, bool, int]
 
 #: the blank line that ends a head (each line ends ``\n``, most ``\r\n``)
 _HEAD_END = re.compile(rb"\n\r?\n")
@@ -60,14 +62,11 @@ class _Malformed(Exception):
     """The buffer does not start with a request this bridge accepts."""
 
 
-def _frame(
-    buf: bytearray, scan_from: int = 0
-) -> tuple[dict, bytes, bool, int] | int:
-    """The request at the start of ``buf`` as ``(scope, body,
-    keep_alive, consumed)``; while its head or body is still arriving,
-    the offset the search for the head's end resumes from next time
-    (it starts at ``scan_from``). Raises :class:`_Malformed` on input
-    that closes the connection."""
+def _frame(buf: bytearray, scan_from: int = 0) -> Request | int:
+    """The request at the start of ``buf``; while its head or body is
+    still arriving, the offset the search for the head's end resumes
+    from next time (it starts at ``scan_from``). Raises
+    :class:`_Malformed` on input that closes the connection."""
     m = _HEAD_END.search(buf, scan_from)
     if m is None:
         if len(buf) > MAX_HEADER_BYTES:
@@ -83,7 +82,7 @@ def _frame(
     except ValueError:
         raise _Malformed("bad request line") from None
     headers: list[tuple[bytes, bytes]] = []
-    length = 0
+    length: int | None = None
     keep_alive = True
     for line in lines[1:]:
         name, _, value = line.partition(b":")
@@ -91,30 +90,29 @@ def _frame(
         value = value.strip()
         headers.append((name, value))
         if name == b"content-length":
-            try:
-                length = int(value)
-            except ValueError:
-                raise _Malformed("bad Content-Length") from None
+            # digits only (no more than MAX_BODY has), and one value: a
+            # second that differs would let a body be framed as a
+            # request of its own
+            if (
+                not value.isdigit()
+                or len(value) > 9
+                or length not in (None, int(value))
+            ):
+                raise _Malformed("bad Content-Length")
+            length = int(value)
+        elif name == b"transfer-encoding":
+            raise _Malformed("Transfer-Encoding is not supported")
         elif name == b"connection" and value.lower() == b"close":
             keep_alive = False
-    if length < 0 or length > MAX_BODY:
+    length = length or 0
+    if length > MAX_BODY:
         raise _Malformed("bad Content-Length")
     end = head_len + length
     if len(buf) < end:
         return 0
     body = bytes(buf[head_len:end]) if length else b""
     path = target.split("?", 1)[0]
-    scope = {
-        "type": "http",
-        "asgi": {"version": "3.0"},
-        "http_version": "1.1",
-        "method": method,
-        "path": path,
-        "raw_path": path.encode("latin-1"),
-        "query_string": b"",
-        "headers": headers,
-    }
-    return scope, body, keep_alive, end
+    return method, path, headers, body, keep_alive, end
 
 
 def _head(
@@ -133,19 +131,18 @@ def _head(
 
 
 def _respond(
-    app: Any,
+    app: "GUFIApp",
     conn: "_Connection",
-    scope: dict,
+    method: str,
+    path: str,
+    headers: list[tuple[bytes, bytes]],
     body: bytes,
     keep_alive: bool,
 ) -> Awaitable[None] | None:
     """Answer one request: None once its reply has left, else the
-    awaitable that sends it. An app's synchronous ``attempt`` runs here,
-    on the loop, without yielding."""
-    attempt = getattr(app, "attempt", None)
-    if attempt is None:
-        return _asgi(app, conn, scope, body, keep_alive)
-    reply = attempt(scope, body)
+    awaitable that sends it. The app's ``attempt`` runs here, on the
+    loop, without yielding."""
+    reply = app.attempt(method, path, headers, body)
     if isinstance(reply, tuple):
         conn.reply(reply, keep_alive)
         return None
@@ -158,44 +155,10 @@ async def _later(
     conn.reply(await pending, keep_alive)
 
 
-async def _asgi(
-    app: ASGIApp,
-    conn: "_Connection",
-    scope: dict,
-    body: bytes,
-    keep_alive: bool,
-) -> None:
-    """One request through the plain ASGI interface."""
-    received = False
-
-    async def receive() -> dict:
-        nonlocal received
-        if received:
-            return {"type": "http.disconnect"}
-        received = True
-        return {"type": "http.request", "body": body, "more_body": False}
-
-    head: list[bytes] = []
-
-    async def send(message: dict) -> None:
-        # the status line and headers wait for the first body part
-        if message["type"] == "http.response.start":
-            head.append(
-                _head(message["status"], message.get("headers", []), keep_alive)
-            )
-        elif message["type"] == "http.response.body":
-            conn.write(b"".join(head) + message.get("body", b""))
-            head.clear()
-
-    await app(scope, receive, send)
-    if not keep_alive:
-        conn.close()
-
-
 class _Connection(asyncio.Protocol):
     """One client connection (see the module docstring)."""
 
-    def __init__(self, app: Any, live: set["_Connection"]) -> None:
+    def __init__(self, app: "GUFIApp", live: set["_Connection"]) -> None:
         self.app = app
         self.live = live
         live.add(self)
@@ -253,10 +216,12 @@ class _Connection(asyncio.Protocol):
                     self.close()
                     return
                 break
-            scope, body, keep_alive, consumed = request
+            method, path, headers, body, keep_alive, consumed = request
             del self.buf[:consumed]
             self.scanned = 0
-            pending = _respond(self.app, self, scope, body, keep_alive)
+            pending = _respond(
+                self.app, self, method, path, headers, body, keep_alive
+            )
             if pending is not None:
                 self.task = asyncio.get_running_loop().create_task(
                     self._finish(pending)
@@ -294,13 +259,10 @@ class _Connection(asyncio.Protocol):
         """Send one whole response in one write; after a ``Connection:
         close`` request's, close."""
         status, headers, body = reply
-        self.write(_head(status, headers, keep_alive) + body)
+        if not self.closed and self.transport is not None:
+            self.transport.write(_head(status, headers, keep_alive) + body)
         if not keep_alive:
             self.close()
-
-    def write(self, data: bytes) -> None:
-        if not self.closed and self.transport is not None:
-            self.transport.write(data)
 
     def close(self) -> None:
         """Close after the replies already written have left."""
@@ -322,7 +284,7 @@ class _Connection(asyncio.Protocol):
 
 
 async def serve(
-    app: ASGIApp,
+    app: "GUFIApp",
     host: str = "127.0.0.1",
     port: int = 8080,
     ready: "asyncio.Event | None" = None,

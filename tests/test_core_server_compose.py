@@ -5,8 +5,6 @@ prune, checked by the index doctor)."""
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
 
 import pytest
 
@@ -16,7 +14,6 @@ from repro.core.compose import (
     graft,
     prune,
 )
-from repro.core.index import GUFIIndex
 from repro.core.engine import QueryEngine, ResultCache
 from repro.core.query import Q1_LIST_PATHS, QuerySpec
 from repro.core.rollup import rollup
@@ -165,69 +162,115 @@ class TestGUFIServer:
         assert stale.rows and all(row[1] == "f" for row in stale.rows)
 
 
-@dataclass
-class _SnoopingIdentity(IdentityProvider):
-    """Records what a request already running on ``live`` (the server
-    pool's name map) would read at the moment the server asks the
-    directory for names — optionally after a directory-service delay."""
+class _Recording(dict):
+    """A name map that keeps a copy of itself after each write: every
+    state a reader running meanwhile could see."""
 
-    live: dict[int, str] | None = None
-    delay: float = 0.0
-    seen: list[dict[int, str]] = field(default_factory=list)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.states: list[dict[int, str]] = []
 
-    def uid_map(self):
-        if self.live is not None:
-            self.seen.append(dict(self.live))
-            time.sleep(self.delay)
-        return super().uid_map()
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.states.append(dict(self))
+
+    def __delitem__(self, key) -> None:
+        super().__delitem__(key)
+        self.states.append(dict(self))
 
 
-@pytest.fixture
-def snooping(identity):
-    return _SnoopingIdentity(identity._users)
+class _NoScan(dict):
+    """A user table that refuses to be walked."""
+
+    def _scan(self, *args):
+        raise AssertionError("the user table was scanned")
+
+    __iter__ = keys = values = items = _scan
 
 
 class TestWarmNameMapRefresh:
-    """Each invocation refreshes the one dict every pooled context of
-    the server aliases; a uid named before and after is never absent."""
+    """The server's pooled contexts alias the directory's own name map,
+    which its writers keep current in place: an invocation does no map
+    work, and a uid named before and after a write is never absent."""
 
-    def test_refresh_never_empties_the_live_map(self, demo_index, snooping):
-        with GUFIServer(demo_index, snooping, nthreads=NTHREADS) as server:
-            snooping.live = server.pool.users
-            before = dict(snooping.live)
-            server.invoke("root", "du")
-            assert snooping.seen == [before] and before[1001] == "alice"
-            # renames and removals still land, in place
-            snooping.add_user("robert", uid=1002, gid=1002)
-            del snooping._users["bob"], snooping._users["carol"]
-            server.invoke("root", "du")
-            assert server.pool.users is snooping.live
-            assert snooping.live == {0: "root", 1001: "alice", 1002: "robert"}
+    def test_refresh_never_empties_the_live_map(self, demo_index, identity):
+        identity.names = _Recording(identity.names)
+        with GUFIServer(demo_index, identity, nthreads=NTHREADS) as server:
+            live = server.pool.users
+            assert live is identity.names and live[1001] == "alice"
+            # a rename: the new name lands before the old one goes
+            identity.add_user("robert", uid=1002, gid=1002)
+            identity.remove_user("bob")
+            assert live.states and all(
+                state[1002] in ("bob", "robert") and state[1001] == "alice"
+                for state in live.states
+            )
+            # removals and a moved uid land too, in place
+            identity.remove_user("carol")
+            identity.add_user("alice", uid=1005, gid=1001)
+            assert server.pool.users is live
+            assert live == {0: "root", 1002: "robert", 1005: "alice"}
+            with pytest.raises(AuthenticationError):
+                identity.remove_user("bob")
 
-    def test_concurrent_request_always_reads_names(self, demo_index, snooping):
+    def test_a_shared_uid_keeps_a_name(self, identity):
+        identity.add_user("bobby", uid=1002, gid=1002)
+        identity.remove_user("bobby")
+        assert identity.names[1002] == "bob"
+        identity.remove_user("bob")
+        assert 1002 not in identity.names
+        assert identity.uid_map() == identity.names
+        assert identity.uid_map() is not identity.names
+
+    def test_invoke_does_no_map_work(self, demo_index, identity, monkeypatch):
+        """Nothing on the request path is O(users): neither the map
+        copy nor a walk of the user table."""
+        calls = []
+        real = IdentityProvider.uid_map
+        monkeypatch.setattr(
+            IdentityProvider, "uid_map",
+            lambda self: calls.append(self) or real(self),
+        )
+        with GUFIServer(demo_index, identity, nthreads=NTHREADS) as server:
+            identity._users = _NoScan(identity._users)
+            for user in ("root", "alice", "bob", "root"):
+                server.invoke(user, "du")
+            spec = QuerySpec(E="SELECT uidtouser(uid) FROM pentries")
+            names = {n for (n,) in server.invoke("root", "query", spec=spec).rows}
+        assert calls == [] and "alice" in names
+
+    def test_concurrent_request_always_reads_names(self, demo_index, identity):
         spec = QuerySpec(E="SELECT uidtouser(uid) FROM pentries")
-        with GUFIServer(demo_index, snooping, nthreads=NTHREADS) as server:
+        with GUFIServer(demo_index, identity, nthreads=NTHREADS) as server:
             expected = sorted(server.invoke("root", "query", spec=spec).rows)
+            assert ("bob",) in expected
             assert not any(name.isdigit() for (name,) in expected)
-            snooping.live, snooping.delay = server.pool.users, 0.001
-            # a request on the server's pool that never waits for the
-            # refresher: the engine directly
+            # a request on the server's pool while bob is renamed back
+            # and forth through the directory's writers
             reader = GUFITools(demo_index, nthreads=NTHREADS, pool=server.pool)
             stop = threading.Event()
+            renames = []
 
-            def refresher():
+            def renamer():
                 while not stop.is_set():
-                    server.invoke("root", "du")
+                    identity.add_user("robert", uid=1002, gid=1002)
+                    identity.remove_user("bob")
+                    identity.add_user("bob", uid=1002, gid=1002)
+                    identity.remove_user("robert")
+                    renames.append(1)
 
-            thread = threading.Thread(target=refresher)
+            thread = threading.Thread(target=renamer)
             thread.start()
             try:
                 for _ in range(30):
-                    assert sorted(reader.engine.run(spec).rows) == expected
+                    rows = reader.engine.run(spec).rows
+                    assert sorted(
+                        ("bob",) if row == ("robert",) else row for row in rows
+                    ) == expected
             finally:
                 stop.set()
                 thread.join(timeout=30)
-            assert not thread.is_alive() and len(snooping.seen) > 1
+            assert not thread.is_alive() and renames
 
 
 class TestGraftPrune:

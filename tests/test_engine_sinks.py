@@ -153,12 +153,6 @@ class TestPaginatedSink:
         assert result.truncated
         assert len(sink.page(1)) == 1  # short last page
 
-    def test_max_pages_cap(self, engine):
-        sink = PaginatedSink(page_size=2, max_pages=2)
-        result = engine.run(SPEC, sink=sink)
-        assert len(result.rows) == 4
-        assert sink.num_pages == 2
-
     def test_rejects_bad_page_args(self):
         with pytest.raises(ValueError):
             PaginatedSink(0)

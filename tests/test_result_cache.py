@@ -621,6 +621,36 @@ class TestInvalidation:
         finally:
             eng.close()
 
+    @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unarmed"])
+    def test_a_rewrite_no_stamp_sees_is_caught_by_the_hook(
+        self, demo_tree, tmp_path, monkeypatch, armed
+    ):
+        """What only the push hooks cover: an in-process writer rewrites
+        a visited database in place, at the same size, with its mtime
+        put back — inode, mtime and size unchanged, the directory's
+        listing too — and announces it. The watch sees the write, but
+        the stamp pass it triggers passes; the announcement alone sends
+        the entry away."""
+        (_arm if armed else _unarm)(monkeypatch)
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        cache = ResultCache()
+        with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as eng:
+            eng.run(E_ALL)
+            assert eng.run(E_ALL).cached
+            assert (cache._watch is not None) == armed
+            db = str(index.db_path("/public"))
+            before = os.stat(db)
+            stamp = file_stamp(db)
+            _sql_in_place(
+                db, "UPDATE entries SET size = size + 1", journal_mode="MEMORY"
+            )
+            os.utime(db, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert file_stamp(db) == stamp
+            index.invalidate_cache("/public")
+            r = eng.run(E_ALL)
+            assert not r.cached
+            assert sorted(r.rows) == cold_rows(index, E_ALL)
+
     def test_journal_needs_a_sole_writer(self, demo_tree, tmp_path):
         """A writer in *another process* journals nothing and fires no
         hooks, so the stat-free changefeed fast path cannot see it: a

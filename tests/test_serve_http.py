@@ -142,15 +142,12 @@ class TestHTTPBridge:
         """Status line, headers and body leave in one write (one TCP
         segment), on a kept-alive connection and on a closing one."""
 
-        async def app(scope, receive, send):
-            await send({
-                "type": "http.response.start", "status": 200,
-                "headers": [(b"content-length", b"2")],
-            })
-            await send({"type": "http.response.body", "body": b"ok"})
+        class App:
+            def attempt(self, method, path, headers, body):
+                return 200, [(b"content-length", b"2")], b"ok"
 
         transport = asyncio.run(_drive(
-            app,
+            App(),
             b"GET /a HTTP/1.1\r\nhost: x\r\n\r\n"
             b"GET /b HTTP/1.1\r\nconnection: close\r\n\r\n"
             b"GET /never HTTP/1.1\r\n\r\n",
@@ -160,37 +157,6 @@ class TestHTTPBridge:
             b"connection: keep-alive\r\n\r\nok",
             b"HTTP/1.1 200 \r\ncontent-length: 2\r\n"
             b"connection: close\r\n\r\nok",
-        ]
-        assert transport.closed
-
-
-    def test_a_streamed_body_follows_its_head(self):
-        """An ASGI app that sends its body in parts: the head leaves
-        with the first part, each later part on its own."""
-
-        async def app(scope, receive, send):
-            await send({
-                "type": "http.response.start", "status": 200,
-                "headers": [(b"content-length", b"4")],
-            })
-            await send({
-                "type": "http.response.body", "body": b"ab",
-                "more_body": True,
-            })
-            await send({"type": "http.response.body", "body": b"cd"})
-
-        transport = asyncio.run(_drive(
-            app,
-            b"GET /a HTTP/1.1\r\n\r\n"
-            b"GET /b HTTP/1.1\r\nconnection: close\r\n\r\n",
-        ))
-        assert transport.writes == [
-            b"HTTP/1.1 200 \r\ncontent-length: 4\r\n"
-            b"connection: keep-alive\r\n\r\nab",
-            b"cd",
-            b"HTTP/1.1 200 \r\ncontent-length: 4\r\n"
-            b"connection: close\r\n\r\nab",
-            b"cd",
         ]
         assert transport.closed
 
@@ -251,19 +217,19 @@ class _EchoApp:
         self.seen: list[str] = []
 
     @staticmethod
-    def _reply(scope, body):
-        text = scope["path"].encode() + b"|" + body
+    def _reply(path, body):
+        text = path.encode() + b"|" + body
         return 200, [(b"content-length", b"%d" % len(text))], text
 
-    def attempt(self, scope, body):
-        self.seen.append(scope["path"])
-        if scope["path"].startswith("/slow"):
+    def attempt(self, method, path, headers, body):
+        self.seen.append(path)
+        if path.startswith("/slow"):
             async def later():
                 await asyncio.sleep(0.01)
-                return self._reply(scope, body)
+                return self._reply(path, body)
 
             return later()
-        return self._reply(scope, body)
+        return self._reply(path, body)
 
 
 def _reply_bodies(transport: _FakeTransport) -> list[bytes]:
@@ -323,15 +289,53 @@ class TestFraming:
         b"POST / HTTP/1.1\r\ncontent-length: ten\r\n\r\n",
         b"POST / HTTP/1.1\r\ncontent-length: -1\r\n\r\n",
         b"POST / HTTP/1.1\r\ncontent-length: %d\r\n\r\n" % (MAX_BODY + 1),
+        b"POST / HTTP/1.1\r\ncontent-length: +1\r\n\r\nx",
+        b"POST / HTTP/1.1\r\ncontent-length: " + b"9" * 5000 + b"\r\n\r\n",
         b"BOGUS\r\n\r\n",
         b"\r\n\r\n",
     ], ids=["long-line", "oversize-head", "bad-length", "negative-length",
-            "oversize-body", "bad-request-line", "empty-request-line"])
+            "oversize-body", "signed-length", "long-length",
+            "bad-request-line", "empty-request-line"])
     def test_malformed_input_closes_without_a_reply(self, raw):
         app = _EchoApp()
         transport = asyncio.run(_drive(app, raw, eof=False))
         assert transport.writes == [] and transport.closed
         assert app.seen == []
+
+    @pytest.mark.parametrize("raw", [
+        # the chunk bytes would be framed as the next request
+        _post("/fast/te", b"", b"transfer-encoding: chunked")
+        + b"0\r\n\r\n",
+        # a body by Content-Length, a smuggled request by the chunks
+        b"POST /fast/te HTTP/1.1\r\ncontent-length: 4\r\n"
+        b"transfer-encoding: chunked\r\n\r\n"
+        b"1d\r\nGET /fast/smuggled HTTP/1.1\r\n\r\n\r\n0\r\n\r\n",
+    ], ids=["chunked", "chunked-and-length"])
+    def test_transfer_encoding_closes_without_a_reply(self, raw):
+        app = _EchoApp()
+        transport = asyncio.run(_drive(app, raw, eof=False))
+        assert transport.writes == [] and transport.closed
+        assert app.seen == []
+
+    def test_two_content_lengths_that_differ_close_without_a_reply(self):
+        """With the last value winning, the 25-byte body would be
+        answered as a request of its own."""
+        smuggled = b"GET /metrics HTTP/1.1\r\n\r\n"
+        assert len(smuggled) == 25
+        app = _EchoApp()
+        transport = asyncio.run(_drive(
+            app,
+            b"POST /fast/cl HTTP/1.1\r\ncontent-length: 25\r\n"
+            b"content-length: 0\r\n\r\n" + smuggled,
+            eof=False,
+        ))
+        assert transport.writes == [] and transport.closed
+        assert app.seen == []
+        # the same value twice is one length
+        transport = asyncio.run(_drive(
+            _EchoApp(), _post("/fast/cl", b"abc", b"content-length: 3")
+        ))
+        assert _reply_bodies(transport) == [b"/fast/cl|abc"]
 
     def test_malformed_request_after_a_good_one(self):
         transport = asyncio.run(_drive(
@@ -366,8 +370,14 @@ class TestFraming:
         assert _reply_bodies(transport) == [b"/fast/q|"]
 
     def test_an_app_that_raises_closes_without_a_reply(self):
-        async def app(scope, receive, send):
-            raise RuntimeError("boom")
+        class App:
+            def attempt(self, method, path, headers, body):
+                async def boom():
+                    raise RuntimeError("boom")
+
+                return boom()
+
+        app = App()
 
         async def scenario():
             seen = []
@@ -537,7 +547,7 @@ class TestSocketParity:
                         stack.app.admission.inflight = 1
                 raw = None if body is None else json.dumps(body).encode()
                 before = [stack.counts() for stack in stacks]
-                a = asyncio.run(_asgi(inproc.app, method, path, user, body))
+                a = asyncio.run(_inproc(inproc.app, method, path, user, body))
                 b = _wire(port, method, path, user, raw)
                 for stack in stacks:
                     stack.app.admission.inflight = 0
@@ -563,7 +573,7 @@ class TestSocketParity:
                 lookups.clear()
 
 
-async def _asgi(app, method, path, user, body):
+async def _inproc(app, method, path, user, body):
     """One request over ``ASGIClient``: ``(status, headers, body)``."""
     resp = await ASGIClient(app).request(method, path, user=user, json_body=body)
     return resp.status, list(resp.headers.items()), resp.body
