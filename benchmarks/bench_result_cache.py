@@ -299,6 +299,8 @@ def prometheus_dump(tmp_root: Path) -> str:
         "gufi_result_cache_dirs_reused_total",
         "gufi_result_cache_validate_seconds",
         "gufi_result_cache_validations_total",
+        "gufi_session_cache_validations_total",
+        "gufi_index_watch_armed",
     ):
         assert metric in text, f"missing metric: {metric}"
     return text

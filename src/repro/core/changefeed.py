@@ -216,8 +216,9 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
     zero and does nothing.
 
     Every database is read through one connection, attached read-only
-    for one statement; only one whose delta is non-zero is opened
-    read-write, so a same-depth rename writes nothing.
+    for one statement; only one whose delta is non-zero is rewritten —
+    a staged copy, published by rename — so a same-depth rename writes
+    nothing.
     """
     reader = sqlite3.connect(":memory:", isolation_level=None)
     try:
@@ -235,8 +236,7 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
             delta = (0 if sp == "/" else sp.count("/")) - int(row[0])
             if not delta:
                 continue
-            conn = index.store(sp).open_rw()
-            try:
+            with index.store(sp).rewrite_primary() as conn:
                 conn.execute("BEGIN")
                 conn.execute("UPDATE summary SET depth = depth + ?", (delta,))
                 if row[1]:
@@ -244,8 +244,6 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
                         "UPDATE tsummary SET maxdepth = maxdepth + ?", (delta,)
                     )
                 conn.execute("COMMIT")
-            finally:
-                conn.close()
             index.invalidate_cache(sp)
     finally:
         reader.close()

@@ -47,7 +47,7 @@ from repro import obs
 from repro.fs.permissions import ROOT, Credentials
 from repro.scan.walker import FatalWalkError, ParallelTreeWalker, WalkStats
 from repro.sim.blktrace import IOTracer
-from repro.store.layout import DB_NAME, StampBracket
+from repro.store.layout import DB_NAME, StampBracket, file_stamp
 
 from ..index import DirMeta, GUFIIndex, IndexError_
 from ..plan import QueryPlan
@@ -277,9 +277,12 @@ class QueryEngine:
         sink: ResultSink | None,
         cancel: CancelToken | None,
         donor: CaptureSink | None = None,
+        watched: bool | None = None,
     ) -> QueryResult:
         """One real run: scatter-gather, the single-process walk, or
-        (no descent) the one directory on the calling thread."""
+        (no descent) the one directory on the calling thread.
+        ``watched`` says whether the caller drained the index's watch
+        (None: the run drains it itself)."""
         if descend and self.processes > 1:
             return self._scatter().run(spec, start, plan, sink, cancel)
         sink = MemorySink() if sink is None else sink
@@ -287,7 +290,7 @@ class QueryEngine:
 
         def impl(otr: Any) -> QueryResult:
             result = self._run_impl(
-                spec, start, descend, plan, sink, otr, cancel, donor
+                spec, start, descend, plan, sink, otr, cancel, donor, watched
             )
             if not descend and result.dirs_denied:
                 raise QueryPermissionError(f"permission denied: {start!r}")
@@ -336,7 +339,8 @@ class QueryEngine:
         # Snapshot the write clock and the invalidation sequence
         # *before* the run, like every stamp of its token: a write
         # landing mid-run sends the entry to the stamp pass, a writer
-        # announcing itself mid-run aborts the store.
+        # announcing itself mid-run aborts the store. Reading the watch
+        # drained it: the run does not drain again.
         inv_seq = cache.invalidation_seq
         clock = cache.clock(self.index)
         # A stale entry under this key donates its unchanged
@@ -349,6 +353,7 @@ class QueryEngine:
         result = self._run_uncached(
             spec, start, descend, plan, capture, cancel,
             capture if capture.donor is not None else None,
+            clock is not None and clock[1] == "inotify",
         )
         entry = cache.store(key, capture, result, clock, inv_seq)
         if entry is not None:
@@ -545,6 +550,14 @@ class QueryEngine:
                 - cache_before[f"{which}_misses"],
                 kind=which,
             )
+        # lookups answered clean off the watch, and by a stamp check
+        for rule in ("watch", "stat"):
+            rec.counter(
+                "gufi_session_cache_validations_total",
+                cache_after[f"validations_{rule}"]
+                - cache_before[f"validations_{rule}"],
+                rule=rule,
+            )
 
     # ------------------------------------------------------------------
     # Walk execution
@@ -559,11 +572,18 @@ class QueryEngine:
         otr: Any,
         cancel: CancelToken | None = None,
         donor: CaptureSink | None = None,
+        watched: bool | None = None,
     ) -> QueryResult:
         start = normalize_path(start)
         start_depth = path_depth(start)
+        # One drain before anything of the tree is read, the start's
+        # ancestors included: every write it reports marks its
+        # directory's cached records dirty, and the rest are clean.
+        if watched is None:
+            watched = self.index.sync()
         trav = Traversal(
-            self.index, self.creds, spec, plan, start_depth, cancel=cancel
+            self.index, self.creds, spec, plan, start_depth, cancel=cancel,
+            watched=watched,
         )
         ancestors = trav.check_start(start)
         result = self._walk_units(
@@ -615,6 +635,9 @@ class QueryEngine:
         # with neither reads (and caches, marked as such) the lean
         # record. Decided here, once; enforced by ``get_meta``.
         lean = trav.plan is None and not spec.T
+        # Watched, a clean record comes with no stat; the one stat a
+        # directory then costs is the check before its attach.
+        watched = trav.watched
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
         db_suffix = "/" + DB_NAME
         # Thread-ident -> checked-out state, for *this* run only (the
@@ -649,7 +672,7 @@ class QueryEngine:
             # Descent-time 'stat': the validated cache answers warm
             # queries with a dictionary lookup; denied directories are
             # then skipped without ever attaching their database.
-            meta = index.cache.get_meta(source_path, db_path, lean)
+            meta = index.cache.get_meta(source_path, db_path, lean, watched)
             if meta is not None:
                 db_stamp = meta.stamp
             else:
@@ -699,7 +722,16 @@ class QueryEngine:
                         st.pruned += 1
                     st.ran.append(source_path)
                     return children(meta)
-            elif db_stamp is None:
+                if watched and file_stamp(db_path) != db_stamp:
+                    # Written since the drain: the permission decision
+                    # and the rows must come from the same file, so
+                    # this one is read cold.
+                    meta = None
+                    bracket = StampBracket(db_path)
+                    db_stamp = bracket.stamp
+                    if collect:
+                        st.token[source_path] = (db_stamp, None)
+            if meta is None and db_stamp is None:
                 return []
             # Warm, the cached record has granted access (the kernel
             # would have refused a denied user the open). Cold, this

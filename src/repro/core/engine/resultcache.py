@@ -51,8 +51,9 @@ equal to what a cold run would return right now:
 * **Write clock.** A lookup first reads the cache's clock
   (:meth:`ResultCache.clock`): the invalidation sequence paired with
   something that any write to the index advances. Where the index
-  tree sits on a local file system the cache arms a
-  :mod:`repro.store.watch` on it — inotify over every directory — and
+  tree sits on a local file system its handle's
+  :mod:`repro.store.watch` — inotify over every directory, armed by
+  the cache's first bind (:meth:`GUFIIndex.arm_watch`) — is armed, and
   the clock is its generation, which moves on every write from any
   process, this one or another: one ``stat`` of the root and one
   drain of an empty event queue. Without an armed watch, an attached
@@ -111,7 +112,6 @@ from .types import _COUNTER_FIELDS, QueryResult, QuerySpec, Token
 if TYPE_CHECKING:
     from repro.fs.changelog import ChangeJournal
     from repro.fs.permissions import Credentials
-    from repro.store.watch import Watch
 
     from ..index import DirMetaCache, GUFIIndex
 
@@ -406,9 +406,6 @@ class ResultCache:
         #: set by :meth:`attach_journal`: a changefeed is the sole
         #: writer of this index
         self.journal: "ChangeJournal | None" = None
-        #: the inotify write clock over the bound index's tree, armed
-        #: by the first :meth:`bind_index` where the file system allows
-        self._watch: "Watch | None" = None
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
         self.total_bytes = 0
@@ -433,25 +430,20 @@ class ResultCache:
     # ------------------------------------------------------------------
     def bind_index(self, index: "GUFIIndex") -> None:
         """Subscribe to the index handle's DirMeta-cache invalidation
-        hooks — the push half of invalidation — and, the first time,
-        arm the write clock's watch over its tree. Cache keys do not
-        name the index, so a cache serves one handle: binding it again
-        does nothing, binding another raises ``ValueError``. The hook
-        holds this cache weakly, so a dropped cache unhooks itself at
-        the next notification; the watch goes with the cache."""
+        hooks — the push half of invalidation — and arm the handle's
+        watch, the write clock (:meth:`GUFIIndex.arm_watch`: once per
+        handle, off this cache's lock). Cache keys do not name the
+        index, so a cache serves one handle: binding it again does
+        nothing, binding another raises ``ValueError``. The hook holds
+        this cache weakly, so a dropped cache unhooks itself at the
+        next notification."""
         meta = index.cache
         with self._lock:
             if self._meta is not None and self._meta is not meta:
                 raise ValueError("a result cache serves one index handle")
-            if self._meta is None:
-                # imported here: a one-shot CLI run binds no cache and
-                # need not load ctypes
-                from repro.store import watch
-
-                self._watch = watch.arm(str(index.root))
-                if self._watch is not None:
-                    weakref.finalize(self, self._watch.release)
             self._meta = meta
+        index.arm_watch()
+        with self._lock:
             if self._hook is not None:
                 return
             self_ref = weakref.ref(self)
@@ -664,8 +656,8 @@ class ResultCache:
         armed watch's generation, else the applied changefeed cursor
         of a declared sole writer, else None (no clock: every hit pays
         the stamp pass)."""
-        if self._watch is not None:
-            generation = self._watch.clock()
+        if index.watch is not None:
+            generation = index.watch.clock()
             if generation is not None:
                 return (self.invalidation_seq, "inotify", generation)
         if self.journal is not None:

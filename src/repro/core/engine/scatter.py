@@ -375,7 +375,10 @@ class ScatterGatherEngine:
         shards = plan_shards(trav, start, self.processes)
         if shards is None:
             # Tree too narrow to shard: run single-process, same sink.
-            return engine._run_impl(spec, start, True, plan, sink, otr, cancel)
+            # never watched: the plan above was read off stamps
+            return engine._run_impl(
+                spec, start, True, plan, sink, otr, cancel, watched=False
+            )
 
         timing = obs.metrics().enabled
         worker_spec = replace(spec, G=None)

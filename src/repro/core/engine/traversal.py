@@ -146,6 +146,7 @@ class Traversal:
         plan: QueryPlan | None,
         start_depth: int = 0,
         cancel: CancelToken | None = None,
+        watched: bool = False,
     ) -> None:
         self.index = index
         self.creds = creds
@@ -153,6 +154,9 @@ class Traversal:
         self.plan = plan if spec.per_dir_stages() else None
         self.start_depth = start_depth
         self.cancel = cancel
+        #: the run drained the index's watch (:meth:`GUFIIndex.sync`):
+        #: clean cached records and listings come with no stat
+        self.watched = watched
 
     # ------------------------------------------------------------------
     # Cancellation
@@ -183,13 +187,15 @@ class Traversal:
         """The query root must be reachable — every proper ancestor,
         ``/`` first, grants search (x): the kernel's path-walk rule,
         reproduced for the index — and indexed. With a warm cache this
-        is one dictionary lookup (plus a validating stat) per ancestor,
-        not one database open per ancestor. Returns each ancestor's
+        is one dictionary lookup (plus a validating stat, none for a
+        watched run's clean record) per ancestor, not one database open
+        per ancestor. Returns each ancestor's
         ``db.db`` stamp, the one its permission bits were read under
         (no listing: the walk reads none there)."""
         token: Token = {}
+        index = self.index
         for cur in proper_ancestors(start):
-            meta = self.index.cached_dir_meta(cur)
+            meta = index.cached_dir_meta(cur, self.watched)
             if meta is None:
                 raise FileNotFoundError(f"no index directory for {cur!r}")
             if not can_search_dir(meta.mode, meta.uid, meta.gid, self.creds):
@@ -197,7 +203,9 @@ class Traversal:
                     f"permission denied traversing {cur!r}"
                 )
             token[cur] = (meta.stamp, None)
-        if not self.index.db_path(start).exists():
+        if not (self.watched and index.cache.vouches(start)) and not (
+            index.db_path(start).exists()
+        ):
             raise FileNotFoundError(f"no index directory for {start!r}")
         return token
 
@@ -273,5 +281,5 @@ class Traversal:
             if not self.plan.descend_allowed(rel_depth, sub_max):
                 return None, []
         prefix = "" if source_path == "/" else source_path
-        stamp, names = self.index.cached_subdir_names(source_path)
+        stamp, names = self.index.cached_subdir_names(source_path, self.watched)
         return stamp, [f"{prefix}/{name}" for name in names]

@@ -23,14 +23,20 @@ import functools
 import json
 import os
 import sqlite3
+import threading
 import time
-from collections.abc import Iterator
+import weakref
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro import obs
 from repro.store import connect, layout, schema
 from repro.store.layout import DirStore, StampBracket, is_side_artifact
+
+if TYPE_CHECKING:
+    from repro.store.watch import Watch
 
 
 META_FILE = "gufi_index.json"
@@ -181,6 +187,13 @@ def _fold_stats(rows: list[tuple], maxdepth: int | None) -> DirStats | None:
     )
 
 
+def _at_or_below(keys: Iterable[str], tops: tuple[str, ...]) -> list[str]:
+    """The source paths among ``keys`` at or below any of ``tops``
+    (a snapshot: other threads may be adding keys)."""
+    below = tuple(top + "/" for top in tops)
+    return [k for k in list(keys) if k in tops or k.startswith(below)]
+
+
 class DirMetaCache:
     """In-memory cache of per-directory :class:`DirMeta`, of child
     directory listings, and of tree-summary contributions (what one
@@ -188,19 +201,29 @@ class DirMetaCache:
     :mod:`repro.core.tsummary`), shared by every query and every
     tree-summary build on one index handle.
 
-    Entries are validated on every lookup against a stat-derived stamp
-    of the backing file ((inode, mtime_ns, size) for ``db.db``,
-    (inode, mtime_ns) for the directory), so out-of-band rewrites are
-    caught by construction: the update path renames a new file over
-    the database, changing the inode regardless of timestamp granularity.
-    Writers inside this codebase (update, refresh, rollup/unrollup)
-    additionally call the explicit ``invalidate*`` hooks — the
-    authoritative mechanism, since DirMeta carries the §III-A security
-    metadata (mode/uid/gid/rolledup) and a stale entry would mean a
-    stale permission decision.
+    Entries are validated against a stat-derived stamp of the backing
+    file ((inode, mtime_ns, size) for ``db.db``, (inode, mtime_ns) for
+    the directory), so out-of-band rewrites are caught by construction:
+    the update path renames a new file over the database, changing the
+    inode regardless of timestamp granularity. Writers inside this
+    codebase (update, refresh, rollup/unrollup) additionally call the
+    explicit ``invalidate*`` hooks — the authoritative mechanism, since
+    DirMeta carries the §III-A security metadata (mode/uid/gid/rolledup)
+    and a stale entry would mean a stale permission decision.
 
-    Plain dict operations are atomic under the GIL, so concurrent
-    worker threads need no lock; the hit/miss counters are advisory.
+    **Watched lookups.** Where the handle's inotify watch is armed
+    (:meth:`GUFIIndex.arm_watch`), each drained batch of events marks
+    the directories it named dirty (:meth:`mark_dirty`). An entry is
+    *clean* once a stamp check passed with no batch drained during the
+    check, and stays clean until an event names its directory. A
+    ``watched`` lookup — one whose caller drained the watch in the
+    process that armed it (:meth:`GUFIIndex.sync`) — returns a clean
+    entry with no ``stat``; any other lookup checks the stamp as
+    always. Nothing cached before the watch armed is clean, and
+    neither is a record put for another file since its last check.
+
+    Plain dict and set operations are atomic under the GIL, so
+    concurrent worker threads need no lock; the counters are advisory.
     """
 
     def __init__(self) -> None:
@@ -217,6 +240,16 @@ class DirMetaCache:
         self.contribution_hits = 0
         self.contribution_misses = 0
         self.invalidations = 0
+        #: source paths whose record, listing or contribution is clean
+        self._clean_meta: set[str] = set()
+        self._clean_subdirs: set[str] = set()
+        self._clean_contribs: set[str] = set()
+        #: advanced by every batch :meth:`mark_dirty` applies, before it
+        #: marks anything: a check that saw it move marks nothing clean
+        self.epoch = 0
+        #: lookups answered clean, with no stat, and by a stamp check
+        self.validations_watch = 0
+        self.validations_stat = 0
         #: invalidation listeners: ``cb(path | None, subtree: bool)``,
         #: called after entries are dropped. The result cache hangs off
         #: this so every writer that announces itself here invalidates
@@ -244,59 +277,111 @@ class DirMetaCache:
 
     # -- DirMeta -------------------------------------------------------
     def get_meta(
-        self, source_path: str, db_path: Path | str, lean: bool = False
+        self,
+        source_path: str,
+        db_path: Path | str,
+        lean: bool = False,
+        watched: bool = False,
     ) -> DirMeta | None:
         """The validated record, or ``None`` (a counted miss). A
         ``lean`` lookup — the caller reads mode/uid/gid/rolledup only —
         is served by either shape of record. A full lookup is never
         served by a lean record: it misses, the caller takes the cold
         path with the full statement, and what it publishes replaces
-        the lean record. This is the one place that rule lives."""
+        the lean record. This is the one place that rule lives.
+        ``watched``: the caller drained the handle's watch (see the
+        class docstring)."""
         meta = self._meta.get(source_path)
         if meta is not None and (lean or not meta.lean):
+            if watched and source_path in self._clean_meta:
+                self.validations_watch += 1
+                self.meta_hits += 1
+                return meta
+            epoch = self.epoch
             stamp = layout.file_stamp(db_path)
+            self.validations_stat += 1
             if stamp is not None and stamp == meta.stamp:
                 self.meta_hits += 1
+                if watched:
+                    self._mark_clean(self._clean_meta, source_path, epoch)
                 return meta
             self._meta.pop(source_path, None)
         self.meta_misses += 1
         return None
 
+    def _mark_clean(self, clean: set[str], path: str, epoch: int) -> None:
+        """``path`` passed a stamp check that began at ``epoch``: clean,
+        unless a batch of events was drained meanwhile. Marked first and
+        checked second, so a batch that lands between the two either
+        moved the epoch already or marks the path dirty after."""
+        clean.add(path)
+        if self.epoch != epoch:
+            clean.discard(path)
+
+    def vouches(self, source_path: str) -> bool:
+        """Is the record of ``source_path`` clean (so its database was
+        there at the last drain)? For a ``watched`` caller only."""
+        return source_path in self._clean_meta
+
     def put_meta(self, source_path: str, meta: DirMeta) -> None:
         """Publish a record read under ``meta.stamp``. A lean record
         never displaces a full one of the same file (two runs racing on
-        one handle): the full one answers both kinds of lookup."""
-        if meta.lean:
-            held = self._meta.get(source_path)
-            if held is not None and held.stamp == meta.stamp and not held.lean:
-                return
+        one handle): the full one answers both kinds of lookup. A clean
+        record replaced by one of another file is dirty."""
+        held = self._meta.get(source_path)
+        same = held is not None and held.stamp == meta.stamp
+        if meta.lean and same and not held.lean:
+            return
         self._meta[source_path] = meta
+        if not same:
+            self._clean_meta.discard(source_path)
 
     # -- subdir listings ----------------------------------------------
     def get_subdirs(
-        self, source_path: str, dir_path: Path | str
+        self, source_path: str, dir_path: Path | str, watched: bool = False
     ) -> tuple[tuple, list[str]] | None:
         """The validated ``(directory stamp, names)``, or ``None`` (a
         counted miss)."""
         entry = self._subdirs.get(source_path)
         if entry is not None:
+            if watched and source_path in self._clean_subdirs:
+                self.validations_watch += 1
+                self.subdir_hits += 1
+                return entry
+            epoch = self.epoch
             stamp = layout.dir_stamp(dir_path)
+            self.validations_stat += 1
             if stamp is not None and stamp == entry[0]:
                 self.subdir_hits += 1
+                if watched:
+                    self._mark_clean(self._clean_subdirs, source_path, epoch)
                 return entry
             self._subdirs.pop(source_path, None)
         self.subdir_misses += 1
         return None
 
     def put_subdirs(self, source_path: str, stamp: tuple, names: list[str]) -> None:
+        held = self._subdirs.get(source_path)
         self._subdirs[source_path] = (stamp, names)
+        if held is None or held[0] != stamp:
+            self._clean_subdirs.discard(source_path)
 
     # -- tree-summary contributions -----------------------------------
-    def get_contribution(self, source_path: str) -> Any | None:
+    def get_contribution(
+        self, source_path: str, watched: bool = False
+    ) -> Any | None:
         entry = self._contribs.get(source_path)
         if entry is not None:
+            if watched and source_path in self._clean_contribs:
+                self.validations_watch += 1
+                self.contribution_hits += 1
+                return entry[2]
+            epoch = self.epoch
+            self.validations_stat += 1
             if layout.file_stamp(entry[1]) == entry[0]:
                 self.contribution_hits += 1
+                if watched:
+                    self._mark_clean(self._clean_contribs, source_path, epoch)
                 return entry[2]
             self._contribs.pop(source_path, None)
         self.contribution_misses += 1
@@ -305,15 +390,36 @@ class DirMetaCache:
     def put_contribution(
         self, source_path: str, stamp: tuple, db_path: str, contribution: Any
     ) -> None:
+        held = self._contribs.get(source_path)
         self._contribs[source_path] = (stamp, db_path, contribution)
+        if held is None or held[0] != stamp:
+            self._clean_contribs.discard(source_path)
+
+    # -- the watch's dirty marks --------------------------------------
+    def mark_dirty(self, paths: set[str], subtrees: list[str] | None) -> None:
+        """One drained batch of watch events: ``paths`` and everything
+        at or below each of ``subtrees`` are dirty — everything when
+        ``subtrees`` is ``None`` (an overflow, a re-arm, a disarm). The
+        entries stay; their next lookup checks their stamps."""
+        self.epoch += 1
+        if subtrees is None:
+            for clean in self._cleans():
+                clean.clear()
+            return
+        tops = tuple(subtrees)
+        for clean in self._cleans():
+            clean.difference_update(paths)
+            if tops:
+                clean.difference_update(_at_or_below(clean, tops))
 
     # -- invalidation hooks -------------------------------------------
     def invalidate(self, source_path: str) -> None:
         """Drop one directory's cached metadata, child listing and
         tree-summary contribution."""
-        self._meta.pop(source_path, None)
-        self._subdirs.pop(source_path, None)
-        self._contribs.pop(source_path, None)
+        for table in self._tables():
+            table.pop(source_path, None)
+        for clean in self._cleans():
+            clean.discard(source_path)
         self.invalidations += 1
         self._notify(source_path, False)
 
@@ -323,23 +429,28 @@ class DirMetaCache:
         if source_path == "/":
             self.clear()
             return
-        prefix = source_path + "/"
-        for table in (self._meta, self._subdirs, self._contribs):
-            for key in [
-                k for k in list(table) if k == source_path or k.startswith(prefix)
-            ]:
+        for table in self._tables():
+            for key in _at_or_below(table, (source_path,)):
                 table.pop(key, None)
+        for clean in self._cleans():
+            clean.difference_update(_at_or_below(clean, (source_path,)))
         parent = source_path.rsplit("/", 1)[0] or "/"
         self._subdirs.pop(parent, None)
+        self._clean_subdirs.discard(parent)
         self.invalidations += 1
         self._notify(source_path, True)
 
     def clear(self) -> None:
-        self._meta.clear()
-        self._subdirs.clear()
-        self._contribs.clear()
+        for table in (*self._tables(), *self._cleans()):
+            table.clear()
         self.invalidations += 1
         self._notify(None, True)
+
+    def _tables(self) -> tuple[dict, dict, dict]:
+        return self._meta, self._subdirs, self._contribs
+
+    def _cleans(self) -> tuple[set[str], set[str], set[str]]:
+        return self._clean_meta, self._clean_subdirs, self._clean_contribs
 
     def stats(self) -> dict[str, int]:
         return {
@@ -350,6 +461,8 @@ class DirMetaCache:
             "contribution_hits": self.contribution_hits,
             "contribution_misses": self.contribution_misses,
             "invalidations": self.invalidations,
+            "validations_watch": self.validations_watch,
+            "validations_stat": self.validations_stat,
             "meta_entries": len(self._meta),
             "subdir_entries": len(self._subdirs),
             "contribution_entries": len(self._contribs),
@@ -369,6 +482,12 @@ class GUFIIndex:
         #: shared DirMeta/subdir-listing cache for every query session
         #: holding this handle (see :class:`DirMetaCache`)
         self.cache = DirMetaCache()
+        #: the inotify watch over this handle's tree, once
+        #: :meth:`arm_watch` armed one (see :mod:`repro.store.watch`)
+        self.watch: Watch | None = None
+        #: held while the one attempt to arm runs
+        self._arm_lock = threading.Lock()
+        self._arm_tried = False
 
     # ------------------------------------------------------------------
     # Creation / opening
@@ -393,6 +512,46 @@ class GUFIIndex:
         if not (root / META_FILE).exists():
             raise IndexError_(f"{root} is not a GUFI index (missing {META_FILE})")
         return cls(root)
+
+    # ------------------------------------------------------------------
+    # The watch: one change signal per handle
+    # ------------------------------------------------------------------
+    def arm_watch(self) -> None:
+        """Arm this handle's watch, once: the first result-cache bind
+        and ``serve``'s start-up ask, never :meth:`open`, so a one-shot
+        CLI handle stays unarmed. The walk over the tree (≈19 µs a
+        directory) runs under the handle's own one-shot lock, never a
+        cache's; a tree over its share of the watch budget, or on a
+        file system the watch cannot vouch for, stays unarmed. Its
+        drained events mark :attr:`cache`'s entries dirty; the watch
+        goes with the handle."""
+        with self._arm_lock:
+            if self._arm_tried:
+                return
+            self._arm_tried = True
+            # imported here: a one-shot CLI run arms nothing and need
+            # not load ctypes
+            from repro.store import watch
+
+            w = watch.arm(str(self.root), self.cache.mark_dirty)
+            if w is not None:
+                weakref.finalize(self, w.release)
+            self.watch = w
+        obs.metrics().gauge("gufi_index_watch_armed", self.watched)
+
+    @property
+    def watched(self) -> bool:
+        """Is the watch armed, and this the process that armed it?"""
+        w = self.watch
+        return w is not None and w.armed and os.getpid() == w.pid
+
+    def sync(self) -> bool:
+        """Drain the watch into :attr:`cache` before a walk: True when
+        the walk may take clean entries with no stat (the watch is
+        armed, in this process, over the tree the root still names —
+        one ``stat`` of the root, then the drain)."""
+        w = self.watch
+        return w is not None and w.clock() is not None
 
     def _write_meta(self, meta: dict) -> None:
         (self.root / META_FILE).write_text(json.dumps(meta, indent=2))
@@ -542,15 +701,18 @@ class GUFIIndex:
             bool(n_ts), stamp,
         )
 
-    def _dir_meta(self, source_path: str, strict: bool) -> DirMeta | None:
+    def _dir_meta(
+        self, source_path: str, strict: bool, watched: bool = False
+    ) -> DirMeta | None:
         """The one bracketed reader behind :meth:`dir_meta` (strict:
         errors raise) and :meth:`cached_dir_meta` (lenient: ``None``).
         The stamp is taken before the read and re-checked after it: an
         entry is published only when the file provably did not change
         across the read, so a write racing the read can never pin a
-        stale DirMeta."""
+        stale DirMeta. ``watched``: the caller drained the watch
+        (:meth:`sync`)."""
         db_path = os.path.join(self.index_path(source_path), layout.DB_NAME)
-        meta = self.cache.get_meta(source_path, db_path)
+        meta = self.cache.get_meta(source_path, db_path, watched=watched)
         if meta is not None:
             return meta
         bracket = StampBracket(db_path)
@@ -575,11 +737,13 @@ class GUFIIndex:
         assert meta is not None
         return meta
 
-    def cached_dir_meta(self, source_path: str) -> DirMeta | None:
+    def cached_dir_meta(
+        self, source_path: str, watched: bool = False
+    ) -> DirMeta | None:
         """Cache-first DirMeta read with the query engine's lenient
         semantics: ``None`` for a missing or unreadable database
         instead of an exception (a denied-by-absence answer)."""
-        return self._dir_meta(source_path, strict=False)
+        return self._dir_meta(source_path, False, watched)
 
     def invalidate_cache(self, source_path: str | None = None) -> None:
         """Explicit invalidation hook for writers: one directory, or
@@ -590,14 +754,15 @@ class GUFIIndex:
             self.cache.invalidate(source_path)
 
     def cached_subdir_names(
-        self, source_path: str
+        self, source_path: str, watched: bool = False
     ) -> tuple[tuple[int, int] | None, list[str]]:
         """:meth:`subdir_names` through the mtime-validated cache, with
         the directory stamp the listing was validated or read under
-        (taken before the read; ``None`` when the directory is gone)."""
+        (taken before the read; ``None`` when the directory is gone).
+        ``watched``: the caller drained the watch (:meth:`sync`)."""
         # a plain string: this runs once per directory of every walk
         base = self.index_path(source_path)
-        entry = self.cache.get_subdirs(source_path, base)
+        entry = self.cache.get_subdirs(source_path, base, watched)
         if entry is not None:
             return entry
         stamp = layout.dir_stamp(base)

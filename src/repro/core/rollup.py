@@ -37,7 +37,6 @@ property the incremental update tool relies on.
 from __future__ import annotations
 
 import os
-import shutil
 import sqlite3
 import threading
 import time
@@ -206,11 +205,11 @@ def _merge_child(
         src = child_dir / filename
         if not src.exists():
             continue
-        dst = store.partial_path(filename)
+        staged = store.partial_path(filename)
         if filename in sides:
-            dst_conn = connect.open_rw(dst)
+            dst_conn = connect.open_rw(staged)
         else:
-            dst_conn = connect.create_side_db(dst, fresh=True)
+            dst_conn = connect.create_side_db(staged, fresh=True)
         try:
             with attached(dst_conn, src, "src"):
                 dst_conn.execute(
@@ -239,14 +238,6 @@ FAULT_SITE = "rollup_dir"
 UNROLLUP_FAULT_SITE = "unrollup_dir"
 
 
-def _stage_copies(store: DirStore, names: list[str]) -> None:
-    """Copy published artifacts to their staging names. No sweep: each
-    is written afresh, and publish removes whatever else a killed
-    attempt left."""
-    for name in names:
-        shutil.copyfile(store.artifact_path(name), store.partial_path(name))
-
-
 def rollup_dir(
     index: GUFIIndex,
     source_path: str,
@@ -270,7 +261,7 @@ def rollup_dir(
     store = DirStore(index.index_path(source_path))
     boundary()
     sides = store.side_artifacts()
-    _stage_copies(store, [layout.DB_NAME, *sides])
+    store.stage_copies([layout.DB_NAME, *sides])
     conn = connect.open_rw(store.partial_path(layout.DB_NAME))
     try:
         conn.execute("BEGIN")
@@ -338,7 +329,7 @@ def unrollup_dir(
         conn.close()
     # pre-existing side databases may hold rolled-in rows
     kept = [n for n in store.side_artifacts() if n not in created]
-    _stage_copies(store, [layout.DB_NAME, *kept])
+    store.stage_copies([layout.DB_NAME, *kept])
     conn = connect.open_rw(store.partial_path(layout.DB_NAME))
     try:
         conn.execute("BEGIN")

@@ -272,6 +272,9 @@ class GUFIServer:
                 max_bytes=total,
                 max_scope_bytes=max(1, total // 4),
             )
+            # bound (and the index's watch armed) now, before a request
+            # could pay the walk over the tree
+            self.result_cache.bind_index(index)
         if max_rows is None:
             max_rows = self.DEFAULT_MAX_ROWS
         #: effective response row cap (None when disabled)

@@ -223,9 +223,13 @@ def build_tsummary(
     and their ``pentries`` tables every merged entry, so one database
     read covers the whole rolled sub-tree.
 
-    On a warm index handle the walk costs one ``stat`` per directory
-    plus one database read per directory that changed since the last
-    build (any start); a fresh handle reads every database once.
+    On a warm index handle the walk costs one database read per
+    directory that changed since the last build (any start) plus, per
+    directory, one ``stat`` — none where the handle's watch vouches
+    for it: the build drains the watch first, and a directory no event
+    named since its last check is clean. A fresh handle reads every
+    database once. The rows are written into a staged copy of the start
+    directory's database, published by rename.
     """
     t0 = time.monotonic()
     overall = _Agg()
@@ -233,6 +237,7 @@ def build_tsummary(
     by_gid: defaultdict[int, _Agg] = defaultdict(_Agg)
     dirs_scanned = dbs_opened = 0
     cache = index.cache
+    watched = index.sync()
 
     start = "/" + "/".join(p for p in start.split("/") if p)
     stack = [start]
@@ -242,7 +247,7 @@ def build_tsummary(
     try:
         while stack:
             sp = stack.pop()
-            contrib = cache.get_contribution(sp)
+            contrib = cache.get_contribution(sp, watched)
             if contrib is None:
                 contrib = _contribution(index, reader, sp)
                 if contrib is None:
@@ -267,7 +272,8 @@ def build_tsummary(
                 continue
             prefix = "" if sp == "/" else sp
             stack.extend(
-                f"{prefix}/{n}" for n in index.cached_subdir_names(sp)[1]
+                f"{prefix}/{n}"
+                for n in index.cached_subdir_names(sp, watched)[1]
             )
     finally:
         reader.close()
@@ -282,15 +288,12 @@ def build_tsummary(
     # §III-B: the table is created here, where bfti was asked, in the
     # transaction that writes its rows — a database either has tree-
     # summary rows or no tsummary table
-    conn = index.store(start).open_rw()
-    try:
+    with index.store(start).rewrite_primary() as conn:
         conn.execute("BEGIN")
         conn.execute(schema.compact_ddl(schema.CREATE_TSUMMARY))
         conn.execute("DELETE FROM tsummary")
         conn.executemany(_TS_INSERT, rows)
         conn.execute("COMMIT")
-    finally:
-        conn.close()
     # DirMeta.tsummary steers the T stage: warm sessions must see it
     # now, not on the next stamp revalidation
     index.invalidate_cache(start)
@@ -305,9 +308,6 @@ def build_tsummary(
 
 def drop_tsummary(index: GUFIIndex, start: str = "/") -> None:
     """Remove the tree summary at ``start`` (admin operation)."""
-    conn = index.store(start).open_rw()
-    try:
+    with index.store(start).rewrite_primary() as conn:
         conn.execute("DROP TABLE IF EXISTS tsummary")
-    finally:
-        conn.close()
     index.invalidate_cache(start)

@@ -281,6 +281,10 @@ class GUFIApp:
         if method == "GET" and path == "/healthz":
             return self._json(200, {"ok": True})
         if method == "GET" and path == "/metrics":
+            # the watch may have given up since it armed
+            obs.metrics().gauge(
+                "gufi_index_watch_armed", self.server.index.watched
+            )
             text = to_prometheus(obs.snapshot())
             return self._reply(
                 200, b"text/plain; version=0.0.4", text.encode("utf-8")
@@ -331,11 +335,19 @@ class GUFIApp:
     ) -> dict | tuple:
         """The loop's part of one invocation: the payload of a hit
         answered here, or the arguments of :meth:`_executed`."""
-        user = None
-        for name, value in reversed(headers):  # the last one counts
-            if name.lower() == b"x-gufi-user":
-                user = value.decode("latin-1")
-                break
+        # One identity per request: a proxy that checks the first value
+        # and an app that trusted the last would disagree about who is
+        # asking, so two differing values are refused before anything
+        # is authenticated (identical repeats are one identity).
+        users = {
+            value for name, value in headers if name.lower() == b"x-gufi-user"
+        }
+        if len(users) > 1:
+            self._reject("auth")
+            raise _HTTPError(
+                401, "auth_failed", "conflicting x-gufi-user headers"
+            )
+        user = users.pop().decode("latin-1") if users else None
         if not user:
             raise _HTTPError(
                 401, "auth_required", "missing x-gufi-user header"

@@ -17,10 +17,12 @@ publish removes it.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import shutil
 import sqlite3
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -94,11 +96,12 @@ def side_db_name(kind: str, ident: int) -> str:
 
 def file_stamp(path: Path | str) -> tuple[int, int, int] | None:
     """Cache-validation stamp for a database file: (inode, mtime_ns,
-    size). The rebuild path renames a newly staged file over the
-    primary database, so the inode alone changes even on file systems
-    with coarse timestamps; in-place writers (rollup, tsummary,
-    migrate) bump mtime_ns. ``None`` when the file is missing — a
-    missing stamp never validates a cache entry."""
+    size). Every writer of a published primary — a rebuild, rollup,
+    a tree summary, a depth fix, migrate — stages a new file and
+    renames it over the old one, so the inode alone changes even on
+    file systems with coarse timestamps; mtime_ns and size catch a
+    foreign writer that edits in place. ``None`` when the file is
+    missing — a missing stamp never validates a cache entry."""
     try:
         st = os.stat(path)
     except OSError:
@@ -238,6 +241,33 @@ class DirStore:
             ]
         self._unlink(doomed)
 
+    def stage_copies(self, names: Iterable[str]) -> None:
+        """Copy published artifacts to their staging names, for a writer
+        that edits them and publishes the copies. No sweep: each is
+        written afresh, and a publish removes whatever else a killed
+        attempt left."""
+        for name in names:
+            shutil.copyfile(self.artifact_path(name), self.partial_path(name))
+
+    @contextlib.contextmanager
+    def rewrite_primary(self) -> Iterator[sqlite3.Connection]:
+        """Edit the published primary without writing it: a read-write
+        connection on a staged copy, renamed over the primary when the
+        block ends without an exception. Readers attach the published
+        file ``immutable``, so it is never written in place; a kill
+        before the rename leaves it whole and the copy to the next
+        sweep. The side artifacts stay as they are."""
+        from . import connect
+
+        self.stage_copies([DB_NAME])
+        staged = self.partial_path(DB_NAME)
+        conn = connect.open_rw(staged)
+        try:
+            yield conn
+        finally:
+            conn.close()
+        os.replace(staged, self.db_path)
+
     def _unlink(self, names: Iterable[str]) -> None:
         for name in names:
             try:
@@ -293,11 +323,6 @@ class DirStore:
         from . import connect
 
         return connect.open_ro(self.db_path, tracer)
-
-    def open_rw(self) -> sqlite3.Connection:
-        from . import connect
-
-        return connect.open_rw(self.db_path)
 
     def create_primary(self, fresh: bool = False) -> sqlite3.Connection:
         """Create (template copy) and open the primary database *in

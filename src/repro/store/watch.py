@@ -13,6 +13,15 @@ writer is, this process or another one — after one ``stat`` of the
 root and one drain of the event queue (a ``FIONREAD`` that finds it
 empty). Equal generations mean no write reached the tree in between.
 
+A drain also says *where*: each batch of events goes to the watch's
+``on_change(paths, subtrees)`` as the source paths (index-relative,
+``/`` for the root) of the directories the events named, and the
+directories whose whole subtree may have changed — one created,
+deleted or moved, in or out. ``subtrees`` is ``None`` when anything
+may have changed: an overflow, a re-arm, a disarm. The index handle
+that owns the watch marks those paths' cached records dirty
+(:meth:`repro.core.index.DirMetaCache.mark_dirty`).
+
 The tree's shape is followed as it changes: a directory created or
 moved in gets watched with its whole subtree. One moved inside the
 tree keeps its watch descriptors (they follow the inode) and is walked
@@ -61,6 +70,10 @@ import sys
 import termios
 import threading
 from typing import Callable, Iterator
+
+#: ``on_change(paths, subtrees)``: one batch's directories, and the
+#: ones whose subtree changed (``None``: anything may have changed)
+OnChange = Callable[[set[str], list[str] | None], None]
 
 #: ``statfs`` ``f_type`` of the local file systems a watch arms on:
 #: ext2/3/4, xfs, btrfs, tmpfs, f2fs
@@ -179,7 +192,8 @@ class Watch:
     is guarded by :attr:`lock`."""
 
     def __init__(self, libc: ctypes.CDLL, fd: int, root: str, real: str,
-                 ident: tuple, budget: int) -> None:
+                 ident: tuple, budget: int,
+                 on_change: OnChange | None = None) -> None:
         self.libc = libc
         self.fd = fd
         self.root = root
@@ -193,6 +207,7 @@ class Watch:
         self.paths: dict[int, str] = {}
         self.generation = 0
         self.armed = True
+        self.on_change = on_change
         #: FIONREAD's answer: bytes of events queued on ``fd``
         self._queued = bytearray(4)
 
@@ -261,6 +276,8 @@ class Watch:
         self.armed = False
         self.paths = {}
         os.close(self.fd)
+        if self.on_change is not None:
+            self.on_change(set(), None)
 
     def drain(self) -> None:
         """Read every queued event and apply it (caller holds the lock).
@@ -281,11 +298,16 @@ class Watch:
 
     def dispatch(self, buf: bytes) -> None:
         """Apply one batch of events: advance the generation, follow
-        the tree's new shape, and rescan the tree after an overflow
-        (caller holds the lock)."""
+        the tree's new shape, rescan the tree after an overflow, and
+        tell ``on_change`` where the batch wrote (caller holds the
+        lock)."""
         #: cookie -> path of a directory moved away
         moved: dict[int, str] = {}
         overflow = False
+        #: the directories the events named, and the subtrees they
+        #: created, removed or moved
+        changed: set[str] = set()
+        subtrees: list[str] = []
         try:
             for wd, mask, cookie, name in parse(buf):
                 if mask & IN_Q_OVERFLOW:
@@ -302,9 +324,21 @@ class Watch:
                 if mask & IN_IGNORED:
                     del self.paths[wd]
                     continue
-                if not (mask & IN_ISDIR and name):
+                if not name:  # the directory itself
+                    changed.add(path)
+                    if mask & (IN_DELETE_SELF | IN_MOVE_SELF):
+                        subtrees.append(path)
                     continue
-                path = f"{path}/{name}"
+                if not mask & IN_ISDIR:  # a file in it
+                    changed.add(path)
+                    continue
+                child = f"{path}/{name}"
+                if mask & IN_ATTRIB:  # a sub-directory's own bits
+                    changed.add(child)
+                    continue
+                changed.add(path)  # its listing
+                subtrees.append(child)
+                path = child
                 if mask & IN_CREATE:
                     self._guarded(self.walk, path)
                 elif mask & IN_MOVED_FROM:
@@ -319,6 +353,18 @@ class Watch:
                 self._guarded(self.rescan)
         finally:
             self.generation += 1
+            if self.armed and self.on_change is not None:
+                if overflow:
+                    self.on_change(set(), None)
+                elif changed:
+                    self.on_change(
+                        {self.source(p) for p in changed},
+                        [self.source(p) for p in subtrees],
+                    )
+
+    def source(self, path: str) -> str:
+        """The source path a watched directory mirrors."""
+        return path[len(self.real):] or "/"
 
     def _guarded(self, step: Callable[..., None], *args: str) -> None:
         """Run one re-arming step; a tree that cannot follow its own
@@ -360,10 +406,11 @@ class Watch:
             self.disarm()
 
 
-def arm(root: str) -> Watch | None:
-    """A watch over the index tree at ``root``, or ``None`` where one
-    cannot be armed (see the module docstring); :meth:`Watch.release`
-    unwatches it."""
+def arm(root: str, on_change: OnChange | None = None) -> Watch | None:
+    """A watch over the index tree at ``root`` that reports each
+    drained batch to ``on_change``, or ``None`` where one cannot be
+    armed (see the module docstring); :meth:`Watch.release` unwatches
+    it."""
     if _libc is None:
         return None
     try:
@@ -376,7 +423,10 @@ def arm(root: str) -> Watch | None:
     fd = _libc.inotify_init1(os.O_NONBLOCK | os.O_CLOEXEC)
     if fd < 0:
         return None
-    w = Watch(_libc, fd, root, real, (st.st_dev, st.st_ino), watch_budget())
+    w = Watch(
+        _libc, fd, root, real, (st.st_dev, st.st_ino), watch_budget(),
+        on_change,
+    )
     with w.lock:
         try:
             w.walk(real)

@@ -388,13 +388,13 @@ class TestDirMetaHandOver:
 class TestFixDepths:
     def _rw_opens(self, monkeypatch) -> list[str]:
         opened: list[str] = []
-        real = DirStore.open_rw
+        real = DirStore.rewrite_primary
 
-        def open_rw(self):
+        def rewrite_primary(self):
             opened.append(str(self.index_dir))
             return real(self)
 
-        monkeypatch.setattr(DirStore, "open_rw", open_rw)
+        monkeypatch.setattr(DirStore, "rewrite_primary", rewrite_primary)
         return opened
 
     def test_same_depth_rename_writes_nothing(self, tmp_path, monkeypatch):
@@ -417,7 +417,7 @@ class TestFixDepths:
         assert opened == []
         # shift it back out of band: every moved database is rewritten
         for sp in ("/alice", "/alice/sub"):
-            conn = index.store(sp).open_rw()
+            conn = connect.open_rw(index.db_path(sp))
             conn.execute("UPDATE summary SET depth = depth + 1")
             conn.close()
         opened.clear()

@@ -304,7 +304,7 @@ class TestTSummaryMemo:
     def test_null_size_and_xattr_names(self, demo_tree, demo_index):
         """NULL ``size`` adds nothing and bounds nothing; NULL (like
         empty) ``xattr_names`` is not xattr-bearing."""
-        conn = demo_index.store("/home/bob").open_rw()
+        conn = connect.open_rw(demo_index.db_path("/home/bob"))
         conn.execute(
             "UPDATE entries SET size = NULL, xattr_names = NULL "
             "WHERE name = 'b.txt'"

@@ -22,6 +22,11 @@ Layout:
   watch is armed), and the clock and those stats still catch every
   kind of out-of-band change from every kind of start, made by this
   process or another one, armed or not.
+* ``TestWatchedWalkBudget`` — on an armed handle a warm walk stats
+  the root once and each database it attaches, nothing else; a warm
+  tree-summary build stats no clean directory; a write drained
+  mid-check, a republish after the drain, a ``processes=2`` run and a
+  forked child never turn a stale record into a stat-free one.
 * ``TestWriteClock`` — the inotify watch follows the tree's shape
   (moves, new directories), gives up where it cannot vouch (a
   re-pointed root, a forked child, a failed re-arm), and survives
@@ -50,6 +55,7 @@ import errno
 import os
 import shutil
 import sqlite3
+import threading
 from pathlib import Path
 
 import pytest
@@ -637,7 +643,7 @@ class TestInvalidation:
         with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as eng:
             eng.run(E_ALL)
             assert eng.run(E_ALL).cached
-            assert (cache._watch is not None) == armed
+            assert (eng.index.watch is not None) == armed
             db = str(index.db_path("/public"))
             before = os.stat(db)
             stamp = file_stamp(db)
@@ -1062,6 +1068,258 @@ class TestHitBudget:
         assert stats == []
 
 
+class _StatCounter:
+    """Every ``os.stat`` path under an index root while counting, and
+    every database a walk attaches."""
+
+    def __init__(self, monkeypatch, root) -> None:
+        from repro.core.engine.stages import StageRunner
+
+        self.monkeypatch = monkeypatch
+        self.stats: list[str] = []
+        self.attached: list[str] = []
+        real_stat, real_attach = os.stat, StageRunner.attach
+        root = str(root)
+
+        def counting_stat(path, *args, **kwargs):
+            path = os.fspath(path)
+            if path.startswith(root):  # the walker's threads stat /proc
+                self.stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        def attach(runner, st, db_path):
+            self.attached.append(db_path)
+            return real_attach(runner, st, db_path)
+
+        self._patches = ((os, "stat", counting_stat),
+                         (StageRunner, "attach", attach))
+
+    @contextlib.contextmanager
+    def counting(self):
+        self.stats.clear()
+        self.attached.clear()
+        with self.monkeypatch.context() as m:
+            for target, name, fn in self._patches:
+                m.setattr(target, name, fn)
+            yield self
+
+
+def _armed_handle(index, monkeypatch):
+    """``index`` with its watch armed, as a result-cache bind would."""
+    _arm(monkeypatch)
+    index.arm_watch()
+    assert index.watched
+    return index
+
+
+class TestWatchedWalkBudget:
+    """What a warm walk stats. On an armed handle over an unchanged
+    tree: the root's identity (the drain), then one ``os.stat`` per
+    directory it attaches — none for a listing, or for a denied,
+    plan-elided or donor-reused directory — and a warm tree-summary
+    build stats no clean directory. Unarmed, the stamps as before."""
+
+    @pytest.mark.parametrize("who", ["root", "bob", "planned"])
+    def test_warm_walk_stats_only_what_it_attaches(
+        self, demo_index, monkeypatch, who
+    ):
+        from repro.core.plan import QueryPlan
+
+        index = _armed_handle(demo_index, monkeypatch)
+        creds = BOB if who == "bob" else ROOT
+        plan = QueryPlan(min_size=800) if who == "planned" else None
+        counter = _StatCounter(monkeypatch, demo_index.root)
+        with QueryEngine(index, creds=creds, nthreads=NTHREADS) as eng:
+            for _ in range(2):  # cold, then checked clean
+                want = sorted(eng.run(E_ALL, plan=plan).rows)
+            before = index.cache.stats()
+            with counter.counting():
+                r = eng.run(E_ALL, plan=plan)
+        after = index.cache.stats()
+        assert sorted(r.rows) == want == cold_rows(index, E_ALL, creds, plan)
+        if who == "bob":
+            assert r.dirs_denied > 0
+        if who == "planned":
+            assert r.attaches_elided > 0
+        root = str(index.root)
+        assert counter.stats.count(root) == 1  # the drain's identity check
+        rest = [p for p in counter.stats if p != root]
+        assert sorted(rest) == sorted(counter.attached)
+        assert len(counter.attached) == r.dbs_opened
+        assert after["validations_stat"] == before["validations_stat"]
+        assert after["validations_watch"] > before["validations_watch"]
+
+    def test_unarmed_warm_walk_stats_every_record_and_listing(
+        self, demo_index, monkeypatch
+    ):
+        """Unarmed: a database and a listing per directory, and the
+        start's check — the stamps, unchanged."""
+        _unarm(monkeypatch)
+        demo_index.arm_watch()
+        assert demo_index.watch is None
+        counter = _StatCounter(monkeypatch, demo_index.root)
+        with QueryEngine(demo_index, nthreads=NTHREADS) as eng:
+            for _ in range(2):
+                eng.run(E_ALL)
+            with counter.counting():
+                r = eng.run(E_ALL)
+        assert len(counter.stats) == 2 * r.dirs_visited + 1
+        assert demo_index.cache.validations_watch == 0
+
+    def test_donor_reused_directories_make_no_stat(
+        self, demo_tree, demo_index, monkeypatch
+    ):
+        _arm(monkeypatch)
+        cache = ResultCache()
+        counter = _StatCounter(monkeypatch, demo_index.root)
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as eng, QueryEngine(demo_index, nthreads=NTHREADS) as warm:
+            eng.run(E_ALL)
+            warm.run(E_ALL)  # checks every record clean
+            demo_tree.create_file("/public/xonly/fresh.txt", size=1)
+            update_directory(demo_index, demo_tree, "/public/xonly")
+            with counter.counting():
+                r = eng.run(E_ALL)
+        assert not r.cached and cache.dirs_reused > 0
+        assert sorted(r.rows) == cold_rows(demo_index, E_ALL)
+        xonly = demo_index.index_path("/public/xonly")
+        assert counter.attached == [xonly + "/db.db"]
+        # the rebuilt directory is checked; nothing reused is
+        assert set(counter.stats) <= {
+            str(demo_index.root), xonly, xonly + "/db.db"
+        }
+
+    def test_warm_tree_summary_build_stats_no_clean_directory(
+        self, demo_index, monkeypatch
+    ):
+        from repro.core.tsummary import build_tsummary
+
+        index = _armed_handle(demo_index, monkeypatch)
+        counter = _StatCounter(monkeypatch, demo_index.root)
+        for _ in range(2):  # cold, then checked clean
+            build_tsummary(index, "/home")
+        with counter.counting():
+            r = build_tsummary(index, "/home")
+        # the start's own database is the one the build rewrote
+        assert r.dbs_opened == 1 and r.dirs_scanned == 5
+        home = index.index_path("/home")
+        assert [
+            p for p in counter.stats
+            if p not in (str(index.root), home)
+            and not p.startswith(home + "/db.db")
+        ] == []
+
+    def test_a_write_drained_mid_check_leaves_the_path_dirty(
+        self, demo_index, monkeypatch
+    ):
+        """A write whose event is drained while a lookup of its path is
+        being checked: the check passed on the older stamp, so the path
+        stays dirty and the next watched lookup checks it again."""
+        from repro.store import layout
+
+        index = _armed_handle(demo_index, monkeypatch)
+        with QueryEngine(index, nthreads=NTHREADS) as eng:
+            eng.run(E_ALL)
+        db_path = index.index_path("/public") + "/db.db"
+        real = layout.file_stamp
+        checked: list[str] = []
+
+        def racing_stamp(path):
+            stamp = real(path)
+            if path == db_path and not checked:
+                checked.append(path)
+                _write_in_place(db_path, journal_mode="MEMORY")
+                assert index.sync()  # the write's event, mid-check
+            return stamp
+
+        monkeypatch.setattr(layout, "file_stamp", racing_stamp)
+        assert index.cache.get_meta("/public", db_path, True, True)
+        assert checked == [db_path]
+        assert not index.cache.vouches("/public")
+        monkeypatch.setattr(layout, "file_stamp", real)
+        assert index.cache.get_meta("/public", db_path, True, True) is None
+
+    def test_republished_tighter_after_the_drain_leaks_nothing(
+        self, demo_index, monkeypatch
+    ):
+        """After a run's drain and before its walk attaches
+        ``/home/bob``, the directory is republished owner-only for root
+        with a new file: the clean record still grants bob, but the
+        check before the attach reads the new database cold, and its
+        mode denies him the file."""
+        index = _armed_handle(demo_index, monkeypatch)
+        db_path = index.index_path("/home/bob") + "/db.db"
+        with QueryEngine(index, creds=BOB, nthreads=NTHREADS) as eng:
+            for _ in range(2):
+                eng.run(E_ALL)
+            assert index.cache.vouches("/home/bob")
+            real_sync = index.sync
+
+            def sync_then_republish():
+                watched = real_sync()
+                staged = db_path + ".oob"
+                shutil.copyfile(db_path, staged)
+                _sql_in_place(
+                    staged,
+                    "UPDATE summary SET uid = 0, gid = 0, mode = 16832 "
+                    "WHERE isroot = 1",
+                )
+                _write_in_place(staged, "leak.txt")
+                os.replace(staged, db_path)
+                return watched
+
+            monkeypatch.setattr(index, "sync", sync_then_republish)
+            r = eng.run(E_ALL)
+        assert not any("leak.txt" in str(row[0]) for row in r.rows)
+        assert not any("/home/bob/" in str(row[0]) for row in r.rows)
+        monkeypatch.undo()
+        assert sorted(r.rows) == cold_rows(index, E_ALL, BOB)
+
+    def test_processes_and_forked_children_never_skip_a_stat(
+        self, demo_index, monkeypatch
+    ):
+        index = _armed_handle(demo_index, monkeypatch)
+        leaf = "/home/bob/secret"
+        with QueryEngine(index, nthreads=NTHREADS) as eng:
+            for _ in range(2):
+                want = sorted(eng.run(E_ALL).rows)
+                want_leaf = sorted(eng.run(E_ALL, leaf).rows)
+        cache = index.cache
+        trusted = cache.validations_watch
+        with QueryEngine(index, nthreads=NTHREADS, processes=2) as eng:
+            assert sorted(eng.run(E_ALL).rows) == want
+            # too narrow to shard: the fallback walks in this process
+            assert sorted(eng.run(E_ALL, leaf).rows) == want_leaf
+        assert cache.validations_watch == trusted
+
+        def child():
+            assert not index.sync()
+            with QueryEngine(index, nthreads=NTHREADS) as eng:
+                assert sorted(eng.run(E_ALL).rows) == want
+            assert cache.validations_watch == trusted
+
+        _in_child(child)
+        assert index.sync()
+
+    def test_lookups_are_counted_by_rule(self, demo_index, monkeypatch):
+        """Plain-int counts on the cache, folded once per run into one
+        labelled counter; the armed state is a gauge."""
+        with obs.enabled(metrics=True):
+            index = _armed_handle(demo_index, monkeypatch)
+            with QueryEngine(index, nthreads=NTHREADS) as eng:
+                for _ in range(3):
+                    eng.run(E_ALL)
+            snap = obs.snapshot()
+        stats = index.cache.stats()
+        assert stats["validations_watch"] > 0 and stats["validations_stat"] > 0
+        for rule in ("watch", "stat"):
+            assert snap.counter(
+                "gufi_session_cache_validations_total", rule=rule
+            ) == stats[f"validations_{rule}"]
+        assert snap.gauge("gufi_index_watch_armed") == 1
+
+
 def _move_then_write(doomed: str, above: str) -> None:
     """Move a subtree within the index tree, then write a database
     inside it at its new place."""
@@ -1126,8 +1384,10 @@ class TestFreshnessMatrix:
     """Every kind of start x every kind of out-of-band change x every
     way of keeping the clock — the watch armed, unarmed (its file
     system check says no), or armed with the change made by another
-    process: the next lookup misses — unless no walk can see the
-    change — and the answer equals a cold engine's."""
+    process or through another handle on the same tree: the next
+    lookup misses — unless no walk can see the change — and the answer
+    equals a cold engine's. So does the next warm walk on the handle,
+    which takes its clean records without a stat where it is armed."""
 
     @staticmethod
     def _outcome(engine, start):
@@ -1145,14 +1405,15 @@ class TestFreshnessMatrix:
         """The watch armed, the change made by this process."""
         self._check(demo_index, monkeypatch, start, change, "armed")
 
-    @pytest.mark.parametrize("writer", ["unarmed", "child"])
+    @pytest.mark.parametrize("writer", ["unarmed", "child", "handle"])
     @pytest.mark.parametrize("change", sorted(_OOB_CHANGES))
     @pytest.mark.parametrize("start", sorted(_STARTS))
     def test_unarmed_or_child_change_misses_and_rerun_equals_cold(
         self, demo_index, monkeypatch, start, change, writer
     ):
         """The watch unarmed, or armed with the change made by a forked
-        child."""
+        child, or through another armed handle that walks the tree
+        before this one does (each handle drains its own events)."""
         self._check(demo_index, monkeypatch, start, change, writer)
 
     def _check(self, demo_index, monkeypatch, start, change, writer):
@@ -1163,29 +1424,46 @@ class TestFreshnessMatrix:
         assert demo_index.dir_meta("/home/alice").rolledup
         cache = ResultCache()
         eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
+        # the same handle with no result cache: every run walks
+        warm = QueryEngine(demo_index, nthreads=NTHREADS)
+        index = demo_index
+        if writer == "handle":
+            index = GUFIIndex.open(demo_index.root)
+            index.arm_watch()
+        other = QueryEngine(index, nthreads=NTHREADS)
         try:
-            assert (cache._watch is not None) is (writer != "unarmed")
+            assert (demo_index.watch is not None) is (writer != "unarmed")
             assert not eng.run(E_ALL, start).cached
             # unchanged index -> hit, and the same rows as a cold run
             cached, rows = self._outcome(eng, start)
             assert cached and rows == cold_rows(demo_index, E_ALL, start=start)
+            # twice: the first run checks the stamps, the second trusts
+            # the watch where it is armed
+            for _ in range(2):
+                assert self._outcome(warm, start) == (False, rows)
+                assert self._outcome(other, start) == (False, rows)
             cache.close()  # no push hook either: the clock and stamps alone
             args = (
-                *map(demo_index.index_path, _STARTS[start]),
-                demo_index.index_path(start.rsplit("/", 1)[0]),
+                *map(index.index_path, _STARTS[start]),
+                index.index_path(start.rsplit("/", 1)[0]),
             )
             if writer == "child":
                 _in_child(_OOB_CHANGES[change], *args)
             else:
                 _OOB_CHANGES[change](*args)
+            with QueryEngine(demo_index, nthreads=NTHREADS) as cold:
+                want = self._outcome(cold, start)
+            assert self._outcome(other, start) == want
+            assert self._outcome(warm, start) == want
             unseen = (start, change) in _UNSEEN
             hits = cache.hits
             cached, got = self._outcome(eng, start)
             assert cached is unseen and cache.hits == hits + unseen
-            with QueryEngine(demo_index, nthreads=NTHREADS) as cold:
-                assert (False, got) == self._outcome(cold, start)
+            assert (False, got) == want
         finally:
             eng.close()
+            warm.close()
+            other.close()
 
 
 class TestWriteClock:
@@ -1198,7 +1476,7 @@ class TestWriteClock:
         _arm(monkeypatch)
         cache = ResultCache()
         eng = QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache)
-        assert cache._watch is not None
+        assert eng.index.watch is not None
         yield eng, cache
         eng.close()
 
@@ -1216,7 +1494,7 @@ class TestWriteClock:
         a clock that missed it — makes the next lookup miss."""
         eng, cache = armed
         index = eng.index
-        w = cache._watch
+        w = eng.index.watch
         cache.close()  # no push hook: the clock and the stamps alone
         assert not self._cached(eng) and self._cached(eng)
         src = index.index_path("/home/bob/secret")
@@ -1243,7 +1521,7 @@ class TestWriteClock:
         moved = index.index_path("/public") + "/moved"
         os.rename(parent, moved)
         assert not self._cached(eng) and self._cached(eng)
-        assert moved + "/oob_new" in cache._watch.paths.values()
+        assert moved + "/oob_new" in eng.index.watch.paths.values()
         _write_in_place(moved + "/oob_new/db.db", journal_mode="MEMORY")
         assert not self._cached(eng)
 
@@ -1267,7 +1545,7 @@ class TestWriteClock:
             assert not r.cached
             assert any("swapped" in str(row[0]) for row in r.rows)
             assert sorted(r.rows) == cold_rows(index, E_ALL)
-            assert cache._watch.clock() is None
+            assert eng.index.watch.clock() is None
             assert cache.clock(index) is None
             assert self._cached(eng)  # by its stamps
 
@@ -1279,7 +1557,7 @@ class TestWriteClock:
         index = eng.index
         cache.close()
         assert not self._cached(eng) and self._cached(eng)
-        w = cache._watch
+        w = eng.index.watch
 
         def child():
             assert w.clock() is None and cache.clock(index) is None
@@ -1298,7 +1576,7 @@ class TestWriteClock:
         eng, cache = armed
         cache.close()
         assert not self._cached(eng) and self._cached(eng)
-        w = cache._watch
+        w = eng.index.watch
         before, paths = w.clock(), dict(w.paths)
         with w.lock:
             w.dispatch(watch.EVENT.pack(-1, watch.IN_Q_OVERFLOW, 0, 0))
@@ -1312,7 +1590,7 @@ class TestWriteClock:
         eng, cache = armed
         cache.close()
         assert not self._cached(eng) and self._cached(eng)
-        w = cache._watch
+        w = eng.index.watch
 
         def no_watches_left(path):
             raise OSError(errno.ENOSPC, "inotify watch limit reached", path)
@@ -1332,7 +1610,7 @@ class TestWriteClock:
         eng, cache = armed
         cache.close()
         assert not self._cached(eng) and self._cached(eng)
-        w = cache._watch
+        w = eng.index.watch
         doomed = eng.index.index_path("/home/bob/secret")
         (wd,) = [wd for wd, p in w.paths.items() if p == doomed]
         shutil.rmtree(doomed)
@@ -1344,7 +1622,7 @@ class TestWriteClock:
         watches what may be put back at the path, even a directory that
         reuses the inode number the identity check compares."""
         eng, cache = armed
-        w = cache._watch
+        w = eng.index.watch
         (wd,) = [wd for wd, p in w.paths.items() if p == w.real]
         with w.lock:
             w.dispatch(watch.EVENT.pack(wd, watch.IN_DELETE_SELF, 0, 0))
@@ -1371,25 +1649,106 @@ class TestWriteClock:
         _unarm(monkeypatch)
         cache = ResultCache()
         with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache):
-            assert cache._watch is None and cache.clock(demo_index) is None
+            assert demo_index.watch is None and cache.clock(demo_index) is None
 
-    def test_released_with_its_cache(self, demo_index, monkeypatch):
-        """Each cache's watch has an instance of its own: dropping one
-        cache unwatches its tree and leaves the other's armed."""
+    def test_released_with_its_index(self, demo_index, monkeypatch):
+        """One watch per index handle: two caches bound to one handle
+        share it, and another handle on the same tree has an instance
+        of its own. Dropping a handle unwatches its tree and leaves the
+        other's armed."""
         import gc
 
         _arm(monkeypatch)
-        caches = [ResultCache(), ResultCache()]
-        for cache in caches:
-            QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache).close()
-        kept, dropped = (c._watch for c in caches)
+        other = GUFIIndex.open(demo_index.root)
+        for index, cache in (
+            (demo_index, ResultCache()),
+            (demo_index, ResultCache()),
+            (other, ResultCache()),
+        ):
+            QueryEngine(index, nthreads=NTHREADS, result_cache=cache).close()
+        kept, dropped = demo_index.watch, other.watch
         assert kept.fd != dropped.fd
         assert sorted(kept.paths.values()) == sorted(dropped.paths.values())
-        del cache
-        caches.pop()
+        del index, other
         gc.collect()
         assert not dropped.armed and dropped.clock() is None
         assert kept.armed and kept.clock() is not None
+
+    def test_arming_holds_no_cache_lock(self, demo_index, monkeypatch):
+        """The walk over the tree runs under the handle's own one-shot
+        lock: while it is slow the binding cache stays usable, and a
+        second bind of the handle waits for it instead of arming
+        again."""
+        _arm(monkeypatch)
+        started, release = threading.Event(), threading.Event()
+        walks: list[str] = []
+        real_walk = watch.Watch.walk
+
+        def slow_walk(w, top):
+            walks.append(top)
+            started.set()
+            assert release.wait(10)
+            return real_walk(w, top)
+
+        monkeypatch.setattr(watch.Watch, "walk", slow_walk)
+        cache, other = ResultCache(), ResultCache()
+        binds = [
+            threading.Thread(target=c.bind_index, args=(demo_index,))
+            for c in (cache, other)
+        ]
+        binds[0].start()
+        assert started.wait(10)
+        binds[1].start()
+        for c in (cache, other):
+            assert c._lock.acquire(timeout=1)
+            c._lock.release()
+            assert c.stats()["entries"] == 0
+        release.set()
+        for t in binds:
+            t.join(10)
+        assert demo_index.watched and len(walks) == 1
+
+    def test_serve_arms_before_the_first_request(
+        self, demo_index, monkeypatch
+    ):
+        """A server with a result cache arms its handle when it is
+        built, so no request pays the walk over the tree."""
+        from repro.core.server import GUFIServer, IdentityProvider
+
+        _arm(monkeypatch)
+        walks: list[str] = []
+        real_walk = watch.Watch.walk
+
+        def counted_walk(w, top):
+            walks.append(top)
+            return real_walk(w, top)
+
+        monkeypatch.setattr(watch.Watch, "walk", counted_walk)
+        identity = IdentityProvider()
+        identity.add_user("root", uid=0, gid=0)
+        with GUFIServer(
+            demo_index, identity, nthreads=NTHREADS, result_cache_mb=8.0
+        ) as srv:
+            assert demo_index.watched and len(walks) == 1
+            srv.invoke("root", "du", start="/")
+            srv.invoke("root", "du", start="/")
+        assert len(walks) == 1
+
+    def test_open_and_a_cli_query_arm_nothing(
+        self, demo_index, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        def no_arming(*args, **kwargs):
+            raise AssertionError("a one-shot handle armed a watch")
+
+        _arm(monkeypatch)
+        monkeypatch.setattr(watch, "arm", no_arming)
+        assert GUFIIndex.open(demo_index.root).watch is None
+        assert main([
+            "query", str(demo_index.root), "-E", "SELECT name FROM entries"
+        ]) == 0
+        assert "b.txt" in capsys.readouterr().out
 
     def test_tree_over_its_budget_never_arms(self, demo_index, monkeypatch):
         """A tree takes at most its share of the user's watch budget:
@@ -1400,7 +1759,7 @@ class TestWriteClock:
         monkeypatch.setattr(watch, "watch_budget", lambda: n)
         cache = ResultCache()
         with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache):
-            assert cache._watch is None and cache.clock(demo_index) is None
+            assert demo_index.watch is None and cache.clock(demo_index) is None
         w = watch.arm(str(demo_index.root))
         assert w is None
         monkeypatch.setattr(watch, "watch_budget", lambda: 10**6)
@@ -1423,8 +1782,10 @@ class TestWriteClock:
             for arm, rule in ((_arm, "clock"), (_unarm, "stamps")):
                 arm(monkeypatch)
                 cache = ResultCache()
+                # a handle arms once: each rule gets a handle of its own
+                index = GUFIIndex.open(demo_index.root)
                 with QueryEngine(
-                    demo_index, nthreads=NTHREADS, result_cache=cache
+                    index, nthreads=NTHREADS, result_cache=cache
                 ) as eng:
                     eng.run(E_ALL)
                     assert eng.run(E_ALL).cached

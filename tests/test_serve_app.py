@@ -102,6 +102,33 @@ class TestRoutesAndAuth:
             assert resp.status == 401
             assert resp.json()["error"]["code"] == "auth_failed"
 
+    @pytest.mark.parametrize("second", [b"root", b"alice"])
+    def test_one_identity_per_request(self, app, second):
+        """Through ``attempt``: a second, differing ``x-gufi-user`` is
+        refused before authentication, whichever value a proxy checked;
+        a repeat of the same value passes."""
+        headers = [
+            (b"x-gufi-user", b"alice"),
+            (b"content-type", b"application/json"),
+            (b"X-Gufi-User", second),
+        ]
+        body = json.dumps({"tool": "du"}).encode()
+        calls = []
+        real = app.server.identity.authenticate
+        app.server.identity.authenticate = lambda u: calls.append(u) or real(u)
+        try:
+            reply = app.attempt("POST", "/v1/invoke", headers, body)
+            if not isinstance(reply, tuple):
+                reply = run(reply)
+        finally:
+            del app.server.identity.authenticate
+        status, _, payload = reply
+        if second == b"alice":
+            assert status == 200 and calls
+        else:
+            assert status == 401 and not calls
+            assert json.loads(payload)["error"]["code"] == "auth_failed"
+
     def test_off_whitelist_tool(self, client):
         resp = run(client.invoke("alice", "chmod"))
         assert resp.status == 403
@@ -834,6 +861,20 @@ class TestMetricsEndpoint:
             "gufi_serve_request_seconds",
         ):
             assert series in text, f"missing {series}\n{text}"
+
+
+    def test_watch_armed_gauge(self, server):
+        """``gufi_index_watch_armed`` follows the handle's watch: 1
+        while armed in this process, 0 once it gave up."""
+        index = server.index
+        with obs.enabled(metrics=True), GUFIApp(server) as app:
+            client = ASGIClient(app)
+            text = run(client.request("GET", "/metrics")).text
+            assert f"gufi_index_watch_armed {int(index.watched)}\n" in text
+            if index.watch is not None:
+                index.watch.release()
+            text = run(client.request("GET", "/metrics")).text
+            assert "gufi_index_watch_armed 0\n" in text
 
 
 def _normal(value):

@@ -573,6 +573,39 @@ class TestSocketParity:
                 lookups.clear()
 
 
+class TestOneIdentity:
+    """Two differing ``x-gufi-user`` values are refused before anything
+    is authenticated; a repeated identical value is one identity."""
+
+    @pytest.mark.parametrize("users, status", [
+        (["alice", "root"], 401),
+        (["root", "alice"], 401),
+        (["", "alice"], 401),
+        (["alice", "alice"], 200),
+    ], ids=["user-then-root", "root-then-user", "empty-then-user", "same"])
+    def test_at_the_socket(self, demo_index, identity, users, status):
+        stack = _Stack(demo_index.root, identity)
+        body = json.dumps({"tool": "du"}).encode()
+        try:
+            with _serving(stack.app) as port:
+                conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                conn.putrequest("POST", "/v1/invoke")
+                for user in users:
+                    conn.putheader("x-gufi-user", user)
+                conn.putheader("content-type", "application/json")
+                conn.putheader("content-length", str(len(body)))
+                conn.endheaders(body)
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+                conn.close()
+            assert resp.status == status, payload
+            if status == 401:
+                assert payload["error"]["code"] == "auth_failed"
+                assert stack.counts() == (0, 0, 0)  # nothing ran
+        finally:
+            stack.close()
+
+
 async def _inproc(app, method, path, user, body):
     """One request over ``ASGIClient``: ``(status, headers, body)``."""
     resp = await ASGIClient(app).request(method, path, user=user, json_body=body)

@@ -458,6 +458,56 @@ class TestEncapsulationLint:
         assert not _layout_literals_in(ok)
 
 
+    def test_no_read_write_open_of_a_published_primary(self):
+        """Readers attach a published ``db.db`` ``immutable``, so
+        nothing under ``src/`` opens one read-write: every ``open_rw``
+        names a staged file (``partial_path``, or a name saying
+        ``staged``). An edit goes through ``DirStore.rewrite_primary``,
+        which stages a copy and publishes it by rename."""
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            offenders += [f"{path}:{line}" for line in _rw_opens_in(path)]
+        assert not offenders, (
+            "open_rw on a published primary:\n" + "\n".join(offenders)
+        )
+
+    def test_rw_lint_actually_detects(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "conn = index.store(sp).open_rw()\n"
+            "conn = connect.open_rw(index.db_path(sp))\n",
+            encoding="utf-8",
+        )
+        assert _rw_opens_in(bad) == [1, 2]
+        ok = tmp_path / "ok.py"
+        ok.write_text(
+            "conn = connect.open_rw(store.partial_path(name))\n"
+            "conn = connect.open_rw(staged)\n",
+            encoding="utf-8",
+        )
+        assert _rw_opens_in(ok) == []
+
+
+def _rw_opens_in(path: Path) -> list[int]:
+    """Lines of ``path`` that call ``open_rw`` on anything but a staged
+    file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None
+        )
+        if name != "open_rw":
+            continue
+        arg = ast.unparse(node.args[0]) if node.args else ""
+        if "partial" not in arg and "staged" not in arg:
+            out.append(node.lineno)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Stored DDL: compact in new databases, verbatim in old ones
 # ----------------------------------------------------------------------
@@ -700,6 +750,35 @@ class TestCommitProtocol:
         assert store.side_artifacts() == [new_shard]
         assert store.list_partials() == []
         assert keep.exists() and (store.index_dir / "sub").is_dir()
+
+    def test_rewrite_primary_publishes_a_copy_by_rename(self, tmp_path):
+        """An edit of a published primary writes a staged copy and
+        renames it over the primary; the side artifacts stay. An edit
+        that raises publishes nothing."""
+        store = DirStore.open(tmp_path / "d")
+        shard = side_db_name("user", 7)
+        store.stage_primary().close()
+        store.partial_path(shard).write_bytes(b"shard")
+        store.publish([shard])
+        before = file_stamp(store.db_path)
+        published = store.db_path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with store.rewrite_primary() as conn:
+                conn.execute("CREATE TABLE t (x)")
+                raise RuntimeError("killed mid-edit")
+        assert file_stamp(store.db_path) == before
+        assert store.db_path.read_bytes() == published
+        with store.rewrite_primary() as conn:
+            assert store.db_path.read_bytes() == published
+            conn.execute("CREATE TABLE t (x)")
+        assert file_stamp(store.db_path)[0] != before[0]
+        assert store.side_artifacts() == [shard]
+        assert store.list_partials() == []
+        ro = store.open_ro()
+        try:
+            assert ro.execute("SELECT COUNT(*) FROM t").fetchone() == (0,)
+        finally:
+            ro.close()
 
     def test_open_sweeps_orphan_partials(self, tmp_path):
         d = tmp_path / "d"
