@@ -189,11 +189,11 @@ def _is_live_dir(tree: VFSTree, path: str) -> bool:
         return False
 
 
-def _has_tsummary(index: GUFIIndex, source_path: str) -> bool:
+def _has_tsummary(index: GUFIIndex, source_path: str, watched: bool) -> bool:
     """Does the directory's database hold tree-summary rows? (Read
     with the rest of its metadata; ``None`` — no database, or an
     unreadable one — has nothing to refresh.)"""
-    meta = index.cached_dir_meta(source_path)
+    meta = index.cached_dir_meta(source_path, watched)
     return meta is not None and bool(meta.tsummary)
 
 
@@ -289,11 +289,17 @@ def apply_delta(
     #: directories this apply already found (or made) not rolled up
     checked: set[str] = set()
     dirs_moved = dirs_removed = 0
+    # one drain before any ancestor is read: a clean record costs no
+    # stat, and every write this apply makes invalidates its own
+    watched = index.sync()
+
+    def unroll(target: str) -> None:
+        unrolled.extend(unroll_path_to(index, target, checked, faults, watched))
 
     # -- structural phase (event order, idempotent per op) -------------
     for kind, path, dst in structural:
         if kind == "remove":
-            unrolled += unroll_path_to(index, _parent(path), checked, faults)
+            unroll(_parent(path))
             idx_dir = index.index_dir(path)
             if idx_dir.exists():
                 shutil.rmtree(idx_dir, ignore_errors=True)
@@ -301,8 +307,8 @@ def apply_delta(
             index.cache.invalidate_subtree(path)
         else:
             assert dst is not None
-            unrolled += unroll_path_to(index, _parent(path), checked, faults)
-            unrolled += unroll_path_to(index, _parent(dst), checked, faults)
+            unroll(_parent(path))
+            unroll(_parent(dst))
             src_dir = index.index_dir(path)
             dst_dir = index.index_dir(dst)
             if src_dir.exists() and not dst_dir.exists():
@@ -320,7 +326,7 @@ def apply_delta(
     #    that identify them (a rebuilt db.db starts with no tsummary
     #    table), so a crashed apply still owes the refresh
     ts_roots = set(pending_ts)
-    ts_roots.update(c for c in candidates if _has_tsummary(index, c))
+    ts_roots.update(c for c in candidates if _has_tsummary(index, c, watched))
     if ts_roots:
         ckpt.commit(cursor, pending_tsummary=sorted(ts_roots))
 
@@ -333,7 +339,7 @@ def apply_delta(
     handover: dict = {}
     for d in sorted(dirty):
         if tree is not None and _is_live_dir(tree, d):
-            unrolled += unroll_path_to(index, d, checked, faults)
+            unroll(d)
             scanned = scan_single_dir(tree, d)
             n, _ = build_dir_db(
                 index, scanned, opts, faults=faults, handover=handover,
@@ -355,7 +361,7 @@ def apply_delta(
             # the directory vanished between event and apply (or was
             # created and removed within the batch): removed like a
             # structural ``remove``, rollups above it undone first
-            unrolled += unroll_path_to(index, _parent(d), checked, faults)
+            unroll(_parent(d))
             idx_dir = index.index_dir(d)
             if idx_dir.exists():
                 shutil.rmtree(idx_dir, ignore_errors=True)

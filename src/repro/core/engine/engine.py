@@ -321,13 +321,12 @@ class QueryEngine:
         key = make_key(
             self.creds, spec, plan, normalize_path(start), descend=descend
         )
+        # One drain serves the lookup and, on a miss, the run.
+        watched = self.index.sync()
         admits = _replay_only.get()
-        if admits is not None:
-            entry = cache.lookup_by_clock(key, self.index, admits)
-            if entry is None:
-                raise NotCached(start)
-        else:
-            entry = cache.lookup(key, self.index)
+        entry = cache.lookup(key, self.index, admits, watched)
+        if entry is None and admits is not None:
+            raise NotCached(start)
         if entry is not None:
             return self._observed(
                 _kind(descend),
@@ -336,13 +335,11 @@ class QueryEngine:
                 lambda otr: self._replay(entry, sink),
                 walks=False,
             )
-        # Snapshot the write clock and the invalidation sequence
-        # *before* the run, like every stamp of its token: a write
-        # landing mid-run sends the entry to the stamp pass, a writer
-        # announcing itself mid-run aborts the store. Reading the watch
-        # drained it: the run does not drain again.
-        inv_seq = cache.invalidation_seq
-        clock = cache.clock(self.index)
+        # Read the write clock and the handle's epoch *before* the run,
+        # like every stamp of its token: the epoch moving mid-run (a
+        # hook, or a batch any thread drained) aborts the store.
+        clock = cache.clock(self.index, watched)
+        epoch = self.index.cache.epoch
         # A stale entry under this key donates its unchanged
         # directories' rows to the walk that replaces it.
         capture = CaptureSink(
@@ -353,9 +350,9 @@ class QueryEngine:
         result = self._run_uncached(
             spec, start, descend, plan, capture, cancel,
             capture if capture.donor is not None else None,
-            clock is not None and clock[1] == "inotify",
+            watched,
         )
-        entry = cache.store(key, capture, result, clock, inv_seq)
+        entry = cache.store(key, capture, result, clock, epoch)
         if entry is not None:
             result.memo = entry.memo
         return result

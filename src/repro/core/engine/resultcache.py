@@ -48,25 +48,13 @@ equal to what a cold run would return right now:
   validated does it emit the donor's rows instead of attaching the
   database (:meth:`CaptureSink.reuse`).
 
-* **Write clock.** A lookup first reads the cache's clock
-  (:meth:`ResultCache.clock`): the invalidation sequence paired with
-  something that any write to the index advances. Where the index
-  tree sits on a local file system its handle's
-  :mod:`repro.store.watch` — inotify over every directory, armed by
-  the cache's first bind (:meth:`GUFIIndex.arm_watch`) — is armed, and
-  the clock is its generation, which moves on every write from any
-  process, this one or another: one ``stat`` of the root and one
-  drain of an empty event queue. Without an armed watch, an attached
-  :class:`~repro.fs.changelog.ChangeJournal` declared the sole writer
-  (``exclusive=True`` is required) makes the clock the applied
-  changefeed cursor. An entry whose clock equals the cache's is valid
-  without a stamp; any other goes to the stamp pass, and one that
-  passes is re-armed at the clock read before it. With neither —
-  a network file system, a forked child, a re-pointed root — there
-  is no clock and every hit pays the stamp pass, since a write from
-  another process announces nothing. Armed, the boundary is the
-  watch's: a write through a hard link from outside the tree, a
-  shared mapping, or a mount over an index directory raises no event.
+* **Write clock.** The index handle's one change counter
+  (:attr:`DirMetaCache.epoch <repro.core.index.DirMetaCache.epoch>`),
+  read where its watch vouches (:meth:`ResultCache.clock`). An entry
+  whose clock equals it is valid without a stamp; any other goes to
+  the stamp pass, and one that passes is re-armed at the clock read
+  before it. The signal is described once, in ``docs/ARCHITECTURE.md``
+  ("One change signal per index handle").
 
 * **Capture races.** One invariant: every stamp in an entry — and
   its clock — was taken *before* the rows it vouches for were read,
@@ -75,8 +63,9 @@ equal to what a cold run would return right now:
   replaced: :meth:`ResultCache.store` re-stats nothing. The walk
   records each stamp as it reads (the DirMeta record's own, a
   listing's, a cold read's bracket), which is why a cache attaches
-  only to a single-process engine; a writer that announced itself
-  mid-run (the invalidation sequence moved) aborts the store.
+  only to a single-process engine; a capture during which the
+  handle's epoch moved — a hook fired, or any thread drained a batch
+  of watch events — aborts its store.
 
 * **Credential scoping.** The key includes the resolved
   ``(uid, gid, groups)`` — what the server resolves on every
@@ -126,10 +115,9 @@ CacheKey = (
 #: one directory's extent in an entry's flat ``rows`` and its measured
 #: bytes: (start, end, nbytes)
 Batch = tuple[int, int, int]
-#: the write clock: (invalidation sequence, source, reading), the
-#: source ``"inotify"`` (a watch generation) or ``"cursor"`` (the
-#: applied changefeed cursor)
-Clock = tuple[int, str, int]
+#: the write clock: the handle's epoch where its watch vouches, else
+#: (epoch, applied changefeed cursor) under a declared sole writer
+Clock = int | tuple[int, int]
 
 
 #: quoted SQL regions — string literals and quoted identifiers —
@@ -376,8 +364,8 @@ class ResultCache:
     rules:
 
     1. **Clock.** The entry's write clock equals the cache's
-       (:meth:`clock`): nothing was invalidated and nothing was
-       written to the index since the entry was last checked.
+       (:meth:`clock`): the handle heard of no write since the entry
+       was last checked.
     2. **Stamp pass.** Otherwise — and always without a clock —
        every stamp the walk read under still equals the file's.
 
@@ -410,9 +398,6 @@ class ResultCache:
         self._lock = threading.RLock()
         self.total_bytes = 0
         self._scope_bytes: dict[CredKey, int] = {}
-        #: bumped by every DirMetaCache invalidation on the bound index;
-        #: captures observe it to detect writes racing a run
-        self.invalidation_seq = 0
         #: the DirMeta cache of the one index handle this cache serves,
         #: and the listener hooked on it while bound
         self._meta: DirMetaCache | None = None
@@ -431,8 +416,9 @@ class ResultCache:
     def bind_index(self, index: "GUFIIndex") -> None:
         """Subscribe to the index handle's DirMeta-cache invalidation
         hooks — the push half of invalidation — and arm the handle's
-        watch, the write clock (:meth:`GUFIIndex.arm_watch`: once per
-        handle, off this cache's lock). Cache keys do not name the
+        watch, which lets its epoch be the write clock
+        (:meth:`GUFIIndex.arm_watch`: once per handle, off this cache's
+        lock). Cache keys do not name the
         index, so a cache serves one handle: binding it again does
         nothing, binding another raises ``ValueError``. The hook holds
         this cache weakly, so a dropped cache unhooks itself at the
@@ -492,7 +478,6 @@ class ResultCache:
     def _on_invalidate(self, path: str | None, subtree: bool) -> None:
         rec = obs.metrics()
         with self._lock:
-            self.invalidation_seq += 1
             if not self._entries:
                 return
             if path is None:
@@ -558,51 +543,42 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / validation
     # ------------------------------------------------------------------
-    def lookup(self, key: CacheKey, index: "GUFIIndex") -> CacheEntry | None:
+    def lookup(
+        self,
+        key: CacheKey,
+        index: "GUFIIndex",
+        admits: Callable[[CacheEntry], bool] | None = None,
+        watched: bool | None = None,
+    ) -> CacheEntry | None:
         """The entry for ``key``, revalidated — or None (miss): the
         clock check, then, where the clock cannot vouch, the stamp
-        pass."""
+        pass. With ``admits`` (the caller's bound on what serving an
+        entry costs, for a caller that must not block on the stamp
+        pass) only the clock check runs, on an entry ``admits``
+        accepts, and a decline counts nothing: the caller asks again
+        later. ``watched``: the caller drained the handle's watch
+        (None: drain it here)."""
         rec = obs.metrics()
         entry = self._servable(key)
-        if entry is not None:
+        if entry is not None and (admits is None or admits(entry)):
             t0 = time.perf_counter()
-            clock = self.clock(index)
+            clock = self.clock(index, watched)
             if clock is not None and clock == entry.clock:
                 valid, rule = True, "clock"
+            elif admits is not None:
+                return None
             else:
                 valid, rule = self._validate(entry, index), "stamps"
             self._observe_validation(rec, t0, rule)
             if self._settle(rec, key, entry, clock, valid):
                 return entry
+        if admits is not None:
+            return None
         with self._lock:
             self.misses += 1
         if rec.enabled:
             rec.counter("gufi_result_cache_misses_total")
         return None
-
-    def lookup_by_clock(
-        self,
-        key: CacheKey,
-        index: "GUFIIndex",
-        admits: Callable[[CacheEntry], bool],
-    ) -> CacheEntry | None:
-        """The clock check alone, for a caller that must not block on
-        the stamp pass: the entry for ``key`` when the write clock
-        vouches for it and ``admits(entry)`` (the caller's bound on
-        what serving it costs), counted as a hit — else None, counting
-        nothing, and the caller asks :meth:`lookup` later. A drain that
-        finds events moves the clock, so a write since the entry was
-        checked declines too."""
-        entry = self._servable(key)
-        if entry is None or not admits(entry):
-            return None
-        t0 = time.perf_counter()
-        clock = self.clock(index)
-        if clock is None or clock != entry.clock:
-            return None
-        rec = obs.metrics()
-        self._observe_validation(rec, t0, "clock")
-        return entry if self._settle(rec, key, entry, clock, True) else None
 
     def _servable(self, key: CacheKey) -> CacheEntry | None:
         with self._lock:
@@ -650,19 +626,22 @@ class ResultCache:
             rec.counter("gufi_result_cache_hits_total")
         return True
 
-    def clock(self, index: "GUFIIndex") -> Clock | None:
+    def clock(
+        self, index: "GUFIIndex", watched: bool | None = None
+    ) -> Clock | None:
         """The write clock, read by a lookup before it validates and by
-        a run before it starts: the invalidation sequence and the
-        armed watch's generation, else the applied changefeed cursor
-        of a declared sole writer, else None (no clock: every hit pays
-        the stamp pass)."""
-        if index.watch is not None:
-            generation = index.watch.clock()
-            if generation is not None:
-                return (self.invalidation_seq, "inotify", generation)
+        a run before it starts: the handle's epoch where its watch
+        vouches (``watched``: the caller drained it; None: drain it
+        here), else the epoch and the applied changefeed cursor of a
+        declared sole writer, else None (no clock: every hit pays the
+        stamp pass)."""
+        if watched is None:
+            watched = index.sync()
+        if watched:
+            return index.cache.epoch
         if self.journal is not None:
             cursor = ChangefeedCheckpoint(index.root).load()
-            return (self.invalidation_seq, "cursor", cursor)
+            return (index.cache.epoch, cursor)
         return None
 
     def donor(self, key: CacheKey) -> CacheEntry | None:
@@ -695,12 +674,12 @@ class ResultCache:
         capture: CaptureSink,
         result: QueryResult,
         clock: Clock | None,
-        inv_seq_at_start: int,
+        epoch: int,
     ) -> CacheEntry | None:
-        """Materialize one finished run, whose write clock and
-        invalidation sequence were read before it started. Returns the
-        entry, or None (and caches nothing) when a writer announced
-        itself meanwhile or the capture is over budget."""
+        """Materialize one finished run, whose write clock and the
+        handle's epoch were read before it started. Returns the entry,
+        or None (and caches nothing) when the epoch moved meanwhile or
+        the capture is over budget."""
         rec = obs.metrics()
         if capture.reused:
             with self._lock:
@@ -709,8 +688,8 @@ class ResultCache:
         if capture.overflowed or result.visited_paths is None:
             self._abort_capture()
             return None
-        if self.invalidation_seq != inv_seq_at_start:
-            # a writer announced itself while the run was in flight:
+        if self._moved(epoch):
+            # the handle heard of a write while the run was in flight:
             # abort, the next run re-captures
             self._abort_capture()
             return None
@@ -738,7 +717,7 @@ class ResultCache:
             ran=ran,
         )
         with self._lock:
-            if self.invalidation_seq != inv_seq_at_start:
+            if self._moved(epoch):
                 self.capture_aborts += 1
                 return None
             if key in self._entries:
@@ -753,6 +732,12 @@ class ResultCache:
             if evicted and rec.enabled:
                 rec.counter("gufi_result_cache_evictions_total", evicted)
         return entry
+
+    def _moved(self, epoch: int) -> bool:
+        """Has the bound handle's epoch moved since ``epoch``? (An
+        unbound cache cannot tell, so yes.)"""
+        meta = self._meta
+        return meta is None or meta.epoch != epoch
 
     def _abort_capture(self) -> None:
         with self._lock:
@@ -786,7 +771,6 @@ class ResultCache:
             self._entries.clear()
             self.total_bytes = 0
             self._scope_bytes.clear()
-            self.invalidation_seq += 1
 
     def __len__(self) -> int:
         """Servable entries (a stale one is only a donor)."""

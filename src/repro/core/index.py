@@ -20,6 +20,7 @@ single-uid container cannot rely on kernel checks for other uids).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import sqlite3
@@ -211,16 +212,17 @@ class DirMetaCache:
     DirMeta carries the §III-A security metadata (mode/uid/gid/rolledup)
     and a stale entry would mean a stale permission decision.
 
-    **Watched lookups.** Where the handle's inotify watch is armed
-    (:meth:`GUFIIndex.arm_watch`), each drained batch of events marks
-    the directories it named dirty (:meth:`mark_dirty`). An entry is
-    *clean* once a stamp check passed with no batch drained during the
-    check, and stays clean until an event names its directory. A
-    ``watched`` lookup — one whose caller drained the watch in the
-    process that armed it (:meth:`GUFIIndex.sync`) — returns a clean
-    entry with no ``stat``; any other lookup checks the stamp as
-    always. Nothing cached before the watch armed is clean, and
-    neither is a record put for another file since its last check.
+    **Watched lookups.** :attr:`epoch` is the handle's one change
+    signal (``docs/ARCHITECTURE.md``). Where the handle's inotify watch
+    is armed (:meth:`GUFIIndex.arm_watch`), each drained batch of
+    events marks the directories it named dirty (:meth:`mark_dirty`).
+    An entry is *clean* once a stamp check passed with no batch drained
+    during the check, and stays clean until an event names its
+    directory. A ``watched`` lookup — one whose caller drained the
+    watch in the process that armed it (:meth:`GUFIIndex.sync`) —
+    returns a clean entry with no ``stat``; any other lookup checks the
+    stamp as always. Nothing cached before the watch armed is clean,
+    and neither is a record put for another file since its last check.
 
     Plain dict and set operations are atomic under the GIL, so
     concurrent worker threads need no lock; the counters are advisory.
@@ -244,8 +246,11 @@ class DirMetaCache:
         self._clean_meta: set[str] = set()
         self._clean_subdirs: set[str] = set()
         self._clean_contribs: set[str] = set()
-        #: advanced by every batch :meth:`mark_dirty` applies, before it
-        #: marks anything: a check that saw it move marks nothing clean
+        #: the change counter, advanced by every batch :meth:`mark_dirty`
+        #: applies and every ``invalidate*`` hook before it changes
+        #: anything, each time to a fresh tick (racing writers never leave
+        #: it at a value a reader saw): only equality counts
+        self._ticks = itertools.count(1)
         self.epoch = 0
         #: lookups answered clean, with no stat, and by a stamp check
         self.validations_watch = 0
@@ -400,22 +405,26 @@ class DirMetaCache:
         """One drained batch of watch events: ``paths`` and everything
         at or below each of ``subtrees`` are dirty — everything when
         ``subtrees`` is ``None`` (an overflow, a re-arm, a disarm). The
-        entries stay; their next lookup checks their stamps."""
-        self.epoch += 1
+        entries stay; their next lookup checks their stamps. The epoch
+        moves again once the marks are made, so a reading taken between
+        the two never equals one taken after."""
+        self.epoch = next(self._ticks)
         if subtrees is None:
             for clean in self._cleans():
                 clean.clear()
-            return
-        tops = tuple(subtrees)
-        for clean in self._cleans():
-            clean.difference_update(paths)
-            if tops:
-                clean.difference_update(_at_or_below(clean, tops))
+        else:
+            tops = tuple(subtrees)
+            for clean in self._cleans():
+                clean.difference_update(paths)
+                if tops:
+                    clean.difference_update(_at_or_below(clean, tops))
+        self.epoch = next(self._ticks)
 
     # -- invalidation hooks -------------------------------------------
     def invalidate(self, source_path: str) -> None:
         """Drop one directory's cached metadata, child listing and
         tree-summary contribution."""
+        self.epoch = next(self._ticks)
         for table in self._tables():
             table.pop(source_path, None)
         for clean in self._cleans():
@@ -429,6 +438,7 @@ class DirMetaCache:
         if source_path == "/":
             self.clear()
             return
+        self.epoch = next(self._ticks)
         for table in self._tables():
             for key in _at_or_below(table, (source_path,)):
                 table.pop(key, None)
@@ -441,6 +451,7 @@ class DirMetaCache:
         self._notify(source_path, True)
 
     def clear(self) -> None:
+        self.epoch = next(self._ticks)
         for table in (*self._tables(), *self._cleans()):
             table.clear()
         self.invalidations += 1
@@ -551,7 +562,7 @@ class GUFIIndex:
         armed, in this process, over the tree the root still names —
         one ``stat`` of the root, then the drain)."""
         w = self.watch
-        return w is not None and w.clock() is not None
+        return w is not None and w.sync()
 
     def _write_meta(self, meta: dict) -> None:
         (self.root / META_FILE).write_text(json.dumps(meta, indent=2))

@@ -41,6 +41,7 @@ def unroll_path_to(
     target: str,
     checked: set[str] | None = None,
     faults: Any | None = None,
+    watched: bool = False,
 ) -> list[str]:
     """Undo rollups on every directory from the root down to (and
     including) ``target`` so the target's database is authoritative
@@ -52,6 +53,9 @@ def unroll_path_to(
     shared ancestor once. The caller empties it when it moves or
     removes a directory. ``faults`` is threaded into
     :func:`~repro.core.rollup.unrollup_dir` (site ``"unrollup_dir"``).
+    Each directory is one lookup through the handle's cache (no stat
+    for a clean record when ``watched``, see :meth:`GUFIIndex.sync`):
+    a missing database is skipped, an unreadable one raises.
     """
     parts = [p for p in target.split("/") if p]
     unrolled = []
@@ -61,10 +65,11 @@ def unroll_path_to(
     for sp in paths:
         if checked is not None and sp in checked:
             continue
-        db_path = index.db_path(sp)
-        if not db_path.exists():
-            continue
-        meta = index.dir_meta(sp)
+        meta = index.cached_dir_meta(sp, watched)
+        if meta is None:  # missing, or unreadable: then this raises
+            if not index.db_path(sp).exists():
+                continue
+            meta = index.dir_meta(sp)
         if meta.rolledup:
             unrollup_dir(index, sp, faults)
             unrolled.append(sp)

@@ -1,26 +1,25 @@
-"""A write clock over an index tree, kept by the kernel.
+"""The kernel's half of an index handle's change signal.
 
 A cache that must not serve anything older than the index it was asked
-of can re-stat every file it read (the result cache's stamp pass: two
-``stat`` calls per directory of an entry), or it can let the kernel
-tell it when something changed. This module does the second on Linux:
-a :class:`Watch` opens a non-blocking inotify instance of its own
-through ``ctypes`` (no dependency) and watches every directory of an
-index tree for creation, deletion, moves, writes, close-after-write
-and attribute changes. :meth:`Watch.clock` returns a *generation*
-that any such event anywhere in the tree advances — whoever the
-writer is, this process or another one — after one ``stat`` of the
-root and one drain of the event queue (a ``FIONREAD`` that finds it
-empty). Equal generations mean no write reached the tree in between.
+of can re-stat every file it read, or it can let the kernel tell it
+when something changed. This module does the second on Linux: a
+:class:`Watch` opens a non-blocking inotify instance of its own through
+``ctypes`` (no dependency) and watches every directory of an index tree
+for creation, deletion, moves, writes, close-after-write and attribute
+changes — whoever the writer is, this process or another one.
 
-A drain also says *where*: each batch of events goes to the watch's
-``on_change(paths, subtrees)`` as the source paths (index-relative,
-``/`` for the root) of the directories the events named, and the
-directories whose whole subtree may have changed — one created,
-deleted or moved, in or out. ``subtrees`` is ``None`` when anything
-may have changed: an overflow, a re-arm, a disarm. The index handle
-that owns the watch marks those paths' cached records dirty
-(:meth:`repro.core.index.DirMetaCache.mark_dirty`).
+:meth:`Watch.sync` drains the event queue (one ``stat`` of the root and
+one ``FIONREAD`` that, on nearly every call, finds it empty) and hands
+each batch to the watch's ``on_change(paths, subtrees)``: the source
+paths (index-relative, ``/`` for the root) of the directories the events
+named, and the directories whose whole subtree may have changed — one
+created, deleted or moved, in or out. ``subtrees`` is ``None`` when
+anything may have changed: an overflow, a re-arm, a disarm. The index
+handle that owns the watch passes
+:meth:`repro.core.index.DirMetaCache.mark_dirty`, which advances the
+handle's one change counter; what that counter means for each cache is
+described once, in ``docs/ARCHITECTURE.md`` ("One change signal per
+index handle").
 
 The tree's shape is followed as it changes: a directory created or
 moved in gets watched with its whole subtree. One moved inside the
@@ -31,7 +30,7 @@ One moved out is forgotten, and a deleted one's watch goes when the
 kernel says so (``IN_IGNORED``).
 
 A watch is *armed* only where its events are complete for local
-writers, and :meth:`Watch.clock` returns ``None`` — "ask the files" —
+writers, and :meth:`Watch.sync` returns ``False`` — "ask the files" —
 everywhere else:
 
 * the root's file system is not on :data:`LOCAL_FS_MAGIC` (by
@@ -192,8 +191,7 @@ class Watch:
     is guarded by :attr:`lock`."""
 
     def __init__(self, libc: ctypes.CDLL, fd: int, root: str, real: str,
-                 ident: tuple, budget: int,
-                 on_change: OnChange | None = None) -> None:
+                 ident: tuple, budget: int, on_change: OnChange) -> None:
         self.libc = libc
         self.fd = fd
         self.root = root
@@ -205,7 +203,6 @@ class Watch:
         self.lock = threading.Lock()
         #: watch descriptor -> directory path
         self.paths: dict[int, str] = {}
-        self.generation = 0
         self.armed = True
         self.on_change = on_change
         #: FIONREAD's answer: bytes of events queued on ``fd``
@@ -276,8 +273,7 @@ class Watch:
         self.armed = False
         self.paths = {}
         os.close(self.fd)
-        if self.on_change is not None:
-            self.on_change(set(), None)
+        self.on_change(set(), None)
 
     def drain(self) -> None:
         """Read every queued event and apply it (caller holds the lock).
@@ -297,10 +293,9 @@ class Watch:
             self.dispatch(b"".join(chunks))
 
     def dispatch(self, buf: bytes) -> None:
-        """Apply one batch of events: advance the generation, follow
-        the tree's new shape, rescan the tree after an overflow, and
-        tell ``on_change`` where the batch wrote (caller holds the
-        lock)."""
+        """Apply one batch of events: follow the tree's new shape,
+        rescan the tree after an overflow, and tell ``on_change`` where
+        the batch wrote (caller holds the lock)."""
         #: cookie -> path of a directory moved away
         moved: dict[int, str] = {}
         overflow = False
@@ -352,8 +347,7 @@ class Watch:
             if overflow:
                 self._guarded(self.rescan)
         finally:
-            self.generation += 1
-            if self.armed and self.on_change is not None:
+            if self.armed:
                 if overflow:
                     self.on_change(set(), None)
                 elif changed:
@@ -376,12 +370,13 @@ class Watch:
         except OSError:
             self.disarm()
 
-    def clock(self) -> int | None:
-        """The tree's generation now, or ``None`` when the watch cannot
-        vouch for it (see the module docstring): one ``stat`` of the
-        root, then a drain of the queue."""
+    def sync(self) -> bool:
+        """Drain the queue into ``on_change``: True when the watch
+        vouches that every write before the call has been reported,
+        False where it cannot (see the module docstring). One ``stat``
+        of the root, then the drain."""
         if not self.armed or os.getpid() != self.pid:
-            return None
+            return False
         try:
             st = os.stat(self.root)
             same = (st.st_dev, st.st_ino) == self.ident
@@ -390,10 +385,9 @@ class Watch:
         with self.lock:
             if not same:
                 self.disarm()
-            if not self.armed:
-                return None
-            self.drain()
-            return self.generation if self.armed else None
+            if self.armed:
+                self.drain()
+            return self.armed
 
     def release(self) -> None:
         """Unwatch the tree. A forked child only closes its copy of the
@@ -406,7 +400,7 @@ class Watch:
             self.disarm()
 
 
-def arm(root: str, on_change: OnChange | None = None) -> Watch | None:
+def arm(root: str, on_change: OnChange) -> Watch | None:
     """A watch over the index tree at ``root`` that reports each
     drained batch to ``on_change``, or ``None`` where one cannot be
     armed (see the module docstring); :meth:`Watch.release` unwatches

@@ -12,6 +12,7 @@ effects, no half-published databases, no lost events.
 from __future__ import annotations
 
 import os
+import sqlite3
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.core.query import Q1_LIST_PATHS, Q4_DU_TSUMMARY
 from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.scan.faults import BuildCrash, FaultPlan
+from repro.store import watch
 from repro.store.doctor import doctor
 from tests.conftest import (
     NTHREADS,
@@ -202,6 +204,26 @@ class TestPendingTsummary:
         )
         q_inc.close()
         q_new.close()
+
+
+class TestAncestorReads:
+    """An apply reads each dirty directory's ancestors through the
+    handle's cache after one drain: a missing database is skipped, an
+    unreadable one raises — it is never taken for un-rolled."""
+
+    @pytest.mark.parametrize("armed", [False, True], ids=["cold", "armed"])
+    def test_corrupt_ancestor_raises(self, tmp_path, monkeypatch, armed):
+        tree, index, journal = setup(tmp_path)
+        if armed:  # every record cached clean before the corruption
+            monkeypatch.setattr(watch, "fs_supported", lambda path: True)
+            index.arm_watch()
+            assert index.watched
+            query_rows(index)
+        index.db_path("/home").write_bytes(b"not a database" * 8)
+        tree.create_file("/home/alice/n.dat", size=1, mode=0o600,
+                         uid=1001, gid=1001)
+        with pytest.raises(sqlite3.DatabaseError):
+            changefeed2index(index, tree, journal, opts=OPTS)
 
 
 class TestCheckpointUnit:

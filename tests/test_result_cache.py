@@ -67,6 +67,7 @@ from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
 from repro.core.engine import (
     BoundedSink,
+    MemorySink,
     PaginatedSink,
     QueryEngine,
     QuerySpec,
@@ -1545,7 +1546,7 @@ class TestWriteClock:
             assert not r.cached
             assert any("swapped" in str(row[0]) for row in r.rows)
             assert sorted(r.rows) == cold_rows(index, E_ALL)
-            assert eng.index.watch.clock() is None
+            assert not eng.index.watch.sync()
             assert cache.clock(index) is None
             assert self._cached(eng)  # by its stamps
 
@@ -1560,28 +1561,29 @@ class TestWriteClock:
         w = eng.index.watch
 
         def child():
-            assert w.clock() is None and cache.clock(index) is None
+            assert not w.sync() and cache.clock(index) is None
             _write_in_place(str(index.db_path("/public")), "forked.txt",
                             "MEMORY")
-            assert w.clock() is None
+            assert not w.sync()
             w.release()
 
         _in_child(child)
         r = eng.run(E_ALL)
         assert not r.cached
         assert any("forked.txt" in str(row[0]) for row in r.rows)
-        assert w.clock() is not None
+        assert w.sync()
 
     def test_overflow_moves_the_clock_and_rearms(self, armed):
         eng, cache = armed
         cache.close()
         assert not self._cached(eng) and self._cached(eng)
         w = eng.index.watch
-        before, paths = w.clock(), dict(w.paths)
+        assert w.sync()
+        before, paths = eng.index.cache.epoch, dict(w.paths)
         with w.lock:
             w.dispatch(watch.EVENT.pack(-1, watch.IN_Q_OVERFLOW, 0, 0))
         assert w.armed and w.paths == paths
-        assert w.clock() not in (None, before)
+        assert w.sync() and eng.index.cache.epoch != before
         assert self._cached(eng)  # by its stamps, at the new clock
         _write_in_place(str(eng.index.db_path("/public")), journal_mode="MEMORY")
         assert not self._cached(eng)
@@ -1671,8 +1673,8 @@ class TestWriteClock:
         assert sorted(kept.paths.values()) == sorted(dropped.paths.values())
         del index, other
         gc.collect()
-        assert not dropped.armed and dropped.clock() is None
-        assert kept.armed and kept.clock() is not None
+        assert not dropped.armed and not dropped.sync()
+        assert kept.armed and kept.sync()
 
     def test_arming_holds_no_cache_lock(self, demo_index, monkeypatch):
         """The walk over the tree runs under the handle's own one-shot
@@ -1760,15 +1762,15 @@ class TestWriteClock:
         cache = ResultCache()
         with QueryEngine(demo_index, nthreads=NTHREADS, result_cache=cache):
             assert demo_index.watch is None and cache.clock(demo_index) is None
-        w = watch.arm(str(demo_index.root))
+        w = watch.arm(str(demo_index.root), demo_index.cache.mark_dirty)
         assert w is None
         monkeypatch.setattr(watch, "watch_budget", lambda: 10**6)
-        w = watch.arm(str(demo_index.root))
+        w = watch.arm(str(demo_index.root), demo_index.cache.mark_dirty)
         try:
-            assert w.clock() is not None
+            assert w.sync()
             w.budget = len(w.paths)
             os.mkdir(demo_index.index_path("/public") + "/oob_dir")
-            assert w.clock() is None and not w.armed
+            assert not w.sync() and not w.armed
         finally:
             w.release()
 
@@ -1792,6 +1794,105 @@ class TestWriteClock:
                     assert obs.snapshot().counter(
                         "gufi_result_cache_validations_total", rule=rule
                     ) == 1
+
+
+def _overflow(index) -> None:
+    with index.watch.lock:
+        index.watch.dispatch(watch.EVENT.pack(-1, watch.IN_Q_OVERFLOW, 0, 0))
+
+
+def _disarm(index) -> None:
+    with index.watch.lock:
+        index.watch.disarm()
+
+
+def _drained_batch(index) -> None:
+    _write_in_place(str(index.db_path("/proj/shared")), journal_mode="MEMORY")
+    assert index.sync()
+
+
+#: each way a handle hears of a write; none of them touches ``/home``
+_SIGNALS = {
+    "invalidate": lambda index: index.cache.invalidate("/proj/shared"),
+    "invalidate_subtree": (
+        lambda index: index.cache.invalidate_subtree("/proj/shared")
+    ),
+    "clear": lambda index: index.cache.clear(),
+    "drained_batch": _drained_batch,
+    "overflow": _overflow,
+    "disarm": _disarm,
+}
+
+
+class TestOneChangeSignal:
+    """The handle's epoch is its one change counter and the result
+    cache's write clock: every way the handle hears of a write advances
+    it, and a capture during which it moved stores nothing."""
+
+    @pytest.mark.parametrize("signal", sorted(_SIGNALS))
+    def test_each_signal_moves_the_epoch(self, demo_index, monkeypatch,
+                                         signal):
+        _arm(monkeypatch)
+        cache = ResultCache()
+        key = make_key(ROOT, E_ALL, None, "/home")
+
+        def by_clock():
+            return cache.lookup(key, demo_index, admits=lambda entry: True)
+
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            eng.run(E_ALL, "/home")
+            assert by_clock() is not None
+            before = demo_index.cache.epoch
+            _SIGNALS[signal](demo_index)
+            assert demo_index.cache.epoch != before
+            assert by_clock() is None
+            # what declined it was the clock: the stamps still pass,
+            # unless the entry went with everything else
+            assert (cache.lookup(key, demo_index) is None) == (
+                signal == "clear"
+            )
+
+    def test_a_batch_drained_mid_capture_aborts_the_store(
+        self, demo_tree, demo_index, monkeypatch
+    ):
+        """A write through another handle, drained by a concurrent
+        lookup while a capture is in flight: the capture may have taken
+        a record the batch marks dirty, so it stores nothing."""
+        _arm(monkeypatch)
+        cache = ResultCache()
+        other = GUFIIndex.open(demo_index.root)
+        with QueryEngine(
+            demo_index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            eng.run(E_ALL, "/proj")
+            elsewhere = make_key(ROOT, E_ALL, None, "/proj")
+            sink, fired = MemorySink(), []
+            emit = sink.emit
+
+            def write_and_drain(path, rows):
+                if not fired:
+                    fired.append(path)
+                    update_directory(other, demo_tree, "/public")
+                    t = threading.Thread(
+                        target=cache.lookup, args=(elsewhere, demo_index)
+                    )
+                    t.start()
+                    t.join(10)
+                emit(path, rows)
+
+            sink.emit = write_and_drain  # type: ignore[method-assign]
+            aborts = cache.capture_aborts
+            eng.run(E_ALL, "/home", sink=sink)
+            assert fired and cache.capture_aborts == aborts + 1
+            assert not self._cached(eng, "/home") and self._cached(eng, "/home")
+
+    @staticmethod
+    def _cached(eng, start) -> bool:
+        r = eng.run(E_ALL, start)
+        assert sorted(r.rows) == cold_rows(eng.index, E_ALL, start=start)
+        return r.cached
 
 
 class TestCredentialScoping:

@@ -19,9 +19,12 @@ import asyncio
 import json
 import os
 import sqlite3
+import string
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.build import BuildOptions, dir2index
@@ -41,6 +44,7 @@ from repro.core.tools import FindFilters, GUFITools
 from repro.fs.changelog import ChangeJournal
 from repro.fs.permissions import ROOT
 from repro.serve import ASGIClient, GUFIApp, dumps, jsonable, rows_digest
+from repro.serve.cursors import CursorError, decode_cursor, encode_cursor
 from repro.store import watch
 from tests.conftest import NTHREADS, build_demo_tree
 
@@ -430,6 +434,46 @@ class TestEngineCancellation:
             assert good.rows
 
 
+#: a cursor mutation: (kind, *args), applied by :func:`_mutate`
+_CURSOR_MUTATIONS = st.one_of(
+    st.tuples(st.just("keep")),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 6)),
+    st.tuples(st.just("cut"), st.integers(1, 80)),
+    st.tuples(
+        st.just("append"),
+        st.text(string.ascii_letters + string.digits + "-_=.!~ ",
+                min_size=1, max_size=8),
+    ),
+    st.tuples(st.just("resign")),
+    st.tuples(st.just("replace"), st.text(max_size=40)),
+    st.tuples(st.just("swapcase")),
+)
+#: (which cursor: issued after or before an apply, mutation, presenter)
+_CURSOR_CASES = st.tuples(
+    st.sampled_from(["fresh", "stale"]),
+    _CURSOR_MUTATIONS,
+    st.sampled_from(["root", "alice"]),
+)
+
+
+def _mutate(secret: bytes, token: str, mutation: tuple) -> str:
+    kind, *args = mutation
+    if kind == "flip":
+        i, bit = args[0] % len(token), args[1]
+        return token[:i] + chr(ord(token[i]) ^ (1 << bit)) + token[i + 1:]
+    if kind == "cut":
+        return token[: max(len(token) - args[0], 0)]
+    if kind == "append":
+        return token + args[0]
+    if kind == "resign":
+        return encode_cursor(b"another secret", decode_cursor(secret, token))
+    if kind == "replace":
+        return args[0]
+    if kind == "swapcase":
+        return token.swapcase()
+    return token
+
+
 class TestCursorPagination:
     def _first_page(self, client, user="root", page_size=2):
         return run(
@@ -474,13 +518,67 @@ class TestCursorPagination:
         assert stolen.status == 403
         assert stolen.json()["error"]["code"] == "invalid_cursor"
 
-    def test_tampered_cursor_rejected(self, client):
-        resp = self._first_page(client)
-        cursor = resp.json()["next_cursor"]
-        for bad in (cursor[:-4], cursor + "AAAA", "garbage", cursor.swapcase()):
-            r = run(client.invoke("root", cursor=bad))
-            assert r.status == 400
-            assert r.json()["error"]["code"] == "invalid_cursor"
+    def test_tampered_cursor_rejected(self, identity, tmp_path):
+        """Generated mutations of root's cursors — bit flips, cuts,
+        extensions, another secret's signature, another tenant
+        presenting it, one issued before an apply under its start —
+        are each a 400 ``invalid_cursor``, a 403 or a 410. Rows come
+        back only for a token that decodes to exactly the payload the
+        app signed: ``_unb64`` is lenient, so some distinct strings
+        decode to the same bytes."""
+        tree = build_demo_tree()
+        journal = ChangeJournal()
+        tree.set_changelog(journal)
+        opts = BuildOptions(nthreads=NTHREADS)
+        index = dir2index(tree, tmp_path / "idx", opts=opts).index
+        with GUFIServer(
+            index, identity, nthreads=NTHREADS, result_cache_mb=8.0
+        ) as srv, GUFIApp(srv, max_inflight=2, queue_limit=4) as app:
+            client = ASGIClient(app)
+            secret = app._secret
+            stale = self._first_page(client).json()["next_cursor"]
+            tree.create_file(
+                "/home/bob/new.txt", size=123, mode=0o644, uid=1002, gid=1002
+            )
+            changefeed2index(index, tree, journal, opts=opts)
+            tokens = {
+                "fresh": self._first_page(client).json()["next_cursor"],
+                "stale": stale,
+            }
+
+            def signed(token: str) -> dict | None:
+                try:
+                    return decode_cursor(secret, token)
+                except CursorError:
+                    return None
+
+            @settings(derandomize=True, max_examples=100, deadline=None,
+                      database=None)
+            @given(_CURSOR_CASES)
+            @example(("fresh", ("cut", 4), "root"))
+            @example(("fresh", ("append", "AAAA"), "root"))
+            @example(("fresh", ("replace", "garbage"), "root"))
+            @example(("fresh", ("swapcase",), "root"))
+            @example(("fresh", ("append", "=="), "root"))  # decodes the same
+            def check(case):
+                base, mutation, user = case
+                token = _mutate(secret, tokens[base], mutation)
+                payload = signed(token)
+                r = run(client.invoke(user, cursor=token))
+                if payload is None:
+                    want = (400, "invalid_cursor")
+                elif payload["u"] != user:
+                    want = (403, "invalid_cursor")
+                elif payload == signed(tokens["stale"]):
+                    want = (410, "cursor_expired")
+                else:
+                    assert payload == signed(tokens["fresh"]), case
+                    assert r.status == 200 and r.json()["rows"], case
+                    return
+                got = (r.status, r.json()["error"]["code"])
+                assert got == want, (case, token)
+
+            check()
 
     def test_cursor_survives_unrelated_churn(self, identity, tmp_path):
         """An index change that cannot affect the paged result leaves

@@ -530,13 +530,14 @@ class TestSocketParity:
         self, stacks, monkeypatch
     ):
         lookups: list = []
-        real = ResultCache.lookup_by_clock
+        real = ResultCache.lookup
 
-        def counted(cache, *args):
-            lookups.append(cache)
-            return real(cache, *args)
+        def counted(cache, key, index, admits=None, *args):
+            if admits is not None:  # the loop's replay-only attempt
+                lookups.append(cache)
+            return real(cache, key, index, admits, *args)
 
-        monkeypatch.setattr(ResultCache, "lookup_by_clock", counted)
+        monkeypatch.setattr(ResultCache, "lookup", counted)
         inproc, wired = stacks
         with _serving(wired.app) as port:
             for label, method, path, user, body, status, counts in (

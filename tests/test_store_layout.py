@@ -142,15 +142,18 @@ def _lint_id(path: Path) -> str:
     return path.relative_to(base).as_posix()
 
 
-def _deleted_imports_in(path: Path, package: str = "") -> list[int]:
-    """Line numbers of imports of a deleted module, however spelled:
-    ``from . import db``, ``from .schema import X``, ``from repro.core
-    import db``, ``import repro.core.schema``. ``package`` is the
-    importing file's package, for resolving relative imports."""
+def _deleted_imports_in(
+    path: Path, package: str = "", modules: tuple[str, ...] = _DELETED_MODULES
+) -> list[int]:
+    """Line numbers of imports of one of ``modules`` (the deleted ones
+    by default), however spelled: ``from . import db``, ``from .schema
+    import X``, ``from repro.core import db``, ``import
+    repro.core.schema``. ``package`` is the importing file's package,
+    for resolving relative imports."""
     hits: list[int] = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            if any(alias.name in _DELETED_MODULES for alias in node.names):
+            if any(alias.name in modules for alias in node.names):
                 hits.append(node.lineno)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
@@ -158,11 +161,28 @@ def _deleted_imports_in(path: Path, package: str = "") -> list[int]:
                 parts = package.split(".")
                 base = parts[: len(parts) - (node.level - 1)]
                 module = ".".join([*base, module]).rstrip(".")
-            if module in _DELETED_MODULES or any(
-                f"{module}.{alias.name}" in _DELETED_MODULES
-                for alias in node.names
+            if module in modules or any(
+                f"{module}.{alias.name}" in modules for alias in node.names
             ):
                 hits.append(node.lineno)
+    return hits
+
+
+#: the one module that reaches an index handle's watch
+_WATCH_HOME = "core/index.py"
+
+
+def _watch_reaches(path: Path, package: str) -> list[int]:
+    """Line numbers where a module imports :mod:`repro.store.watch` or
+    reads a ``.watch`` attribute (the CLI's ``args.watch`` flag aside)."""
+    hits = _deleted_imports_in(path, package, ("repro.store.watch",))
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "watch"
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+        ):
+            hits.append(node.lineno)
     return hits
 
 
@@ -326,6 +346,30 @@ class TestEncapsulationLint:
         ):
             bad.write_text(line + "\n", encoding="utf-8")
             assert bool(_view_ddl_sites(bad)) == found, line
+
+    def test_only_the_index_handle_reaches_its_watch(self, tmp_path):
+        """One change signal per handle: :mod:`repro.store.watch` and a
+        handle's ``.watch`` belong to ``core/index.py``; everything else
+        asks the handle (``sync()``, ``watched``, ``cache.epoch``)."""
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            rel = path.relative_to(SRC_ROOT).as_posix()
+            package = ".".join(path.relative_to(SRC_ROOT.parent).parent.parts)
+            hits = _watch_reaches(path, package)
+            assert bool(hits) == (rel == _WATCH_HOME), (rel, hits)
+        bad = tmp_path / "bad.py"
+        for line, found in (
+            ("from repro.store import watch", True),
+            ("from repro.store.watch import Watch", True),
+            ("import repro.store.watch", True),
+            ("from ..store import watch", True),
+            ("from ..store.watch import arm", True),
+            ("ok = index.watch.sync()", True),
+            ("w = self.server.index.watch", True),
+            ("cycles = args.cycles if args.watch else 1", False),
+            ("ok = index.watched and index.sync()", False),
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert bool(_watch_reaches(bad, "repro.core")) == found, line
 
     def test_page_size_is_set_from_the_schema_constant(self, tmp_path):
         setters = 0
