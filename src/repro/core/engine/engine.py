@@ -63,6 +63,12 @@ from .traversal import (
     path_depth,
 )
 from .types import (
+    DENIED,
+    DESCENDED,
+    KIND,
+    NO_STAGE,
+    PLAN_PRUNED,
+    RAN,
     QueryPermissionError,
     QueryResult,
     QuerySpec,
@@ -276,11 +282,12 @@ class QueryEngine:
         plan: QueryPlan | None,
         sink: ResultSink | None,
         cancel: CancelToken | None,
-        donor: CaptureSink | None = None,
+        capture: CaptureSink | None = None,
         watched: bool | None = None,
     ) -> QueryResult:
         """One real run: scatter-gather, the single-process walk, or
         (no descent) the one directory on the calling thread.
+        ``capture``: the run's tee, when a stale entry donates to it.
         ``watched`` says whether the caller drained the index's watch
         (None: the run drains it itself)."""
         if descend and self.processes > 1:
@@ -290,7 +297,7 @@ class QueryEngine:
 
         def impl(otr: Any) -> QueryResult:
             result = self._run_impl(
-                spec, start, descend, plan, sink, otr, cancel, donor, watched
+                spec, start, descend, plan, sink, otr, cancel, capture, watched
             )
             if not descend and result.dirs_denied:
                 raise QueryPermissionError(f"permission denied: {start!r}")
@@ -340,8 +347,8 @@ class QueryEngine:
         # hook, or a batch any thread drained) aborts the store.
         clock = cache.clock(self.index, watched)
         epoch = self.index.cache.epoch
-        # A stale entry under this key donates its unchanged
-        # directories' rows to the walk that replaces it.
+        # A stale entry under this key donates its decisions (and its
+        # rows) where they still hold to the walk that replaces it.
         capture = CaptureSink(
             MemorySink() if sink is None else sink,
             cache.max_entry_bytes,
@@ -568,7 +575,7 @@ class QueryEngine:
         sink: ResultSink,
         otr: Any,
         cancel: CancelToken | None = None,
-        donor: CaptureSink | None = None,
+        capture: CaptureSink | None = None,
         watched: bool | None = None,
     ) -> QueryResult:
         start = normalize_path(start)
@@ -585,7 +592,7 @@ class QueryEngine:
         ancestors = trav.check_start(start)
         result = self._walk_units(
             spec, [(start, descend)], start_depth, trav, sink, otr,
-            donor=donor,
+            capture=capture,
         )
         if result.visited_paths is not None:
             result.visited_paths.update(ancestors)
@@ -600,15 +607,16 @@ class QueryEngine:
         sink: ResultSink,
         otr: Any,
         agg_path: str | None = None,
-        donor: CaptureSink | None = None,
+        capture: CaptureSink | None = None,
     ) -> QueryResult:
         """The shared walk body: process every ``(path, may_descend)``
         unit (descending where allowed), then run the J/G merge.
         ``run()`` passes a single recursive unit at the query start,
         ``run_single()`` a single non-descending one, and
-        ``run_shard()`` a shard's worth of units. ``donor`` is the
-        run's capturing tee when a stale result-cache entry can donate
-        the rows of unchanged directories to it."""
+        ``run_shard()`` a shard's worth of units. ``capture`` is the
+        run's capturing tee when a stale result-cache entry donates to
+        it: a directory whose ``db.db`` and listing are the ones the
+        donor decided it under is replayed, not decided again."""
         t0 = time.monotonic()
         pool = self.pool
         index = self.index
@@ -620,8 +628,8 @@ class QueryEngine:
         # A cached run collects the paths it touched with the stamps it
         # read them under (the entry's validity token); a stream-shaped
         # one (S/E rows, nothing carried between directories) also
-        # reports where its stages completed: those directories' rows
-        # can be donated to the run that replaces it.
+        # records what it decided in each directory: the run that
+        # replaces its entry replays those decisions where they hold.
         collect = self.result_cache is not None
         donates = collect and not (
             spec.I or spec.T or spec.J or spec.G or spec.xattrs
@@ -637,6 +645,15 @@ class QueryEngine:
         watched = trav.watched
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
         db_suffix = "/" + DB_NAME
+        # The stale entry this run replaces: the directory -> decision
+        # and directory -> stamps it recorded.
+        decided: dict[str, int] | None = None
+        donor_stamps: Token = {}
+        if capture is not None:
+            donor = capture.donor
+            assert donor is not None and donor.outcomes is not None
+            decided, donor_stamps = donor.outcomes, donor.stamps
+        unchanged = index.cache.unchanged
         # Thread-ident -> checked-out state, for *this* run only (the
         # walker creates fresh threads per walk). The pool's lock is
         # taken once per thread per run — at checkout — never per
@@ -650,6 +667,70 @@ class QueryEngine:
                 st = run_states[tid] = pool.acquire(spec.I, creds)
             return st
 
+        def holds(path: str, base: str) -> list[str] | tuple[()] | None:
+            """The donor's listing of ``path`` (index directory
+            ``base``) when its decision there holds — its ``db.db`` and
+            listing are the ones it was made under — else None. A
+            decision depends only on the cache key, the directory's
+            DirMeta and its listing."""
+            assert decided is not None
+            if path not in decided:
+                return None
+            db_stamp, dir_stamp = donor_stamps[path]
+            return unchanged(path, base, db_stamp, dir_stamp, lean, watched)
+
+        def replay(
+            st: _ThreadState,
+            path: str,
+            base: str,
+            may_descend: bool,
+            names: list[str] | tuple[()],
+        ) -> list[tuple[str, bool]]:
+            """Replay the donor's decision for ``path``, whose check
+            passed (``names``: its listing), and inline for every
+            listed descendant whose check passes too: tallied as a warm
+            walk tallies it, the token entry copied, a ran directory's
+            rows from the donor. Returns the children whose check
+            failed, for the walker to decide afresh."""
+            assert capture is not None and decided is not None
+            token, outcomes = st.token, st.outcomes
+            fresh: list[tuple[str, bool]] = []
+            todo: list[tuple[str, str]] = []
+            while True:
+                code = decided[path]
+                token[path] = donor_stamps[path]
+                outcomes[path] = code
+                kind = code & KIND
+                if kind == DENIED:
+                    st.denied += 1
+                else:
+                    st.visited += 1
+                    if code & PLAN_PRUNED:
+                        st.pruned += 1
+                    if kind == NO_STAGE:
+                        st.elided += 1
+                    else:
+                        st.opened += 1
+                        capture.donated(path)
+                    if may_descend and code & DESCENDED:
+                        prefix = "" if path == "/" else path
+                        todo.extend([
+                            (f"{prefix}/{name}", f"{base}/{name}")
+                            for name in names
+                        ])
+                # on to the next listed directory whose check passes
+                while todo:
+                    path, base = todo.pop()
+                    # the cancellation checkpoint of each directory
+                    trav.checkpoint()
+                    held = holds(path, base)
+                    if held is not None:
+                        names, may_descend = held, True
+                        break
+                    fresh.append((path, True))
+                else:
+                    return fresh
+
         def process_dir(unit: tuple[str, bool]) -> list[tuple[str, bool]]:
             source_path, may_descend = unit
             # Cancellation checkpoint: observed before any work for
@@ -658,13 +739,18 @@ class QueryEngine:
             trav.checkpoint()
 
             st = thread_state()
+            # plain strings: Path objects here cost more than the listing
+            index_dir = index.index_path(source_path)
+            if decided is not None:
+                names = holds(source_path, index_dir)
+                if names is not None:
+                    return replay(
+                        st, source_path, index_dir, may_descend, names
+                    )
             st.ctx.current_path = source_path
             depth = path_depth(source_path)
             st.ctx.current_depth = depth
             rel_depth = depth - start_depth
-
-            # plain strings: Path objects here cost more than the listing
-            index_dir = index.index_path(source_path)
             db_path = index_dir + db_suffix
             # Descent-time 'stat': the validated cache answers warm
             # queries with a dictionary lookup; denied directories are
@@ -683,18 +769,28 @@ class QueryEngine:
                 # the answer.
                 st.token[source_path] = (db_stamp, None)
 
-            def children(meta: DirMeta) -> list[tuple[str, bool]]:
+            def children(meta: DirMeta, code: int) -> list[tuple[str, bool]]:
+                """The child units, and the directory's outcome (its
+                ``code``, plus whether descent read its listing)."""
+                paths: list[str] = []
                 # a no-descend unit never pays for its child listing
-                if not may_descend:
-                    return []
-                dir_stamp, paths = trav.descend(source_path, meta, rel_depth)
-                if collect and dir_stamp is not None:
-                    st.token[source_path] = (db_stamp, dir_stamp)
+                if may_descend:
+                    dir_stamp, paths = trav.descend(
+                        source_path, meta, rel_depth
+                    )
+                    if dir_stamp is not None:
+                        code |= DESCENDED
+                        if collect:
+                            st.token[source_path] = (db_stamp, dir_stamp)
+                if donates and (code & DESCENDED or not paths):
+                    st.outcomes[source_path] = code
                 return [(child, True) for child in paths]
 
             if meta is not None:
                 if not trav.permitted(meta):
                     st.denied += 1
+                    if donates:
+                        st.outcomes[source_path] = DENIED
                     return []
                 gates = trav.stage_gates(meta, rel_depth)
                 if trav.plan is not None and not (
@@ -708,17 +804,24 @@ class QueryEngine:
                     st.visited += 1
                     st.pruned += 1
                     st.elided += 1
-                    return children(meta)
-                if donor is not None and donor.reuse(source_path, db_stamp):
-                    # Unchanged since the donor's capture (the stamp
-                    # ``get_meta`` validated above): its rows stand in
+                    return children(meta, NO_STAGE | PLAN_PRUNED)
+                if (
+                    decided is not None
+                    and decided.get(source_path, 0) & KIND == RAN
+                    and db_stamp is not None
+                    and donor_stamps[source_path][0] == db_stamp
+                ):
+                    # Its database unchanged since the donor's capture
+                    # (the stamp ``get_meta`` validated above), though
+                    # its listing may not be: the donor's rows stand in
                     # for ATTACH, S/E, DETACH; the rest is this run's.
+                    assert capture is not None
                     st.visited += 1
                     st.opened += 1
                     if gates.plan_pruned:
                         st.pruned += 1
-                    st.ran.append(source_path)
-                    return children(meta)
+                    capture.donated(source_path)
+                    return children(meta, RAN | gates.plan_pruned * PLAN_PRUNED)
                 if watched and file_stamp(db_path) != db_stamp:
                     # Written since the drain: the permission decision
                     # and the rows must come from the same file, so
@@ -758,6 +861,8 @@ class QueryEngine:
                         index.cache.put_meta(source_path, meta)
                     if not trav.permitted(meta):
                         st.denied += 1
+                        if donates:
+                            st.outcomes[source_path] = DENIED
                         return []
                     gates = trav.stage_gates(meta, rel_depth)
                 stage.account_io(st, db_path)
@@ -775,11 +880,15 @@ class QueryEngine:
                     )
             finally:
                 StageRunner.detach(st)
-            if donates:
-                st.ran.append(source_path)
             if local_rows:
                 sink.emit(source_path, local_rows)
-            return children(meta)
+            # Under a plan, no surviving stage is what a warm walk
+            # elides: replayed, it is tallied as elided.
+            if trav.plan is not None and not (
+                gates.run_t or gates.run_s or gates.run_e
+            ):
+                return children(meta, NO_STAGE | PLAN_PRUNED)
+            return children(meta, RAN | gates.plan_pruned * PLAN_PRUNED)
 
         expand: Callable[[tuple[str, bool]], list[tuple[str, bool]]]
         if tracing:
@@ -841,9 +950,11 @@ class QueryEngine:
             visited_paths = {}
             for st in states:
                 visited_paths.update(st.token)
-        ran_paths: list[str] | None = None
+        outcomes: dict[str, int] | None = None
         if donates:
-            ran_paths = [p for st in states for p in st.ran]
+            outcomes = {}
+            for st in states:
+                outcomes.update(st.outcomes)
 
         # --------------------------------------------------------------
         # Merge phase: J per thread database, then G on the aggregate.
@@ -884,7 +995,7 @@ class QueryEngine:
             truncated=summary.truncated,
             walk_stats=stats,
             visited_paths=visited_paths,
-            ran_paths=ran_paths,
+            outcomes=outcomes,
             stage_seconds=(
                 {
                     "T": t_time,

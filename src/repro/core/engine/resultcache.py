@@ -42,11 +42,19 @@ equal to what a cold run would return right now:
   (``S``/``E`` rows only — nothing carried between directories) is
   marked **stale** instead of dropped: never served, a miss like any
   other, first to be evicted — and the *donor* of the run that
-  replaces it. That run is the ordinary walk, deciding permission,
-  gates and descent for every directory as always; only where the
-  donor's stages completed under the ``db.db`` stamp the walk has just
-  validated does it emit the donor's rows instead of attaching the
-  database (:meth:`CaptureSink.reuse`).
+  replaces it. Besides its rows it holds what its walk decided in each
+  directory (:attr:`CacheEntry.outcomes`: denied, no stage survives,
+  or stages ran, with the plan-pruned bit and whether descent read the
+  listing). A directory's decision depends only on the key, its
+  ``DirMeta`` and its listing, so where the ``db.db`` and listing
+  stamps equal the donor's the re-run replays it: tallied as a warm
+  walk tallies it, the donor's rows emitted where its stages ran
+  (:meth:`CaptureSink.donated`), and its listed children checked
+  inline. Every other directory — changed, new, errored, absent — is
+  decided afresh, and one whose database alone is unchanged still
+  takes the donor's rows in place of ``ATTACH``, ``S``/``E``,
+  ``DETACH``. ``dirs_reused`` counts the directories whose rows came
+  from the donor.
 
 * **Write clock.** The index handle's one change counter
   (:attr:`DirMetaCache.epoch <repro.core.index.DirMetaCache.epoch>`),
@@ -237,8 +245,9 @@ class CaptureSink(ResultSink):
     A capture that outgrows ``max_bytes`` poisons itself (recording
     stops, rows are freed, forwarding continues untouched).
 
-    ``donor`` is the stale entry this run replaces, if any: the walk
-    asks :meth:`reuse` before it attaches a directory's database.
+    ``donor`` is the stale entry this run replaces, if any: where the
+    walk finds a directory's recorded decision still holds and its
+    stages ran, it asks :meth:`donated` for the rows.
     """
 
     def __init__(
@@ -297,25 +306,20 @@ class CaptureSink(ResultSink):
             self._record(self.rows, rows, path)
             self.inner.emit(path, rows)
 
-    def reuse(self, path: str, stamp: tuple | None) -> bool:
-        """Emit the donor's rows for ``path`` in place of running its
-        stages — only if they ran to completion at capture, under the
-        ``db.db`` stamp the walk has just validated (``stamp``). The
-        caller has already decided permission and gates for ``path``
-        on this run."""
+    def donated(self, path: str) -> None:
+        """Emit the donor's rows for ``path`` — its stages ran there at
+        capture — in place of running them: the walk has decided that
+        its decision holds. Counts the directory as reused."""
         donor = self.donor
-        assert donor is not None and donor.ran is not None
-        batch = donor.ran.get(path)
-        if batch is None or stamp is None or donor.stamps[path][0] != stamp:
-            return False
-        lo, hi, nbytes = batch
+        assert donor is not None
+        batch = donor.batches.get(path)
         with self._lock:
-            if hi > lo:
+            if batch is not None:
+                lo, hi, nbytes = batch
                 rows = donor.rows[lo:hi]
                 self._record(self.rows, rows, path, nbytes)
                 self.inner.emit(path, rows)
             self.reused += 1
-        return True
 
     def emit_final(self, rows: list[Row]) -> None:
         with self._lock:
@@ -344,11 +348,13 @@ class CacheEntry:
     #: stamp pass that found the entry valid; None: no clock then
     clock: Clock | None
     nbytes: int
-    #: directory -> batch, for every directory whose stages ran to
-    #: completion (not denied, elided, errored or absent ones); None
-    #: when the run cannot donate (aggregate/xattr spec) and the entry
-    #: is dropped on invalidation
-    ran: dict[str, Batch] | None = None
+    #: what the walk decided in every directory it decided (see
+    #: :attr:`QueryResult.outcomes`); None when the run cannot donate
+    #: (aggregate/xattr spec) and the entry is dropped on invalidation
+    outcomes: dict[str, int] | None = None
+    #: emitting directory -> its batch in ``rows``: with ``outcomes``,
+    #: what a directory whose stages ran hands the run that replaces it
+    batches: dict[str, Batch] = dataclasses.field(default_factory=dict)
     #: invalidated, kept only as the donor of the run that replaces it
     stale: bool = False
     #: values derived from this entry's rows, kept with it by the
@@ -519,7 +525,7 @@ class ResultCache:
         """Take an invalidated entry out of service: one that can
         donate goes stale — at the LRU end, so it is evicted before any
         servable entry — and anything else is dropped."""
-        if entry.ran is None:
+        if entry.outcomes is None:
             self._drop_locked(entry.key)
         else:
             entry.stale = True
@@ -645,8 +651,8 @@ class ResultCache:
         return None
 
     def donor(self, key: CacheKey) -> CacheEntry | None:
-        """The stale entry under ``key``, for the run that replaces it
-        to reuse (see :meth:`CaptureSink.reuse`) — or None."""
+        """The stale entry under ``key``, whose decisions the run that
+        replaces it replays where they still hold — or None."""
         with self._lock:
             entry = self._entries.get(key)
             return entry if entry is not None and entry.stale else None
@@ -702,10 +708,6 @@ class ResultCache:
         if nbytes > self.max_entry_bytes:
             self._abort_capture()
             return None
-        ran: dict[str, Batch] | None = None
-        if result.ran_paths is not None:
-            batches = capture.batches
-            ran = {p: batches.get(p, (0, 0, 0)) for p in result.ran_paths}
         entry = CacheEntry(
             key=key,
             rows=capture.rows,
@@ -714,7 +716,8 @@ class ResultCache:
             stamps=stamps,
             clock=clock,
             nbytes=nbytes,
-            ran=ran,
+            outcomes=result.outcomes,
+            batches=capture.batches if result.outcomes is not None else {},
         )
         with self._lock:
             if self._moved(epoch):

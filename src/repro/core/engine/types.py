@@ -27,6 +27,22 @@ DirStamp = tuple[int, int] | None
 #: read under, each taken before the read
 Token = dict[str, tuple[DbStamp, DirStamp]]
 
+# What one directory's step decided, recorded by a stream-shaped run
+# (``QueryResult.outcomes``) so the run that replaces its cache entry
+# can replay it: a kind in the low two bits, plus two flags.
+#: permission refused: nothing else happened there
+DENIED = 1
+#: under a plan, no stage survives: nothing to attach (warm, elided)
+NO_STAGE = 2
+#: stages ran; the rows they emitted, if any, are the directory's batch
+RAN = 3
+#: the kind's bits
+KIND = 3
+#: the plan dropped a requested stage here
+PLAN_PRUNED = 4
+#: descent went on into the directory's listing
+DESCENDED = 8
+
 
 class QueryPermissionError(PermissionError):
     """The query root (or an ancestor of it) is not searchable."""
@@ -84,10 +100,13 @@ class QueryResult:
     #: collected only when a result cache needs one (see
     #: engine/resultcache.py); None otherwise
     visited_paths: Token | None = None
-    #: the directories whose stages ran to completion, collected with
-    #: ``visited_paths`` for a run whose cache entry could later donate
-    #: their rows to its own re-run; None otherwise
-    ran_paths: list[str] | None = None
+    #: every directory the walk decided (not the errored or absent
+    #: ones) -> what it decided there (:data:`DENIED`, :data:`NO_STAGE`
+    #: or :data:`RAN`, with :data:`PLAN_PRUNED` and :data:`DESCENDED`),
+    #: collected with ``visited_paths`` for a run whose cache entry
+    #: could later donate those decisions to its own re-run; None
+    #: otherwise
+    outcomes: dict[str, int] | None = None
     #: True when this result was replayed from the materialized result
     #: cache instead of a traversal
     cached: bool = False

@@ -371,6 +371,40 @@ class DirMetaCache:
         if held is None or held[0] != stamp:
             self._clean_subdirs.discard(source_path)
 
+    # -- a donor's decision --------------------------------------------
+    def unchanged(
+        self,
+        source_path: str,
+        base: str,
+        db_stamp: tuple | None,
+        dir_stamp: tuple | None,
+        lean: bool = False,
+        watched: bool = False,
+    ) -> list[str] | tuple[()] | None:
+        """Are ``source_path``'s record and listing (its index
+        directory is ``base``) still the ones a run read under
+        ``db_stamp`` and ``dir_stamp`` (None: it read no listing)? The
+        cached child names if so — none without a listing — else
+        ``None``: both must be cached under exactly those stamps and
+        pass :meth:`get_meta` and :meth:`get_subdirs`."""
+        held = self._meta.get(source_path)
+        if held is None or held.stamp != db_stamp:
+            return None
+        meta = self.get_meta(
+            source_path, f"{base}/{layout.DB_NAME}", lean, watched
+        )
+        if meta is None or meta.stamp != db_stamp:
+            return None
+        if dir_stamp is None:
+            return ()
+        listing = self._subdirs.get(source_path)
+        if listing is None or listing[0] != dir_stamp:
+            return None
+        listing = self.get_subdirs(source_path, base, watched)
+        if listing is None or listing[0] != dir_stamp:
+            return None
+        return listing[1]
+
     # -- tree-summary contributions -----------------------------------
     def get_contribution(
         self, source_path: str, watched: bool = False

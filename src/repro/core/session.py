@@ -135,7 +135,7 @@ class _ThreadState:
         "s_time",
         "e_time",
         "token",
-        "ran",
+        "outcomes",
         "_init_sql",
         "_principal",
         "_used",
@@ -159,9 +159,8 @@ class _ThreadState:
         # this thread's walk touched, collected only when the engine
         # needs a result-cache validity token
         self.token: Token = {}
-        # ... and those whose stages ran to completion (see
-        # QueryResult.ran_paths)
-        self.ran: list[str] = []
+        # ... and what it decided in each (see QueryResult.outcomes)
+        self.outcomes: dict[str, int] = {}
         self._init_sql: str | None = None
         # whose run last executed stages on this connection
         self._principal: object = _NOBODY
@@ -183,7 +182,7 @@ class _ThreadState:
         self.pruned = self.elided = 0
         self.t_time = self.s_time = self.e_time = 0.0
         self.token = {}
-        self.ran = []
+        self.outcomes = {}
         if self._used and (
             principal != self._principal
             or len(self.conn.execute("PRAGMA database_list").fetchall()) > 1

@@ -55,16 +55,24 @@ def encode_cursor(secret: bytes, payload: dict[str, Any]) -> str:
     """Sign ``payload`` into an opaque URL-safe token."""
     body = canonical_json(payload).encode("utf-8")
     tag = hmac.new(secret, body, hashlib.sha256).digest()[:_TAG_LEN]
-    return (
-        base64.urlsafe_b64encode(body).rstrip(b"=").decode("ascii")
-        + "."
-        + base64.urlsafe_b64encode(tag).rstrip(b"=").decode("ascii")
-    )
+    return _b64(body) + "." + _b64(tag)
+
+
+def _b64(raw: bytes) -> str:
+    """One part of a token: URL-safe base64, unpadded."""
+    return base64.urlsafe_b64encode(raw).rstrip(b"=").decode("ascii")
 
 
 def _unb64(text: str) -> bytes:
+    """The bytes of one part, decoded strictly: a character outside
+    the URL-safe alphabet, padding, or any text :func:`_b64` would not
+    write for these bytes is a ``ValueError`` — a cursor has exactly
+    one spelling."""
     pad = "=" * (-len(text) % 4)
-    return base64.urlsafe_b64decode(text + pad)
+    raw = base64.b64decode(text + pad, altchars=b"-_", validate=True)
+    if _b64(raw) != text:
+        raise ValueError("not a canonical cursor part")
+    return raw
 
 
 def decode_cursor(secret: bytes, token: str) -> dict[str, Any]:

@@ -37,11 +37,13 @@ Layout:
 * ``TestWhereACacheAttaches`` — only to a single-process, untraced
   engine.
 * ``TestMetricNames`` — the seven exported ``gufi_result_cache_*`` names.
-* ``TestReuseBudget`` / ``TestReuseSecurity`` / ``TestStaleEntries`` —
-  an invalidated stream-shaped entry is the donor of its own re-run:
-  that run attaches only what changed, equals a cold run in rows and
-  counters, can never show a user more than POSIX would, and a stale
-  entry is never served and first to be evicted.
+* ``TestReuseBudget`` / ``TestReuseSecurity`` /
+  ``TestReplayedDecisions`` / ``TestStaleEntries`` — an invalidated
+  stream-shaped entry is the donor of its own re-run: that run attaches
+  only what changed, decides permission only where a stamp changed and
+  replays the rest, equals a cold run in rows and counters, can never
+  show a user more than POSIX would, and a stale entry is never served
+  and first to be evicted.
 * ``TestNoStaleReadsProperty`` — the acceptance property, PR 7 style:
   hypothesis-driven mutate/apply/query interleavings under root and
   unprivileged creds, with and without rollups.
@@ -2328,10 +2330,11 @@ class TestReuseBudget:
 
 
 class TestReuseSecurity:
-    """Reuse cannot widen visibility: permission is re-decided for
-    every directory on every run, so rows the donor holds for a
-    directory the user may no longer reach are simply never asked
-    for."""
+    """Reuse cannot widen visibility: permission is decided afresh for
+    every directory whose database or listing changed, and a directory
+    is reached only through its parent's descent, so rows the donor
+    holds for a directory the user may no longer reach are simply
+    never asked for."""
 
     @staticmethod
     def _tree():
@@ -2413,7 +2416,7 @@ class TestReuseSecurity:
             first = eng.run(Q1_LIST_PATHS)
             assert first.dirs_errored == 1
             key = make_key(ROOT, Q1_LIST_PATHS, None, "/")
-            assert "/public/open" not in cache._entries[key].ran
+            assert "/public/open" not in cache._entries[key].outcomes
             assert "/public/open" in cache._entries[key].stamps
             # something else changes: the broken directory is met again
             tree.create_file("/home/bob/new.txt", size=1)
@@ -2453,6 +2456,254 @@ class TestReuseSecurity:
         assert not r.cached and sorted(r.rows) == cold_rows(eng.index, E_ALL)
         assert len(cache) == 1 and cache.stats()["stale"] == 0
         assert eng.run(E_ALL).cached
+
+
+#: stream-shaped and planned: the stats gate drops E nearly everywhere,
+#: so most directories have no surviving stage
+BIG_E = QuerySpec(E=S_AND_BIG_E.E)
+
+
+def _stamps_of_tree(index):
+    """Every index directory's ``db.db`` and listing stamps."""
+    from repro.store.layout import dir_stamp
+
+    return {
+        index.source_path(d): (file_stamp(d / "db.db"), dir_stamp(str(d)))
+        for d in index.iter_index_dirs()
+    }
+
+
+def _mid_replay(index, monkeypatch, at, action):
+    """Run ``action()`` once, when a re-run's donor check is asked for
+    the ``at``-th time; returns the list of checks asked after it."""
+    real = index.cache.unchanged
+    calls: list[str] = []
+    after: list[str] = []
+
+    def checking(path, *args):
+        calls.append(path)
+        if len(calls) == at:
+            action()
+        elif len(calls) > at:
+            after.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(index.cache, "unchanged", checking)
+    return after
+
+
+class TestReplayedDecisions:
+    """A stale entry donates each directory's decision: where a
+    directory's ``db.db`` and listing are the ones the donor decided it
+    under, the re-run replays it — no permission check, no gates, no
+    hand-off — and still returns exactly what a run without a donor
+    returns, rows and all six counters."""
+
+    @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unarmed"])
+    def test_permission_is_decided_only_where_a_stamp_changed(
+        self, tmp_path, monkeypatch, armed
+    ):
+        from repro.core.engine.traversal import Traversal
+
+        (_arm if armed else _unarm)(monkeypatch)
+        ns = dataset2(scale=0.00005, seed=22)
+        index = dir2index(ns.tree, tmp_path / "idx", opts=OPTS).index
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=ALICE, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            eng.run(Q1_LIST_PATHS)
+            before = _stamps_of_tree(index)
+            victim = sorted(before)[3]
+            ns.tree.create_file(f"{victim}/one_more.dat", size=3)
+            update_directory(index, ns.tree, victim, opts=OPTS)
+            after = _stamps_of_tree(index)
+            changed = {p for p in after if after[p] != before.get(p)}
+            assert victim in changed and len(changed) < len(after) // 4
+            by_stamp = {s[0]: p for p, s in after.items()}
+            decided: list[str] = []
+            real = Traversal.permitted
+
+            def permitted(trav, meta):
+                decided.append(by_stamp[meta.stamp])
+                return real(trav, meta)
+
+            monkeypatch.setattr(Traversal, "permitted", permitted)
+            rerun = eng.run(Q1_LIST_PATHS)
+            monkeypatch.undo()
+            assert not rerun.cached and cache.stats()["dirs_reused"] > 0
+            assert decided and set(decided) <= changed
+            assert len(decided) == len(set(decided))
+            assert outcome(rerun) == cold_outcome(index, Q1_LIST_PATHS, ALICE)
+
+    def test_no_stage_survives_is_recorded_and_replayed_elided(
+        self, tmp_path
+    ):
+        """A cold capture attaches a directory its plan prunes whole (no
+        record to elide it with yet); the entry records "no stage
+        survives", and the re-run tallies it as a warm walk does."""
+        from repro.core.engine.types import KIND, NO_STAGE, PLAN_PRUNED
+        from repro.core.plan import plan_for
+        from repro.core.tools import FindFilters
+
+        ns = dataset2(scale=0.00005, seed=22)
+        dir2index(ns.tree, tmp_path / "idx", opts=OPTS)
+        index = GUFIIndex.open(tmp_path / "idx")  # no record cached
+        plan = plan_for(FindFilters(min_size=1 << 22))
+        cache = ResultCache()
+        with QueryEngine(
+            index, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            first = eng.run(BIG_E, plan=plan)
+            assert first.attaches_elided == 0 and first.dirs_pruned_by_plan
+            key = make_key(ROOT, BIG_E, plan, "/")
+            outcomes = cache._entries[key].outcomes
+            none_survive = [
+                p for p, code in outcomes.items() if code & KIND == NO_STAGE
+            ]
+            assert len(none_survive) == first.dirs_pruned_by_plan
+            assert all(outcomes[p] & PLAN_PRUNED for p in none_survive)
+            # one of them gains a file the plan cannot prune
+            victim = sorted(none_survive)[1]
+            ns.tree.create_file(f"{victim}/big.dat", size=1 << 23)
+            update_directory(index, ns.tree, victim, opts=OPTS)
+            assert cache.stats()["stale"] == 1
+            with attached_dirs(index) as seen:
+                rerun = eng.run(BIG_E, plan=plan)
+            assert seen == [victim] and not rerun.cached
+            assert rerun.attaches_elided == len(none_survive) - 1
+            assert outcome(rerun) == cold_outcome(index, BIG_E, plan=plan)
+            assert any(r[0].endswith("/big.dat") for r in rerun.rows)
+            assert eng.run(BIG_E, plan=plan).cached
+
+    @pytest.mark.parametrize("creds", [ROOT, BOB], ids=["root", "bob"])
+    @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unarmed"])
+    @pytest.mark.parametrize("change", sorted(_OOB_CHANGES))
+    @pytest.mark.parametrize("start", sorted(_STARTS))
+    def test_every_change_rerun_equals_a_run_without_donor(
+        self, demo_index, monkeypatch, start, change, armed, creds
+    ):
+        if change == "ancestor-db-replaced" and start == "/":
+            pytest.skip("the root has no ancestor")
+        (_arm if armed else _unarm)(monkeypatch)
+        rollup(demo_index, nthreads=NTHREADS)
+        index = demo_index
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=creds, nthreads=NTHREADS, result_cache=cache
+        ) as eng, QueryEngine(index, creds=creds, nthreads=NTHREADS) as plain:
+
+            def run(engine):
+                try:
+                    return outcome(engine.run(E_ALL, start))
+                except (FileNotFoundError, PermissionError) as exc:
+                    return type(exc).__name__
+
+            assert (index.watch is not None) is armed
+            first = run(eng)
+            plain.run(E_ALL)  # every record checked (clean, when armed)
+            _OOB_CHANGES[change](
+                *map(index.index_path, _STARTS[start]),
+                index.index_path(start.rsplit("/", 1)[0]),
+            )
+            key = make_key(creds, E_ALL, None, start)
+            if isinstance(first, str) or cache.lookup(key, index):
+                return  # stored nothing, or no walk can see the change
+            assert cache.stats()["stale"] == 1
+            rerun = run(eng)
+            assert rerun == run(plain)
+            assert cache.stats()["stale"] == 0 or isinstance(rerun, str)
+
+    @pytest.mark.parametrize("writer", ["own", "foreign"])
+    @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unarmed"])
+    def test_ancestor_tightened_after_capture_hides_its_subtree(
+        self, tmp_path, monkeypatch, armed, writer
+    ):
+        """``/public/open`` is republished owner-only after Bob's
+        capture; every directory below it is unchanged and would pass
+        its own check, but none is reached."""
+        (_arm if armed else _unarm)(monkeypatch)
+        tree = TestReuseSecurity._tree()
+        index = dir2index(tree, tmp_path / "idx", opts=OPTS).index
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=BOB, nthreads=NTHREADS, result_cache=cache
+        ) as eng:
+            first = [r[0] for r in eng.run(Q1_LIST_PATHS).rows]
+            assert "/public/open/deep/o.dat" in first
+            tree.chmod("/public/open", 0o700)
+            target = index if writer == "own" else GUFIIndex.open(index.root)
+            update_directory(target, tree, "/public/open", opts=OPTS)
+            rerun = eng.run(Q1_LIST_PATHS)
+            got = sorted(r[0] for r in rerun.rows)
+            assert not rerun.cached and cache.stats()["dirs_reused"] > 0
+            assert not any(p.startswith("/public/open/") for p in got)
+            assert got == posix_file_paths(tree, BOB)
+            assert outcome(rerun) == cold_outcome(index, Q1_LIST_PATHS, BOB)
+
+    @pytest.mark.parametrize("how", ["hook", "drained_batch"])
+    def test_an_invalidation_mid_replay_aborts_the_store(
+        self, demo_tree, demo_index, monkeypatch, how
+    ):
+        """A subtree hook, or a batch another handle wrote and a
+        concurrent lookup drained, lands while the re-run replays: the
+        run answers as a run without a donor would, stores nothing, and
+        the next run captures."""
+        _arm(monkeypatch)
+        index = demo_index
+        cache = ResultCache()
+        with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as eng:
+            eng.run(E_ALL)
+            other = make_key(ROOT, E_ALL, None, "/home")
+            if how == "drained_batch":
+                eng.run(E_ALL, "/home")  # the entry the lookup checks
+            index.invalidate_cache("/public/xonly")
+            assert cache.stats()["stale"] == 1
+
+            def land():
+                if how == "hook":
+                    index.cache.invalidate_subtree("/home")
+                else:
+                    # the same rows in a new file, through another handle
+                    update_directory(
+                        GUFIIndex.open(index.root), demo_tree, "/proj",
+                        opts=OPTS,
+                    )
+                    assert cache.lookup(other, index) is not None
+
+            epoch = index.cache.epoch
+            _mid_replay(index, monkeypatch, 3, land)
+            aborts = cache.capture_aborts
+            r = eng.run(E_ALL)
+            monkeypatch.undo()
+            assert index.cache.epoch != epoch
+            assert not r.cached and cache.capture_aborts == aborts + 1
+            kept = len(cache)  # the /home entry, if there is one
+            assert kept == (how != "hook") and cache.stats()["stale"] == 1
+            assert sorted(r.rows) == cold_rows(index, E_ALL)
+            r = eng.run(E_ALL)
+            assert not r.cached and len(cache) == kept + 1
+            assert sorted(r.rows) == cold_rows(index, E_ALL)
+            assert eng.run(E_ALL).cached
+
+    def test_cancel_mid_replay_stops_within_a_directory(
+        self, demo_index, monkeypatch
+    ):
+        from repro.core.engine import CancelToken, QueryCancelled
+
+        index = demo_index
+        cache = ResultCache()
+        with QueryEngine(index, nthreads=1, result_cache=cache) as eng:
+            eng.run(E_ALL)
+            index.invalidate_cache("/public/xonly")
+            token = CancelToken()
+            after = _mid_replay(index, monkeypatch, 3, token.cancel)
+            with pytest.raises(QueryCancelled):
+                eng.run(E_ALL, cancel=token)
+            monkeypatch.undo()
+            assert after == []
+            assert len(cache) == 0 and cache.stats()["stale"] == 1
+            assert not eng.run(E_ALL).cached and len(cache) == 1
 
 
 class TestStaleEntries:

@@ -511,6 +511,38 @@ class TestCursorPagination:
         # the replayed run came from the materialized result cache
         assert body["meta"]["cached"] is True
 
+    @pytest.mark.parametrize("spelling", ["padded", "space", "plus"])
+    def test_a_cursor_has_one_spelling(self, client, spelling):
+        """A token spelled otherwise than the app issued it — ``==``
+        appended, a space inserted, ``+`` for a ``-`` — is refused,
+        though a lenient decoder reads each as the same bytes: 400
+        ``invalid_cursor``, and :func:`decode_cursor` raises."""
+        token = self._first_page(client).json()["next_cursor"]
+        secret = b"one spelling"
+        # a signed token with a '-' in it to swap
+        n, dashed = next(
+            (n, t)
+            for n, t in ((n, encode_cursor(secret, {"n": n})) for n in range(999))
+            if "-" in t
+        )
+        assert decode_cursor(secret, dashed) == {"n": n}
+        for issued in (token, dashed):
+            if spelling == "padded":
+                bent = issued + "=="
+            elif spelling == "space":
+                bent = issued[:5] + " " + issued[5:]
+            else:
+                bent = issued.replace("-", "+", 1)
+            if bent == issued:
+                continue  # the app's token has no '-'
+            if issued is dashed:
+                with pytest.raises(CursorError):
+                    decode_cursor(secret, bent)
+                continue
+            r = run(client.invoke("root", cursor=bent))
+            assert r.status == 400, bent
+            assert r.json()["error"]["code"] == "invalid_cursor"
+
     def test_cursor_invalid_across_tenants(self, client):
         resp = self._first_page(client, user="root")
         cursor = resp.json()["next_cursor"]
@@ -524,8 +556,8 @@ class TestCursorPagination:
         presenting it, one issued before an apply under its start —
         are each a 400 ``invalid_cursor``, a 403 or a 410. Rows come
         back only for a token that decodes to exactly the payload the
-        app signed: ``_unb64`` is lenient, so some distinct strings
-        decode to the same bytes."""
+        app signed; ``_unb64`` is strict, so that token is the one the
+        app issued."""
         tree = build_demo_tree()
         journal = ChangeJournal()
         tree.set_changelog(journal)
@@ -559,7 +591,7 @@ class TestCursorPagination:
             @example(("fresh", ("append", "AAAA"), "root"))
             @example(("fresh", ("replace", "garbage"), "root"))
             @example(("fresh", ("swapcase",), "root"))
-            @example(("fresh", ("append", "=="), "root"))  # decodes the same
+            @example(("fresh", ("append", "=="), "root"))  # padding: refused
             def check(case):
                 base, mutation, user = case
                 token = _mutate(secret, tokens[base], mutation)
