@@ -47,7 +47,7 @@ from repro import obs
 from repro.fs.permissions import ROOT, Credentials
 from repro.scan.walker import FatalWalkError, ParallelTreeWalker, WalkStats
 from repro.sim.blktrace import IOTracer
-from repro.store.layout import DB_NAME, StampBracket, file_stamp
+from repro.store.layout import DB_NAME, StampBracket
 
 from ..index import DirMeta, GUFIIndex, IndexError_
 from ..plan import QueryPlan
@@ -268,7 +268,7 @@ class QueryEngine:
         """The front end :meth:`run` and :meth:`run_single` share."""
         if cancel is not None and cancel.cancelled:
             raise QueryCancelled("query cancelled before dispatch")
-        if self.result_cache is not None:
+        if self.result_cache is not None and not spec.names_users():
             return self._run_cached(spec, start, descend, plan, sink, cancel)
         if _replay_only.get() is not None:
             raise NotCached("no result cache")
@@ -476,7 +476,7 @@ class QueryEngine:
             return impl(otr)
         t0 = time.monotonic()
         cache_before = (
-            self.index.cache.stats() if rec.enabled and walks else None
+            self.index.cache.counters() if rec.enabled and walks else None
         )
         span = otr.start(kind, start=start) if otr.enabled else None
         result: QueryResult | None = None
@@ -541,7 +541,7 @@ class QueryEngine:
                     stage_seconds.get(stage, 0.0),
                     stage=stage,
                 )
-        cache_after = self.index.cache.stats()
+        cache_after = self.index.cache.counters()
         for which in ("meta", "subdir"):
             rec.counter(
                 "gufi_session_cache_hits_total",
@@ -615,8 +615,8 @@ class QueryEngine:
         ``run_single()`` a single non-descending one, and
         ``run_shard()`` a shard's worth of units. ``capture`` is the
         run's capturing tee when a stale result-cache entry donates to
-        it: a directory whose ``db.db`` and listing are the ones the
-        donor decided it under is replayed, not decided again."""
+        it: a directory whose ``db.db`` is the one the donor decided it
+        under is replayed, not decided again."""
         t0 = time.monotonic()
         pool = self.pool
         index = self.index
@@ -630,7 +630,7 @@ class QueryEngine:
         # one (S/E rows, nothing carried between directories) also
         # records what it decided in each directory: the run that
         # replaces its entry replays those decisions where they hold.
-        collect = self.result_cache is not None
+        collect = self.result_cache is not None and not spec.names_users()
         donates = collect and not (
             spec.I or spec.T or spec.J or spec.G or spec.xattrs
         )
@@ -645,15 +645,14 @@ class QueryEngine:
         watched = trav.watched
         stage = StageRunner(index, spec, self.tracer, otr, timing, tracing)
         db_suffix = "/" + DB_NAME
-        # The stale entry this run replaces: the directory -> decision
-        # and directory -> stamps it recorded.
-        decided: dict[str, int] | None = None
+        # the stale entry this run replaces: its decisions and stamps
+        decided: dict[str, int] = {}
         donor_stamps: Token = {}
         if capture is not None:
             donor = capture.donor
             assert donor is not None and donor.outcomes is not None
             decided, donor_stamps = donor.outcomes, donor.stamps
-        unchanged = index.cache.unchanged
+        get_meta, current = index.cache.get_meta, index.cache.current
         # Thread-ident -> checked-out state, for *this* run only (the
         # walker creates fresh threads per walk). The pool's lock is
         # taken once per thread per run — at checkout — never per
@@ -667,38 +666,30 @@ class QueryEngine:
                 st = run_states[tid] = pool.acquire(spec.I, creds)
             return st
 
-        def holds(path: str, base: str) -> list[str] | tuple[()] | None:
-            """The donor's listing of ``path`` (index directory
-            ``base``) when its decision there holds — its ``db.db`` and
-            listing are the ones it was made under — else None. A
-            decision depends only on the cache key, the directory's
-            DirMeta and its listing."""
-            assert decided is not None
-            if path not in decided:
-                return None
-            db_stamp, dir_stamp = donor_stamps[path]
-            return unchanged(path, base, db_stamp, dir_stamp, lean, watched)
+        def holds(path: str, meta: DirMeta | None) -> bool:
+            """Is ``meta``, this handle's record of ``path`` (none once a
+            hook dropped it), at the ``db.db`` stamp the donor decided
+            it under? A decision depends only on the key and DirMeta."""
+            return meta is not None and path in decided and (
+                meta.stamp == donor_stamps[path][0]
+            )
 
         def replay(
-            st: _ThreadState,
-            path: str,
-            base: str,
-            may_descend: bool,
-            names: list[str] | tuple[()],
+            st: _ThreadState, path: str, base: str, may_descend: bool
         ) -> list[tuple[str, bool]]:
-            """Replay the donor's decision for ``path``, whose check
-            passed (``names``: its listing), and inline for every
-            listed descendant whose check passes too: tallied as a warm
-            walk tallies it, the token entry copied, a ran directory's
-            rows from the donor. Returns the children whose check
-            failed, for the walker to decide afresh."""
-            assert capture is not None and decided is not None
+            """Replay the donor's decision for ``path``, which holds, and
+            inline for each listed descendant whose decision holds too:
+            tallied as a warm walk tallies it, a ran directory's rows
+            from the donor, its listing read as any walk reads it.
+            Returns the rest, for the walker to decide afresh."""
+            assert capture is not None
             token, outcomes = st.token, st.outcomes
             fresh: list[tuple[str, bool]] = []
             todo: list[tuple[str, str]] = []
             while True:
                 code = decided[path]
-                token[path] = donor_stamps[path]
+                db_stamp = donor_stamps[path][0]
+                token[path] = (db_stamp, None)
                 outcomes[path] = code
                 kind = code & KIND
                 if kind == DENIED:
@@ -713,6 +704,8 @@ class QueryEngine:
                         st.opened += 1
                         capture.donated(path)
                     if may_descend and code & DESCENDED:
+                        dir_stamp, names = index.cached_subdir_names(path, watched)
+                        token[path] = (db_stamp, dir_stamp)
                         prefix = "" if path == "/" else path
                         todo.extend([
                             (f"{prefix}/{name}", f"{base}/{name}")
@@ -723,9 +716,8 @@ class QueryEngine:
                     path, base = todo.pop()
                     # the cancellation checkpoint of each directory
                     trav.checkpoint()
-                    held = holds(path, base)
-                    if held is not None:
-                        names, may_descend = held, True
+                    if holds(path, get_meta(path, base + db_suffix, lean, watched)):
+                        may_descend = True
                         break
                     fresh.append((path, True))
                 else:
@@ -741,32 +733,23 @@ class QueryEngine:
             st = thread_state()
             # plain strings: Path objects here cost more than the listing
             index_dir = index.index_path(source_path)
-            if decided is not None:
-                names = holds(source_path, index_dir)
-                if names is not None:
-                    return replay(
-                        st, source_path, index_dir, may_descend, names
-                    )
-            st.ctx.current_path = source_path
-            depth = path_depth(source_path)
-            st.ctx.current_depth = depth
-            rel_depth = depth - start_depth
             db_path = index_dir + db_suffix
             # Descent-time 'stat': the validated cache answers warm
             # queries with a dictionary lookup; denied directories are
             # then skipped without ever attaching their database.
-            meta = index.cache.get_meta(source_path, db_path, lean, watched)
-            if meta is not None:
-                db_stamp = meta.stamp
-            else:
-                bracket = StampBracket(db_path)
-                db_stamp = bracket.stamp
+            meta = get_meta(source_path, db_path, lean, watched)
+            if decided and holds(source_path, meta):
+                return replay(st, source_path, index_dir, may_descend)
+            st.ctx.current_path = source_path
+            depth = path_depth(source_path)
+            st.ctx.current_depth = depth
+            rel_depth = depth - start_depth
+            # Every touched directory — visited, denied, pruned, elided,
+            # errored, or absent — is part of a cached result's validity
+            # token, under the stamp taken before anything of it was
+            # read: a change to any of them could change the answer.
+            db_stamp = None if meta is None else meta.stamp
             if collect:
-                # Every touched directory — visited, denied, pruned,
-                # elided, errored, or absent — is part of the result's
-                # validity token, under the stamp taken before anything
-                # of it was read: a change to any of them could change
-                # the answer.
                 st.token[source_path] = (db_stamp, None)
 
             def children(meta: DirMeta, code: int) -> list[tuple[str, bool]]:
@@ -805,34 +788,18 @@ class QueryEngine:
                     st.pruned += 1
                     st.elided += 1
                     return children(meta, NO_STAGE | PLAN_PRUNED)
-                if (
-                    decided is not None
-                    and decided.get(source_path, 0) & KIND == RAN
-                    and db_stamp is not None
-                    and donor_stamps[source_path][0] == db_stamp
-                ):
-                    # Its database unchanged since the donor's capture
-                    # (the stamp ``get_meta`` validated above), though
-                    # its listing may not be: the donor's rows stand in
-                    # for ATTACH, S/E, DETACH; the rest is this run's.
-                    assert capture is not None
-                    st.visited += 1
-                    st.opened += 1
-                    if gates.plan_pruned:
-                        st.pruned += 1
-                    capture.donated(source_path)
-                    return children(meta, RAN | gates.plan_pruned * PLAN_PRUNED)
-                if watched and file_stamp(db_path) != db_stamp:
+                if watched and not current(source_path, index_dir, db_stamp, None):
                     # Written since the drain: the permission decision
                     # and the rows must come from the same file, so
                     # this one is read cold.
                     meta = None
-                    bracket = StampBracket(db_path)
-                    db_stamp = bracket.stamp
-                    if collect:
-                        st.token[source_path] = (db_stamp, None)
-            if meta is None and db_stamp is None:
-                return []
+            if meta is None:
+                bracket = StampBracket(db_path)
+                db_stamp = bracket.stamp
+                if collect:
+                    st.token[source_path] = (db_stamp, None)
+                if db_stamp is None:
+                    return []
             # Warm, the cached record has granted access (the kernel
             # would have refused a denied user the open). Cold, this
             # one attach serves the permission read and the stages.

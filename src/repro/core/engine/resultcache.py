@@ -23,10 +23,12 @@ equal to what a cold run would return right now:
   start path's ancestors (whose permission bits gate reachability) —
   and (b) the index's write clock (below), read before the run. A
   one-directory entry's stamps are that directory's ``db.db`` and its
-  ancestors' — no listing: it reads none. Revalidation
-  is one stat per recorded stamp, on path strings, and nothing else —
-  not O(traversal), which would open every database and re-run SQL —
-  or, while the write clock has not moved, no stamp at all (below).
+  ancestors' — no listing: it reads none. Revalidation (the stamp
+  pass) asks the handle's one stamp rule of each recorded stamp
+  (:meth:`DirMetaCache.current <repro.core.index.DirMetaCache.current>`):
+  a stat on a path string, none where a drained watch vouches — not
+  O(traversal), which would open every database and re-run SQL — or,
+  while the write clock has not moved, no stamp at all (below).
 
 * **Push invalidation.** Every writer in this codebase (the one
   in-place apply — changefeed, update, graft and prune — refresh and
@@ -45,16 +47,14 @@ equal to what a cold run would return right now:
   replaces it. Besides its rows it holds what its walk decided in each
   directory (:attr:`CacheEntry.outcomes`: denied, no stage survives,
   or stages ran, with the plan-pruned bit and whether descent read the
-  listing). A directory's decision depends only on the key, its
-  ``DirMeta`` and its listing, so where the ``db.db`` and listing
-  stamps equal the donor's the re-run replays it: tallied as a warm
-  walk tallies it, the donor's rows emitted where its stages ran
-  (:meth:`CaptureSink.donated`), and its listed children checked
-  inline. Every other directory — changed, new, errored, absent — is
-  decided afresh, and one whose database alone is unchanged still
-  takes the donor's rows in place of ``ATTACH``, ``S``/``E``,
-  ``DETACH``. ``dirs_reused`` counts the directories whose rows came
-  from the donor.
+  listing). A directory's decision depends only on the key and its
+  ``DirMeta``, so where the record the handle holds for it still
+  carries the donor's ``db.db`` stamp the re-run replays it: tallied
+  as a warm walk tallies it, the donor's rows emitted where its stages
+  ran (:meth:`CaptureSink.donated`), its listing read as any walk
+  reads it and its children checked inline. Every other directory —
+  changed, new, errored, absent — is decided afresh. ``dirs_reused``
+  counts the directories whose rows came from the donor.
 
 * **Write clock.** The index handle's one change counter
   (:attr:`DirMetaCache.epoch <repro.core.index.DirMetaCache.epoch>`),
@@ -96,10 +96,10 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
-from repro.store import layout
 
 from ..checkpoint import ChangefeedCheckpoint
 from ..plan import QueryPlan
@@ -222,16 +222,17 @@ def make_key(
     return key if descend else key + (False,)
 
 
-def _rows_nbytes(rows: Iterable[Row]) -> int:
-    """Cheap size estimate of a row batch for the byte budget."""
-    n = 0
-    for row in rows:
-        n += 64
-        for v in row:
-            if isinstance(v, (str, bytes)):
-                n += len(v)
-            else:
-                n += 16
+#: the values sized by their length (a module constant: a tuple built
+#: per value costs a third of the loop); any other counts 16 bytes
+_SIZED = (str, bytes)
+
+
+def _rows_nbytes(rows: Sequence[Row]) -> int:
+    """Cheap size estimate of a row batch for the byte budget: 64 a
+    row, plus each value's length where it has one, else 16."""
+    n = 64 * len(rows)
+    for v in chain.from_iterable(rows):
+        n += len(v) if isinstance(v, _SIZED) else 16
     return n
 
 
@@ -568,13 +569,15 @@ class ResultCache:
         entry = self._servable(key)
         if entry is not None and (admits is None or admits(entry)):
             t0 = time.perf_counter()
+            if watched is None:
+                watched = index.sync()
             clock = self.clock(index, watched)
             if clock is not None and clock == entry.clock:
                 valid, rule = True, "clock"
             elif admits is not None:
                 return None
             else:
-                valid, rule = self._validate(entry, index), "stamps"
+                valid, rule = self._validate(entry, index, watched), "stamps"
             self._observe_validation(rec, t0, rule)
             if self._settle(rec, key, entry, clock, valid):
                 return entry
@@ -657,19 +660,15 @@ class ResultCache:
             entry = self._entries.get(key)
             return entry if entry is not None and entry.stale else None
 
-    def _validate(self, entry: CacheEntry, index: "GUFIIndex") -> bool:
-        """The stamp pass: True when every stamp the entry's walk read
-        under still equals the file's — one stat per recorded stamp, a
-        directory's database, then its listing where the walk read
-        one, on plain path strings, and nothing else."""
-        for path, (db_stamp, dir_stamp) in entry.stamps.items():
-            base = index.index_path(path)
-            if layout.file_stamp(f"{base}/{layout.DB_NAME}") != db_stamp:
-                return False
-            if dir_stamp is not None:
-                if layout.dir_stamp(base) != dir_stamp:
-                    return False
-        return True
+    @staticmethod
+    def _validate(entry: CacheEntry, index: "GUFIIndex", watched: bool) -> bool:
+        """The stamp pass: does every stamp the entry's walk read under
+        still hold (``DirMetaCache.current``, on plain path strings)?"""
+        current, index_path = index.cache.current, index.index_path
+        return all(
+            current(path, index_path(path), db_stamp, dir_stamp, watched)
+            for path, (db_stamp, dir_stamp) in entry.stamps.items()
+        )
 
     # ------------------------------------------------------------------
     # Store

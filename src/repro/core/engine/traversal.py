@@ -31,6 +31,7 @@ database lives in :mod:`repro.core.engine.stages`.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ from repro.fs.permissions import (
     can_search_dir,
 )
 from repro.scan.walker import FatalWalkError
+from repro.store.layout import DB_NAME
 
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
@@ -203,9 +205,10 @@ class Traversal:
                     f"permission denied traversing {cur!r}"
                 )
             token[cur] = (meta.stamp, None)
-        if not (self.watched and index.cache.vouches(start)) and not (
-            index.db_path(start).exists()
-        ):
+        db = f"{index.index_path(start)}/{DB_NAME}"
+        # watched, a record held clean says the database is there
+        held = self.watched and index.cache.get_meta(start, db, True, True)
+        if not (held or os.path.exists(db)):
             raise FileNotFoundError(f"no index directory for {start!r}")
         return token
 

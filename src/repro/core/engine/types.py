@@ -67,6 +67,13 @@ class QuerySpec:
         """Whether any per-directory stage (T/S/E) is present."""
         return bool(self.T or self.S or self.E)
 
+    def names_users(self) -> bool:
+        """Whether a stage names ``uidtouser()``, whose answer follows
+        the identity directory's name map as it is now: a result cache
+        never holds such rows."""
+        stages = (self.I, self.T, self.S, self.E, self.J, self.G)
+        return any("uidtouser" in sql.lower() for sql in stages if sql)
+
 
 @dataclass
 class QueryResult:

@@ -30,7 +30,7 @@ import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro import obs
 from repro.store import connect, layout, schema
@@ -195,70 +195,85 @@ def _at_or_below(keys: Iterable[str], tops: tuple[str, ...]) -> list[str]:
     return [k for k in list(keys) if k in tops or k.startswith(below)]
 
 
-class DirMetaCache:
-    """In-memory cache of per-directory :class:`DirMeta`, of child
-    directory listings, and of tree-summary contributions (what one
-    database adds to any ``tsummary`` above it, see
-    :mod:`repro.core.tsummary`), shared by every query and every
-    tree-summary build on one index handle.
+class _DbEntry(NamedTuple):
+    """What was read of one ``db.db`` under ``stamp``: its record, its
+    tree-summary contribution (and the file's path), or both."""
 
-    Entries are validated against a stat-derived stamp of the backing
-    file ((inode, mtime_ns, size) for ``db.db``, (inode, mtime_ns) for
-    the directory), so out-of-band rewrites are caught by construction:
-    the update path renames a new file over the database, changing the
-    inode regardless of timestamp granularity. Writers inside this
-    codebase (update, refresh, rollup/unrollup) additionally call the
-    explicit ``invalidate*`` hooks — the authoritative mechanism, since
-    DirMeta carries the §III-A security metadata (mode/uid/gid/rolledup)
-    and a stale entry would mean a stale permission decision.
+    stamp: tuple | None
+    meta: DirMeta | None = None
+    contrib: Any = None
+    db_path: str = ""
+
+
+class _Table(NamedTuple):
+    """Stamped entries (``entry[0]``), the clean paths among them, and
+    the :mod:`repro.store.layout` function that stamps their files."""
+
+    stamp: str
+    entries: dict[str, Any]
+    clean: set[str]
+
+
+#: what :meth:`DirMetaCache.counters` reports
+_COUNTERS = (
+    "meta_hits meta_misses subdir_hits subdir_misses contribution_hits "
+    "contribution_misses invalidations validations_watch validations_stat"
+).split()
+
+
+class DirMetaCache:
+    """In-memory cache of what was read of each index directory, shared
+    by every query and every tree-summary build on one index handle:
+    two stamped entries per directory. The ``db.db`` entry holds the
+    :class:`DirMeta` and the tree-summary contribution (what the
+    database adds to any ``tsummary`` above it), under the file's stamp
+    (inode, mtime_ns, size); the listing entry holds the child names,
+    under the directory's (inode, mtime_ns).
+
+    One stamp rule (:meth:`_fresh`) says whether a file is still the
+    one read: every lookup asks it (:meth:`_lookup`), and
+    :meth:`current` asks it of the stamps a walk recorded. The update
+    path renames a new file over the database, changing the inode
+    whatever the timestamp granularity. Writers inside this codebase
+    also call the ``invalidate*`` hooks — the authoritative mechanism,
+    since DirMeta carries the §III-A security metadata: a stale entry
+    would be a stale permission decision.
 
     **Watched lookups.** :attr:`epoch` is the handle's one change
     signal (``docs/ARCHITECTURE.md``). Where the handle's inotify watch
-    is armed (:meth:`GUFIIndex.arm_watch`), each drained batch of
-    events marks the directories it named dirty (:meth:`mark_dirty`).
-    An entry is *clean* once a stamp check passed with no batch drained
-    during the check, and stays clean until an event names its
-    directory. A ``watched`` lookup — one whose caller drained the
-    watch in the process that armed it (:meth:`GUFIIndex.sync`) —
-    returns a clean entry with no ``stat``; any other lookup checks the
-    stamp as always. Nothing cached before the watch armed is clean,
-    and neither is a record put for another file since its last check.
+    is armed, each drained batch of events marks the directories it
+    named dirty (:meth:`mark_dirty`). An entry is *clean* once a stamp
+    check passed with no batch drained during it, until an event names
+    its directory. A ``watched`` lookup — its caller drained the watch
+    in the process that armed it (:meth:`GUFIIndex.sync`) — takes a
+    clean entry with no ``stat``. Nothing cached before the watch armed
+    is clean, nor is an entry put for another file since its check.
 
     Plain dict and set operations are atomic under the GIL, so
-    concurrent worker threads need no lock; the counters are advisory.
+    concurrent worker threads need no lock: two puts racing on one
+    entry may lose one half, a later miss; the counters are advisory.
     """
 
     def __init__(self) -> None:
-        #: source path -> record, valid while ``db.db`` has its stamp
-        self._meta: dict[str, DirMeta] = {}
-        self._subdirs: dict[str, tuple[tuple, list[str]]] = {}
-        #: source path -> (db.db stamp, db.db path, contribution); the
-        #: path string rides along so a warm lookup is one ``os.stat``
-        self._contribs: dict[str, tuple[tuple, str, Any]] = {}
-        self.meta_hits = 0
-        self.meta_misses = 0
-        self.subdir_hits = 0
-        self.subdir_misses = 0
-        self.contribution_hits = 0
-        self.contribution_misses = 0
+        #: source path -> :class:`_DbEntry`
+        self._db = _Table("file_stamp", {}, set())
+        #: source path -> (directory stamp, child names)
+        self._listings = _Table("dir_stamp", {}, set())
+        self._tables = (self._db, self._listings)
+        self.meta_hits = self.meta_misses = 0
+        self.subdir_hits = self.subdir_misses = 0
+        self.contribution_hits = self.contribution_misses = 0
         self.invalidations = 0
-        #: source paths whose record, listing or contribution is clean
-        self._clean_meta: set[str] = set()
-        self._clean_subdirs: set[str] = set()
-        self._clean_contribs: set[str] = set()
-        #: the change counter, advanced by every batch :meth:`mark_dirty`
-        #: applies and every ``invalidate*`` hook before it changes
-        #: anything, each time to a fresh tick (racing writers never leave
-        #: it at a value a reader saw): only equality counts
+        #: lookups answered clean, with no stat, and by a stamp check
+        self.validations_watch = self.validations_stat = 0
+        #: the change counter, moved to a fresh tick by every batch
+        #: :meth:`mark_dirty` applies and every ``invalidate*`` hook
+        #: before it changes anything (racing writers never leave it at
+        #: a value a reader saw): only equality counts
         self._ticks = itertools.count(1)
         self.epoch = 0
-        #: lookups answered clean, with no stat, and by a stamp check
-        self.validations_watch = 0
-        self.validations_stat = 0
-        #: invalidation listeners: ``cb(path | None, subtree: bool)``,
-        #: called after entries are dropped. The result cache hangs off
-        #: this so every writer that announces itself here invalidates
-        #: materialized results too (see engine/resultcache.py).
+        #: ``cb(path | None, subtree: bool)``, called after a hook dropped
+        #: entries: the result cache's invalidation (engine/resultcache.py)
         self._listeners: list = []
 
     def add_listener(self, cb) -> None:
@@ -280,7 +295,65 @@ class DirMetaCache:
         for cb in list(self._listeners):
             cb(path, subtree)
 
-    # -- DirMeta -------------------------------------------------------
+    # -- the one stamp rule --------------------------------------------
+    def _fresh(
+        self, t: _Table, path: str, stamp: tuple | None, file: Any, watched: bool
+    ) -> bool:
+        """Is ``file`` still at ``stamp`` (``None``: still absent)? Yes,
+        with no stat, for ``path``'s entry in ``t`` at ``stamp`` held
+        clean under a drained watch (``watched``); else one stat says,
+        marking a held entry clean (when watched) or dropping it."""
+        entry = t.entries.get(path)
+        held = stamp is not None and entry is not None and entry[0] == stamp
+        if held and watched and path in t.clean:
+            return True
+        epoch = self.epoch
+        if getattr(layout, t.stamp)(file) != stamp:
+            if held:
+                t.entries.pop(path, None)
+            return False
+        if held and watched:
+            # marked first, checked second: a batch drained meanwhile
+            # either moved the epoch already or marks the path after
+            t.clean.add(path)
+            if self.epoch != epoch:
+                t.clean.discard(path)
+        return True
+
+    def _lookup(self, t: _Table, path: str, file: Any, watched: bool) -> Any:
+        """The one lookup: ``path``'s entry in ``t`` while :meth:`_fresh`
+        (a clean one first, with no stat: this runs per directory of
+        every walk), else None; counted by the rule that answers."""
+        entry = t.entries.get(path)
+        if entry is None:
+            return None
+        if watched and path in t.clean:
+            self.validations_watch += 1
+            return entry
+        self.validations_stat += 1
+        return entry if self._fresh(t, path, entry[0], file, watched) else None
+
+    def current(
+        self, source_path: str, base: str, db_stamp: tuple | None,
+        dir_stamp: tuple | None, watched: bool = False,
+    ) -> bool:
+        """Are ``source_path``'s ``db.db`` and — unless ``dir_stamp`` is
+        None — its listing (index directory ``base``) still at the
+        stamps a walk read them under? :meth:`_fresh`, uncounted."""
+        db_path = f"{base}/{layout.DB_NAME}"
+        return self._fresh(self._db, source_path, db_stamp, db_path, watched) and (
+            dir_stamp is None
+            or self._fresh(self._listings, source_path, dir_stamp, base, watched)
+        )
+
+    def _put(self, t: _Table, path: str, entry: tuple) -> None:
+        """Hold ``entry``; one of another stamp is not clean."""
+        held = t.entries.get(path)
+        t.entries[path] = entry
+        if held is None or held[0] != entry[0]:
+            t.clean.discard(path)
+
+    # -- the db.db entry: DirMeta and contribution ---------------------
     def get_meta(
         self,
         source_path: str,
@@ -294,145 +367,60 @@ class DirMetaCache:
         served by a lean record: it misses, the caller takes the cold
         path with the full statement, and what it publishes replaces
         the lean record. This is the one place that rule lives.
-        ``watched``: the caller drained the handle's watch (see the
-        class docstring)."""
-        meta = self._meta.get(source_path)
-        if meta is not None and (lean or not meta.lean):
-            if watched and source_path in self._clean_meta:
-                self.validations_watch += 1
-                self.meta_hits += 1
-                return meta
-            epoch = self.epoch
-            stamp = layout.file_stamp(db_path)
-            self.validations_stat += 1
-            if stamp is not None and stamp == meta.stamp:
-                self.meta_hits += 1
-                if watched:
-                    self._mark_clean(self._clean_meta, source_path, epoch)
-                return meta
-            self._meta.pop(source_path, None)
+        ``watched``: the caller drained the handle's watch."""
+        entry = self._lookup(self._db, source_path, db_path, watched)
+        meta = entry and entry.meta
+        if meta and (lean or not meta.lean):
+            self.meta_hits += 1
+            return meta
         self.meta_misses += 1
         return None
-
-    def _mark_clean(self, clean: set[str], path: str, epoch: int) -> None:
-        """``path`` passed a stamp check that began at ``epoch``: clean,
-        unless a batch of events was drained meanwhile. Marked first and
-        checked second, so a batch that lands between the two either
-        moved the epoch already or marks the path dirty after."""
-        clean.add(path)
-        if self.epoch != epoch:
-            clean.discard(path)
-
-    def vouches(self, source_path: str) -> bool:
-        """Is the record of ``source_path`` clean (so its database was
-        there at the last drain)? For a ``watched`` caller only."""
-        return source_path in self._clean_meta
 
     def put_meta(self, source_path: str, meta: DirMeta) -> None:
         """Publish a record read under ``meta.stamp``. A lean record
         never displaces a full one of the same file (two runs racing on
-        one handle): the full one answers both kinds of lookup. A clean
-        record replaced by one of another file is dirty."""
-        held = self._meta.get(source_path)
-        same = held is not None and held.stamp == meta.stamp
-        if meta.lean and same and not held.lean:
+        one handle): the full one answers both kinds of lookup."""
+        held = self._db.entries.get(source_path)
+        if held is None or held.stamp != meta.stamp:
+            held = _DbEntry(meta.stamp)
+        elif meta.lean and held.meta is not None and not held.meta.lean:
             return
-        self._meta[source_path] = meta
-        if not same:
-            self._clean_meta.discard(source_path)
+        self._put(self._db, source_path, held._replace(meta=meta))
 
-    # -- subdir listings ----------------------------------------------
-    def get_subdirs(
-        self, source_path: str, dir_path: Path | str, watched: bool = False
-    ) -> tuple[tuple, list[str]] | None:
-        """The validated ``(directory stamp, names)``, or ``None`` (a
-        counted miss)."""
-        entry = self._subdirs.get(source_path)
-        if entry is not None:
-            if watched and source_path in self._clean_subdirs:
-                self.validations_watch += 1
-                self.subdir_hits += 1
-                return entry
-            epoch = self.epoch
-            stamp = layout.dir_stamp(dir_path)
-            self.validations_stat += 1
-            if stamp is not None and stamp == entry[0]:
-                self.subdir_hits += 1
-                if watched:
-                    self._mark_clean(self._clean_subdirs, source_path, epoch)
-                return entry
-            self._subdirs.pop(source_path, None)
-        self.subdir_misses += 1
-        return None
-
-    def put_subdirs(self, source_path: str, stamp: tuple, names: list[str]) -> None:
-        held = self._subdirs.get(source_path)
-        self._subdirs[source_path] = (stamp, names)
-        if held is None or held[0] != stamp:
-            self._clean_subdirs.discard(source_path)
-
-    # -- a donor's decision --------------------------------------------
-    def unchanged(
-        self,
-        source_path: str,
-        base: str,
-        db_stamp: tuple | None,
-        dir_stamp: tuple | None,
-        lean: bool = False,
-        watched: bool = False,
-    ) -> list[str] | tuple[()] | None:
-        """Are ``source_path``'s record and listing (its index
-        directory is ``base``) still the ones a run read under
-        ``db_stamp`` and ``dir_stamp`` (None: it read no listing)? The
-        cached child names if so — none without a listing — else
-        ``None``: both must be cached under exactly those stamps and
-        pass :meth:`get_meta` and :meth:`get_subdirs`."""
-        held = self._meta.get(source_path)
-        if held is None or held.stamp != db_stamp:
-            return None
-        meta = self.get_meta(
-            source_path, f"{base}/{layout.DB_NAME}", lean, watched
-        )
-        if meta is None or meta.stamp != db_stamp:
-            return None
-        if dir_stamp is None:
-            return ()
-        listing = self._subdirs.get(source_path)
-        if listing is None or listing[0] != dir_stamp:
-            return None
-        listing = self.get_subdirs(source_path, base, watched)
-        if listing is None or listing[0] != dir_stamp:
-            return None
-        return listing[1]
-
-    # -- tree-summary contributions -----------------------------------
-    def get_contribution(
-        self, source_path: str, watched: bool = False
-    ) -> Any | None:
-        entry = self._contribs.get(source_path)
-        if entry is not None:
-            if watched and source_path in self._clean_contribs:
-                self.validations_watch += 1
+    def get_contribution(self, source_path: str, watched: bool = False) -> Any:
+        held = self._db.entries.get(source_path)
+        if held is not None and held.contrib is not None:
+            entry = self._lookup(self._db, source_path, held.db_path, watched)
+            if entry is not None and entry.contrib is not None:
                 self.contribution_hits += 1
-                return entry[2]
-            epoch = self.epoch
-            self.validations_stat += 1
-            if layout.file_stamp(entry[1]) == entry[0]:
-                self.contribution_hits += 1
-                if watched:
-                    self._mark_clean(self._clean_contribs, source_path, epoch)
-                return entry[2]
-            self._contribs.pop(source_path, None)
+                return entry.contrib
         self.contribution_misses += 1
         return None
 
     def put_contribution(
         self, source_path: str, stamp: tuple, db_path: str, contribution: Any
     ) -> None:
-        held = self._contribs.get(source_path)
-        self._contribs[source_path] = (stamp, db_path, contribution)
-        if held is None or held[0] != stamp:
-            self._clean_contribs.discard(source_path)
+        held = self._db.entries.get(source_path)
+        if held is None or held.stamp != stamp:
+            held = _DbEntry(stamp)
+        entry = held._replace(contrib=contribution, db_path=db_path)
+        self._put(self._db, source_path, entry)
+
+    # -- the listing entry ---------------------------------------------
+    def get_subdirs(
+        self, source_path: str, dir_path: Path | str, watched: bool = False
+    ) -> tuple[tuple, list[str]] | None:
+        """The validated ``(directory stamp, names)``, or ``None`` (a
+        counted miss)."""
+        entry = self._lookup(self._listings, source_path, dir_path, watched)
+        if entry is not None:
+            self.subdir_hits += 1
+            return entry
+        self.subdir_misses += 1
+        return None
+
+    def put_subdirs(self, source_path: str, stamp: tuple, names: list[str]) -> None:
+        self._put(self._listings, source_path, (stamp, names))
 
     # -- the watch's dirty marks --------------------------------------
     def mark_dirty(self, paths: set[str], subtrees: list[str] | None) -> None:
@@ -443,26 +431,22 @@ class DirMetaCache:
         moves again once the marks are made, so a reading taken between
         the two never equals one taken after."""
         self.epoch = next(self._ticks)
-        if subtrees is None:
-            for clean in self._cleans():
-                clean.clear()
-        else:
-            tops = tuple(subtrees)
-            for clean in self._cleans():
-                clean.difference_update(paths)
-                if tops:
-                    clean.difference_update(_at_or_below(clean, tops))
+        for t in self._tables:
+            if subtrees is None:
+                t.clean.clear()
+                continue
+            t.clean.difference_update(paths)
+            if subtrees:
+                t.clean.difference_update(_at_or_below(t.clean, tuple(subtrees)))
         self.epoch = next(self._ticks)
 
     # -- invalidation hooks -------------------------------------------
     def invalidate(self, source_path: str) -> None:
-        """Drop one directory's cached metadata, child listing and
-        tree-summary contribution."""
+        """Drop one directory's ``db.db`` and listing entries."""
         self.epoch = next(self._ticks)
-        for table in self._tables():
-            table.pop(source_path, None)
-        for clean in self._cleans():
-            clean.discard(source_path)
+        for t in self._tables:
+            t.entries.pop(source_path, None)
+            t.clean.discard(source_path)
         self.invalidations += 1
         self._notify(source_path, False)
 
@@ -473,44 +457,36 @@ class DirMetaCache:
             self.clear()
             return
         self.epoch = next(self._ticks)
-        for table in self._tables():
-            for key in _at_or_below(table, (source_path,)):
-                table.pop(key, None)
-        for clean in self._cleans():
-            clean.difference_update(_at_or_below(clean, (source_path,)))
+        for t in self._tables:
+            for key in _at_or_below(t.entries, (source_path,)):
+                t.entries.pop(key, None)
+            t.clean.difference_update(_at_or_below(t.clean, (source_path,)))
         parent = source_path.rsplit("/", 1)[0] or "/"
-        self._subdirs.pop(parent, None)
-        self._clean_subdirs.discard(parent)
+        self._listings.entries.pop(parent, None)
+        self._listings.clean.discard(parent)
         self.invalidations += 1
         self._notify(source_path, True)
 
     def clear(self) -> None:
         self.epoch = next(self._ticks)
-        for table in (*self._tables(), *self._cleans()):
-            table.clear()
+        for t in self._tables:
+            t.entries.clear()
+            t.clean.clear()
         self.invalidations += 1
         self._notify(None, True)
 
-    def _tables(self) -> tuple[dict, dict, dict]:
-        return self._meta, self._subdirs, self._contribs
-
-    def _cleans(self) -> tuple[set[str], set[str], set[str]]:
-        return self._clean_meta, self._clean_subdirs, self._clean_contribs
+    def counters(self) -> dict[str, int]:
+        """The counters, in O(1): what a run's metrics fold reads."""
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     def stats(self) -> dict[str, int]:
+        """:meth:`counters` and what the tables hold."""
+        entries = list(self._db.entries.values())
         return {
-            "meta_hits": self.meta_hits,
-            "meta_misses": self.meta_misses,
-            "subdir_hits": self.subdir_hits,
-            "subdir_misses": self.subdir_misses,
-            "contribution_hits": self.contribution_hits,
-            "contribution_misses": self.contribution_misses,
-            "invalidations": self.invalidations,
-            "validations_watch": self.validations_watch,
-            "validations_stat": self.validations_stat,
-            "meta_entries": len(self._meta),
-            "subdir_entries": len(self._subdirs),
-            "contribution_entries": len(self._contribs),
+            **self.counters(),
+            "meta_entries": sum(e.meta is not None for e in entries),
+            "subdir_entries": len(self._listings.entries),
+            "contribution_entries": sum(e.contrib is not None for e in entries),
         }
 
 

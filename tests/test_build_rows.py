@@ -295,12 +295,9 @@ class TestContributionHandOver:
         # tsummary's two statements when a refresh follows
         assert len(reads) == 2 * (3 if tsummary else 1)
         for d in ("/home/bob", "/public"):
-            memo = index.cache._contribs.get(d)
-            if tsummary:
-                assert memo[0] == index.store(d).stamp()
-            else:
-                assert memo is None
-            assert index.cache._meta[d].stamp == index.store(d).stamp()
+            entry = index.cache._db.entries[d]
+            assert entry.stamp == entry.meta.stamp == index.store(d).stamp()
+            assert (entry.contrib is not None) == tsummary
 
 
 REBUILT = ("/home/bob", "/public")

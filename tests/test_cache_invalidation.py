@@ -79,6 +79,19 @@ class TestDirMetaCacheUnit:
         demo_index.cache.invalidate_subtree("/")
         assert demo_index.cache.stats()["meta_entries"] == 0
 
+    def test_counter_names_the_benchmark_reads(self, demo_index):
+        """``benchmarks/e2e/probes.py`` and the run metrics fold read
+        these keys: renaming one fails here, not in the benchmark."""
+        read = {
+            "meta_hits", "meta_misses", "subdir_hits", "subdir_misses",
+            "validations_watch", "validations_stat",
+        }
+        demo_index.cached_dir_meta("/home/bob")
+        cache = demo_index.cache
+        assert read <= set(cache.counters()) <= set(cache.stats())
+        assert all(type(cache.stats()[k]) is int for k in read)
+        assert cache.stats()["meta_misses"] == cache.counters()["meta_misses"] == 1
+
     def test_missing_db_not_cached(self, tmp_path):
         cache = DirMetaCache()
         assert cache.get_meta("/x", tmp_path / "nope.db") is None
@@ -86,8 +99,8 @@ class TestDirMetaCacheUnit:
 
 
 class TestContributionTable:
-    """The cache's third table — tree-summary contributions — obeys
-    the same stamp and the same hooks as the other two."""
+    """Tree-summary contributions live in the ``db.db`` entry beside
+    the record: the same stamp, the same hooks."""
 
     def warm(self, index):
         build_tsummary(index, "/")
@@ -103,7 +116,7 @@ class TestContributionTable:
         misses = cache.contribution_misses
         assert cache.get_contribution("/home/bob") is None
         assert cache.contribution_misses == misses + 1
-        assert "/home/bob" not in cache._contribs
+        assert "/home/bob" not in cache._db.entries
 
     def test_removed_database_evicts(self, demo_index):
         cache = self.warm(demo_index)
@@ -140,8 +153,8 @@ class TestContributionTable:
         )
         r = build_tsummary(demo_index, "/home/bob")
         assert r.dirs_scanned == 2
-        assert "/home/bob" not in demo_index.cache._contribs
-        assert "/home/bob/secret" in demo_index.cache._contribs
+        assert "/home/bob" not in demo_index.cache._db.entries
+        assert demo_index.cache._db.entries["/home/bob/secret"].contrib is not None
 
 
 class TestUpdateInvalidation:
@@ -540,7 +553,7 @@ class TestReadStablePublish:
         meta = demo_index.cached_dir_meta("/home/bob")
         assert meta is not None  # the read itself still answers
         # ...but nothing was published: the cache must not hold it
-        assert "/home/bob" not in demo_index.cache._meta
+        assert "/home/bob" not in demo_index.cache._db.entries
 
     def test_dir_meta_discards_on_mismatch(self, demo_index, monkeypatch):
         db_path = demo_index.db_path("/public")
@@ -550,11 +563,11 @@ class TestReadStablePublish:
             flipping_stamp(layout.file_stamp, db_path),
         )
         assert demo_index.dir_meta("/public") is not None
-        assert "/public" not in demo_index.cache._meta
+        assert "/public" not in demo_index.cache._db.entries
 
     def test_stable_read_still_publishes(self, demo_index):
         assert demo_index.cached_dir_meta("/home/bob") is not None
-        assert demo_index.cache._meta["/home/bob"].stamp is not None
+        assert demo_index.cache._db.entries["/home/bob"].meta.stamp is not None
 
 
 @pytest.mark.skipif(

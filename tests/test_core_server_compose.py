@@ -239,6 +239,29 @@ class TestWarmNameMapRefresh:
             names = {n for (n,) in server.invoke("root", "query", spec=spec).rows}
         assert calls == [] and "alice" in names
 
+    def test_a_cached_server_never_replays_names_from_before_a_rename(
+        self, demo_index, identity
+    ):
+        """``uidtouser()`` answers from the directory's name map as it
+        is now, so a result cache holds no rows of it: after bob is
+        renamed robert the next call reads the new name, and no capture
+        — one straddling the rename included — is ever stored."""
+        spec = QuerySpec(E="SELECT uidtouser(uid) FROM pentries")
+        with GUFIServer(
+            demo_index, identity, nthreads=NTHREADS, result_cache_mb=8
+        ) as server:
+            first = server.invoke("root", "query", spec=spec)
+            assert ("bob",) in first.rows
+            identity.add_user("robert", uid=1002, gid=1002)
+            identity.remove_user("bob")
+            again = server.invoke("root", "query", spec=spec)
+            assert len(server.result_cache) == 0
+        assert not again.cached
+        assert ("robert",) in again.rows and ("bob",) not in again.rows
+        with GUFIServer(demo_index, identity, nthreads=NTHREADS) as plain:
+            want = plain.invoke("root", "query", spec=spec)
+        assert sorted(again.rows) == sorted(want.rows)
+
     def test_concurrent_request_always_reads_names(self, demo_index, identity):
         spec = QuerySpec(E="SELECT uidtouser(uid) FROM pentries")
         with GUFIServer(demo_index, identity, nthreads=NTHREADS) as server:

@@ -381,7 +381,7 @@ class TestStatementBudget:
         named = [word for word in self.BOUNDS if word in meta[0]]
         assert named == ([] if shape == "lean" else list(self.BOUNDS)), meta[0]
         assert ("isroot = 1" in meta[0]) == (shape == "lean")
-        cached = list(demo_index.cache._meta.values())
+        cached = [e.meta for e in demo_index.cache._db.entries.values()]
         assert len(cached) == n
         assert all(m.lean == (shape == "lean") for m in cached)
 
@@ -520,9 +520,9 @@ class TestLeanThenFull:
     def test_cached_dir_meta_never_returns_a_lean_record(self, index):
         with QueryEngine(index, nthreads=NTHREADS) as q:
             q.run(Q1_LIST_PATHS)
-        paths = list(index.cache._meta)
+        paths = list(index.cache._db.entries)
         assert "/home" in paths
-        assert all(m.lean for m in index.cache._meta.values())
+        assert all(e.meta.lean for e in index.cache._db.entries.values())
         fresh = GUFIIndex.open(index.root)
         hits = index.cache.meta_hits
         for path in paths:
@@ -535,7 +535,7 @@ class TestLeanThenFull:
         with QueryEngine(index, nthreads=NTHREADS) as q:
             q.run(Q1_LIST_PATHS)
         assert index.cache.meta_misses == misses
-        assert not any(m.lean for m in index.cache._meta.values())
+        assert not any(e.meta.lean for e in index.cache._db.entries.values())
 
     def test_a_lean_record_does_not_displace_a_full_one(self, index):
         full = index.dir_meta("/home")
@@ -546,7 +546,7 @@ class TestLeanThenFull:
         # unless it describes another file: then it is the news
         other = dataclasses.replace(lean, stamp=(0, 0, 0))
         index.cache.put_meta("/home", other)
-        assert index.cache._meta["/home"] is other
+        assert index.cache._db.entries["/home"].meta is other
 
     @pytest.mark.parametrize("plan", [None, QueryPlan()], ids=["lean", "full"])
     @pytest.mark.parametrize("damage", ["garbage", "empty", "no-summary-row"])
@@ -568,7 +568,7 @@ class TestLeanThenFull:
             single = q.run_single(Q1_LIST_PATHS, "/home/bob", plan=plan)
         assert (walk.dirs_errored, single.dirs_errored) == (1, 1)
         assert ("/home/alice/a.txt",) in walk.rows and single.rows == []
-        assert "/home/bob" not in demo_index.cache._meta
+        assert "/home/bob" not in demo_index.cache._db.entries
 
 
 def spy_on_j_stage(monkeypatch, before=lambda: None) -> list[str]:

@@ -1239,7 +1239,7 @@ class TestWatchedWalkBudget:
         monkeypatch.setattr(layout, "file_stamp", racing_stamp)
         assert index.cache.get_meta("/public", db_path, True, True)
         assert checked == [db_path]
-        assert not index.cache.vouches("/public")
+        assert "/public" not in index.cache._db.clean
         monkeypatch.setattr(layout, "file_stamp", real)
         assert index.cache.get_meta("/public", db_path, True, True) is None
 
@@ -1256,7 +1256,7 @@ class TestWatchedWalkBudget:
         with QueryEngine(index, creds=BOB, nthreads=NTHREADS) as eng:
             for _ in range(2):
                 eng.run(E_ALL)
-            assert index.cache.vouches("/home/bob")
+            assert "/home/bob" in index.cache._db.clean
             real_sync = index.sync
 
             def sync_then_republish():
@@ -1304,6 +1304,66 @@ class TestWatchedWalkBudget:
 
         _in_child(child)
         assert index.sync()
+
+    def test_armed_stamp_pass_stats_only_what_is_not_clean(
+        self, demo_index, monkeypatch
+    ):
+        """The clock moved — a cursor commit wrote into the index root,
+        an ancestor of the start — so a hit takes the stamp pass: one
+        stat for each recorded stamp whose entry is not clean (the
+        root's database), and none for the rest."""
+        from repro.core.checkpoint import ChangefeedCheckpoint
+
+        index = _armed_handle(demo_index, monkeypatch)
+        cache = ResultCache()
+        with QueryEngine(
+            index, nthreads=NTHREADS, result_cache=cache
+        ) as eng, QueryEngine(index, nthreads=NTHREADS) as plain:
+            eng.run(E_ALL, "/home")
+            plain.run(E_ALL, "/home")  # checks every record clean
+        key = make_key(ROOT, E_ALL, None, "/home")
+        entry = cache._entries[key]
+        ChangefeedCheckpoint(index.root).commit(1)
+        assert index.sync()  # the commit's event: the root is dirty
+        assert entry.clock != index.cache.epoch
+        expected = []
+        for path, (_, listing) in entry.stamps.items():
+            base = index.index_path(path)
+            if path not in index.cache._db.clean:
+                expected.append(base + "/db.db")
+            if listing is not None and path not in index.cache._listings.clean:
+                expected.append(base)
+        assert expected == [str(index.root) + "/db.db"]
+        assert len(entry.stamps) > 5
+        counter = _StatCounter(monkeypatch, index.root)
+        with counter.counting():
+            assert cache.lookup(key, index, watched=True) is entry
+        assert counter.stats == expected
+
+    def test_a_contribution_shares_the_records_stamp_and_clean_mark(
+        self, demo_index, monkeypatch
+    ):
+        """The record and the contribution of one ``db.db`` are one
+        entry: a contribution put under the record's stamp keeps the
+        entry clean, one put under another stamp replaces both."""
+        index = _armed_handle(demo_index, monkeypatch)
+        cache = index.cache
+        path = "/home/bob"
+        db = index.index_path(path) + "/db.db"
+        meta = index.dir_meta(path)
+        assert cache.get_meta(path, db, watched=True) is meta
+        assert path in cache._db.clean  # checked by a stamp, under the watch
+        cache.put_contribution(path, meta.stamp, db, "contribution")
+        assert path in cache._db.clean
+        stats = cache.validations_stat
+        assert cache.get_contribution(path, True) == "contribution"
+        assert cache.get_meta(path, db, watched=True) is meta
+        assert cache.validations_stat == stats  # both clean: no stat
+        cache.put_contribution(path, (0, 0, 0), db, "another file's")
+        assert path not in cache._db.clean
+        assert cache.get_meta(path, db, watched=True) is None
+        assert cache.get_contribution(path, True) is None  # and dropped
+        assert path not in cache._db.entries
 
     def test_lookups_are_counted_by_rule(self, demo_index, monkeypatch):
         """Plain-int counts on the cache, folded once per run into one
@@ -1951,7 +2011,44 @@ class TestCredentialScoping:
             root.close()
 
 
+def _nbytes_by_the_original_loop(rows) -> int:
+    """The byte estimate as first written: 64 a row, a value's length
+    where it is ``str`` or ``bytes``, 16 for any other value."""
+    n = 0
+    for row in rows:
+        n += 64
+        for v in row:
+            if isinstance(v, (str, bytes)):
+                n += len(v)
+            else:
+                n += 16
+    return n
+
+
+class _Name(str):
+    pass
+
+
+_VALUES = st.one_of(
+    st.text(max_size=8), st.binary(max_size=8), st.integers(),
+    st.floats(allow_nan=False), st.none(), st.builds(_Name, st.text(max_size=8)),
+)
+
+
 class TestBounds:
+    @given(rows=st.lists(st.lists(_VALUES, max_size=5).map(tuple), max_size=20))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_row_sizing_keeps_its_sum(self, rows):
+        """Every entry's byte budget is this sum: a faster computation
+        must give the same one — for ``str``, ``bytes``, ``int``,
+        ``float``, ``None`` and ``str`` subclasses, in rows of mixed
+        widths (empty ones too) in one batch."""
+        from repro.core.engine.resultcache import _rows_nbytes
+
+        fixed = [("é" * 3, b"\x00\x01", 7, 2.5, None, _Name("sub")), (), (1,)]
+        for batch in (rows, fixed, fixed + rows):
+            assert _rows_nbytes(batch) == _nbytes_by_the_original_loop(batch)
+
     def test_lru_eviction_by_entry_count(self, cached_engine):
         eng, cache = cached_engine
         cache.max_entries = 2
@@ -2474,9 +2571,10 @@ def _stamps_of_tree(index):
 
 
 def _mid_replay(index, monkeypatch, at, action):
-    """Run ``action()`` once, when a re-run's donor check is asked for
-    the ``at``-th time; returns the list of checks asked after it."""
-    real = index.cache.unchanged
+    """Run ``action()`` once, when a re-run's record lookup (a donor
+    check among them) is asked for the ``at``-th time; returns the list
+    of lookups asked after it."""
+    real = index.cache.get_meta
     calls: list[str] = []
     after: list[str] = []
 
@@ -2488,7 +2586,7 @@ def _mid_replay(index, monkeypatch, at, action):
             after.append(path)
         return real(path, *args)
 
-    monkeypatch.setattr(index.cache, "unchanged", checking)
+    monkeypatch.setattr(index.cache, "get_meta", checking)
     return after
 
 
@@ -2704,6 +2802,86 @@ class TestReplayedDecisions:
             assert after == []
             assert len(cache) == 0 and cache.stats()["stale"] == 1
             assert not eng.run(E_ALL).cached and len(cache) == 1
+
+
+    @pytest.mark.parametrize("armed", [True, False], ids=["armed", "unarmed"])
+    @pytest.mark.parametrize("kind", ["denied", "no_stage", "ran"])
+    def test_a_directory_whose_listing_alone_changed_is_replayed(
+        self, demo_index, monkeypatch, kind, armed
+    ):
+        """A directory whose ``db.db`` is unchanged keeps its decision —
+        denied, no stage survives, or stages ran — while a directory
+        copied in out of band changes its listing: the re-run replays it
+        without deciding it again, reads the new listing, and stores
+        the rows, the six counters, the token and the decisions a fresh
+        handle's warm run has; every ran directory's rows come from the
+        donor."""
+        from repro.core.engine.traversal import Traversal
+        from repro.core.engine.types import (
+            DENIED, KIND, NO_STAGE, PLAN_PRUNED, RAN,
+        )
+        from repro.core.plan import QueryPlan
+
+        (_arm if armed else _unarm)(monkeypatch)
+        creds, plan, target, want_code = {
+            "denied": (ALICE, None, "/home/bob/secret", DENIED),
+            "no_stage": (ROOT, QueryPlan(min_size=800), "/home/bob",
+                         NO_STAGE | PLAN_PRUNED),
+            "ran": (ROOT, None, "/public", RAN),
+        }[kind]
+        index = demo_index
+        key = make_key(creds, E_ALL, plan, "/")
+        cache = ResultCache()
+        with QueryEngine(
+            index, creds=creds, nthreads=NTHREADS, result_cache=cache
+        ) as eng, QueryEngine(index, creds=creds, nthreads=NTHREADS) as plain:
+            eng.run(E_ALL, plan=plan)
+            plain.run(E_ALL, plan=plan)  # every record full and checked
+            donor = dict(cache._entries[key].outcomes)
+            assert donor[target] & (KIND | PLAN_PRUNED) == want_code
+            # a leaf's index directory copied in: the target's listing
+            # changes, its database does not (a denied target's listing
+            # is in no token, so a copy into /public, which Alice lists,
+            # is what makes her entry stale)
+            copies = [target + "/copied"]
+            if kind == "denied":
+                copies.append("/public/copied")
+            for copied in copies:
+                shutil.copytree(
+                    index.index_path("/proj/shared/data"),
+                    index.index_path(copied),
+                )
+            by_stamp = {s[0]: p for p, s in _stamps_of_tree(index).items()}
+            decided: list[str] = []
+            real = Traversal.permitted
+
+            def permitted(trav, meta):
+                decided.append(by_stamp[meta.stamp])
+                return real(trav, meta)
+
+            reused = cache.stats()["dirs_reused"]
+            monkeypatch.setattr(Traversal, "permitted", permitted)
+            rerun = eng.run(E_ALL, plan=plan)
+            monkeypatch.undo()
+        assert not rerun.cached
+        assert set(decided) <= set(copies) and target not in decided
+        assert cache.stats()["dirs_reused"] - reused == sum(
+            code & KIND == RAN for code in donor.values()
+        )
+        entry = cache._entries[key]
+        fresh = GUFIIndex.open(index.root)
+        fresh_cache = ResultCache()
+        with QueryEngine(
+            fresh, creds=creds, nthreads=NTHREADS, result_cache=fresh_cache
+        ) as eng, QueryEngine(fresh, creds=creds, nthreads=NTHREADS) as plain:
+            plain.run(E_ALL, plan=plan)  # warm, as the re-run's handle is
+            want = eng.run(E_ALL, plan=plan)
+        assert not want.cached
+        assert outcome(rerun) == outcome(want)
+        assert (copies[-1] + "/d.h5", 900) in rerun.rows
+        theirs = fresh_cache._entries[key]
+        assert entry.stamps == theirs.stamps
+        assert entry.outcomes == theirs.outcomes
 
 
 class TestStaleEntries:

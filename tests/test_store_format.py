@@ -218,7 +218,7 @@ class TestFormatsReadAlike:
             index = GUFIIndex.open(matrix[fmt, state])
             with QueryEngine(index, creds=CREDS[who], nthreads=1) as q:
                 r = q.run(Q1_LIST_PATHS)
-            left = dict(index.cache._meta)
+            left = {p: e.meta for p, e in index.cache._db.entries.items()}
             assert len(left) == r.dirs_visited + r.dirs_denied, fmt
             full = GUFIIndex.open(matrix[fmt, state])
             for path, lean in left.items():

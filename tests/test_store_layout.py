@@ -85,8 +85,9 @@ _DELETED_MODULES = ("repro.core.db", "repro.core.schema", "repro.store.fts")
 #: replaced by ``layout``'s constants, a sink nothing used, the
 #: scatter-gather hand-off of a result cache's validity token, the
 #: in-place writers' copies of the changefeed apply, the result cache's
-#: time-bounded stat-free mode and store-time re-stamp, and the health
-#: check the index doctor already was — not to be re-created
+#: time-bounded stat-free mode and store-time re-stamp, the health
+#: check the index doctor already was, and the DirMetaCache's third
+#: table with its own clean sets and donor checks — not to be re-created
 _DELETED_NAMES = (
     "GUFIQuery",
     "QuerySession",
@@ -121,6 +122,11 @@ _DELETED_NAMES = (
     "elide_warm",
     "with_xattrs",
     "tsummary_per_user_group",
+    "_contribs",
+    "_clean_contribs",
+    "_clean_meta",
+    "_clean_subdirs",
+    "vouches",
 )
 
 
@@ -182,6 +188,26 @@ def _watch_reaches(path: Path, package: str) -> list[int]:
             and node.attr == "watch"
             and not (isinstance(node.value, ast.Name) and node.value.id == "args")
         ):
+            hits.append(node.lineno)
+    return hits
+
+
+#: the package whose modules ask the index handle whether a stamp still
+#: holds (``DirMetaCache.current``) and never stamp a file themselves
+_STAMP_FREE = "core/engine/"
+_STAMPERS = ("file_stamp", "dir_stamp")
+
+
+def _stamp_reads(path: Path) -> list[int]:
+    """Line numbers where a module imports ``file_stamp`` or
+    ``dir_stamp``, or reads either off a module (``layout.file_stamp``).
+    ``StampBracket`` — a cold read's own bracket — is not one."""
+    hits: list[int] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in _STAMPERS for alias in node.names):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _STAMPERS:
             hits.append(node.lineno)
     return hits
 
@@ -370,6 +396,32 @@ class TestEncapsulationLint:
         ):
             bad.write_text(line + "\n", encoding="utf-8")
             assert bool(_watch_reaches(bad, "repro.core")) == found, line
+
+    def test_no_engine_module_stamps_a_file(self, tmp_path):
+        """One stamp rule per directory: the engine's modules ask the
+        index handle's cache (``current``, the lookups) and never
+        compare a ``file_stamp`` or ``dir_stamp`` themselves."""
+        engine = [
+            path for path in sorted(SRC_ROOT.rglob("*.py"))
+            if path.relative_to(SRC_ROOT).as_posix().startswith(_STAMP_FREE)
+        ]
+        assert len(engine) > 5
+        for path in engine:
+            assert not _stamp_reads(path), path
+        bad = tmp_path / "bad.py"
+        for line, found in (
+            ("from repro.store.layout import file_stamp", True),
+            ("from repro.store.layout import DB_NAME, dir_stamp", True),
+            ("from repro.store import file_stamp as fs", True),
+            ("from ...store.layout import dir_stamp", True),
+            ("ok = layout.file_stamp(db) == stamp", True),
+            ("ok = store.layout.dir_stamp(base) is None", True),
+            ("from repro.store.layout import DB_NAME, StampBracket", False),
+            ("ok = index.cache.current(path, base, db_stamp, dir_stamp)", False),
+            ("dir_stamp, names = index.cached_subdir_names(path)", False),
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert bool(_stamp_reads(bad)) == found, line
 
     def test_page_size_is_set_from_the_schema_constant(self, tmp_path):
         setters = 0
