@@ -542,7 +542,8 @@ def _args_trace2index(p: argparse.ArgumentParser) -> None:
                    help="skip directories the build journal proves done")
     p.add_argument("--fault-plan", default=None,
                    help="inject faults: 'kind:site:at[xTIMES];...' "
-                        "e.g. 'crash:build_dir_db:12' or 'io:walker.expand:3x2'")
+                        "e.g. 'crash:build_dir_db:12', 'crash:publish:7' "
+                        "or 'io:walker.expand:3x2'")
     p.add_argument("--retries", type=int, default=2,
                    help="retries per directory on transient errors")
     _add_threads(p)

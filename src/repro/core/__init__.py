@@ -3,7 +3,7 @@ summaries, the parallel query engine, and the user-facing tools.
 """
 
 from repro.store import accessible_side_dbs, side_db_name
-from repro.store.layout import DB_NAME
+from repro.store.layout import DB_NAME, PARTIAL_SUFFIX
 from repro.store.schema import (
     RECTYPE_GROUP,
     RECTYPE_OVERALL,
@@ -14,7 +14,6 @@ from repro.store.schema import (
 )
 
 from .build import (
-    PARTIAL_SUFFIX,
     BuildOptions,
     BuildResult,
     build_dir_db,

@@ -24,14 +24,12 @@ Crash safety and resumability
 Mid-scan failures are routine on file systems with billions of
 entries, so the build path is structured to survive them:
 
-* **Atomic publish** — :func:`build_dir_db` writes every artifact
-  (``db.db`` and all xattr side databases) under a ``.partial``
-  suffix, then renames side databases first and ``db.db`` last.
-  ``db.db``'s existence is the commit point the query engine keys on,
-  so a crash at any instant leaves either a fully published directory
-  or what was there before (the previous database on a rebuild,
-  nothing on a first build) — never a half-indexed directory that
-  queries can observe, and never a hole where a directory was.
+* **Atomic publish** — :func:`build_dir_db` stages every artifact
+  under a ``.partial`` name and ``DirStore.publish`` renames the side
+  databases first, ``db.db`` — the commit point — last: a crash
+  leaves ``db.db`` new or as it was, never a hole. Side shards are
+  not covered: a crash between the renames leaves the old ``db.db``
+  reading a new shard.
 * **Journal** — each published directory is appended to a
   :class:`~repro.core.checkpoint.BuildJournal`
   (``gufi_build.journal`` in the index root). A rerun with
@@ -68,7 +66,7 @@ from repro.scan.scanners import record_from_inode
 from repro.scan.trace import DirStanza, TraceRecord, read_trace
 from repro.scan.walker import FatalWalkError, ParallelTreeWalker, RetryPolicy
 from repro.store import schema
-from repro.store.layout import DB_NAME, PARTIAL_SUFFIX, DirStore, file_stamp
+from repro.store.layout import DB_NAME, DirStore, file_stamp
 
 from .checkpoint import BuildJournal
 from .index import DirMeta, GUFIIndex
@@ -340,12 +338,10 @@ def build_dir_db(
     (:func:`dir_rows`); either way one writer computes the summary
     record(s) from the rows and writes the database.
 
-    All writes are staged under :data:`PARTIAL_SUFFIX` and published
-    by rename — side databases first, ``db.db`` last, over the
-    directory's previous database if it has one — so a crash at any
-    point leaves either the new directory or what was there before: the
-    old database on a rebuild, none on a first build (queries treat a
-    missing ``db.db`` as denied-by-absence, never as partial data).
+    Every artifact is staged and published by
+    :meth:`~repro.store.layout.DirStore.publish`, over the previous
+    database if there is one; what a crash leaves (side shards not
+    covered) is stated there.
 
     ``handover`` is a caller-owned dict. When one is given, the rebuild
     reads the directory's full :class:`~repro.core.index.DirMeta`
@@ -411,11 +407,7 @@ def _build_dir_db(
             if contribution:
                 contrib = read_contribution(conn, "main")
         side_names = write_xattr_shards(
-            store.index_dir,
-            conn,
-            shard_xattrs(directory, stanza.xattr_entries),
-            suffix=PARTIAL_SUFFIX,
-            faults=faults,
+            store.index_dir, conn, shard_xattrs(directory, stanza.xattr_entries), faults
         )
     finally:
         conn.close()
@@ -423,9 +415,7 @@ def _build_dir_db(
         stamp = file_stamp(store.partial_path(DB_NAME))
     if faults is not None:
         faults.fire("build_dir_db.commit", src_path)
-    # Publish: xattr shards before db.db, which is the commit point
-    # (see DirStore.publish).
-    store.publish(side_names)
+    store.publish(side_names, faults)
     index.apply_physical_mode(src_path, directory.mode)
     if journal is not None:
         journal.record(src_path, store.stamp(), len(rows), len(side_names))

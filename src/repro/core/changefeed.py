@@ -71,7 +71,6 @@ back to a full rebuild.
 
 from __future__ import annotations
 
-import os
 import shutil
 import sqlite3
 import time
@@ -87,6 +86,7 @@ from repro.fs.changelog import (
 from repro.fs.inode import FileType
 from repro.fs.tree import VFSTree
 from repro.store import connect, schema
+from repro.store.layout import publish
 
 from .build import BuildOptions, build_dir_db
 from .checkpoint import ChangefeedCheckpoint
@@ -204,7 +204,7 @@ _DEPTH_SQL = (
 )
 
 
-def _fix_depths(index: GUFIIndex, source_path: str) -> None:
+def _fix_depths(index: GUFIIndex, source_path: str, faults=None) -> None:
     """Normalise absolute-depth columns under a moved index subtree.
 
     ``summary.depth`` and ``tsummary.maxdepth`` store depths from the
@@ -236,7 +236,7 @@ def _fix_depths(index: GUFIIndex, source_path: str) -> None:
             delta = (0 if sp == "/" else sp.count("/")) - int(row[0])
             if not delta:
                 continue
-            with index.store(sp).rewrite_primary() as conn:
+            with index.store(sp).rewrite_primary(faults) as conn:
                 conn.execute("BEGIN")
                 conn.execute("UPDATE summary SET depth = depth + ?", (delta,))
                 if row[1]:
@@ -263,8 +263,9 @@ def apply_delta(
     dirty directories. ``commit`` is the cursor a changefeed commits;
     with none, the checkpoint is written only to record a tree-summary
     refresh owed and then to settle it. ``faults`` reaches
-    :func:`build_dir_db` and :func:`unroll_path_to`, so crash tests
-    can kill the apply mid-rebuild or mid-unroll."""
+    :func:`build_dir_db`, :func:`unroll_path_to` and each
+    :func:`~repro.store.layout.publish` (move, depth fix, tree-summary
+    rewrite, both cursor commits), so crash tests can kill it at each."""
     # with no tree every dirty directory would look vanished
     assert tree is not None or not dirty
     opts = opts or BuildOptions()
@@ -313,11 +314,11 @@ def apply_delta(
             dst_dir = index.index_dir(dst)
             if src_dir.exists() and not dst_dir.exists():
                 dst_dir.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(src_dir, dst_dir)
+                publish(src_dir, dst_dir, faults)
                 dirs_moved += 1
             index.cache.invalidate_subtree(path)
             index.cache.invalidate_subtree(dst)
-            _fix_depths(index, dst)
+            _fix_depths(index, dst, faults)
         # the paths name different directories now (a rolled-up one may
         # have moved in); structural ops are few, so start over
         checked.clear()
@@ -328,7 +329,7 @@ def apply_delta(
     ts_roots = set(pending_ts)
     ts_roots.update(c for c in candidates if _has_tsummary(index, c, watched))
     if ts_roots:
-        ckpt.commit(cursor, pending_tsummary=sorted(ts_roots))
+        ckpt.commit(cursor, sorted(ts_roots), faults)
 
     # -- dirty-directory rebuild phase (rescan the live tree) ----------
     dirs_rebuilt = entries_indexed = 0
@@ -372,13 +373,13 @@ def apply_delta(
     tsummary_refreshed = tsummary_dbs_opened = 0
     for root in sorted(ts_roots):
         if index.db_path(root).exists():
-            tsummary_dbs_opened += build_tsummary(index, root).dbs_opened
+            tsummary_dbs_opened += build_tsummary(index, root, faults=faults).dbs_opened
             tsummary_refreshed += 1
 
     # -- settle: the changefeed's cursor, or the refresh owed ----------
     cursor = cursor if commit is None else commit
     if commit is not None or ts_roots:
-        ckpt.commit(cursor)
+        ckpt.commit(cursor, faults=faults)
 
     return ApplyResult(
         seconds=time.monotonic() - t0,

@@ -36,8 +36,8 @@ incomplete.
 from __future__ import annotations
 
 import json
-import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,8 +219,8 @@ class ChangefeedCheckpoint:
     apply gives exactly-once *effects* without two-phase machinery.
 
     The cursor file (``gufi_changefeed.cursor`` in the index root) is
-    a single JSON object rewritten atomically (tmp + ``os.replace``),
-    the same publish discipline the directory databases use — a crash
+    a single JSON object rewritten atomically (tmp +
+    :func:`~repro.store.layout.publish`, like the databases) — a crash
     during commit leaves the previous cursor intact, never a torn one.
     """
 
@@ -253,10 +253,10 @@ class ChangefeedCheckpoint:
             return 0, []
 
     def commit(
-        self, cursor: int, pending_tsummary: list[str] | tuple[str, ...] = ()
+        self, cursor: int, pending_tsummary: Sequence[str] = (), faults=None
     ) -> None:
         """Atomically persist ``cursor`` (and any tsummary roots still
-        owed a refresh) via tmp + ``os.replace``."""
+        owed a refresh): a tmp file, published under ``faults``."""
         payload = json.dumps(
             {
                 "format": CURSOR_FORMAT,
@@ -266,7 +266,7 @@ class ChangefeedCheckpoint:
         )
         tmp = self.cursor_path.with_suffix(".cursor.tmp")
         tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, self.cursor_path)
+        layout.publish(tmp, self.cursor_path, faults)
 
     def clear(self) -> None:
         """Remove the checkpoint (e.g. after a full rebuild resets the

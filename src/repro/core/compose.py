@@ -92,7 +92,7 @@ def ensure_dir_db(index: GUFIIndex, source_path: str) -> None:
     store = index.store(source_path)
     if store.db_path.exists():
         return
-    conn = store.create_primary()
+    conn = store.stage_primary()
     try:
         name = source_path.rsplit("/", 1)[-1] or "/"
         depth = 0 if source_path == "/" else source_path.count("/")
@@ -110,6 +110,7 @@ def ensure_dir_db(index: GUFIIndex, source_path: str) -> None:
         )
     finally:
         conn.close()
+    store.publish([])
 
 
 def prune(dst: GUFIIndex, path: str) -> list[str]:

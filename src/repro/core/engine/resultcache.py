@@ -36,9 +36,13 @@ equal to what a cold run would return right now:
   :class:`~repro.core.index.DirMetaCache`'s ``invalidate*`` hooks;
   the result cache subscribes to those of its one index handle (cache
   keys do not name the index, so a cache serves one) and takes out of
-  service exactly the entries whose visited set intersects the
-  invalidated path (or subtree). An entry for ``/home/alice`` is
-  untouched by churn under ``/proj``.
+  service the entries whose visited set holds the invalidated path,
+  its parent, or (for a subtree) a path below it: a ``/home/alice``
+  entry survives a change two levels below ``/proj``, not one in
+  ``/proj`` (its parent ``/`` is every entry's ancestor) nor an apply
+  under a root tree summary (its refresh rewrites ``/``); an entry
+  that read ``/``'s listing fails its stamp pass after any cursor
+  commit (the root's mtime moves).
 
 * **The re-run is the repair.** An invalidated *stream-shaped* entry
   (``S``/``E`` rows only — nothing carried between directories) is

@@ -74,6 +74,7 @@ from typing import Any, Callable
 from repro import obs
 from repro.fs.permissions import Credentials
 from repro.scan.walker import WalkStats
+from repro.store.layout import publish
 
 from ..index import DirMeta, GUFIIndex
 from ..plan import QueryPlan
@@ -276,7 +277,7 @@ def _worker_main(task: _WorkerTask) -> None:
     tmp = task.result_path + ".tmp"
     with open(tmp, "wb") as fh:
         pickle.dump(payload, fh)
-    os.replace(tmp, task.result_path)
+    publish(tmp, task.result_path)
 
 
 def _unlink(path: str) -> None:

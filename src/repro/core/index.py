@@ -575,7 +575,9 @@ class GUFIIndex:
         return w is not None and w.sync()
 
     def _write_meta(self, meta: dict) -> None:
-        (self.root / META_FILE).write_text(json.dumps(meta, indent=2))
+        tmp = self.root / f".{META_FILE}.tmp"
+        tmp.write_text(json.dumps(meta, indent=2))
+        layout.publish(tmp, self.root / META_FILE)
 
     @property
     def meta(self) -> dict:

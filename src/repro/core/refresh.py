@@ -30,6 +30,7 @@ from pathlib import Path
 from repro.fs.changelog import ChangeEvent, ChangeJournal, ChangelogOverflow
 from repro.fs.tree import VFSTree
 from repro.fs.snapshot import snapshot
+from repro.store.layout import publish
 
 from .build import BuildOptions, dir2index
 from .changefeed import changefeed2index
@@ -192,13 +193,11 @@ class IndexRefresher:
         if cursor is not None:
             ChangefeedCheckpoint(dest).commit(cursor)
         elapsed = time.monotonic() - t0
-        # Atomic publish: build the new link under a temp name, then
-        # rename over the old one (rename(2) replaces atomically).
+        # build the new link under a temp name, then publish it
         tmp_link = self.root / f".{CURRENT_LINK}.tmp"
-        if tmp_link.is_symlink() or tmp_link.exists():
-            tmp_link.unlink()
+        tmp_link.unlink(missing_ok=True)
         os.symlink(dest.name, tmp_link)
-        os.replace(tmp_link, self.current_path)
+        publish(tmp_link, self.current_path, self.opts.faults)
         # Invalidation hook: drop the retired handle (so the next
         # current() call opens the new version) and clear its cache —
         # a session still holding the old handle must revalidate

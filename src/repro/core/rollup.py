@@ -287,7 +287,7 @@ def rollup_dir(
     finally:
         conn.close()
     boundary()
-    store.publish(sides)
+    store.publish(sides, faults)
     # the rolledup flag steers query descent — warm sessions must
     # see it immediately, not on the next mtime revalidation
     index.invalidate_cache(source_path)
@@ -353,7 +353,7 @@ def unrollup_dir(
             side.close()
         boundary()
     boundary()
-    store.publish(kept)
+    store.publish(kept, faults)
     index.invalidate_cache(source_path)
 
 

@@ -215,6 +215,7 @@ def build_tsummary(
     index: GUFIIndex,
     start: str = "/",
     per_user_group: bool = True,
+    faults=None,
 ) -> TSummaryResult:
     """Build (replacing any previous) tsummary rows at ``start``.
 
@@ -229,7 +230,7 @@ def build_tsummary(
     for it: the build drains the watch first, and a directory no event
     named since its last check is clean. A fresh handle reads every
     database once. The rows are written into a staged copy of the start
-    directory's database, published by rename.
+    directory's database, published by rename (under ``faults``).
     """
     t0 = time.monotonic()
     overall = _Agg()
@@ -288,7 +289,7 @@ def build_tsummary(
     # §III-B: the table is created here, where bfti was asked, in the
     # transaction that writes its rows — a database either has tree-
     # summary rows or no tsummary table
-    with index.store(start).rewrite_primary() as conn:
+    with index.store(start).rewrite_primary(faults) as conn:
         conn.execute("BEGIN")
         conn.execute(schema.compact_ddl(schema.CREATE_TSUMMARY))
         conn.execute("DELETE FROM tsummary")

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.scan.trace import TraceRecord
 from repro.store import connect
-from repro.store.layout import side_db_name
+from repro.store.layout import PARTIAL_SUFFIX, side_db_name
 from repro.store.schema import pack_xattrs
 
 __all__ = [
@@ -118,22 +118,18 @@ def shard_xattrs(dir_rec: TraceRecord, entries: list[TraceRecord]) -> XattrShard
 
 
 def write_xattr_shards(
-    index_dir: Path,
-    conn_main: sqlite3.Connection,
-    shards: XattrShards,
-    suffix: str = "",
-    faults=None,
+    index_dir: Path, conn_main: sqlite3.Connection, shards: XattrShards, faults=None
 ) -> list[str]:
     """Write shard buckets: main rows into the open primary database,
     side buckets into newly created side database files, and the
     tracking rows into ``xattrs_avail``. Returns the side database
     *final* names created.
 
-    ``suffix`` stages each side database at ``name + suffix`` while
-    the tracking rows record the final ``name`` — the crash-safe build
-    path writes every artifact under a temp suffix and renames only
-    once the whole directory succeeded, so a failure mid-shard can
-    never leave a published primary database whose tracking table
+    Each side database is staged at its name plus
+    :data:`~repro.store.layout.PARTIAL_SUFFIX`, written afresh, while
+    the tracking rows record the final name — the caller publishes
+    the set once the whole directory succeeded, so a failure mid-shard
+    can never leave a published primary database whose tracking table
     names shards that were not written. ``faults`` is an optional
     :class:`~repro.scan.faults.FaultPlan` fired per bucket (site
     ``"xattr_shards"``, key = final name) so tests can fail the write
@@ -145,18 +141,16 @@ def write_xattr_shards(
             shards.main_rows,
         )
     created: list[str] = []
-    buckets: list[tuple[str, int, list[tuple[int, str]]]] = []
-    for uid, rows in shards.per_user.items():
-        buckets.append(("user", uid, rows))
-    for gid, rows in shards.per_group_r.items():
-        buckets.append(("group_r", gid, rows))
-    for gid, rows in shards.per_group_nr.items():
-        buckets.append(("group_nr", gid, rows))
-    for kind, ident, rows in buckets:
+    buckets = (
+        ("user", shards.per_user),
+        ("group_r", shards.per_group_r),
+        ("group_nr", shards.per_group_nr),
+    )
+    for kind, ident, rows in ((k, i, r) for k, b in buckets for i, r in b.items()):
         name = side_db_name(kind, ident)
         if faults is not None:
             faults.fire("xattr_shards", name)
-        side = connect.create_side_db(index_dir / (name + suffix), fresh=bool(suffix))
+        side = connect.create_side_db(index_dir / (name + PARTIAL_SUFFIX), fresh=True)
         try:
             side.execute("BEGIN")
             side.executemany(

@@ -824,9 +824,9 @@ def build_resilience(
     """
     import os
 
-    from repro.core.build import PARTIAL_SUFFIX
     from repro.core.query import Q1_LIST_PATHS
     from repro.scan.faults import BuildCrash, FaultPlan
+    from repro.store.layout import PARTIAL_SUFFIX
 
     ns = datasets.dataset2(scale=scale, seed=9)
     stanzas = make_scanner("treewalk", ns.tree, nthreads=nthreads).scan("/").stanzas

@@ -10,16 +10,21 @@ fires the same faults at the same points on every run, so a test can
 kill a build at exactly the Nth directory, resume it, and assert the
 result is byte-identical to an uninterrupted build.
 
-Fault sites are plain strings fired by instrumented code:
+Fault sites are plain strings fired by instrumented code — every one:
 
 * ``"walker.expand"`` — :class:`~repro.scan.walker.ParallelTreeWalker`
   fires before each ``expand()`` call (key = the work item);
 * ``"build_dir_db"`` — entry of one directory's database build
   (key = source path);
 * ``"build_dir_db.commit"`` — after all temp files are written, before
-  the publishing renames (the worst possible crash point);
+  the publishing renames;
 * ``"xattr_shards"`` — before each xattr side-database bucket write
   (key = side database file name), for mid-shard failures;
+* ``"rollup_dir"`` / ``"unrollup_dir"`` — each boundary of one
+  directory's rollup or unrollup (key = source path);
+* ``"migrate_dir"`` — before one directory migrates (key = source path);
+* ``"publish"`` — before each rename that makes index state visible,
+  :func:`repro.store.layout.publish` (key = the final path);
 * ``"vfs.readdir"`` / ``"vfs.get_inode"`` — source-tree reads, via
   :meth:`~repro.fs.tree.VFSTree.set_fault_plan`.
 

@@ -3,7 +3,7 @@
 One directory of a GUFI index holds a small, **closed** set of
 *artifacts* (paper §III-A1/§III-B): the primary database and the
 permission-sharded xattr side databases — nothing else. Their file
-names, the ``.partial``-stage → rename-publish commit protocol, and
+names, the ``.partial``-stage → :func:`publish` commit protocol, and
 the stat-derived validity stamps are layout facts, and this module is
 the only place in the tree that knows them.
 
@@ -90,6 +90,22 @@ def side_db_name(kind: str, ident: int) -> str:
     raise ValueError(f"unknown side db kind {kind!r}")
 
 
+def publish(staged: Path | str, final: Path | str, faults=None) -> None:
+    """Make ``staged`` visible as ``final`` by one ``rename(2)``, over
+    whatever ``final`` named: the only rename in ``repro``. Every writer
+    of index state — a directory's databases, the changefeed cursor,
+    ``gufi_index.json``, the ``current`` link, a moved index subtree, a
+    worker's result — goes through here, and each call fires fault site
+    ``"publish"`` (key = ``str(final)``) of ``faults`` first.
+
+    Durability: no fsync, of the file or its directory. A crash may lose
+    the newest publish; what was visible before stays whole, and the
+    periodic re-pull recovers the rest (:mod:`repro.store.connect`)."""
+    if faults is not None:
+        faults.fire("publish", str(final))
+    os.replace(staged, final)
+
+
 # ----------------------------------------------------------------------
 # Validity stamps (the single implementation every cache shares)
 # ----------------------------------------------------------------------
@@ -174,10 +190,10 @@ class DirStore:
     Owns the commit protocol (paper-faithful crash safety): every
     artifact is staged under :data:`PARTIAL_SUFFIX`, then published by
     rename — side databases first, the primary database last, over the
-    previous one on a rebuild. The primary is the commit point, so a
-    crash at any instant leaves either a fully published directory or
-    what was there before: the previous directory, or — on a first
-    build — an invisible one.
+    previous one on a rebuild. The primary is the commit point: a crash
+    leaves it new or as it was (invisible on a first build). Side shards
+    are not covered: renamed into their fixed final names first, a crash
+    before the primary's rename leaves the old primary reading new ones.
     """
 
     __slots__ = ("index_dir",)
@@ -215,7 +231,7 @@ class DirStore:
         os.makedirs(self.index_dir, exist_ok=True)
         return connect.create_db(self.partial_path(DB_NAME), fresh=True)
 
-    def publish(self, staged_names: Iterable[str]) -> None:
+    def publish(self, staged_names: Iterable[str], faults=None) -> None:
         """Atomically publish a staged directory: rename every staged
         secondary artifact into place first, the primary database last
         (the commit point) — over the previous one when the directory
@@ -223,11 +239,11 @@ class DirStore:
         new one and never none. Only then unlink what the new set does
         not name: stray staging files of an earlier crashed attempt,
         and side artifacts of the database just replaced (unreachable
-        already: attaches go by the new database's tracking rows)."""
-        keep = [DB_NAME, *staged_names]
-        for name in keep[1:]:
-            os.replace(self.partial_path(name), self.artifact_path(name))
-        os.replace(self.partial_path(DB_NAME), self.db_path)
+        already: attaches go by the new database's tracking rows).
+        Each rename is a :func:`publish` under ``faults``."""
+        keep = [*staged_names, DB_NAME]
+        for name in keep:
+            publish(self.partial_path(name), self.artifact_path(name), faults)
         with os.scandir(self.index_dir) as it:
             doomed = [
                 e.name
@@ -250,13 +266,14 @@ class DirStore:
             shutil.copyfile(self.artifact_path(name), self.partial_path(name))
 
     @contextlib.contextmanager
-    def rewrite_primary(self) -> Iterator[sqlite3.Connection]:
+    def rewrite_primary(self, faults=None) -> Iterator[sqlite3.Connection]:
         """Edit the published primary without writing it: a read-write
         connection on a staged copy, renamed over the primary when the
         block ends without an exception. Readers attach the published
         file ``immutable``, so it is never written in place; a kill
         before the rename leaves it whole and the copy to the next
-        sweep. The side artifacts stay as they are."""
+        sweep. The side artifacts stay as they are. The rename is a
+        :func:`publish` under ``faults``."""
         from . import connect
 
         self.stage_copies([DB_NAME])
@@ -266,14 +283,12 @@ class DirStore:
             yield conn
         finally:
             conn.close()
-        os.replace(staged, self.db_path)
+        publish(staged, self.db_path, faults)
 
     def _unlink(self, names: Iterable[str]) -> None:
         for name in names:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(self.index_dir / name)
-            except OSError:
-                pass
 
     def list_partials(self) -> list[str]:
         """Staged/leftover ``*.partial`` file names in this directory."""
@@ -323,12 +338,3 @@ class DirStore:
         from . import connect
 
         return connect.open_ro(self.db_path, tracer)
-
-    def create_primary(self, fresh: bool = False) -> sqlite3.Connection:
-        """Create (template copy) and open the primary database *in
-        place* — administrative callers like ``ensure_dir_db`` that
-        need no staging."""
-        from . import connect
-
-        os.makedirs(self.index_dir, exist_ok=True)
-        return connect.create_db(self.db_path, fresh=fresh)

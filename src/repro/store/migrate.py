@@ -31,14 +31,13 @@ them to :data:`~repro.store.schema.SCHEMA_VERSION`. Migration is:
 
 from __future__ import annotations
 
-import os
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 from . import connect, schema
-from .layout import DB_NAME, PARTIAL_SUFFIX, DirStore, file_stamp
+from .layout import DB_NAME, PARTIAL_SUFFIX, DirStore, file_stamp, publish
 
 #: journal file for resumable migrations (lives in the index root,
 #: next to — never colliding with — the build journal)
@@ -82,10 +81,7 @@ def _outdated(path: Path | str) -> bool:
 def _stage_upgraded(src: Path | str, staged: Path | str) -> int:
     """Write an upgraded copy of ``src`` at ``staged``; ``src`` is only
     read. Returns the number of migration steps applied to the copy."""
-    try:
-        os.unlink(staged)  # VACUUM INTO refuses an existing file
-    except FileNotFoundError:
-        pass
+    Path(staged).unlink(missing_ok=True)  # VACUUM INTO refuses an existing file
     # not ``immutable``: SQLite ignores a page-size request on an
     # immutable connection
     conn = sqlite3.connect(f"file:{src}?mode=ro", uri=True, isolation_level=None)
@@ -108,21 +104,21 @@ def _stage_upgraded(src: Path | str, staged: Path | str) -> int:
 
 def migrate_db(path: Path | str) -> int:
     """Upgrade one database file: stage the upgraded copy beside it,
-    rename it over the original. Returns the number of migration steps
-    applied (0: already current, nothing written)."""
+    :func:`~repro.store.layout.publish` it over the original. Returns
+    the number of migration steps applied (0: already current, nothing
+    written)."""
     if not _outdated(path):
         return 0
     staged = str(path) + PARTIAL_SUFFIX
     steps = _stage_upgraded(path, staged)
-    os.replace(staged, path)
+    publish(staged, path)
     return steps
 
 
 def _migrate_dir(store: DirStore) -> tuple[int, int]:
     """(steps applied to the primary, side databases upgraded) for one
-    directory. Every artifact is staged, then the set is published at
-    once — side databases first, the primary last — so the directory
-    is its old self or its new self at every instant."""
+    directory. Every artifact is staged, then the set is published by
+    :meth:`~repro.store.layout.DirStore.publish`."""
     # every side artifact is an xattr shard, schema-stamped like the
     # primary
     sides = store.side_artifacts()

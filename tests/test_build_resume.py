@@ -18,12 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.build import (
-    PARTIAL_SUFFIX,
-    BuildOptions,
-    build_from_stanzas,
-    dir2index,
-)
+from repro.core.build import BuildOptions, build_from_stanzas, dir2index
 from repro.core.checkpoint import JOURNAL_NAME, BuildJournal
 from repro.core.index import GUFIIndex
 from repro.core.engine import QueryEngine
@@ -33,6 +28,7 @@ from repro.scan.faults import BuildCrash, FaultPlan, InjectedFault
 from repro.scan.scanners import TreeWalkScanner
 from repro.scan.walker import RetryPolicy
 from repro.store import layout
+from repro.store.layout import PARTIAL_SUFFIX
 from tests.conftest import NTHREADS, build_demo_tree
 
 

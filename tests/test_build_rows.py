@@ -387,9 +387,9 @@ class TestFixDepths:
         opened: list[str] = []
         real = DirStore.rewrite_primary
 
-        def rewrite_primary(self):
+        def rewrite_primary(self, *args):
             opened.append(str(self.index_dir))
-            return real(self)
+            return real(self, *args)
 
         monkeypatch.setattr(DirStore, "rewrite_primary", rewrite_primary)
         return opened

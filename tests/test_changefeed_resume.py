@@ -3,7 +3,7 @@
 The consumer commits its cursor only after a batch is fully applied,
 and every per-directory apply goes through the atomic
 ``.partial``+rename publish path — so a consumer killed mid-apply
-(fault sites ``build_dir_db`` / ``build_dir_db.commit``) restarts from
+(at any fault site it reaches, ``publish`` included) restarts from
 the last checkpoint, re-drains the same events, and converges to
 exactly the state an uninterrupted apply produces: exactly-once
 effects, no half-published databases, no lost events.
@@ -12,20 +12,26 @@ effects, no half-published databases, no lost events.
 from __future__ import annotations
 
 import os
+import shutil
 import sqlite3
+import sys
+from collections import Counter
 
 import pytest
 
-from repro.core.build import PARTIAL_SUFFIX, BuildOptions, dir2index
+from repro.core.build import BuildOptions, dir2index
 from repro.core.changefeed import changefeed2index
-from repro.core.checkpoint import ChangefeedCheckpoint
+from repro.core.checkpoint import CURSOR_NAME, ChangefeedCheckpoint
+from repro.core.index import GUFIIndex
 from repro.core.engine import QueryEngine
 from repro.core.query import Q1_LIST_PATHS, Q4_DU_TSUMMARY
+from repro.core.rollup import rollup
 from repro.core.tsummary import build_tsummary
 from repro.fs.changelog import ChangeJournal
 from repro.scan.faults import BuildCrash, FaultPlan
 from repro.store import watch
 from repro.store.doctor import doctor
+from repro.store.layout import DB_NAME, PARTIAL_SUFFIX, is_side_artifact
 from tests.conftest import (
     NTHREADS,
     build_demo_tree,
@@ -74,51 +80,197 @@ def setup(tmp_path, name="idx"):
     return tree, index, journal
 
 
-class TestCrashMidApply:
-    """Kill the apply at 25/50/75% of its directory rebuilds."""
+def mutate_matrix_batch(tree) -> None:
+    """:func:`mutate_batch` plus what makes an apply reach every kind of
+    publish: a cross-depth move (``_fix_depths`` rewrites the moved
+    database) and an xattr that lands in a side shard."""
+    mutate_batch(tree)
+    tree.rename("/home/bob/secret", "/proj/secret")
+    tree.setxattr("/proj/shared/data/d.h5", "user.tag", b"v")
 
-    def _reference_dirs_rebuilt(self, tmp_path) -> int:
-        tree, index, journal = setup(tmp_path, "ref")
-        mutate_batch(tree)
-        return changefeed2index(index, tree, journal, opts=OPTS).dirs_rebuilt
 
-    @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
-    def test_kill_resume_exactly_once(self, tmp_path, frac):
-        n_rebuilds = self._reference_dirs_rebuilt(tmp_path)
-        assert n_rebuilds >= 4  # the fractions below must differ
-        tree, index, journal = setup(tmp_path)
-        # a root tsummary, built on the handle the crashed and the
-        # resumed apply share: the resume folds what this memoised
+def summary_depths(index) -> dict[str, int]:
+    """Each directory's own ``summary.depth``."""
+    out = {}
+    for sp, _names in index.iter_tree():
+        conn = index.store(sp).open_ro()
+        try:
+            (out[sp],) = conn.execute(
+                "SELECT depth FROM summary WHERE isroot = 1 AND rectype = 0"
+            ).fetchone()
+        finally:
+            conn.close()
+    return out
+
+
+def index_state(index) -> tuple:
+    """What a resumed apply must agree on with a fresh build: Q1 rows
+    for the root and alice, the root's tree-summary rows and every
+    directory's depth."""
+    return (
+        query_rows(index),
+        query_rows(index, "/home/alice"),
+        tsummary_rows(index.root),
+        summary_depths(index),
+    )
+
+
+def _caller_names() -> set[str]:
+    frame, names = sys._getframe(), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+def publish_kind(key: str) -> str:
+    """What a ``publish`` fault key names: the cursor, a side shard, a
+    moved index directory, or a ``db.db`` — told apart by its writer."""
+    name = os.path.basename(key)
+    if name == CURSOR_NAME:
+        return "cursor"
+    if is_side_artifact(name):
+        return "side artifact"
+    if name != DB_NAME:
+        return "moved directory"
+    callers = _caller_names()
+    for writer, kind in (
+        ("_fix_depths", "depth fix"),
+        ("build_tsummary", "tree summary"),
+        ("unrollup_dir", "unroll"),
+        ("_build_dir_db", "rebuild"),
+    ):
+        if writer in callers:
+            return kind
+    raise AssertionError(f"publish of {key} by an unknown writer")
+
+
+class Census(FaultPlan):
+    """An empty plan that counts each site's invocations and records
+    the kind of every published path."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: Counter[str] = Counter()
+        self.kinds: set[str] = set()
+
+    def fire(self, site: str, key: str | None = None) -> None:
+        self.counts[site] += 1
+        if site == "publish":
+            self.kinds.add(publish_kind(key))
+        super().fire(site, key)
+
+
+class CrashMatrix:
+    """One apply of :func:`mutate_matrix_batch` to an index with a root
+    tree summary (flat or rolled), and what to kill it at: every
+    (site, invocation) an uninterrupted run reaches."""
+
+    def __init__(self, root, rolled: bool) -> None:
+        self.root = root
+        tree, index, _journal = setup(root, "template")
+        if rolled:
+            rollup(index, nthreads=NTHREADS)
         build_tsummary(index, "/", per_user_group=True)
-        mutate_batch(tree)
-        emitted = journal.head
+        self.template = index.root
+        tree, index, journal = self.case("census")
+        census = Census()
+        changefeed2index(index, tree, journal, opts=OPTS, faults=census)
+        self.kinds = census.kinds
+        self.counts = dict(census.counts)
+        fresh = dir2index(tree, root / "fresh", opts=OPTS).index
+        build_tsummary(fresh, "/", per_user_group=True)
+        self.expected = index_state(fresh)
+        assert index_state(index) == self.expected
+        self.emitted = journal.head
+        self.cases = 0
 
-        kill_at = max(1, int(n_rebuilds * frac))
+    def case(self, name: str):
+        """A copy of the template index and a live tree whose journal
+        holds the batch."""
+        dest = self.root / name
+        shutil.copytree(self.template, dest, symlinks=True)
+        tree = build_demo_tree()
+        journal = ChangeJournal()
+        tree.set_changelog(journal)
+        mutate_matrix_batch(tree)
+        return tree, GUFIIndex.open(dest), journal
+
+    def kill_and_resume(self, site: str, n: int):
+        """Kill the apply at the ``n``-th ``site``, resume it on the same
+        handle, and check it against the fresh build."""
+        self.cases += 1
+        tree, index, journal = self.case(f"{self.cases}-{site}-{n}")
         with pytest.raises(BuildCrash):
             changefeed2index(
                 index, tree, journal, opts=OPTS,
-                faults=FaultPlan.crash_at("build_dir_db", kill_at),
+                faults=FaultPlan.crash_at(site, n),
             )
-        # nothing acknowledged: cursor still at 0, every event retained
-        # (and the root's refresh owed)
-        assert ChangefeedCheckpoint(index.root).load_state() == (0, ["/"])
-        assert len(journal) == emitted
-
+        crashed = ChangefeedCheckpoint(index.root).load_state()
+        assert len(journal) == self.emitted  # nothing acknowledged
         resumed = changefeed2index(index, tree, journal, opts=OPTS)
+        assert resumed.events_applied == resumed.cursor == self.emitted
+        assert ChangefeedCheckpoint(index.root).load_state() == (
+            self.emitted, []
+        ), (site, n)
+        assert len(journal) == 0
+        assert index_state(index) == self.expected, (site, n)
+        assert partials_under(index.root) == [], (site, n)
+        assert doctor(index).healthy, (site, n)
+        return index, tree, journal, crashed, resumed
+
+
+@pytest.fixture(scope="module")
+def matrices(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrix")
+    return {
+        rolled: CrashMatrix(root / ("rolled" if rolled else "flat"), rolled)
+        for rolled in (False, True)
+    }
+
+
+class TestCrashMidApply:
+    """Kill one apply at every fault site and invocation it reaches,
+    then resume: the result is a fresh build's."""
+
+    @pytest.mark.parametrize("rolled", [False, True], ids=["flat", "rolled"])
+    def test_publish_reaches_every_path_kind(self, matrices, rolled):
+        kinds = {
+            "side artifact", "rebuild", "tree summary", "depth fix",
+            "moved directory", "cursor",
+        }
+        if rolled:
+            kinds.add("unroll")
+        assert matrices[rolled].kinds == kinds
+
+    @pytest.mark.parametrize("rolled", [False, True], ids=["flat", "rolled"])
+    def test_every_site_and_invocation(self, matrices, rolled):
+        matrix = matrices[rolled]
+        sites = {"build_dir_db", "build_dir_db.commit", "xattr_shards", "publish"}
+        if rolled:
+            sites.add("unrollup_dir")
+        assert set(matrix.counts) == sites
+        before = matrix.cases
+        for site, count in sorted(matrix.counts.items()):
+            for n in range(1, count + 1):
+                matrix.kill_and_resume(site, n)
+        assert matrix.cases - before == sum(matrix.counts.values())
+
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+    def test_kill_resume_exactly_once(self, matrices, frac):
+        """The matrix's cases at 25/50/75 % of the rebuilds, with what
+        the crashed apply leaves and a third, no-op run."""
+        matrix = matrices[False]
+        n_rebuilds = matrix.counts["build_dir_db"]
+        assert n_rebuilds >= 4  # the fractions below must differ
+        index, tree, journal, crashed, resumed = matrix.kill_and_resume(
+            "build_dir_db", max(1, int(n_rebuilds * frac))
+        )
+        # nothing acknowledged: cursor still at 0, the root's refresh owed
+        assert crashed == (0, ["/"])
         assert resumed.tsummary_refreshed == 1
         assert tsummary_rows(index.root) == fresh_tsummary_rows(index.root)
-        # the whole batch was re-drained and applied once, effectively
-        assert resumed.events_applied == emitted
-        assert resumed.cursor == emitted
-        assert ChangefeedCheckpoint(index.root).load() == emitted
-        assert len(journal) == 0  # acknowledged after commit
-        assert partials_under(index.root) == []
-        fresh = dir2index(tree, tmp_path / "fresh", opts=OPTS).index
-        assert query_rows(index) == query_rows(fresh)
-
-        # and a third run is a clean no-op
-        again = changefeed2index(index, tree, journal, opts=OPTS)
-        assert again.events_applied == 0
+        assert changefeed2index(index, tree, journal, opts=OPTS).events_applied == 0
 
     def test_crash_at_commit_publishes_nothing_half(self, tmp_path):
         """Worst case: the rebuild dies with the staging file fully

@@ -592,6 +592,29 @@ class TestInvalidation:
         assert not eng.run(E_ALL, "/home/bob").cached
         assert eng.run(E_ALL, "/proj").cached
 
+    def test_churn_two_levels_below_a_sibling_keeps_the_entry(
+        self, demo_tree, tmp_path
+    ):
+        """The module docstring's claim, with no tree summary: an apply
+        that creates a file two levels below ``/proj`` (and commits the
+        cursor) leaves a ``/home/alice`` entry a hit; one directly in
+        ``/proj`` retires it, since its parent ``/`` is an ancestor."""
+        index = dir2index(demo_tree, tmp_path / "idx", opts=OPTS).index
+        journal = ChangeJournal()
+        demo_tree.set_changelog(journal)
+        cache = ResultCache()
+        with QueryEngine(index, nthreads=NTHREADS, result_cache=cache) as eng:
+            rows = eng.run(E_ALL, "/home/alice").rows
+            demo_tree.create_file("/proj/shared/data/n.h5", size=5,
+                                  uid=1003, gid=100)
+            assert changefeed2index(index, demo_tree, journal,
+                                    opts=OPTS).dirs_rebuilt == 1
+            again = eng.run(E_ALL, "/home/alice")
+            assert again.cached and again.rows == rows
+            demo_tree.create_file("/proj/n.txt", size=5, uid=0, gid=0)
+            changefeed2index(index, demo_tree, journal, opts=OPTS)
+            assert not eng.run(E_ALL, "/home/alice").cached
+
     def test_subtree_invalidation_matches_descendants(self, cached_engine):
         eng, cache = cached_engine
         eng.run(E_ALL, "/proj")  # visits /proj/shared/data

@@ -353,7 +353,71 @@ def _view_ddl_sites(path: Path) -> list[tuple[int, str | None]]:
     ]
 
 
+#: the one rename in the package: every writer that makes index state
+#: visible calls ``repro.store.layout.publish``
+_RENAME_HOME = ("store/layout.py", "publish")
+_RENAMES = {"os": ("replace", "rename", "renames"), "shutil": ("move",)}
+
+
+def _rename_sites(path: Path) -> list[tuple[int, str | None]]:
+    """``(line, enclosing module-level function)`` of every use of
+    ``os.replace``, ``os.rename``, ``os.renames`` or ``shutil.move``,
+    and of every ``from os import replace``-style import of one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner: dict[int, str] = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    hits: list[tuple[int, str | None]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found = node.attr in _RENAMES.get(node.value.id, ())
+        elif isinstance(node, ast.ImportFrom):
+            names = _RENAMES.get(node.module or "", ())
+            found = any(alias.name in names for alias in node.names)
+        else:
+            continue
+        if found:
+            hits.append((node.lineno, owner.get(id(node))))
+    return hits
+
+
 class TestEncapsulationLint:
+    def test_one_rename_in_the_package(self, tmp_path):
+        """One publish: the only rename under ``src/`` is the body of
+        ``repro.store.layout.publish``, the fault site every publisher
+        shares."""
+        home, func = _RENAME_HOME
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            sites = _rename_sites(path)
+            if path.relative_to(SRC_ROOT).as_posix() == home:
+                assert sites and {f for _line, f in sites} == {func}, sites
+            else:
+                assert not sites, (path, sites)
+        bad = tmp_path / "bad.py"
+        for line, found in (
+            ("os.replace(tmp, final)", True),
+            ("os.rename(a, b)", True),
+            ("os.renames(a, b)", True),
+            ("shutil.move(a, b)", True),
+            ("swap = os.replace", True),
+            ("from os import replace", True),
+            ("from os import getcwd, rename as mv", True),
+            ("from os import renames", True),
+            ("from shutil import move", True),
+            ("s = name.replace('/', '-')", False),
+            ("tree.rename(src, dst)", False),
+            ("from os import path", False),
+            ("from shutil import rmtree", False),
+            ("publish(tmp, final, faults)", False),
+        ):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert bool(_rename_sites(bad)) == found, line
+        bad.write_text("class S:\n    def publish(self):\n        os.replace(a, b)\n")
+        assert _rename_sites(bad) == [(3, None)]  # a method is not the home
+        bad.write_text("def publish(a, b):\n    os.replace(a, b)\n")
+        assert _rename_sites(bad) == [(2, "publish")]
+
     def test_view_text_has_one_home(self, tmp_path):
         home, func = _VIEW_DDL_HOME
         for path in sorted(SRC_ROOT.rglob("*.py")):
@@ -934,8 +998,8 @@ class TestSizing:
         """table_bytes and artifact_bytes agree on missing files: both
         report 0 instead of one raising and one guessing."""
         store = DirStore.open(tmp_path / "d")
-        conn = store.create_primary()
-        conn.close()
+        store.stage_primary().close()
+        store.publish([])
         main = sqlite3.connect(":memory:")
         try:
             main.execute(
@@ -961,12 +1025,14 @@ class TestSizing:
 class TestVersionStamp:
     def test_new_dbs_carry_schema_version(self, tmp_path):
         store = DirStore.open(tmp_path / "d")
-        conn = store.create_primary()
+        conn = store.stage_primary()
         try:
             assert schema.db_schema_version(conn) == schema.SCHEMA_VERSION
             assert schema.SCHEMA_VERSION > 0
         finally:
             conn.close()
+        store.publish([])
+        assert store.stamp() is not None and not store.list_partials()
 
     def test_every_built_dir_is_stamped(self, demo_tree, tmp_path):
         result = dir2index(

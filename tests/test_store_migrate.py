@@ -161,18 +161,19 @@ class TestMigrateRoundTrip:
 
     def test_newer_schema_refuses(self, tmp_path):
         store = DirStore.open(tmp_path / "d")
-        conn = store.create_primary()
+        conn = store.stage_primary()
         try:
             conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
             conn.commit()
         finally:
             conn.close()
+        store.publish([])
         with pytest.raises(SchemaVersionError):
             migrate_db(store.db_path)
 
     def test_migrate_conn_reports_steps(self, tmp_path):
         store = DirStore.open(tmp_path / "d")
-        conn = store.create_primary()
+        conn = store.stage_primary()
         try:
             conn.execute("PRAGMA user_version = 0")
             conn.commit()
@@ -181,6 +182,8 @@ class TestMigrateRoundTrip:
             assert migrate_conn(conn) == 0  # already current
         finally:
             conn.close()
+        store.publish([])
+        assert migrate_db(store.db_path) == 0  # published current
 
 
 class TestMigrateCrashResume:

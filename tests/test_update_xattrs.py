@@ -120,3 +120,31 @@ class TestUpdateCrashSafety:
         assert rows == [("/d/f",), ("/d/h",), ("/d/sub/g",)]
         assert "new-value" in xattrs["f"] and "old-value" not in xattrs["f"]
         assert doctor(idx).healthy
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="DirStore.publish renames side shards into their fixed, "
+        "final names before the primary: a kill between those renames "
+        "leaves the old db.db reading the new shard. Mending it needs "
+        "shard names that never collide with the published set's (a "
+        "format change).",
+    )
+    def test_crash_before_the_primary_rename_keeps_the_old_xattrs(self, setup):
+        from repro.scan.faults import BuildCrash, Fault, FaultPlan
+
+        t, idx = setup
+
+        def xattrs():
+            with QueryEngine(idx, creds=ALICE, nthreads=NTHREADS) as q:
+                return dict(q.run(XQ, "/d").rows)
+
+        before = xattrs()
+        assert "old-value" in before["f"]
+        t.setxattr("/d/f", "user.secret", b"new-value", ALICE)
+        primary = Fault(kind="crash", site="publish", path=str(idx.db_path("/d")))
+        crash = BuildOptions(nthreads=NTHREADS, faults=FaultPlan([primary]))
+        with pytest.raises(BuildCrash):
+            update_directory(idx, t, "/d", opts=crash)
+        assert crash.faults.fired and idx.store("/d").list_partials()
+        assert xattrs() == before  # the old db.db's answers
